@@ -1,7 +1,8 @@
 // Command autofjd is the Auto-FuzzyJoin serving daemon: it hosts a
-// registry of named, compiled join programs behind an HTTP/JSON API,
-// micro-batching concurrent queries into MatchBatch shards and caching
-// results in a bounded LRU, with atomic hot swaps and graceful shutdown.
+// registry of named, compiled join programs behind an HTTP/JSON API. Each
+// query is one direct call into the program's table, whose
+// generation-keyed result cache answers repeated queries; hot swaps are
+// atomic and shutdown is graceful.
 //
 // Start with a config file:
 //
@@ -49,8 +50,7 @@
 //	     "left_path": "left.csv", "column": "name",
 //	     "snapshot_path": "orgs.afjs"}
 //	  ],
-//	  "cache_size": 4096, "batch_window_us": 500, "batch_max": 64,
-//	  "delta_max": 512
+//	  "parallelism": 0, "drain_timeout_ms": 5000, "delta_max": 512
 //	}
 package main
 
@@ -152,6 +152,19 @@ func run(args []string, stderr io.Writer, ready chan<- string, shutdown <-chan s
 	}
 	srv.SetReady(true)
 
+	// The handler is installed before the listener exists: once a client
+	// can connect, a SIGTERM always drains instead of killing the process.
+	// Selecting on the signal channel directly (nil when the caller drives
+	// shutdown, so that arm never fires) avoids a forwarder goroutine that
+	// would stay parked on the signal receive forever when the server exits
+	// through the error path instead.
+	var sig chan os.Signal
+	if shutdown == nil {
+		sig = make(chan os.Signal, 1)
+		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+		defer signal.Stop(sig)
+	}
+
 	ln, err := net.Listen("tcp", cfg.ListenAddr())
 	if err != nil {
 		return err
@@ -165,16 +178,6 @@ func run(args []string, stderr io.Writer, ready chan<- string, shutdown <-chan s
 		ready <- ln.Addr().String()
 	}
 
-	// Selecting on the signal channel directly (nil when the caller drives
-	// shutdown, so that arm never fires) avoids a forwarder goroutine that
-	// would stay parked on the signal receive forever when the server exits
-	// through the error path instead.
-	var sig chan os.Signal
-	if shutdown == nil {
-		sig = make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		defer signal.Stop(sig)
-	}
 	select {
 	case err := <-errc:
 		return err // listener failed before any shutdown request
@@ -182,9 +185,9 @@ func run(args []string, stderr io.Writer, ready chan<- string, shutdown <-chan s
 	case <-shutdown:
 	}
 
-	// Graceful drain: stop accepting, let in-flight handlers (and the
-	// batches they wait on) finish, then drain the batchers — all bounded
-	// by the configured deadline.
+	// Graceful drain: stop accepting and let in-flight handlers finish,
+	// then close the registry (which waits for admitted table calls and
+	// stops the compactor) — all bounded by the configured deadline.
 	fmt.Fprintln(stderr, "autofjd: draining")
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.DrainTimeout())
 	defer cancel()

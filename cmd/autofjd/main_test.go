@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -114,8 +113,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDaemonConfigFile: the -config path end to end, including config
-// defaults applied to the batcher knobs.
+// TestDaemonConfigFile: the -config path end to end.
 func TestDaemonConfigFile(t *testing.T) {
 	dir := t.TempDir()
 	progPath := filepath.Join(dir, "prog.json")
@@ -127,7 +125,7 @@ func TestDaemonConfigFile(t *testing.T) {
 		"listen": "127.0.0.1:0",
 		"programs": [{"name": "orgs", "program_path": `+jsonString(progPath)+`,
 		              "left_path": `+jsonString(leftPath)+`}],
-		"batch_window_us": 100, "cache_size": 16
+		"drain_timeout_ms": 2000, "delta_max": 16
 	}`)
 
 	base, stop := startDaemon(t, []string{"-config", cfgPath})
@@ -273,9 +271,11 @@ func jsonString(s string) string {
 }
 
 // TestSignalShutdown drives the daemon's own signal path (nil shutdown
-// channel): a SIGTERM to the process must produce a clean graceful exit,
-// and no goroutine may stay parked afterwards — the regression guard for
-// the leaked signal-forwarder goroutine run used to spawn.
+// channel): a SIGTERM to the process, sent the moment run reports ready,
+// must produce a clean graceful exit — run installs its handler before it
+// listens, so there is no window in which the signal kills the process.
+// (Goroutine leaks on this path are autofjvet's leakygo's to catch;
+// counting goroutines here would count os/signal's process-lifetime one.)
 func TestSignalShutdown(t *testing.T) {
 	dir := t.TempDir()
 	progPath := filepath.Join(dir, "prog.json")
@@ -283,7 +283,6 @@ func TestSignalShutdown(t *testing.T) {
 	writeFile(t, progPath, testProgramJSON)
 	writeFile(t, leftPath, "name\nalpha research institute\nbravo analytics bureau\n")
 
-	before := runtime.NumGoroutine()
 	ready := make(chan string, 1)
 	done := make(chan error, 1)
 	var stderr bytes.Buffer
@@ -310,12 +309,5 @@ func TestSignalShutdown(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("daemon did not stop on SIGTERM")
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Errorf("goroutines leaked across a daemon lifecycle: %d before, %d after", before, after)
 	}
 }

@@ -193,7 +193,7 @@ func buildArenaRep(profs []*Profile, pi, ti, firstWt int, need [numWt]bool) *are
 // the id kernels reproduce the string kernels exactly.
 //
 // A QueryProfile is immutable after ArenaQuery and safe for concurrent
-// use — it is exactly the shape a query-normalization cache retains.
+// use.
 type QueryProfile struct {
 	proc  [numPre]string
 	runes [numPre][]rune

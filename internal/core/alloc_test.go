@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// TestMatchZeroAllocSteadyState pins the tentpole invariant: once the
-// query-normalization cache holds a surface form, Match, MatchBatchInto,
-// and MatchRowsInto run without a single heap allocation (sequential
+// TestMatchZeroAllocSteadyState pins the warm-path invariant: once the
+// result cache holds a surface form, Match, MatchBatchInto, and
+// MatchRowsInto run without a single heap allocation (sequential
 // path; parallel fan-out pays O(workers) goroutine bookkeeping and is
 // exercised by the benchmarks instead). A regression here is a silent
 // performance cliff long before it is a correctness bug, so it fails the
@@ -23,8 +23,7 @@ func TestMatchZeroAllocSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := make([]Match, len(queries))
-	// Warm pass: fills the cache and every ball-count slot the queries
-	// can reach, and sizes the pooled scratch.
+	// Warm pass: fills the cache and sizes the pooled scratch.
 	if err := m.MatchBatchInto(ctx, queries, out); err != nil {
 		t.Fatal(err)
 	}

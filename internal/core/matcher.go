@@ -87,11 +87,10 @@ type Matcher struct {
 	balls      []atomic.Uint32
 	ballFactor float64
 
-	// cache is the query-normalization cache: one entry per distinct
-	// query surface form holding its columnar profiles and surviving
-	// candidate list, so repeated queries skip tokenization, blocking,
-	// and negative-rule filtering entirely. Matcher state never changes
-	// after Compile, so entries are stored under generation 0 forever.
+	// cache is the result cache: one final Match per distinct query
+	// surface form, so a repeated query is a map lookup. Matcher state
+	// never changes after Compile, so entries are stored under generation
+	// 0 forever.
 	cache *queryCache
 
 	parallelism int
@@ -111,11 +110,10 @@ type matcherCol struct {
 	cells  []string
 }
 
-// matchScratch is the reusable per-call state of the query path. After
-// the columnar refactor every field is either a persistent sub-scratch
-// or a pointer-free buffer (candidate ids, distance rows, key bytes), so
-// a pooled scratch pins no query-sized memory between calls and
-// putScratch needs no clearing.
+// matchScratch is the reusable per-call state of the query path. Every
+// field is either a persistent sub-scratch or a pointer-free buffer
+// (candidate ids, distance rows, key bytes), so a pooled scratch pins no
+// query-sized memory between calls and putScratch needs no clearing.
 type matchScratch struct {
 	//autofj:keep persistent blocking sub-scratch; holds only capacity and generation stamps, never query data
 	sc        *blocking.Scratch
@@ -280,11 +278,11 @@ func (m *Matcher) Program() []Configuration {
 
 func (m *Matcher) getScratch() *matchScratch { return m.pool.Get().(*matchScratch) }
 
-// putScratch returns a scratch to the pool. Since the columnar refactor
-// the scratch holds no query-derived references — query profiles, cells,
-// and word sets live in immutable cache entries, and every scratch
-// buffer is pointer-free (ids, float rows, key bytes) — so nothing needs
-// clearing; TestScratchRetainsNoQueryMemory pins that invariant.
+// putScratch returns a scratch to the pool. The scratch holds no
+// query-derived references — query profiles, cells, and word sets live in
+// the per-miss queryState, and every scratch buffer is pointer-free (ids,
+// float rows, key bytes) — so nothing needs clearing;
+// TestScratchRetainsNoQueryMemory pins that invariant.
 //
 //autofj:hotpath
 func (m *Matcher) putScratch(ms *matchScratch) {
@@ -292,14 +290,14 @@ func (m *Matcher) putScratch(ms *matchScratch) {
 }
 
 // pairDists fills ms.drow with the distance of EVERY configuration
-// between reference record l and the cached query profiles — one fused
+// between reference record l and the query profiles — one fused
 // arena-kernel pass per (pair, representation) instead of one per
 // configuration. Multi-column distances reproduce the learned tensor
 // semantics: per-column float32 rounding and maximal distance for two
 // missing cells.
 //
 //autofj:hotpath
-func (m *Matcher) pairDists(ms *matchScratch, e *queryEntry, l int32) {
+func (m *Matcher) pairDists(ms *matchScratch, e *queryState, l int32) {
 	if !m.multi {
 		m.eval.ArenaDistances(m.cols[0].arena, l, e.qprofs[0], ms.esc, ms.drow)
 		return
@@ -376,14 +374,31 @@ func (m *Matcher) ballCount(ci int, l int32, ms *matchScratch) uint32 {
 	return count
 }
 
-// fillEntry is the cache-fill edge of the query path: blocking,
+// queryState is the transient miss-path state of one query: everything
+// about it that does not depend on which candidate it is scored against.
+// It is built per cache miss and dropped once the Match is computed.
+type queryState struct {
+	// cands lists the surviving candidates — blocking top-k minus
+	// negative-rule vetoes — in blocking order.
+	cands []int32
+	// qprofs holds the columnar query profiles, one per program column
+	// (the arena-backed Matcher path).
+	qprofs []*config.QueryProfile
+	// profs holds pointer query profiles, one per program column (the
+	// Table path, whose reference side is reweighted per generation).
+	profs []*config.Profile
+	// qcells are the projected query cells of a multi-column row, for the
+	// missing-value rule.
+	qcells []string
+}
+
+// fillQuery is the cache-fill edge of the query path: blocking,
 // negative-rule vetoes, and columnar query-profile construction for one
-// surface form, packaged into an immutable cache entry. It allocates
-// freely — the work amortizes across every repeat of the query — and the
-// entry shares nothing with the scratch, so pooled scratches never pin
-// query memory.
-func (m *Matcher) fillEntry(ms *matchScratch, key string, row []string) *queryEntry {
-	e := &queryEntry{}
+// surface form. It allocates freely — a miss happens once per distinct
+// query — and the state shares nothing with the scratch, so pooled
+// scratches never pin query memory.
+func (m *Matcher) fillQuery(ms *matchScratch, key string, row []string) *queryState {
+	e := &queryState{}
 	ms.cands = m.ix.AppendTopK(ms.cands[:0], ms.sc, key, m.k, -1)
 	e.cands = make([]int32, 0, len(ms.cands))
 	if m.rules != nil && m.rules.Len() > 0 {
@@ -415,46 +430,45 @@ func (m *Matcher) fillEntry(ms *matchScratch, key string, row []string) *queryEn
 	return e
 }
 
-// matchOne runs the full query path for one record: the cached (or
-// freshly filled) blocking + negative-rule + query-profile entry, the
-// per-configuration closest-candidate scans over the columnar arena, and
-// the learning-faithful union resolution.
+// matchOne answers one record: the cached Match of a repeated surface
+// form, or on a miss the full query path, whose result is then stored.
+// Multi-column callers pass the row and an empty key — the concatenated
+// blocking key is only materialized on a miss.
 //
 //autofj:hotpath
 func (m *Matcher) matchOne(ms *matchScratch, key string, row []string) (Match, bool) {
 	if len(m.configs) == 0 || m.nL == 0 {
 		return noMatch(), false
 	}
-	var e *queryEntry
 	if m.multi {
 		// The cache key covers the FULL row: the blocking key concatenates
 		// every cell, so rows differing only outside the program's columns
 		// can still block differently.
 		ms.kbuf = appendRowKey(ms.kbuf[:0], row)
-		e = m.cache.lookupBytes(ms.kbuf, 0)
-	} else {
-		e = m.cache.lookup(key, 0)
-	}
-	if e == nil {
-		if m.multi && key == "" {
-			// Multi-column callers pass an empty key so the concatenated
-			// blocking key is only materialized on a cache miss — the warm
-			// path never touches it.
-			//autofj:alloc-ok cache-fill edge: the blocking key is concatenated once per distinct row
-			key = concatRow(row)
+		if mt, ok := m.cache.lookupBytes(ms.kbuf, 0); ok {
+			return mt, mt.Left >= 0
 		}
-		//autofj:alloc-ok cache-fill edge: one entry build per distinct surface form, amortized across every repeat
-		e = m.fillEntry(ms, key, row)
-		if m.multi {
-			//autofj:alloc-ok cache-fill edge: the composite key string is materialized once per distinct row
-			m.cache.storeBytes(ms.kbuf, e)
-		} else {
-			m.cache.store(key, e)
-		}
+		//autofj:alloc-ok cache-fill edge: the blocking key is concatenated once per distinct row
+		key = concatRow(row)
+	} else if mt, ok := m.cache.lookup(key, 0); ok {
+		return mt, mt.Left >= 0
 	}
-	if len(e.cands) == 0 {
-		return noMatch(), false
+	//autofj:alloc-ok cache-fill edge: one query-state build per distinct surface form, amortized across every repeat
+	best := m.score(ms, m.fillQuery(ms, key, row))
+	if m.multi {
+		//autofj:alloc-ok cache-fill edge: the composite key string is materialized once per distinct row
+		key = string(ms.kbuf)
 	}
+	m.cache.store(key, 0, best)
+	return best, best.Left >= 0
+}
+
+// score runs the query path proper over a filled query: the
+// per-configuration closest-candidate scans over the columnar arena, and
+// the learning-faithful union resolution.
+//
+//autofj:hotpath
+func (m *Matcher) score(ms *matchScratch, e *queryState) Match {
 	// Pair-major candidate scan: one fused evaluation per candidate fills
 	// every configuration's distance, and a strict < keeps the first
 	// minimum in blocking order — exactly the configuration-major result.
@@ -491,7 +505,7 @@ func (m *Matcher) matchOne(ms *matchScratch, key string, row []string) (Match, b
 			best = Match{Left: int(bl), Distance: bd, Precision: pr, Config: ci}
 		}
 	}
-	return best, best.Left >= 0
+	return best
 }
 
 // concatRow builds the blocking key of a full row, matching the
@@ -513,9 +527,9 @@ func appendRowKey(dst []byte, row []string) []byte {
 	return dst
 }
 
-// QueryCacheStats returns the cumulative hit/miss counters of the
-// query-normalization cache (a disabled cache reports every lookup as a
-// miss).
+// QueryCacheStats returns the cumulative hit/miss counters of the result
+// cache: a hit returned a stored Match without scoring (a disabled cache
+// reports every lookup as a miss).
 func (m *Matcher) QueryCacheStats() (hits, misses uint64) { return m.cache.stats() }
 
 // Match matches one query record, returning the join (if any) with its

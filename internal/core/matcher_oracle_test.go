@@ -252,7 +252,7 @@ func (o *pointerOracle) matchRow(row []string) Match {
 
 // oracleQueries builds a query mix that exercises every branch the
 // oracle pins: exact copies, perturbed variants (repeated, so the
-// normalization cache serves warm hits that must still agree), negative-
+// result cache serves warm hits that must still agree), negative-
 // rule collisions, unjoinable garbage, and an empty string.
 func oracleQueries(keys []string) []string {
 	rng := rand.New(rand.NewSource(97))
@@ -267,7 +267,7 @@ func oracleQueries(keys []string) []string {
 		"",                                 // empty query
 	)
 	// Repeat the whole set so the second half is answered from the
-	// normalization cache — bit-identity must hold on the hit path too.
+	// result cache — bit-identity must hold on the hit path too.
 	return append(qs, qs...)
 }
 

@@ -59,12 +59,12 @@ type Options struct {
 	// BallRadiusFactor·θ of its target (Eq. 8 uses 2, the triangle-
 	// inequality-safe choice; the ablation benches sweep it).
 	BallRadiusFactor float64
-	// QueryCacheSize bounds the serving-path query-normalization cache
-	// (distinct query surface forms whose tokenization, blocking, and
-	// profiles are retained): 0 uses the built-in default, a negative
-	// value disables caching. Cached entries never change results — they
-	// are keyed by the table generation, so any mutation invalidates
-	// them — only whether repeated queries redo normalization work.
+	// QueryCacheSize bounds the serving-path result cache (distinct query
+	// surface forms whose final Match is retained; the cache flushes
+	// wholesale when full): 0 uses the built-in default of 4096, a
+	// negative value disables caching. Cached entries never change results
+	// — they are keyed by the table generation, so any mutation
+	// invalidates them — only whether a repeated query is re-scored.
 	QueryCacheSize int
 }
 

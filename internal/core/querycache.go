@@ -3,55 +3,42 @@ package core
 import (
 	"sync"
 	"sync/atomic"
-
-	"github.com/chu-data-lab/autofuzzyjoin-go/internal/config"
 )
 
-// defaultQueryCacheSize bounds the query-normalization cache when the
-// Options knob is left zero. Sized so a serving loop cycling a few
-// thousand distinct surface forms (the benchmark workload) stays fully
-// resident.
+// defaultQueryCacheSize bounds the query cache when the Options knob is
+// left zero. Sized so a serving loop cycling a few thousand distinct
+// surface forms (the benchmark workload) stays fully resident.
 const defaultQueryCacheSize = 4096
 
-// queryEntry is one cached surface form: everything about a query that
-// does not depend on which candidate it is scored against. Entries are
-// immutable after fill and shared across goroutines; they own all their
-// memory (nothing aliases a scratch buffer).
+// queryEntry is one memoized answer: the final Match of a query surface
+// form and the table generation it was computed under. Nothing that went
+// into the answer (candidates, profiles) is retained.
 type queryEntry struct {
-	// gen is the table generation the entry was built under; entries from
-	// older generations are treated as misses (a Matcher never changes,
-	// so it stores everything under generation 0).
+	// gen is the table generation the answer was computed under; entries
+	// from older generations read as misses (a Matcher never changes, so it
+	// stores everything under generation 0).
 	gen uint64
-	// cands lists the surviving candidates — blocking top-k minus
-	// negative-rule vetoes — in blocking order.
-	cands []int32
-	// qprofs holds the columnar query profiles, one per program column
-	// (the arena-backed Matcher path).
-	qprofs []*config.QueryProfile
-	// profs holds pointer query profiles, one per program column (the
-	// Table path, whose reference side is reweighted per generation).
-	profs []*config.Profile
-	// qcells are the projected query cells of a multi-column row, for the
-	// missing-value rule.
-	qcells []string
+	m   Match
 }
 
-// queryCache is the generation-keyed query-normalization cache: repeated
-// query surface forms skip text processing, tokenization, embedding,
-// blocking, and negative-rule filtering entirely. Generation mismatches
-// read as misses, so a mutating Table (whose generation bumps on every
-// add, remove, and compaction) can never serve stale candidates or
-// profiles. Eviction is a wholesale flush when the entry cap is reached:
-// the steady state of a serving workload is a hot working set well under
-// the cap, and one flush costs a single miss round instead of per-entry
-// bookkeeping on the hit path.
+// queryCache is the generation-keyed result cache, the one place an
+// answer is kept across calls: a compiled program answers a record as a
+// pure function of (reference table, record), so a repeated query surface
+// form under the same generation returns its stored Match and skips text
+// processing, blocking, negative rules, scoring, and ball counts.
+// Generation mismatches read as misses, so a mutating Table (whose
+// generation bumps on every add, remove, and compaction) can never serve a
+// stale answer. Eviction is a wholesale flush when the entry cap is
+// reached, with no recency order: the steady state of a serving workload
+// is a hot working set well under the cap, and one flush costs a single
+// miss round instead of per-entry bookkeeping on the hit path. Entries of
+// older generations stay resident until overwritten or flushed.
 type queryCache struct {
-	disabled bool
-	cap      int
-	hits     atomic.Uint64
-	misses   atomic.Uint64
-	mu       sync.RWMutex
-	m        map[string]*queryEntry
+	cap    int
+	hits   atomic.Uint64
+	misses atomic.Uint64
+	mu     sync.RWMutex
+	m      map[string]queryEntry // nil when caching is disabled
 }
 
 // newQueryCache builds a cache with the given entry cap: 0 means
@@ -59,31 +46,22 @@ type queryCache struct {
 // misses and nothing is stored).
 func newQueryCache(size int) *queryCache {
 	if size < 0 {
-		return &queryCache{disabled: true}
+		return &queryCache{}
 	}
 	if size == 0 {
 		size = defaultQueryCacheSize
 	}
-	return &queryCache{cap: size, m: make(map[string]*queryEntry, size)}
+	return &queryCache{cap: size, m: make(map[string]queryEntry, size)}
 }
 
-// lookup returns the entry cached for key under gen, or nil on a miss.
+// lookup returns the answer cached for key under gen.
 //
 //autofj:hotpath
-func (qc *queryCache) lookup(key string, gen uint64) *queryEntry {
-	if qc.disabled {
-		qc.misses.Add(1)
-		return nil
-	}
+func (qc *queryCache) lookup(key string, gen uint64) (Match, bool) {
 	qc.mu.RLock()
-	e := qc.m[key]
+	e, ok := qc.m[key]
 	qc.mu.RUnlock()
-	if e == nil || e.gen != gen {
-		qc.misses.Add(1)
-		return nil
-	}
-	qc.hits.Add(1)
-	return e
+	return qc.count(e, ok && e.gen == gen)
 }
 
 // lookupBytes is lookup for composite byte keys (multi-column rows); the
@@ -91,42 +69,42 @@ func (qc *queryCache) lookup(key string, gen uint64) *queryEntry {
 // nothing.
 //
 //autofj:hotpath
-func (qc *queryCache) lookupBytes(key []byte, gen uint64) *queryEntry {
-	if qc.disabled {
-		qc.misses.Add(1)
-		return nil
-	}
+func (qc *queryCache) lookupBytes(key []byte, gen uint64) (Match, bool) {
 	qc.mu.RLock()
-	e := qc.m[string(key)]
+	e, ok := qc.m[string(key)]
 	qc.mu.RUnlock()
-	if e == nil || e.gen != gen {
-		qc.misses.Add(1)
-		return nil
-	}
-	qc.hits.Add(1)
-	return e
+	return qc.count(e, ok && e.gen == gen)
 }
 
-// store inserts an entry, flushing the whole map first when full.
-func (qc *queryCache) store(key string, e *queryEntry) {
-	if qc.disabled {
+//autofj:hotpath
+func (qc *queryCache) count(e queryEntry, hit bool) (Match, bool) {
+	if hit {
+		qc.hits.Add(1)
+	} else {
+		qc.misses.Add(1)
+	}
+	return e.m, hit
+}
+
+// store records the answer for key under gen, flushing the whole map
+// first when full.
+func (qc *queryCache) store(key string, gen uint64, m Match) {
+	if qc.m == nil {
 		return
 	}
 	qc.mu.Lock()
 	if len(qc.m) >= qc.cap {
 		clear(qc.m)
 	}
-	qc.m[key] = e
+	qc.m[key] = queryEntry{gen: gen, m: m}
 	qc.mu.Unlock()
 }
 
-// storeBytes is store for composite byte keys; the key is materialized
-// once here, on the miss path.
-func (qc *queryCache) storeBytes(key []byte, e *queryEntry) {
-	if qc.disabled {
-		return
-	}
-	qc.store(string(key), e)
+// len returns the number of resident entries, stale generations included.
+func (qc *queryCache) len() int {
+	qc.mu.RLock()
+	defer qc.mu.RUnlock()
+	return len(qc.m)
 }
 
 // stats returns the cumulative hit/miss counters.

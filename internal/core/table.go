@@ -62,12 +62,11 @@ type Table struct {
 	cols  []tableCol
 	balls []atomic.Uint64 // packed statsGen<<32 | count, by ci*ballStride+dense
 
-	// cache is the query-normalization cache, keyed by the mutation
-	// generation: repeated query surface forms skip tokenization, merged
-	// blocking, negative-rule vetoes, and query-profile construction.
-	// Entries fill under the read lock at the generation they observe and
-	// read as misses after any mutation, so the table can never serve
-	// stale candidates, profiles, or IDF weights.
+	// cache is the result cache, keyed by the mutation generation: a
+	// repeated query surface form returns its stored Match. Entries fill
+	// under the read lock at the generation they observe and read as
+	// misses after any mutation, so the table can never serve an answer
+	// computed against older rows, dense ids, or IDF weights.
 	cache *queryCache
 
 	gen atomic.Uint64
@@ -153,10 +152,9 @@ func (pl *tablePayload) tail(m int) *tablePayload {
 }
 
 // tableScratch is the reusable per-call query state. Query-derived
-// references (profiles, cells, word sets) live in immutable
-// generation-keyed cache entries, not here: every scratch field is a
-// persistent sub-scratch or a pointer-free buffer, mirroring
-// matchScratch.
+// references (profiles, cells, word sets) live in the per-miss
+// queryState, not here: every scratch field is a persistent sub-scratch
+// or a pointer-free buffer, mirroring matchScratch.
 type tableScratch struct {
 	//autofj:keep persistent blocking sub-scratch; holds only capacity and generation stamps, never query data
 	sc        *blocking.TableScratch
@@ -409,14 +407,19 @@ func (t *Table) Program() []Configuration {
 
 // Generation returns the mutation generation: it increases on every add,
 // remove, and compaction swap, always before the change is visible to
-// queries. Cache layers key results on (generation, query).
+// queries. The result cache keys answers on (generation, query).
 func (t *Table) Generation() uint64 { return t.gen.Load() }
 
-// QueryCacheStats returns the cumulative hit/miss counters of the
-// query-normalization cache. Mutations turn previously-hot entries into
-// misses (entries are generation-keyed), so a rising miss rate on a busy
-// table usually tracks its mutation rate.
+// QueryCacheStats returns the cumulative hit/miss counters of the result
+// cache: a hit returned a stored Match without scoring, a miss ran the
+// full query path. Mutations turn previously-hot entries into misses
+// (entries are generation-keyed), so a rising miss rate on a busy table
+// usually tracks its mutation rate.
 func (t *Table) QueryCacheStats() (hits, misses uint64) { return t.cache.stats() }
+
+// QueryCacheLen returns the number of answers resident in the result
+// cache, including those of older generations that can no longer hit.
+func (t *Table) QueryCacheLen() int { return t.cache.len() }
 
 // DeltaLen returns the number of uncompiled delta slots (tombstoned ones
 // included) — the compaction pressure.
@@ -692,12 +695,12 @@ func (t *Table) profile(j int, pl *tablePayload, local int32, rs *config.Reweigh
 }
 
 // pairDists fills ms.drow with every configuration's distance between
-// reference row ref and the cached query profiles — the Table form of
+// reference row ref and the query profiles — the Table form of
 // Matcher.pairDists, with identical multi-column float32 rounding and
 // missing-value semantics.
 //
 //autofj:hotpath
-func (t *Table) pairDists(ms *tableScratch, e *queryEntry, ref blocking.Ref) {
+func (t *Table) pairDists(ms *tableScratch, e *queryState, ref blocking.Ref) {
 	pl, local := t.payload(ref)
 	if !t.multi {
 		t.eval.Distances(t.profile(0, pl, local, &ms.rwa), e.profs[0], ms.esc, ms.drow)
@@ -776,13 +779,12 @@ func (t *Table) ballCount(ci int, l int32, ms *tableScratch) uint32 {
 	return count
 }
 
-// fillEntry is the Table's cache-fill edge: merged blocking,
+// fillQuery is the Table's cache-fill edge: merged blocking,
 // negative-rule vetoes, and query-profile construction for one surface
-// form under the current generation's statistics, packaged into an
-// immutable cache entry. Caller must hold the read lock (the profiles
-// read the live IDF statistics).
-func (t *Table) fillEntry(ms *tableScratch, gen uint64, key string, row []string) *queryEntry {
-	e := &queryEntry{gen: gen}
+// form under the current generation's statistics. Caller must hold the
+// read lock (the profiles read the live IDF statistics).
+func (t *Table) fillQuery(ms *tableScratch, key string, row []string) *queryState {
+	e := &queryState{}
 	ms.cands = t.tix.AppendTopK(ms.cands[:0], ms.sc, key, t.k)
 	e.cands = make([]int32, 0, len(ms.cands))
 	if t.hasRules {
@@ -813,48 +815,47 @@ func (t *Table) fillEntry(ms *tableScratch, gen uint64, key string, row []string
 	return e
 }
 
-// matchOne runs the full query path for one record against the segmented
-// table: the cached (or freshly filled) blocking + negative-rule +
-// query-profile entry, per-configuration closest-candidate scans, and the
-// learning-faithful union resolution — the exact Matcher.matchOne
-// sequence over Ref-addressed storage. Caller must hold the read lock,
-// which also pins the generation for the duration of the call.
+// matchOne answers one record against the segmented table and reports
+// whether the answer came from the result cache: a hit returns the Match
+// stored under the current generation, a miss runs the full query path —
+// the exact Matcher.matchOne sequence over Ref-addressed storage — and
+// stores its result. Multi-column callers pass the row and an empty key.
+// Caller must hold the read lock, which also pins the generation for the
+// duration of the call.
 //
 //autofj:hotpath
-func (t *Table) matchOne(ms *tableScratch, key string, row []string) (Match, bool) {
+func (t *Table) matchOne(ms *tableScratch, key string, row []string) (m Match, cached bool) {
 	if len(t.configs) == 0 || t.tix.Len() == 0 {
 		return noMatch(), false
 	}
 	gen := t.gen.Load()
-	var e *queryEntry
 	if t.multi {
 		// Full-row key: the blocking key concatenates every cell, so rows
 		// differing only outside the program's columns can block apart.
 		ms.kbuf = appendRowKey(ms.kbuf[:0], row)
-		e = t.cache.lookupBytes(ms.kbuf, gen)
-	} else {
-		e = t.cache.lookup(key, gen)
-	}
-	if e == nil {
-		if t.multi && key == "" {
-			// Multi-column callers pass an empty key so the concatenated
-			// blocking key is only materialized on a cache miss — the warm
-			// path never touches it.
-			//autofj:alloc-ok cache-fill edge: the blocking key is concatenated once per distinct row
-			key = concatRow(row)
+		if hit, ok := t.cache.lookupBytes(ms.kbuf, gen); ok {
+			return hit, true
 		}
-		//autofj:alloc-ok cache-fill edge: one entry build per (generation, surface form), amortized across every repeat
-		e = t.fillEntry(ms, gen, key, row)
-		if t.multi {
-			//autofj:alloc-ok cache-fill edge: the composite key string is materialized once per distinct row
-			t.cache.storeBytes(ms.kbuf, e)
-		} else {
-			t.cache.store(key, e)
-		}
+		//autofj:alloc-ok cache-fill edge: the blocking key is concatenated once per (generation, distinct row)
+		key = concatRow(row)
+	} else if hit, ok := t.cache.lookup(key, gen); ok {
+		return hit, true
 	}
-	if len(e.cands) == 0 {
-		return noMatch(), false
+	//autofj:alloc-ok cache-fill edge: one query-state build per (generation, surface form), amortized across every repeat
+	best := t.score(ms, t.fillQuery(ms, key, row))
+	if t.multi {
+		//autofj:alloc-ok cache-fill edge: the composite key string is materialized once per (generation, distinct row)
+		key = string(ms.kbuf)
 	}
+	t.cache.store(key, gen, best)
+	return best, false
+}
+
+// score is the Table form of Matcher.score: per-configuration
+// closest-candidate scans and the learning-faithful union resolution.
+//
+//autofj:hotpath
+func (t *Table) score(ms *tableScratch, e *queryState) Match {
 	for ci := range t.configs {
 		ms.bestL[ci] = -1
 		ms.bestD[ci] = math.Inf(1)
@@ -886,13 +887,13 @@ func (t *Table) matchOne(ms *tableScratch, key string, row []string) (Match, boo
 			best = Match{Left: int(bl), Distance: bd, Precision: pr, Config: ci}
 		}
 	}
-	return best, best.Left >= 0
+	return best
 }
 
 func (t *Table) getScratch() *tableScratch { return t.pool.Get().(*tableScratch) }
 
 // putScratch returns a scratch to the pool. Query-derived references
-// live in cache entries, never in the scratch; the reweight buffers are
+// live in the per-miss queryState, never in the scratch; the reweight buffers are
 // released because they alias reference-row profile memory, which must
 // not outlive a Remove. TestTableScratchRetainsNoQueryMemory pins the
 // structural half of this invariant.
@@ -917,8 +918,8 @@ func (t *Table) Match(ctx context.Context, record string) (Match, bool, error) {
 	defer t.mu.RUnlock()
 	ms := t.getScratch()
 	defer t.putScratch(ms)
-	mt, ok := t.matchOne(ms, record, nil)
-	return mt, ok, nil
+	mt, _ := t.matchOne(ms, record, nil)
+	return mt, mt.Left >= 0, nil
 }
 
 // MatchRow matches one full row (RowWidth cells).
@@ -936,8 +937,8 @@ func (t *Table) MatchRow(ctx context.Context, row []string) (Match, bool, error)
 	defer t.mu.RUnlock()
 	ms := t.getScratch()
 	defer t.putScratch(ms)
-	mt, ok := t.matchOne(ms, "", row)
-	return mt, ok, nil
+	mt, _ := t.matchOne(ms, "", row)
+	return mt, mt.Left >= 0, nil
 }
 
 // MatchBatch matches a batch of query records, sharded like
@@ -966,18 +967,20 @@ func (t *Table) MatchRows(ctx context.Context, rows [][]string) ([]Match, error)
 
 // TableBatch is a batch answer bound to the generation that produced it:
 // the matches, the matched reference rows (aligned; nil where unmatched —
-// valid immutable snapshots even after later mutations), and the
-// generation, taken atomically under one read lock.
+// valid immutable snapshots even after later mutations), whether each
+// answer came from the result cache, and the generation, taken atomically
+// under one read lock.
 type TableBatch struct {
 	Matches    []Match
 	Rows       [][]string
+	Cached     []bool
 	Generation uint64
 }
 
 // MatchBatchAt matches a batch of full rows and returns the matches
 // together with the matched reference rows and the generation that
-// answered — everything a caching serving layer needs to render and key
-// the results without re-locking the table.
+// answered — everything a serving layer needs to render the results
+// without re-locking the table.
 func (t *Table) MatchBatchAt(ctx context.Context, rows [][]string) (*TableBatch, error) {
 	for i, row := range rows {
 		if len(row) != t.rowWidth {
@@ -986,20 +989,20 @@ func (t *Table) MatchBatchAt(ctx context.Context, rows [][]string) (*TableBatch,
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	cached := make([]bool, len(rows))
 	//autofj:blocking the batch must answer under one generation, so the read lock is held across the fan-out by design; writers wait, readers do not
-	out, err := t.batchLocked(ctx, len(rows), func(ms *tableScratch, i int) Match {
-		var mt Match
+	out, err := t.batchLocked(ctx, len(rows), func(ms *tableScratch, i int) (mt Match) {
 		if t.multi {
-			mt, _ = t.matchOne(ms, "", rows[i])
+			mt, cached[i] = t.matchOne(ms, "", rows[i])
 		} else {
-			mt, _ = t.matchOne(ms, rows[i][0], nil)
+			mt, cached[i] = t.matchOne(ms, rows[i][0], nil)
 		}
 		return mt
 	})
 	if err != nil {
 		return nil, err
 	}
-	tb := &TableBatch{Matches: out, Rows: make([][]string, len(out)), Generation: t.gen.Load()}
+	tb := &TableBatch{Matches: out, Rows: make([][]string, len(out)), Cached: cached, Generation: t.gen.Load()}
 	for i, m := range out {
 		if m.Left >= 0 {
 			pl, local := t.payload(t.tix.Ref(m.Left))

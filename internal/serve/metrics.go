@@ -81,15 +81,11 @@ func (h *histogram) quantile(q float64) float64 {
 type Metrics struct {
 	start time.Time
 
-	requests     atomic.Uint64 // data-path queries received
-	failures     atomic.Uint64 // queries answered with an error
-	cacheHits    atomic.Uint64
-	cacheMisses  atomic.Uint64
-	batches      atomic.Uint64 // dispatched micro-batches
-	batchQueries atomic.Uint64 // queries carried by those batches
-	swaps        atomic.Uint64 // program registrations/hot swaps
-	mutations    atomic.Uint64 // reference-table row mutations (adds + removes)
-	compactions  atomic.Uint64 // reference-table compactions (background + forced)
+	requests    atomic.Uint64 // data-path queries received
+	failures    atomic.Uint64 // queries answered with an error
+	swaps       atomic.Uint64 // program registrations/hot swaps
+	mutations   atomic.Uint64 // reference-table row mutations (adds + removes)
+	compactions atomic.Uint64 // reference-table compactions (background + forced)
 
 	lat histogram
 
@@ -126,31 +122,22 @@ func (m *Metrics) dropProgram(name string) {
 	delete(m.programs, name)
 }
 
-// Snapshot is a point-in-time read of the headline numbers (used by the
-// load bench and the /v1/programs listing).
+// Snapshot is a point-in-time read of the headline numbers.
 type Snapshot struct {
-	Requests     uint64
-	Failures     uint64
-	CacheHits    uint64
-	CacheMisses  uint64
-	Batches      uint64
-	BatchQueries uint64
-	P50          float64 // seconds
-	P99          float64 // seconds
-	QPS          float64 // requests since start / uptime
+	Requests uint64
+	Failures uint64
+	P50      float64 // seconds
+	P99      float64 // seconds
+	QPS      float64 // requests since start / uptime
 }
 
 // Snapshot reads the current counters; now anchors the QPS window.
 func (m *Metrics) Snapshot(now time.Time) Snapshot {
 	s := Snapshot{
-		Requests:     m.requests.Load(),
-		Failures:     m.failures.Load(),
-		CacheHits:    m.cacheHits.Load(),
-		CacheMisses:  m.cacheMisses.Load(),
-		Batches:      m.batches.Load(),
-		BatchQueries: m.batchQueries.Load(),
-		P50:          m.lat.quantile(0.50),
-		P99:          m.lat.quantile(0.99),
+		Requests: m.requests.Load(),
+		Failures: m.failures.Load(),
+		P50:      m.lat.quantile(0.50),
+		P99:      m.lat.quantile(0.99),
 	}
 	if up := now.Sub(m.start).Seconds(); up > 0 {
 		s.QPS = float64(s.Requests) / up
@@ -170,23 +157,11 @@ func (m *Metrics) Write(w io.Writer, now time.Time) {
 	}
 	counter("autofjd_requests_total", "Data-path queries received.", s.Requests)
 	counter("autofjd_request_failures_total", "Queries answered with an error.", s.Failures)
-	counter("autofjd_cache_hits_total", "Result cache hits.", s.CacheHits)
-	counter("autofjd_cache_misses_total", "Result cache misses.", s.CacheMisses)
-	counter("autofjd_batches_total", "Micro-batches dispatched to MatchBatch.", s.Batches)
-	counter("autofjd_batch_queries_total", "Queries carried by dispatched micro-batches.", s.BatchQueries)
 	counter("autofjd_program_swaps_total", "Program registrations and hot swaps.", m.swaps.Load())
 	counter("autofjd_table_mutations_total", "Reference-table row mutations (adds + removes).", m.mutations.Load())
 	counter("autofjd_table_compactions_total", "Reference-table compactions (background + forced).", m.compactions.Load())
 	gauge("autofjd_uptime_seconds", "Seconds since the daemon started.", now.Sub(m.start).Seconds())
 	gauge("autofjd_qps", "Requests per second since start.", s.QPS)
-	if hits, misses := s.CacheHits, s.CacheMisses; hits+misses > 0 {
-		gauge("autofjd_cache_hit_rate", "Cache hits / lookups since start.",
-			float64(hits)/float64(hits+misses))
-	}
-	if s.Batches > 0 {
-		gauge("autofjd_batch_size_avg", "Mean queries per dispatched micro-batch.",
-			float64(s.BatchQueries)/float64(s.Batches))
-	}
 
 	fmt.Fprintf(w, "# HELP autofjd_request_latency_seconds Data-path latency quantiles.\n")
 	fmt.Fprintf(w, "# TYPE autofjd_request_latency_seconds summary\n")

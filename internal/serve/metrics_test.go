@@ -42,10 +42,6 @@ func TestMetricsWrite(t *testing.T) {
 	m := NewMetrics(start)
 	m.requests.Add(10)
 	m.failures.Add(1)
-	m.cacheHits.Add(6)
-	m.cacheMisses.Add(4)
-	m.batches.Add(2)
-	m.batchQueries.Add(8)
 	m.swaps.Add(1)
 	m.lat.observe(2 * time.Millisecond)
 	ps := m.forProgram("orgs")
@@ -58,12 +54,6 @@ func TestMetricsWrite(t *testing.T) {
 	for _, want := range []string{
 		"autofjd_requests_total 10",
 		"autofjd_request_failures_total 1",
-		"autofjd_cache_hits_total 6",
-		"autofjd_cache_misses_total 4",
-		"autofjd_cache_hit_rate 0.6",
-		"autofjd_batches_total 2",
-		"autofjd_batch_queries_total 8",
-		"autofjd_batch_size_avg 4",
 		"autofjd_program_swaps_total 1",
 		"autofjd_uptime_seconds 2",
 		"autofjd_qps 5",
@@ -79,7 +69,7 @@ func TestMetricsWrite(t *testing.T) {
 	}
 
 	snap := m.Snapshot(start.Add(2 * time.Second))
-	if snap.Requests != 10 || snap.QPS != 5 || snap.Batches != 2 || snap.BatchQueries != 8 {
+	if snap.Requests != 10 || snap.Failures != 1 || snap.QPS != 5 {
 		t.Errorf("snapshot: %+v", snap)
 	}
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -23,24 +24,22 @@ type compiledProgram struct {
 	gen          uint64 // monotonically increasing per program name
 }
 
-// program is one registry slot: the current compiled version, the result
-// cache, the micro-batcher, and the per-program counters.
+// program is one registry slot: the current compiled version and the
+// per-program counters.
 type program struct {
 	name  string
 	cur   atomic.Pointer[compiledProgram]
-	cache *lruCache
-	bat   *batcher
 	stats *programStats
 }
 
-// Registry holds the named programs of a daemon and runs their
-// micro-batchers and the background compactor. All methods are safe for
-// concurrent use; the data path (Query) takes only a read lock on the
-// name table, and a program's compiled state is swapped atomically so
-// re-registration never blocks or drops in-flight traffic. Reference
-// tables mutate in place (AddRows/RemoveRows): each mutation bumps the
-// table generation, so generation-keyed cache entries of the old state
-// can never hit again.
+// Registry holds the named programs of a daemon and runs the background
+// compactor. All methods are safe for concurrent use; the data path
+// (Query) takes only a read lock on the name table, and a program's
+// compiled state is swapped atomically so re-registration never blocks or
+// drops in-flight traffic. Reference tables mutate in place
+// (AddRows/RemoveRows): each mutation bumps the table generation, so the
+// table's generation-keyed cache entries of the old state can never hit
+// again.
 type Registry struct {
 	cfg     Config
 	opt     core.Options
@@ -48,6 +47,11 @@ type Registry struct {
 
 	mu    sync.RWMutex
 	progs map[string]*program
+
+	// sem bounds the table calls in flight to GOMAXPROCS: more would only
+	// queue on the CPUs. Close takes every slot, so holding all of them
+	// means no admitted call is still running.
+	sem chan struct{}
 
 	compactKick chan struct{}
 
@@ -66,6 +70,7 @@ func NewRegistry(cfg Config, metrics *Metrics) *Registry {
 		opt:         core.Options{Parallelism: cfg.Parallelism},
 		metrics:     metrics,
 		progs:       make(map[string]*program),
+		sem:         make(chan struct{}, runtime.GOMAXPROCS(0)),
 		compactKick: make(chan struct{}, 1),
 		stop:        make(chan struct{}),
 	}
@@ -78,10 +83,10 @@ func NewRegistry(cfg Config, metrics *Metrics) *Registry {
 func (r *Registry) Metrics() *Metrics { return r.metrics }
 
 // Register compiles the spec and installs it under its name: a new name
-// gets a fresh slot (cache, batcher, collector goroutine); an existing
-// name is hot-swapped — the compiled pointer is replaced atomically, the
-// generation advances (so cached results of the old version can never be
-// served), and in-flight batches finish on the version they started
+// gets a fresh slot; an existing name is hot-swapped — the compiled
+// pointer is replaced atomically, the generation advances, the old
+// table's cache goes with the old table (so its results can never be
+// served), and in-flight queries finish on the version they started
 // with. Compilation happens before any lock is taken, so serving
 // continues at full speed while a replacement builds.
 func (r *Registry) Register(spec ProgramSpec) error {
@@ -96,12 +101,7 @@ func (r *Registry) Register(spec ProgramSpec) error {
 	r.mu.Lock()
 	p, exists := r.progs[spec.Name]
 	if !exists {
-		p = &program{
-			name:  spec.Name,
-			cache: newLRUCache(r.cfg.cacheSize()),
-			bat:   newBatcher(r.cfg.batchWindow(), r.cfg.batchMax()),
-			stats: r.metrics.forProgram(spec.Name),
-		}
+		p = &program{name: spec.Name, stats: r.metrics.forProgram(spec.Name)}
 		r.progs[spec.Name] = p
 	}
 	old := p.cur.Load()
@@ -110,17 +110,7 @@ func (r *Registry) Register(spec ProgramSpec) error {
 	}
 	p.cur.Store(cp)
 	r.mu.Unlock()
-
-	if !exists {
-		r.wg.Add(1)
-		go p.bat.run(r.stop, p.cur.Load, r.metrics, &r.wg)
-	}
 	r.metrics.swaps.Add(1)
-	if old != nil {
-		// Entries of the old generation can no longer hit (the key embeds
-		// the generation); purge so they stop occupying capacity.
-		p.cache.purge()
-	}
 	return nil
 }
 
@@ -134,19 +124,14 @@ func (r *Registry) RegisterAll(specs []ProgramSpec) error {
 	return nil
 }
 
-// Remove drops a program. In-flight queries finish (their batch already
-// holds the compiled state); later queries get ErrUnknownProgram. The
-// slot's collector goroutine keeps draining until Close — one idle
-// goroutine per removed name is a fine price for a lock-free data path.
+// Remove drops a program. In-flight queries finish (they already hold
+// the compiled state); later queries get ErrUnknownProgram.
 func (r *Registry) Remove(name string) bool {
 	r.mu.Lock()
-	p, ok := r.progs[name]
-	if ok {
-		delete(r.progs, name)
-	}
+	_, ok := r.progs[name]
+	delete(r.progs, name)
 	r.mu.Unlock()
 	if ok {
-		p.cache.purge()
 		r.metrics.dropProgram(name)
 	}
 	return ok
@@ -171,31 +156,6 @@ func (r *Registry) snapshotProgs() []*program {
 	return progs
 }
 
-// NormCacheStat is one program's query-normalization cache counters —
-// hits skip tokenization, blocking, and profile construction inside the
-// core table entirely (distinct from the serve-layer result cache, which
-// skips the core altogether).
-type NormCacheStat struct {
-	Program      string
-	Hits, Misses uint64
-}
-
-// NormCacheStats returns the per-program normalization-cache counters,
-// sorted by program name.
-func (r *Registry) NormCacheStats() []NormCacheStat {
-	progs := r.snapshotProgs()
-	out := make([]NormCacheStat, 0, len(progs))
-	for _, p := range progs {
-		cp := p.cur.Load()
-		if cp == nil {
-			continue
-		}
-		hits, misses := cp.table.QueryCacheStats()
-		out = append(out, NormCacheStat{Program: p.name, Hits: hits, Misses: misses})
-	}
-	return out
-}
-
 // ProgramInfo is one row of the registry listing.
 type ProgramInfo struct {
 	Name            string  `json:"name"`
@@ -210,6 +170,8 @@ type ProgramInfo struct {
 	Matched         uint64  `json:"matched"`
 	MatchRate       float64 `json:"match_rate"`
 	CacheLen        int     `json:"cache_entries"`
+	CacheHits       uint64  `json:"cache_hits"`
+	CacheMisses     uint64  `json:"cache_misses"`
 }
 
 // Programs lists the registered programs, sorted by name.
@@ -232,8 +194,9 @@ func (r *Registry) Programs() []ProgramInfo {
 			Segments:        cp.table.SegmentCount(),
 			Queries:         p.stats.queries.Load(),
 			Matched:         p.stats.matched.Load(),
-			CacheLen:        p.cache.len(),
+			CacheLen:        cp.table.QueryCacheLen(),
 		}
+		info.CacheHits, info.CacheMisses = cp.table.QueryCacheStats()
 		if info.Queries > 0 {
 			info.MatchRate = float64(info.Matched) / float64(info.Queries)
 		}
@@ -252,82 +215,31 @@ type QueryResult struct {
 	Cached    bool
 }
 
-// Query answers one query row against the named program: cache first,
-// then the micro-batcher. row carries exactly one cell for single-column
-// programs and the reference table's arity for multi-column ones —
-// arity is validated here, per request, because a batch rejects a whole
-// batch on one malformed row and a bad query must never fail its batch
-// companions. Results are bit-identical to Table.Match against the
-// answering table state.
+// Query answers one query row against the named program. row carries
+// exactly one cell for single-column programs and the reference table's
+// arity for multi-column ones. The answer is bit-identical to
+// Table.Match against the answering table state; Cached reports that the
+// table's result cache held it.
 func (r *Registry) Query(ctx context.Context, name string, row []string) (QueryResult, error) {
 	start := time.Now()
-	r.metrics.requests.Add(1)
-	res, err := r.query(ctx, name, row)
+	res, err := r.QueryBatch(ctx, name, [][]string{row})
 	r.metrics.lat.observe(time.Since(start))
 	if err != nil {
-		r.metrics.failures.Add(1)
-		return res, err
-	}
-	p := r.get(name)
-	if p != nil {
-		p.stats.queries.Add(1)
-		if res.OK {
-			p.stats.matched.Add(1)
-		}
-	}
-	return res, nil
-}
-
-func (r *Registry) query(ctx context.Context, name string, row []string) (QueryResult, error) {
-	if r.stopped.Load() {
-		return QueryResult{}, ErrShuttingDown
-	}
-	p := r.get(name)
-	if p == nil {
-		return QueryResult{}, ErrUnknownProgram
-	}
-	cp := p.cur.Load()
-	if want := cp.table.RowWidth(); len(row) != want {
-		return QueryResult{}, &ArityError{Program: name, Want: want, Got: len(row)}
-	}
-
-	// The lookup key carries the table generation read NOW: if a mutation
-	// lands between this read and the hit, the entry was stored under the
-	// older generation and simply misses — stale answers are structurally
-	// impossible, no lock needed.
-	key := cacheKey(cp.gen, cp.table.Generation(), row)
-	if v, ok := p.cache.get(key); ok {
-		r.metrics.cacheHits.Add(1)
-		return QueryResult{Match: v.m, LeftValue: v.leftVal, OK: v.ok, Cached: true}, nil
-	}
-	r.metrics.cacheMisses.Add(1)
-
-	req := &batchRequest{row: row, done: make(chan batchResult, 1)}
-	if err := p.bat.submit(ctx, r.stop, req); err != nil {
 		return QueryResult{}, err
 	}
-	select {
-	case res := <-req.done:
-		if res.err != nil {
-			return QueryResult{}, res.err
-		}
-		// Cache under the program version AND table generation that actually
-		// answered: the program may have been swapped or mutated between our
-		// cp.Load and the dispatch, and Match.Left indexes that state's rows.
-		p.cache.put(cacheKey(res.cp.gen, res.gen, row),
-			cachedMatch{m: res.m, leftVal: res.leftVal, ok: res.ok})
-		return QueryResult{Match: res.m, LeftValue: res.leftVal, OK: res.ok}, nil
-	case <-ctx.Done():
-		return QueryResult{}, ctx.Err()
-	case <-r.stop:
-		return QueryResult{}, ErrShuttingDown
-	}
+	return res[0], nil
 }
 
-// QueryBatch answers a pre-assembled batch directly (no micro-batching
-// or caching — the caller already amortized the call). rows must all
-// have the program's RowWidth.
-func (r *Registry) QueryBatch(ctx context.Context, name string, rows [][]string) ([]QueryResult, error) {
+// QueryBatch answers a pre-assembled batch in one table call, under one
+// generation. rows must all have the program's RowWidth — validated here,
+// because the table rejects a whole batch on one malformed row.
+func (r *Registry) QueryBatch(ctx context.Context, name string, rows [][]string) (out []QueryResult, err error) {
+	r.metrics.requests.Add(uint64(len(rows)))
+	defer func() {
+		if err != nil {
+			r.metrics.failures.Add(uint64(len(rows)))
+		}
+	}()
 	if r.stopped.Load() {
 		return nil, ErrShuttingDown
 	}
@@ -341,33 +253,51 @@ func (r *Registry) QueryBatch(ctx context.Context, name string, rows [][]string)
 			return nil, &ArityError{Program: name, Want: want, Got: len(row)}
 		}
 	}
-	r.metrics.requests.Add(uint64(len(rows)))
-	tb, err := cp.table.MatchBatchAt(ctx, rows)
+	// MatchBatchAt returns the matches, the matched reference rows, and
+	// the cache verdicts under ONE read lock, so each result renders its
+	// display value from the exact state that answered — a concurrent
+	// AddRows/RemoveRows/Compact can never tear a result.
+	tb, err := r.match(ctx, cp.table, rows)
 	if err != nil {
-		r.metrics.failures.Add(uint64(len(rows)))
 		return nil, err
 	}
 	multi := cp.table.MultiColumn()
-	out := make([]QueryResult, len(tb.Matches))
+	out = make([]QueryResult, len(tb.Matches))
+	matched := uint64(0)
 	for i, m := range tb.Matches {
-		out[i] = QueryResult{Match: m, OK: m.Left >= 0}
+		out[i] = QueryResult{Match: m, OK: m.Left >= 0, Cached: tb.Cached[i]}
 		if out[i].OK {
 			out[i].LeftValue = displayValue(tb.Rows[i], multi)
+			matched++
 		}
 	}
 	p.stats.queries.Add(uint64(len(rows)))
-	for _, q := range out {
-		if q.OK {
-			p.stats.matched.Add(1)
-		}
-	}
+	p.stats.matched.Add(matched)
 	return out, nil
+}
+
+// match runs one table call inside the in-flight bound. A caller waiting
+// for a slot leaves when its context ends or the registry starts shutting
+// down.
+func (r *Registry) match(ctx context.Context, tab *core.Table, rows [][]string) (*core.TableBatch, error) {
+	select {
+	case r.sem <- struct{}{}:
+		defer func() { <-r.sem }()
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	case <-r.stop:
+		return nil, ErrShuttingDown
+	}
+	if r.stopped.Load() { // the slot was won in a race with Close
+		return nil, ErrShuttingDown
+	}
+	return tab.MatchBatchAt(ctx, rows)
 }
 
 // TableUpdate reports the outcome of a reference-table mutation: the new
 // table generation (every result produced under an older generation is
-// already unreachable in the cache by the time this returns) and the
-// resulting table shape.
+// already unreachable in the table's cache by the time this returns) and
+// the resulting table shape.
 type TableUpdate struct {
 	Program    string `json:"program"`
 	Generation uint64 `json:"generation"`
@@ -377,9 +307,10 @@ type TableUpdate struct {
 
 // AddRows appends reference rows to the named program's table in place —
 // no recompile, no swap. New rows are queryable as soon as this returns;
-// the generation bump keys them into the result cache.
+// the generation bump turns every cached answer of the old state into a
+// miss.
 func (r *Registry) AddRows(name string, rows [][]string) (TableUpdate, error) {
-	p, cp, err := r.forMutation(name)
+	cp, err := r.forMutation(name)
 	if err != nil {
 		return TableUpdate{}, err
 	}
@@ -392,14 +323,14 @@ func (r *Registry) AddRows(name string, rows [][]string) (TableUpdate, error) {
 	if err != nil {
 		return TableUpdate{}, err
 	}
-	return r.mutated(p, cp, gen), nil
+	return r.mutated(cp, gen), nil
 }
 
 // RemoveRows tombstones reference rows by their current dense indexes
 // (the Left values answers report). Indexes must be unique; later rows
 // shift down, exactly like a recompile without them.
 func (r *Registry) RemoveRows(name string, indices []int) (TableUpdate, error) {
-	p, cp, err := r.forMutation(name)
+	cp, err := r.forMutation(name)
 	if err != nil {
 		return TableUpdate{}, err
 	}
@@ -407,14 +338,14 @@ func (r *Registry) RemoveRows(name string, indices []int) (TableUpdate, error) {
 	if err != nil {
 		return TableUpdate{}, err
 	}
-	return r.mutated(p, cp, gen), nil
+	return r.mutated(cp, gen), nil
 }
 
 // CompactNow forces one compaction round on the named program's table,
 // reporting whether anything was rewritten. The background compactor
 // calls the same table method; this is the operator's handle.
 func (r *Registry) CompactNow(ctx context.Context, name string) (bool, TableUpdate, error) {
-	p, cp, err := r.forMutation(name)
+	cp, err := r.forMutation(name)
 	if err != nil {
 		return false, TableUpdate{}, err
 	}
@@ -430,33 +361,31 @@ func (r *Registry) CompactNow(ctx context.Context, name string) (bool, TableUpda
 	}
 	if did {
 		r.metrics.compactions.Add(1)
-		p.cache.purge()
 	}
 	return did, upd, nil
 }
 
-func (r *Registry) forMutation(name string) (*program, *compiledProgram, error) {
+func (r *Registry) forMutation(name string) (*compiledProgram, error) {
 	if r.stopped.Load() {
-		return nil, nil, ErrShuttingDown
+		return nil, ErrShuttingDown
 	}
 	p := r.get(name)
 	if p == nil {
-		return nil, nil, ErrUnknownProgram
+		return nil, ErrUnknownProgram
 	}
-	return p, p.cur.Load(), nil
+	return p.cur.Load(), nil
 }
 
-// mutated is the post-mutation bookkeeping: purge the (now unreachable)
-// cache entries, count the mutation, and nudge the compactor.
-func (r *Registry) mutated(p *program, cp *compiledProgram, gen uint64) TableUpdate {
-	p.cache.purge()
+// mutated is the post-mutation bookkeeping: count the mutation and nudge
+// the compactor.
+func (r *Registry) mutated(cp *compiledProgram, gen uint64) TableUpdate {
 	r.metrics.mutations.Add(1)
 	select {
 	case r.compactKick <- struct{}{}:
 	default:
 	}
 	return TableUpdate{
-		Program:    p.name,
+		Program:    cp.name,
 		Generation: gen,
 		Records:    cp.table.Len(),
 		DeltaRows:  cp.table.DeltaLen(),
@@ -510,21 +439,27 @@ func (r *Registry) compactor() {
 			}
 			if did {
 				r.metrics.compactions.Add(1)
-				p.cache.purge()
 			}
 		}
 	}
 }
 
 // Close drains the registry: new queries fail fast with ErrShuttingDown,
-// queued queries are answered with it, in-flight batches are given until
-// ctx's deadline to finish, and a compaction in flight aborts without
-// publishing.
+// queries waiting for a slot are answered with it, admitted table calls
+// are given until ctx's deadline to finish, and a compaction in flight
+// aborts without publishing.
 func (r *Registry) Close(ctx context.Context) error {
 	if r.stopped.Swap(true) {
 		return nil
 	}
 	close(r.stop)
+	for range cap(r.sem) {
+		select {
+		case r.sem <- struct{}{}:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
 	done := make(chan struct{})
 	go func() {
 		r.wg.Wait()

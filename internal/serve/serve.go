@@ -4,22 +4,24 @@
 // The design extends the learn-once / serve-many split one level up the
 // stack. A Registry holds one entry per program name; each entry owns an
 // atomic pointer to its compiled state (a mutable core.Table: immutable
-// compiled segments plus a delta), a bounded LRU cache of query results,
-// and a micro-batcher that coalesces concurrent single-query requests
-// into MatchBatchAt shards. Re-registering a name compiles the new
-// program off to the side and swaps the pointer — in-flight batches
-// finish on the table they started with, so a hot swap never drops
-// traffic. Reference rows also mutate IN PLACE (AddRows/RemoveRows, the
-// /rows endpoints): each mutation bumps the table's generation, and a
-// background compactor folds accumulated deltas into compiled segments
-// once they reach Config.DeltaMax.
+// compiled segments plus a delta). A query validates its arity, takes one
+// slot of a GOMAXPROCS-sized in-flight bound, and calls the table
+// directly. Re-registering a name compiles the new program off to the
+// side and swaps the pointer — in-flight queries finish on the table they
+// started with, so a hot swap never drops traffic. Reference rows also
+// mutate IN PLACE (AddRows/RemoveRows, the /rows endpoints): each
+// mutation bumps the table's generation, and a background compactor folds
+// accumulated deltas into compiled segments once they reach
+// Config.DeltaMax.
 //
 // Results are bit-identical to a full recompile of the current reference
 // rows: the data path only ever reaches the table through MatchBatchAt
-// (the same code path as Table.Match), and the cache stores the exact
-// Match values those calls produced, keyed by the exact query bytes plus
-// the program generation plus the table generation (so neither a swap
-// nor a row mutation can ever serve stale answers).
+// (the same code path as Table.Match). This package keeps no answer of
+// its own: the one result cache is the table's (core.Options.
+// QueryCacheSize), which stores the exact Match values keyed by the exact
+// query bytes plus the table generation — a row mutation bumps the
+// generation and a swap replaces the table, so neither can ever serve a
+// stale answer.
 //
 // A program can also boot from a binary table snapshot (ProgramSpec.
 // SnapshotPath): loading one skips program decoding and index compilation
@@ -81,15 +83,6 @@ type Config struct {
 	// Parallelism bounds matcher compilation and batch fan-out
 	// (0 = all CPUs).
 	Parallelism int `json:"parallelism,omitempty"`
-	// CacheSize is the per-program result cache capacity in entries
-	// (0 = default 4096, negative = disabled).
-	CacheSize int `json:"cache_size,omitempty"`
-	// BatchWindowUS is the micro-batching window in microseconds: how
-	// long the batcher waits for companions after the first query of a
-	// batch (0 = default 500µs, negative = dispatch immediately).
-	BatchWindowUS int `json:"batch_window_us,omitempty"`
-	// BatchMax is the micro-batch size cap (0 = default 64).
-	BatchMax int `json:"batch_max,omitempty"`
 	// DrainTimeoutMS bounds graceful shutdown (0 = default 5000ms).
 	DrainTimeoutMS int `json:"drain_timeout_ms,omitempty"`
 	// DeltaMax is the per-program delta size that triggers background
@@ -101,9 +94,6 @@ type Config struct {
 // Defaults of the Config knobs.
 const (
 	DefaultListen       = ":8080"
-	DefaultCacheSize    = 4096
-	DefaultBatchWindow  = 500 * time.Microsecond
-	DefaultBatchMax     = 64
 	DefaultDrainTimeout = 5 * time.Second
 	DefaultDeltaMax     = 512
 )
@@ -114,33 +104,6 @@ func (c Config) ListenAddr() string {
 		return DefaultListen
 	}
 	return c.Listen
-}
-
-func (c Config) cacheSize() int {
-	switch {
-	case c.CacheSize < 0:
-		return 0
-	case c.CacheSize == 0:
-		return DefaultCacheSize
-	}
-	return c.CacheSize
-}
-
-func (c Config) batchWindow() time.Duration {
-	switch {
-	case c.BatchWindowUS < 0:
-		return 0
-	case c.BatchWindowUS == 0:
-		return DefaultBatchWindow
-	}
-	return time.Duration(c.BatchWindowUS) * time.Microsecond
-}
-
-func (c Config) batchMax() int {
-	if c.BatchMax <= 0 {
-		return DefaultBatchMax
-	}
-	return c.BatchMax
 }
 
 // DrainTimeout returns the graceful-shutdown deadline.

@@ -6,7 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sync"
+	"strings"
 	"testing"
 	"time"
 
@@ -116,8 +116,8 @@ func asArity(err error, target **ArityError) bool {
 }
 
 // TestRegistryBitIdenticalToMatcher is the serving-tier equivalence
-// contract: every answer (batched, coalesced, or cached) must be the
-// exact Match that a direct Matcher.Match call produces.
+// contract: every answer (single, batch, or cached) must be the exact
+// Match that a direct Table.Match call produces.
 func TestRegistryBitIdenticalToMatcher(t *testing.T) {
 	spec := testSpec("orgs")
 	cp, err := spec.resolve(core.Options{})
@@ -244,56 +244,14 @@ func TestRegistryClose(t *testing.T) {
 	}
 }
 
-// TestBatcherCoalesces: requests queued before the collector wakes are
-// dispatched as one MatchBatch, not one call each.
-func TestBatcherCoalesces(t *testing.T) {
-	cp, err := testSpec("orgs").resolve(core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	met := NewMetrics(time.Now())
-	bat := newBatcher(time.Millisecond, 64)
-	reqs := make([]*batchRequest, 10)
-	for i := range reqs {
-		reqs[i] = &batchRequest{
-			row:  []string{testNames[i%len(testNames)]},
-			done: make(chan batchResult, 1),
-		}
-		bat.ch <- reqs[i]
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go bat.run(stop, func() *compiledProgram { return cp }, met, &wg)
-	for i, req := range reqs {
-		res := <-req.done
-		if res.err != nil {
-			t.Fatalf("request %d: %v", i, res.err)
-		}
-		if !res.ok || res.m.Left != i%len(testNames) {
-			t.Fatalf("request %d answered %+v", i, res.m)
-		}
-	}
-	if got := met.batches.Load(); got != 1 {
-		t.Errorf("10 queued requests dispatched as %d batches, want 1", got)
-	}
-	if got := met.batchQueries.Load(); got != 10 {
-		t.Errorf("batchQueries = %d, want 10", got)
-	}
-	close(stop)
-	wg.Wait()
-}
-
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}
-	if c.cacheSize() != DefaultCacheSize || c.batchMax() != DefaultBatchMax ||
-		c.batchWindow() != DefaultBatchWindow || c.ListenAddr() != DefaultListen ||
-		c.DrainTimeout() != DefaultDrainTimeout {
+	if c.ListenAddr() != DefaultListen || c.DrainTimeout() != DefaultDrainTimeout ||
+		c.deltaMax() != DefaultDeltaMax {
 		t.Error("defaults not applied")
 	}
-	c = Config{CacheSize: -1, BatchWindowUS: -1, BatchMax: 3, Listen: ":0", DrainTimeoutMS: 100}
-	if c.cacheSize() != 0 || c.batchWindow() != 0 || c.batchMax() != 3 ||
-		c.ListenAddr() != ":0" || c.DrainTimeout() != 100*time.Millisecond {
+	c = Config{Listen: ":0", DrainTimeoutMS: 100, DeltaMax: -1}
+	if c.ListenAddr() != ":0" || c.DrainTimeout() != 100*time.Millisecond || c.deltaMax() != -1 {
 		t.Error("overrides not applied")
 	}
 }
@@ -304,7 +262,7 @@ func TestLoadConfig(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{
 		"listen": ":9090",
 		"programs": [{"name": "orgs", "program_path": "p.json", "left_path": "l.csv"}],
-		"batch_window_us": 250
+		"delta_max": 250
 	}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +271,7 @@ func TestLoadConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cfg.Listen != ":9090" || len(cfg.Programs) != 1 || cfg.Programs[0].Name != "orgs" ||
-		cfg.batchWindow() != 250*time.Microsecond {
+		cfg.deltaMax() != 250 {
 		t.Fatalf("parsed config: %+v", cfg)
 	}
 
@@ -324,5 +282,55 @@ func TestLoadConfig(t *testing.T) {
 	}
 	if _, err := LoadConfig(bad); err == nil {
 		t.Error("unknown config field accepted")
+	}
+
+	// The retired cache and batching keys are unknown fields like any
+	// other: a file that still sets one fails loudly, naming the key.
+	if err := os.WriteFile(bad, []byte(`{"listen": ":9090", "cache_size": 16}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadConfig(bad); err == nil || !strings.Contains(err.Error(), "cache_size") {
+		t.Errorf("retired config key: err = %v, want an unknown-field error naming cache_size", err)
+	}
+}
+
+// TestRegistryAdmission: with every in-flight slot taken, a query waits
+// and leaves when its context ends; Close answers waiters with
+// ErrShuttingDown and waits for the admitted calls only until its own
+// deadline, succeeding once they have finished.
+func TestRegistryAdmission(t *testing.T) {
+	reg := NewRegistry(Config{}, NewMetrics(time.Now()))
+	if err := reg.Register(testSpec("orgs")); err != nil {
+		t.Fatal(err)
+	}
+	for range cap(reg.sem) { // stand in for admitted table calls
+		reg.sem <- struct{}{}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := reg.Query(ctx, "orgs", []string{"x"}); err != context.DeadlineExceeded {
+		t.Fatalf("query with no free slot: err = %v, want the context's", err)
+	}
+
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := reg.Query(context.Background(), "orgs", []string{"x"})
+		waiter <- err
+	}()
+	short, cancelShort := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancelShort()
+	if err := reg.Close(short); err != context.DeadlineExceeded {
+		t.Fatalf("close with calls still admitted: err = %v, want the deadline's", err)
+	}
+	select {
+	case err := <-waiter:
+		if err != ErrShuttingDown {
+			t.Fatalf("waiting query at shutdown: err = %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiting query never left at shutdown")
+	}
+	if s := reg.Metrics().Snapshot(time.Now()); s.Requests != 2 || s.Failures != 2 {
+		t.Errorf("requests/failures = %d/%d, want 2/2", s.Requests, s.Failures)
 	}
 }

@@ -129,12 +129,12 @@ func TestServerEndpoints(t *testing.T) {
 	if !strings.Contains(string(metricsBody), "autofjd_requests_total") {
 		t.Errorf("metrics output: %s", metricsBody)
 	}
-	// The queries above hit the core table at least once per distinct
-	// surface form, so the per-program normalization-cache counters must
-	// be present and labeled.
-	if !strings.Contains(string(metricsBody), `autofjd_normcache_hits_total{program="orgs"}`) ||
-		!strings.Contains(string(metricsBody), `autofjd_normcache_misses_total{program="orgs"}`) {
-		t.Errorf("metrics output missing normalization-cache counters: %s", metricsBody)
+	// The queries above (two single, two in the batch) were four distinct
+	// surface forms: the per-program result-cache counters, read from the
+	// table, must show four misses and no hit.
+	if !strings.Contains(string(metricsBody), `autofjd_cache_hits_total{program="orgs"} 0`) ||
+		!strings.Contains(string(metricsBody), `autofjd_cache_misses_total{program="orgs"} 4`) {
+		t.Errorf("metrics output missing result-cache counters: %s", metricsBody)
 	}
 
 	// Error mapping: unknown program 404, wrong arity 400, bad body 400.
@@ -292,7 +292,7 @@ func TestDaemonSmoke(t *testing.T) {
 	}()
 
 	// Malformed traffic: wrong arity and garbage bodies against the same
-	// program must 400 without disturbing the workers' batches.
+	// program must 400 without disturbing the workers' queries.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -324,9 +324,6 @@ func TestDaemonSmoke(t *testing.T) {
 	snap := srv.reg.Metrics().Snapshot(time.Now())
 	if want := uint64(workers * perWorker); snap.Requests < want {
 		t.Errorf("requests = %d, want >= %d (dropped traffic?)", snap.Requests, want)
-	}
-	if snap.Batches == 0 || snap.BatchQueries < snap.Batches {
-		t.Errorf("batching never engaged: %+v", snap)
 	}
 	infos := srv.reg.Programs()
 	if len(infos) != 1 || infos[0].Generation != 1 {
