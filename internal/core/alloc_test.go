@@ -13,6 +13,9 @@ import (
 // performance cliff long before it is a correctness bug, so it fails the
 // ordinary test suite, not just the benchgate.
 func TestMatchZeroAllocSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scratch at random under the race detector")
+	}
 	ctx := context.Background()
 	prog := tableTestProgram()
 	L := makeReference()

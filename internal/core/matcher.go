@@ -84,8 +84,8 @@ type Matcher struct {
 	// record), indexed cfg*nL+left; 0 means "not yet computed" (a real
 	// count is always >= 1). Values are deterministic, so concurrent
 	// fills are benign.
-	balls      []atomic.Uint32
-	ballFactor float64
+	balls []atomic.Uint32
+	radii []float64 // per-configuration ball radius, ballFactor·θ
 
 	// cache is the result cache: one final Match per distinct query
 	// surface form, so a repeated query is a map lookup. Matcher state
@@ -126,6 +126,9 @@ type matchScratch struct {
 	crow  []float64 // per-column raw distances (multi-column only)
 	bestD []float64 // per-configuration closest distance
 	bestL []int32   // per-configuration closest candidate
+	// counts holds the per-configuration ball counts of the record being
+	// filled.
+	counts []uint32
 }
 
 var (
@@ -206,7 +209,7 @@ func (p *Program) compile(progCols [][]string, leftKey []string, columns []int, 
 		columns:     append([]int(nil), columns...),
 		weights:     append([]float64(nil), colWeights...),
 		nL:          len(leftKey),
-		ballFactor:  factor,
+		radii:       ballRadii(configs, factor),
 		parallelism: opt.Parallelism,
 	}
 	m.ix = blocking.NewIndexParallel(leftKey, opt.Parallelism)
@@ -239,12 +242,13 @@ func (p *Program) compile(progCols [][]string, leftKey []string, columns []int, 
 	m.balls = make([]atomic.Uint32, len(configs)*len(leftKey))
 	m.pool.New = func() any {
 		return &matchScratch{
-			sc:    m.ix.NewScratch(),
-			esc:   m.eval.NewScratch(),
-			drow:  make([]float64, len(m.configs)),
-			crow:  make([]float64, len(m.configs)),
-			bestD: make([]float64, len(m.configs)),
-			bestL: make([]int32, len(m.configs)),
+			sc:     m.ix.NewScratch(),
+			esc:    m.eval.NewScratch(),
+			drow:   make([]float64, len(m.configs)),
+			crow:   make([]float64, len(m.configs)),
+			bestD:  make([]float64, len(m.configs)),
+			bestL:  make([]int32, len(m.configs)),
+			counts: make([]uint32, len(m.configs)),
 		}
 	}
 	return m, nil
@@ -320,58 +324,79 @@ func (m *Matcher) pairDists(ms *matchScratch, e *queryState, l int32) {
 	}
 }
 
-// leftDist evaluates configuration ci between two reference records (the
-// ball-construction distance), on the fused arena kernels: the full
-// distance row of the pair costs one kernel pass per representation, and
-// the serving program's function count is small, so extracting one entry
-// from the row beats re-deriving the representations on the allocating
-// one-function path. ms.drow/ms.crow are free here — ball counts are
-// only taken after the candidate scan has finished with them.
-//
-//autofj:hotpath
-func (m *Matcher) leftDist(ci int, a, b int32, ms *matchScratch) float64 {
-	if !m.multi {
-		m.eval.ArenaPairDistances(m.cols[0].arena, a, b, ms.esc, ms.drow)
-		return ms.drow[ci]
-	}
-	var d float64
-	for j := range m.cols {
-		c := &m.cols[j]
-		if c.cells[a] == "" && c.cells[b] == "" {
-			d += m.weights[j]
-			continue
-		}
-		m.eval.ArenaPairDistances(c.arena, a, b, ms.esc, ms.crow)
-		d += m.weights[j] * float64(float32(ms.crow[ci]))
-	}
-	return d
-}
-
 // ballCount returns the number of reference records (center included)
 // within ballFactor·θ of record l under configuration ci — the
-// denominator of the Eq. 9 precision estimate. Counts are computed on
-// first use and cached atomically; the value is deterministic, so
-// concurrent fills store the same result.
+// denominator of the Eq. 9 precision estimate — from the ball cache,
+// filling every configuration's slot of l on first use.
 //
 //autofj:hotpath
 func (m *Matcher) ballCount(ci int, l int32, ms *matchScratch) uint32 {
-	slot := &m.balls[ci*m.nL+int(l)]
-	if v := slot.Load(); v != 0 {
+	if v := m.balls[ci*m.nL+int(l)].Load(); v != 0 {
 		return v
 	}
-	radius := m.ballFactor * m.configs[ci].Threshold
+	m.fillBalls(l, ms)
+	return ms.counts[ci]
+}
+
+// fillBalls counts the balls of record l under EVERY configuration in one
+// pass: one self-blocking call and one fused arena-kernel row per ball
+// candidate, compared against all the radii. ms.drow/ms.crow are free
+// here — ball counts are only taken after the candidate scan has finished
+// with them. Counts are cached atomically; the values are deterministic,
+// so concurrent fills store the same result.
+//
+//autofj:hotpath
+func (m *Matcher) fillBalls(l int32, ms *matchScratch) {
 	ms.ballCands = m.ix.AppendTopKSelf(ms.ballCands[:0], ms.sc, int(l), m.k)
-	count := uint32(1)
+	for ci := range ms.counts {
+		ms.counts[ci] = 1
+	}
 	for _, c := range ms.ballCands {
-		if m.leftDist(ci, l, c.ID, ms) <= radius {
-			count++
+		if !m.multi {
+			m.eval.ArenaPairDistances(m.cols[0].arena, l, c.ID, ms.esc, ms.drow)
+		} else {
+			clear(ms.drow)
+			for j := range m.cols {
+				col := &m.cols[j]
+				if col.cells[l] == "" && col.cells[c.ID] == "" {
+					for ci := range ms.drow {
+						ms.drow[ci] += m.weights[j]
+					}
+					continue
+				}
+				m.eval.ArenaPairDistances(col.arena, l, c.ID, ms.esc, ms.crow)
+				for ci := range ms.drow {
+					ms.drow[ci] += m.weights[j] * float64(float32(ms.crow[ci]))
+				}
+			}
+		}
+		countBallRow(ms.counts, ms.drow, m.radii)
+	}
+	for ci, n := range ms.counts {
+		m.balls[ci*m.nL+int(l)].Store(n)
+	}
+}
+
+// ballRadii returns every configuration's ball radius, factor·θ.
+func ballRadii(configs []Configuration, factor float64) []float64 {
+	radii := make([]float64, len(configs))
+	for ci, c := range configs {
+		radii[ci] = factor * c.Threshold
+	}
+	return radii
+}
+
+// countBallRow adds one ball candidate to every configuration's count:
+// counts[ci] grows when the candidate's distance is within radii[ci],
+// saturating at maxBallCount.
+//
+//autofj:hotpath
+func countBallRow(counts []uint32, drow, radii []float64) {
+	for ci, d := range drow {
+		if d <= radii[ci] && counts[ci] < maxBallCount {
+			counts[ci]++
 		}
 	}
-	if count > maxBallCount {
-		count = maxBallCount
-	}
-	slot.Store(count)
-	return count
 }
 
 // queryState is the transient miss-path state of one query: everything

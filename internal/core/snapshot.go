@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"sort"
 
 	"unsafe"
@@ -81,25 +82,38 @@ func (t *Table) Save(w io.Writer) error {
 	return err
 }
 
-// SaveFile writes a snapshot to path via a same-directory temp file and
-// rename, so a crash mid-write can never leave a half-written snapshot
-// under the final name.
+// SaveFile writes a snapshot to path durably and atomically: the bytes go
+// to a uniquely named temp file in path's directory (so concurrent saves
+// never share one), are fsynced, and only then renamed over path, after
+// which the directory entry is fsynced too. A crash at any point leaves
+// either the previous snapshot or the complete new one under the final
+// name; the temp file is removed on every error.
 func (t *Table) SaveFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	if err := t.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	err = t.Save(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+	d, err := os.Open(dir)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	defer d.Close()
+	return d.Sync()
 }
 
 // LoadTable reconstructs a table from snapshot bytes. The options play the

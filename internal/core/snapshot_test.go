@@ -5,6 +5,9 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -97,9 +100,7 @@ func TestSnapshotSaveFile(t *testing.T) {
 	if err := tab.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatal("temp file left behind")
-	}
+	expectOnlyFile(t, path)
 	loaded, err := LoadTableFile(path, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -109,6 +110,108 @@ func TestSnapshotSaveFile(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("query %d differs via file round trip", i)
+		}
+	}
+}
+
+// expectOnlyFile asserts path's directory holds path and nothing else — no
+// temp file left behind by any save.
+func expectOnlyFile(t *testing.T, path string) {
+	t.Helper()
+	entries, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != filepath.Base(path) {
+			t.Errorf("stray file %q left beside the snapshot", e.Name())
+		}
+	}
+	if len(entries) == 0 {
+		t.Errorf("snapshot %q missing", path)
+	}
+}
+
+// TestSnapshotSaveFileConcurrent: several goroutines SaveFile the same
+// path while the table mutates under them. No save may fail or collide
+// with another on a temp name; the file left under the final name loads,
+// holds exactly the rows of ONE state the table passed through, and
+// answers like a table built from those rows; no temp file survives.
+func TestSnapshotSaveFileConcurrent(t *testing.T) {
+	prog, tab, queries := snapshotTable(t)
+	L, _ := makeTask(t, 53, 3)
+	path := filepath.Join(t.TempDir(), "table.afjs")
+
+	// Every state the table passes through; written by the mutator alone
+	// and read only after it has finished.
+	states := [][][]string{tab.Rows()}
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer done.Store(true)
+		for i := 0; i < 40; i++ {
+			var err error
+			if i%4 == 3 {
+				_, err = tab.Remove([]int{i % tab.Len()})
+			} else {
+				_, err = tab.Add(toRows([]string{L[150+i] + " rev"}))
+			}
+			if err != nil {
+				t.Errorf("mutation %d: %v", i, err)
+				return
+			}
+			states = append(states, tab.Rows())
+		}
+	}()
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for saves := 0; !done.Load() || saves < 3; saves++ {
+				if err := tab.SaveFile(path); err != nil {
+					t.Errorf("concurrent SaveFile: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	expectOnlyFile(t, path)
+	loaded, err := LoadTableFile(path, Options{})
+	if err != nil {
+		t.Fatalf("the surviving snapshot does not load: %v", err)
+	}
+	var saved [][]string
+	for _, st := range states {
+		if reflect.DeepEqual(st, loaded.Rows()) {
+			saved = st
+			break
+		}
+	}
+	if saved == nil {
+		t.Fatalf("loaded %d rows that match no state the table passed through", loaded.Len())
+	}
+	rebuilt, err := prog.NewTable(1, saved, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := rebuilt.MatchRows(context.Background(), queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := loaded.MatchRows(context.Background(), queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("query %d: loaded snapshot %+v, table rebuilt from the saved rows %+v", i, got[i], want[i])
 		}
 	}
 }

@@ -35,8 +35,9 @@ import (
 //     is derived per candidate in the same floating-point order a fresh
 //     profile build uses;
 //   - the 2θ-ball precision denominators run over the same merged top-k
-//     candidates, cached per (configuration, row) and tagged with the
-//     statistics generation so no mutation can leak a stale count.
+//     candidates, counted for every configuration in one pass the first
+//     time a row wins, and cached tagged with the statistics generation so
+//     no mutation can leak a stale count.
 //
 // Concurrency: queries take a read lock for their whole (batch) duration;
 // Add/Remove/compaction swaps take the write lock. The generation counter
@@ -73,8 +74,9 @@ type Table struct {
 
 	pool sync.Pool // *tableScratch
 
+	radii []float64 // per-configuration ball radius, ballFactor·θ
+
 	beta        float64
-	ballFactor  float64
 	rowWidth    int
 	parallelism int
 	k           int
@@ -166,11 +168,12 @@ type tableScratch struct {
 	//autofj:keep persistent reweight buffers; released on put, numeric buffers hold no references
 	rwa config.ReweightScratch
 	//autofj:keep persistent reweight buffers; released on put, numeric buffers hold no references
-	rwb   config.ReweightScratch
-	drow  []float64
-	crow  []float64
-	bestD []float64
-	bestL []int32
+	rwb    config.ReweightScratch
+	drow   []float64
+	crow   []float64
+	bestD  []float64
+	bestL  []int32
+	counts []uint32 // per-configuration ball counts of the row being filled
 }
 
 const (
@@ -240,7 +243,7 @@ func (p *Program) NewTable(width int, rows [][]string, opt Options) (*Table, err
 		weights:     append([]float64(nil), p.Weights...),
 		rowWidth:    width,
 		beta:        beta,
-		ballFactor:  factor,
+		radii:       ballRadii(configs, factor),
 		parallelism: opt.Parallelism,
 	}
 	t.space = make([]config.JoinFunction, len(configs))
@@ -294,12 +297,13 @@ func (p *Program) NewTable(width int, rows [][]string, opt Options) (*Table, err
 	t.gen.Store(1)
 	t.pool.New = func() any {
 		return &tableScratch{
-			sc:    blocking.NewTableScratch(),
-			esc:   t.eval.NewScratch(),
-			drow:  make([]float64, len(t.configs)),
-			crow:  make([]float64, len(t.configs)),
-			bestD: make([]float64, len(t.configs)),
-			bestL: make([]int32, len(t.configs)),
+			sc:     blocking.NewTableScratch(),
+			esc:    t.eval.NewScratch(),
+			drow:   make([]float64, len(t.configs)),
+			crow:   make([]float64, len(t.configs)),
+			bestD:  make([]float64, len(t.configs)),
+			bestL:  make([]int32, len(t.configs)),
+			counts: make([]uint32, len(t.configs)),
 		}
 	}
 	return t, nil
@@ -724,59 +728,64 @@ func (t *Table) pairDists(ms *tableScratch, e *queryState, ref blocking.Ref) {
 	}
 }
 
-// leftDist evaluates configuration ci between two reference rows (the
-// ball-construction distance), deriving both weighted profiles into
-// separate scratches.
-//
-//autofj:hotpath
-func (t *Table) leftDist(ms *tableScratch, ci int, a, b blocking.Ref) float64 {
-	f := t.configs[ci].Function
-	apl, alocal := t.payload(a)
-	bpl, blocal := t.payload(b)
-	if !t.multi {
-		//autofj:alloc-ok character distances need O(len) rune scratch; the per-call cost is capped by the benchgate allocs/op budget
-		return f.Distance(t.profile(0, apl, alocal, &ms.rwa), t.profile(0, bpl, blocal, &ms.rwb))
-	}
-	var d float64
-	for j := range t.cols {
-		if apl.cells[j][alocal] == "" && bpl.cells[j][blocal] == "" {
-			d += t.weights[j]
-			continue
-		}
-		pa := t.profile(j, apl, alocal, &ms.rwa)
-		pb := t.profile(j, bpl, blocal, &ms.rwb)
-		//autofj:alloc-ok character distances need O(len) rune scratch; the per-call cost is capped by the benchgate allocs/op budget
-		d += t.weights[j] * float64(float32(f.Distance(pa, pb)))
-	}
-	return d
-}
-
 // ballCount returns the 2θ-ball cardinality of dense row l under
-// configuration ci, cached per (configuration, row) and tagged with the
-// statistics generation so mutations invalidate it wholesale. Values are
-// deterministic, so concurrent fills are benign.
+// configuration ci from the ball cache, filling every configuration's slot
+// of l on the first miss under the current statistics generation.
 //
 //autofj:hotpath
 func (t *Table) ballCount(ci int, l int32, ms *tableScratch) uint32 {
-	slot := &t.balls[ci*t.ballStride+int(l)]
 	tag := uint64(t.statsGen) << 32
-	if v := slot.Load(); v&^uint64(0xffffffff) == tag && uint32(v) != 0 {
+	if v := t.balls[ci*t.ballStride+int(l)].Load(); v&^uint64(0xffffffff) == tag && uint32(v) != 0 {
 		return uint32(v)
 	}
-	radius := t.ballFactor * t.configs[ci].Threshold
+	t.fillBalls(l, tag, ms)
+	return ms.counts[ci]
+}
+
+// fillBalls counts the balls of dense row l under EVERY configuration in
+// one pass — one self-blocking call, l's weighted profile derived once,
+// and one fused evaluator row per ball candidate compared against all the
+// radii — and stores each count tagged with the statistics generation, so
+// mutations invalidate it wholesale and the other configurations that pick
+// l, in this query or a later one, hit. ms.drow/ms.crow are free here:
+// ball counts are only taken after the candidate scan has finished with
+// them. Values are deterministic, so concurrent fills are benign.
+//
+//autofj:hotpath
+func (t *Table) fillBalls(l int32, tag uint64, ms *tableScratch) {
 	ms.ballCands = t.tix.AppendTopKSelf(ms.ballCands[:0], ms.sc, int(l), t.k)
-	count := uint32(1)
-	aref := t.tix.Ref(int(l))
+	apl, alocal := t.payload(t.tix.Ref(int(l)))
+	var pa *config.Profile // single-column: l's profile, derived once for all candidates
+	if !t.multi {
+		pa = t.profile(0, apl, alocal, &ms.rwa)
+	}
+	for ci := range ms.counts {
+		ms.counts[ci] = 1
+	}
 	for _, c := range ms.ballCands {
-		if t.leftDist(ms, ci, aref, t.tix.Ref(int(c.ID))) <= radius {
-			count++
+		bpl, blocal := t.payload(t.tix.Ref(int(c.ID)))
+		if !t.multi {
+			t.eval.Distances(pa, t.profile(0, bpl, blocal, &ms.rwb), ms.esc, ms.drow)
+		} else {
+			clear(ms.drow)
+			for j := range t.cols {
+				if apl.cells[j][alocal] == "" && bpl.cells[j][blocal] == "" {
+					for ci := range ms.drow {
+						ms.drow[ci] += t.weights[j]
+					}
+					continue
+				}
+				t.eval.Distances(t.profile(j, apl, alocal, &ms.rwa), t.profile(j, bpl, blocal, &ms.rwb), ms.esc, ms.crow)
+				for ci := range ms.drow {
+					ms.drow[ci] += t.weights[j] * float64(float32(ms.crow[ci]))
+				}
+			}
 		}
+		countBallRow(ms.counts, ms.drow, t.radii)
 	}
-	if count > maxBallCount {
-		count = maxBallCount
+	for ci, n := range ms.counts {
+		t.balls[ci*t.ballStride+int(l)].Store(tag | uint64(n))
 	}
-	slot.Store(tag | uint64(count))
-	return count
 }
 
 // fillQuery is the Table's cache-fill edge: merged blocking,

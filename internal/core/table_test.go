@@ -41,14 +41,7 @@ func oracleCompile(t *testing.T, prog *Program, tab *Table, par int) *Matcher {
 		}
 		return m
 	}
-	cols := make([][]string, tab.RowWidth())
-	for j := range cols {
-		cols[j] = make([]string, len(rows))
-		for i, r := range rows {
-			cols[j][i] = r[j]
-		}
-	}
-	m, err := prog.CompileMultiColumn(cols, Options{Parallelism: par})
+	m, err := prog.CompileMultiColumn(columnsOf(rows, tab.RowWidth()), Options{Parallelism: par})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,6 +85,19 @@ func expectOracle(t *testing.T, prog *Program, tab *Table, queries [][]string, s
 			}
 		}
 	}
+}
+
+// columnsOf transposes dense-ordered rows into the column form the
+// compile-side oracles take.
+func columnsOf(rows [][]string, width int) [][]string {
+	cols := make([][]string, width)
+	for j := range cols {
+		cols[j] = make([]string, len(rows))
+		for i, r := range rows {
+			cols[j][i] = r[j]
+		}
+	}
+	return cols
 }
 
 func toRows(records []string) [][]string {

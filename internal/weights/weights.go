@@ -10,6 +10,7 @@ package weights
 import (
 	"math"
 	"sort"
+	"sync/atomic"
 )
 
 // Scheme identifies a token-weighting scheme.
@@ -34,15 +35,28 @@ func (s Scheme) String() string {
 }
 
 // Stats holds corpus document frequencies for IDF weighting.
+//
+// log(1 + N/df) depends only on the integers (N, df), so IDF memoizes it
+// by df: idf[df] holds the float bits of the weight under the current N
+// (0 = not yet computed — the weight itself is never 0). The table spans
+// every df <= docs of a non-empty corpus and is allocated by the
+// constructors and the mutators, never on the read path, so IDF is
+// allocation-free and safe for concurrent readers. AddDocTokens/RemoveDocTokens change N and so forget
+// every memoized weight; they need exclusive access, as they always did
+// for the df map.
 type Stats struct {
-	docs int
 	df   map[string]int
+	idf  []atomic.Uint64
+	docs int
+	// memo is set once any idf entry is filled, so a run of mutations with
+	// no read in between (a table build) clears the table at most once.
+	memo atomic.Bool
 }
 
 // NewStats builds document-frequency statistics from a corpus of tokenized
 // documents. Each document contributes at most 1 to a token's df.
 func NewStats(docs [][]string) *Stats {
-	s := &Stats{docs: len(docs), df: make(map[string]int)}
+	s := &Stats{docs: len(docs), df: make(map[string]int), idf: make([]atomic.Uint64, len(docs)+1)}
 	seen := make(map[string]bool)
 	for _, d := range docs {
 		for k := range seen {
@@ -64,6 +78,17 @@ func NewEmptyStats() *Stats {
 	return &Stats{df: make(map[string]int)}
 }
 
+// forgetIDF drops every memoized weight after docs changed, growing the
+// table with amortised capacity when docs has outrun it.
+func (s *Stats) forgetIDF() {
+	if s.docs >= len(s.idf) {
+		s.idf = make([]atomic.Uint64, s.docs+s.docs/2+16)
+	} else if s.memo.Load() {
+		clear(s.idf)
+	}
+	s.memo.Store(false)
+}
+
 // AddDocTokens adds one document given its DISTINCT token set (duplicates
 // would inflate df). Together with RemoveDocTokens this keeps Stats exactly
 // equal to NewStats over the current document multiset: df and docs are
@@ -74,6 +99,7 @@ func (s *Stats) AddDocTokens(distinct []string) {
 	for _, tok := range distinct {
 		s.df[tok]++
 	}
+	s.forgetIDF()
 }
 
 // RemoveDocTokens removes one document previously added with the same
@@ -87,6 +113,7 @@ func (s *Stats) RemoveDocTokens(distinct []string) {
 			s.df[tok]--
 		}
 	}
+	s.forgetIDF()
 }
 
 // Docs returns the number of documents the statistics were built from.
@@ -112,7 +139,7 @@ func (s *Stats) SortedEntries() (tokens []string, dfs []int) {
 // distinct corpus token, so restoring is far cheaper than replaying
 // AddDocTokens over every document.
 func NewRestoredStats(docs int, tokens []string, dfs []int) *Stats {
-	s := &Stats{docs: docs, df: make(map[string]int, len(tokens))}
+	s := &Stats{docs: docs, df: make(map[string]int, len(tokens)), idf: make([]atomic.Uint64, docs+1)}
 	for i, tok := range tokens {
 		s.df[tok] = dfs[i]
 	}
@@ -122,7 +149,11 @@ func NewRestoredStats(docs int, tokens []string, dfs []int) *Stats {
 // IDF returns log(1 + N/df) for the token. Unseen tokens get the maximal
 // weight log(1 + N), treating them as df=1... strictly df=1 gives
 // log(1+N); we use df=1 for unseen tokens, which keeps weights bounded and
-// favors rare tokens as the paper intends.
+// favors rare tokens as the paper intends. The weight is memoized by df
+// (see Stats), so a (N, df) pair already answered costs a map lookup and
+// an atomic load instead of a math.Log.
+//
+//autofj:hotpath
 func (s *Stats) IDF(token string) float64 {
 	df := s.df[token]
 	if df < 1 {
@@ -132,7 +163,17 @@ func (s *Stats) IDF(token string) float64 {
 	if n < 1 {
 		n = 1
 	}
-	return math.Log(1 + float64(n)/float64(df))
+	if df >= len(s.idf) { // empty corpus, or a restored df above docs
+		return math.Log(1 + float64(n)/float64(df))
+	}
+	slot := &s.idf[df]
+	if bits := slot.Load(); bits != 0 {
+		return math.Float64frombits(bits)
+	}
+	w := math.Log(1 + float64(n)/float64(df))
+	slot.Store(math.Float64bits(w))
+	s.memo.Store(true)
+	return w
 }
 
 // Vector turns a token multiset into a weighted vector under the scheme.

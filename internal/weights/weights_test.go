@@ -1,7 +1,12 @@
 package weights
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 )
 
@@ -72,5 +77,184 @@ func TestSchemeNames(t *testing.T) {
 	}
 	if len(Options()) != 2 {
 		t.Error("want 2 weighting options")
+	}
+}
+
+// closedIDF is the definition IDF must keep returning to the bit.
+func closedIDF(docs, df int) float64 {
+	if df < 1 {
+		df = 1
+	}
+	if docs < 1 {
+		docs = 1
+	}
+	return math.Log(1 + float64(docs)/float64(df))
+}
+
+// expectClosedForm checks every vocabulary token — present, removed, or
+// never seen — against the closed form under the model's (docs, df), twice,
+// so both the computing read and the memoized read are compared.
+func expectClosedForm(t *testing.T, s *Stats, docs int, df map[string]int, vocab []string, step int) {
+	t.Helper()
+	if s.Docs() != docs {
+		t.Fatalf("step %d: Docs = %d, want %d", step, s.Docs(), docs)
+	}
+	for pass := 0; pass < 2; pass++ {
+		for _, tok := range vocab {
+			got, want := s.IDF(tok), closedIDF(docs, df[tok])
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("step %d pass %d: IDF(%q) = %v, want %v (docs %d, df %d)",
+					step, pass, tok, got, want, docs, df[tok])
+			}
+		}
+	}
+}
+
+// TestIDFMemoMatchesClosedFormUnderMutations drives a seeded Add/Remove
+// sequence and pins IDF to math.Log(1 + N/df) bit for bit after every
+// step: a mutation changes N, so every memoized weight must be forgotten,
+// across table growth and shrinking document counts alike.
+func TestIDFMemoMatchesClosedFormUnderMutations(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		rng := rand.New(rand.NewSource(seed))
+		vocab := make([]string, 40)
+		for i := range vocab {
+			vocab[i] = fmt.Sprintf("tok%02d", i)
+		}
+		probe := append(append([]string(nil), vocab...), "never-seen", "")
+		s := NewEmptyStats()
+		df := map[string]int{}
+		var live [][]string
+		expectClosedForm(t, s, 0, df, probe, -1)
+		for step := 0; step < 400; step++ {
+			if len(live) > 0 && rng.Intn(3) == 0 {
+				i := rng.Intn(len(live))
+				s.RemoveDocTokens(live[i])
+				for _, tok := range live[i] {
+					df[tok]--
+				}
+				live = append(live[:i], live[i+1:]...)
+			} else {
+				var doc []string
+				for _, i := range rng.Perm(len(vocab))[:1+rng.Intn(6)] {
+					// Skew toward low ids so some tokens get a high df.
+					doc = append(doc, vocab[i*i/len(vocab)])
+				}
+				sort.Strings(doc)
+				doc = slices.Compact(doc)
+				s.AddDocTokens(doc)
+				for _, tok := range doc {
+					df[tok]++
+				}
+				live = append(live, doc)
+			}
+			expectClosedForm(t, s, len(live), df, probe, step)
+		}
+
+		// Batch-built and restored statistics answer the same bits.
+		toks, dfs := s.SortedEntries()
+		for name, other := range map[string]*Stats{
+			"NewStats":         NewStats(live),
+			"NewRestoredStats": NewRestoredStats(s.Docs(), toks, dfs),
+		} {
+			expectClosedForm(t, other, len(live), df, probe, 400)
+			for _, tok := range probe {
+				if math.Float64bits(other.IDF(tok)) != math.Float64bits(s.IDF(tok)) {
+					t.Fatalf("%s: IDF(%q) differs from the incrementally maintained statistics", name, tok)
+				}
+			}
+		}
+	}
+}
+
+// TestIDFRestoredAboveDocs: a restored df larger than the document count
+// (only a hand-made snapshot can say so) falls outside the memo table and
+// still answers the closed form.
+func TestIDFRestoredAboveDocs(t *testing.T) {
+	s := NewRestoredStats(2, []string{"a"}, []int{9})
+	if got, want := s.IDF("a"), closedIDF(2, 9); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("IDF = %v, want %v", got, want)
+	}
+}
+
+// TestIDFConcurrentReaders is the read-path contract under -race: many
+// goroutines (sharded learning, read-locked table queries) read and fill
+// the memo table at once and all see the closed form.
+func TestIDFConcurrentReaders(t *testing.T) {
+	docs := make([][]string, 200)
+	for i := range docs {
+		for j := 0; j <= i%17; j++ {
+			docs[i] = append(docs[i], fmt.Sprintf("t%d", j))
+		}
+	}
+	s := NewStats(docs)
+	df := map[string]int{}
+	for _, d := range docs {
+		for _, tok := range d {
+			df[tok]++
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				tok := fmt.Sprintf("t%d", (i+g)%20) // t17..t19 are never seen
+				if got, want := s.IDF(tok), closedIDF(len(docs), df[tok]); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("IDF(%q) = %v, want %v", tok, got, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestIDFNeverAllocates: the read path is map lookup → atomic load (or one
+// math.Log on a table miss); the table itself is only ever allocated by
+// the constructors and the mutators.
+func TestIDFNeverAllocates(t *testing.T) {
+	s := NewEmptyStats()
+	s.AddDocTokens([]string{"a", "b"})
+	s.AddDocTokens([]string{"a"})
+	var sink float64
+	if n := testing.AllocsPerRun(100, func() {
+		s.AddDocTokens(nil) // changes N: the next reads recompute
+		s.RemoveDocTokens(nil)
+		sink += s.IDF("a") + s.IDF("b") + s.IDF("zzz")
+	}); n != 0 {
+		t.Errorf("IDF after a mutation: %.1f allocs, want 0", n)
+	}
+	_ = sink
+}
+
+// TestIDFMemoizesByDF: the first read of a (N, df) pair stores its bits at
+// idf[df] — so the second performs no math.Log — and any mutation empties
+// the table again.
+func TestIDFMemoizesByDF(t *testing.T) {
+	s := NewStats([][]string{{"a", "b"}, {"a"}})
+	if len(s.idf) != 3 {
+		t.Fatalf("table spans %d entries, want docs+1 = 3", len(s.idf))
+	}
+	w := s.IDF("a") // df 2
+	if got := s.idf[2].Load(); got != math.Float64bits(w) || got == 0 {
+		t.Fatalf("idf[2] = %#x after IDF(a) = %v", got, w)
+	}
+	if s.idf[1].Load() != 0 {
+		t.Fatal("idf[1] filled before any df-1 token was read")
+	}
+	s.AddDocTokens([]string{"c"})
+	for df := range s.idf {
+		if s.idf[df].Load() != 0 {
+			t.Fatalf("idf[%d] survived AddDocTokens", df)
+		}
+	}
+	s.IDF("c")
+	s.RemoveDocTokens([]string{"c"})
+	for df := range s.idf {
+		if s.idf[df].Load() != 0 {
+			t.Fatalf("idf[%d] survived RemoveDocTokens", df)
+		}
 	}
 }
