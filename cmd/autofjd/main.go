@@ -70,6 +70,17 @@ import (
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/serve"
 )
 
+// Connection timeouts. A client gets readHeaderTimeout to send its
+// request headers, so a connection that never finishes them (a slow or
+// stalled client) is dropped instead of holding a goroutine and a socket
+// forever; an idle keep-alive connection is closed after idleTimeout.
+// Bodies are bounded by size in internal/serve, not by time, so a large
+// batch on a slow link still gets through.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	if err := run(os.Args[1:], os.Stderr, nil, nil); err != nil {
 		if !errors.Is(err, flag.ErrHelp) {
@@ -169,7 +180,11 @@ func run(args []string, stderr io.Writer, ready chan<- string, shutdown <-chan s
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	//autofj:leak-ok errc is buffered (cap 1) and Serve returns once the server is shut down or closed, so the sender always exits
 	go func() { errc <- httpSrv.Serve(ln) }()

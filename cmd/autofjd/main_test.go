@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -111,6 +113,70 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if _, err := http.Get(base + "/healthz"); err == nil {
 		t.Error("daemon still serving after shutdown")
 	}
+}
+
+// TestDaemonDropsStalledClients: a client that opens a connection and
+// never finishes its request headers is disconnected after
+// readHeaderTimeout instead of holding the connection forever; an
+// oversize body is answered 413 through the real server; and the daemon
+// keeps serving other clients throughout.
+func TestDaemonDropsStalledClients(t *testing.T) {
+	dir := t.TempDir()
+	progPath := filepath.Join(dir, "prog.json")
+	leftPath := filepath.Join(dir, "left.csv")
+	writeFile(t, progPath, testProgramJSON)
+	writeFile(t, leftPath, "name\nalpha research institute\nbravo analytics bureau\n")
+	base, stop := startDaemon(t, []string{
+		"-addr", "127.0.0.1:0",
+		"-name", "orgs", "-program", progPath, "-left", leftPath, "-column", "name",
+	})
+	defer stop()
+	queryOK := func(stage string) {
+		t.Helper()
+		resp, err := http.Get(base + "/v1/programs/orgs/query?q=alpha+reserch+institute")
+		if err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: query = %d", stage, resp.StatusCode)
+		}
+	}
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Headers started, never finished (no blank line).
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: autofjd\r\nX-Stalled: 1\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	queryOK("while a client stalls")
+	// Generous safety deadline: only the server's timeout should end this.
+	if err := conn.SetReadDeadline(time.Now().Add(readHeaderTimeout + 20*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	n, err := conn.Read(make([]byte, 1))
+	var netErr net.Error
+	if errors.As(err, &netErr) && netErr.Timeout() {
+		t.Fatal("stalled connection still open long after readHeaderTimeout")
+	}
+	if err == nil || n != 0 {
+		t.Fatalf("stalled connection read %d bytes, err %v; want the server to close it", n, err)
+	}
+	queryOK("after dropping the stalled client")
+
+	resp, err := http.Post(base+"/v1/programs/orgs/query", "application/json",
+		strings.NewReader(`{"query":"`+strings.Repeat("a", 8<<20)+`"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversize query body = %d, want 413", resp.StatusCode)
+	}
+	queryOK("after an oversize body")
 }
 
 // TestDaemonConfigFile: the -config path end to end.

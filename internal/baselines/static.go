@@ -10,9 +10,8 @@ import (
 // distance, scored as 1-distance. The result is indexed by function,
 // feeding the Best-Static-Join-function (BSJ) comparison of Table 2.
 func StaticJoins(left, right []string, space []config.JoinFunction, cands [][]int32) [][]metrics.ScoredJoin {
-	corpus := config.NewCorpus(space, left, right)
-	profL := corpus.Profiles(left, 0)
-	profR := corpus.Profiles(right, 0)
+	_, profs := config.NewCorpusProfiles(space, 0, left, right)
+	profL, profR := profs[0], profs[1]
 	// Pair-major: one fused evaluation per candidate pair scores every
 	// function of the space at once (see config.Evaluator).
 	ev := config.NewEvaluator(space)
@@ -69,9 +68,8 @@ func UpperBoundRecall(left, right []string, space []config.JoinFunction, cands [
 	if len(truth) == 0 {
 		return 0
 	}
-	corpus := config.NewCorpus(space, left, right)
-	profL := corpus.Profiles(left, 0)
-	profR := corpus.Profiles(right, 0)
+	_, profs := config.NewCorpusProfiles(space, 0, left, right)
+	profL, profR := profs[0], profs[1]
 	ev := config.NewEvaluator(space)
 	sc := ev.NewScratch()
 	row := make([]float64, len(space))

@@ -2,6 +2,7 @@ package config
 
 import (
 	"math"
+	"sort"
 
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/distance"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/embed"
@@ -12,11 +13,11 @@ import (
 
 // This file supports mutable reference tables (core.Table): records are
 // stored "at rest" as IDF-independent count profiles, and the IDF-weighted
-// view is derived on demand from live corpus statistics. The derivation is
-// bit-identical to building a full Profile against the same statistics —
-// Scheme.Vector under IDF computes count*idf per token and NewSparse
-// accumulates Sum/Norm in ascending token order, which is exactly what
-// Reweighted does — so a segmented table can keep its statistics mutable
+// view is derived on demand from live corpus statistics. Profile itself is
+// built the same way — a count profile first, then the IDF vectors derived
+// from it by weighIDF, the helper Reweighted also uses — so the derived
+// view is bit-identical to a full Profile built against the same
+// statistics, and a segmented table can keep its statistics mutable
 // without ever recomputing stored profiles.
 
 // Rep identifies one (pre-processing, tokenization) representation pair.
@@ -104,11 +105,72 @@ func (c *Corpus) CountProfile(s string) *Profile {
 			if !c.NeedCounts(pre, tokenize.Option(ti)) {
 				continue
 			}
-			toks := tokenize.Option(ti).Tokens(p.proc[pi])
-			p.ensureVec(pi, ti)[weights.Equal] = distance.NewSparse(weights.Equal.Vector(toks, nil))
+			p.ensureVec(pi, ti)[weights.Equal] = countVec(tokenize.Option(ti), p.proc[pi])
 		}
 	}
 	return p
+}
+
+// countVec tokenizes s under tok, sorts the occurrences once and
+// run-length encodes them into the count vector: distinct tokens
+// ascending, each weighted by its occurrence count, with Sum and Norm
+// accumulated in ascending token order. Those are the values, in the same
+// floating-point order, that Scheme.Vector(Equal) + NewSparse produce (a
+// count of k is k additions of 1.0 — an exact integer either way), built
+// without a map and stored in exact-sized slices.
+func countVec(tok tokenize.Option, s string) distance.Sparse {
+	toks := tok.Tokens(s)
+	sort.Strings(toks)
+	n := 0
+	for i := range toks {
+		if i == 0 || toks[i] != toks[i-1] {
+			n++
+		}
+	}
+	v := distance.Sparse{Tokens: make([]string, n), W: make([]float64, n)}
+	k := -1
+	for i, t := range toks {
+		if i == 0 || t != toks[i-1] {
+			k++
+			v.Tokens[k] = t
+		}
+		v.W[k]++
+	}
+	var norm float64
+	for _, w := range v.W {
+		v.Sum += w
+		norm += w * w
+	}
+	v.Norm = math.Sqrt(norm)
+	return v
+}
+
+// idfVec derives the IDF-weighted vector of a count vector under st,
+// sharing its token list (see weighIDF for the arithmetic).
+func idfVec(counts *distance.Sparse, st *weights.Stats) distance.Sparse {
+	w := make([]float64, len(counts.W))
+	sum, norm := weighIDF(w, counts, st)
+	return distance.Sparse{Tokens: counts.Tokens, W: w, Sum: sum, Norm: math.Sqrt(norm)}
+}
+
+// weighIDF writes count*idf for every token of counts into dst (which has
+// len(counts.W) entries) and returns the weight sum and the sum of squared
+// weights, both accumulated in ascending token order — exactly the
+// arithmetic of Scheme.Vector(IDF) + NewSparse. A nil st weighs by count
+// alone, as Scheme.Vector does.
+//
+//autofj:hotpath
+func weighIDF(dst []float64, counts *distance.Sparse, st *weights.Stats) (sum, norm float64) {
+	for i, tok := range counts.Tokens {
+		w := counts.W[i]
+		if st != nil {
+			w *= st.IDF(tok)
+		}
+		dst[i] = w
+		sum += w
+		norm += w * w
+	}
+	return sum, norm
 }
 
 // CountVec returns the token-count vector of (pre, tok) — distinct tokens
@@ -230,10 +292,9 @@ func (rs *ReweightScratch) Held() bool {
 // Reweighted derives the full (IDF-weighted) view of a count profile under
 // the corpus's current statistics, into rs. For every representation the
 // space weights by IDF, the derived weight of token i is count_i*idf_i with
-// Sum and Norm accumulated in ascending token order — the same values, in
-// the same floating-point order, as Profile builds via Scheme.Vector +
-// NewSparse, so the result is bit-identical to a profile built from
-// scratch. Spaces without IDF weighting return src itself.
+// Sum and Norm accumulated in ascending token order by weighIDF, the
+// arithmetic Profile uses, so the result is bit-identical to a profile
+// built from scratch. Spaces without IDF weighting return src itself.
 //
 //autofj:hotpath
 func (c *Corpus) Reweighted(src *Profile, rs *ReweightScratch) *Profile {
@@ -247,19 +308,12 @@ func (c *Corpus) Reweighted(src *Profile, rs *ReweightScratch) *Profile {
 				continue
 			}
 			counts := &src.vecs[pi][ti][weights.Equal]
-			st := c.stats[pi][ti]
 			buf := rs.w[pi][ti]
 			if cap(buf) < len(counts.W) {
 				buf = make([]float64, len(counts.W))
 			}
 			buf = buf[:len(counts.W)]
-			var sum, norm float64
-			for i, tok := range counts.Tokens {
-				w := counts.W[i] * st.IDF(tok)
-				buf[i] = w
-				sum += w
-				norm += w * w
-			}
+			sum, norm := weighIDF(buf, counts, c.stats[pi][ti])
 			rs.w[pi][ti] = buf
 			// The derived IDF vector must not be written through the shared
 			// block pointer copied from src — that would race with concurrent

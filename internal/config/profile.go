@@ -26,9 +26,9 @@ type Corpus struct {
 	needProc [numPre]bool
 }
 
-// NewCorpus computes the corpus statistics required by space over the given
-// record collections (typically L and R).
-func NewCorpus(space []JoinFunction, collections ...[]string) *Corpus {
+// newCorpusNeeds records which representations space needs, with no
+// statistics yet.
+func newCorpusNeeds(space []JoinFunction) *Corpus {
 	c := &Corpus{}
 	for _, f := range space {
 		c.needProc[f.Pre] = true
@@ -39,6 +39,15 @@ func NewCorpus(space []JoinFunction, collections ...[]string) *Corpus {
 			c.needEmb[f.Pre] = true
 		}
 	}
+	return c
+}
+
+// NewCorpus computes the corpus statistics required by space over the given
+// record collections (typically L and R). Code that also needs the
+// collections' profiles should call NewCorpusProfiles, which tokenizes
+// every record once for both.
+func NewCorpus(space []JoinFunction, collections ...[]string) *Corpus {
+	c := newCorpusNeeds(space)
 	// IDF stats are needed for every (pre, tok) that has an IDF vector.
 	for p := 0; p < numPre; p++ {
 		for t := 0; t < numTok; t++ {
@@ -104,35 +113,32 @@ func (p *Profile) ensureEmb() *[numPre]embed.Vector {
 	return p.emb
 }
 
-// Profile builds the representation bundle for one record.
+// Profile builds the representation bundle for one record: its count
+// profile (one tokenize-and-sort pass per representation pair), with the
+// IDF vectors then derived from the counts under the corpus statistics.
 func (c *Corpus) Profile(s string) *Profile {
-	p := &Profile{Raw: s}
+	p := c.CountProfile(s)
+	c.weigh(p)
+	return p
+}
+
+// weigh turns a freshly built count profile into the full profile in
+// place: every IDF vector the space needs is derived from its count vector
+// (sharing its token list), and count vectors the space does not use at
+// equal weighting are dropped.
+func (c *Corpus) weigh(p *Profile) {
 	for pi := 0; pi < numPre; pi++ {
-		if !c.needProc[pi] {
-			continue
-		}
-		pre := textproc.Option(pi)
-		p.proc[pi] = pre.Apply(s)
-		if c.needEmb[pi] {
-			p.ensureEmb()[pi] = embed.Embed(p.proc[pi])
-		}
 		for ti := 0; ti < numTok; ti++ {
-			toks := []string(nil)
-			tokenized := false
-			for wi := 0; wi < numWt; wi++ {
-				if !c.needVec[pi][ti][wi] {
-					continue
-				}
-				if !tokenized {
-					toks = tokenize.Option(ti).Tokens(p.proc[pi])
-					tokenized = true
-				}
-				scheme := weights.Scheme(wi)
-				p.ensureVec(pi, ti)[wi] = distance.NewSparse(scheme.Vector(toks, c.stats[pi][ti]))
+			if !c.needVec[pi][ti][weights.IDF] {
+				continue
+			}
+			vb := p.vecs[pi][ti]
+			vb[weights.IDF] = idfVec(&vb[weights.Equal], c.stats[pi][ti])
+			if !c.needVec[pi][ti][weights.Equal] {
+				vb[weights.Equal] = distance.Sparse{}
 			}
 		}
 	}
-	return p
 }
 
 // Profiles builds profiles for a whole record collection, sharding the
@@ -140,13 +146,62 @@ func (c *Corpus) Profile(s string) *Profile {
 // sequential). Records are independent, so every parallelism level
 // produces identical profiles.
 func (c *Corpus) Profiles(records []string, parallelism int) []*Profile {
+	return c.buildAll(records, parallelism, c.Profile)
+}
+
+// buildAll maps build over records on up to parallelism workers.
+func (c *Corpus) buildAll(records []string, parallelism int, build func(string) *Profile) []*Profile {
 	out := make([]*Profile, len(records))
 	parallel.Shard(len(records), parallel.Workers(parallelism, len(records)), func(_, start, end int) {
 		for i := start; i < end; i++ {
-			out[i] = c.Profile(records[i])
+			out[i] = build(records[i])
 		}
 	})
 	return out
+}
+
+// NewCorpusProfiles builds the corpus statistics of space over the given
+// record collections together with every record's profile (profs[k][i] is
+// collections[k][i]), tokenizing each record once per representation pair
+// for both. Count profiles are built in parallel, document frequencies are
+// accumulated from their distinct-token lists — the integers NewStats
+// counts — and the IDF vectors are then derived in place. The result is
+// bit-identical to NewCorpus followed by Profiles on each collection, at
+// every parallelism level (0 means GOMAXPROCS, 1 forces sequential).
+func NewCorpusProfiles(space []JoinFunction, parallelism int, collections ...[]string) (*Corpus, [][]*Profile) {
+	c := newCorpusNeeds(space)
+	profs := make([][]*Profile, len(collections))
+	for k, coll := range collections {
+		profs[k] = c.buildAll(coll, parallelism, c.CountProfile)
+	}
+	reps := c.IDFReps()
+	if len(reps) == 0 {
+		return c, profs
+	}
+	// Each representation pair's statistics are independent of the others.
+	parallel.Shard(len(reps), parallel.Workers(parallelism, len(reps)), func(_, start, end int) {
+		for _, rep := range reps[start:end] {
+			docs := 0
+			df := make(map[string]int)
+			for _, ps := range profs {
+				docs += len(ps)
+				for _, p := range ps {
+					for _, tok := range p.vecs[rep.Pre][rep.Tok][weights.Equal].Tokens {
+						df[tok]++
+					}
+				}
+			}
+			c.stats[rep.Pre][rep.Tok] = weights.NewStatsFromDF(docs, df)
+		}
+	})
+	for _, ps := range profs {
+		parallel.Shard(len(ps), parallel.Workers(parallelism, len(ps)), func(_, start, end int) {
+			for _, p := range ps[start:end] {
+				c.weigh(p)
+			}
+		})
+	}
+	return c, profs
 }
 
 // Processed returns the record's pre-processed string under pre.

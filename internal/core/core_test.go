@@ -94,6 +94,35 @@ func TestJoinRecoversPerturbedRecords(t *testing.T) {
 	}
 }
 
+// TestTimingCountsRepresentationBuilding: every learning entry point
+// reports the time spent building corpus statistics and profiles as its
+// own component, and Total includes it.
+func TestTimingCountsRepresentationBuilding(t *testing.T) {
+	L := makeReference()[:60]
+	R := []string{L[3] + " ncaa", L[10], L[41] + " x"}
+	single, err := JoinTables(L, R, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	self, err := SelfJoin(L, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	leftCols, rightCols, _ := makeMovieTables(false)
+	multi, err := JoinMultiColumnTables(leftCols, rightCols, multiOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tm := range map[string]Timing{"JoinTables": single.Timing, "SelfJoin": self.Timing, "JoinMultiColumnTables": multi.Timing} {
+		if tm.Profile <= 0 || tm.Blocking <= 0 {
+			t.Errorf("%s: Timing %+v has no profile or blocking time", name, tm)
+		}
+		if tm.Total() != tm.Blocking+tm.Profile+tm.Precompute+tm.Greedy {
+			t.Errorf("%s: Total %v is not the sum of %+v", name, tm.Total(), tm)
+		}
+	}
+}
+
 func TestJoinIsManyToOne(t *testing.T) {
 	L := makeReference()
 	rng := rand.New(rand.NewSource(11))

@@ -222,12 +222,12 @@ func (p *Program) compile(progCols [][]string, leftKey []string, columns []int, 
 	m.eval = config.NewEvaluator(space)
 	m.cols = make([]matcherCol, len(progCols))
 	for j, colRecs := range progCols {
-		corpus := config.NewCorpus(space, colRecs)
+		corpus, profs := config.NewCorpusProfiles(space, opt.Parallelism, colRecs)
 		// The pointer profiles exist only long enough to flatten into the
 		// columnar arena; the query path reads the arena exclusively.
 		m.cols[j] = matcherCol{
 			corpus: corpus,
-			arena:  corpus.BuildArena(corpus.Profiles(colRecs, opt.Parallelism)),
+			arena:  corpus.BuildArena(profs[0]),
 			cells:  colRecs,
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"strings"
+	"time"
 
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/blocking"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/config"
@@ -47,6 +48,7 @@ func JoinMultiColumnTables(leftCols, rightCols [][]string, opt Options) (*Result
 	// they need no configuration, exactly like the single-column default.
 	leftCat := concatColumns(leftCols)
 	rightCat := concatColumns(rightCols)
+	tBlock := time.Now()
 	blk := blocking.Block(leftCat, rightCat, opt.BlockingBeta, opt.Parallelism)
 
 	var rules *negrule.Set
@@ -77,6 +79,7 @@ func JoinMultiColumnTables(leftCols, rightCols [][]string, opt Options) (*Result
 		}
 		lrCand[j] = ids
 	}
+	blockingTime := time.Since(tBlock)
 
 	// Flattened pair offsets shared by all columns and functions.
 	lrOff := offsets(lrCand)
@@ -85,8 +88,12 @@ func JoinMultiColumnTables(leftCols, rightCols [][]string, opt Options) (*Result
 	// Per-column tensors: distance of every blocked pair under every
 	// function, computed once and reused across the weight search.
 	tensors := make([]*columnTensors, m)
+	var profileTime time.Duration
 	for j := 0; j < m; j++ {
-		tensors[j] = buildColumnTensors(opt.Space, leftCols[j], rightCols[j], lrCand, llCand, lrOff, llOff, opt.Parallelism)
+		tProf := time.Now()
+		_, profs := config.NewCorpusProfiles(opt.Space, opt.Parallelism, leftCols[j], rightCols[j])
+		profileTime += time.Since(tProf)
+		tensors[j] = buildColumnTensors(opt.Space, leftCols[j], rightCols[j], profs[0], profs[1], lrCand, llCand, lrOff, llOff, opt.Parallelism)
 	}
 
 	// weighted runs Algorithm 1 on the weighted combination of columns.
@@ -212,6 +219,8 @@ func JoinMultiColumnTables(leftCols, rightCols [][]string, opt Options) (*Result
 	best.NegativeRules = rules
 	best.BlockingBeta = opt.BlockingBeta
 	best.BallRadiusFactor = opt.BallRadiusFactor
+	best.Timing.Blocking = blockingTime
+	best.Timing.Profile = profileTime
 	for j, wj := range w {
 		if wj > 0 {
 			best.Columns = append(best.Columns, j)
@@ -222,14 +231,12 @@ func JoinMultiColumnTables(leftCols, rightCols [][]string, opt Options) (*Result
 }
 
 // buildColumnTensors evaluates every join function on every blocked pair
-// of one column, pair-major: workers shard over records and one fused
-// Evaluator pass per candidate pair fills the whole function axis of the
-// tensor (0 means GOMAXPROCS). Two empty cells compare at maximal
-// distance (missing-value convention of §5.2.2).
-func buildColumnTensors(space []config.JoinFunction, lcol, rcol []string, lrCand, llCand [][]int32, lrOff, llOff []int32, parallelism int) *columnTensors {
-	corpus := config.NewCorpus(space, lcol, rcol)
-	profL := corpus.Profiles(lcol, parallelism)
-	profR := corpus.Profiles(rcol, parallelism)
+// of one column (profiles profL/profR of cells lcol/rcol), pair-major:
+// workers shard over records and one fused Evaluator pass per candidate
+// pair fills the whole function axis of the tensor (0 means GOMAXPROCS).
+// Two empty cells compare at maximal distance (missing-value convention
+// of §5.2.2).
+func buildColumnTensors(space []config.JoinFunction, lcol, rcol []string, profL, profR []*config.Profile, lrCand, llCand [][]int32, lrOff, llOff []int32, parallelism int) *columnTensors {
 	ev := config.NewEvaluator(space)
 	numFn := len(space)
 	nLR := int(lrOff[len(lrOff)-1])

@@ -172,8 +172,8 @@ func BenchmarkPrepareFused(b *testing.B) {
 
 // BenchmarkPrepareFunctionMajor measures the pre-refactor function-major
 // baseline on the identical workload; the fused/function-major ratio at
-// equal parallelism is the learn-phase speedup tracked in
-// BENCH_learn.json.
+// equal parallelism is the fused prepare's speedup. The end-to-end learn
+// time is recorded by the `learn` workload of bench/.
 func BenchmarkPrepareFunctionMajor(b *testing.B) {
 	in, lrDist, llDist := benchPrepareInput(b)
 	for _, p := range []int{1, 4} {

@@ -10,16 +10,21 @@ import (
 )
 
 // Timing breaks the run down into the components of Figure 7(d):
-// blocking (+negative rules), the distance/precision pre-computation of
-// Algorithm 1 lines 3-4, and the greedy search of lines 5-15.
+// blocking (+negative rules), building the records' representations
+// (corpus statistics and profiles), the distance/precision
+// pre-computation of Algorithm 1 lines 3-4, and the greedy search of
+// lines 5-15.
 type Timing struct {
 	Blocking   time.Duration
+	Profile    time.Duration
 	Precompute time.Duration
 	Greedy     time.Duration
 }
 
 // Total is the sum of the component times.
-func (t Timing) Total() time.Duration { return t.Blocking + t.Precompute + t.Greedy }
+func (t Timing) Total() time.Duration {
+	return t.Blocking + t.Profile + t.Precompute + t.Greedy
+}
 
 // Configuration is one selected ⟨f, θ⟩ pair of the output program.
 type Configuration struct {

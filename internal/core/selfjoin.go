@@ -41,8 +41,10 @@ func SelfJoin(records []string, opt Options) (*Result, error) {
 	lrCand := cand
 	blockingTime := time.Since(tBlock)
 
-	corpus := config.NewCorpus(opt.Space, records)
-	prof := corpus.Profiles(records, opt.Parallelism)
+	tProf := time.Now()
+	_, profs := config.NewCorpusProfiles(opt.Space, opt.Parallelism, records)
+	prof := profs[0]
+	profileTime := time.Since(tProf)
 	ev := config.NewEvaluator(opt.Space)
 	in := &engineInput{
 		space:      opt.Space,
@@ -69,6 +71,7 @@ func SelfJoin(records []string, opt Options) (*Result, error) {
 	res.BlockingBeta = opt.BlockingBeta
 	res.BallRadiusFactor = opt.BallRadiusFactor
 	res.Timing.Blocking = blockingTime
+	res.Timing.Profile = profileTime
 	return res, nil
 }
 

@@ -59,9 +59,10 @@ func JoinTables(left, right []string, opt Options) (*Result, error) {
 
 	// Lines 3-4: distances and precision pre-computation, then the greedy
 	// union search — all inside run().
-	corpus := config.NewCorpus(opt.Space, left, right)
-	profL := corpus.Profiles(left, opt.Parallelism)
-	profR := corpus.Profiles(right, opt.Parallelism)
+	tProf := time.Now()
+	_, profs := config.NewCorpusProfiles(opt.Space, opt.Parallelism, left, right)
+	profL, profR := profs[0], profs[1]
+	profileTime := time.Since(tProf)
 	ev := config.NewEvaluator(opt.Space)
 
 	in := &engineInput{
@@ -89,6 +90,7 @@ func JoinTables(left, right []string, opt Options) (*Result, error) {
 	res.BlockingBeta = opt.BlockingBeta
 	res.BallRadiusFactor = opt.BallRadiusFactor
 	res.Timing.Blocking = blockingTime
+	res.Timing.Profile = profileTime
 	return res, nil
 }
 

@@ -1,6 +1,10 @@
 package distance
 
-import "unicode"
+import (
+	"math/bits"
+	"unicode"
+	"unicode/utf8"
+)
 
 // This file holds the fused character-family kernel. The char-based
 // distances (ED, JW and the extension distances ME, SW) all start from
@@ -10,6 +14,16 @@ import "unicode"
 // are bit-identical to the single-function entry points in strings.go
 // and hybrid.go — same arithmetic in the same order, only the buffers
 // are reused (enforced by TestCharKernelMatchesSingles / FuzzCharKernel).
+//
+// Levenshtein and Jaro additionally run bit-parallel when one side (the
+// shorter side after the affix trim for Levenshtein, the second string
+// for Jaro) is an ASCII string of at most 64 runes, which covers nearly
+// every record pair of a join: one machine word holds a DP column, so
+// the quadratic loop becomes one pass over the other string. Both forms
+// return exactly the DP's integers — Myers' algorithm in Hyyrö's
+// global-distance form computes the same edit distance, and taking the
+// lowest set bit of the free, in-window positions of a rune is Jaro's
+// first-free-match rule — and any other pair falls back to the DP.
 
 // CharNeed selects which members of the character family to compute.
 type CharNeed struct{ ED, JW, ME, SW bool }
@@ -28,6 +42,11 @@ type CharScratch struct {
 	// Distances call; mongeElkan clears them before returning so a
 	// long-lived scratch never pins query memory.
 	fa, fb []string
+	// peq holds the bit-parallel pattern masks of an ASCII pattern of at
+	// most 64 runes: bit j of peq[c] is set when pattern[j] == c. It is
+	// all zero between calls — every kernel that fills it clears the
+	// entries it set before returning.
+	peq [utf8.RuneSelf]uint64
 }
 
 // appendFields appends the whitespace-separated fields of s to dst.
@@ -176,6 +195,11 @@ func (cs *CharScratch) levenshtein(ra, rb []rune) int {
 	if len(rb) == 0 {
 		return len(ra)
 	}
+	if len(rb) <= 64 && cs.loadPeq(rb) {
+		d := cs.myers(ra, len(rb))
+		cs.clearPeq(rb)
+		return d
+	}
 	prev := intRow(cs.dpA, len(rb)+1)
 	cur := intRow(cs.dpB, len(rb)+1)
 	for j := range prev {
@@ -204,6 +228,129 @@ func (cs *CharScratch) levenshtein(ra, rb []rune) int {
 	return prev[len(rb)]
 }
 
+// loadPeq fills the pattern masks of p, which has at most 64 runes. It
+// reports false, leaving peq untouched, when p holds a non-ASCII rune.
+//
+//autofj:hotpath
+func (cs *CharScratch) loadPeq(p []rune) bool {
+	for _, c := range p {
+		if uint32(c) >= utf8.RuneSelf {
+			return false
+		}
+	}
+	for j, c := range p {
+		cs.peq[c] |= 1 << uint(j)
+	}
+	return true
+}
+
+// clearPeq zeroes the masks loadPeq set for p.
+//
+//autofj:hotpath
+func (cs *CharScratch) clearPeq(p []rune) {
+	for _, c := range p {
+		cs.peq[c] = 0
+	}
+}
+
+// eq returns the loaded pattern's match mask for text rune c; a rune
+// outside ASCII matches no position of an ASCII pattern.
+//
+//autofj:hotpath
+func (cs *CharScratch) eq(c rune) uint64 {
+	if uint32(c) < utf8.RuneSelf {
+		return cs.peq[c]
+	}
+	return 0
+}
+
+// myers returns the edit distance between text and the m-rune pattern
+// loaded into peq (1 <= m <= 64): Myers' bit-vector algorithm in Hyyrö's
+// form for the global distance. Bit i of pv/mv marks a +1/-1 vertical
+// delta between DP rows i and i+1 of the current column; ph/mh are the
+// horizontal deltas, and shifting a 1 into ph is the first DP row's
+// D[0][j] = j. score tracks D[m][j] down the text, ending at exactly the
+// DP's D[m][n]. Bits above the pattern only ever move upward (carries and
+// left shifts), so they never disturb the tracked ones.
+//
+//autofj:hotpath
+func (cs *CharScratch) myers(text []rune, m int) int {
+	last := uint64(1) << uint(m-1)
+	pv, mv := ^uint64(0), uint64(0)
+	score := m
+	for _, c := range text {
+		eq := cs.eq(c)
+		xv := eq | mv
+		xh := (((eq & pv) + pv) ^ pv) | eq
+		ph := mv | ^(xh | pv)
+		mh := pv & xh
+		if ph&last != 0 {
+			score++
+		} else if mh&last != 0 {
+			score--
+		}
+		ph = ph<<1 | 1
+		mh <<= 1
+		pv = mh | ^(xv | ph)
+		mv = ph & xv
+	}
+	return score
+}
+
+// jaroScore is the Jaro similarity from its match and transposition
+// counts.
+//
+//autofj:hotpath
+func jaroScore(matches, transpositions, la, lb int) float64 {
+	if matches == 0 {
+		return 0
+	}
+	m := float64(matches)
+	t := float64(transpositions) / 2
+	return (m/float64(la) + m/float64(lb) + (m-t)/m) / 3
+}
+
+// jaroBits counts Jaro's matches and transpositions with rb's masks
+// loaded into peq (rb has at most 64 runes, so every position of rb is a
+// bit). Rune ra[i] matches the lowest set bit of its positions in rb that
+// are still free and inside [i-window, i+window] — exactly the first free
+// match the DP's ascending scan takes. Matched runes of ra are recorded in
+// order (there are at most len(rb) of them), and the transpositions pair
+// the k-th of them with the k-th matched position of rb, ascending, as the
+// DP does.
+//
+//autofj:hotpath
+func (cs *CharScratch) jaroBits(ra, rb []rune, window int) (matches, transpositions int) {
+	lb := len(rb)
+	var matchedB uint64
+	var am [64]rune
+	for i, c := range ra {
+		lo := i - window
+		if lo < 0 {
+			lo = 0
+		}
+		if lo >= lb {
+			break // every later window starts past rb as well
+		}
+		hi := i + window + 1
+		if hi > lb {
+			hi = lb
+		}
+		win := (^uint64(0) << uint(lo)) & (^uint64(0) >> uint(64-hi))
+		if cand := cs.eq(c) &^ matchedB & win; cand != 0 {
+			matchedB |= cand & -cand
+			am[matches] = c
+			matches++
+		}
+	}
+	for k, b := 0, matchedB; b != 0; k, b = k+1, b&(b-1) {
+		if am[k] != rb[bits.TrailingZeros64(b)] {
+			transpositions++
+		}
+	}
+	return matches, transpositions
+}
+
 // jaro is Jaro over pre-converted runes with scratch match tables.
 //
 //autofj:hotpath
@@ -222,6 +369,11 @@ func (cs *CharScratch) jaro(ra, rb []rune) float64 {
 	window = window/2 - 1
 	if window < 0 {
 		window = 0
+	}
+	if lb <= 64 && cs.loadPeq(rb) {
+		matches, transpositions := cs.jaroBits(ra, rb, window)
+		cs.clearPeq(rb)
+		return jaroScore(matches, transpositions, la, lb)
 	}
 	matchA := boolRow(cs.matchA, la)
 	matchB := boolRow(cs.matchB, lb)
@@ -263,9 +415,7 @@ func (cs *CharScratch) jaro(ra, rb []rune) float64 {
 		}
 		j++
 	}
-	m := float64(matches)
-	t := float64(transpositions) / 2
-	return (m/float64(la) + m/float64(lb) + (m-t)/m) / 3
+	return jaroScore(matches, transpositions, la, lb)
 }
 
 // jaroWinkler is JaroWinkler over pre-converted runes.

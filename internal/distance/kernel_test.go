@@ -2,6 +2,7 @@ package distance
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -72,29 +73,129 @@ var charCorpus = []string{
 	"2003 alpha squad unit", "2003 alpha squad unit x",
 }
 
+// charBoundaryPairs are the edges of the bit-parallel Levenshtein/Jaro
+// fast path: 63/64/65-rune ASCII strings (the one-word limit), a single
+// non-ASCII rune on either side (the fallback switch), pairs that become
+// empty or fit in a word only after the common-affix trim, and Jaro
+// match windows of width 0 (longer side <= 3 runes) and 1 (4-5 runes).
+func charBoundaryPairs() [][2]string {
+	s63 := strings.Repeat("abcdefghi", 7)
+	s64 := s63 + "j"
+	s65 := s64 + "k"
+	rev64 := []rune(s64)
+	for i, j := 0, len(rev64)-1; i < j; i, j = i+1, j-1 {
+		rev64[i], rev64[j] = rev64[j], rev64[i]
+	}
+	long := strings.Repeat("the quick brown fox ", 5) // 100 runes
+	pairs := [][2]string{
+		{s63, s63}, {s63, s64}, {s64, s63}, {s64, s65}, {s65, s64}, {s63, s65},
+		{s64, string(rev64)}, {s65, string(rev64)},
+		{s64, strings.Repeat("a", 64)}, {strings.Repeat("a", 65), strings.Repeat("a", 64)},
+		{s64, "x" + s64[1:]}, {s64, s64[:32] + "X" + s64[33:]}, {s64, s64[:63] + "Z"},
+		{s65, "y" + s65[1:64] + "z"},
+		// One non-ASCII rune on either side, inside and past the word.
+		{s64, "é" + s64[1:]}, {"é" + s64[1:], s64}, {s63 + "é", s64}, {s64, s63 + "é"},
+		{"café au lait", "cafe au lait"}, {"cafe au lait", "café au lait"},
+		{"naïve", "naive"}, {"naive", "naïve"}, {"日", "a"}, {"a", "日"},
+		// Long pairs the trim reduces to nothing or to one word.
+		{long, long}, {long + "abc", long}, {long, "abc" + long},
+		{long[:50] + "alpha" + long[50:], long[:50] + "beta" + long[50:]},
+		{long[:30] + strings.Repeat("q", 70) + long[30:], long},
+		{long[:30] + strings.Repeat("q", 70) + long[30:], long[:30] + strings.Repeat("r", 66) + long[30:]},
+		// Jaro window widths 0 and 1.
+		{"ab", "ba"}, {"abc", "cab"}, {"abc", "bca"}, {"a", "ab"}, {"ab", "a"},
+		{"abcd", "badc"}, {"abcde", "edcba"}, {"abcd", "dcba"}, {"aaaa", "aa"},
+		{"abcde", "abced"}, {"ab", "abcde"},
+	}
+	return pairs
+}
+
+// checkCharPair asserts that the kernel agrees with the independent
+// single-function implementations on one pair, through every entry point,
+// and that the scratch's pattern masks are left all zero.
+func checkCharPair(t *testing.T, cs *CharScratch, a, b string) {
+	t.Helper()
+	need := CharNeed{ED: true, JW: true, ME: true, SW: true}
+	got := cs.Distances(a, b, need)
+	if want := EditDistance(a, b); got.ED != want {
+		t.Fatalf("ED(%q,%q): fused %v != single %v", a, b, got.ED, want)
+	}
+	if want := JaroWinklerDistance(a, b); got.JW != want {
+		t.Fatalf("JW(%q,%q): fused %v != single %v", a, b, got.JW, want)
+	}
+	if want := MongeElkan(a, b); got.ME != want {
+		t.Fatalf("ME(%q,%q): fused %v != single %v", a, b, got.ME, want)
+	}
+	if want := SmithWaterman(a, b); got.SW != want {
+		t.Fatalf("SW(%q,%q): fused %v != single %v", a, b, got.SW, want)
+	}
+	assertPeqClear(t, cs, a, b)
+	ra, rb := []rune(a), []rune(b)
+	if got, want := cs.levenshtein(ra, rb), Levenshtein(a, b); got != want {
+		t.Fatalf("levenshtein(%q,%q) = %d, want %d", a, b, got, want)
+	}
+	assertPeqClear(t, cs, a, b)
+	if got, want := cs.jaro(ra, rb), Jaro(a, b); got != want {
+		t.Fatalf("jaro(%q,%q) = %v, want %v", a, b, got, want)
+	}
+	assertPeqClear(t, cs, a, b)
+}
+
+func assertPeqClear(t *testing.T, cs *CharScratch, a, b string) {
+	t.Helper()
+	for c, m := range cs.peq {
+		if m != 0 {
+			t.Fatalf("after (%q,%q): peq[%q] = %#x, want 0", a, b, rune(c), m)
+		}
+	}
+}
+
 // TestCharKernelMatchesSingles: the scratch-backed character kernel must
 // be bit-identical to the single-function entry points over a corpus
-// crossing empty strings, unicode, and token reorderings — and stay
-// identical when the scratch is reused across pairs in sequence.
+// crossing empty strings, unicode, and token reorderings, plus the
+// boundary table of the bit-parallel fast path — and stay identical when
+// the scratch is reused across pairs in sequence.
 func TestCharKernelMatchesSingles(t *testing.T) {
 	var cs CharScratch
-	need := CharNeed{ED: true, JW: true, ME: true, SW: true}
 	for _, a := range charCorpus {
 		for _, b := range charCorpus {
-			got := cs.Distances(a, b, need)
-			if want := EditDistance(a, b); got.ED != want {
-				t.Fatalf("ED(%q,%q): fused %v != single %v", a, b, got.ED, want)
-			}
-			if want := JaroWinklerDistance(a, b); got.JW != want {
-				t.Fatalf("JW(%q,%q): fused %v != single %v", a, b, got.JW, want)
-			}
-			if want := MongeElkan(a, b); got.ME != want {
-				t.Fatalf("ME(%q,%q): fused %v != single %v", a, b, got.ME, want)
-			}
-			if want := SmithWaterman(a, b); got.SW != want {
-				t.Fatalf("SW(%q,%q): fused %v != single %v", a, b, got.SW, want)
+			checkCharPair(t, &cs, a, b)
+		}
+	}
+	for _, p := range charBoundaryPairs() {
+		checkCharPair(t, &cs, p[0], p[1])
+	}
+}
+
+// TestCharKernelRandomASCII sweeps random pairs over a three-letter
+// alphabet (dense matches, many transpositions) at lengths around the
+// 64-rune word, with an occasional non-ASCII rune, against the
+// independent implementations.
+func TestCharKernelRandomASCII(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	gen := func() string {
+		n := rng.Intn(72)
+		r := make([]rune, n)
+		for i := range r {
+			r[i] = rune('a' + rng.Intn(3))
+			if rng.Intn(100) == 0 {
+				r[i] = 'ü'
 			}
 		}
+		return string(r)
+	}
+	var cs CharScratch
+	for trial := 0; trial < 3000; trial++ {
+		a := gen()
+		b := a
+		if rng.Intn(2) == 0 {
+			b = gen()
+		} else if len(b) > 0 {
+			// A near-copy: one substitution somewhere in the middle.
+			i := rng.Intn(len(b))
+			b = b[:i] + "c" + b[i+1:]
+		}
+		checkCharPair(t, &cs, a, b)
 	}
 }
 
@@ -117,13 +218,12 @@ func FuzzCharKernel(f *testing.F) {
 	f.Add("north museum", "nothern museum")
 	f.Add("", "x")
 	f.Add("αβγ", "αγβ")
+	for _, p := range charBoundaryPairs() {
+		f.Add(p[0], p[1])
+	}
 	f.Fuzz(func(t *testing.T, a, b string) {
 		var cs CharScratch
-		got := cs.Distances(a, b, CharNeed{ED: true, JW: true, ME: true, SW: true})
-		if got.ED != EditDistance(a, b) || got.JW != JaroWinklerDistance(a, b) ||
-			got.ME != MongeElkan(a, b) || got.SW != SmithWaterman(a, b) {
-			t.Fatalf("kernel mismatch on (%q, %q): %+v", a, b, got)
-		}
+		checkCharPair(t, &cs, a, b)
 	})
 }
 

@@ -360,32 +360,33 @@ func Figure7c(cfg Config) Series {
 }
 
 // Figure7d sweeps the configuration-space size and reports the mean
-// per-component running time (blocking, pre-compute, greedy search).
+// per-component running time (blocking, building the records'
+// representations, pre-compute, greedy search).
 func Figure7d(cfg Config) Series {
 	cfg = cfg.withDefaults()
 	sizes := []int{24, 48, 96, 140}
-	s := Series{XLabel: "space_size", Labels: []string{"blocking_s", "precompute_s", "greedy_s", "total_s"}}
-	s.Y = [][]float64{nil, nil, nil, nil}
+	s := Series{XLabel: "space_size", Labels: []string{"blocking_s", "profile_s", "precompute_s", "greedy_s", "total_s"}}
+	s.Y = make([][]float64, len(s.Labels))
 	tasks := tasksFor(cfg)
 	for _, size := range sizes {
 		sub := cfg
 		sub.Space = config.SpaceOfSize(size)
-		var bl, pc, gr, tot []float64
+		var bl, pr, pc, gr, tot []float64
 		for _, task := range tasks {
 			res, err := core.JoinTables(task.LeftKey(), task.RightKey(), sub.coreOptions())
 			if err != nil {
 				continue
 			}
 			bl = append(bl, res.Timing.Blocking.Seconds())
+			pr = append(pr, res.Timing.Profile.Seconds())
 			pc = append(pc, res.Timing.Precompute.Seconds())
 			gr = append(gr, res.Timing.Greedy.Seconds())
 			tot = append(tot, res.Timing.Total().Seconds())
 		}
 		s.X = append(s.X, float64(size))
-		s.Y[0] = append(s.Y[0], metrics.Mean(bl))
-		s.Y[1] = append(s.Y[1], metrics.Mean(pc))
-		s.Y[2] = append(s.Y[2], metrics.Mean(gr))
-		s.Y[3] = append(s.Y[3], metrics.Mean(tot))
+		for i, v := range [][]float64{bl, pr, pc, gr, tot} {
+			s.Y[i] = append(s.Y[i], metrics.Mean(v))
+		}
 	}
 	s.print(cfg, "Figure 7(d): per-component time vs configuration-space size")
 	return s

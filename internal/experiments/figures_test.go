@@ -117,14 +117,20 @@ func TestFigure7dComponents(t *testing.T) {
 	if len(s.X) != 4 {
 		t.Fatalf("want 4 sizes")
 	}
+	if len(s.Labels) != 5 || s.Labels[1] != "profile_s" || s.Labels[4] != "total_s" {
+		t.Fatalf("labels %v, want blocking, profile, precompute, greedy, total", s.Labels)
+	}
 	// Total time should grow with the space size.
-	tot := s.Y[3]
+	tot := s.Y[4]
 	if tot[3] < tot[0] {
 		t.Errorf("140-function space (%.4fs) faster than 24 (%.4fs)?", tot[3], tot[0])
 	}
-	// Components must sum to total.
+	// Components must sum to total, and building representations is one.
 	for k := range s.X {
-		if diff := tot[k] - (s.Y[0][k] + s.Y[1][k] + s.Y[2][k]); diff > 1e-6 || diff < -1e-6 {
+		if s.Y[1][k] <= 0 {
+			t.Errorf("no representation-building time at size %v", s.X[k])
+		}
+		if diff := tot[k] - (s.Y[0][k] + s.Y[1][k] + s.Y[2][k] + s.Y[3][k]); diff > 1e-6 || diff < -1e-6 {
 			t.Errorf("components do not sum to total at size %v", s.X[k])
 		}
 	}

@@ -148,8 +148,7 @@ func (s *Server) handlePrograms(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var spec ProgramSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding spec: %w", err))
+	if !decodeBody(w, r, maxRegisterBytes, "spec", &spec) {
 		return
 	}
 	if spec.Name != "" && spec.Name != name {
@@ -190,8 +189,7 @@ func (s *Server) handleQueryGet(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleQueryPost(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding query: %w", err))
+	if !decodeBody(w, r, maxRequestBytes, "query", &req) {
 		return
 	}
 	row, err := req.row()
@@ -220,8 +218,7 @@ type batchRequestBody struct {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequestBody
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding batch: %w", err))
+	if !decodeBody(w, r, maxRequestBytes, "batch", &req) {
 		return
 	}
 	rows := req.Rows
@@ -256,8 +253,7 @@ type rowsRequest struct {
 
 func (s *Server) handleAddRows(w http.ResponseWriter, r *http.Request) {
 	var req rowsRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding rows: %w", err))
+	if !decodeBody(w, r, maxRequestBytes, "rows", &req) {
 		return
 	}
 	rows := req.Rows
@@ -292,8 +288,7 @@ type removeRowsRequest struct {
 
 func (s *Server) handleRemoveRows(w http.ResponseWriter, r *http.Request) {
 	var req removeRowsRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding indices: %w", err))
+	if !decodeBody(w, r, maxRequestBytes, "indices", &req) {
 		return
 	}
 	if len(req.Indices) == 0 {
@@ -345,6 +340,34 @@ func statusOf(err error) int {
 		return http.StatusBadRequest
 	}
 	return http.StatusInternalServerError
+}
+
+// Request body limits. A registration may inline a whole reference table
+// (left_csv), so it gets a larger cap than the data path and the row
+// mutations, whose bodies are queries and rows.
+const (
+	maxRegisterBytes = 64 << 20
+	maxRequestBytes  = 4 << 20
+)
+
+// decodeBody decodes the JSON body of r into v, reading at most limit
+// bytes. On failure it writes the answer itself — 413 when the body is
+// over the limit, 400 when it is not valid JSON for v — and returns
+// false. An oversize body also closes the connection once the answer is
+// written, so the unread rest is never parsed as a next request.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, limit)
+	err := json.NewDecoder(r.Body).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("%s body exceeds %d bytes", what, limit))
+	} else {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding %s: %w", what, err))
+	}
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

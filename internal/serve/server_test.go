@@ -330,3 +330,78 @@ func TestDaemonSmoke(t *testing.T) {
 		t.Errorf("post-swap generation: %+v", infos)
 	}
 }
+
+// oversizeBody is a syntactically valid JSON object of more than limit
+// bytes: one string field padded past the cap.
+func oversizeBody(field string, limit int) string {
+	return `{"` + field + `":"` + strings.Repeat("a", limit) + `"}`
+}
+
+// TestServerBodyLimits: every JSON-body endpoint answers 413 to a body
+// over its cap without decoding it, the connection that sent it is closed
+// while the server keeps answering new requests, and registration — whose
+// body may inline a reference table — accepts bodies past the data-path
+// cap.
+func TestServerBodyLimits(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	if code := postJSON(t, ts.URL+"/v1/programs/orgs", testSpec(""), nil); code != http.StatusOK {
+		t.Fatalf("register = %d", code)
+	}
+	cases := []struct{ method, path, field string }{
+		{http.MethodPost, "/v1/programs/orgs/query", "query"},
+		{http.MethodPost, "/v1/programs/orgs/batch", "queries"},
+		{http.MethodPost, "/v1/programs/orgs/rows", "records"},
+		{http.MethodDelete, "/v1/programs/orgs/rows", "indices"},
+	}
+	for _, c := range cases {
+		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(oversizeBody(c.field, maxRequestBytes)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", c.method, c.path, err)
+		}
+		var body map[string]string
+		decErr := json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || decErr != nil || !strings.Contains(body["error"], "exceeds") {
+			t.Errorf("%s %s oversize: status %d, body %v (%v)", c.method, c.path, resp.StatusCode, body, decErr)
+		}
+		if !resp.Close {
+			t.Errorf("%s %s oversize: connection kept open", c.method, c.path)
+		}
+		// The next request is served.
+		var q queryResponse
+		if code := getJSON(t, ts.URL+"/v1/programs/orgs/query?q=alpha+reserch+institute", &q); code != http.StatusOK || !q.Match {
+			t.Fatalf("query after oversize %s %s: %d %+v", c.method, c.path, code, q)
+		}
+	}
+
+	// A body of exactly the cap still decodes and is answered, so the
+	// limit is the cap, not below it.
+	under := `{"query":"` + strings.Repeat("a", maxRequestBytes-len(`{"query":""}`)) + `"}`
+	if len(under) != maxRequestBytes {
+		t.Fatalf("under-cap body is %d bytes", len(under))
+	}
+	var q queryResponse
+	if code := postJSON(t, ts.URL+"/v1/programs/orgs/query", json.RawMessage(under), &q); code != http.StatusOK || q.Match {
+		t.Errorf("query body at the cap: status %d, %+v", code, q)
+	}
+
+	// Registration carries its own, larger cap: a spec padded past the
+	// data-path cap with a field the decoder ignores still registers.
+	spec, err := json.Marshal(testSpec(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := strings.TrimSuffix(string(spec), "}") + `,"padding":"` + strings.Repeat("p", maxRequestBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/programs/orgs", "application/json", strings.NewReader(padded))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("register with a %d-byte body = %d", len(padded), resp.StatusCode)
+	}
+}

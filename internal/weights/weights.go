@@ -72,6 +72,14 @@ func NewStats(docs [][]string) *Stats {
 	return s
 }
 
+// NewStatsFromDF builds statistics from already-counted document
+// frequencies: docs documents, df[tok] of which contain tok. It takes
+// ownership of df. Given the counts NewStats would make, the result equals
+// NewStats over the same corpus.
+func NewStatsFromDF(docs int, df map[string]int) *Stats {
+	return &Stats{docs: docs, df: df, idf: make([]atomic.Uint64, docs+1)}
+}
+
 // NewEmptyStats returns statistics over an empty corpus, ready for
 // incremental maintenance via AddDocTokens/RemoveDocTokens.
 func NewEmptyStats() *Stats {
@@ -139,11 +147,11 @@ func (s *Stats) SortedEntries() (tokens []string, dfs []int) {
 // distinct corpus token, so restoring is far cheaper than replaying
 // AddDocTokens over every document.
 func NewRestoredStats(docs int, tokens []string, dfs []int) *Stats {
-	s := &Stats{docs: docs, df: make(map[string]int, len(tokens)), idf: make([]atomic.Uint64, docs+1)}
+	df := make(map[string]int, len(tokens))
 	for i, tok := range tokens {
-		s.df[tok] = dfs[i]
+		df[tok] = dfs[i]
 	}
-	return s
+	return NewStatsFromDF(docs, df)
 }
 
 // IDF returns log(1 + N/df) for the token. Unseen tokens get the maximal
