@@ -22,19 +22,20 @@
 //	}
 //
 // Learn runs the configuration search (the expensive part) and compiles
-// the selected program into a Matcher: an immutable, goroutine-safe
-// serving handle with the blocking index, record profiles, and negative
-// rules prepared exactly once. Queries then run as cheap repeated calls —
+// the selected program into a Matcher: a goroutine-safe serving handle
+// (a Table) with the blocking index, record profiles, and negative rules
+// prepared exactly once. Queries then run as cheap repeated calls —
 // Matcher.Match for one record, Matcher.MatchBatch for a table (sharded
 // by Options.Parallelism), and Matcher.MatchStream for pipelined
 // workloads — all context-aware and bit-identical to re-applying the
-// program from scratch.
+// program from scratch. The same handle takes Add/Remove/Compact when
+// the reference table changes.
 //
 // The learned program is also a portable artifact: save it with
 // Result.ToProgram and Program.Encode, restore it with LoadProgram, and
 // rebuild a serving handle on any process with Program.Compile (or
-// CompileMultiColumn). Program.Apply remains as a convenience that
-// compiles and matches in one call.
+// CompileMultiColumn, or Program.NewTable from rows). Program.Apply
+// remains as a convenience that compiles and matches in one call.
 //
 // One-shot, table-at-a-time joins are still available:
 //
@@ -75,11 +76,12 @@ type JoinPair = core.Join
 // token-weights, distance) space.
 type JoinFunction = config.JoinFunction
 
-// Matcher is a join program compiled against a fixed reference table: an
-// immutable, goroutine-safe serving handle whose blocking index, record
-// profiles, and negative rules are built exactly once, so queries are
-// cheap repeatable calls (Match, MatchBatch, MatchRow, MatchRows,
-// MatchStream) instead of the rebuild-per-call of Program.Apply.
+// Matcher is a join program compiled against a reference table: the
+// Table that Learn, Program.Compile and Program.CompileMultiColumn
+// return. Its blocking index, record profiles, and negative rules are
+// built exactly once, so queries are cheap repeatable calls (Match,
+// MatchBatch, MatchRow, MatchRows, MatchStream) instead of the
+// rebuild-per-call of Program.Apply.
 type Matcher = core.Matcher
 
 // Match is the outcome of matching one query record against a Matcher.
@@ -89,11 +91,12 @@ type Match = core.Match
 type StreamMatch = core.StreamMatch
 
 // Table is a join program compiled against a MUTABLE reference table:
-// immutable compiled segments plus a small delta, behind the Matcher query
-// API, with Add/Remove/Compact for in-place reference-table updates and
-// binary Save/Load snapshots for fast restarts. Build one with
-// Program.NewTable; every query is bit-identical to a full recompile of
-// the current rows.
+// immutable compiled segments plus a small delta, with Add/Remove/Compact
+// for in-place reference-table updates and binary Save/Load snapshots for
+// fast restarts. It is the one query engine (Matcher is the same type).
+// Build one with Program.NewTable from rows, or with Program.Compile from
+// a column; every query is bit-identical to a full recompile of the
+// current rows.
 type Table = core.Table
 
 // TableBatch is a Table batch answer bound to the generation that
@@ -109,9 +112,9 @@ func LoadTableFile(path string, opt Options) (*Table, error) { return core.LoadT
 
 // Learn runs single-column Auto-FuzzyJoin and compiles the learned
 // program into a serving Matcher in one step: the Result carries the
-// explainable program and the training-time joins, and the Matcher
-// answers future queries against left without re-learning. This is the
-// recommended deployment entry point.
+// explainable program and the training-time joins, and the Matcher — a
+// Table over left's records — answers future queries against left
+// without re-learning. This is the recommended deployment entry point.
 func Learn(left, right []string, opt Options) (*Result, *Matcher, error) {
 	res, err := core.JoinTables(left, right, opt)
 	if err != nil {

@@ -9,7 +9,6 @@ package autofj
 import (
 	"context"
 	"fmt"
-	"iter"
 	"math/rand"
 	"path/filepath"
 	"runtime"
@@ -336,7 +335,7 @@ func BenchmarkProgramApply(b *testing.B) {
 	}
 }
 
-// --- Serving (learn-once / serve-many) benches ---
+// --- Serving benches: the mutable table (segments + delta) ---
 
 // servingProgram is a fixed two-configuration program so the serving
 // benches measure the query path, not a learning run.
@@ -350,155 +349,6 @@ func servingProgram() *Program {
 		BlockingBeta: 1.0,
 	}
 }
-
-// BenchmarkMatcherCompile10k times the one-time cost of compiling a
-// serving Matcher against a 10k-record reference table.
-func BenchmarkMatcherCompile10k(b *testing.B) {
-	left, _ := blockingBenchTables(10000, 1)
-	prog := servingProgram()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := prog.Compile(left, Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMatcherMatch measures steady-state per-query latency against a
-// compiled 10k-record reference table — the number the learn-once /
-// serve-many redesign exists for. Compare with
-// BenchmarkMatcherFreshApply, the rebuild-per-call baseline.
-func BenchmarkMatcherMatch(b *testing.B) {
-	left, right := blockingBenchTables(10000, 2000)
-	m, err := servingProgram().Compile(left, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	// One untimed pass over every distinct query fills the result cache:
-	// the timed loop then measures the steady state of a serving process
-	// — a repeat query is a cache lookup at zero allocations — which is
-	// what the budget gate pins. BenchmarkMatcherMatchCold is the scoring
-	// path.
-	for _, r := range right {
-		if _, _, err := m.Match(ctx, r); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := m.Match(ctx, right[i%len(right)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMatcherMatchCold measures the same query path with the
-// result cache disabled — every op pays text processing, tokenization,
-// blocking, profile construction, and scoring. The spread against
-// BenchmarkMatcherMatch is what the cache buys on repeat traffic.
-func BenchmarkMatcherMatchCold(b *testing.B) {
-	left, right := blockingBenchTables(10000, 2000)
-	m, err := servingProgram().Compile(left, Options{QueryCacheSize: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := m.Match(ctx, right[i%len(right)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMatcherFreshApply is the old deployment path on the same data:
-// one Program.Apply call per query, rebuilding the blocking index,
-// profiles, and rules every time. The per-op ratio against
-// BenchmarkMatcherMatch is the point of the compiled handle (>=10x is the
-// acceptance bar; in practice it is orders of magnitude).
-func BenchmarkMatcherFreshApply(b *testing.B) {
-	left, right := blockingBenchTables(10000, 2000)
-	prog := servingProgram()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := prog.Apply(left, right[i%len(right):i%len(right)+1]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMatcherMatchBatch measures steady-state batch throughput
-// (2000 queries per op, via the reusable-result MatchBatchInto form)
-// sequential versus all-core. The sequential variant is allocation-free
-// once the result cache is warm; the parallel variant pays only
-// O(workers) fan-out bookkeeping.
-func BenchmarkMatcherMatchBatch(b *testing.B) {
-	left, right := blockingBenchTables(10000, 2000)
-	ctx := context.Background()
-	ps := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		ps = append(ps, n)
-	}
-	for _, p := range ps {
-		name := "sequential"
-		if p != 1 {
-			name = fmt.Sprintf("parallel%d", p)
-		}
-		b.Run(name, func(b *testing.B) {
-			m, err := servingProgram().Compile(left, Options{Parallelism: p})
-			if err != nil {
-				b.Fatal(err)
-			}
-			out := make([]core.Match, len(right))
-			if err := m.MatchBatchInto(ctx, right, out); err != nil {
-				b.Fatal(err) // untimed warmup: fills the result cache
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := m.MatchBatchInto(ctx, right, out); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkMatcherMatchStream measures the pipelined streaming path over
-// 2000 queries per op.
-func BenchmarkMatcherMatchStream(b *testing.B) {
-	left, right := blockingBenchTables(10000, 2000)
-	m, err := servingProgram().Compile(left, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	seq := func(yield func(string) bool) {
-		for _, r := range right {
-			if !yield(r) {
-				return
-			}
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		for _, err := range m.MatchStream(ctx, iter.Seq[string](seq)) {
-			if err != nil {
-				b.Fatal(err)
-			}
-			n++
-		}
-		if n != len(right) {
-			b.Fatalf("stream yielded %d of %d", n, len(right))
-		}
-	}
-}
-
-// --- Mutable table (segments + delta) benches ---
 
 // benchTable10k compiles the serving program against a 10k-row reference
 // table through the mutable-table path.
@@ -536,8 +386,7 @@ func BenchmarkTableAdd(b *testing.B) {
 // BenchmarkTableMatchWithDelta measures per-query latency when answers
 // must merge the compiled segments with a populated delta (256 rows) —
 // the steady state between compactions. The result cache is off so that
-// every op scores, however many times the query set wraps. Compare
-// BenchmarkMatcherMatchCold, the same query path with no delta.
+// every op scores, however many times the query set wraps.
 func BenchmarkTableMatchWithDelta(b *testing.B) {
 	tab := benchTable10k(b, Options{QueryCacheSize: -1})
 	_, right := blockingBenchTables(1, 2000)

@@ -9,7 +9,7 @@
 // The searched configuration space is selectable: -space full (default,
 // 140 functions), -space reduced (24), -space extended (148, adds the
 // Monge-Elkan and Smith-Waterman extension distances), or -space N for a
-// nested N-function subspace (-reduced remains a deprecated alias):
+// nested N-function subspace:
 //
 //	autofj -left l.csv -right r.csv -space extended
 //
@@ -81,7 +81,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		steps      = fs.Int("steps", 50, "threshold discretization steps")
 		beta       = fs.Float64("beta", 1.0, "blocking factor")
 		space      = fs.String("space", "", "configuration space: full (default), reduced, extended, or a positive integer N for a nested N-function subspace")
-		reduced    = fs.Bool("reduced", false, "deprecated alias for -space reduced")
 		parallel   = fs.Int("parallelism", 0, "worker goroutines (0 = all CPUs, 1 = sequential)")
 		outPath    = fs.String("out", "", "output CSV (default stdout)")
 		savePath   = fs.String("save-program", "", "after learning, write the join program JSON here")
@@ -119,15 +118,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		BlockingBeta:    *beta,
 		Parallelism:     *parallel,
 	}
-	spaceName := *space
-	if *reduced {
-		if spaceName != "" && spaceName != "reduced" {
-			return fmt.Errorf("-reduced conflicts with -space %s", spaceName)
-		}
-		fmt.Fprintln(stderr, "autofj: -reduced is deprecated; use -space reduced")
-		spaceName = "reduced"
-	}
-	if opt.Space, err = spaceFor(spaceName); err != nil {
+	if opt.Space, err = spaceFor(*space); err != nil {
 		return err
 	}
 

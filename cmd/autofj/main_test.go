@@ -85,7 +85,7 @@ func TestSaveLoadApplyLoop(t *testing.T) {
 	var errBuf bytes.Buffer
 	err := run([]string{
 		"-left", leftPath, "-right", rightPath, "-tau", "0.7", "-steps", "15",
-		"-reduced", "-save-program", progPath, "-out", learnOut,
+		"-space", "reduced", "-save-program", progPath, "-out", learnOut,
 	}, strings.NewReader(""), io.Discard, &errBuf)
 	if err != nil {
 		t.Fatalf("learn: %v (stderr: %s)", err, errBuf.String())
@@ -137,7 +137,7 @@ func TestAppendFlag(t *testing.T) {
 	progPath := filepath.Join(dir, "prog.json")
 	if err := run([]string{
 		"-left", leftPath, "-right", rightPath, "-tau", "0.7", "-steps", "15",
-		"-reduced", "-save-program", progPath, "-out", filepath.Join(dir, "learn.csv"),
+		"-space", "reduced", "-save-program", progPath, "-out", filepath.Join(dir, "learn.csv"),
 	}, strings.NewReader(""), io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestServeStdin(t *testing.T) {
 	progPath := filepath.Join(dir, "prog.json")
 	if err := run([]string{
 		"-left", leftPath, "-right", rightPath, "-tau", "0.7", "-steps", "15",
-		"-reduced", "-save-program", progPath, "-out", filepath.Join(dir, "ignored.csv"),
+		"-space", "reduced", "-save-program", progPath, "-out", filepath.Join(dir, "ignored.csv"),
 	}, strings.NewReader(""), io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestServeStdin(t *testing.T) {
 }
 
 // TestSpaceFlag covers -space resolution: named spaces, numeric
-// subspaces, the deprecated -reduced alias, and the error paths.
+// subspaces, and the error paths.
 func TestSpaceFlag(t *testing.T) {
 	cases := []struct {
 		name string
@@ -255,45 +255,6 @@ func TestSpaceFlag(t *testing.T) {
 		if _, err := spaceFor(bad); err == nil {
 			t.Errorf("spaceFor(%q) accepted", bad)
 		}
-	}
-
-	// End to end: -space reduced must behave exactly like the deprecated
-	// -reduced alias, which still works but warns.
-	dir := t.TempDir()
-	leftPath, rightPath := cliTables(t, dir)
-	spaceOut := filepath.Join(dir, "space.csv")
-	aliasOut := filepath.Join(dir, "alias.csv")
-	if err := run([]string{
-		"-left", leftPath, "-right", rightPath, "-tau", "0.7", "-steps", "15",
-		"-space", "reduced", "-out", spaceOut,
-	}, strings.NewReader(""), io.Discard, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	var errBuf bytes.Buffer
-	if err := run([]string{
-		"-left", leftPath, "-right", rightPath, "-tau", "0.7", "-steps", "15",
-		"-reduced", "-out", aliasOut,
-	}, strings.NewReader(""), io.Discard, &errBuf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(errBuf.String(), "deprecated") {
-		t.Errorf("-reduced did not warn: %s", errBuf.String())
-	}
-	got, want := readJoinCSV(t, aliasOut), readJoinCSV(t, spaceOut)
-	if len(got) != len(want) || len(want) == 0 {
-		t.Fatalf("alias joins %v != -space reduced joins %v", got, want)
-	}
-	for r, l := range want {
-		if got[r] != l {
-			t.Errorf("right %s: -space reduced left %s, -reduced left %s", r, l, got[r])
-		}
-	}
-
-	// Conflicting selections must be rejected.
-	if err := run([]string{
-		"-left", leftPath, "-right", rightPath, "-reduced", "-space", "full",
-	}, strings.NewReader(""), io.Discard, io.Discard); err == nil {
-		t.Error("-reduced with conflicting -space accepted")
 	}
 }
 

@@ -1,8 +1,8 @@
 // Serve: the learn-once / serve-many deployment flow. A program is
 // learned from one table pair, saved as JSON (the portable artifact),
-// restored, compiled into a concurrency-safe Matcher, and then used to
-// answer single-record, batch, and streaming queries against the fixed
-// reference table — without ever re-learning or rebuilding the index.
+// restored, compiled into a concurrency-safe Matcher (a Table over the
+// reference records), and then used to answer single-record, batch, and
+// streaming queries — without ever re-learning or rebuilding the index.
 package main
 
 import (
@@ -46,7 +46,8 @@ func main() {
 	fmt.Println("learned program:", res.ProgramString())
 
 	// The program is a portable artifact: persist it, ship it, and
-	// recompile a Matcher in any process that holds the reference table.
+	// recompile a Matcher in any process that holds the reference table
+	// (Program.NewTable builds the same handle from rows).
 	data, err := res.ToProgram().Encode()
 	if err != nil {
 		log.Fatal(err)

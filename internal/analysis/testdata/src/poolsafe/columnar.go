@@ -17,7 +17,7 @@ type evalScratch struct {
 	rows []float64
 }
 
-// columnarScratch mirrors the serving path's matchScratch: every field
+// columnarScratch mirrors the serving path's tableScratch: every field
 // is either an annotated persistent sub-scratch or pointer-free.
 type columnarScratch struct {
 	//autofj:keep persistent sub-scratch; holds only capacity, never query data

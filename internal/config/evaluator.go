@@ -282,35 +282,3 @@ func (e *Evaluator) ArenaDistances(a *ProfileArena, l int32, q *QueryProfile, sc
 		}
 	}
 }
-
-// ArenaPairDistances is ArenaDistances between two arena records (the
-// ball-construction distance of the serving path): record l is the
-// reference side, record r the query side, exactly as in Distances.
-//
-//autofj:hotpath
-func (e *Evaluator) ArenaPairDistances(a *ProfileArena, l, r int32, sc *EvalScratch, out []float64) {
-	for gi := range e.char {
-		g := &e.char[gi]
-		ap := &a.pre[g.pre]
-		lp := ap.procBlob[ap.procOff[l]:ap.procOff[l+1]]
-		lr := ap.runes[ap.runeOff[l]:ap.runeOff[l+1]]
-		rp := ap.procBlob[ap.procOff[r]:ap.procOff[r+1]]
-		rr := ap.runes[ap.runeOff[r]:ap.runeOff[r+1]]
-		cd := sc.char.DistancesRunes(lp, rp, lr, rr, g.need)
-		scatterChar(g, cd, out)
-	}
-	for gi := range e.set {
-		g := &e.set[gi]
-		rep := a.rep[g.pre][g.tok]
-		sd := distance.SetFamilyIDs(a.setVec(rep, int(g.wt), l), a.setVec(rep, int(g.wt), r))
-		scatterSet(g, sd, out)
-	}
-	for gi := range e.emb {
-		g := &e.emb[gi]
-		ap := &a.pre[g.pre]
-		d := embed.CosineDistanceFlat(ap.emb[int(l)*embed.Dim:(int(l)+1)*embed.Dim], ap.emb[int(r)*embed.Dim:(int(r)+1)*embed.Dim])
-		for _, fi := range g.fns {
-			out[fi] = d
-		}
-	}
-}

@@ -6,12 +6,10 @@ import (
 )
 
 // TestMatchZeroAllocSteadyState pins the warm-path invariant: once the
-// result cache holds a surface form, Match, MatchBatchInto, and
-// MatchRowsInto run without a single heap allocation (sequential
-// path; parallel fan-out pays O(workers) goroutine bookkeeping and is
-// exercised by the benchmarks instead). A regression here is a silent
-// performance cliff long before it is a correctness bug, so it fails the
-// ordinary test suite, not just the benchgate.
+// result cache holds a surface form, Match and MatchRow run without a
+// single heap allocation. A regression here is a silent performance cliff
+// long before it is a correctness bug, so it fails the ordinary test
+// suite, not just the benchgate.
 func TestMatchZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled scratch at random under the race detector")
@@ -25,27 +23,16 @@ func TestMatchZeroAllocSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]Match, len(queries))
-	// Warm pass: fills the cache and sizes the pooled scratch.
-	if err := m.MatchBatchInto(ctx, queries, out); err != nil {
-		t.Fatal(err)
-	}
-
-	if n := testing.AllocsPerRun(50, func() {
+	matchAll := func() {
 		for _, q := range queries {
 			if _, _, err := m.Match(ctx, q); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}); n != 0 {
-		t.Errorf("warm Match: %.1f allocs per %d queries, want 0", n, len(queries))
 	}
-	if n := testing.AllocsPerRun(50, func() {
-		if err := m.MatchBatchInto(ctx, queries, out); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("warm MatchBatchInto: %.1f allocs per batch, want 0", n)
+	matchAll() // warm pass: fills the cache and sizes the pooled scratch
+	if n := testing.AllocsPerRun(50, matchAll); n != 0 {
+		t.Errorf("warm Match: %.1f allocs per %d queries, want 0", n, len(queries))
 	}
 
 	t.Run("multi-column", func(t *testing.T) {
@@ -58,7 +45,7 @@ func TestMatchZeroAllocSteadyState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows := make([][]string, len(rightCols[0]))
+		rows := make([][]string, 16)
 		for i := range rows {
 			row := make([]string, len(rightCols))
 			for j := range rightCols {
@@ -66,17 +53,16 @@ func TestMatchZeroAllocSteadyState(t *testing.T) {
 			}
 			rows[i] = row
 		}
-		rows = rows[:16]
-		rout := make([]Match, len(rows))
-		if err := mm.MatchRowsInto(ctx, rows, rout); err != nil {
-			t.Fatal(err)
-		}
-		if n := testing.AllocsPerRun(50, func() {
-			if err := mm.MatchRowsInto(ctx, rows, rout); err != nil {
-				t.Fatal(err)
+		matchRows := func() {
+			for _, row := range rows {
+				if _, _, err := mm.MatchRow(ctx, row); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}); n != 0 {
-			t.Errorf("warm multi-column MatchRowsInto: %.1f allocs per batch, want 0", n)
+		}
+		matchRows()
+		if n := testing.AllocsPerRun(50, matchRows); n != 0 {
+			t.Errorf("warm multi-column MatchRow: %.1f allocs per %d rows, want 0", n, len(rows))
 		}
 	})
 

@@ -12,11 +12,12 @@ import (
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/negrule"
 )
 
-// pointerOracle is a retained copy of the pre-columnar query path: one
-// *config.Profile per reference record, a fresh query profile per call,
-// and the one-function f.Distance compatibility kernel for ball counts.
-// It is deliberately slow and allocation-heavy — its only job is to pin
-// the exact answer the arena-backed fast path must keep producing.
+// pointerOracle is a retained copy of the original query path: one
+// *config.Profile per reference record built by NewCorpus + Profiles, a
+// fresh query profile per call, a plain blocking Index, and the
+// one-function f.Distance compatibility kernel for ball counts. It is
+// deliberately slow and allocation-heavy — its only job is to pin the
+// exact answer the Table must keep producing.
 type pointerOracle struct {
 	configs  []Configuration
 	multi    bool
@@ -41,7 +42,7 @@ type oracleCol struct {
 	cells  []string
 }
 
-// newPointerOracle mirrors the historical Program.compile exactly:
+// newPointerOracle mirrors the original compile step exactly:
 // per-column corpus statistics over the reference records alone, the
 // blocking index and K from the program's beta, and frozen negative
 // rules over the concatenated keys.
@@ -103,6 +104,15 @@ func newPointerOracle(t *testing.T, p *Program, leftCols [][]string) *pointerOra
 	}
 	o.balls = make([]uint32, len(configs)*len(leftKey))
 	return o
+}
+
+// selectColumns picks the listed columns (in order) from a column set.
+func selectColumns(cols [][]string, idx []int) [][]string {
+	out := make([][]string, len(idx))
+	for i, c := range idx {
+		out[i] = cols[c]
+	}
+	return out
 }
 
 func (o *pointerOracle) pairDists(qprof []*config.Profile, qcells []string,
@@ -271,12 +281,12 @@ func oracleQueries(keys []string) []string {
 	return append(qs, qs...)
 }
 
-// TestMatchColumnarMatchesPointerOracle pins the columnar fast path to
-// the retained pointer-profile oracle: every Match/MatchBatch answer
-// must be bit-identical (==, not tolerance) at parallelism 1, 4, and 8,
-// for single- and multi-column programs, through a Table carrying a live
+// TestTableMatchesPointerOracle pins the Table to the retained
+// pointer-profile oracle: every Match/MatchBatch/MatchRows answer must be
+// bit-identical (==, not tolerance) for single- and multi-column programs
+// compiled at parallelism 1, 4, and 8, through a table carrying a live
 // delta, and across a snapshot save/load round-trip.
-func TestMatchColumnarMatchesPointerOracle(t *testing.T) {
+func TestTableMatchesPointerOracle(t *testing.T) {
 	pars := []int{1, 4, 8}
 
 	t.Run("single-column", func(t *testing.T) {

@@ -2,9 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"iter"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -16,7 +16,7 @@ import (
 )
 
 // ewSpace is a corpus-statistics-free configuration space (equal token
-// weights only, no IDF): a serving Matcher computes IDF over the
+// weights only, no IDF): a serving handle computes IDF over the
 // reference table alone while learning sees both tables, so exact
 // learn/serve round-trip guarantees hold on spaces that don't consult
 // corpus statistics.
@@ -50,7 +50,7 @@ func makeTask(t *testing.T, seed int64, stride int) ([]string, []string) {
 }
 
 // TestMatchBatchBitIdenticalToApply is the serving equivalence contract:
-// a compiled Matcher's batch output must be bit-identical to
+// a compiled handle's batch output must be bit-identical to
 // Program.Apply on the same inputs, at every parallelism level.
 func TestMatchBatchBitIdenticalToApply(t *testing.T) {
 	L, R := makeTask(t, 31, 3)
@@ -429,82 +429,35 @@ func TestMatcherEmptyProgram(t *testing.T) {
 	}
 }
 
-// pointerFreeType reports whether a type can hold no references other
-// than the backing array of pointer-free slices — i.e. retaining a value
-// of the type pins only its own bounded capacity, never query data.
-func pointerFreeType(t reflect.Type) bool {
-	switch t.Kind() {
-	case reflect.Bool,
-		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
-		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
-		return true
-	case reflect.Array, reflect.Slice:
-		return pointerFreeType(t.Elem())
-	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			if !pointerFreeType(t.Field(i).Type) {
-				return false
-			}
-		}
-		return true
-	default:
-		// Strings, pointers, maps, chans, funcs, interfaces: all can pin
-		// query-derived memory.
-		return false
-	}
-}
-
-// TestScratchRetainsNoQueryMemory: a pooled scratch lives for the
-// matcher's lifetime, so it must be structurally incapable of pinning
-// query-sized memory between requests — every field is either a
-// whitelisted persistent sub-scratch (blocking/eval kernel state that
-// never stores query data) or a pointer-free buffer whose backing array
-// is bounded scratch capacity. The columnar refactor moved all
-// query-derived references (profiles, cells, word sets) into immutable
-// cache entries, so putScratch needs no clearing; this test fails the
-// moment someone adds a reference-holding field back without pooling
-// hygiene.
-func TestScratchRetainsNoQueryMemory(t *testing.T) {
-	persistent := map[string]bool{
-		"sc":  true, // *blocking.Scratch: capacity + generation stamps only
-		"esc": true, // *config.EvalScratch: reusable DP rows only
-	}
-	st := reflect.TypeOf(matchScratch{})
-	for i := 0; i < st.NumField(); i++ {
-		f := st.Field(i)
-		if persistent[f.Name] {
-			continue
-		}
-		if !pointerFreeType(f.Type) {
-			t.Errorf("matchScratch.%s (%s) can hold references; pooled scratch would pin query memory across requests", f.Name, f.Type)
-		}
-	}
-
-	// And the scratch actually cycles through the pool intact: a query
-	// populates it, putScratch returns it, and the next query reuses it.
-	prog := &Program{
-		Version: 1,
-		Configurations: []ConfigurationSpec{
-			{Preprocess: "L", Distance: "ED", Threshold: 0.4},
-		},
-		NegativeRules: [][2]string{{"football", "basketball"}},
-		BlockingBeta:  1,
-	}
-	m, err := prog.Compile(makeReference(), Options{})
+// TestMatcherNoColumnsProgram: a multi-column search that selects no
+// columns learns an empty program (no columns, weights or
+// configurations). Compiled over a two-column reference table it keeps
+// the table's row width, answers rows with no match and no error, and
+// still asks for rows when given a string.
+func TestMatcherNoColumnsProgram(t *testing.T) {
+	p := &Program{Version: 1, BlockingBeta: 1}
+	m, err := p.CompileMultiColumn([][]string{{"alpha", "beta"}, {"one", "two"}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := m.getScratch()
-	m.matchOne(ms, "2008 wisconsin badgers football team alpha beta gamma delta", nil)
-	m.matchOne(ms, "lsu tigers", nil)
-	if len(ms.cands) == 0 {
-		t.Fatal("query did not populate the scratch; the test is vacuous")
+	if !m.MultiColumn() || m.RowWidth() != 2 {
+		t.Fatalf("multi=%v width=%d, want a 2-cell row handle", m.MultiColumn(), m.RowWidth())
 	}
-	m.putScratch(ms)
-	if got := m.getScratch(); got != ms {
-		// Pool behavior is best-effort; only note, don't fail.
-		t.Logf("pool handed back a different scratch (GC ran); structural check above still holds")
+	ctx := context.Background()
+	if mt, ok, err := m.MatchRow(ctx, []string{"alpha", "one"}); err != nil || ok || mt != NoMatch() {
+		t.Errorf("MatchRow = %+v, %v, %v; want no match and no error", mt, ok, err)
+	}
+	got, err := m.MatchRows(ctx, [][]string{{"alpha", "one"}, {"zzz", ""}})
+	if err != nil || len(got) != 2 {
+		t.Fatalf("MatchRows = %v, %v", got, err)
+	}
+	for i, mt := range got {
+		if mt != NoMatch() {
+			t.Errorf("MatchRows[%d] = %+v, want no match", i, mt)
+		}
+	}
+	if _, _, err := m.Match(ctx, "alpha"); !errors.Is(err, errNeedRow) {
+		t.Errorf("Match error = %v, want %v", err, errNeedRow)
 	}
 }
 

@@ -171,15 +171,15 @@ func parseDistance(s string) (config.Distance, error) {
 }
 
 // Apply runs a saved single-column program against a fresh (left, right)
-// pair: the program is compiled into a Matcher against left (see Compile)
-// and every right record is matched against it, reproducing the
-// learning-time union semantics — each configuration joins a record to
-// its closest blocked candidate within the threshold (Eq. 1), conflicts
-// resolve toward the higher estimated precision, and negative rules veto
-// pairs. No re-learning happens. Prefer Compile + MatchBatch when the
-// same reference table serves more than one call: Apply rebuilds the
-// matcher every time. For programs learned by the multi-column search use
-// ApplyMultiColumn.
+// pair: the program is compiled into a Matcher, a Table over left's
+// records (see Compile), and every right record is matched against it,
+// reproducing the learning-time union semantics — each configuration
+// joins a record to its closest blocked candidate within the threshold
+// (Eq. 1), conflicts resolve toward the higher estimated precision, and
+// negative rules veto pairs. No re-learning happens. Prefer Compile +
+// MatchBatch when the same reference table serves more than one call:
+// Apply rebuilds the table every time. For programs learned by the
+// multi-column search use ApplyMultiColumn.
 func (p *Program) Apply(left, right []string) ([]Join, error) {
 	//autofj:ctx-ok convenience edge of the public API; ApplyContext is the cancellable path
 	return p.ApplyContext(context.Background(), left, right)
@@ -270,15 +270,6 @@ func matchesToJoins(matches []Match) []Join {
 			Config:    mt.Config,
 			Iteration: mt.Config + 1,
 		})
-	}
-	return out
-}
-
-// selectColumns picks the listed columns (in order) from a column set.
-func selectColumns(cols [][]string, idx []int) [][]string {
-	out := make([][]string, len(idx))
-	for i, c := range idx {
-		out[i] = cols[c]
 	}
 	return out
 }

@@ -15,8 +15,7 @@ const defaultQueryCacheSize = 4096
 // into the answer (candidates, profiles) is retained.
 type queryEntry struct {
 	// gen is the table generation the answer was computed under; entries
-	// from older generations read as misses (a Matcher never changes, so it
-	// stores everything under generation 0).
+	// from older generations read as misses.
 	gen uint64
 	m   Match
 }

@@ -205,91 +205,6 @@ func TestTableQueryCacheOnOff(t *testing.T) {
 	}
 }
 
-// TestMatcherQueryCacheOnOff is the same on/off comparison for the frozen
-// Matcher, through every entry point that reads the cache.
-func TestMatcherQueryCacheOnOff(t *testing.T) {
-	ctx := context.Background()
-	for _, c := range cacheCases(t) {
-		t.Run(c.name, func(t *testing.T) {
-			compile := func(size int) *Matcher {
-				opt := Options{Parallelism: 1, QueryCacheSize: size}
-				var m *Matcher
-				var err error
-				if c.width == 1 {
-					keys := make([]string, len(c.base))
-					for i, r := range c.base {
-						keys[i] = r[0]
-					}
-					m, err = c.prog.Compile(keys, opt)
-				} else {
-					cols := make([][]string, c.width)
-					for _, r := range c.base {
-						for j, cell := range r {
-							cols[j] = append(cols[j], cell)
-						}
-					}
-					m, err = c.prog.CompileMultiColumn(cols, opt)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				return m
-			}
-			on, off := compile(8), compile(-1)
-			rng := rand.New(rand.NewSource(5))
-			matched := 0
-			for step := 0; step < 120; step++ {
-				rows := make([][]string, 1+rng.Intn(4))
-				for i := range rows {
-					rows[i] = c.queries[rng.Intn(len(c.queries))]
-				}
-				got, want := make([]Match, len(rows)), make([]Match, len(rows))
-				var err error
-				switch rng.Intn(3) {
-				case 0:
-					for i, q := range rows {
-						if got[i], _, err = on.MatchRow(ctx, q); err != nil {
-							t.Fatal(err)
-						}
-						if want[i], _, err = off.MatchRow(ctx, q); err != nil {
-							t.Fatal(err)
-						}
-					}
-				case 1:
-					if got, err = on.MatchRows(ctx, rows); err != nil {
-						t.Fatal(err)
-					}
-					if want, err = off.MatchRows(ctx, rows); err != nil {
-						t.Fatal(err)
-					}
-				default:
-					if err = on.MatchRowsInto(ctx, rows, got); err != nil {
-						t.Fatal(err)
-					}
-					if err = off.MatchRowsInto(ctx, rows, want); err != nil {
-						t.Fatal(err)
-					}
-				}
-				for i := range rows {
-					if !sameMatch(got[i], want[i]) {
-						t.Fatalf("step %d, row %q: cache on %+v, cache off %+v", step, rows[i], got[i], want[i])
-					}
-					if got[i].Left >= 0 {
-						matched++
-					}
-				}
-			}
-			hits, misses := on.QueryCacheStats()
-			if hits == 0 || matched == 0 || misses <= uint64(len(c.queries)) {
-				t.Errorf("vacuous run: %d hits, %d misses (no flush at cap?), %d matched answers", hits, misses, matched)
-			}
-			if hits, _ := off.QueryCacheStats(); hits != 0 {
-				t.Errorf("disabled cache served %d hits", hits)
-			}
-		})
-	}
-}
-
 // TestAppendRowKeyUnambiguous: the composite cache key of a row must keep
 // cell boundaries — no two distinct rows may share a key, whatever bytes
 // the cells hold.

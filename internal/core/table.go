@@ -19,13 +19,14 @@ import (
 
 // Table is a join program compiled against a MUTABLE reference table: an
 // ordered list of immutable compiled segments plus a small mutable delta,
-// behind the same Match/MatchBatch/MatchStream API as the frozen Matcher.
-// Add and Remove cost is proportional to the delta and the touched rows —
-// not |L| — and background Compact seals the delta into a new segment off
-// the serving path, swapping it in atomically.
+// queried through Match/MatchRow/MatchBatch/MatchRows/MatchStream. It is
+// the one query engine: Matcher (what Learn and Program.Compile return)
+// is an alias of it. Add and Remove cost is proportional to the delta and
+// the touched rows — not |L| — and background Compact seals the delta
+// into a new segment off the serving path, swapping it in atomically.
 //
-// Every query is BIT-IDENTICAL to what a full recompile (Program.Compile /
-// CompileMultiColumn) of the current live rows would answer:
+// Every query is BIT-IDENTICAL to what a fresh table over the current live
+// rows (NewTable, Program.Compile or CompileMultiColumn) would answer:
 //
 //   - blocking merges per-segment top-k streams with a brute-force delta
 //     scan under globally maintained gram df counts (see blocking.TableIndex);
@@ -156,7 +157,7 @@ func (pl *tablePayload) tail(m int) *tablePayload {
 // tableScratch is the reusable per-call query state. Query-derived
 // references (profiles, cells, word sets) live in the per-miss
 // queryState, not here: every scratch field is a persistent sub-scratch
-// or a pointer-free buffer, mirroring matchScratch.
+// or a pointer-free buffer.
 type tableScratch struct {
 	//autofj:keep persistent blocking sub-scratch; holds only capacity and generation stamps, never query data
 	sc        *blocking.TableScratch
@@ -187,9 +188,10 @@ const (
 
 // NewTable compiles a mutable serving table for the program. width is the
 // row arity: 1 for single-column programs (each row is its single key
-// cell), the reference table's column count for multi-column programs.
-// Every row must have exactly width cells; rows are copied, so callers may
-// reuse their slices.
+// cell), the reference table's column count for multi-column programs
+// (and for the empty program of a multi-column search that selected no
+// columns, which never matches). Every row must have exactly width cells;
+// rows are copied, so callers may reuse their slices.
 func (p *Program) NewTable(width int, rows [][]string, opt Options) (*Table, error) {
 	configs, err := p.configurations()
 	if err != nil {
@@ -203,7 +205,13 @@ func (p *Program) NewTable(width int, rows [][]string, opt Options) (*Table, err
 		return nil, errors.New("core: multi-column program has mismatched columns and weights")
 	}
 	if !multi && width != 1 {
-		return nil, fmt.Errorf("core: single-column program wants width 1, got %d", width)
+		// A multi-column search that selects no columns learns an empty
+		// program: it serves the reference table's full rows and never
+		// matches.
+		if len(configs) > 0 || width < 1 {
+			return nil, fmt.Errorf("core: single-column program wants width 1, got %d", width)
+		}
+		multi = true
 	}
 	if width < 1 {
 		return nil, fmt.Errorf("core: table width %d out of range", width)
@@ -699,9 +707,9 @@ func (t *Table) profile(j int, pl *tablePayload, local int32, rs *config.Reweigh
 }
 
 // pairDists fills ms.drow with every configuration's distance between
-// reference row ref and the query profiles — the Table form of
-// Matcher.pairDists, with identical multi-column float32 rounding and
-// missing-value semantics.
+// reference row ref and the query profiles. Multi-column distances
+// reproduce the learned tensor semantics: per-column float32 rounding and
+// maximal distance for two missing cells.
 //
 //autofj:hotpath
 func (t *Table) pairDists(ms *tableScratch, e *queryState, ref blocking.Ref) {
@@ -826,11 +834,10 @@ func (t *Table) fillQuery(ms *tableScratch, key string, row []string) *queryStat
 
 // matchOne answers one record against the segmented table and reports
 // whether the answer came from the result cache: a hit returns the Match
-// stored under the current generation, a miss runs the full query path —
-// the exact Matcher.matchOne sequence over Ref-addressed storage — and
-// stores its result. Multi-column callers pass the row and an empty key.
-// Caller must hold the read lock, which also pins the generation for the
-// duration of the call.
+// stored under the current generation, a miss runs the full query path
+// over Ref-addressed storage and stores its result. Multi-column callers
+// pass the row and an empty key. Caller must hold the read lock, which
+// also pins the generation for the duration of the call.
 //
 //autofj:hotpath
 func (t *Table) matchOne(ms *tableScratch, key string, row []string) (m Match, cached bool) {
@@ -860,8 +867,11 @@ func (t *Table) matchOne(ms *tableScratch, key string, row []string) (m Match, c
 	return best, false
 }
 
-// score is the Table form of Matcher.score: per-configuration
-// closest-candidate scans and the learning-faithful union resolution.
+// score runs the query path proper over a filled query: the
+// per-configuration closest-candidate scans and the learning-faithful
+// union resolution of Algorithm 1. A pair-major scan with a strict <
+// keeps the first minimum in blocking order; conflicting configurations
+// resolve toward the join with the higher estimated precision.
 //
 //autofj:hotpath
 func (t *Table) score(ms *tableScratch, e *queryState) Match {
@@ -914,8 +924,9 @@ func (t *Table) putScratch(ms *tableScratch) {
 	t.pool.Put(ms)
 }
 
-// Match matches one query record. Safe for concurrent use; the answer is
-// consistent with one single generation of the table.
+// Match matches one query record, returning the join (if any) with its
+// distance and unsupervised precision estimate. Safe for concurrent use;
+// the answer is consistent with one single generation of the table.
 func (t *Table) Match(ctx context.Context, record string) (Match, bool, error) {
 	if t.multi {
 		return noMatch(), false, errNeedRow
@@ -931,7 +942,9 @@ func (t *Table) Match(ctx context.Context, record string) (Match, bool, error) {
 	return mt, mt.Left >= 0, nil
 }
 
-// MatchRow matches one full row (RowWidth cells).
+// MatchRow matches one full row of exactly RowWidth cells. On a
+// multi-column table the whole row forms the blocking key, so a different
+// arity would silently change the key shape the program was learned on.
 func (t *Table) MatchRow(ctx context.Context, row []string) (Match, bool, error) {
 	if len(row) != t.rowWidth {
 		return noMatch(), false, fmt.Errorf("core: table wants rows with %d cells, got %d", t.rowWidth, len(row))
@@ -950,8 +963,10 @@ func (t *Table) MatchRow(ctx context.Context, row []string) (Match, bool, error)
 	return mt, mt.Left >= 0, nil
 }
 
-// MatchBatch matches a batch of query records, sharded like
-// Matcher.MatchBatch. The whole batch answers under ONE generation.
+// MatchBatch matches a batch of query records, sharded across the
+// table's parallelism. The result is aligned with records (unmatched
+// entries have Left == -1 and Config == -1) and is bit-identical at every
+// parallelism level. The whole batch answers under ONE generation.
 func (t *Table) MatchBatch(ctx context.Context, records []string) ([]Match, error) {
 	if t.multi {
 		return nil, errNeedRow
@@ -1050,9 +1065,13 @@ func (t *Table) batchLocked(ctx context.Context, n int, one func(*tableScratch, 
 	return out, nil
 }
 
-// MatchStream matches a stream of query records with one chunk of
-// lookahead, like Matcher.MatchStream. Each chunk answers under one
-// generation; a mutation can land between chunks.
+// MatchStream matches a stream of query records, yielding results in
+// input order while the next chunk is matched concurrently (one chunk of
+// lookahead, each chunk sharded like MatchBatch). The input sequence is
+// pulled from an internal goroutine, so it must not be shared with the
+// consumer. Breaking out of the loop or cancelling ctx stops the pipeline
+// promptly; a cancellation error is yielded as the final pair. Each chunk
+// answers under one generation; a mutation can land between chunks.
 func (t *Table) MatchStream(ctx context.Context, records iter.Seq[string]) iter.Seq2[StreamMatch, error] {
 	return matchStream(ctx, t.multi, records, t.MatchBatch)
 }

@@ -8,10 +8,10 @@ import (
 	"testing"
 )
 
-// expectBallsOracle fills the ball of EVERY live row through the fused
-// fill — the table's, and that of a Matcher frozen from the same rows — and
-// checks every (configuration, row) count against the pointer oracle: a fresh blocking index and freshly built profiles over the
-// table's current live rows, one JoinFunction.Distance call per
+// expectBallsOracle fills the ball of EVERY live row through the table's
+// fused fill and checks every (configuration, row) count against the
+// pointer oracle: a fresh blocking index and freshly built profiles over
+// the table's current live rows, one JoinFunction.Distance call per
 // (configuration, candidate). The configuration that triggers a row's fill
 // rotates with the row, so slots stored on behalf of other configurations
 // are read back, not just the one that asked. Returns the largest count
@@ -21,9 +21,6 @@ func expectBallsOracle(t *testing.T, prog *Program, tab *Table, stage string) ui
 	rows := tab.Rows()
 	o := newPointerOracle(t, prog, columnsOf(rows, tab.RowWidth()))
 	sc := o.ix.NewScratch()
-	frozen := oracleCompile(t, prog, tab, 1)
-	fms := frozen.getScratch()
-	defer frozen.putScratch(fms)
 
 	tab.mu.RLock()
 	defer tab.mu.RUnlock()
@@ -37,10 +34,6 @@ func expectBallsOracle(t *testing.T, prog *Program, tab *Table, stage string) ui
 			want := o.ballCount(ci, int32(l), sc)
 			if got := tab.ballCount(ci, int32(l), ms); got != want {
 				t.Fatalf("%s: row %d %q, configuration %d: table's fused count %d, oracle %d",
-					stage, l, rows[l], ci, got, want)
-			}
-			if got := frozen.ballCount(ci, int32(l), fms); got != want {
-				t.Fatalf("%s: row %d %q, configuration %d: matcher's fused count %d, oracle %d",
 					stage, l, rows[l], ci, got, want)
 			}
 			largest = max(largest, want)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"reflect"
@@ -25,8 +26,9 @@ func tableTestProgram() *Program {
 	}
 }
 
-// oracleCompile freezes the table's current live rows into a plain
-// Matcher — the full-recompile oracle every Table answer must equal.
+// oracleCompile compiles the table's current live rows from scratch into
+// a fresh single-segment handle — the full-recompile oracle every
+// incrementally maintained Table answer must equal.
 func oracleCompile(t *testing.T, prog *Program, tab *Table, par int) *Matcher {
 	t.Helper()
 	rows := tab.Rows()
@@ -363,6 +365,26 @@ func TestTableEmptyAndMisuse(t *testing.T) {
 	if _, err := prog.NewTable(2, nil, Options{}); err == nil {
 		t.Error("single-column program accepted width 2")
 	}
+	// The empty program of a multi-column search that selected no columns
+	// keeps the reference table's arity, through a snapshot too.
+	empty, err := (&Program{Version: 1}).NewTable(2, [][]string{{"a", "b"}}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := empty.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadTable(snap.Bytes(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !loaded.MultiColumn() || loaded.RowWidth() != 2 || loaded.Len() != 1 {
+		t.Errorf("loaded empty program: multi=%v width=%d rows=%d", loaded.MultiColumn(), loaded.RowWidth(), loaded.Len())
+	}
+	if mt, ok, err := loaded.MatchRow(context.Background(), []string{"a", "b"}); err != nil || ok || mt != NoMatch() {
+		t.Errorf("empty program matched: %+v %v %v", mt, ok, err)
+	}
 	if _, err := prog.NewTable(0, nil, Options{}); err == nil {
 		t.Error("width 0 accepted")
 	}
@@ -428,6 +450,32 @@ func TestTableMatchAgreesWithBatchAndStream(t *testing.T) {
 	}
 	if i != len(R) {
 		t.Fatalf("stream yielded %d of %d", i, len(R))
+	}
+}
+
+// pointerFreeType reports whether a type can hold no references other
+// than the backing array of pointer-free slices — i.e. retaining a value
+// of the type pins only its own bounded capacity, never query data.
+func pointerFreeType(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool,
+		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return true
+	case reflect.Array, reflect.Slice:
+		return pointerFreeType(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !pointerFreeType(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	default:
+		// Strings, pointers, maps, chans, funcs, interfaces: all can pin
+		// query-derived memory.
+		return false
 	}
 }
 

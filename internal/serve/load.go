@@ -97,21 +97,3 @@ func CompileTable(prog *core.Program, left dataset.Table, column string, opt cor
 	}
 	return prog.NewTable(1, rows, opt)
 }
-
-// CompileProgram builds the immutable serving matcher for a program
-// against the reference table, returning the display values of the
-// reference records (the key column for single-column programs, the
-// concatenated row for multi-column ones). column names the
-// single-column join key; it is ignored for multi-column programs.
-func CompileProgram(prog *core.Program, left dataset.Table, column string, opt core.Options) (*core.Matcher, []string, error) {
-	if len(prog.Columns) > 0 {
-		m, err := prog.CompileMultiColumn(left.AllColumns(), opt)
-		return m, ConcatRows(left), err
-	}
-	leftVals, err := KeyColumn(left, column)
-	if err != nil {
-		return nil, nil, err
-	}
-	m, err := prog.Compile(leftVals, opt)
-	return m, leftVals, err
-}

@@ -46,18 +46,22 @@ func TestConcatRows(t *testing.T) {
 	}
 }
 
-func TestCompileProgramSingleAndMulti(t *testing.T) {
+func TestCompileTableSingleAndMulti(t *testing.T) {
 	prog, err := core.DecodeProgram([]byte(testProgramJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := tableOf(t, "id,name\n1,alpha research institute\n2,bravo analytics bureau\n")
-	m, vals, err := CompileProgram(prog, tab, "name", core.Options{})
+	left := tableOf(t, "id,name\n1,alpha research institute\n2,bravo analytics bureau\n")
+	tab, err := CompileTable(prog, left, "name", core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.MultiColumn() || m.RowWidth() != 1 || len(vals) != 2 || vals[0] != "alpha research institute" {
-		t.Errorf("single-column compile: width=%d vals=%v", m.RowWidth(), vals)
+	row, err := tab.Row(0)
+	if tab.MultiColumn() || tab.RowWidth() != 1 || tab.Len() != 2 || err != nil || row[0] != "alpha research institute" {
+		t.Errorf("single-column compile: width=%d len=%d row 0=%q (%v)", tab.RowWidth(), tab.Len(), row, err)
+	}
+	if _, err := CompileTable(prog, left, "nope", core.Options{}); err == nil {
+		t.Error("missing key column accepted")
 	}
 
 	multi, err := core.DecodeProgram([]byte(`{
@@ -68,14 +72,14 @@ func TestCompileProgramSingleAndMulti(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, vals, err = CompileProgram(multi, tab, "", core.Options{})
+	tab, err = CompileTable(multi, left, "", core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.MultiColumn() || m.RowWidth() != 2 {
-		t.Errorf("multi-column compile: multi=%v width=%d", m.MultiColumn(), m.RowWidth())
+	if !tab.MultiColumn() || tab.RowWidth() != 2 {
+		t.Errorf("multi-column compile: multi=%v width=%d", tab.MultiColumn(), tab.RowWidth())
 	}
-	if vals[0] != "1 alpha research institute" {
-		t.Errorf("multi-column display value: %q", vals[0])
+	if row, err := tab.Row(0); err != nil || displayValue(row, true) != "1 alpha research institute" {
+		t.Errorf("multi-column display value: %q (%v)", displayValue(row, true), err)
 	}
 }
