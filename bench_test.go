@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/benchgen"
-	"github.com/chu-data-lab/autofuzzyjoin-go/internal/blocking"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/config"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/core"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/experiments"
@@ -460,29 +459,6 @@ func blockingBenchTables(nLeft, nRight int) (left, right []string) {
 		return out
 	}
 	return gen(nLeft), gen(nRight)
-}
-
-// BenchmarkBlockingOnly times the blocking layer alone (index build plus
-// every L–R and L–L candidate query) on a 10k-record reference table,
-// sequential versus all-core.
-func BenchmarkBlockingOnly(b *testing.B) {
-	left, right := blockingBenchTables(10000, 2000)
-	ps := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		ps = append(ps, n)
-	}
-	for _, p := range ps {
-		name := "sequential"
-		if p != 1 {
-			name = fmt.Sprintf("parallel%d", p)
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				blocking.Block(left, right, blocking.DefaultBeta, p)
-			}
-		})
-	}
 }
 
 // BenchmarkBlockingEndToEnd times a full join whose blocking layer

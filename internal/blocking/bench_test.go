@@ -29,7 +29,7 @@ func benchRecords(seed int64, n int) []string {
 }
 
 // BenchmarkBlockingTopK measures one steady-state top-k query with a
-// reused Scratch and destination buffer: the -benchmem allocation count
+// reused scratch and destination buffer: the -benchmem allocation count
 // must be amortized zero.
 func BenchmarkBlockingTopK(b *testing.B) {
 	left := benchRecords(1, 10000)
@@ -55,7 +55,7 @@ func BenchmarkBlockingTopK(b *testing.B) {
 func BenchmarkBlockingTopKSeed(b *testing.B) {
 	left := benchRecords(1, 10000)
 	queries := benchRecords(2, 512)
-	ix := NewIndex(left)
+	seed := newSeedIndex(left)
 	k := K(len(left), DefaultBeta)
 	queryGrams := make([][]string, len(queries))
 	for i, q := range queries {
@@ -64,7 +64,7 @@ func BenchmarkBlockingTopKSeed(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.seedTopK(queryGrams[i%len(queryGrams)], k, -1)
+		seed.topK(queryGrams[i%len(queryGrams)], k, -1)
 	}
 }
 
@@ -99,13 +99,14 @@ func BenchmarkBlock(b *testing.B) {
 	}
 }
 
-// BenchmarkBlockSelf runs the self-join blocking path on 10k records.
+// BenchmarkBlockSelf runs the self-join blocking path (no right table) on
+// 10k records.
 func BenchmarkBlockSelf(b *testing.B) {
 	records := benchRecords(3, 10000)
 	for _, p := range benchWorkerCounts() {
 		b.Run(workersName(p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				BlockSelf(records, DefaultBeta, p)
+				Block(records, nil, DefaultBeta, p)
 			}
 		})
 	}

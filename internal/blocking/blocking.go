@@ -9,24 +9,25 @@
 // and L–L blocking (candidates for learning safe distances and negative
 // rules), which is how Algorithm 1 uses it.
 //
-// The query path is built for throughput: grams are interned to dense ids
-// at index time, each query scores into a reusable dense array guarded by
-// generation stamps (no per-query map), and top-k selection runs through a
-// bounded min-heap in O(n log k) instead of a full sort. Block and
-// BlockSelf shard queries across worker goroutines, each with its own
-// Scratch, so the hot loop is allocation-free after warmup and the output
-// is identical for every parallelism level.
+// There is one index: TableIndex (segment.go), an ordered list of
+// immutable compiled Segments plus a mutable delta. Learning and the
+// baselines query it through Index, a TableIndex with one fully-live
+// segment, so left ids are dense ids; mutable serving tables (core.Table)
+// query it directly. The query path is built for throughput: grams are
+// interned to dense ids at index time, each query scores into a reusable
+// dense array guarded by generation stamps (no per-query map), and top-k
+// selection runs through a bounded min-heap in O(n log k) instead of a
+// full sort. Block shards queries across worker goroutines, each with its
+// own TableScratch, so the hot loop is allocation-free after warmup and
+// the output is identical for every parallelism level.
 package blocking
 
 import (
 	"math"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"unicode"
-	"unicode/utf8"
 
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/parallel"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/tokenize"
@@ -36,19 +37,11 @@ import (
 // (keep top √|L| candidates per query record).
 const DefaultBeta = 1.0
 
-// Index is an inverted 3-gram index over the left table with IDF weights.
-// Grams are interned: gramID maps each indexed gram to a dense id assigned
-// in lexicographic order, so sorting a query's gram ids reproduces the
-// lexicographic accumulation order and keeps scores bit-identical across
-// code paths.
+// Index is the blocking index over a fixed left table: a TableIndex whose
+// single segment holds every left record alive, so a candidate's dense id
+// is its left id.
 type Index struct {
-	n        int
-	gramID   map[string]int32
-	postings [][]int32 // by gram id, left ids ascending
-	idf      []float64 // by gram id
-	// docGrams caches each left record's distinct gram ids (ascending) for
-	// self-queries.
-	docGrams [][]int32
+	tx *TableIndex
 }
 
 // normalize lower-cases and collapses whitespace; blocking is deliberately
@@ -77,29 +70,10 @@ func grams(s string) []string {
 func NewIndex(left []string) *Index { return NewIndexParallel(left, 1) }
 
 // NewIndexParallel indexes the left table, extracting record grams across
-// up to parallelism goroutines (0 means GOMAXPROCS). The inverted index is
-// a Segment plus IDF weights over its own postings.
+// up to parallelism goroutines (0 means GOMAXPROCS).
 func NewIndexParallel(left []string, parallelism int) *Index {
-	seg := BuildSegment(left, parallelism)
-	ix := &Index{
-		n:        seg.n,
-		gramID:   seg.gramID,
-		postings: seg.postings,
-		idf:      make([]float64, len(seg.vocab)),
-		docGrams: seg.docGrams,
-	}
-	n := float64(ix.n)
-	if n < 1 {
-		n = 1
-	}
-	for id, post := range ix.postings {
-		ix.idf[id] = math.Log(1 + n/float64(len(post)))
-	}
-	return ix
+	return &Index{tx: BuildTableIndex(left, parallelism)}
 }
-
-// Len returns the number of indexed left records.
-func (ix *Index) Len() int { return ix.n }
 
 // Candidate is a blocked candidate with its TF-IDF overlap score.
 type Candidate struct {
@@ -107,93 +81,10 @@ type Candidate struct {
 	Score float64
 }
 
-// Scratch holds the per-worker reusable state of the query path: the dense
-// score accumulator with its generation stamps, the gram-dedup stamps, the
-// top-k heap, and the normalization buffers. A Scratch is not safe for
-// concurrent use; give each goroutine its own via NewScratch.
-type Scratch struct {
-	gen       uint32
-	scores    []float64 // by left id
-	stamp     []uint32  // by left id; scores[id] is live iff stamp[id] == gen
-	gramStamp []uint32  // by gram id; query-local gram dedup
-	touched   []int32   // left ids scored by the current query
-	qids      []int32   // the current query's distinct gram ids
-	heap      []Candidate
-	buf       []byte  // normalized, padded query bytes
-	starts    []int32 // byte offset of each rune in buf, plus end sentinel
-}
-
-// NewScratch allocates query state sized for this index.
-func (ix *Index) NewScratch() *Scratch {
-	return &Scratch{
-		scores:    make([]float64, ix.n),
-		stamp:     make([]uint32, ix.n),
-		gramStamp: make([]uint32, len(ix.idf)),
-	}
-}
-
-// nextGen advances the generation stamp, invalidating all dense entries in
-// O(1). On the (astronomically rare) wraparound the stamp arrays are
-// cleared so stale generations can never alias.
-//
-//autofj:hotpath
-func (sc *Scratch) nextGen() uint32 {
-	sc.gen++
-	if sc.gen == 0 {
-		clear(sc.stamp)
-		clear(sc.gramStamp)
-		sc.gen = 1
-	}
-	return sc.gen
-}
-
-// queryGramIDs extracts the distinct indexed gram ids of query, ascending,
-// into sc.qids. Grams absent from the index carry zero weight and empty
-// postings, so they are skipped outright. Allocation-free after warmup:
-// the map lookup on a byte-slice conversion does not escape.
-//
-//autofj:hotpath
-func (ix *Index) queryGramIDs(sc *Scratch, query string) []int32 {
-	sc.qids = sc.qids[:0]
-	sc.buf = append(sc.buf[:0], '#', '#')
-	sc.starts = append(sc.starts[:0], 0, 1)
-	// Inline normalize(): per-rune lower-casing with whitespace collapsed
-	// to single spaces, matching strings.Fields/ToLower semantics.
-	content := false
-	pendingSpace := false
-	for _, r := range query {
-		r = unicode.ToLower(r)
-		if unicode.IsSpace(r) {
-			pendingSpace = content
-			continue
-		}
-		if pendingSpace {
-			sc.starts = append(sc.starts, int32(len(sc.buf)))
-			sc.buf = append(sc.buf, ' ')
-			pendingSpace = false
-		}
-		sc.starts = append(sc.starts, int32(len(sc.buf)))
-		sc.buf = utf8.AppendRune(sc.buf, r)
-		content = true
-	}
-	if !content {
-		return nil // QGrams("") is empty: padding alone yields no grams
-	}
-	sc.starts = append(sc.starts, int32(len(sc.buf)), int32(len(sc.buf)+1))
-	sc.buf = append(sc.buf, '#', '#')
-	sc.starts = append(sc.starts, int32(len(sc.buf))) // end sentinel
-	gen := sc.nextGen()
-	for i := 0; i+3 < len(sc.starts); i++ {
-		id, ok := ix.gramID[string(sc.buf[sc.starts[i]:sc.starts[i+3]])]
-		if !ok || sc.gramStamp[id] == gen {
-			continue
-		}
-		sc.gramStamp[id] = gen
-		sc.qids = append(sc.qids, id)
-	}
-	slices.Sort(sc.qids)
-	return sc.qids
-}
+// NewScratch allocates query state for this index; its arrays are sized
+// on first use. A scratch is not safe for concurrent use; give each
+// goroutine its own.
+func (ix *Index) NewScratch() *TableScratch { return NewTableScratch() }
 
 // candWorse reports whether a ranks strictly worse than b in the
 // (score descending, id ascending) candidate order.
@@ -240,52 +131,6 @@ func heapDown(h []Candidate, i int) {
 	}
 }
 
-// appendTopK scores the query grams and appends the top k candidates to
-// dst (score descending, id ascending). The accumulation order — gram ids
-// ascending, postings ascending — is fixed, so results are bit-identical
-// regardless of worker count.
-//
-//autofj:hotpath
-func (ix *Index) appendTopK(dst []Candidate, sc *Scratch, qids []int32, k, exclude int) []Candidate {
-	if k <= 0 || ix.n == 0 || len(qids) == 0 {
-		return dst
-	}
-	gen := sc.nextGen()
-	touched := sc.touched[:0]
-	for _, g := range qids {
-		w := ix.idf[g]
-		for _, id := range ix.postings[g] {
-			if int(id) == exclude {
-				continue
-			}
-			if sc.stamp[id] != gen {
-				sc.stamp[id] = gen
-				sc.scores[id] = w
-				touched = append(touched, id)
-			} else {
-				sc.scores[id] += w
-			}
-		}
-	}
-	sc.touched = touched
-	h := sc.heap[:0]
-	for _, id := range touched {
-		c := Candidate{ID: id, Score: sc.scores[id]}
-		if len(h) < k {
-			h = append(h, c)
-			heapUp(h, len(h)-1)
-		} else if candWorse(h[0], c) {
-			h[0] = c
-			heapDown(h, 0)
-		}
-	}
-	sc.heap = h
-	base := len(dst)
-	dst = append(dst, h...)
-	slices.SortFunc(dst[base:], cmpCandidate)
-	return dst
-}
-
 // cmpCandidate orders candidates score descending, id ascending.
 //
 //autofj:hotpath
@@ -303,28 +148,29 @@ func cmpCandidate(a, b Candidate) int {
 	return 0
 }
 
-// AppendTopK appends up to k candidates for query to dst, reusing sc.
-// Allocation-free after warmup when dst has capacity.
+// AppendTopK appends up to k candidates for query to dst, omitting left
+// record exclude (or none, when -1), reusing sc. Allocation-free after
+// warmup when dst has capacity.
 //
 //autofj:hotpath
-func (ix *Index) AppendTopK(dst []Candidate, sc *Scratch, query string, k, exclude int) []Candidate {
-	return ix.appendTopK(dst, sc, ix.queryGramIDs(sc, query), k, exclude)
+func (ix *Index) AppendTopK(dst []Candidate, sc *TableScratch, query string, k, exclude int) []Candidate {
+	return ix.tx.appendTopK(dst, sc, ix.tx.queryGramRanks(sc, query), k, exclude)
 }
 
 // AppendTopKSelf appends the L–L candidates for left record i to dst,
 // excluding i itself, reusing sc.
 //
 //autofj:hotpath
-func (ix *Index) AppendTopKSelf(dst []Candidate, sc *Scratch, i, k int) []Candidate {
-	return ix.appendTopK(dst, sc, ix.docGrams[i], k, i)
+func (ix *Index) AppendTopKSelf(dst []Candidate, sc *TableScratch, i, k int) []Candidate {
+	return ix.tx.AppendTopKSelf(dst, sc, i, k)
 }
 
 // TopK returns the ids of up to k left records with the largest summed IDF
 // weight of grams shared with the query, descending by score. exclude (an
 // index into the left table, or -1) is omitted from the result; use it for
 // L–L self-queries. Records sharing no gram with the query are never
-// returned. This convenience form allocates a Scratch per call; batch
-// callers should hold one Scratch per worker and use AppendTopK.
+// returned. This convenience form allocates a scratch per call; batch
+// callers should hold one scratch per worker and use AppendTopK.
 func (ix *Index) TopK(query string, k int, exclude int) []Candidate {
 	return ix.AppendTopK(nil, ix.NewScratch(), query, k, exclude)
 }
@@ -367,14 +213,25 @@ const blockChunk = 64
 // storage across many queries.
 const arenaChunk = 8192
 
-// runQueries distributes jobs [0, n) across workers, each with its own
-// Scratch and candidate arena, and stores each job's candidate list via
-// emit. Job results land at fixed indexes, so the output is independent of
-// scheduling.
-func (ix *Index) runQueries(n, parallelism, k int, fill func(sc *Scratch, dst []Candidate, job int) []Candidate, emit func(job int, cands []Candidate)) {
-	// A worker per chunk, not per job: each worker allocates an O(|L|)
-	// Scratch, so surplus workers beyond the chunk count would pay that
-	// for no work.
+// Block runs the default blocking for tables L and R with factor beta,
+// fanning the per-record queries across up to parallelism goroutines
+// (0 means GOMAXPROCS). The candidate lists are identical for every
+// parallelism level. A self-join passes a nil right table and reads LL.
+func Block(left, right []string, beta float64, parallelism int) *Result {
+	ix := NewIndexParallel(left, parallelism)
+	k := K(len(left), beta)
+	res := &Result{
+		LR: make([][]Candidate, len(right)),
+		LL: make([][]Candidate, len(left)),
+		K:  k,
+	}
+	// One job space covers both query kinds: right records first, then the
+	// left self-queries. Each job's list lands at a fixed index, so the
+	// output is independent of scheduling.
+	n := len(right) + len(left)
+	// A worker per chunk, not per job: each worker's scratch grows to
+	// O(|L|), so surplus workers beyond the chunk count would pay that for
+	// no work.
 	workers := parallel.Workers(parallelism, (n+blockChunk-1)/blockChunk)
 	var next atomic.Int64
 	worker := func() {
@@ -392,14 +249,19 @@ func (ix *Index) runQueries(n, parallelism, k int, fill func(sc *Scratch, dst []
 					arena = make([]Candidate, 0, max(arenaChunk, k))
 				}
 				base := len(arena)
-				arena = fill(sc, arena, job)
-				emit(job, arena[base:len(arena):len(arena)])
+				if job < len(right) {
+					arena = ix.AppendTopK(arena, sc, right[job], k, -1)
+					res.LR[job] = arena[base:len(arena):len(arena)]
+				} else {
+					arena = ix.AppendTopKSelf(arena, sc, job-len(right), k)
+					res.LL[job-len(right)] = arena[base:len(arena):len(arena)]
+				}
 			}
 		}
 	}
 	if workers <= 1 {
 		worker()
-		return
+		return res
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -410,52 +272,5 @@ func (ix *Index) runQueries(n, parallelism, k int, fill func(sc *Scratch, dst []
 		}()
 	}
 	wg.Wait()
-}
-
-// Block runs the default blocking for tables L and R with factor beta,
-// fanning the per-record queries across up to parallelism goroutines
-// (0 means GOMAXPROCS). The candidate lists are identical for every
-// parallelism level.
-func Block(left, right []string, beta float64, parallelism int) *Result {
-	ix := NewIndexParallel(left, parallelism)
-	k := K(len(left), beta)
-	res := &Result{
-		LR: make([][]Candidate, len(right)),
-		LL: make([][]Candidate, len(left)),
-		K:  k,
-	}
-	// One job space covers both query kinds: right records first, then the
-	// left self-queries.
-	ix.runQueries(len(right)+len(left), parallelism, k,
-		func(sc *Scratch, dst []Candidate, job int) []Candidate {
-			if job < len(right) {
-				return ix.AppendTopK(dst, sc, right[job], k, -1)
-			}
-			return ix.AppendTopKSelf(dst, sc, job-len(right), k)
-		},
-		func(job int, cands []Candidate) {
-			if job < len(right) {
-				res.LR[job] = cands
-			} else {
-				res.LL[job-len(right)] = cands
-			}
-		})
-	return res
-}
-
-// BlockSelf runs L–L blocking only (the self-join path): LL[i] lists the
-// candidates for record i with itself excluded; LR is nil.
-func BlockSelf(records []string, beta float64, parallelism int) *Result {
-	ix := NewIndexParallel(records, parallelism)
-	k := K(len(records), beta)
-	res := &Result{
-		LL: make([][]Candidate, len(records)),
-		K:  k,
-	}
-	ix.runQueries(len(records), parallelism, k,
-		func(sc *Scratch, dst []Candidate, job int) []Candidate {
-			return ix.AppendTopKSelf(dst, sc, job, k)
-		},
-		func(job int, cands []Candidate) { res.LL[job] = cands })
 	return res
 }

@@ -2,27 +2,46 @@ package blocking
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 )
 
-// seedTopK is the original (pre-parallel) top-k implementation — a
-// map[int32]float64 accumulator with a full sort — kept as the reference
-// oracle: the heap-based path must reproduce it exactly, scores and
-// tie-break order included.
-func (ix *Index) seedTopK(queryGrams []string, k int, exclude int) []Candidate {
-	if k <= 0 || ix.n == 0 {
+// seedIndex is the original (pre-parallel) blocking index, kept as the
+// reference oracle: string-keyed postings, IDF weights log(1 + n/df), a
+// map[int32]float64 accumulator and a full sort. It shares nothing with
+// TableIndex but the grams() tokenizer, and every query path must
+// reproduce it exactly, scores and tie-break order included.
+type seedIndex struct {
+	n        int
+	postings map[string][]int32 // by gram, record ids ascending
+}
+
+func newSeedIndex(keys []string) *seedIndex {
+	o := &seedIndex{n: len(keys), postings: make(map[string][]int32)}
+	for i, key := range keys {
+		for _, g := range grams(key) {
+			o.postings[g] = append(o.postings[g], int32(i))
+		}
+	}
+	return o
+}
+
+// topK scores queryGrams (lexicographic order, as grams() returns them)
+// and returns the top k records other than exclude.
+func (o *seedIndex) topK(queryGrams []string, k int, exclude int) []Candidate {
+	if k <= 0 || o.n == 0 {
 		return nil
 	}
 	scores := make(map[int32]float64)
 	for _, g := range queryGrams {
-		id, ok := ix.gramID[g]
+		post, ok := o.postings[g]
 		if !ok {
 			continue
 		}
-		w := ix.idf[id]
-		for _, rec := range ix.postings[id] {
+		w := math.Log(1 + float64(o.n)/float64(len(post)))
+		for _, rec := range post {
 			if int(rec) == exclude {
 				continue
 			}
@@ -81,19 +100,20 @@ func TestTopKMatchesSeedImplementation(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	left := tieHeavyRecords(rng, 200)
 	ix := NewIndex(left)
+	seed := newSeedIndex(left)
 	sc := ix.NewScratch()
 	queries := append(tieHeavyRecords(rng, 50),
 		"", "   ", "zzz unknown grams only", "Alpha  BRAVO charlie")
 	for _, k := range []int{1, 3, 14, 200} {
 		for _, q := range queries {
-			want := ix.seedTopK(grams(q), k, -1)
+			want := seed.topK(grams(q), k, -1)
 			got := ix.AppendTopK(nil, sc, q, k, -1)
 			if !candidateListsEqual(got, want) {
 				t.Fatalf("k=%d query=%q:\n got %v\nwant %v", k, q, got, want)
 			}
 		}
 		for i := 0; i < 40; i++ {
-			want := ix.seedTopK(grams(left[i]), k, i)
+			want := seed.topK(grams(left[i]), k, i)
 			got := ix.AppendTopKSelf(nil, sc, i, k)
 			if !candidateListsEqual(got, want) {
 				t.Fatalf("k=%d self=%d:\n got %v\nwant %v", k, i, got, want)
@@ -102,7 +122,7 @@ func TestTopKMatchesSeedImplementation(t *testing.T) {
 	}
 }
 
-// TestScratchReuseIsStateless verifies that reusing one Scratch across
+// TestScratchReuseIsStateless verifies that reusing one scratch across
 // many queries never leaks state between them.
 func TestScratchReuseIsStateless(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -148,12 +168,12 @@ func TestBlockParallelEquivalence(t *testing.T) {
 }
 
 // TestBlockSelfParallelEquivalence is the same contract for the self-join
-// blocking path.
+// blocking path (no right table).
 func TestBlockSelfParallelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	records := tieHeavyRecords(rng, 250)
-	seq := BlockSelf(records, 1.0, 1)
-	par := BlockSelf(records, 1.0, 8)
+	seq := Block(records, nil, 1.0, 1)
+	par := Block(records, nil, 1.0, 8)
 	if par.K != seq.K {
 		t.Fatalf("K %d != %d", par.K, seq.K)
 	}
@@ -164,16 +184,20 @@ func TestBlockSelfParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestBlockSelfMatchesBlockLL: BlockSelf must agree with the LL half of
-// Block (they share the index and budget).
+// TestBlockSelfMatchesBlockLL: the self-join's blocking (no right table)
+// must agree with the LL half of a join's blocking — the right records
+// share the job space but never the index or the budget.
 func TestBlockSelfMatchesBlockLL(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	records := tieHeavyRecords(rng, 150)
-	full := Block(records, nil, 1.0, 4)
-	self := BlockSelf(records, 1.0, 4)
+	full := Block(records, tieHeavyRecords(rng, 70), 1.0, 4)
+	self := Block(records, nil, 1.0, 4)
+	if len(self.LR) != 0 {
+		t.Fatalf("self-join blocking returned %d LR lists", len(self.LR))
+	}
 	for i := range full.LL {
 		if !candidateListsEqual(full.LL[i], self.LL[i]) {
-			t.Fatalf("LL[%d] differs between Block and BlockSelf", i)
+			t.Fatalf("LL[%d] differs between the join and the self-join", i)
 		}
 	}
 }
@@ -188,9 +212,10 @@ func TestQueryNormalizationMatchesSeed(t *testing.T) {
 		"mixed 日本 Ascii", "ends with space ", " leading",
 	}
 	ix := NewIndex(left)
+	seed := newSeedIndex(left)
 	sc := ix.NewScratch()
 	for _, q := range append(left, "Café  AU\tlait", "ÀÉÎÕÜ", "日本語") {
-		want := ix.seedTopK(grams(q), 5, -1)
+		want := seed.topK(grams(q), 5, -1)
 		got := ix.AppendTopK(nil, sc, q, 5, -1)
 		if !candidateListsEqual(got, want) {
 			t.Fatalf("query %q: got %v want %v", q, got, want)

@@ -12,23 +12,22 @@ import (
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/parallel"
 )
 
-// This file implements the segmented form of the blocking index used by
-// mutable reference tables (core.Table): an ordered list of immutable
-// compiled Segments plus a small mutable delta of uncompiled rows. The
-// merged query path produces candidates BIT-IDENTICAL to a flat Index over
-// the live rows in dense order:
+// This file implements the blocking index: an ordered list of immutable
+// compiled Segments plus a small mutable delta of uncompiled rows. Index
+// (learning, the baselines) is one fully-live segment; core.Table adds
+// delta rows, tombstones, and compacts. Candidates are the same for every
+// layout of the same live rows in dense order:
 //
 //   - Gram IDF weights log(1 + n/df) are computed at query time from
-//     globally maintained (n, df) — the same formula, over the same live
-//     corpus, as Index precomputes.
+//     globally maintained (n, df) over the live corpus.
 //   - Each candidate's score accumulates its shared-gram weights in
 //     lexicographic gram order: segments iterate query grams in lex order
 //     with ascending postings, and delta rows store their gram ids in lex
-//     order, so every float64 sum is performed in the flat index's order.
+//     order, so every float64 sum is performed in one fixed order.
 //   - Global top-k selection runs one bounded heap over all segment and
-//     delta candidates under the same (score desc, dense id asc) total
-//     order; the selected set is order-independent, and the final sort
-//     matches Index.appendTopK exactly.
+//     delta candidates under the (score desc, dense id asc) total order;
+//     the selected set is order-independent, and the final sort fixes the
+//     output order.
 //
 // Mutations (AddDelta / RemoveDense / Renumber / CompactDelta /
 // AttachSegment) require external synchronization against queries;
@@ -41,7 +40,6 @@ type Segment struct {
 	vocab    []string  // distinct grams, sorted ascending
 	postings [][]int32 // by local gram id, local row ids ascending
 	docGrams [][]int32 // by local row id, local gram ids ascending
-	gramID   map[string]int32
 	n        int
 }
 
@@ -67,20 +65,20 @@ func BuildSegment(keys []string, parallelism int) *Segment {
 	}
 	sort.Strings(sorted)
 
+	gramID := make(map[string]int32, len(sorted))
+	for id, g := range sorted {
+		gramID[g] = int32(id)
+	}
 	s := &Segment{
 		n:        len(keys),
 		vocab:    sorted,
-		gramID:   make(map[string]int32, len(sorted)),
 		postings: make([][]int32, len(sorted)),
 		docGrams: make([][]int32, len(keys)),
-	}
-	for id, g := range sorted {
-		s.gramID[g] = int32(id)
 	}
 	for i, gs := range docStrs {
 		ids := make([]int32, len(gs))
 		for gi, g := range gs {
-			id := s.gramID[g]
+			id := gramID[g]
 			ids[gi] = id
 			s.postings[id] = append(s.postings[id], int32(i))
 		}
@@ -141,9 +139,6 @@ func NewSegmentFromParts(n int, vocab []string, postings, docGrams [][]int32) (*
 			prev = id
 		}
 	}
-	// gramID stays nil: attached segments are queried through the owning
-	// TableIndex's tab2local arrays, never through the string map (which
-	// only the flat-index path in BuildSegment needs).
 	return &Segment{
 		n:        n,
 		vocab:    vocab,
@@ -196,6 +191,19 @@ type TableIndex struct {
 // NewTableIndex returns an empty segmented index.
 func NewTableIndex() *TableIndex {
 	return &TableIndex{gramID: make(map[string]int32)}
+}
+
+// BuildTableIndex compiles keys into an index of one segment with every
+// row alive, extracting record grams across up to parallelism goroutines:
+// dense id i is keys[i].
+func BuildTableIndex(keys []string, parallelism int) *TableIndex {
+	alive := make([]bool, len(keys))
+	for i := range alive {
+		alive[i] = true
+	}
+	tx := NewTableIndex()
+	tx.AttachSegment(BuildSegment(keys, parallelism), alive, true)
+	return tx
 }
 
 // Len returns the number of live rows (the dense id space).
@@ -527,11 +535,13 @@ func (sc *TableScratch) fit(nDense, nGrams int) {
 
 // queryGramRanks extracts the distinct live gram ranks of query, ascending
 // (= lexicographic gram order), into sc.qranks. Grams absent from the
-// dictionary or with zero live df carry zero weight and are skipped, like
-// grams absent from a flat Index.
+// dictionary or with zero live df carry zero weight and are skipped. The
+// byte loop inlines normalize(): per-rune lower-casing with whitespace
+// collapsed to single spaces, matching strings.Fields/ToLower semantics.
 //
 //autofj:hotpath
 func (tx *TableIndex) queryGramRanks(sc *TableScratch, query string) []int32 {
+	sc.fit(len(tx.refs), len(tx.gramStr))
 	sc.qranks = sc.qranks[:0]
 	sc.buf = append(sc.buf[:0], '#', '#')
 	sc.starts = append(sc.starts[:0], 0, 1)
@@ -553,7 +563,7 @@ func (tx *TableIndex) queryGramRanks(sc *TableScratch, query string) []int32 {
 		content = true
 	}
 	if !content {
-		return nil
+		return nil // QGrams("") is empty: padding alone yields no grams
 	}
 	sc.starts = append(sc.starts, int32(len(sc.buf)), int32(len(sc.buf)+1))
 	sc.buf = append(sc.buf, '#', '#')
@@ -595,14 +605,21 @@ func (tx *TableIndex) selfGramRanks(sc *TableScratch, d int) []int32 {
 // scoreSegments merges the per-segment posting lists of the query grams
 // into the dense score accumulator: for each segment, query grams in lex
 // order with postings ascending, so every candidate's weight sum runs in
-// the flat index's accumulation order.
+// one fixed accumulation order.
+//
+// Live dense ids ascend with local ids, so a segment is free of tombstones
+// exactly when its first row is live and its last row sits n-1 dense ids
+// later. Such a segment maps local id i to dense id dense[0]+i without the
+// dense[] load; a segment with tombstones keeps the lookup.
 //
 //autofj:hotpath
-func (tx *TableIndex) scoreSegments(sc *TableScratch, qranks []int32, gen uint32, exclude int, touched []int32) []int32 {
+func (tx *TableIndex) scoreSegments(sc *TableScratch, qranks []int32, gen uint32, exclude int) {
 	for si := range tx.segs {
 		seg := tx.segs[si]
 		dense := tx.segDense[si]
 		t2l := tx.tab2local[si]
+		n := len(dense)
+		live := n > 0 && dense[0] >= 0 && int(dense[n-1]-dense[0]) == n-1
 		for _, r := range qranks {
 			g := tx.sortedIDs[r]
 			// Grams interned after the segment attached are out of range and
@@ -614,31 +631,72 @@ func (tx *TableIndex) scoreSegments(sc *TableScratch, qranks []int32, gen uint32
 			if local < 0 {
 				continue
 			}
-			w := sc.gramW[g]
-			for _, id := range seg.postings[local] {
-				d := dense[id]
-				if d < 0 || int(d) == exclude {
-					continue
-				}
-				if sc.stamp[d] != gen {
-					sc.stamp[d] = gen
-					sc.scores[d] = w
-					touched = append(touched, d)
-				} else {
-					sc.scores[d] += w
-				}
+			if live {
+				sc.addRun(seg.postings[local], dense[0], sc.gramW[g], gen, int32(exclude))
+			} else {
+				sc.addMapped(seg.postings[local], dense, sc.gramW[g], gen, int32(exclude))
 			}
 		}
 	}
-	return touched
+}
+
+// addRun accumulates weight w into the score of dense row base+id for
+// every local id on a posting list of a segment without tombstones,
+// skipping exclude. A row's first hit of this generation starts its score
+// and records it as touched.
+//
+// addRun and addMapped stay out of line: inlined into scoreSegments, the
+// posting loop runs out of registers and spills its index and bounds to
+// the stack on every element, which cost ~15% of BenchmarkBlock/sequential
+// (2-core x86-64, go1.24).
+//
+//autofj:hotpath
+//go:noinline
+func (sc *TableScratch) addRun(post []int32, base int32, w float64, gen uint32, exclude int32) {
+	stamp, scores := sc.stamp, sc.scores
+	for _, id := range post {
+		d := base + id
+		if d == exclude {
+			continue
+		}
+		if stamp[d] != gen {
+			stamp[d] = gen
+			scores[d] = w
+			sc.touched = append(sc.touched, d)
+		} else {
+			scores[d] += w
+		}
+	}
+}
+
+// addMapped is addRun for a segment with tombstones: dense maps each
+// local id, and dead rows (-1) are skipped.
+//
+//autofj:hotpath
+//go:noinline
+func (sc *TableScratch) addMapped(post, dense []int32, w float64, gen uint32, exclude int32) {
+	stamp, scores := sc.stamp, sc.scores
+	for _, id := range post {
+		d := dense[id]
+		if d < 0 || d == exclude {
+			continue
+		}
+		if stamp[d] != gen {
+			stamp[d] = gen
+			scores[d] = w
+			sc.touched = append(sc.touched, d)
+		} else {
+			scores[d] += w
+		}
+	}
 }
 
 // scoreDelta brute-force scans the delta rows: each live row's stored
 // gram list (lex order) is intersected with the stamped query grams, so
-// shared-gram weights accumulate in the same order the flat index uses.
+// shared-gram weights accumulate in the same order a segment uses.
 //
 //autofj:hotpath
-func (tx *TableIndex) scoreDelta(sc *TableScratch, gen uint32, exclude int, touched []int32) []int32 {
+func (tx *TableIndex) scoreDelta(sc *TableScratch, gen uint32, exclude int) {
 	for di := range tx.delta {
 		d := tx.deltaDense[di]
 		if d < 0 || int(d) == exclude {
@@ -655,10 +713,9 @@ func (tx *TableIndex) scoreDelta(sc *TableScratch, gen uint32, exclude int, touc
 		if hit {
 			sc.stamp[d] = gen
 			sc.scores[d] = score
-			touched = append(touched, d)
+			sc.touched = append(sc.touched, d)
 		}
 	}
-	return touched
 }
 
 // appendTopK runs the merged query: weight the query grams, score segments
@@ -673,20 +730,16 @@ func (tx *TableIndex) appendTopK(dst []Candidate, sc *TableScratch, qranks []int
 	sc.fit(len(tx.refs), len(tx.gramStr))
 	gen := sc.nextGen()
 	nf := float64(len(tx.refs))
-	if nf < 1 {
-		nf = 1
-	}
 	for _, r := range qranks {
 		g := tx.sortedIDs[r]
 		sc.gramStamp[g] = gen
 		sc.gramW[g] = math.Log(1 + nf/float64(tx.df[g]))
 	}
-	touched := sc.touched[:0]
-	touched = tx.scoreSegments(sc, qranks, gen, exclude, touched)
-	touched = tx.scoreDelta(sc, gen, exclude, touched)
-	sc.touched = touched
+	sc.touched = sc.touched[:0]
+	tx.scoreSegments(sc, qranks, gen, exclude)
+	tx.scoreDelta(sc, gen, exclude)
 	h := sc.heap[:0]
-	for _, id := range touched {
+	for _, id := range sc.touched {
 		c := Candidate{ID: id, Score: sc.scores[id]}
 		if len(h) < k {
 			h = append(h, c)
@@ -708,7 +761,6 @@ func (tx *TableIndex) appendTopK(dst []Candidate, sc *TableScratch, qranks []int
 //
 //autofj:hotpath
 func (tx *TableIndex) AppendTopK(dst []Candidate, sc *TableScratch, query string, k int) []Candidate {
-	sc.fit(len(tx.refs), len(tx.gramStr))
 	return tx.appendTopK(dst, sc, tx.queryGramRanks(sc, query), k, -1)
 }
 
@@ -717,6 +769,5 @@ func (tx *TableIndex) AppendTopK(dst []Candidate, sc *TableScratch, query string
 //
 //autofj:hotpath
 func (tx *TableIndex) AppendTopKSelf(dst []Candidate, sc *TableScratch, d, k int) []Candidate {
-	sc.fit(len(tx.refs), len(tx.gramStr))
 	return tx.appendTopK(dst, sc, tx.selfGramRanks(sc, d), k, d)
 }

@@ -156,7 +156,7 @@ func (o *pointerOracle) leftDist(ci int, a, b int32) float64 {
 	return d
 }
 
-func (o *pointerOracle) ballCount(ci int, l int32, sc *blocking.Scratch) uint32 {
+func (o *pointerOracle) ballCount(ci int, l int32, sc *blocking.TableScratch) uint32 {
 	slot := &o.balls[ci*o.nL+int(l)]
 	if *slot != 0 {
 		return *slot

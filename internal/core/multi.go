@@ -1,12 +1,9 @@
 package core
 
 import (
-	"strings"
 	"time"
 
-	"github.com/chu-data-lab/autofuzzyjoin-go/internal/blocking"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/config"
-	"github.com/chu-data-lab/autofuzzyjoin-go/internal/negrule"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/parallel"
 )
 
@@ -49,36 +46,7 @@ func JoinMultiColumnTables(leftCols, rightCols [][]string, opt Options) (*Result
 	leftCat := concatColumns(leftCols)
 	rightCat := concatColumns(rightCols)
 	tBlock := time.Now()
-	blk := blocking.Block(leftCat, rightCat, opt.BlockingBeta, opt.Parallelism)
-
-	var rules *negrule.Set
-	llCand := make([][]int32, nL)
-	for i, cands := range blk.LL {
-		ids := make([]int32, len(cands))
-		for ci, c := range cands {
-			ids[ci] = c.ID
-		}
-		llCand[i] = ids
-	}
-	if !opt.DisableNegativeRules {
-		rules = negrule.NewSet()
-		for i, cands := range blk.LL {
-			for _, c := range cands {
-				rules.LearnPair(leftCat[i], leftCat[c.ID])
-			}
-		}
-	}
-	lrCand := make([][]int32, nR)
-	for j, cands := range blk.LR {
-		ids := make([]int32, 0, len(cands))
-		for _, c := range cands {
-			if rules != nil && rules.Blocks(leftCat[c.ID], rightCat[j]) {
-				continue
-			}
-			ids = append(ids, c.ID)
-		}
-		lrCand[j] = ids
-	}
+	lrCand, llCand, rules := blockCandidates(leftCat, rightCat, opt, !opt.DisableNegativeRules)
 	blockingTime := time.Since(tBlock)
 
 	// Flattened pair offsets shared by all columns and functions.
@@ -301,21 +269,16 @@ func offsets(cands [][]int32) []int32 {
 	return off
 }
 
-// concatColumns joins each record's cells with a separator for blocking
-// and negative-rule learning.
+// concatColumns builds each record's blocking key with concatRow, the
+// key a serving table derives from the same row.
 func concatColumns(cols [][]string) []string {
-	n := len(cols[0])
-	out := make([]string, n)
-	var b strings.Builder
-	for i := 0; i < n; i++ {
-		b.Reset()
+	out := make([]string, len(cols[0]))
+	row := make([]string, len(cols))
+	for i := range out {
 		for j := range cols {
-			if j > 0 {
-				b.WriteByte(' ')
-			}
-			b.WriteString(cols[j][i])
+			row[j] = cols[j][i]
 		}
-		out[i] = strings.Join(strings.Fields(b.String()), " ")
+		out[i] = concatRow(row)
 	}
 	return out
 }

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/chu-data-lab/autofuzzyjoin-go/internal/blocking"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/config"
 )
 
@@ -45,37 +44,14 @@ func prepareTables(nL, nR int, seed int64) (left, right []string) {
 // real blocking pipeline, plus the one-function-at-a-time callbacks the
 // function-major baseline scores through.
 func buildPrepareInput(left, right []string, space []config.JoinFunction, steps int, selfJoin bool) (*engineInput, func(fi, r, ci int) float64, func(fi, l, ci int) float64) {
+	opt := Options{BlockingBeta: 1.0}
 	var lrCand, llCand [][]int32
 	if selfJoin {
-		blk := blocking.BlockSelf(left, 1.0, 0)
-		llCand = make([][]int32, len(left))
-		for i, cs := range blk.LL {
-			ids := make([]int32, len(cs))
-			for ci, c := range cs {
-				ids[ci] = c.ID
-			}
-			llCand[i] = ids
-		}
+		_, llCand, _ = blockCandidates(left, nil, opt, false)
 		lrCand = llCand
 		right = left
 	} else {
-		blk := blocking.Block(left, right, 1.0, 0)
-		llCand = make([][]int32, len(left))
-		for i, cs := range blk.LL {
-			ids := make([]int32, len(cs))
-			for ci, c := range cs {
-				ids[ci] = c.ID
-			}
-			llCand[i] = ids
-		}
-		lrCand = make([][]int32, len(right))
-		for j, cs := range blk.LR {
-			ids := make([]int32, len(cs))
-			for ci, c := range cs {
-				ids[ci] = c.ID
-			}
-			lrCand[j] = ids
-		}
+		lrCand, llCand, _ = blockCandidates(left, right, opt, false)
 	}
 	corpus := config.NewCorpus(space, left, right)
 	profL := corpus.Profiles(left, 0)

@@ -4,7 +4,6 @@ import (
 	"sort"
 	"time"
 
-	"github.com/chu-data-lab/autofuzzyjoin-go/internal/blocking"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/config"
 )
 
@@ -24,20 +23,12 @@ func SelfJoin(records []string, opt Options) (*Result, error) {
 	}
 
 	tBlock := time.Now()
-	blk := blocking.BlockSelf(records, opt.BlockingBeta, opt.Parallelism)
-	cand := make([][]int32, len(records))
-	for i, cs := range blk.LL {
-		ids := make([]int32, len(cs))
-		for ci, c := range cs {
-			ids[ci] = c.ID
-		}
-		cand[i] = ids
-	}
 	// Negative rules are intentionally NOT learned here: Algorithm 2
 	// assumes the reference table is duplicate-free, but a self-join's
 	// whole premise is that the table contains duplicates — a duplicate
 	// pair differing by one word ("northern" vs a "nothern" typo) would be
 	// learned as a negative rule and veto exactly the join we want.
+	_, cand, _ := blockCandidates(records, nil, opt, false)
 	lrCand := cand
 	blockingTime := time.Since(tBlock)
 

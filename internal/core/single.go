@@ -21,40 +21,10 @@ func JoinTables(left, right []string, opt Options) (*Result, error) {
 		return &Result{}, nil
 	}
 
-	// Algorithm 1 line 1: blocking for L-L and L-R pairs.
+	// Algorithm 1 lines 1-2: blocking, then negative rules that veto L-R
+	// candidates.
 	tBlock := time.Now()
-	blk := blocking.Block(left, right, opt.BlockingBeta, opt.Parallelism)
-
-	// Line 2: learn negative rules from L-L pairs, veto L-R candidates.
-	var rules *negrule.Set
-	lrCand := make([][]int32, len(right))
-	llCand := make([][]int32, len(left))
-	for i, cands := range blk.LL {
-		ids := make([]int32, len(cands))
-		for ci, c := range cands {
-			ids[ci] = c.ID
-		}
-		llCand[i] = ids
-	}
-	if !opt.DisableNegativeRules {
-		rules = negrule.NewSet()
-		for i, cands := range blk.LL {
-			for _, c := range cands {
-				rules.LearnPair(left[i], left[c.ID])
-			}
-		}
-	}
-	for j, cands := range blk.LR {
-		ids := make([]int32, 0, len(cands))
-		for _, c := range cands {
-			if rules != nil && rules.Blocks(left[c.ID], right[j]) {
-				continue
-			}
-			ids = append(ids, c.ID)
-		}
-		lrCand[j] = ids
-	}
-
+	lrCand, llCand, rules := blockCandidates(left, right, opt, !opt.DisableNegativeRules)
 	blockingTime := time.Since(tBlock)
 
 	// Lines 3-4: distances and precision pre-computation, then the greedy
@@ -92,6 +62,43 @@ func JoinTables(left, right []string, opt Options) (*Result, error) {
 	res.Timing.Blocking = blockingTime
 	res.Timing.Profile = profileTime
 	return res, nil
+}
+
+// blockCandidates runs Algorithm 1 lines 1–2 on blocking keys: top-k
+// blocking for the L–R and L–L pairs (Block; right may be nil for a
+// self-join) and, when learnRules is set, negative rules learned from the
+// L–L pairs (Algorithm 2) that then veto L–R candidates. rules is nil when
+// none are learned.
+func blockCandidates(left, right []string, opt Options, learnRules bool) (lrCand, llCand [][]int32, rules *negrule.Set) {
+	blk := blocking.Block(left, right, opt.BlockingBeta, opt.Parallelism)
+	llCand = make([][]int32, len(left))
+	for i, cands := range blk.LL {
+		ids := make([]int32, len(cands))
+		for ci, c := range cands {
+			ids[ci] = c.ID
+		}
+		llCand[i] = ids
+	}
+	if learnRules {
+		rules = negrule.NewSet()
+		for i, cands := range blk.LL {
+			for _, c := range cands {
+				rules.LearnPair(left[i], left[c.ID])
+			}
+		}
+	}
+	lrCand = make([][]int32, len(right))
+	for j, cands := range blk.LR {
+		ids := make([]int32, 0, len(cands))
+		for _, c := range cands {
+			if rules != nil && rules.Blocks(left[c.ID], right[j]) {
+				continue
+			}
+			ids = append(ids, c.ID)
+		}
+		lrCand[j] = ids
+	}
+	return lrCand, llCand, rules
 }
 
 // errColumnShape is returned when multi-column inputs are ragged.

@@ -288,12 +288,7 @@ func (p *Program) NewTable(width int, rows [][]string, opt Options) (*Table, err
 	t.delta = newPayload(ncols)
 	if len(rows) > 0 {
 		pl := t.buildPayload(rows)
-		seg := blocking.BuildSegment(pl.keys, t.parallelism)
-		alive := make([]bool, len(rows))
-		for i := range alive {
-			alive[i] = true
-		}
-		t.tix.AttachSegment(seg, alive, true)
+		t.tix = blocking.BuildTableIndex(pl.keys, t.parallelism)
 		t.segs = append(t.segs, pl)
 		for i := range pl.rows {
 			t.applyStats(pl, i, true)
@@ -660,17 +655,11 @@ func (t *Table) compactMajor(ctx context.Context) (bool, error) {
 	par := t.parallelism
 	t.mu.RUnlock()
 
-	seg := blocking.BuildSegment(npl.keys, par)
+	ntix := blocking.BuildTableIndex(npl.keys, par)
 	if err := ctx.Err(); err != nil {
 		t.endCompaction()
 		return false, err
 	}
-	ntix := blocking.NewTableIndex()
-	alive := make([]bool, n)
-	for i := range alive {
-		alive[i] = true
-	}
-	ntix.AttachSegment(seg, alive, true)
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
