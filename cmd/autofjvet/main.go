@@ -2,42 +2,31 @@
 // analyzers that mechanically enforce the invariants the engine's
 // guarantees rest on — deterministic output (detrange locally, dettaint
 // across call edges), an allocation-free steady state (hotpath locally,
-// hotcall across call edges), sync.Pool hygiene (poolsafe), hot-swap
-// safety (atomicswap), context propagation (ctxflow), lock discipline
-// (lockhold), goroutine lifecycle (leakygo), and hot-struct memory
-// layout (fieldalign). The interprocedural analyzers consume per-
-// function summaries computed to fixpoint over the module call graph;
-// see internal/analysis for the engine and the //autofj: annotation
-// grammar.
+// hotcall across call edges), sync.Pool hygiene (poolsafe), context
+// propagation (ctxflow), lock discipline (lockhold), goroutine lifecycle
+// (leakygo), and hot-struct memory layout (fieldalign). Copies of typed
+// atomics are left to stock `go vet` (copylocks). The interprocedural
+// analyzers consume per-function summaries computed to fixpoint over the
+// module call graph; see internal/analysis for the engine and the
+// //autofj: annotation grammar.
 //
-// Two modes:
+// Usage:
 //
 //	autofjvet [-json] [dir]
-//	    Standalone: typecheck every package of the module containing
-//	    dir (default ".") from source, compute summaries module-wide,
-//	    and run all analyzers. Exits 1 if any diagnostic fires. No
-//	    build cache or export data needed. -json emits the diagnostics
-//	    as a machine-readable JSON array on stdout (file, line, column,
-//	    analyzer, message, and the annotation that would accept the
-//	    site) for CI artifacts and editor tooling.
 //
-//	go vet -vettool=$(go run ./cmd/autofjvet -print-path) ./...
-//	    Vet-tool: speaks cmd/go's unitchecker protocol (-V=full,
-//	    -flags, *.cfg) so the toolchain drives it package by package
-//	    with compiler export data; each unit's vetx facts file carries
-//	    its function summaries to dependent units. -print-path copies
-//	    the binary to a stable location and prints it, because `go run`
-//	    binaries live in a temp dir that is gone before vet can exec
-//	    them.
+// It typechecks every package of the module containing dir (default
+// ".") from source, computes summaries module-wide, and runs all
+// analyzers. It exits 1 if any diagnostic fires. No build cache or
+// export data is needed. -json emits the diagnostics as a
+// machine-readable JSON array on stdout (file, line, column, analyzer,
+// message, and the annotation that would accept the site) for CI
+// artifacts and editor tooling.
 package main
 
 import (
-	"crypto/sha256"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/analysis"
 )
@@ -46,106 +35,23 @@ func main() {
 	var rest []string
 	jsonOut := false
 	for _, a := range os.Args[1:] {
-		switch {
-		case a == "-V=full" || a == "--V=full":
-			printVersion()
-			return
-		case a == "-flags" || a == "--flags":
-			// cmd/go asks which flags the tool accepts; none beyond
-			// the protocol's own.
-			fmt.Println("[]")
-			return
-		case a == "-print-path" || a == "--print-path":
-			printPath()
-			return
-		case a == "-json" || a == "--json":
+		switch a {
+		case "-json", "--json":
 			jsonOut = true
-		case a == "-h" || a == "-help" || a == "--help":
-			fmt.Fprintln(os.Stderr, "usage: autofjvet [-json] [dir] | autofjvet -print-path | go vet -vettool=autofjvet")
+		case "-h", "-help", "--help":
+			fmt.Fprintln(os.Stderr, "usage: autofjvet [-json] [dir]")
 			os.Exit(2)
 		default:
 			rest = append(rest, a)
 		}
 	}
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		os.Exit(runUnitchecker(rest[0]))
-	}
-	os.Exit(runStandalone(rest, jsonOut))
+	os.Exit(run(rest, jsonOut))
 }
 
-// printVersion implements the -V=full handshake: cmd/go fingerprints
-// vet tools by this line's buildID field to key its action cache, and
-// requires the `<name> version ...` shape.
-func printVersion() {
-	exe, err := os.Executable()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "autofjvet:", err)
-		os.Exit(1)
-	}
-	data, err := os.ReadFile(exe)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "autofjvet:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("%s version devel comments-go-here buildID=%02x\n",
-		filepath.Base(exe), sha256.Sum256(data))
-}
-
-// printPath copies the running binary to a stable per-user location and
-// prints that path, so `-vettool=$(go run ./cmd/autofjvet -print-path)`
-// works even though go run's binary is deleted when it exits.
-func printPath() {
-	exe, err := os.Executable()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "autofjvet:", err)
-		os.Exit(1)
-	}
-	cacheDir, err := os.UserCacheDir()
-	if err != nil {
-		cacheDir = os.TempDir()
-	}
-	dir := filepath.Join(cacheDir, "autofjvet")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, "autofjvet:", err)
-		os.Exit(1)
-	}
-	dst := filepath.Join(dir, filepath.Base(exe))
-	if err := copyFile(dst, exe); err != nil {
-		fmt.Fprintln(os.Stderr, "autofjvet:", err)
-		os.Exit(1)
-	}
-	fmt.Println(dst)
-}
-
-func copyFile(dst, src string) error {
-	in, err := os.Open(src)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	tmp, err := os.CreateTemp(filepath.Dir(dst), ".autofjvet-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := io.Copy(tmp, in); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Chmod(0o755); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), dst)
-}
-
-// runStandalone loads the whole module from source and runs every
-// analyzer, printing file:line:col diagnostics (or, with -json, a
-// machine-readable array on stdout).
-func runStandalone(args []string, jsonOut bool) int {
+// run loads the whole module from source and runs every analyzer,
+// printing file:line:col diagnostics (or, with -json, a machine-readable
+// array on stdout).
+func run(args []string, jsonOut bool) int {
 	dir := "."
 	if len(args) == 1 {
 		dir = args[0]

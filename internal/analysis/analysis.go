@@ -3,14 +3,13 @@
 // only spot-check: bit-identical output at any parallelism (no map-order
 // nondeterminism on result paths), allocation-free steady state in
 // annotated hot functions, sync.Pool hygiene (no pooled reference fields
-// that pin query memory), atomic.Pointer access discipline, and context
-// propagation through the serving path.
+// that pin query memory), and context propagation through the serving
+// path.
 //
 // The types mirror golang.org/x/tools/go/analysis closely — Analyzer,
 // Pass, Diagnostic — but are self-contained on the standard library so
-// the vettool builds in a dependency-free module. cmd/autofjvet drives
-// the analyzers either standalone (over the whole module, loaded from
-// source) or under `go vet -vettool=...` via the unitchecker protocol.
+// the tool builds in a dependency-free module. cmd/autofjvet drives the
+// analyzers over the whole module, loaded from source.
 package analysis
 
 import (
@@ -44,10 +43,9 @@ type Pass struct {
 	Report     func(Diagnostic)
 
 	// Summaries holds the interprocedural per-function facts computed
-	// over every package in the run (plus any facts imported from
-	// dependency vetx files in unitchecker mode). The summary-driven
-	// analyzers (hotcall, dettaint, lockhold, leakygo) consume it; it
-	// is never nil when RunAnalyzers drives the pass.
+	// over every package in the run. The summary-driven analyzers
+	// (hotcall, dettaint, lockhold, leakygo) consume it; it is never
+	// nil when RunAnalyzers drives the pass.
 	Summaries *SummarySet
 
 	ann *annIndex // lazily built annotation index

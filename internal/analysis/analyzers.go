@@ -4,12 +4,13 @@ package analysis
 // be grouped when positions tie. The set is the repo's invariant
 // contract: determinism (detrange and its interprocedural extension
 // dettaint), steady-state allocation discipline (hotpath locally,
-// hotcall across call edges), pool hygiene (poolsafe), hot-swap safety
-// (atomicswap), cancellation flow (ctxflow), goroutine lifecycle
-// (leakygo), lock discipline (lockhold), memory layout (fieldalign),
-// and the annotation grammar that keeps all the escapes honest
-// (directives). The last four consume the interprocedural summary
-// engine (summary.go) over the call graph (callgraph.go).
+// hotcall across call edges), pool hygiene (poolsafe), cancellation
+// flow (ctxflow), goroutine lifecycle (leakygo), lock discipline
+// (lockhold), memory layout (fieldalign), and the annotation grammar
+// that keeps all the escapes honest (directives). hotcall, dettaint,
+// lockhold and leakygo consume the interprocedural summary engine
+// (summary.go) over the call graph (callgraph.go). By-value copies of
+// typed atomics are stock `go vet`'s copylocks check, not one of these.
 func All() []*Analyzer {
 	return []*Analyzer{
 		Directives,
@@ -18,7 +19,6 @@ func All() []*Analyzer {
 		HotPath,
 		HotCall,
 		PoolSafe,
-		AtomicSwap,
 		CtxFlow,
 		LockHold,
 		LeakyGo,

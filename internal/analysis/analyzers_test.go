@@ -30,10 +30,6 @@ func TestPoolSafe(t *testing.T) {
 	analysistest.Run(t, fixture("poolsafe"), "example.com/poolsafe", analysis.PoolSafe)
 }
 
-func TestAtomicSwap(t *testing.T) {
-	analysistest.Run(t, fixture("atomicswap"), "example.com/atomicswap", analysis.AtomicSwap)
-}
-
 func TestCtxFlow(t *testing.T) {
 	analysistest.Run(t, fixture("ctxflow"), "example.com/ctxflow", analysis.CtxFlow)
 }

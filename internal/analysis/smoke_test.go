@@ -7,16 +7,16 @@ import (
 )
 
 // TestModuleRunsClean is the tree gate: every autofjvet analyzer —
-// all eleven, including the interprocedural four (dettaint, hotcall,
+// all ten, including the interprocedural four (dettaint, hotcall,
 // lockhold, leakygo) — over every package of the module must produce
 // zero diagnostics. A change that violates an invariant — an unsorted
 // map range on a result path, an allocation in a hotpath function, an
 // unreset pooled field, a lock held across a blocking call — fails
-// this test with the same message the vettool prints, and a deliberate
+// this test with the same message autofjvet prints, and a deliberate
 // exception must be annotated (with a reason) to pass.
 func TestModuleRunsClean(t *testing.T) {
-	if n := len(analysis.All()); n != 11 {
-		t.Fatalf("analysis.All() returns %d analyzers, want 11; update this test when adding analyzers", n)
+	if n := len(analysis.All()); n != 10 {
+		t.Fatalf("analysis.All() returns %d analyzers, want 10; update this test when adding analyzers", n)
 	}
 	loader, err := analysis.NewLoader("../..")
 	if err != nil {

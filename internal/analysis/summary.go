@@ -1,12 +1,9 @@
 package analysis
 
 import (
-	"encoding/json"
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -21,55 +18,52 @@ import (
 // sites are visited in deterministic source order, the blame chains in
 // diagnostics are identical across runs.
 //
-// Summaries serialize to JSON so `go vet -vettool` mode can persist one
-// package's facts into its vetx file and read its dependencies' facts
-// back (cmd/autofjvet); standalone mode computes the whole module in
-// one pass and never touches disk. Standard-library callees have no
-// source in either mode — a curated fact table (stdlibFacts) covers the
-// ones that matter, and unknown externals are treated as fact-free so
-// the analyzers stay silent rather than guess.
+// autofjvet computes the whole module in one pass and never touches
+// disk. Standard-library callees have no source — a curated fact table
+// (stdlibFacts) covers the ones that matter, and unknown externals are
+// treated as fact-free so the analyzers stay silent rather than guess.
 
 // A Summary records the interprocedural facts of one function.
 type Summary struct {
-	// HotPath mirrors the //autofj:hotpath doc annotation so callers in
-	// other packages can see it without the source.
-	HotPath bool `json:"hotpath,omitempty"`
+	// HotPath mirrors the //autofj:hotpath doc annotation, so hotcall
+	// leaves a hotpath callee to the hotpath analyzer.
+	HotPath bool
 
 	// MayAlloc reports an allocation-inducing construct reachable from
 	// the function (same predicate as the hotpath analyzer, with
 	// //autofj:alloc-ok sites excluded — a blessed cold path does not
 	// taint callers). AllocWhat/AllocAt describe the leaf cause and
 	// AllocPath the call chain to it (empty when the cause is local).
-	MayAlloc  bool     `json:"may_alloc,omitempty"`
-	AllocWhat string   `json:"alloc_what,omitempty"`
-	AllocAt   string   `json:"alloc_at,omitempty"`
-	AllocPath []string `json:"alloc_path,omitempty"`
+	MayAlloc  bool
+	AllocWhat string
+	AllocAt   string
+	AllocPath []string
 
 	// MintsContext reports a context.Background()/TODO() call reachable
 	// from the function (ctx-ok sites excluded).
-	MintsContext bool `json:"mints_context,omitempty"`
+	MintsContext bool
 
 	// OrderEscapes reports that the function's return value depends on
 	// map iteration order with no sort barrier in between: it ranges a
 	// map (or calls maps.Keys/Values) into something it returns, or
 	// forwards a tainted callee result, without sorting.
-	OrderEscapes bool   `json:"order_escapes,omitempty"`
-	OrderWhat    string `json:"order_what,omitempty"`
-	OrderAt      string `json:"order_at,omitempty"`
+	OrderEscapes bool
+	OrderWhat    string
+	OrderAt      string
 
 	// Blocks reports that the function can park its goroutine: channel
 	// operations, selects without default, time.Sleep, WaitGroup.Wait,
 	// IO through readers/writers/conns, or a callee that does.
-	Blocks    bool     `json:"blocks,omitempty"`
-	BlockWhat string   `json:"block_what,omitempty"`
-	BlockAt   string   `json:"block_at,omitempty"`
-	BlockPath []string `json:"block_path,omitempty"`
+	Blocks    bool
+	BlockWhat string
+	BlockAt   string
+	BlockPath []string
 
 	// SpawnsGoroutine reports a reachable `go` statement.
-	SpawnsGoroutine bool `json:"spawns_goroutine,omitempty"`
+	SpawnsGoroutine bool
 
 	// AcquiresLock reports a reachable sync.Mutex/RWMutex Lock/RLock.
-	AcquiresLock bool `json:"acquires_lock,omitempty"`
+	AcquiresLock bool
 
 	// LeakRisk reports constructs that can keep a goroutine running or
 	// parked forever when this function is a goroutine body: unbounded
@@ -77,21 +71,15 @@ type Summary struct {
 	// reports a reachable shutdown signal: a context parameter or use,
 	// a WaitGroup.Done, or a receive from a done-style channel
 	// (chan struct{} / chan time.Time).
-	LeakRisk   bool   `json:"leak_risk,omitempty"`
-	RiskWhat   string `json:"risk_what,omitempty"`
-	Cancelable bool   `json:"cancelable,omitempty"`
+	LeakRisk   bool
+	RiskWhat   string
+	Cancelable bool
 }
 
 // A SummarySet maps canonical function names (types.Func.FullName of
 // the generic origin) to their summaries.
 type SummarySet struct {
-	m   map[string]*Summary
-	pkg map[string]string // key -> defining package path
-}
-
-// NewSummarySet returns an empty set.
-func NewSummarySet() *SummarySet {
-	return &SummarySet{m: map[string]*Summary{}, pkg: map[string]string{}}
+	m map[string]*Summary
 }
 
 // summaryKey canonicalizes a function object: generic instances share
@@ -120,79 +108,10 @@ func (s *SummarySet) Lookup(fn *types.Func) *Summary {
 	return nil
 }
 
-// Add inserts (or replaces) a summary under the given key.
-func (s *SummarySet) Add(key, pkgPath string, sum *Summary) {
-	s.m[key] = sum
-	s.pkg[key] = pkgPath
-}
-
-// Len reports the number of module summaries in the set.
-func (s *SummarySet) Len() int { return len(s.m) }
-
-// EncodePackage serializes the summaries of one package's functions,
-// keys sorted, for a vetx facts file.
-func (s *SummarySet) EncodePackage(pkgPath string) ([]byte, error) {
-	out := map[string]*Summary{}
-	for key, sum := range s.m {
-		if s.pkg[key] == pkgPath {
-			out[key] = sum
-		}
-	}
-	keys := make([]string, 0, len(out))
-	for k := range out {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString("{")
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteString(",")
-		}
-		kj, _ := json.Marshal(k)
-		vj, err := json.Marshal(out[k])
-		if err != nil {
-			return nil, err
-		}
-		b.Write(kj)
-		b.WriteString(":")
-		b.Write(vj)
-	}
-	b.WriteString("}")
-	return []byte(b.String()), nil
-}
-
-// MergeEncoded decodes a facts file produced by EncodePackage into the
-// set, attributing every entry to pkgPath. Empty and missing payloads
-// are fine: a dependency with no module functions (or a pre-summary
-// vetx file) contributes nothing.
-func (s *SummarySet) MergeEncoded(data []byte, pkgPath string) error {
-	if len(data) == 0 {
-		return nil
-	}
-	decoded := map[string]*Summary{}
-	if err := json.Unmarshal(data, &decoded); err != nil {
-		return fmt.Errorf("analysis: decoding summary facts for %s: %w", pkgPath, err)
-	}
-	for k, v := range decoded {
-		s.m[k] = v
-		s.pkg[k] = pkgPath
-	}
-	return nil
-}
-
 // ComputeSummaries builds the call graph over pkgs and computes every
-// function's summary to fixpoint. prior supplies facts for functions
-// outside pkgs (dependency vetx facts in unitchecker mode); it may be
-// nil. The returned set contains prior's entries plus the new ones.
-func ComputeSummaries(fset *token.FileSet, pkgs []*Package, prior *SummarySet) *SummarySet {
-	set := NewSummarySet()
-	if prior != nil {
-		for k, v := range prior.m {
-			set.m[k] = v
-			set.pkg[k] = prior.pkg[k]
-		}
-	}
+// function's summary to fixpoint.
+func ComputeSummaries(fset *token.FileSet, pkgs []*Package) *SummarySet {
+	set := &SummarySet{m: map[string]*Summary{}}
 	graph := BuildCallGraph(pkgs)
 
 	// A lightweight Pass per package gives the local scan access to the
@@ -210,8 +129,7 @@ func ComputeSummaries(fset *token.FileSet, pkgs []*Package, prior *SummarySet) *
 
 	// Phase 1: local facts from each body.
 	for _, node := range graph.Nodes {
-		sum := localFacts(passes[node.Pkg], node)
-		set.Add(summaryKey(node.Obj), node.Pkg.PkgPath, sum)
+		set.m[summaryKey(node.Obj)] = localFacts(passes[node.Pkg], node)
 	}
 
 	// Phase 2: propagate callee facts across call edges to fixpoint.

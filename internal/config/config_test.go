@@ -203,7 +203,7 @@ func TestIDFWeightingChangesDistances(t *testing.T) {
 // cold or warm) allocates nothing.
 func TestReweightedMatchesProfileAndNeverAllocates(t *testing.T) {
 	f := JoinFunction{Pre: textproc.Lower, Tok: tokenize.Space, Weight: weights.IDF, Dist: JD}
-	c := NewCorpusShell([]JoinFunction{f})
+	c := NewCorpus([]JoinFunction{f})
 	st := weights.NewEmptyStats()
 	c.SetStats(f.Pre, f.Tok, st)
 	docs := []string{"alpha team", "beta team", "gamma team alpha", "delta squad"}

@@ -26,13 +26,6 @@ type Rep struct {
 	Tok tokenize.Option
 }
 
-// NewCorpusShell builds a Corpus with the representation needs of space but
-// no statistics. Install mutable statistics with SetStats before building
-// query profiles for IDF-weighted spaces.
-func NewCorpusShell(space []JoinFunction) *Corpus {
-	return NewCorpus(space)
-}
-
 // SetStats installs the (typically mutable, externally maintained) IDF
 // statistics for one representation pair.
 func (c *Corpus) SetStats(pre textproc.Option, tok tokenize.Option, st *weights.Stats) {

@@ -45,7 +45,9 @@ func newCorpusNeeds(space []JoinFunction) *Corpus {
 // NewCorpus computes the corpus statistics required by space over the given
 // record collections (typically L and R). Code that also needs the
 // collections' profiles should call NewCorpusProfiles, which tokenizes
-// every record once for both.
+// every record once for both. With no collections the statistics are
+// empty; install mutable ones with SetStats before building query
+// profiles for IDF-weighted spaces.
 func NewCorpus(space []JoinFunction, collections ...[]string) *Corpus {
 	c := newCorpusNeeds(space)
 	// IDF stats are needed for every (pre, tok) that has an IDF vector.

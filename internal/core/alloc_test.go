@@ -9,7 +9,8 @@ import (
 // result cache holds a surface form, Match and MatchRow run without a
 // single heap allocation. A regression here is a silent performance cliff
 // long before it is a correctness bug, so it fails the ordinary test
-// suite, not just the benchgate.
+// suite. The root package's TestAllocationBudgets budgets the other
+// serving paths.
 func TestMatchZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled scratch at random under the race detector")

@@ -266,7 +266,7 @@ func (p *Program) NewTable(width int, rows [][]string, opt Options) (*Table, err
 	}
 	t.cols = make([]tableCol, ncols)
 	for j := range t.cols {
-		corpus := config.NewCorpusShell(t.space)
+		corpus := config.NewCorpus(t.space)
 		reps := corpus.IDFReps()
 		if j == 0 {
 			t.reps = reps
