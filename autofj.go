@@ -26,9 +26,10 @@
 // (a Table) with the blocking index, record profiles, and negative rules
 // prepared exactly once. Queries then run as cheap repeated calls —
 // Matcher.Match for one record, Matcher.MatchBatch for a table (sharded
-// by Options.Parallelism), and Matcher.MatchStream for pipelined
-// workloads — all context-aware and bit-identical to re-applying the
-// program from scratch. The same handle takes Add/Remove/Compact when
+// by Options.Parallelism), and Matcher.MatchStream for an iterator of
+// records, matched chunk by chunk on the caller's goroutine — all
+// context-aware and bit-identical to re-applying the program from
+// scratch. The same handle takes Add/Remove/Compact when
 // the reference table changes.
 //
 // The learned program is also a portable artifact: save it with

@@ -56,6 +56,7 @@ import (
 	"strings"
 
 	autofj "github.com/chu-data-lab/autofuzzyjoin-go"
+	"github.com/chu-data-lab/autofuzzyjoin-go/internal/core"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/dataset"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/serve"
 )
@@ -240,7 +241,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		}
 		result.Rows = append(result.Rows, []string{
 			strconv.Itoa(r), strconv.Itoa(m.Left),
-			rightVals[r], displayRow(tb.Rows[r], tab.MultiColumn()),
+			rightVals[r], core.DisplayRow(tb.Rows[r], tab.MultiColumn()),
 			strconv.FormatFloat(m.Precision, 'f', 4, 64),
 		})
 	}
@@ -283,19 +284,6 @@ func buildTable(prog *autofj.Program, left dataset.Table, column, appendPath str
 	}
 	fmt.Fprintf(stderr, "appended %d rows from %s (%d reference records)\n", len(rows), appendPath, tab.Len())
 	return tab, nil
-}
-
-// displayRow renders a matched reference row: the key cell for
-// single-column programs, the whitespace-normalized concatenation for
-// multi-column ones (same form as serve.ConcatRows).
-func displayRow(row []string, multi bool) string {
-	if len(row) == 0 {
-		return ""
-	}
-	if !multi {
-		return row[0]
-	}
-	return strings.Join(strings.Fields(strings.Join(row, " ")), " ")
 }
 
 // withOutput runs fn against stdout or the -out file. The file's Close
@@ -405,7 +393,7 @@ func serveStdin(tab *autofj.Table, stdin io.Reader, out, stderr io.Writer) error
 				return rerr
 			}
 			rec = []string{
-				line, strconv.Itoa(m.Left), displayRow(leftRow, tab.MultiColumn()),
+				line, strconv.Itoa(m.Left), core.DisplayRow(leftRow, tab.MultiColumn()),
 				strconv.FormatFloat(m.Distance, 'f', 4, 64),
 				strconv.FormatFloat(m.Precision, 'f', 4, 64),
 			}

@@ -88,8 +88,8 @@ func main() {
 		}
 	}
 
-	// Streaming queries: results arrive in input order while the next
-	// chunk is matched concurrently.
+	// Streaming queries: results arrive in input order, one MatchBatch
+	// per chunk of the iterator.
 	stream := func(yield func(string) bool) {
 		for _, q := range []string{"apple iphone12 mini", "one plus 8 pro", "galaxy s21"} {
 			if !yield(q) {

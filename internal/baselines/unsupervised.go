@@ -7,7 +7,6 @@ import (
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/distance"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/metrics"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/tokenize"
-	"github.com/chu-data-lab/autofuzzyjoin-go/internal/weights"
 )
 
 // Excel mimics the Excel Fuzzy Lookup add-in: a carefully weighted static
@@ -171,9 +170,4 @@ func tokenSet(s string) map[string]bool {
 		m[t] = true
 	}
 	return m
-}
-
-// idfVector is a small helper shared by tests.
-func idfVector(s string, stats *weights.Stats) distance.Sparse {
-	return distance.NewSparse(weights.IDF.Vector(tokenize.Space.Tokens(strings.ToLower(s)), stats))
 }

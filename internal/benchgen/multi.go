@@ -326,12 +326,3 @@ func MultiColumnTask(idx int, opt Options) dataset.Task {
 		Truth: truth,
 	}
 }
-
-// MultiColumnTasks generates the 8-task multi-column benchmark.
-func MultiColumnTasks(opt Options) []dataset.Task {
-	out := make([]dataset.Task, len(multiSpecs))
-	for i := range multiSpecs {
-		out[i] = MultiColumnTask(i, opt)
-	}
-	return out
-}

@@ -136,15 +136,6 @@ func SingleColumnTask(idx int, opt Options) dataset.Task {
 	return assembleTask(rng, sp.name, names, sp.profile, sp.rPerEnt, sp.missRate)
 }
 
-// SingleColumnTasks generates the full 50-task benchmark.
-func SingleColumnTasks(opt Options) []dataset.Task {
-	out := make([]dataset.Task, len(singleSpecs))
-	for i := range singleSpecs {
-		out[i] = SingleColumnTask(i, opt)
-	}
-	return out
-}
-
 // uniqueNames produces n distinct entity names for the spec by mixed-radix
 // enumeration over independently shuffled pool copies, which guarantees
 // uniqueness (the reference-table property) while looking non-grid-like.

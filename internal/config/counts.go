@@ -46,11 +46,8 @@ func (c *Corpus) IDFReps() []Rep {
 	return reps
 }
 
-// NeedsReweight reports whether the space uses IDF weighting at all; when
+// reweight reports whether the space uses IDF weighting at all; when
 // false, a count profile already is the full profile.
-func (c *Corpus) NeedsReweight() bool { return c.reweight() }
-
-// reweight is the allocation-free form of NeedsReweight.
 //
 //autofj:hotpath
 func (c *Corpus) reweight() bool {
@@ -176,15 +173,6 @@ func (p *Profile) CountVec(pre textproc.Option, tok tokenize.Option) distance.Sp
 	return distance.Sparse{}
 }
 
-// Embedding returns the record's embedding under pre, or the zero vector
-// when the profile was built without embeddings.
-func (p *Profile) Embedding(pre textproc.Option) embed.Vector {
-	if p.emb == nil {
-		return embed.Vector{}
-	}
-	return p.emb[pre]
-}
-
 // ProfileParts is the exported decomposition of a count profile, used by
 // the binary snapshot codec in core. ProcSet/CountSet mark which slots were
 // populated; unset slots stay zero.
@@ -249,13 +237,6 @@ func FillProfileFromParts(dst *Profile, parts *ProfileParts, vecArena *[]VecBloc
 			}
 		}
 	}
-}
-
-// ProfileFromParts reassembles a count profile from its serialized parts.
-func ProfileFromParts(parts ProfileParts) *Profile {
-	p := &Profile{}
-	FillProfileFromParts(p, &parts, nil)
-	return p
 }
 
 // ReweightScratch holds the reusable buffers of Reweighted. The profile it

@@ -143,52 +143,11 @@ func (e *Evaluator) NewScratch() *EvalScratch { return &EvalScratch{} }
 func (e *Evaluator) Distances(l, r *Profile, sc *EvalScratch, out []float64) {
 	for gi := range e.char {
 		g := &e.char[gi]
-		cd := sc.char.Distances(l.proc[g.pre], r.proc[g.pre], g.need)
-		for _, s := range g.fns {
-			switch s.dist {
-			case ED:
-				out[s.fi] = cd.ED
-			case JW:
-				out[s.fi] = cd.JW
-			case ME:
-				out[s.fi] = cd.ME
-			case SW:
-				out[s.fi] = cd.SW
-			default:
-				// Unknown char-based distances score 1, matching the
-				// JoinFunction.Distance fallback; never leave the reused
-				// output buffer holding the previous pair's value.
-				out[s.fi] = 1
-			}
-		}
+		scatterChar(g, sc.char.Distances(l.proc[g.pre], r.proc[g.pre], g.need), out)
 	}
 	for gi := range e.set {
 		g := &e.set[gi]
-		sd := distance.SetFamily(l.vecs[g.pre][g.tok][g.wt], r.vecs[g.pre][g.tok][g.wt])
-		for _, s := range g.fns {
-			switch s.dist {
-			case JD:
-				out[s.fi] = sd.JD
-			case CD:
-				out[s.fi] = sd.CD
-			case DD:
-				out[s.fi] = sd.DD
-			case MD:
-				out[s.fi] = sd.MD
-			case ID:
-				out[s.fi] = sd.ID
-			case CJD:
-				out[s.fi] = sd.CJD
-			case CCD:
-				out[s.fi] = sd.CCD
-			case CDD:
-				out[s.fi] = sd.CDD
-			default:
-				// Unknown set-based distances score 1, matching the
-				// JoinFunction.Distance fallback.
-				out[s.fi] = 1
-			}
-		}
+		scatterSet(g, distance.SetFamily(l.vecs[g.pre][g.tok][g.wt], r.vecs[g.pre][g.tok][g.wt]), out)
 	}
 	for gi := range e.emb {
 		g := &e.emb[gi]
@@ -200,7 +159,7 @@ func (e *Evaluator) Distances(l, r *Profile, sc *EvalScratch, out []float64) {
 }
 
 // scatterChar fans one fused char-kernel result out to the plan's
-// function slots (shared by the pointer and arena paths).
+// function slots (shared by Distances and ArenaDistances).
 //
 //autofj:hotpath
 func scatterChar(g *charPlan, cd distance.CharDists, out []float64) {
@@ -215,13 +174,16 @@ func scatterChar(g *charPlan, cd distance.CharDists, out []float64) {
 		case SW:
 			out[s.fi] = cd.SW
 		default:
+			// Unknown char-based distances score 1, matching the
+			// JoinFunction.Distance fallback; never leave the reused
+			// output buffer holding the previous pair's value.
 			out[s.fi] = 1
 		}
 	}
 }
 
 // scatterSet fans one fused set-kernel result out to the plan's function
-// slots.
+// slots (shared by Distances and ArenaDistances).
 //
 //autofj:hotpath
 func scatterSet(g *setPlan, sd distance.SetDists, out []float64) {
@@ -244,6 +206,8 @@ func scatterSet(g *setPlan, sd distance.SetDists, out []float64) {
 		case CDD:
 			out[s.fi] = sd.CDD
 		default:
+			// Unknown set-based distances score 1, matching the
+			// JoinFunction.Distance fallback.
 			out[s.fi] = 1
 		}
 	}

@@ -19,6 +19,11 @@ const unjoinableDist = 0.9995
 // 1/250 are all "hopeless" for any realistic τ, so the cap loses nothing.
 const maxBallCount = 250
 
+// ballRadius is the estimation ball's radius in units of the threshold:
+// a join at threshold θ is judged by the reference records within 2θ of
+// its target, the triangle-inequality argument of Eq. 8.
+const ballRadius = 2
+
 // engineInput abstracts the distance oracle so that the same greedy
 // machinery (Algorithm 1) serves both single-column joins (profile-based
 // distances) and multi-column joins (weighted per-column tensors).
@@ -43,8 +48,6 @@ type engineInput struct {
 	// record itself, which would otherwise poison every estimate with a
 	// guaranteed extra ball member (its own duplicate candidate).
 	selfJoin bool
-	// ballFactor scales the estimation ball radius (2.0 per Eq. 8).
-	ballFactor float64
 }
 
 // pairEval is a per-worker fused distance oracle: lr fills out[fi] with
@@ -298,10 +301,6 @@ func prepare(in *engineInput, parallelism int) []*preparedFn {
 	// per-center distance matrix and counts the 2θ-balls of its rows.
 	// Writes are disjoint — every (function, joinable row) belongs to
 	// exactly one center — so scheduling cannot change the output.
-	factor := in.ballFactor
-	if factor <= 0 {
-		factor = 2
-	}
 	parallel.Shard(len(centers), workers, func(_, start, end int) {
 		ev := in.newEval()
 		row := make([]float64, numFn)
@@ -325,7 +324,7 @@ func prepare(in *engineInput, parallelism int) []*preparedFn {
 				ball = append(ball[:0], mat[int(fc.fi)*nCand:(int(fc.fi)+1)*nCand]...)
 				sort.Float64s(ball)
 				for _, ji := range plan.rows[plan.rowOff[fc.ci]:plan.rowOff[fc.ci+1]] {
-					countBall(in, fn, plan.arena, int(ji), ball, factor)
+					countBall(in, fn, plan.arena, int(ji), ball)
 				}
 			}
 		}
@@ -358,7 +357,7 @@ func prepare(in *engineInput, parallelism int) []*preparedFn {
 
 // countBall fills one joinable row's 2θ-ball counts from its center's
 // sorted ball distances (phase 3 of prepare).
-func countBall(in *engineInput, fn *preparedFn, arena []uint8, ji int, ball []float64, factor float64) {
+func countBall(in *engineInput, fn *preparedFn, arena []uint8, ji int, ball []float64) {
 	s := in.steps
 	r := int(fn.joinable[ji])
 	kMin := fn.kMin[r]
@@ -377,7 +376,7 @@ func countBall(in *engineInput, fn *preparedFn, arena []uint8, ji int, ball []fl
 	counts := arena[ji*s : (ji+1)*s : (ji+1)*s]
 	bi := 0
 	for k := int(kMin); k < s; k++ {
-		radius := factor * fn.thresholds[k]
+		radius := ballRadius * fn.thresholds[k]
 		for bi < len(ball) && ball[bi] <= radius {
 			bi++
 		}
@@ -487,9 +486,6 @@ func greedy(in *engineInput, fns []*preparedFn, opt Options) *engineOut {
 	}
 
 	for iter := 1; ; iter++ {
-		if opt.MaxIterations > 0 && iter > opt.MaxIterations {
-			break
-		}
 		bestFi, bestK := -1, -1
 		bestTP, bestFP := 0.0, 0.0
 		found := false

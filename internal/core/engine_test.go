@@ -218,29 +218,6 @@ func TestGreedyStopsAtPrecisionTarget(t *testing.T) {
 	}
 }
 
-func TestBallRadiusFactorMonotone(t *testing.T) {
-	// A larger estimation ball can only lower (or keep) every precision
-	// estimate, so the joined set at a fixed target shrinks or holds.
-	in, _, _ := figure4Input(t)
-	in.ballFactor = 1.0
-	loose := prepare(in, 1)
-	in2, _, _ := figure4Input(t)
-	in2.ballFactor = 3.0
-	tight := prepare(in2, 1)
-	fl, ft := loose[0], tight[0]
-	for r := 0; r < in.nR; r++ {
-		if fl.cnt[r] == nil || ft.cnt[r] == nil {
-			continue
-		}
-		for k := int(fl.kMin[r]); k < in.steps; k++ {
-			if ft.cnt[r][k] < fl.cnt[r][k] {
-				t.Fatalf("r%d k%d: bigger ball has smaller count (%d < %d)",
-					r, k, ft.cnt[r][k], fl.cnt[r][k])
-			}
-		}
-	}
-}
-
 func TestExplain(t *testing.T) {
 	in, _, _ := figure4Input(t)
 	fns := prepare(in, 1)
@@ -269,14 +246,5 @@ func TestExplain(t *testing.T) {
 	}
 	if s := res.Explain(Join{Config: 99}); s == "" {
 		t.Error("Explain on bad config empty")
-	}
-}
-
-func TestMaxIterationsCap(t *testing.T) {
-	in, _, _ := figure4Input(t)
-	fns := prepare(in, 1)
-	out := greedy(in, fns, Options{PrecisionTarget: 0.1, ThresholdSteps: in.steps, MaxIterations: 1})
-	if len(out.program) > 1 {
-		t.Errorf("MaxIterations=1 produced %d configurations", len(out.program))
 	}
 }

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"iter"
 	"strings"
 
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/config"
@@ -27,10 +25,6 @@ type Match struct {
 
 // noMatch is the canonical unmatched result.
 func noMatch() Match { return Match{Left: -1, Config: -1} }
-
-// NoMatch returns the canonical unmatched result (Left and Config -1) —
-// what serving layers should answer for a query they could not run.
-func NoMatch() Match { return noMatch() }
 
 // Matcher is the serving handle Learn, Compile and CompileMultiColumn
 // return: a Table built from the reference table's rows. The name keeps
@@ -93,15 +87,6 @@ func (p *Program) CompileMultiColumn(leftCols [][]string, opt Options) (*Matcher
 	return p.NewTable(len(leftCols), rows, opt)
 }
 
-// ballRadii returns every configuration's ball radius, factor·θ.
-func ballRadii(configs []Configuration, factor float64) []float64 {
-	radii := make([]float64, len(configs))
-	for ci, c := range configs {
-		radii[ci] = factor * c.Threshold
-	}
-	return radii
-}
-
 // countBallRow adds one ball candidate to every configuration's count:
 // counts[ci] grows when the candidate's distance is within radii[ci],
 // saturating at maxBallCount.
@@ -135,6 +120,17 @@ func concatRow(row []string) string {
 	return strings.Join(strings.Fields(strings.Join(row, " ")), " ")
 }
 
+// DisplayRow renders a reference row the way answers show it, which is
+// also the blocking key a table derives from it: the key cell of a
+// single-column row, or the whitespace-normalized concatenation of a
+// multi-column row.
+func DisplayRow(row []string, multi bool) string {
+	if !multi {
+		return row[0]
+	}
+	return concatRow(row)
+}
+
 // appendRowKey appends a collision-free composite cache key for a row:
 // each cell is uvarint-length-prefixed, so no cell contents can forge a
 // boundary (joining with a separator byte could).
@@ -158,87 +154,7 @@ type StreamMatch struct {
 	OK     bool
 }
 
-// streamChunk is the pipelining granularity of MatchStream: big enough to
-// amortize batch fan-out, small enough to keep results flowing.
+// streamChunk is the number of records MatchStream pulls per MatchBatch
+// call: big enough to amortize the batch fan-out, small enough to keep
+// results flowing.
 const streamChunk = 128
-
-// matchStream is the streaming pipeline behind Table.MatchStream,
-// parameterized by the batch matcher it feeds.
-func matchStream(ctx context.Context, multi bool, records iter.Seq[string], batch func(context.Context, []string) ([]Match, error)) iter.Seq2[StreamMatch, error] {
-	return func(yield func(StreamMatch, error) bool) {
-		if multi {
-			yield(StreamMatch{Index: -1, Match: noMatch()}, errNeedRow)
-			return
-		}
-		ictx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		type chunk struct {
-			base int
-			recs []string
-			res  []Match
-			err  error
-		}
-		ch := make(chan chunk, 1)
-		// stopErr records a silent early producer stop; the write happens
-		// before close(ch), so the consumer's post-drain read is ordered.
-		var stopErr error
-		go func() {
-			defer close(ch)
-			base := 0
-			buf := make([]string, 0, streamChunk)
-			flush := func() bool {
-				if len(buf) == 0 {
-					return true
-				}
-				recs := buf
-				buf = make([]string, 0, streamChunk)
-				res, err := batch(ictx, recs)
-				select {
-				case ch <- chunk{base: base, recs: recs, res: res, err: err}:
-				case <-ictx.Done():
-					stopErr = ictx.Err()
-					return false
-				}
-				base += len(recs)
-				return err == nil
-			}
-			for rec := range records {
-				if err := ictx.Err(); err != nil {
-					stopErr = err
-					return
-				}
-				buf = append(buf, rec)
-				if len(buf) >= streamChunk && !flush() {
-					return
-				}
-			}
-			flush()
-		}()
-		for c := range ch {
-			if c.err != nil {
-				yield(StreamMatch{Index: c.base, Match: noMatch()}, c.err)
-				return
-			}
-			for i := range c.res {
-				sm := StreamMatch{
-					Index:  c.base + i,
-					Record: c.recs[i],
-					Match:  c.res[i],
-					OK:     c.res[i].Left >= 0,
-				}
-				if !yield(sm, nil) {
-					return
-				}
-			}
-		}
-		// The producer may have stopped silently on cancellation; surface
-		// that as a final yielded error — but only when it actually cut
-		// the stream short (a deadline expiring after the last result was
-		// delivered is not a failure).
-		if stopErr != nil {
-			if err := ctx.Err(); err != nil {
-				yield(StreamMatch{Index: -1, Match: noMatch()}, err)
-			}
-		}
-	}
-}

@@ -31,9 +31,8 @@ type pointerOracle struct {
 	cols  []oracleCol
 	nL    int
 
-	eval       *config.Evaluator
-	balls      []uint32
-	ballFactor float64
+	eval  *config.Evaluator
+	balls []uint32
 }
 
 type oracleCol struct {
@@ -66,18 +65,13 @@ func newPointerOracle(t *testing.T, p *Program, leftCols [][]string) *pointerOra
 	if beta <= 0 {
 		beta = DefaultBlockingBeta
 	}
-	factor := p.BallRadiusFactor
-	if factor <= 0 {
-		factor = 2
-	}
 	o := &pointerOracle{
-		configs:    configs,
-		multi:      multi,
-		columns:    append([]int(nil), p.Columns...),
-		weights:    append([]float64(nil), p.Weights...),
-		rowWidth:   len(leftCols),
-		nL:         len(leftKey),
-		ballFactor: factor,
+		configs:  configs,
+		multi:    multi,
+		columns:  append([]int(nil), p.Columns...),
+		weights:  append([]float64(nil), p.Weights...),
+		rowWidth: len(leftCols),
+		nL:       len(leftKey),
 	}
 	o.ix = blocking.NewIndexParallel(leftKey, 1)
 	o.k = blocking.K(len(leftKey), beta)
@@ -161,7 +155,7 @@ func (o *pointerOracle) ballCount(ci int, l int32, sc *blocking.TableScratch) ui
 	if *slot != 0 {
 		return *slot
 	}
-	radius := o.ballFactor * o.configs[ci].Threshold
+	radius := ballRadius * o.configs[ci].Threshold
 	cands := o.ix.AppendTopKSelf(nil, sc, int(l), o.k)
 	count := uint32(1)
 	for _, c := range cands {

@@ -444,7 +444,7 @@ func TestMatcherNoColumnsProgram(t *testing.T) {
 		t.Fatalf("multi=%v width=%d, want a 2-cell row handle", m.MultiColumn(), m.RowWidth())
 	}
 	ctx := context.Background()
-	if mt, ok, err := m.MatchRow(ctx, []string{"alpha", "one"}); err != nil || ok || mt != NoMatch() {
+	if mt, ok, err := m.MatchRow(ctx, []string{"alpha", "one"}); err != nil || ok || mt != noMatch() {
 		t.Errorf("MatchRow = %+v, %v, %v; want no match and no error", mt, ok, err)
 	}
 	got, err := m.MatchRows(ctx, [][]string{{"alpha", "one"}, {"zzz", ""}})
@@ -452,7 +452,7 @@ func TestMatcherNoColumnsProgram(t *testing.T) {
 		t.Fatalf("MatchRows = %v, %v", got, err)
 	}
 	for i, mt := range got {
-		if mt != NoMatch() {
+		if mt != noMatch() {
 			t.Errorf("MatchRows[%d] = %+v, want no match", i, mt)
 		}
 	}

@@ -73,13 +73,12 @@ func JoinMultiColumnTables(leftCols, rightCols [][]string, opt Options) (*Result
 			}
 		}
 		in := &engineInput{
-			space:      opt.Space,
-			steps:      opt.ThresholdSteps,
-			ballFactor: opt.BallRadiusFactor,
-			nL:         nL,
-			nR:         nR,
-			lrCand:     lrCand,
-			llCand:     llCand,
+			space:  opt.Space,
+			steps:  opt.ThresholdSteps,
+			nL:     nL,
+			nR:     nR,
+			lrCand: lrCand,
+			llCand: llCand,
 			// Weighted tensor lookups need no kernel scratch; the fused
 			// "evaluation" is a per-function linear combination of the
 			// per-column tensors computed once before the weight search.
@@ -186,7 +185,6 @@ func JoinMultiColumnTables(leftCols, rightCols [][]string, opt Options) (*Result
 	}
 	best.NegativeRules = rules
 	best.BlockingBeta = opt.BlockingBeta
-	best.BallRadiusFactor = opt.BallRadiusFactor
 	best.Timing.Blocking = blockingTime
 	best.Timing.Profile = profileTime
 	for j, wj := range w {

@@ -20,7 +20,8 @@ const (
 )
 
 // Options configures a join run. The zero value is replaced by the paper's
-// defaults; see the constants above.
+// defaults; see the constants above. The precision-estimation ball is not
+// an option: its radius is Eq. 8's 2θ (ballRadius).
 type Options struct {
 	// PrecisionTarget is τ: the greedy search adds configurations while the
 	// estimated precision of the union stays above this value.
@@ -39,8 +40,6 @@ type Options struct {
 	// SingleConfiguration restricts the output to the one best
 	// configuration instead of a union (the AutoFJ-UC ablation).
 	SingleConfiguration bool
-	// MaxIterations caps greedy iterations; 0 means unlimited.
-	MaxIterations int
 	// WeightSteps is g, the discretization of column weights in the
 	// multi-column search (Algorithm 3).
 	WeightSteps int
@@ -54,11 +53,6 @@ type Options struct {
 	// results are bit-for-bit reproducible. JoinTables,
 	// JoinMultiColumnTables, SelfJoin, and Dedup all honor this knob.
 	Parallelism int
-	// BallRadiusFactor scales the precision-estimation ball: a join at
-	// distance d is judged by the reference records within
-	// BallRadiusFactor·θ of its target (Eq. 8 uses 2, the triangle-
-	// inequality-safe choice; the ablation benches sweep it).
-	BallRadiusFactor float64
 	// QueryCacheSize bounds the serving-path result cache (distinct query
 	// surface forms whose final Match is retained; the cache flushes
 	// wholesale when full): 0 uses the built-in default of 4096, a
@@ -85,9 +79,6 @@ func (o Options) withDefaults() Options {
 	if o.WeightSteps <= 1 {
 		o.WeightSteps = DefaultWeightSteps
 	}
-	if o.BallRadiusFactor <= 0 {
-		o.BallRadiusFactor = 2.0
-	}
 	return o
 }
 
@@ -96,8 +87,8 @@ func (o Options) Validate() error {
 	if o.PrecisionTarget > 1 {
 		return errors.New("core: precision target must be in (0, 1]")
 	}
-	if o.ThresholdSteps < 0 || o.WeightSteps < 0 || o.MaxIterations < 0 || o.Parallelism < 0 {
-		return errors.New("core: negative step, iteration, or parallelism values are invalid")
+	if o.ThresholdSteps < 0 || o.WeightSteps < 0 || o.Parallelism < 0 {
+		return errors.New("core: negative step or parallelism values are invalid")
 	}
 	return nil
 }

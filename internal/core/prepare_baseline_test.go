@@ -130,10 +130,6 @@ func functionMajorPrepareFn(in *engineInput, fi int, lrDist, llDist func(fi, r, 
 		balls[int32(l)] = ds
 	}
 	cntArena := make([]uint8, s*len(fn.joinable))
-	factor := in.ballFactor
-	if factor <= 0 {
-		factor = 2
-	}
 	for ji, r32 := range fn.joinable {
 		r := int(r32)
 		kMin := fn.kMin[r]
@@ -150,7 +146,7 @@ func functionMajorPrepareFn(in *engineInput, fi int, lrDist, llDist func(fi, r, 
 		counts := cntArena[ji*s : (ji+1)*s : (ji+1)*s]
 		bi := 0
 		for k := int(kMin); k < s; k++ {
-			radius := factor * fn.thresholds[k]
+			radius := ballRadius * fn.thresholds[k]
 			for bi < len(ball) && ball[bi] <= radius {
 				bi++
 			}

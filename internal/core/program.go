@@ -15,7 +15,9 @@ import (
 // Program is the serializable form of a learned fuzzy-join program: the
 // union of configurations plus the learned negative rules. A Program can
 // be saved once and re-applied to fresh right tables — the deployment mode
-// the paper's "Explainable" property enables.
+// the paper's "Explainable" property enables. A compiled program estimates
+// precision over the 2θ ball of Eq. 8; the radius is not part of the wire
+// format (see DecodeProgram for the legacy key).
 type Program struct {
 	// Version guards the wire format.
 	Version int `json:"version"`
@@ -25,9 +27,6 @@ type Program struct {
 	NegativeRules [][2]string `json:"negative_rules,omitempty"`
 	// BlockingBeta is the blocking factor to use when applying.
 	BlockingBeta float64 `json:"blocking_beta,omitempty"`
-	// BallRadiusFactor scales the precision-estimation ball when the
-	// program is compiled into a Matcher (0 means the Eq. 8 default of 2).
-	BallRadiusFactor float64 `json:"ball_radius_factor,omitempty"`
 	// Columns and Weights carry the multi-column selection (empty for
 	// single-column programs): Columns[i] is a column index into the
 	// original tables and Weights[i] its weight in the combined distance.
@@ -46,11 +45,7 @@ type ConfigurationSpec struct {
 
 // Program extracts the serializable program from a join result.
 func (r *Result) ToProgram() *Program {
-	p := &Program{
-		Version:          1,
-		BlockingBeta:     r.BlockingBeta,
-		BallRadiusFactor: r.BallRadiusFactor,
-	}
+	p := &Program{Version: 1, BlockingBeta: r.BlockingBeta}
 	for _, c := range r.Program {
 		spec := ConfigurationSpec{
 			Preprocess: c.Function.Pre.String(),
@@ -80,19 +75,28 @@ func (p *Program) Encode() ([]byte, error) {
 	return json.MarshalIndent(p, "", "  ")
 }
 
-// DecodeProgram parses a JSON program.
+// DecodeProgram parses a JSON program. Older programs may carry a
+// ball_radius_factor key: 0 or 2 (the Eq. 8 radius) loads, and any other
+// value is an error, so a saved program never silently changes its
+// precision estimates.
 func DecodeProgram(data []byte) (*Program, error) {
-	var p Program
+	var p struct {
+		Program
+		LegacyBallRadius float64 `json:"ball_radius_factor"`
+	}
 	if err := json.Unmarshal(data, &p); err != nil {
 		return nil, fmt.Errorf("core: decoding program: %w", err)
 	}
 	if p.Version != 1 {
 		return nil, fmt.Errorf("core: unsupported program version %d", p.Version)
 	}
+	if r := p.LegacyBallRadius; r != 0 && r != ballRadius {
+		return nil, fmt.Errorf("core: program sets ball_radius_factor %g; only the Eq. 8 radius %d is supported", r, ballRadius)
+	}
 	if _, err := p.configurations(); err != nil {
 		return nil, err
 	}
-	return &p, nil
+	return &p.Program, nil
 }
 
 // configurations resolves the spec strings back to join functions.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -181,6 +182,24 @@ func TestDecodeProgramErrors(t *testing.T) {
 	bad = []byte(`{"version":1,"configurations":[{"preprocess":"L","distance":"JD","tokenization":"??","token_weights":"EW","threshold":0.2}]}`)
 	if _, err := DecodeProgram(bad); err == nil {
 		t.Error("unknown tokenization accepted")
+	}
+}
+
+// TestDecodeProgramLegacyBallRadius: a program saved with the former
+// ball_radius_factor key loads when the value is the Eq. 8 radius and
+// re-encodes without the key; any other radius is refused by name.
+func TestDecodeProgramLegacyBallRadius(t *testing.T) {
+	const cfg = `"configurations":[{"preprocess":"L","distance":"ED","threshold":0.2}]`
+	p, err := DecodeProgram([]byte(`{"version":1,` + cfg + `,"ball_radius_factor":2}`))
+	if err != nil {
+		t.Fatalf("radius 2 rejected: %v", err)
+	}
+	if data, err := p.Encode(); err != nil || strings.Contains(string(data), "ball_radius_factor") {
+		t.Errorf("re-encoded program = %s, %v; want no ball_radius_factor key", data, err)
+	}
+	_, err = DecodeProgram([]byte(`{"version":1,` + cfg + `,"ball_radius_factor":3}`))
+	if err == nil || !strings.Contains(err.Error(), "ball_radius_factor") {
+		t.Errorf("radius 3: err = %v, want an error naming ball_radius_factor", err)
 	}
 }
 

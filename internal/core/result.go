@@ -80,11 +80,10 @@ type Result struct {
 	// column indexes and their weights, aligned pairwise.
 	Columns []int
 	Weights []float64
-	// BlockingBeta and BallRadiusFactor record the resolved options the
-	// program was learned under, so ToProgram can serialize them and a
-	// compiled Matcher reproduces the learning geometry.
-	BlockingBeta     float64
-	BallRadiusFactor float64
+	// BlockingBeta records the resolved β the program was learned under,
+	// so ToProgram can serialize it and a compiled Matcher blocks the
+	// same way. The ball radius needs no record: it is always 2θ.
+	BlockingBeta float64
 	// Timing records per-component running time.
 	Timing Timing
 }

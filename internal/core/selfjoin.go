@@ -38,13 +38,12 @@ func SelfJoin(records []string, opt Options) (*Result, error) {
 	profileTime := time.Since(tProf)
 	ev := config.NewEvaluator(opt.Space)
 	in := &engineInput{
-		space:      opt.Space,
-		steps:      opt.ThresholdSteps,
-		ballFactor: opt.BallRadiusFactor,
-		nL:         len(records),
-		nR:         len(records),
-		lrCand:     lrCand,
-		llCand:     cand,
+		space:  opt.Space,
+		steps:  opt.ThresholdSteps,
+		nL:     len(records),
+		nR:     len(records),
+		lrCand: lrCand,
+		llCand: cand,
 		newEval: func() pairEval {
 			sc := ev.NewScratch()
 			return pairEval{
@@ -60,7 +59,6 @@ func SelfJoin(records []string, opt Options) (*Result, error) {
 	}
 	res := run(in, opt)
 	res.BlockingBeta = opt.BlockingBeta
-	res.BallRadiusFactor = opt.BallRadiusFactor
 	res.Timing.Blocking = blockingTime
 	res.Timing.Profile = profileTime
 	return res, nil

@@ -36,13 +36,12 @@ func JoinTables(left, right []string, opt Options) (*Result, error) {
 	ev := config.NewEvaluator(opt.Space)
 
 	in := &engineInput{
-		space:      opt.Space,
-		steps:      opt.ThresholdSteps,
-		ballFactor: opt.BallRadiusFactor,
-		nL:         len(left),
-		nR:         len(right),
-		lrCand:     lrCand,
-		llCand:     llCand,
+		space:  opt.Space,
+		steps:  opt.ThresholdSteps,
+		nL:     len(left),
+		nR:     len(right),
+		lrCand: lrCand,
+		llCand: llCand,
 		newEval: func() pairEval {
 			sc := ev.NewScratch()
 			return pairEval{
@@ -58,7 +57,6 @@ func JoinTables(left, right []string, opt Options) (*Result, error) {
 	res := run(in, opt)
 	res.NegativeRules = rules
 	res.BlockingBeta = opt.BlockingBeta
-	res.BallRadiusFactor = opt.BallRadiusFactor
 	res.Timing.Blocking = blockingTime
 	res.Timing.Profile = profileTime
 	return res, nil
@@ -67,8 +65,10 @@ func JoinTables(left, right []string, opt Options) (*Result, error) {
 // blockCandidates runs Algorithm 1 lines 1–2 on blocking keys: top-k
 // blocking for the L–R and L–L pairs (Block; right may be nil for a
 // self-join) and, when learnRules is set, negative rules learned from the
-// L–L pairs (Algorithm 2) that then veto L–R candidates. rules is nil when
-// none are learned.
+// L–L pairs (Algorithm 2) that then veto L–R candidates through the same
+// Frozen.BlocksPair scan a serving table runs. Each record's word set is
+// computed once, R's only when a rule was learned. rules is nil when none
+// are learned.
 func blockCandidates(left, right []string, opt Options, learnRules bool) (lrCand, llCand [][]int32, rules *negrule.Set) {
 	blk := blocking.Block(left, right, opt.BlockingBeta, opt.Parallelism)
 	llCand = make([][]int32, len(left))
@@ -79,19 +79,26 @@ func blockCandidates(left, right []string, opt Options, learnRules bool) (lrCand
 		}
 		llCand[i] = ids
 	}
+	var veto *negrule.Frozen
+	var leftWords, rightWords [][]string
 	if learnRules {
+		leftWords = negrule.WordSets(left, opt.Parallelism)
 		rules = negrule.NewSet()
 		for i, cands := range blk.LL {
 			for _, c := range cands {
-				rules.LearnPair(left[i], left[c.ID])
+				rules.LearnPair(leftWords[i], leftWords[c.ID])
 			}
+		}
+		if rules.Len() > 0 {
+			veto = rules.Freeze(nil, opt.Parallelism)
+			rightWords = negrule.WordSets(right, opt.Parallelism)
 		}
 	}
 	lrCand = make([][]int32, len(right))
 	for j, cands := range blk.LR {
 		ids := make([]int32, 0, len(cands))
 		for _, c := range cands {
-			if rules != nil && rules.Blocks(left[c.ID], right[j]) {
+			if veto != nil && veto.BlocksPair(leftWords[c.ID], rightWords[j]) {
 				continue
 			}
 			ids = append(ids, c.ID)

@@ -155,15 +155,6 @@ func checkSnapshotHeader(data []byte) error {
 	return nil
 }
 
-// LoadTableReader reads all of r and loads the snapshot.
-func LoadTableReader(r io.Reader, opt Options) (*Table, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return loadOwnedTable(data, opt)
-}
-
 // LoadTableFile loads a snapshot from a file. Where the platform allows it
 // the file is memory-mapped instead of read: the decode aliases the bytes
 // either way, and mapping skips the copy, the buffer zeroing, and the GC

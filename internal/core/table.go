@@ -21,8 +21,10 @@ import (
 // ordered list of immutable compiled segments plus a small mutable delta,
 // queried through Match/MatchRow/MatchBatch/MatchRows/MatchStream. It is
 // the one query engine: Matcher (what Learn and Program.Compile return)
-// is an alias of it. Add and Remove cost is proportional to the delta and
-// the touched rows — not |L| — and background Compact seals the delta
+// is an alias of it. Add costs time proportional to the added rows, not
+// |L|. Remove tombstones the touched rows, then renumbers the dense ids
+// with one pass over every stored row (blocking.TableIndex.Renumber), so
+// it is linear in the stored table. Background Compact seals the delta
 // into a new segment off the serving path, swapping it in atomically.
 //
 // Every query is BIT-IDENTICAL to what a fresh table over the current live
@@ -75,7 +77,7 @@ type Table struct {
 
 	pool sync.Pool // *tableScratch
 
-	radii []float64 // per-configuration ball radius, ballFactor·θ
+	radii []float64 // per-configuration ball radius, 2θ
 
 	beta        float64
 	rowWidth    int
@@ -84,7 +86,6 @@ type Table struct {
 	ballStride  int
 	statsGen    uint32
 	multi       bool
-	reweight    bool
 	hasRules    bool
 	compacting  bool
 }
@@ -235,13 +236,6 @@ func (p *Program) NewTable(width int, rows [][]string, opt Options) (*Table, err
 	if beta <= 0 {
 		beta = DefaultBlockingBeta
 	}
-	factor := p.BallRadiusFactor
-	if factor <= 0 {
-		factor = opt.BallRadiusFactor
-	}
-	if factor <= 0 {
-		factor = 2
-	}
 
 	t := &Table{
 		progJSON:    progJSON,
@@ -251,12 +245,13 @@ func (p *Program) NewTable(width int, rows [][]string, opt Options) (*Table, err
 		weights:     append([]float64(nil), p.Weights...),
 		rowWidth:    width,
 		beta:        beta,
-		radii:       ballRadii(configs, factor),
+		radii:       make([]float64, len(configs)),
 		parallelism: opt.Parallelism,
 	}
 	t.space = make([]config.JoinFunction, len(configs))
 	for i, c := range configs {
 		t.space[i] = c.Function
+		t.radii[i] = ballRadius * c.Threshold
 	}
 	t.eval = config.NewEvaluator(t.space)
 
@@ -270,7 +265,6 @@ func (p *Program) NewTable(width int, rows [][]string, opt Options) (*Table, err
 		reps := corpus.IDFReps()
 		if j == 0 {
 			t.reps = reps
-			t.reweight = corpus.NeedsReweight()
 		}
 		stats := make([]*weights.Stats, len(reps))
 		for ri, rep := range reps {
@@ -313,12 +307,7 @@ func (p *Program) NewTable(width int, rows [][]string, opt Options) (*Table, err
 }
 
 // keyOf builds the blocking key of a full row.
-func (t *Table) keyOf(row []string) string {
-	if !t.multi {
-		return row[0]
-	}
-	return concatRow(row)
-}
+func (t *Table) keyOf(row []string) string { return DisplayRow(row, t.multi) }
 
 // cellOf selects program column j's cell of a full row.
 func (t *Table) cellOf(row []string, j int) string {
@@ -1054,13 +1043,44 @@ func (t *Table) batchLocked(ctx context.Context, n int, one func(*tableScratch, 
 	return out, nil
 }
 
-// MatchStream matches a stream of query records, yielding results in
-// input order while the next chunk is matched concurrently (one chunk of
-// lookahead, each chunk sharded like MatchBatch). The input sequence is
-// pulled from an internal goroutine, so it must not be shared with the
-// consumer. Breaking out of the loop or cancelling ctx stops the pipeline
-// promptly; a cancellation error is yielded as the final pair. Each chunk
-// answers under one generation; a mutation can land between chunks.
+// MatchStream matches a stream of query records on the caller's
+// goroutine, yielding results in input order: it pulls up to streamChunk
+// records, matches them with MatchBatch (so each chunk is sharded across
+// workers and answers under one generation; a mutation can land between
+// chunks) and yields the chunk's results before pulling more. Breaking
+// out of the loop stops the stream; an error, such as ctx's cancellation,
+// is yielded as the final pair.
 func (t *Table) MatchStream(ctx context.Context, records iter.Seq[string]) iter.Seq2[StreamMatch, error] {
-	return matchStream(ctx, t.multi, records, t.MatchBatch)
+	return func(yield func(StreamMatch, error) bool) {
+		if t.multi {
+			yield(StreamMatch{Index: -1, Match: noMatch()}, errNeedRow)
+			return
+		}
+		base := 0
+		buf := make([]string, 0, streamChunk)
+		// flush matches and yields the buffered chunk; false ends the stream.
+		flush := func() bool {
+			res, err := t.MatchBatch(ctx, buf)
+			if err != nil {
+				yield(StreamMatch{Index: base, Match: noMatch()}, err)
+				return false
+			}
+			for i, m := range res {
+				if !yield(StreamMatch{Index: base + i, Record: buf[i], Match: m, OK: m.Left >= 0}, nil) {
+					return false
+				}
+			}
+			base += len(buf)
+			buf = buf[:0]
+			return true
+		}
+		for rec := range records {
+			if buf = append(buf, rec); len(buf) == streamChunk && !flush() {
+				return
+			}
+		}
+		if len(buf) > 0 {
+			flush()
+		}
+	}
 }

@@ -382,7 +382,7 @@ func TestTableEmptyAndMisuse(t *testing.T) {
 	if !loaded.MultiColumn() || loaded.RowWidth() != 2 || loaded.Len() != 1 {
 		t.Errorf("loaded empty program: multi=%v width=%d rows=%d", loaded.MultiColumn(), loaded.RowWidth(), loaded.Len())
 	}
-	if mt, ok, err := loaded.MatchRow(context.Background(), []string{"a", "b"}); err != nil || ok || mt != NoMatch() {
+	if mt, ok, err := loaded.MatchRow(context.Background(), []string{"a", "b"}); err != nil || ok || mt != noMatch() {
 		t.Errorf("empty program matched: %+v %v %v", mt, ok, err)
 	}
 	if _, err := prog.NewTable(0, nil, Options{}); err == nil {

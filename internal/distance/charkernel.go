@@ -134,12 +134,12 @@ func (cs *CharScratch) Distances(a, b string, need CharNeed) CharDists {
 }
 
 // DistancesRunes is Distances for callers that already hold the rune
-// views of both strings (the columnar arena precomputes reference-side
-// runes once at compile time; the query cache converts the query once
-// per surface form). ra and rb must be exactly []rune(a) and []rune(b);
-// the string forms are still required for Monge-Elkan's field splitting.
-// Results are bit-identical to Distances — the rune conversion is the
-// only work skipped.
+// views of both strings. Its one caller is the columnar arena
+// (config.Evaluator.ArenaDistances), which converts reference-side runes
+// once at build time and the query's once per QueryProfile. ra and rb
+// must be exactly []rune(a) and []rune(b); the string forms are still
+// required for Monge-Elkan's field splitting. Results are bit-identical
+// to Distances — the rune conversion is the only work skipped.
 //
 //autofj:hotpath
 func (cs *CharScratch) DistancesRunes(a, b string, ra, rb []rune, need CharNeed) CharDists {

@@ -30,17 +30,15 @@ func NewRule(a, b string) Rule {
 	return Rule{A: a, B: b}
 }
 
-// Set is a learned collection of negative rules.
+// Set is a learned collection of negative rules. Records enter it as word
+// sets (AppendWordSet); vetoes go through a Frozen view of it.
 type Set struct {
 	rules map[Rule]bool
-	// wordCache memoizes the pre-processed word set per raw record so that
-	// Learn and Blocks do the Algorithm-2 pre-processing exactly once.
-	wordCache map[string][]string
 }
 
 // NewSet returns an empty rule set.
 func NewSet() *Set {
-	return &Set{rules: make(map[Rule]bool), wordCache: make(map[string][]string)}
+	return &Set{rules: make(map[Rule]bool)}
 }
 
 // Len returns the number of learned rules.
@@ -66,73 +64,63 @@ func (s *Set) Rules() []Rule {
 	return out
 }
 
-// words returns the distinct, sorted word set of a record after the
-// Algorithm-2 pre-processing (lower-casing, stemming, punctuation removal).
-func (s *Set) words(record string) []string {
-	if w, ok := s.wordCache[record]; ok {
-		return w
+// LearnPair inspects one L–L record pair, given as word sets from
+// AppendWordSet, and records a negative rule when the two sets differ by
+// exactly one word each (Definition 3.1).
+func (s *Set) LearnPair(w1, w2 []string) {
+	if a, b, ok := oneWordDiff(w1, w2); ok {
+		s.rules[NewRule(a, b)] = true
 	}
-	w := AppendWordSet(nil, record)
-	s.wordCache[record] = w
-	return w
 }
 
-// symDiff returns the two one-sided word-set differences W(a)\W(b) and
-// W(b)\W(a) of sorted distinct word slices.
-func symDiff(a, b []string) (onlyA, onlyB []string) {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
+// oneWordDiff reports whether the sorted distinct word sets a and b
+// differ by exactly one word on each side, returning those words: onlyA
+// is the one word of a missing from b, onlyB the one word of b missing
+// from a. It is the scan of Definition 3.1 that both learning a rule and
+// vetoing a pair run, and it stops at the second word found on either
+// side. Allocation-free.
+//
+//autofj:hotpath
+func oneWordDiff(a, b []string) (onlyA, onlyB string, ok bool) {
+	nA, nB := 0, 0
+	ai, bi := 0, 0
+	for ai < len(a) && bi < len(b) {
 		switch {
-		case a[i] == b[j]:
-			i++
-			j++
-		case a[i] < b[j]:
-			onlyA = append(onlyA, a[i])
-			i++
+		case a[ai] == b[bi]:
+			ai++
+			bi++
+		case a[ai] < b[bi]:
+			onlyA = a[ai]
+			ai++
+			if nA++; nA > 1 {
+				return "", "", false
+			}
 		default:
-			onlyB = append(onlyB, b[j])
-			j++
+			onlyB = b[bi]
+			bi++
+			if nB++; nB > 1 {
+				return "", "", false
+			}
 		}
 	}
-	onlyA = append(onlyA, a[i:]...)
-	onlyB = append(onlyB, b[j:]...)
-	return onlyA, onlyB
-}
-
-// LearnPair inspects one L–L record pair and records a negative rule when
-// the two word sets differ by exactly one word each (Definition 3.1).
-func (s *Set) LearnPair(l1, l2 string) {
-	d1, d2 := symDiff(s.words(l1), s.words(l2))
-	if len(d1) == 1 && len(d2) == 1 {
-		s.rules[NewRule(d1[0], d2[0])] = true
+	if ai < len(a) {
+		nA += len(a) - ai
+		onlyA = a[len(a)-1]
 	}
-}
-
-// Learn runs LearnPair over a list of candidate L–L pairs (the pairs that
-// survive blocking, per Algorithm 1 line 2).
-func (s *Set) Learn(pairs [][2]string) {
-	for _, p := range pairs {
-		s.LearnPair(p[0], p[1])
+	if bi < len(b) {
+		nB += len(b) - bi
+		onlyB = b[len(b)-1]
 	}
-}
-
-// Blocks reports whether the (l, r) pair is vetoed: their word sets differ
-// by exactly one word on each side and that word pair is a learned rule.
-func (s *Set) Blocks(l, r string) bool {
-	if len(s.rules) == 0 {
-		return false
+	if nA != 1 || nB != 1 {
+		return "", "", false
 	}
-	d1, d2 := symDiff(s.words(l), s.words(r))
-	if len(d1) != 1 || len(d2) != 1 {
-		return false
-	}
-	return s.rules[NewRule(d1[0], d2[0])]
+	return onlyA, onlyB, true
 }
 
 // AppendWordSet appends the sorted distinct word set of record under the
-// Algorithm-2 pre-processing to dst and returns it — the pure,
-// scratch-friendly form of the per-record computation Set caches. dst
-// should be empty (typically a reused buffer sliced to length zero).
+// Algorithm-2 pre-processing (lower-casing, stemming, punctuation removal)
+// to dst and returns it. dst should be empty (typically a reused buffer
+// sliced to length zero).
 //
 //autofj:hotpath
 func AppendWordSet(dst []string, record string) []string {
@@ -171,34 +159,41 @@ func appendWords(dst []string, s string) []string {
 	return dst
 }
 
-// Frozen is an immutable, goroutine-safe view of a rule set bound to a
-// fixed reference table: reference-side word sets are precomputed once,
+// Frozen is an immutable, goroutine-safe view of a rule set, optionally
+// bound to a fixed reference table whose word sets are precomputed once;
 // query-side word sets are supplied by the caller (via AppendWordSet),
-// and lookups share no mutable state — unlike Set, whose word cache makes
-// it unsafe for concurrent use.
+// and lookups share no mutable state.
 type Frozen struct {
 	rules     map[Rule]bool
 	leftWords [][]string
 }
 
-// Freeze snapshots the rule set against a reference table, precomputing
-// each record's word set across up to parallelism goroutines (0 means
-// GOMAXPROCS). The returned Frozen is independent of later Set mutations.
+// Freeze snapshots the rule set against a reference table (WordSets of
+// left, across up to parallelism goroutines; 0 means GOMAXPROCS). left
+// may be nil when every lookup supplies both word sets via BlocksPair.
+// The returned Frozen is independent of later Set mutations.
 func (s *Set) Freeze(left []string, parallelism int) *Frozen {
 	f := &Frozen{
 		rules:     make(map[Rule]bool, len(s.rules)),
-		leftWords: make([][]string, len(left)),
+		leftWords: WordSets(left, parallelism),
 	}
 	//autofj:nondet-ok map-to-map copy; the frozen set is identical under any iteration order
 	for r := range s.rules {
 		f.rules[r] = true
 	}
-	parallel.Shard(len(left), parallel.Workers(parallelism, len(left)), func(_, start, end int) {
+	return f
+}
+
+// WordSets computes the AppendWordSet word set of every record, across up
+// to parallelism goroutines (0 means GOMAXPROCS).
+func WordSets(records []string, parallelism int) [][]string {
+	out := make([][]string, len(records))
+	parallel.Shard(len(records), parallel.Workers(parallelism, len(records)), func(_, start, end int) {
 		for i := start; i < end; i++ {
-			f.leftWords[i] = AppendWordSet(nil, left[i])
+			out[i] = AppendWordSet(nil, records[i])
 		}
 	})
-	return f
+	return out
 }
 
 // FreezeRules builds a Frozen view of learned rule word pairs without
@@ -233,43 +228,6 @@ func (f *Frozen) BlocksPair(lwords, qwords []string) bool {
 	if len(f.rules) == 0 {
 		return false
 	}
-	a, b := lwords, qwords
-	var onlyA, onlyB string
-	nA, nB := 0, 0
-	ai, bi := 0, 0
-	for ai < len(a) && bi < len(b) {
-		switch {
-		case a[ai] == b[bi]:
-			ai++
-			bi++
-		case a[ai] < b[bi]:
-			onlyA = a[ai]
-			ai++
-			if nA++; nA > 1 {
-				return false
-			}
-		default:
-			onlyB = b[bi]
-			bi++
-			if nB++; nB > 1 {
-				return false
-			}
-		}
-	}
-	if nA += len(a) - ai; nA > 1 {
-		return false
-	}
-	if ai < len(a) {
-		onlyA = a[len(a)-1]
-	}
-	if nB += len(b) - bi; nB > 1 {
-		return false
-	}
-	if bi < len(b) {
-		onlyB = b[len(b)-1]
-	}
-	if nA != 1 || nB != 1 {
-		return false
-	}
-	return f.rules[NewRule(onlyA, onlyB)]
+	a, b, ok := oneWordDiff(lwords, qwords)
+	return ok && f.rules[NewRule(a, b)]
 }

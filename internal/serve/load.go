@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"os"
-	"strings"
 
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/core"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/dataset"
@@ -27,19 +26,6 @@ func ReadCSVFile(path string) (dataset.Table, error) {
 	return t, nil
 }
 
-// LoadProgramFile reads and decodes a saved join program.
-func LoadProgramFile(path string) (*core.Program, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	p, err := core.DecodeProgram(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return p, nil
-}
-
 // KeyColumn returns the named join key column, or the first column when
 // name is empty.
 func KeyColumn(t dataset.Table, name string) ([]string, error) {
@@ -57,26 +43,13 @@ func KeyColumn(t dataset.Table, name string) ([]string, error) {
 }
 
 // ConcatRows renders each row as its whitespace-normalized concatenation
-// — the display value of multi-column records.
+// (core.DisplayRow) — the display value of multi-column records.
 func ConcatRows(t dataset.Table) []string {
 	out := make([]string, t.NumRows())
 	for i, row := range t.Rows {
-		out[i] = strings.Join(strings.Fields(strings.Join(row, " ")), " ")
+		out[i] = core.DisplayRow(row, true)
 	}
 	return out
-}
-
-// displayValue renders one matched reference row for responses:
-// single-column rows are the key cell itself, multi-column rows are the
-// whitespace-normalized concatenation (the ConcatRows form).
-func displayValue(row []string, multi bool) string {
-	if len(row) == 0 {
-		return ""
-	}
-	if !multi {
-		return row[0]
-	}
-	return strings.Join(strings.Fields(strings.Join(row, " ")), " ")
 }
 
 // CompileTable builds the mutable serving table for a program against

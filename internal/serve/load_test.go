@@ -79,7 +79,7 @@ func TestCompileTableSingleAndMulti(t *testing.T) {
 	if !tab.MultiColumn() || tab.RowWidth() != 2 {
 		t.Errorf("multi-column compile: multi=%v width=%d", tab.MultiColumn(), tab.RowWidth())
 	}
-	if row, err := tab.Row(0); err != nil || displayValue(row, true) != "1 alpha research institute" {
-		t.Errorf("multi-column display value: %q (%v)", displayValue(row, true), err)
+	if row, err := tab.Row(0); err != nil || core.DisplayRow(row, true) != "1 alpha research institute" {
+		t.Errorf("multi-column display value: %q (%v)", core.DisplayRow(row, true), err)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -78,6 +76,8 @@ func (h *histogram) quantile(q float64) float64 {
 
 // Metrics aggregates the daemon-wide serving counters. All fields are
 // atomically updated; Write renders a Prometheus text-format snapshot.
+// Per-program counters live in the registry slots and are rendered from
+// its listing by writePrograms.
 type Metrics struct {
 	start time.Time
 
@@ -88,38 +88,12 @@ type Metrics struct {
 	compactions atomic.Uint64 // reference-table compactions (background + forced)
 
 	lat histogram
-
-	mu       sync.Mutex
-	programs map[string]*programStats
-}
-
-// programStats is the per-program slice of the metrics.
-type programStats struct {
-	queries atomic.Uint64
-	matched atomic.Uint64
 }
 
 // NewMetrics returns an empty metrics sink; start anchors the QPS and
 // uptime gauges.
 func NewMetrics(start time.Time) *Metrics {
-	return &Metrics{start: start, programs: make(map[string]*programStats)}
-}
-
-func (m *Metrics) forProgram(name string) *programStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ps, ok := m.programs[name]
-	if !ok {
-		ps = &programStats{}
-		m.programs[name] = ps
-	}
-	return ps
-}
-
-func (m *Metrics) dropProgram(name string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.programs, name)
+	return &Metrics{start: start}
 }
 
 // Snapshot is a point-in-time read of the headline numbers.
@@ -173,32 +147,40 @@ func (m *Metrics) Write(w io.Writer, now time.Time) {
 	}
 	fmt.Fprintf(w, "autofjd_request_latency_seconds_sum %g\n", float64(m.lat.sumNS.Load())/1e9)
 	fmt.Fprintf(w, "autofjd_request_latency_seconds_count %d\n", m.lat.count.Load())
+}
 
-	m.mu.Lock()
-	names := make([]string, 0, len(m.programs))
-	for name := range m.programs {
-		names = append(names, name)
+// writePrograms renders the per-program series of a registry listing in
+// the Prometheus text format: the query and match counters the registry
+// slot keeps across hot swaps, and the result-cache counters of the
+// installed table, which a hot swap restarts at zero. A rate is omitted
+// while its denominator is zero.
+func writePrograms(w io.Writer, progs []ProgramInfo) {
+	if len(progs) == 0 {
+		return
 	}
-	sort.Strings(names)
-	stats := make([]*programStats, len(names))
-	for i, name := range names {
-		stats[i] = m.programs[name]
+	counter := func(name, help string, v func(ProgramInfo) uint64) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
+		for _, p := range progs {
+			fmt.Fprintf(w, "%s{program=%q} %d\n", name, p.Name, v(p))
+		}
 	}
-	m.mu.Unlock()
-	if len(names) > 0 {
-		fmt.Fprintf(w, "# HELP autofjd_program_queries_total Queries per program.\n# TYPE autofjd_program_queries_total counter\n")
-		for i, name := range names {
-			fmt.Fprintf(w, "autofjd_program_queries_total{program=%q} %d\n", name, stats[i].queries.Load())
-		}
-		fmt.Fprintf(w, "# HELP autofjd_program_matches_total Matched queries per program.\n# TYPE autofjd_program_matches_total counter\n")
-		for i, name := range names {
-			fmt.Fprintf(w, "autofjd_program_matches_total{program=%q} %d\n", name, stats[i].matched.Load())
-		}
-		fmt.Fprintf(w, "# HELP autofjd_program_match_rate Matched / answered queries per program.\n# TYPE autofjd_program_match_rate gauge\n")
-		for i, name := range names {
-			if q := stats[i].queries.Load(); q > 0 {
-				fmt.Fprintf(w, "autofjd_program_match_rate{program=%q} %g\n", name, float64(stats[i].matched.Load())/float64(q))
+	rate := func(name, help string, num, den func(ProgramInfo) uint64) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
+		for _, p := range progs {
+			if d := den(p); d > 0 {
+				fmt.Fprintf(w, "%s{program=%q} %g\n", name, p.Name, float64(num(p))/float64(d))
 			}
 		}
 	}
+	queries := func(p ProgramInfo) uint64 { return p.Queries }
+	matched := func(p ProgramInfo) uint64 { return p.Matched }
+	hits := func(p ProgramInfo) uint64 { return p.CacheHits }
+	misses := func(p ProgramInfo) uint64 { return p.CacheMisses }
+	lookups := func(p ProgramInfo) uint64 { return p.CacheHits + p.CacheMisses }
+	counter("autofjd_program_queries_total", "Queries per program.", queries)
+	counter("autofjd_program_matches_total", "Matched queries per program.", matched)
+	rate("autofjd_program_match_rate", "Matched / answered queries per program.", matched, queries)
+	counter("autofjd_cache_hits_total", "Result cache hits per program (repeat queries answered without scoring).", hits)
+	counter("autofjd_cache_misses_total", "Result cache misses per program.", misses)
+	rate("autofjd_cache_hit_rate", "Cache hits / lookups per program since its table was installed.", hits, lookups)
 }

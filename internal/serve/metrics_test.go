@@ -44,9 +44,6 @@ func TestMetricsWrite(t *testing.T) {
 	m.failures.Add(1)
 	m.swaps.Add(1)
 	m.lat.observe(2 * time.Millisecond)
-	ps := m.forProgram("orgs")
-	ps.queries.Add(10)
-	ps.matched.Add(7)
 
 	var b strings.Builder
 	m.Write(&b, start.Add(2*time.Second))
@@ -59,9 +56,6 @@ func TestMetricsWrite(t *testing.T) {
 		"autofjd_qps 5",
 		`autofjd_request_latency_seconds{quantile="0.99"}`,
 		"autofjd_request_latency_seconds_count 1",
-		`autofjd_program_queries_total{program="orgs"} 10`,
-		`autofjd_program_matches_total{program="orgs"} 7`,
-		`autofjd_program_match_rate{program="orgs"} 0.7`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics output missing %q:\n%s", want, out)
@@ -72,11 +66,45 @@ func TestMetricsWrite(t *testing.T) {
 	if snap.Requests != 10 || snap.Failures != 1 || snap.QPS != 5 {
 		t.Errorf("snapshot: %+v", snap)
 	}
+	if strings.Contains(out, "program=") {
+		t.Errorf("daemon-wide metrics carry per-program series:\n%s", out)
+	}
+}
 
-	m.dropProgram("orgs")
-	b.Reset()
-	m.Write(&b, start.Add(2*time.Second))
-	if strings.Contains(b.String(), `program="orgs"`) {
-		t.Error("dropped program still exported")
+// TestWritePrograms: every per-program series renders from the registry
+// listing, and a rate is left out while its denominator is zero.
+func TestWritePrograms(t *testing.T) {
+	var b strings.Builder
+	writePrograms(&b, nil)
+	if b.Len() != 0 {
+		t.Errorf("empty listing rendered %q", b.String())
+	}
+	writePrograms(&b, []ProgramInfo{
+		{Name: "idle"},
+		{Name: "orgs", Queries: 10, Matched: 7, CacheHits: 1, CacheMisses: 3},
+	})
+	out := b.String()
+	for _, want := range []string{
+		"# TYPE autofjd_program_queries_total counter",
+		`autofjd_program_queries_total{program="orgs"} 10`,
+		`autofjd_program_matches_total{program="orgs"} 7`,
+		`autofjd_program_match_rate{program="orgs"} 0.7`,
+		`autofjd_cache_hits_total{program="orgs"} 1`,
+		`autofjd_cache_misses_total{program="orgs"} 3`,
+		`autofjd_cache_hit_rate{program="orgs"} 0.25`,
+		`autofjd_program_queries_total{program="idle"} 0`,
+		`autofjd_cache_misses_total{program="idle"} 0`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("program metrics missing %q:\n%s", want, out)
+		}
+	}
+	for _, absent := range []string{
+		`autofjd_program_match_rate{program="idle"}`,
+		`autofjd_cache_hit_rate{program="idle"}`,
+	} {
+		if strings.Contains(out, absent) {
+			t.Errorf("rate with a zero denominator rendered: %q", absent)
+		}
 	}
 }

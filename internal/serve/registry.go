@@ -25,11 +25,12 @@ type compiledProgram struct {
 }
 
 // program is one registry slot: the current compiled version and the
-// per-program counters.
+// per-program counters, which survive hot swaps and go with the slot.
 type program struct {
-	name  string
-	cur   atomic.Pointer[compiledProgram]
-	stats *programStats
+	name    string
+	cur     atomic.Pointer[compiledProgram]
+	queries atomic.Uint64
+	matched atomic.Uint64
 }
 
 // Registry holds the named programs of a daemon and runs the background
@@ -62,8 +63,8 @@ type Registry struct {
 
 // NewRegistry builds an empty registry and starts its background
 // compactor. Programs listed in cfg.Programs are NOT loaded here — call
-// Register (or RegisterAll) so callers decide how to surface per-program
-// load errors.
+// Register for each so callers decide how to surface per-program load
+// errors.
 func NewRegistry(cfg Config, metrics *Metrics) *Registry {
 	r := &Registry{
 		cfg:         cfg,
@@ -101,7 +102,7 @@ func (r *Registry) Register(spec ProgramSpec) error {
 	r.mu.Lock()
 	p, exists := r.progs[spec.Name]
 	if !exists {
-		p = &program{name: spec.Name, stats: r.metrics.forProgram(spec.Name)}
+		p = &program{name: spec.Name}
 		r.progs[spec.Name] = p
 	}
 	old := p.cur.Load()
@@ -114,16 +115,6 @@ func (r *Registry) Register(spec ProgramSpec) error {
 	return nil
 }
 
-// RegisterAll registers every spec, stopping at the first failure.
-func (r *Registry) RegisterAll(specs []ProgramSpec) error {
-	for _, spec := range specs {
-		if err := r.Register(spec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Remove drops a program. In-flight queries finish (they already hold
 // the compiled state); later queries get ErrUnknownProgram.
 func (r *Registry) Remove(name string) bool {
@@ -131,9 +122,6 @@ func (r *Registry) Remove(name string) bool {
 	_, ok := r.progs[name]
 	delete(r.progs, name)
 	r.mu.Unlock()
-	if ok {
-		r.metrics.dropProgram(name)
-	}
 	return ok
 }
 
@@ -192,8 +180,8 @@ func (r *Registry) Programs() []ProgramInfo {
 			TableGeneration: cp.table.Generation(),
 			DeltaRows:       cp.table.DeltaLen(),
 			Segments:        cp.table.SegmentCount(),
-			Queries:         p.stats.queries.Load(),
-			Matched:         p.stats.matched.Load(),
+			Queries:         p.queries.Load(),
+			Matched:         p.matched.Load(),
 			CacheLen:        cp.table.QueryCacheLen(),
 		}
 		info.CacheHits, info.CacheMisses = cp.table.QueryCacheStats()
@@ -267,12 +255,12 @@ func (r *Registry) QueryBatch(ctx context.Context, name string, rows [][]string)
 	for i, m := range tb.Matches {
 		out[i] = QueryResult{Match: m, OK: m.Left >= 0, Cached: tb.Cached[i]}
 		if out[i].OK {
-			out[i].LeftValue = displayValue(tb.Rows[i], multi)
+			out[i].LeftValue = core.DisplayRow(tb.Rows[i], multi)
 			matched++
 		}
 	}
-	p.stats.queries.Add(uint64(len(rows)))
-	p.stats.matched.Add(matched)
+	p.queries.Add(uint64(len(rows)))
+	p.matched.Add(matched)
 	return out, nil
 }
 

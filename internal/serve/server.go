@@ -120,25 +120,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.reg.Metrics().Write(w, time.Now())
-	// The result-cache counters live on the tables, not the metrics sink,
-	// so they are rendered from a live registry listing. A hot swap
-	// installs a fresh table and restarts that program's counters at zero.
-	if progs := s.reg.Programs(); len(progs) > 0 {
-		fmt.Fprintf(w, "# HELP autofjd_cache_hits_total Result cache hits per program (repeat queries answered without scoring).\n# TYPE autofjd_cache_hits_total counter\n")
-		for _, p := range progs {
-			fmt.Fprintf(w, "autofjd_cache_hits_total{program=%q} %d\n", p.Name, p.CacheHits)
-		}
-		fmt.Fprintf(w, "# HELP autofjd_cache_misses_total Result cache misses per program.\n# TYPE autofjd_cache_misses_total counter\n")
-		for _, p := range progs {
-			fmt.Fprintf(w, "autofjd_cache_misses_total{program=%q} %d\n", p.Name, p.CacheMisses)
-		}
-		fmt.Fprintf(w, "# HELP autofjd_cache_hit_rate Cache hits / lookups per program since its table was installed.\n# TYPE autofjd_cache_hit_rate gauge\n")
-		for _, p := range progs {
-			if n := p.CacheHits + p.CacheMisses; n > 0 {
-				fmt.Fprintf(w, "autofjd_cache_hit_rate{program=%q} %g\n", p.Name, float64(p.CacheHits)/float64(n))
-			}
-		}
-	}
+	writePrograms(w, s.reg.Programs())
 }
 
 func (s *Server) handlePrograms(w http.ResponseWriter, _ *http.Request) {

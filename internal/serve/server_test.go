@@ -120,12 +120,7 @@ func TestServerEndpoints(t *testing.T) {
 		t.Errorf("listing = %d, %+v", code, listing)
 	}
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	metricsBody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	metricsBody := getMetrics(t, ts.URL)
 	if !strings.Contains(string(metricsBody), "autofjd_requests_total") {
 		t.Errorf("metrics output: %s", metricsBody)
 	}
@@ -136,6 +131,11 @@ func TestServerEndpoints(t *testing.T) {
 		!strings.Contains(string(metricsBody), `autofjd_cache_misses_total{program="orgs"} 4`) {
 		t.Errorf("metrics output missing result-cache counters: %s", metricsBody)
 	}
+	// Three of the four queries matched.
+	if !strings.Contains(string(metricsBody), `autofjd_program_queries_total{program="orgs"} 4`) ||
+		!strings.Contains(string(metricsBody), `autofjd_program_matches_total{program="orgs"} 3`) {
+		t.Errorf("metrics output missing per-program query counters: %s", metricsBody)
+	}
 
 	// Error mapping: unknown program 404, wrong arity 400, bad body 400.
 	if code := getJSON(t, ts.URL+"/v1/programs/nope/query?q=x", nil); code != http.StatusNotFound {
@@ -145,7 +145,7 @@ func TestServerEndpoints(t *testing.T) {
 		map[string]any{"row": []string{"a", "b"}}, nil); code != http.StatusBadRequest {
 		t.Errorf("wrong arity = %d", code)
 	}
-	resp, err = http.Post(ts.URL+"/v1/programs/orgs/query", "application/json",
+	resp, err := http.Post(ts.URL+"/v1/programs/orgs/query", "application/json",
 		strings.NewReader("{not json"))
 	if err != nil {
 		t.Fatal(err)
@@ -168,6 +168,24 @@ func TestServerEndpoints(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/v1/programs/orgs/query?q=x", nil); code != http.StatusNotFound {
 		t.Errorf("query after delete = %d", code)
 	}
+	if body := getMetrics(t, ts.URL); strings.Contains(string(body), `program="orgs"`) {
+		t.Errorf("removed program still exported: %s", body)
+	}
+}
+
+// getMetrics fetches the /metrics exposition.
+func getMetrics(t *testing.T, base string) []byte {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
 }
 
 // TestDaemonSmoke is the acceptance scenario, designed to run under
@@ -216,7 +234,7 @@ func TestDaemonSmoke(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e.val = displayValue(row, cp.table.MultiColumn())
+			e.val = core.DisplayRow(row, cp.table.MultiColumn())
 			e.dist = m.Distance
 		}
 		return e

@@ -154,12 +154,12 @@ func NewRestoredStats(docs int, tokens []string, dfs []int) *Stats {
 	return NewStatsFromDF(docs, df)
 }
 
-// IDF returns log(1 + N/df) for the token. Unseen tokens get the maximal
-// weight log(1 + N), treating them as df=1... strictly df=1 gives
-// log(1+N); we use df=1 for unseen tokens, which keeps weights bounded and
-// favors rare tokens as the paper intends. The weight is memoized by df
-// (see Stats), so a (N, df) pair already answered costs a map lookup and
-// an atomic load instead of a math.Log.
+// IDF returns log(1 + N/df) for the token, where N is the document count
+// (at least 1). An unseen token is weighed as df = 1, which gives it the
+// largest weight, log(1 + N): weights stay bounded and rare tokens are
+// favored, as the paper intends. The weight is memoized by df (see
+// Stats), so a (N, df) pair already answered costs a map lookup and an
+// atomic load instead of a math.Log.
 //
 //autofj:hotpath
 func (s *Stats) IDF(token string) float64 {
