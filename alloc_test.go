@@ -22,8 +22,8 @@ const (
 	topKAllocBudget         = 0   // per pass of 512 blocking top-k queries
 	evaluatorAllocBudget    = 0   // per pass of 64 full-space Evaluator.Distances pairs
 	tableAddAllocBudget     = 45  // per Table.Add of one row
-	matchDeltaAllocBudget   = 12  // per cache-off Match with a 256-row delta
-	snapshotLoadAllocBudget = 188 // per LoadTableFile of the 10k-row table; 175 on Linux
+	matchDeltaAllocBudget   = 11  // per cache-off Match with a 256-row delta
+	snapshotLoadAllocBudget = 188 // per LoadTableFile of the 10k-row table; 179-180 on Linux
 )
 
 // TestAllocationBudgets pins the allocation count of each hot path at

@@ -16,8 +16,8 @@ import (
 //     it; a dropped ctx means cancellation is accepted at the API and
 //     then ignored.
 //
-// Deliberate detachment — e.g. a batcher that must keep serving queued
-// work after any single caller gives up — is annotated
+// Deliberate detachment — work that must outlive any single caller,
+// such as a shared background worker — is annotated
 // //autofj:ctx-ok <reason> on the minting call.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",

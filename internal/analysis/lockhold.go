@@ -8,11 +8,11 @@ import (
 )
 
 // LockHold flags a mutex held across a call that can park the goroutine
-// on a channel or IO — the deadlock shape that wedges the serve
-// micro-batcher: a registry or cache lock held while a batch dispatch
-// blocks on a full channel (or an HTTP response write stalls on a slow
-// client) stops every other request on that lock, and the batcher that
-// would drain the channel may itself be waiting for the lock.
+// on a channel or IO — the deadlock shape of a serving path: a registry
+// or table lock held while a send blocks on a full channel (or an HTTP
+// response write stalls on a slow client) stops every other request on
+// that lock, and the goroutine that would drain the channel may itself be
+// waiting for the lock.
 //
 // The held region is tracked syntactically per function: a Lock/RLock
 // call on a sync.Mutex/RWMutex opens the region for that receiver

@@ -230,17 +230,56 @@ func (c *Corpus) ArenaQuery(a *ProfileArena, s string) *QueryProfile {
 			}
 			toks := tokenize.Option(ti).Tokens(q.proc[pi])
 			sort.Strings(toks)
-			buildQueryVecs(rep, c.stats[pi][ti], toks, &q.vec[pi][ti])
+			buildQueryVecs(rep.need, toks, arenaVocab{rep, c.stats[pi][ti]}, &q.vec[pi][ti])
 		}
 	}
 	return q
 }
 
+// arenaVocab resolves query tokens against an arena's interned
+// vocabulary, weighing them by the corpus statistics.
+type arenaVocab struct {
+	rep   *arenaRep
+	stats *weights.Stats
+}
+
+func (a arenaVocab) lookup(tok string, idf bool) (id int32, w float64, known bool) {
+	id, known = a.rep.tokID[tok]
+	w = 1
+	if idf && a.stats != nil {
+		w = a.stats.IDF(tok)
+	}
+	return id, w, known
+}
+
+// queryVocab resolves the tokens of a query against a reference
+// vocabulary: lookup returns the token's id and whether the vocabulary
+// holds it, and, when idf is set, its IDF weight.
+type queryVocab interface {
+	lookup(tok string, idf bool) (id int32, w float64, known bool)
+}
+
 // buildQueryVecs fills one (pre, tok) group of query vectors from the
-// sorted token occurrence list.
-func buildQueryVecs(rep *arenaRep, stats *weights.Stats, toks []string, out *[numWt]distance.IDVec) {
-	var ids []int32
+// sorted token occurrence list. A token the vocabulary does not hold
+// carries no id, so it can match nothing, but it still counts toward
+// Sum, Norm and N and sets Extra, so the id kernels reproduce the string
+// kernels exactly.
+func buildQueryVecs(need [numWt]bool, toks []string, qv queryVocab, out *[numWt]distance.IDVec) {
+	// len(toks) bounds the distinct tokens: one block per element type.
+	ids := make([]int32, 0, len(toks))
 	var w [numWt][]float64
+	nw := 0
+	for _, ok := range need {
+		if ok {
+			nw++
+		}
+	}
+	wbuf := make([]float64, nw*len(toks))
+	for wi := range w {
+		if need[wi] {
+			w[wi], wbuf = wbuf[:0:len(toks)], wbuf[len(toks):]
+		}
+	}
 	var sum, norm [numWt]float64
 	var n int32
 	extra := false
@@ -249,22 +288,21 @@ func buildQueryVecs(rep *arenaRep, stats *weights.Stats, toks []string, out *[nu
 		for j < len(toks) && toks[j] == toks[i] {
 			j++
 		}
-		tok := toks[i]
 		// A token occurring k times gets map weight k via k additions of
 		// 1.0 — exact integers, so float64(k) is the identical value.
 		count := float64(j - i)
 		n++
-		id, known := rep.tokID[tok]
+		id, idf, known := qv.lookup(toks[i], need[weights.IDF])
 		if !known {
 			extra = true
 		}
 		for wi := 0; wi < numWt; wi++ {
-			if !rep.need[wi] {
+			if !need[wi] {
 				continue
 			}
 			wv := count
-			if weights.Scheme(wi) == weights.IDF && stats != nil {
-				wv = count * stats.IDF(tok)
+			if weights.Scheme(wi) == weights.IDF {
+				wv = count * idf
 			}
 			if known {
 				w[wi] = append(w[wi], wv)
@@ -278,7 +316,7 @@ func buildQueryVecs(rep *arenaRep, stats *weights.Stats, toks []string, out *[nu
 		i = j
 	}
 	for wi := 0; wi < numWt; wi++ {
-		if !rep.need[wi] {
+		if !need[wi] {
 			continue
 		}
 		out[wi] = distance.IDVec{

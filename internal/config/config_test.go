@@ -195,51 +195,3 @@ func TestIDFWeightingChangesDistances(t *testing.T) {
 		t.Errorf("IDF distance %f should exceed EW distance %f", dIDF, dEW)
 	}
 }
-
-// TestReweightedMatchesProfileAndNeverAllocates: the IDF view derived from
-// a count profile under mutable statistics equals the profile built from
-// scratch under the same statistics to the bit, before and after the
-// statistics move, and the warm derivation (scratch sized, IDF memo table
-// cold or warm) allocates nothing.
-func TestReweightedMatchesProfileAndNeverAllocates(t *testing.T) {
-	f := JoinFunction{Pre: textproc.Lower, Tok: tokenize.Space, Weight: weights.IDF, Dist: JD}
-	c := NewCorpus([]JoinFunction{f})
-	st := weights.NewEmptyStats()
-	c.SetStats(f.Pre, f.Tok, st)
-	docs := []string{"alpha team", "beta team", "gamma team alpha", "delta squad"}
-	for _, d := range docs {
-		st.AddDocTokens(c.CountProfile(d).CountVec(f.Pre, f.Tok).Tokens)
-	}
-	src := c.CountProfile("alpha alpha team unseen")
-	var rs ReweightScratch
-	check := func(stage string) {
-		t.Helper()
-		got := c.Reweighted(src, &rs).vecs[f.Pre][f.Tok][weights.IDF]
-		want := c.Profile(src.Raw).vecs[f.Pre][f.Tok][weights.IDF]
-		if len(got.W) != len(want.W) || got.Sum != want.Sum || got.Norm != want.Norm {
-			t.Fatalf("%s: derived %+v, built %+v", stage, got, want)
-		}
-		for i := range want.W {
-			if got.Tokens[i] != want.Tokens[i] || got.W[i] != want.W[i] {
-				t.Fatalf("%s: token %d derived (%q, %v), built (%q, %v)",
-					stage, i, got.Tokens[i], got.W[i], want.Tokens[i], want.W[i])
-			}
-		}
-	}
-	check("initial")
-	st.AddDocTokens([]string{"alpha", "omega"})
-	check("after add")
-	st.RemoveDocTokens([]string{"beta", "team"})
-	check("after remove")
-
-	if n := testing.AllocsPerRun(100, func() { c.Reweighted(src, &rs) }); n != 0 {
-		t.Errorf("warm Reweighted: %.1f allocs, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		st.AddDocTokens(nil) // N moves: every weight is recomputed
-		st.RemoveDocTokens(nil)
-		c.Reweighted(src, &rs)
-	}); n != 0 {
-		t.Errorf("Reweighted after a mutation: %.1f allocs, want 0", n)
-	}
-}

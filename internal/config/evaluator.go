@@ -158,8 +158,33 @@ func (e *Evaluator) Distances(l, r *Profile, sc *EvalScratch, out []float64) {
 	}
 }
 
+// IDDistances is Distances over id-space profiles (see Vocab): the set
+// kernels merge lexically ranked token ids with distance.SetFamilyIDs and
+// the embedding dot product runs over flat slices, so the values are
+// bit-identical to Distances on the equivalent Profiles. l is the
+// reference-side row, r the query side (or a second reference row).
+//
+//autofj:hotpath
+func (e *Evaluator) IDDistances(l, r *IDProfile, sc *EvalScratch, out []float64) {
+	for gi := range e.char {
+		g := &e.char[gi]
+		scatterChar(g, sc.char.Distances(l.proc[g.pre], r.proc[g.pre], g.need), out)
+	}
+	for gi := range e.set {
+		g := &e.set[gi]
+		scatterSet(g, distance.SetFamilyIDs(l.vec[g.pre][g.tok][g.wt], r.vec[g.pre][g.tok][g.wt]), out)
+	}
+	for gi := range e.emb {
+		g := &e.emb[gi]
+		d := embed.CosineDistanceFlat(l.emb[g.pre], r.emb[g.pre])
+		for _, fi := range g.fns {
+			out[fi] = d
+		}
+	}
+}
+
 // scatterChar fans one fused char-kernel result out to the plan's
-// function slots (shared by Distances and ArenaDistances).
+// function slots (shared by the Distances entry points).
 //
 //autofj:hotpath
 func scatterChar(g *charPlan, cd distance.CharDists, out []float64) {
@@ -183,7 +208,7 @@ func scatterChar(g *charPlan, cd distance.CharDists, out []float64) {
 }
 
 // scatterSet fans one fused set-kernel result out to the plan's function
-// slots (shared by Distances and ArenaDistances).
+// slots (shared by the Distances entry points).
 //
 //autofj:hotpath
 func scatterSet(g *setPlan, sd distance.SetDists, out []float64) {

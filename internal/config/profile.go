@@ -46,8 +46,7 @@ func newCorpusNeeds(space []JoinFunction) *Corpus {
 // record collections (typically L and R). Code that also needs the
 // collections' profiles should call NewCorpusProfiles, which tokenizes
 // every record once for both. With no collections the statistics are
-// empty; install mutable ones with SetStats before building query
-// profiles for IDF-weighted spaces.
+// empty. A mutable table keeps its statistics in a Vocab instead.
 func NewCorpus(space []JoinFunction, collections ...[]string) *Corpus {
 	c := newCorpusNeeds(space)
 	// IDF stats are needed for every (pre, tok) that has an IDF vector.
@@ -87,10 +86,12 @@ type VecBlock [numWt]distance.Sparse
 // The vector and embedding storage lives behind pointers allocated only
 // for the representations the space actually uses: inlined, the full
 // [numPre][numTok][numWt] vector block plus embeddings is over 3KB per
-// record, of which a typical space touches a small fraction — and tables
-// hold one profile per reference row. Code that indexes vecs/emb directly
-// (the distance kernels, Reweighted) runs only for representations the
-// profile was built with, so those reads never see nil.
+// record, of which a typical space touches a small fraction. Code that
+// indexes vecs/emb directly (the distance kernels, Vocab.AppendProfile)
+// runs only for representations the profile was built with, so those
+// reads never see nil. Learning holds one Profile per record; a serving
+// table stores none — its rows are id runs over a Vocab, scored through
+// IDProfile views.
 type Profile struct {
 	Raw  string
 	proc [numPre]string

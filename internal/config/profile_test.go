@@ -171,11 +171,19 @@ func TestProfilesMatchMapOracle(t *testing.T) {
 			for _, par := range []int{1, 3} {
 				c, profs := NewCorpusProfiles(space, par, task[0], task[1])
 				for _, rep := range oracle.IDFReps() {
-					gt, gd := c.stats[rep.Pre][rep.Tok].SortedEntries()
-					wt, wd := oracle.stats[rep.Pre][rep.Tok].SortedEntries()
-					if c.stats[rep.Pre][rep.Tok].Docs() != oracle.stats[rep.Pre][rep.Tok].Docs() ||
-						fmt.Sprint(gt, gd) != fmt.Sprint(wt, wd) {
-						t.Fatalf("%s task %d par %d: statistics of %v differ", name, ti, par, rep)
+					got, want := c.stats[rep.Pre][rep.Tok], oracle.stats[rep.Pre][rep.Tok]
+					if got.Docs() != want.Docs() {
+						t.Fatalf("%s task %d par %d: statistics of %v count %d documents, want %d",
+							name, ti, par, rep, got.Docs(), want.Docs())
+					}
+					for _, ps := range profs {
+						for _, p := range ps {
+							for _, tok := range p.vecs[rep.Pre][rep.Tok][weights.IDF].Tokens {
+								if !sameBits(got.IDF(tok), want.IDF(tok)) {
+									t.Fatalf("%s task %d par %d: IDF(%q) of %v differs", name, ti, par, tok, rep)
+								}
+							}
+						}
 					}
 				}
 				for k, coll := range task {

@@ -1,0 +1,585 @@
+package config
+
+import (
+	"iter"
+	"math"
+	"slices"
+	"sort"
+	"strings"
+
+	"github.com/chu-data-lab/autofuzzyjoin-go/internal/distance"
+	"github.com/chu-data-lab/autofuzzyjoin-go/internal/embed"
+	"github.com/chu-data-lab/autofuzzyjoin-go/internal/textproc"
+	"github.com/chu-data-lab/autofuzzyjoin-go/internal/tokenize"
+	"github.com/chu-data-lab/autofuzzyjoin-go/internal/weights"
+)
+
+// This file holds the at-rest form of a mutable reference table
+// (core.Table): one Vocab per program column, and per storage region a
+// Rows block whose token sets are integer slot runs into that Vocab.
+//
+// A candidate is scored without touching a token string: Derive turns a
+// stored row into an IDProfile by array lookups — each slot's lexical rank
+// becomes its id, each count times the IDF weight of the slot's df
+// becomes its weight — and Evaluator.IDDistances merges the id runs with
+// distance.SetFamilyIDs. Ids follow lexical token order, so the merge
+// visits matched tokens in the order the string merge of a full Profile
+// would, and the weights, sums and norms are accumulated in ascending
+// token order with the arithmetic of weighIDF: every distance is
+// bit-identical to Evaluator.Distances on Profiles built under the same
+// statistics.
+
+// layout is the stored shape of one program column's rows under a space:
+// the position of each stored processed string, embedding and counted
+// (pre-processing, tokenization) representation within a row, -1 when
+// the space does not need it.
+type layout struct {
+	need  [numPre][numTok][numWt]bool
+	proc  [numPre]int8
+	emb   [numPre]int8
+	rep   [numPre][numTok]int8
+	reps  []Rep // counted representations in ascending (pre, tok) order
+	nproc int
+	nemb  int
+}
+
+func newLayout(c *Corpus) *layout {
+	lay := &layout{need: c.needVec, reps: make([]Rep, 0, numPre*numTok)}
+	for pi := 0; pi < numPre; pi++ {
+		lay.proc[pi], lay.emb[pi] = -1, -1
+		if c.needProc[pi] {
+			lay.proc[pi] = int8(lay.nproc)
+			lay.nproc++
+		}
+		if c.needEmb[pi] {
+			lay.emb[pi] = int8(lay.nemb)
+			lay.nemb++
+		}
+		for ti := 0; ti < numTok; ti++ {
+			lay.rep[pi][ti] = -1
+			if c.needProc[pi] && c.NeedCounts(textproc.Option(pi), tokenize.Option(ti)) {
+				lay.rep[pi][ti] = int8(len(lay.reps))
+				lay.reps = append(lay.reps, Rep{Pre: textproc.Option(pi), Tok: tokenize.Option(ti)})
+			}
+		}
+	}
+	return lay
+}
+
+// Vocab is the token vocabulary of one program column of a mutable
+// table. For every counted representation, each distinct token the
+// column's rows hold gets a stable integer slot, assigned in
+// first-appearance order, with its document frequency over the live rows
+// and its lexical rank among all the representation's slots. The
+// document count is shared by the column's representations.
+//
+// A slot whose df drops to 0 stays: it still ranks, re-adding the token
+// reuses it, and it is dropped only when the table is rebuilt from its
+// rows (a snapshot stores live statistics, so a save and load also
+// drops it). A vocabulary therefore grows with the distinct tokens ever
+// added, not with the live rows.
+//
+// Mutators (AppendProfile, Intern, Count, Reserve, Settle) need
+// exclusive access, and a batch of them ends with Settle; Derive, Query
+// and the readers are safe for concurrent use between batches.
+type Vocab struct {
+	c    *Corpus // the space's needs; it holds no statistics
+	lay  *layout
+	reps []repVocab // by layout position
+	docs int        // live rows; the IDF table follows it at Settle
+	idf  weights.IDFTable
+	row  Row // AppendProfile's scratch
+}
+
+// repVocab is the vocabulary of one counted representation.
+type repVocab struct {
+	slot  map[string]int32
+	toks  []string // token by slot
+	df    []int32  // live rows holding the slot
+	rank  []int32  // lexical rank by slot, for the slots order covers
+	order []int32  // slots in ascending token order
+	spare []int32  // Settle's merge buffer
+	fresh []int32  // Settle's buffer of new slots
+}
+
+// NewVocab returns an empty vocabulary for one program column of a table
+// serving space.
+func NewVocab(space []JoinFunction) *Vocab {
+	c := newCorpusNeeds(space)
+	v := &Vocab{c: c, lay: newLayout(c)}
+	v.reps = make([]repVocab, len(v.lay.reps))
+	return v
+}
+
+// CountProfile builds the count profile of a record under the space (see
+// Corpus.CountProfile). It reads no vocabulary state, so it is safe to
+// call concurrently with anything.
+func (v *Vocab) CountProfile(s string) *Profile { return v.c.CountProfile(s) }
+
+// IDFReps lists the representations the space weighs by IDF (see
+// Corpus.IDFReps).
+func (v *Vocab) IDFReps() []Rep { return v.c.IDFReps() }
+
+// NeedProc reports whether a stored row holds the processed string under
+// pre.
+func (v *Vocab) NeedProc(pre textproc.Option) bool { return v.lay.proc[pre] >= 0 }
+
+// NeedEmb reports whether a stored row holds the embedding under pre.
+func (v *Vocab) NeedEmb(pre textproc.Option) bool { return v.lay.emb[pre] >= 0 }
+
+// NeedCounts reports whether a stored row holds a slot run for (pre, tok).
+func (v *Vocab) NeedCounts(pre textproc.Option, tok tokenize.Option) bool {
+	return v.lay.rep[pre][tok] >= 0
+}
+
+// Docs returns the number of live rows the statistics count.
+func (v *Vocab) Docs() int { return v.docs }
+
+// Reserve makes room for n more slots in every representation, sizing an
+// empty vocabulary's token index for them up front.
+func (v *Vocab) Reserve(n int) {
+	for r := range v.reps {
+		rv := &v.reps[r]
+		if len(rv.toks) == 0 {
+			rv.slot = make(map[string]int32, n)
+		}
+		rv.toks = slices.Grow(rv.toks, n)
+		rv.df = slices.Grow(rv.df, n)
+	}
+}
+
+// Intern returns the slot of token under (pre, tok), assigning the next
+// free slot to a token the vocabulary has not seen. A new slot has df 0
+// and no rank until the next Settle.
+func (v *Vocab) Intern(pre textproc.Option, tok tokenize.Option, token string) int32 {
+	return v.intern(int(v.lay.rep[pre][tok]), token)
+}
+
+func (v *Vocab) intern(r int, token string) int32 {
+	rv := &v.reps[r]
+	if sl, ok := rv.slot[token]; ok {
+		return sl
+	}
+	if rv.slot == nil {
+		rv.slot = make(map[string]int32)
+	}
+	sl := int32(len(rv.toks))
+	rv.slot[token] = sl
+	rv.toks = append(rv.toks, token)
+	rv.df = append(rv.df, 0)
+	return sl
+}
+
+// AppendProfile stores the count profile p (see Corpus.CountProfile) as
+// the next row of s, interning its tokens, and counts the row live.
+func (v *Vocab) AppendProfile(s *Rows, p *Profile) {
+	r := &v.row
+	for pi := 0; pi < numPre; pi++ {
+		if v.lay.proc[pi] >= 0 {
+			r.Proc[pi] = p.proc[pi]
+		}
+		if v.lay.emb[pi] >= 0 {
+			r.Emb[pi] = p.emb[pi][:]
+		}
+	}
+	for ri, rep := range v.lay.reps {
+		cv := &p.vecs[rep.Pre][rep.Tok][weights.Equal]
+		slots, counts := r.Slots[rep.Pre][rep.Tok][:0], r.Counts[rep.Pre][rep.Tok][:0]
+		for k, tok := range cv.Tokens {
+			slots = append(slots, v.intern(ri, tok))
+			counts = append(counts, uint32(cv.W[k]))
+		}
+		r.Slots[rep.Pre][rep.Tok], r.Counts[rep.Pre][rep.Tok] = slots, counts
+		r.Sum[rep.Pre][rep.Tok], r.Norm[rep.Pre][rep.Tok] = cv.Sum, cv.Norm
+	}
+	s.Append(r)
+	v.Count(s, s.n-1, 1)
+	r.Proc, r.Emb = [numPre]string{}, [numPre][]float64{}
+}
+
+// Count adds delta to the document count and to the df of every slot
+// that row i of s holds: +1 when the row goes live, -1 when it is removed.
+func (v *Vocab) Count(s *Rows, i int, delta int32) {
+	nrep := len(v.reps)
+	for r := range v.reps {
+		df := v.reps[r].df
+		at := i*nrep + r
+		for _, sl := range s.slots[s.off[at]:s.off[at+1]] {
+			df[sl] += delta
+		}
+	}
+	v.docs += int(delta)
+}
+
+// Settle ends a batch of mutations. The slots interned since the last
+// Settle are ranked — their tokens are sorted and merged into the sorted
+// slot order, and one pass over the order rewrites every rank, O(V) for
+// a vocabulary of V slots however many rows the table holds — and the IDF
+// table moves to the new document count.
+func (v *Vocab) Settle() {
+	for r := range v.reps {
+		v.reps[r].rerank()
+	}
+	if v.idf.Docs() != v.docs {
+		v.idf.SetDocs(v.docs)
+	}
+}
+
+func (rv *repVocab) rerank() {
+	old := len(rv.order)
+	if old == len(rv.toks) {
+		return
+	}
+	toks := rv.toks
+	fresh := slices.Grow(rv.fresh[:0], len(toks)-old)
+	for sl := old; sl < len(toks); sl++ {
+		fresh = append(fresh, int32(sl))
+	}
+	rv.fresh = fresh
+	slices.SortFunc(fresh, func(a, b int32) int { return strings.Compare(toks[a], toks[b]) })
+	merged := slices.Grow(rv.spare[:0], len(toks))
+	i := 0
+	for _, f := range fresh {
+		rest := rv.order[i:]
+		j := i + sort.Search(len(rest), func(k int) bool { return toks[rest[k]] > toks[f] })
+		merged = append(append(merged, rv.order[i:j]...), f)
+		i = j
+	}
+	merged = append(merged, rv.order[i:]...)
+	rv.order, rv.spare = merged, rv.order
+	rv.rank = slices.Grow(rv.rank[:0], len(toks))[:len(toks)]
+	for k, sl := range rv.order {
+		rv.rank[sl] = int32(k)
+	}
+}
+
+// DF yields, in ascending token order, every token of (pre, tok) that a
+// live row holds, with its document frequency.
+func (v *Vocab) DF(pre textproc.Option, tok tokenize.Option) iter.Seq2[string, int] {
+	return func(yield func(string, int) bool) {
+		rv := &v.reps[v.lay.rep[pre][tok]]
+		for _, sl := range rv.order {
+			if df := rv.df[sl]; df > 0 && !yield(rv.toks[sl], int(df)) {
+				return
+			}
+		}
+	}
+}
+
+// SlotIndex holds one int32 list per (pre-processing, tokenization)
+// representation: the map between a Vocab's slots and a column
+// dictionary's positions, in either direction.
+type SlotIndex [numPre][numTok][]int32
+
+// Dictionary returns the sorted distinct tokens that the rows of s hold
+// (live or not) over every counted representation, and by (pre, tok) each
+// slot's index into the dictionary (-1 for slots s does not hold).
+func (v *Vocab) Dictionary(s *Rows) (dict []string, index SlotIndex) {
+	nrep := len(v.reps)
+	for r, rep := range v.lay.reps {
+		idx := make([]int32, len(v.reps[r].toks))
+		for sl := range idx {
+			idx[sl] = -1
+		}
+		for at := r; at < s.n*nrep; at += nrep {
+			for _, sl := range s.slots[s.off[at]:s.off[at+1]] {
+				if idx[sl] < 0 {
+					idx[sl] = 0
+					dict = append(dict, v.reps[r].toks[sl])
+				}
+			}
+		}
+		index[rep.Pre][rep.Tok] = idx
+	}
+	sort.Strings(dict)
+	dict = slices.Compact(dict)
+	for r, rep := range v.lay.reps {
+		idx := index[rep.Pre][rep.Tok]
+		for sl, x := range idx {
+			if x == 0 {
+				idx[sl] = int32(sort.SearchStrings(dict, v.reps[r].toks[sl]))
+			}
+		}
+	}
+	return dict, index
+}
+
+// Row is one stored row in exploded form, indexed like a Profile: the
+// input of Rows.Append and the output of Rows.Get. Only the parts the
+// layout stores are read or written; Slots index the column's Vocab,
+// in ascending token order, and Sum and Norm are the count vector's.
+type Row struct {
+	Proc   [numPre]string
+	Emb    [numPre][]float64 // embed.Dim values each
+	Slots  [numPre][numTok][]int32
+	Counts [numPre][numTok][]uint32
+	Sum    [numPre][numTok]float64
+	Norm   [numPre][numTok]float64
+}
+
+// Rows is the columnar at-rest storage of a block of one program
+// column's rows: processed strings, flat embeddings, and per counted
+// representation a slot run with integer counts and the count vector's
+// Sum and Norm. A row's parts sit at fixed positions (see layout), so a
+// row is a handful of slices into a few flat arrays. Rows only grow, and
+// stored rows never change.
+type Rows struct {
+	lay    *layout
+	n      int
+	proc   []string  // n × nproc
+	emb    []float64 // n × nemb × embed.Dim
+	off    []int32   // n × nrep + 1 run offsets into slots and counts
+	slots  []int32
+	counts []uint32
+	sums   []float64 // n × nrep (Sum, Norm) pairs
+}
+
+// NewRows returns empty row storage in v's layout with room for n rows
+// holding tokens slots in all.
+func (v *Vocab) NewRows(n, tokens int) Rows {
+	lay := v.lay
+	nrep := len(lay.reps)
+	s := Rows{
+		lay:    lay,
+		proc:   make([]string, 0, n*lay.nproc),
+		emb:    make([]float64, 0, n*lay.nemb*embed.Dim),
+		off:    make([]int32, 0, n*nrep+1),
+		slots:  make([]int32, 0, tokens),
+		counts: make([]uint32, 0, tokens),
+		sums:   make([]float64, 0, 2*n*nrep),
+	}
+	return s
+}
+
+// Len returns the number of stored rows.
+func (s *Rows) Len() int { return s.n }
+
+// Tokens returns the number of slot entries the rows hold in all.
+func (s *Rows) Tokens() int { return len(s.slots) }
+
+// Append stores r as the next row.
+func (s *Rows) Append(r *Row) {
+	lay := s.lay
+	for pi := 0; pi < numPre; pi++ {
+		if lay.proc[pi] >= 0 {
+			s.proc = append(s.proc, r.Proc[pi])
+		}
+	}
+	for pi := 0; pi < numPre; pi++ {
+		if lay.emb[pi] >= 0 {
+			s.emb = append(s.emb, r.Emb[pi]...)
+		}
+	}
+	if len(s.off) == 0 {
+		s.off = append(s.off, 0)
+	}
+	for _, rep := range lay.reps {
+		s.slots = append(s.slots, r.Slots[rep.Pre][rep.Tok]...)
+		s.counts = append(s.counts, r.Counts[rep.Pre][rep.Tok]...)
+		s.off = append(s.off, int32(len(s.slots)))
+		s.sums = append(s.sums, r.Sum[rep.Pre][rep.Tok], r.Norm[rep.Pre][rep.Tok])
+	}
+	s.n++
+}
+
+// Get fills r with views of row i. The views alias the storage.
+func (s *Rows) Get(i int, r *Row) {
+	lay := s.lay
+	for pi := 0; pi < numPre; pi++ {
+		if k := lay.proc[pi]; k >= 0 {
+			r.Proc[pi] = s.proc[i*lay.nproc+int(k)]
+		}
+		if e := lay.emb[pi]; e >= 0 {
+			lo := (i*lay.nemb + int(e)) * embed.Dim
+			r.Emb[pi] = s.emb[lo : lo+embed.Dim : lo+embed.Dim]
+		}
+	}
+	nrep := len(lay.reps)
+	for ri, rep := range lay.reps {
+		at := i*nrep + ri
+		lo, hi := s.off[at], s.off[at+1]
+		r.Slots[rep.Pre][rep.Tok] = s.slots[lo:hi:hi]
+		r.Counts[rep.Pre][rep.Tok] = s.counts[lo:hi:hi]
+		r.Sum[rep.Pre][rep.Tok] = s.sums[2*at]
+		r.Norm[rep.Pre][rep.Tok] = s.sums[2*at+1]
+	}
+}
+
+// AppendRow stores a copy of row i of src, which has the same layout.
+func (s *Rows) AppendRow(src *Rows, i int) {
+	var r Row
+	src.Get(i, &r)
+	s.Append(&r)
+}
+
+// Prefix returns a frozen view of the first m rows (capacity-capped, so
+// later appends to s can never write into it).
+func (s *Rows) Prefix(m int) Rows {
+	lay := s.lay
+	if m == 0 {
+		return Rows{lay: lay}
+	}
+	np, ne, nr := m*lay.nproc, m*lay.nemb*embed.Dim, m*len(lay.reps)
+	end := s.off[nr]
+	return Rows{
+		lay:    lay,
+		n:      m,
+		proc:   s.proc[:np:np],
+		emb:    s.emb[:ne:ne],
+		off:    s.off[: nr+1 : nr+1],
+		slots:  s.slots[:end:end],
+		counts: s.counts[:end:end],
+		sums:   s.sums[: 2*nr : 2*nr],
+	}
+}
+
+// Tail returns fresh storage holding copies of the rows from m on.
+func (s *Rows) Tail(m int) Rows {
+	t := Rows{lay: s.lay}
+	for i := m; i < s.n; i++ {
+		t.AppendRow(s, i)
+	}
+	return t
+}
+
+// IDProfile is the id-space view of one record that Evaluator.IDDistances
+// scores: processed strings, embeddings, and set vectors whose ids are
+// lexical ranks in one Vocab. A reference row's view is derived per
+// candidate by Vocab.Derive; a query's is built once by Vocab.Query.
+type IDProfile struct {
+	proc [numPre]string
+	emb  [numPre][]float64
+	vec  [numPre][numTok][numWt]distance.IDVec
+}
+
+// DeriveBuf holds the reusable id and weight buffers of Vocab.Derive, by
+// layout position. It holds no references, so a pooled DeriveBuf pins
+// nothing.
+type DeriveBuf struct {
+	ids [numPre * numTok][]int32
+	w   [numPre * numTok][numWt][]float64
+}
+
+// Derive fills dst with the id-space view of row i of s under the current
+// statistics. The set vectors live in buf and the strings and embeddings
+// alias s, so dst is valid until the next Derive into buf.
+//
+//autofj:hotpath
+func (v *Vocab) Derive(s *Rows, i int, buf *DeriveBuf, dst *IDProfile) {
+	lay := v.lay
+	for pi := 0; pi < numPre; pi++ {
+		if k := lay.proc[pi]; k >= 0 {
+			dst.proc[pi] = s.proc[i*lay.nproc+int(k)]
+		}
+		if e := lay.emb[pi]; e >= 0 {
+			lo := (i*lay.nemb + int(e)) * embed.Dim
+			dst.emb[pi] = s.emb[lo : lo+embed.Dim]
+		}
+	}
+	nrep := len(lay.reps)
+	for r, rep := range lay.reps {
+		v.deriveRun(r, s, i*nrep+r, buf, &dst.vec[rep.Pre][rep.Tok])
+	}
+}
+
+// deriveRun derives the id-space vectors of run at of s, representation
+// r: ids are the slots' ranks, Equal weights are the counts with the
+// stored count Sum and Norm, and IDF weights are count × idf(df) with Sum
+// and Norm accumulated in ascending token order, as weighIDF does.
+//
+//autofj:hotpath
+func (v *Vocab) deriveRun(r int, s *Rows, at int, buf *DeriveBuf, out *[numWt]distance.IDVec) {
+	rv := &v.reps[r]
+	rep := v.lay.reps[r]
+	need := &v.lay.need[rep.Pre][rep.Tok]
+	lo, hi := s.off[at], s.off[at+1]
+	slots, counts := s.slots[lo:hi], s.counts[lo:hi]
+	n := len(slots)
+	if cap(buf.ids[r]) < n {
+		buf.ids[r] = make([]int32, 2*n)
+	}
+	ids := buf.ids[r][:n]
+	w := &buf.w[r]
+	for wi := range w {
+		if need[wi] && cap(w[wi]) < n {
+			w[wi] = make([]float64, 2*n)
+		}
+	}
+	if need[weights.IDF] {
+		widf := w[weights.IDF][:n]
+		var sum, norm float64
+		for k, sl := range slots {
+			ids[k] = rv.rank[sl]
+			x := float64(counts[k]) * v.idf.Weight(int(rv.df[sl]))
+			widf[k] = x
+			sum += x
+			norm += x * x
+		}
+		out[weights.IDF] = distance.IDVec{IDs: ids, W: widf, Sum: sum, Norm: math.Sqrt(norm), N: int32(n)}
+	} else {
+		for k, sl := range slots {
+			ids[k] = rv.rank[sl]
+		}
+	}
+	if need[weights.Equal] {
+		weq := w[weights.Equal][:n]
+		for k, c := range counts {
+			weq[k] = float64(c)
+		}
+		out[weights.Equal] = distance.IDVec{IDs: ids, W: weq, Sum: s.sums[2*at], Norm: s.sums[2*at+1], N: int32(n)}
+	}
+}
+
+// Query builds the id-space profile of a query record: the Profile a
+// full corpus build would give it, with tokens resolved against the
+// vocabulary. A token no row has held carries no id but counts toward
+// Sum, Norm and N and sets Extra (see buildQueryVecs); its IDF weight
+// uses df 1, as weights.Stats weighs an unseen token.
+func (v *Vocab) Query(s string) *IDProfile {
+	q := &IDProfile{}
+	lay := v.lay
+	var emb []float64 // the embeddings the space needs, in layout order
+	if lay.nemb > 0 {
+		emb = make([]float64, lay.nemb*embed.Dim)
+	}
+	for pi := 0; pi < numPre; pi++ {
+		if lay.proc[pi] < 0 {
+			continue
+		}
+		q.proc[pi] = textproc.Option(pi).Apply(s)
+		if e := int(lay.emb[pi]); e >= 0 {
+			vec := embed.Embed(q.proc[pi])
+			q.emb[pi] = emb[e*embed.Dim : (e+1)*embed.Dim]
+			copy(q.emb[pi], vec[:])
+		}
+		for ti := 0; ti < numTok; ti++ {
+			r := lay.rep[pi][ti]
+			if r < 0 {
+				continue
+			}
+			toks := tokenize.Option(ti).Tokens(q.proc[pi])
+			sort.Strings(toks)
+			buildQueryVecs(lay.need[pi][ti], toks, vocabRep{v, int(r)}, &q.vec[pi][ti])
+		}
+	}
+	return q
+}
+
+// vocabRep resolves query tokens against one representation of a Vocab.
+type vocabRep struct {
+	v *Vocab
+	r int
+}
+
+func (q vocabRep) lookup(tok string, idf bool) (id int32, w float64, known bool) {
+	rv := &q.v.reps[q.r]
+	sl, known := rv.slot[tok]
+	df := 0 // an unseen token weighs as df 1
+	if known {
+		id, df = rv.rank[sl], int(rv.df[sl])
+	}
+	if idf {
+		w = q.v.idf.Weight(df)
+	}
+	return id, w, known
+}

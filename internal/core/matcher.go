@@ -107,8 +107,8 @@ type queryState struct {
 	// cands lists the surviving candidates — blocking top-k minus
 	// negative-rule vetoes — in blocking order.
 	cands []int32
-	// profs holds the query profiles, one per program column.
-	profs []*config.Profile
+	// profs holds the query's id-space profiles, one per program column.
+	profs []*config.IDProfile
 	// qcells are the projected query cells of a multi-column row, for the
 	// missing-value rule.
 	qcells []string

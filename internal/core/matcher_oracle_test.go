@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -279,7 +280,10 @@ func oracleQueries(keys []string) []string {
 // pointer-profile oracle: every Match/MatchBatch/MatchRows answer must be
 // bit-identical (==, not tolerance) for single- and multi-column programs
 // compiled at parallelism 1, 4, and 8, through a table carrying a live
-// delta, and across a snapshot save/load round-trip.
+// delta, across a snapshot save/load round-trip, and through mutations
+// that move the token vocabulary: tokens added before, between and after
+// every stored token, tokens whose df drops to 0 and comes back, and
+// minor and major compactions.
 func TestTableMatchesPointerOracle(t *testing.T) {
 	pars := []int{1, 4, 8}
 
@@ -419,5 +423,87 @@ func TestTableMatchesPointerOracle(t *testing.T) {
 				}
 			}
 		})
+	})
+
+	t.Run("vocabulary-mutations", func(t *testing.T) {
+		prog := tableTestProgram()
+		L := makeReference()
+		tab, err := prog.NewTable(1, toRows(L[:120]), Options{Parallelism: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Rows whose new tokens sort before ("0000"), between ("mmmid") and
+		// after ("zzzz") every token the table already holds.
+		edge := []string{
+			"0000 aardvark wisconsin badgers football team",
+			"2008 lsu tigers mmmid basketball team",
+			"zzzz zyzzyva oregon ducks baseball team",
+		}
+		queries := append(oracleQueries(L[:120]),
+			"0000 aardvark wisconsin badgers football team", // only a removed row holds 0000/aardvark
+			"zzzz zyzzyva oregon ducks baseball",
+			"2008 lsu tigers mmmid basketbal team",
+			"quokka wombat 2008 lsu tigers", // never-seen tokens
+			"0000", "zzzz", "mmmid",
+		)
+		expect := func(stage string) {
+			t.Helper()
+			rows := tab.Rows()
+			keys := make([]string, len(rows))
+			for i, r := range rows {
+				keys[i] = r[0]
+			}
+			oracle := newPointerOracle(t, prog, [][]string{keys})
+			got, err := tab.MatchBatch(context.Background(), queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, q := range queries {
+				if want := oracle.match(q, nil); got[i] != want {
+					t.Fatalf("%s: query %d %q: got %+v, oracle %+v", stage, i, q, got[i], want)
+				}
+			}
+		}
+		denseOf := func(key string) int {
+			t.Helper()
+			for d, r := range tab.Rows() {
+				if r[0] == key {
+					return d
+				}
+			}
+			t.Fatalf("row %q not in the table", key)
+			return -1
+		}
+
+		if _, err := tab.Add(toRows(edge)); err != nil {
+			t.Fatal(err)
+		}
+		expect("tokens added before, between and after the vocabulary")
+		// Dropping the only rows holding 0000/aardvark and zzzz/zyzzyva takes
+		// those tokens' df to 0.
+		if _, err := tab.Remove([]int{denseOf(edge[0]), denseOf(edge[2])}); err != nil {
+			t.Fatal(err)
+		}
+		expect("tokens at df 0")
+		if _, err := tab.Add(toRows([]string{"zzzz texas longhorns football team"})); err != nil {
+			t.Fatal(err)
+		}
+		expect("a df-0 token re-added")
+		if _, err := tab.Compact(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		expect("minor compaction")
+		for i := 0; tab.SegmentCount() > 1; i++ {
+			if i == 2*maxTableSegments {
+				t.Fatalf("no major compaction after %d minor ones", i)
+			}
+			if _, err := tab.Add(toRows([]string{fmt.Sprintf("2012 zq%dx usc trojans football team", i)})); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tab.Compact(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		expect("major compaction")
 	})
 }

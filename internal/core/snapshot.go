@@ -9,17 +9,14 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
-
+	"slices"
 	"unsafe"
 
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/blocking"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/config"
-	"github.com/chu-data-lab/autofuzzyjoin-go/internal/distance"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/embed"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/textproc"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/tokenize"
-	"github.com/chu-data-lab/autofuzzyjoin-go/internal/weights"
 )
 
 // Binary snapshot format for compiled tables.
@@ -33,7 +30,7 @@ import (
 //
 // The body stores the program (JSON, so snapshots stay debuggable), the row
 // arity, each compiled segment (blocking parts, alive bitmap, rows, count
-// profiles, negative-rule word sets), the token IDF statistics, and the raw
+// rows, negative-rule word sets), the token IDF statistics, and the raw
 // live delta rows, which are replayed through the normal Add path at load.
 // Strings decode as substrings of the mapped or loaded body; posting and
 // doc-gram lists and count-vector weights are aligned fixed-width
@@ -45,8 +42,9 @@ import (
 // stores gap-encoded varint indices into that dictionary instead of
 // repeating the token bytes per row. The dictionary is sorted and the
 // indices strictly ascend, so ascending indices are ascending tokens —
-// decoded vectors keep the sortedness the distance kernels rely on
-// without a per-token string comparison.
+// decoded slot runs keep the token order the id kernels rely on without a
+// per-token string comparison, and a dictionary token is hashed into the
+// column vocabulary once, on its first use, not once per row.
 //
 // Load never trusts the input: every count is bounds-checked against the
 // remaining bytes and every cross-reference is validated, so a truncated or
@@ -117,7 +115,7 @@ func (t *Table) SaveFile(path string) error {
 }
 
 // LoadTable reconstructs a table from snapshot bytes. The options play the
-// same role as in Program.NewTable (parallelism, ball-radius fallback).
+// same role as in Program.NewTable (parallelism, result cache size).
 // The loaded table starts at generation 1 and answers every query
 // bit-identically to the table that was saved.
 func LoadTable(data []byte, opt Options) (*Table, error) {
@@ -161,7 +159,10 @@ func checkSnapshotHeader(data []byte) error {
 // pressure of a multi-megabyte read — the bulk of a daemon's boot cost.
 // The mapping stays for the life of the process (see mmapFile); corrupt
 // data is still rejected up front because the checksum pass touches every
-// byte before any of it is trusted.
+// byte before any of it is trusted. The loaded table aliases the file's
+// bytes, so the file must only ever be replaced by rename, as SaveFile
+// does: truncating or rewriting it in place while a table loaded from it
+// is alive is unsupported.
 func LoadTableFile(path string, opt Options) (*Table, error) {
 	if data, ok := mmapFile(path); ok {
 		t, err := loadOwnedTable(data, opt)
@@ -274,46 +275,25 @@ func (t *Table) encodeBody() []byte {
 				w.str(cell)
 			}
 		}
-		for j := range t.cols {
-			corpus := t.cols[j].corpus
-			totalToks := 0
-			dictIdx := make(map[string]uint64)
-			for i := 0; i < n; i++ {
-				parts := corpus.Parts(pl.profs[j][i])
-				for pi := range parts.CountSet {
-					for ti := range parts.CountSet[pi] {
-						if parts.CountSet[pi][ti] {
-							toks := parts.Counts[pi][ti].Tokens
-							totalToks += len(toks)
-							for _, tok := range toks {
-								dictIdx[tok] = 0
-							}
-						}
-					}
-				}
-			}
+		for j, vocab := range t.cols {
+			rows := &pl.cols[j]
 			// The column's token dictionary: sorted distinct tokens, written
 			// once; count vectors below store indices into it.
-			dict := make([]string, 0, len(dictIdx))
-			for tok := range dictIdx {
-				dict = append(dict, tok)
-			}
-			sort.Strings(dict)
-			for i, tok := range dict {
-				dictIdx[tok] = uint64(i)
-			}
-			w.uvarint(uint64(totalToks))
+			dict, index := vocab.Dictionary(rows)
+			w.uvarint(uint64(rows.Tokens()))
 			w.strs(dict)
+			var row config.Row
 			for i := 0; i < n; i++ {
-				// Each profile is length-prefixed so Load can verify it was
-				// consumed exactly and fail before any cross-profile smearing.
+				// Each row is length-prefixed so Load can verify it was
+				// consumed exactly and fail before any cross-row smearing.
 				// The prefix is fixed-width and backpatched after the write:
-				// a varint's width would depend on the profile's length, which
+				// a varint's width would depend on the row's length, which
 				// depends on the alignment padding, which depends on the
 				// prefix's width.
 				off := w.buf.Len()
 				w.buf.Write([]byte{0, 0, 0, 0})
-				w.profile(corpus, pl.profs[j][i], dictIdx)
+				rows.Get(i, &row)
+				w.row(vocab, &row, &index)
 				binary.LittleEndian.PutUint32(w.buf.Bytes()[off:off+4], uint32(w.buf.Len()-off-4))
 			}
 		}
@@ -329,18 +309,20 @@ func (t *Table) encodeBody() []byte {
 		}
 	}
 
-	// IDF statistics over every live row (segments and delta), stored
-	// directly: restoring a df table is one map insert per distinct corpus
-	// token, far cheaper than replaying AddDocTokens over every document.
-	// Entries are token-sorted so snapshots stay byte-deterministic.
-	for j := range t.cols {
-		for _, st := range t.cols[j].stats {
-			w.uvarint(uint64(st.Docs()))
-			toks, dfs := st.SortedEntries()
-			w.uvarint(uint64(len(toks)))
-			for i, tok := range toks {
+	// IDF statistics over every live row (segments and delta), per program
+	// column and IDF-weighted representation. Entries are token-sorted so
+	// snapshots stay byte-deterministic.
+	for _, vocab := range t.cols {
+		for _, rep := range t.reps {
+			w.uvarint(uint64(vocab.Docs()))
+			n := 0
+			for range vocab.DF(rep.Pre, rep.Tok) {
+				n++
+			}
+			w.uvarint(uint64(n))
+			for tok, df := range vocab.DF(rep.Pre, rep.Tok) {
 				w.str(tok)
-				w.uvarint(uint64(dfs[i]))
+				w.uvarint(uint64(df))
 			}
 		}
 	}
@@ -364,35 +346,35 @@ func (t *Table) encodeBody() []byte {
 	return w.buf.Bytes()
 }
 
-// profile serializes the representation-need-guided parts of one count
-// profile. Raw is not stored (it equals the cell); proc strings,
-// embeddings, and count vectors are, because recomputing them is the bulk
-// of compile cost. Tokens are stored as gap-encoded varint indices into
-// the column dictionary: the first index raw, each later one as the
-// (strictly positive) increment over its predecessor — vector tokens are
-// sorted distinct strings and the dictionary is sorted, so the gaps are
-// small and almost always one byte.
-func (w *snapWriter) profile(corpus *config.Corpus, p *config.Profile, dictIdx map[string]uint64) {
-	parts := corpus.Parts(p)
-	for pi := range parts.ProcSet {
-		if !parts.ProcSet[pi] {
+// row serializes the representation-need-guided parts of one stored row.
+// Raw is not stored (it equals the cell); proc strings, embeddings, and
+// count vectors are, because recomputing them is the bulk of compile
+// cost. Tokens are stored as gap-encoded varint indices into the column
+// dictionary: the first index raw, each later one as the (strictly
+// positive) increment over its predecessor — a slot run is in ascending
+// token order and the dictionary is sorted, so the gaps are small and
+// almost always one byte.
+func (w *snapWriter) row(vocab *config.Vocab, r *config.Row, index *config.SlotIndex) {
+	for pi := range r.Proc {
+		pre := textproc.Option(pi)
+		if !vocab.NeedProc(pre) {
 			continue
 		}
-		w.str(parts.Proc[pi])
-		if parts.EmbSet[pi] {
-			for _, v := range parts.Emb[pi] {
+		w.str(r.Proc[pi])
+		if vocab.NeedEmb(pre) {
+			for _, v := range r.Emb[pi] {
 				w.f64(v)
 			}
 		}
-		for ti := range parts.CountSet[pi] {
-			if !parts.CountSet[pi][ti] {
+		for ti := range r.Slots[pi] {
+			if !vocab.NeedCounts(pre, tokenize.Option(ti)) {
 				continue
 			}
-			vec := parts.Counts[pi][ti]
-			w.uvarint(uint64(len(vec.Tokens)))
+			slots := r.Slots[pi][ti]
+			w.uvarint(uint64(len(slots)))
 			var prev uint64
-			for i, tok := range vec.Tokens {
-				idx := dictIdx[tok]
+			for i, sl := range slots {
+				idx := uint64(index[pi][ti][sl])
 				if i == 0 {
 					w.uvarint(idx)
 				} else {
@@ -405,9 +387,9 @@ func (w *snapWriter) profile(corpus *config.Corpus, p *config.Profile, dictIdx m
 			// they are whole numbers by construction and almost always one
 			// byte, and the smaller file beats an aliasable fixed-width block
 			// on the boot path (checksum and page-in touch every byte).
-			w.f64(vec.Sum)
-			w.f64(vec.Norm)
-			for _, c := range vec.W {
+			w.f64(r.Sum[pi][ti])
+			w.f64(r.Norm[pi][ti])
+			for _, c := range r.Counts[pi][ti] {
 				w.uvarint(uint64(c))
 			}
 		}
@@ -518,7 +500,7 @@ func (r *snapReader) strSlow() string {
 	return s
 }
 
-// u32 reads a fixed-width little-endian uint32 (the backpatched profile
+// u32 reads a fixed-width little-endian uint32 (the backpatched row
 // length prefix).
 func (r *snapReader) u32() int {
 	if r.err != nil {
@@ -703,11 +685,13 @@ func decodeBody(blob string, opt Options) (*Table, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
+	for _, vocab := range t.cols {
+		vocab.Settle()
+	}
 	segLive := t.tix.Len()
 
 	// The serialized IDF statistics cover every live row, delta included, so
-	// they are read here but installed only after the delta replay below —
-	// installing first would let Add double-count the delta documents.
+	// they are read here but checked only after the delta replay below.
 	type loadedStats struct {
 		docs   int
 		tokens []string
@@ -774,35 +758,39 @@ func decodeBody(blob string, opt Options) (*Table, error) {
 			return nil, fmt.Errorf("core: snapshot delta: %w", err)
 		}
 	}
+	// The vocabularies counted the live rows as they loaded; the stored
+	// statistics must say the same, entry for entry.
 	si := 0
-	for j := range t.cols {
-		col := &t.cols[j]
-		for ri, rep := range t.reps {
+	for _, vocab := range t.cols {
+		for _, rep := range t.reps {
 			ls := stats[si]
 			si++
-			st := weights.NewRestoredStats(ls.docs, ls.tokens, ls.dfs)
-			col.stats[ri] = st
-			col.corpus.SetStats(rep.Pre, rep.Tok, st)
+			k := 0
+			for tok, df := range vocab.DF(rep.Pre, rep.Tok) {
+				if k == len(ls.tokens) || ls.tokens[k] != tok || ls.dfs[k] != df {
+					return nil, fmt.Errorf("core: invalid snapshot: statistics disagree with the stored rows")
+				}
+				k++
+			}
+			if k != len(ls.tokens) {
+				return nil, fmt.Errorf("core: invalid snapshot: statistics disagree with the stored rows")
+			}
 		}
 	}
 	t.gen.Store(1)
 	return t, nil
 }
 
-// profileChunk bounds the Profile arena allocated ahead of decoding: a
-// corrupted row count can cost at most one chunk of wasted memory before
-// the first bad profile fails the load.
-const profileChunk = 4096
-
 // decodeSegment reads one compiled segment with its payload and attaches
-// both to the (load-phase, unshared) table.
+// both to the (load-phase, unshared) table, counting its live rows into
+// the column vocabularies.
 //
 // Decoding is allocation-frugal on purpose: the serialized totals let
-// every posting list, doc-gram list, token slice, and weight slice be
-// carved out of one arena per kind, and profiles land in chunked arenas
-// instead of one heap object each. Per-object allocation (and the GC
-// traffic it causes) dominated load time before this; the arenas are
-// what keeps snapshot boot far cheaper than a recompile.
+// every posting list, doc-gram list, row cell and slot run be carved out
+// of one block per kind, instead of one heap object each. Per-object
+// allocation (and the GC traffic it causes) dominated load time before
+// this; the blocks are what keeps snapshot boot far cheaper than a
+// recompile.
 func (t *Table) decodeSegment(r *snapReader) error {
 	n := r.count(2)
 	vocab := r.strs()
@@ -824,18 +812,20 @@ func (t *Table) decodeSegment(r *snapReader) error {
 		return fmt.Errorf("core: invalid snapshot: %w", err)
 	}
 
-	pl := newPayload(len(t.cols))
-	pl.rows = make([][]string, n)
-	pl.keys = make([]string, n)
-	for j := range t.cols {
-		pl.cells[j] = make([]string, n)
-		pl.profs[j] = make([]*config.Profile, n)
-	}
 	if cells := n * t.rowWidth; cells > r.remaining() {
 		// Every cell costs at least its one length byte, so a row count the
-		// data cannot back fails here, before the arena allocation.
+		// data cannot back fails here, before the block allocations.
 		r.fail("%d row cells overrun data", cells)
 		return r.err
+	}
+	pl := &tablePayload{
+		rows:  make([][]string, n),
+		keys:  make([]string, n),
+		cells: make([][]string, len(t.cols)),
+		cols:  make([]config.Rows, len(t.cols)),
+	}
+	for j := range t.cols {
+		pl.cells[j] = make([]string, n)
 	}
 	cellArena := make([]string, n*t.rowWidth)
 	for i := 0; i < n; i++ {
@@ -850,8 +840,8 @@ func (t *Table) decodeSegment(r *snapReader) error {
 			pl.cells[j][i] = t.cellOf(row, j)
 		}
 	}
-	for j := range t.cols {
-		corpus := t.cols[j].corpus
+	var row config.Row
+	for j, vocab := range t.cols {
 		totalToks := r.count(1)
 		dict := r.strs()
 		if r.err != nil {
@@ -859,49 +849,42 @@ func (t *Table) decodeSegment(r *snapReader) error {
 		}
 		for i := 1; i < len(dict); i++ {
 			// A sorted dictionary is what makes "ascending indices" mean
-			// "ascending tokens" for every vector decoded below.
+			// "ascending tokens" for every slot run decoded below.
 			if dict[i] <= dict[i-1] {
 				return fmt.Errorf("core: invalid snapshot: token dictionary out of order")
 			}
 		}
-		tokArena := make([]string, totalToks)
-		wArena := make([]float64, totalToks)
-		var parts config.ProfileParts
-		nPairs := 0
-		for pi := range parts.ProcSet {
-			if !corpus.NeedProc(textproc.Option(pi)) {
-				continue
-			}
-			for ti := range parts.CountSet[pi] {
-				if corpus.NeedCounts(textproc.Option(pi), tokenize.Option(ti)) {
-					nPairs++
+		rows := vocab.NewRows(n, totalToks)
+		vocab.Reserve(len(dict))
+		var slotOf config.SlotIndex // dictionary index -> slot, -1 until first use
+		for pi := range slotOf {
+			for ti := range slotOf[pi] {
+				if vocab.NeedCounts(textproc.Option(pi), tokenize.Option(ti)) {
+					slotOf[pi][ti] = make([]int32, len(dict))
+					for k := range slotOf[pi][ti] {
+						slotOf[pi][ti][k] = -1
+					}
 				}
 			}
 		}
-		vecArena := make([]config.VecBlock, nPairs*n)
-		var chunk []config.Profile
-		// parts is reused across profiles without clearing: the corpus's
-		// representation needs are fixed, so exactly the same slots are
-		// overwritten on every call and stale state cannot leak through.
 		for i := 0; i < n; i++ {
 			ln := r.u32()
 			if r.err != nil {
 				return r.err
 			}
 			end := r.pos + ln
-			if len(chunk) == 0 {
-				chunk = make([]config.Profile, min(profileChunk, n-i))
-			}
-			dst := &chunk[0]
-			chunk = chunk[1:]
-			if err := r.profile(corpus, pl.cells[j][i], dst, dict, &parts, &tokArena, &wArena, &vecArena); err != nil {
+			if err := r.row(vocab, dict, &slotOf, &row, &totalToks); err != nil {
 				return err
 			}
 			if r.pos != end {
-				return fmt.Errorf("core: invalid snapshot: profile length prefix off by %d bytes", end-r.pos)
+				return fmt.Errorf("core: invalid snapshot: row length prefix off by %d bytes", end-r.pos)
 			}
-			pl.profs[j][i] = dst
+			rows.Append(&row)
+			if alive[i] {
+				vocab.Count(&rows, i, 1)
+			}
 		}
+		pl.cols[j] = rows
 	}
 	if t.hasRules {
 		wordsArena := make([]string, r.count(1))
@@ -921,44 +904,46 @@ func (t *Table) decodeSegment(r *snapReader) error {
 	return nil
 }
 
-// profile decodes one count profile into dst (a zeroed arena slot),
-// slicing token and weight storage off the shared arenas. Tokens arrive
-// as gap-encoded indices into the column dictionary; strictly positive
-// gaps against a validated-sorted dictionary guarantee the decoded token
-// list is sorted and distinct without comparing a single string. Sum and
-// Norm of each count vector carry the saved table's exact bits; count
-// positivity is validated so a corrupted snapshot cannot smuggle in a
-// vector the distance kernels would misbehave on. parts is caller-owned
-// scratch.
-func (r *snapReader) profile(corpus *config.Corpus, cell string, dst *config.Profile, dict []string, parts *config.ProfileParts, tokArena *[]string, wArena *[]float64, vecArena *[]config.VecBlock) error {
-	parts.Raw = cell
-	for pi := range parts.ProcSet {
+// row decodes one stored row of the vocab's column into dst, whose buffers it
+// reuses. Tokens arrive as gap-encoded indices into the column dictionary;
+// strictly positive gaps against a validated-sorted dictionary guarantee
+// the decoded slot run is in ascending token order without comparing a
+// single string, and slotOf resolves each index to its vocabulary slot,
+// interning the dictionary token on its first use. Sum and Norm of each
+// count vector carry the saved table's exact bits; count positivity is
+// validated so a corrupted snapshot cannot smuggle in a vector the
+// distance kernels would misbehave on. budget is the number of token
+// entries the column still declares.
+func (r *snapReader) row(vocab *config.Vocab, dict []string, slotOf *config.SlotIndex, dst *config.Row, budget *int) error {
+	for pi := range dst.Proc {
 		pre := textproc.Option(pi)
-		if !corpus.NeedProc(pre) {
+		if !vocab.NeedProc(pre) {
 			continue
 		}
-		parts.Proc[pi] = r.str()
-		parts.ProcSet[pi] = true
-		if corpus.NeedEmb(pre) {
-			for d := range parts.Emb[pi] {
-				parts.Emb[pi][d] = r.f64()
+		dst.Proc[pi] = r.str()
+		if vocab.NeedEmb(pre) {
+			if dst.Emb[pi] == nil {
+				dst.Emb[pi] = make([]float64, embed.Dim)
 			}
-			parts.EmbSet[pi] = true
+			for d := range dst.Emb[pi] {
+				dst.Emb[pi][d] = r.f64()
+			}
 		}
-		for ti := range parts.CountSet[pi] {
-			if !corpus.NeedCounts(pre, tokenize.Option(ti)) {
+		for ti := range dst.Slots[pi] {
+			tok := tokenize.Option(ti)
+			if !vocab.NeedCounts(pre, tok) {
 				continue
 			}
 			nt := r.count(1)
 			if r.err != nil {
 				return r.err
 			}
-			if nt > len(*tokArena) {
+			if nt > *budget {
 				r.fail("count vector exceeds the declared token total")
 				return r.err
 			}
-			tokens := (*tokArena)[:nt:nt]
-			*tokArena = (*tokArena)[nt:]
+			*budget -= nt
+			slots, counts := slices.Grow(dst.Slots[pi][ti][:0], nt), slices.Grow(dst.Counts[pi][ti][:0], nt)
 			var idx uint64
 			for i := 0; i < nt; i++ {
 				gap := r.uvarint()
@@ -976,40 +961,29 @@ func (r *snapReader) profile(corpus *config.Corpus, cell string, dst *config.Pro
 				if idx >= uint64(len(dict)) {
 					return fmt.Errorf("core: invalid snapshot: token index %d out of dictionary range %d", idx, len(dict))
 				}
-				tokens[i] = dict[idx]
+				sl := slotOf[pi][ti][idx]
+				if sl < 0 {
+					sl = vocab.Intern(pre, tok, dict[idx])
+					slotOf[pi][ti][idx] = sl
+				}
+				slots = append(slots, sl)
 			}
-			sum := r.f64()
-			norm := r.f64()
-			if nt > len(*wArena) {
-				r.fail("count vector exceeds the declared token total")
-				return r.err
-			}
-			ws := (*wArena)[:nt:nt]
-			*wArena = (*wArena)[nt:]
-			for i := range tokens {
+			dst.Sum[pi][ti] = r.f64()
+			dst.Norm[pi][ti] = r.f64()
+			for range slots {
 				c := r.uvarint()
 				if r.err != nil {
 					return r.err
 				}
-				if c == 0 || c > 1<<32 {
+				if c == 0 || c > math.MaxUint32 {
 					return fmt.Errorf("core: invalid snapshot: token count %d out of range", c)
 				}
-				ws[i] = float64(c)
+				counts = append(counts, uint32(c))
 			}
-			parts.Counts[pi][ti] = distance.Sparse{
-				Tokens: tokens,
-				W:      ws,
-				Sum:    sum,
-				Norm:   norm,
-			}
-			parts.CountSet[pi][ti] = true
+			dst.Slots[pi][ti], dst.Counts[pi][ti] = slots, counts
 		}
 	}
-	if r.err != nil {
-		return r.err
-	}
-	config.FillProfileFromParts(dst, parts, vecArena)
-	return nil
+	return r.err
 }
 
 // embedDim guards against a mismatch between the snapshot format and the

@@ -3,9 +3,12 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -110,6 +113,75 @@ func TestSnapshotSaveFile(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("query %d differs via file round trip", i)
+		}
+	}
+}
+
+// TestSnapshotBytesPinned pins the exact bytes Save writes for a
+// deterministic table with an IDF-weighted program that went through Add,
+// Remove and Compact: a change to the in-memory representation must not
+// move a single byte of the version-2 format.
+func TestSnapshotBytesPinned(t *testing.T) {
+	_, tab, _ := snapshotTable(t)
+	var buf bytes.Buffer
+	if err := tab.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const want = "42a5f4195eb89df8a960fdf968fd1c9c31ecd44bba934f7c64e9a09ee123b940"
+	if sum := sha256.Sum256(buf.Bytes()); hex.EncodeToString(sum[:]) != want {
+		t.Fatalf("snapshot bytes moved: sha256 %x (%d bytes), want %s", sum, buf.Len(), want)
+	}
+}
+
+// TestSnapshotMappedSurvivesSaveOverPath: a table booted from a mapped
+// snapshot keeps its rows and answers after another table is saved over
+// the same path, because SaveFile replaces the file by rename and never
+// rewrites the mapped bytes in place.
+func TestSnapshotMappedSurvivesSaveOverPath(t *testing.T) {
+	prog, tab, queries := snapshotTable(t)
+	path := filepath.Join(t.TempDir(), "table.afjs")
+	if err := tab.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	booted, err := LoadTableFile(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantRows [][]string
+	for _, r := range booted.Rows() {
+		row := make([]string, len(r))
+		for c, cell := range r {
+			row[c] = strings.Clone(cell)
+		}
+		wantRows = append(wantRows, row)
+	}
+	want, err := booted.MatchRows(context.Background(), queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	L, _ := makeTask(t, 53, 3)
+	other, err := prog.NewTable(1, toRows(L[200:230]), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if reloaded, err := LoadTableFile(path, Options{}); err != nil || reloaded.Len() != other.Len() {
+		t.Fatalf("the path does not hold the second table: %v", err)
+	}
+
+	if !reflect.DeepEqual(booted.Rows(), wantRows) {
+		t.Fatal("booted table's rows changed after a save over its snapshot path")
+	}
+	got, err := booted.MatchRows(context.Background(), queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("query %d: %+v after the save over the path, %+v before", i, got[i], want[i])
 		}
 	}
 }

@@ -14,14 +14,14 @@ import (
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/config"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/negrule"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/parallel"
-	"github.com/chu-data-lab/autofuzzyjoin-go/internal/weights"
 )
 
 // Table is a join program compiled against a MUTABLE reference table: an
 // ordered list of immutable compiled segments plus a small mutable delta,
 // queried through Match/MatchRow/MatchBatch/MatchRows/MatchStream. It is
 // the one query engine: Matcher (what Learn and Program.Compile return)
-// is an alias of it. Add costs time proportional to the added rows, not
+// is an alias of it. Add costs O(rows + V) — the added rows, plus one pass
+// over the V-slot token vocabulary when they bring new tokens — never
 // |L|. Remove tombstones the touched rows, then renumbers the dense ids
 // with one pass over every stored row (blocking.TableIndex.Renumber), so
 // it is linear in the stored table. Background Compact seals the delta
@@ -32,11 +32,14 @@ import (
 //
 //   - blocking merges per-segment top-k streams with a brute-force delta
 //     scan under globally maintained gram df counts (see blocking.TableIndex);
-//   - token IDF statistics are maintained incrementally (integer df/doc
-//     counts, so they equal the batch-built statistics exactly), and rows
-//     are stored as statistics-independent COUNT profiles whose IDF view
-//     is derived per candidate in the same floating-point order a fresh
-//     profile build uses;
+//   - rows store their token sets as integer slot runs with counts over
+//     one vocabulary per program column and counted representation
+//     (config.Vocab), which keeps integer df/doc counts — equal to the
+//     batch-built statistics exactly — and each slot's lexical rank. A
+//     candidate's ids and IDF weights are derived per candidate by array
+//     lookups, in the floating-point order a fresh profile build uses, and
+//     its set distances come from the id kernel, so no token string is
+//     hashed or compared per candidate;
 //   - the 2θ-ball precision denominators run over the same merged top-k
 //     candidates, counted for every configuration in one pass the first
 //     time a row wins, and cached tagged with the statistics generation so
@@ -63,7 +66,7 @@ type Table struct {
 	tix   *blocking.TableIndex
 	segs  []*tablePayload
 	delta *tablePayload
-	cols  []tableCol
+	cols  []*config.Vocab // per program column
 	balls []atomic.Uint64 // packed statsGen<<32 | count, by ci*ballStride+dense
 
 	// cache is the result cache, keyed by the mutation generation: a
@@ -90,32 +93,35 @@ type Table struct {
 	compacting  bool
 }
 
-// tableCol is the per-program-column statistics state: the corpus shell
-// that builds query profiles, and the mutable IDF statistics (one per
-// representation pair the space weights by IDF) installed into it.
-type tableCol struct {
-	corpus *config.Corpus
-	stats  []*weights.Stats
-}
-
 // tablePayload stores the row-level compiled state of one segment (frozen)
 // or of the delta (append-only between compactions): the full rows, their
-// blocking keys, per-program-column cells and count profiles, and the
+// blocking keys, per-program-column cells and stored count rows, and the
 // negative-rule word sets. Slices only grow; row contents are immutable,
 // so read-locked queries may hold references across mutations.
 type tablePayload struct {
 	rows  [][]string
 	keys  []string
-	cells [][]string          // [program column][row]
-	profs [][]*config.Profile // [program column][row]
-	words [][]string          // nil when the program has no negative rules
+	cells [][]string    // [program column][row]
+	cols  []config.Rows // [program column]
+	words [][]string    // nil when the program has no negative rules
 }
 
-func newPayload(ncols int) *tablePayload {
-	return &tablePayload{
-		cells: make([][]string, ncols),
-		profs: make([][]*config.Profile, ncols),
+// newPayload returns empty storage with room for n rows.
+func (t *Table) newPayload(n int) *tablePayload {
+	pl := &tablePayload{
+		rows:  make([][]string, 0, n),
+		keys:  make([]string, 0, n),
+		cells: make([][]string, len(t.cols)),
+		cols:  make([]config.Rows, len(t.cols)),
 	}
+	for j := range t.cols {
+		pl.cells[j] = make([]string, 0, n)
+		pl.cols[j] = t.cols[j].NewRows(n, 0)
+	}
+	if t.hasRules {
+		pl.words = make([][]string, 0, n)
+	}
+	return pl
 }
 
 // prefix returns a frozen view of the first m rows (capacity-capped, so
@@ -125,11 +131,11 @@ func (pl *tablePayload) prefix(m int) *tablePayload {
 		rows:  pl.rows[:m:m],
 		keys:  pl.keys[:m:m],
 		cells: make([][]string, len(pl.cells)),
-		profs: make([][]*config.Profile, len(pl.profs)),
+		cols:  make([]config.Rows, len(pl.cols)),
 	}
 	for j := range pl.cells {
 		np.cells[j] = pl.cells[j][:m:m]
-		np.profs[j] = pl.profs[j][:m:m]
+		np.cols[j] = pl.cols[j].Prefix(m)
 	}
 	if pl.words != nil {
 		np.words = pl.words[:m:m]
@@ -143,11 +149,11 @@ func (pl *tablePayload) tail(m int) *tablePayload {
 		rows:  append([][]string(nil), pl.rows[m:]...),
 		keys:  append([]string(nil), pl.keys[m:]...),
 		cells: make([][]string, len(pl.cells)),
-		profs: make([][]*config.Profile, len(pl.profs)),
+		cols:  make([]config.Rows, len(pl.cols)),
 	}
 	for j := range pl.cells {
 		np.cells[j] = append([]string(nil), pl.cells[j][m:]...)
-		np.profs[j] = append([]*config.Profile(nil), pl.profs[j][m:]...)
+		np.cols[j] = pl.cols[j].Tail(m)
 	}
 	if pl.words != nil {
 		np.words = append([][]string(nil), pl.words[m:]...)
@@ -166,11 +172,8 @@ type tableScratch struct {
 	ballCands []blocking.Candidate
 	kbuf      []byte // composite cache key of a multi-column row
 	//autofj:keep persistent distance-kernel sub-scratch; rows are overwritten per pair and hold no references
-	esc *config.EvalScratch
-	//autofj:keep persistent reweight buffers; released on put, numeric buffers hold no references
-	rwa config.ReweightScratch
-	//autofj:keep persistent reweight buffers; released on put, numeric buffers hold no references
-	rwb    config.ReweightScratch
+	esc    *config.EvalScratch
+	da, db config.DeriveBuf // id and weight buffers of the two rows a pair derives
 	drow   []float64
 	crow   []float64
 	bestD  []float64
@@ -259,19 +262,12 @@ func (p *Program) NewTable(width int, rows [][]string, opt Options) (*Table, err
 	if multi {
 		ncols = len(p.Columns)
 	}
-	t.cols = make([]tableCol, ncols)
+	t.cols = make([]*config.Vocab, ncols)
 	for j := range t.cols {
-		corpus := config.NewCorpus(t.space)
-		reps := corpus.IDFReps()
-		if j == 0 {
-			t.reps = reps
-		}
-		stats := make([]*weights.Stats, len(reps))
-		for ri, rep := range reps {
-			stats[ri] = weights.NewEmptyStats()
-			corpus.SetStats(rep.Pre, rep.Tok, stats[ri])
-		}
-		t.cols[j] = tableCol{corpus: corpus, stats: stats}
+		t.cols[j] = config.NewVocab(t.space)
+	}
+	if ncols > 0 {
+		t.reps = t.cols[0].IDFReps()
 	}
 	if len(p.NegativeRules) > 0 {
 		t.rules = negrule.FreezeRules(p.NegativeRules)
@@ -279,14 +275,11 @@ func (p *Program) NewTable(width int, rows [][]string, opt Options) (*Table, err
 	}
 
 	t.tix = blocking.NewTableIndex()
-	t.delta = newPayload(ncols)
+	t.delta = t.newPayload(0)
 	if len(rows) > 0 {
 		pl := t.buildPayload(rows)
 		t.tix = blocking.BuildTableIndex(pl.keys, t.parallelism)
 		t.segs = append(t.segs, pl)
-		for i := range pl.rows {
-			t.applyStats(pl, i, true)
-		}
 	}
 	t.k = blocking.K(t.tix.Len(), t.beta)
 	t.growBalls()
@@ -317,57 +310,54 @@ func (t *Table) cellOf(row []string, j int) string {
 	return row[t.columns[j]]
 }
 
-// buildPayload compiles the row-level state of a block of rows, sharded
-// across the table's parallelism. Rows are copied.
+// buildChunk bounds the count profiles buildPayload holds at once: they
+// are scaffolding for the stored rows, dropped chunk by chunk.
+const buildChunk = 256
+
+// buildPayload compiles the row-level state of a block of rows and counts
+// every row live. Count profiles are built in parallel across the table's
+// parallelism, one chunk of rows at a time, then stored in row order
+// through the column vocabularies (the statistics pass). Rows are copied.
 func (t *Table) buildPayload(rows [][]string) *tablePayload {
 	n := len(rows)
-	pl := &tablePayload{
-		rows:  make([][]string, n),
-		keys:  make([]string, n),
-		cells: make([][]string, len(t.cols)),
-		profs: make([][]*config.Profile, len(t.cols)),
-	}
+	ncols := len(t.cols)
+	pl := t.newPayload(n)
+	pl.rows, pl.keys = pl.rows[:n], pl.keys[:n]
 	for j := range t.cols {
-		pl.cells[j] = make([]string, n)
-		pl.profs[j] = make([]*config.Profile, n)
+		pl.cells[j] = pl.cells[j][:n]
 	}
 	if t.hasRules {
-		pl.words = make([][]string, n)
+		pl.words = pl.words[:n]
 	}
-	parallel.Shard(n, parallel.Workers(t.parallelism, n), func(_, start, end int) {
-		for i := start; i < end; i++ {
-			row := append([]string(nil), rows[i]...)
-			pl.rows[i] = row
-			key := t.keyOf(row)
-			pl.keys[i] = key
+	profs := make([]*config.Profile, min(n, buildChunk)*ncols)
+	for lo := 0; lo < n; lo += buildChunk {
+		hi := min(n, lo+buildChunk)
+		parallel.Shard(hi-lo, parallel.Workers(t.parallelism, hi-lo), func(_, start, end int) {
+			for i := lo + start; i < lo+end; i++ {
+				row := append([]string(nil), rows[i]...)
+				pl.rows[i] = row
+				key := t.keyOf(row)
+				pl.keys[i] = key
+				for j := range t.cols {
+					cell := t.cellOf(row, j)
+					pl.cells[j][i] = cell
+					profs[(i-lo)*ncols+j] = t.cols[j].CountProfile(cell)
+				}
+				if t.hasRules {
+					pl.words[i] = negrule.AppendWordSet(nil, key)
+				}
+			}
+		})
+		for i := lo; i < hi; i++ {
 			for j := range t.cols {
-				cell := t.cellOf(row, j)
-				pl.cells[j][i] = cell
-				pl.profs[j][i] = t.cols[j].corpus.CountProfile(cell)
-			}
-			if t.hasRules {
-				pl.words[i] = negrule.AppendWordSet(nil, key)
-			}
-		}
-	})
-	return pl
-}
-
-// applyStats adds (or removes) row i of pl to the per-column IDF
-// statistics. Integer df/doc counts make the incremental statistics equal
-// the batch-built ones exactly.
-func (t *Table) applyStats(pl *tablePayload, i int, add bool) {
-	for j := range t.cols {
-		col := &t.cols[j]
-		for ri, rep := range t.reps {
-			toks := pl.profs[j][i].CountVec(rep.Pre, rep.Tok).Tokens
-			if add {
-				col.stats[ri].AddDocTokens(toks)
-			} else {
-				col.stats[ri].RemoveDocTokens(toks)
+				t.cols[j].AppendProfile(&pl.cols[j], profs[(i-lo)*ncols+j])
 			}
 		}
 	}
+	for j := range t.cols {
+		t.cols[j].Settle()
+	}
+	return pl
 }
 
 // growBalls (re)allocates the ball-count cache when the dense id space has
@@ -460,7 +450,8 @@ func (t *Table) Row(d int) ([]string, error) {
 
 // Add appends rows to the reference table (into the mutable delta) and
 // returns the new generation. Each row must have exactly RowWidth cells;
-// rows are copied. Cost is proportional to the added rows, not the table.
+// rows are copied. Cost is proportional to the added rows plus, when they
+// bring new tokens, one pass over the token vocabulary — never the table.
 func (t *Table) Add(rows [][]string) (uint64, error) {
 	for i, row := range rows {
 		if len(row) != t.rowWidth {
@@ -476,16 +467,17 @@ func (t *Table) Add(rows [][]string) (uint64, error) {
 		pl := t.delta
 		pl.rows = append(pl.rows, row)
 		pl.keys = append(pl.keys, key)
-		for j := range t.cols {
+		for j, vocab := range t.cols {
 			cell := t.cellOf(row, j)
-			prof := t.cols[j].corpus.CountProfile(cell)
 			pl.cells[j] = append(pl.cells[j], cell)
-			pl.profs[j] = append(pl.profs[j], prof)
+			vocab.AppendProfile(&pl.cols[j], vocab.CountProfile(cell))
 		}
 		if t.hasRules {
 			pl.words = append(pl.words, negrule.AppendWordSet(nil, key))
 		}
-		t.applyStats(pl, len(pl.rows)-1, true)
+	}
+	for j := range t.cols {
+		t.cols[j].Settle()
 	}
 	t.k = blocking.K(t.tix.Len(), t.beta)
 	t.statsGen++
@@ -519,8 +511,13 @@ func (t *Table) Remove(indices []int) (uint64, error) {
 	}
 	for _, d := range sorted {
 		pl, local := t.payload(t.tix.Ref(d))
-		t.applyStats(pl, int(local), false)
+		for j := range t.cols {
+			t.cols[j].Count(&pl.cols[j], int(local), -1)
+		}
 		t.tix.RemoveDense(d)
+	}
+	for j := range t.cols {
+		t.cols[j].Settle()
 	}
 	t.tix.Renumber()
 	t.k = blocking.K(t.tix.Len(), t.beta)
@@ -619,23 +616,14 @@ func (t *Table) compactMajor(ctx context.Context) (bool, error) {
 	t.mu.RLock()
 	genStart := t.gen.Load()
 	n := t.tix.Len()
-	npl := newPayload(len(t.cols))
-	npl.rows = make([][]string, 0, n)
-	npl.keys = make([]string, 0, n)
-	for j := range t.cols {
-		npl.cells[j] = make([]string, 0, n)
-		npl.profs[j] = make([]*config.Profile, 0, n)
-	}
-	if t.hasRules {
-		npl.words = make([][]string, 0, n)
-	}
+	npl := t.newPayload(n)
 	for d := 0; d < n; d++ {
 		pl, local := t.payload(t.tix.Ref(d))
 		npl.rows = append(npl.rows, pl.rows[local])
 		npl.keys = append(npl.keys, pl.keys[local])
 		for j := range t.cols {
 			npl.cells[j] = append(npl.cells[j], pl.cells[j][local])
-			npl.profs[j] = append(npl.profs[j], pl.profs[j][local])
+			npl.cols[j].AppendRow(&pl.cols[j], int(local))
 		}
 		if t.hasRules {
 			npl.words = append(npl.words, pl.words[local])
@@ -658,7 +646,7 @@ func (t *Table) compactMajor(ctx context.Context) (bool, error) {
 	}
 	t.tix = ntix
 	t.segs = []*tablePayload{npl}
-	t.delta = newPayload(len(t.cols))
+	t.delta = t.newPayload(0)
 	t.gen.Add(1)
 	return true, nil
 }
@@ -673,17 +661,6 @@ func (t *Table) payload(ref blocking.Ref) (*tablePayload, int32) {
 	return t.delta, ref.Local
 }
 
-// profile returns the full (IDF-weighted, when the space needs it) profile
-// of a reference row, derived from its stored count profile under the
-// current statistics — bit-identical to the profile a fresh compile would
-// precompute. The result aliases rs and must be consumed before the next
-// derivation into the same scratch.
-//
-//autofj:hotpath
-func (t *Table) profile(j int, pl *tablePayload, local int32, rs *config.ReweightScratch) *config.Profile {
-	return t.cols[j].corpus.Reweighted(pl.profs[j][local], rs)
-}
-
 // pairDists fills ms.drow with every configuration's distance between
 // reference row ref and the query profiles. Multi-column distances
 // reproduce the learned tensor semantics: per-column float32 rounding and
@@ -692,8 +669,10 @@ func (t *Table) profile(j int, pl *tablePayload, local int32, rs *config.Reweigh
 //autofj:hotpath
 func (t *Table) pairDists(ms *tableScratch, e *queryState, ref blocking.Ref) {
 	pl, local := t.payload(ref)
+	var lp config.IDProfile
 	if !t.multi {
-		t.eval.Distances(t.profile(0, pl, local, &ms.rwa), e.profs[0], ms.esc, ms.drow)
+		t.cols[0].Derive(&pl.cols[0], int(local), &ms.da, &lp)
+		t.eval.IDDistances(&lp, e.profs[0], ms.esc, ms.drow)
 		return
 	}
 	for ci := range ms.drow {
@@ -706,8 +685,8 @@ func (t *Table) pairDists(ms *tableScratch, e *queryState, ref blocking.Ref) {
 			}
 			continue
 		}
-		lp := t.profile(j, pl, local, &ms.rwa)
-		t.eval.Distances(lp, e.profs[j], ms.esc, ms.crow)
+		t.cols[j].Derive(&pl.cols[j], int(local), &ms.da, &lp)
+		t.eval.IDDistances(&lp, e.profs[j], ms.esc, ms.crow)
 		for ci := range ms.drow {
 			ms.drow[ci] += t.weights[j] * float64(float32(ms.crow[ci]))
 		}
@@ -729,7 +708,7 @@ func (t *Table) ballCount(ci int, l int32, ms *tableScratch) uint32 {
 }
 
 // fillBalls counts the balls of dense row l under EVERY configuration in
-// one pass — one self-blocking call, l's weighted profile derived once,
+// one pass — one self-blocking call, l's id-space view derived once,
 // and one fused evaluator row per ball candidate compared against all the
 // radii — and stores each count tagged with the statistics generation, so
 // mutations invalidate it wholesale and the other configurations that pick
@@ -741,9 +720,9 @@ func (t *Table) ballCount(ci int, l int32, ms *tableScratch) uint32 {
 func (t *Table) fillBalls(l int32, tag uint64, ms *tableScratch) {
 	ms.ballCands = t.tix.AppendTopKSelf(ms.ballCands[:0], ms.sc, int(l), t.k)
 	apl, alocal := t.payload(t.tix.Ref(int(l)))
-	var pa *config.Profile // single-column: l's profile, derived once for all candidates
-	if !t.multi {
-		pa = t.profile(0, apl, alocal, &ms.rwa)
+	var pa, pb config.IDProfile
+	if !t.multi { // single-column: l's view, derived once for all candidates
+		t.cols[0].Derive(&apl.cols[0], int(alocal), &ms.da, &pa)
 	}
 	for ci := range ms.counts {
 		ms.counts[ci] = 1
@@ -751,7 +730,8 @@ func (t *Table) fillBalls(l int32, tag uint64, ms *tableScratch) {
 	for _, c := range ms.ballCands {
 		bpl, blocal := t.payload(t.tix.Ref(int(c.ID)))
 		if !t.multi {
-			t.eval.Distances(pa, t.profile(0, bpl, blocal, &ms.rwb), ms.esc, ms.drow)
+			t.cols[0].Derive(&bpl.cols[0], int(blocal), &ms.db, &pb)
+			t.eval.IDDistances(&pa, &pb, ms.esc, ms.drow)
 		} else {
 			clear(ms.drow)
 			for j := range t.cols {
@@ -761,7 +741,10 @@ func (t *Table) fillBalls(l int32, tag uint64, ms *tableScratch) {
 					}
 					continue
 				}
-				t.eval.Distances(t.profile(j, apl, alocal, &ms.rwa), t.profile(j, bpl, blocal, &ms.rwb), ms.esc, ms.crow)
+				vocab := t.cols[j]
+				vocab.Derive(&apl.cols[j], int(alocal), &ms.da, &pa)
+				vocab.Derive(&bpl.cols[j], int(blocal), &ms.db, &pb)
+				t.eval.IDDistances(&pa, &pb, ms.esc, ms.crow)
 				for ci := range ms.drow {
 					ms.drow[ci] += t.weights[j] * float64(float32(ms.crow[ci]))
 				}
@@ -777,7 +760,7 @@ func (t *Table) fillBalls(l int32, tag uint64, ms *tableScratch) {
 // fillQuery is the Table's cache-fill edge: merged blocking,
 // negative-rule vetoes, and query-profile construction for one surface
 // form under the current generation's statistics. Caller must hold the
-// read lock (the profiles read the live IDF statistics).
+// read lock (the profiles read the live vocabulary).
 func (t *Table) fillQuery(ms *tableScratch, key string, row []string) *queryState {
 	e := &queryState{}
 	ms.cands = t.tix.AppendTopK(ms.cands[:0], ms.sc, key, t.k)
@@ -803,9 +786,9 @@ func (t *Table) fillQuery(ms *tableScratch, key string, row []string) *queryStat
 	} else {
 		e.qcells[0] = key
 	}
-	e.profs = make([]*config.Profile, len(t.cols))
+	e.profs = make([]*config.IDProfile, len(t.cols))
 	for j := range t.cols {
-		e.profs[j] = t.cols[j].corpus.Profile(e.qcells[j])
+		e.profs[j] = t.cols[j].Query(e.qcells[j])
 	}
 	return e
 }
@@ -890,17 +873,11 @@ func (t *Table) score(ms *tableScratch, e *queryState) Match {
 func (t *Table) getScratch() *tableScratch { return t.pool.Get().(*tableScratch) }
 
 // putScratch returns a scratch to the pool. Query-derived references
-// live in the per-miss queryState, never in the scratch; the reweight buffers are
-// released because they alias reference-row profile memory, which must
-// not outlive a Remove. TestTableScratchRetainsNoQueryMemory pins the
-// structural half of this invariant.
+// live in the per-miss queryState and reference-row views on the stack,
+// never in the scratch (TestTableScratchRetainsNoQueryMemory).
 //
 //autofj:hotpath
-func (t *Table) putScratch(ms *tableScratch) {
-	ms.rwa.Release()
-	ms.rwb.Release()
-	t.pool.Put(ms)
-}
+func (t *Table) putScratch(ms *tableScratch) { t.pool.Put(ms) }
 
 // Match matches one query record, returning the join (if any) with its
 // distance and unsupervised precision estimate. Safe for concurrent use;

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -91,7 +92,9 @@ func TestTableCompactionUnderTraffic(t *testing.T) {
 			if i%3 == 2 && tab.Len() > 50 {
 				gen, err = tab.Remove([]int{i % tab.Len()})
 			} else {
-				gen, err = tab.Add(toRows([]string{L[next%len(L)] + " rev"}))
+				// A never-seen word per Add: every Add inserts into the
+				// token vocabulary while queries run.
+				gen, err = tab.Add(toRows([]string{fmt.Sprintf("%s zq%dx", L[next%len(L)], next)}))
 				next++
 			}
 			if err != nil {

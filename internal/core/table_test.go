@@ -480,19 +480,15 @@ func pointerFreeType(t reflect.Type) bool {
 }
 
 // TestTableScratchRetainsNoQueryMemory: pooled table scratches must be
-// structurally incapable of pinning query input between requests —
-// query-derived references live in generation-keyed cache entries, so
-// every scratch field is a whitelisted persistent sub-scratch or a
-// pointer-free buffer. The reweight sub-scratches are the one class that
-// aliases table memory (reference-row profiles, released in putScratch
-// so a Remove cannot be pinned); they stay on the whitelist because
-// their release is behavioral, not structural.
+// structurally incapable of pinning query input or reference rows between
+// requests — query-derived references live in generation-keyed cache
+// entries and the per-miss queryState, derived reference-row views on the
+// stack — so every scratch field is a whitelisted persistent sub-scratch
+// or a pointer-free buffer, the derive buffers included.
 func TestTableScratchRetainsNoQueryMemory(t *testing.T) {
 	persistent := map[string]bool{
 		"sc":  true, // *blocking.TableScratch: capacity + generation stamps only
 		"esc": true, // *config.EvalScratch: reusable DP rows only
-		"rwa": true, // config.ReweightScratch: released in putScratch
-		"rwb": true,
 	}
 	st := reflect.TypeOf(tableScratch{})
 	for i := 0; i < st.NumField(); i++ {
@@ -505,8 +501,8 @@ func TestTableScratchRetainsNoQueryMemory(t *testing.T) {
 		}
 	}
 
-	// The reweight release half: after putScratch the scratches must not
-	// hold derived profiles (which alias reference-row memory).
+	// The scratch really carries a query's candidates and derived rows
+	// through the path the structural check covers.
 	L, _ := makeTask(t, 43, 4)
 	prog := tableTestProgram()
 	tab, err := prog.NewTable(1, toRows(L), Options{})
@@ -522,9 +518,6 @@ func TestTableScratchRetainsNoQueryMemory(t *testing.T) {
 	}
 	tab.putScratch(ms)
 	tab.mu.RUnlock()
-	if ms.rwa.Held() || ms.rwb.Held() {
-		t.Error("reweight scratch still holds a derived profile after putScratch")
-	}
 }
 
 // TestTableRandomizedOracle drives a random mutation schedule and checks

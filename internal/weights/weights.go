@@ -9,7 +9,6 @@ package weights
 
 import (
 	"math"
-	"sort"
 	"sync/atomic"
 )
 
@@ -34,29 +33,77 @@ func (s Scheme) String() string {
 	return "IDFW"
 }
 
-// Stats holds corpus document frequencies for IDF weighting.
-//
-// log(1 + N/df) depends only on the integers (N, df), so IDF memoizes it
-// by df: idf[df] holds the float bits of the weight under the current N
-// (0 = not yet computed — the weight itself is never 0). The table spans
-// every df <= docs of a non-empty corpus and is allocated by the
-// constructors and the mutators, never on the read path, so IDF is
-// allocation-free and safe for concurrent readers. AddDocTokens/RemoveDocTokens change N and so forget
-// every memoized weight; they need exclusive access, as they always did
-// for the df map.
-type Stats struct {
-	df   map[string]int
+// IDFTable memoizes the IDF weight log(1 + N/df) by df under one document
+// count N. The weight depends only on the integers (N, df), so idf[df]
+// holds the float bits of the weight under the current N (0 = not yet
+// computed — the weight itself is never 0). The table spans every
+// df <= N and is allocated by the constructors and SetDocs, never on the
+// read path, so Weight is allocation-free and safe for concurrent
+// readers. SetDocs changes N and so forgets every memoized weight; it
+// needs exclusive access. The zero value is a table over no documents.
+type IDFTable struct {
 	idf  []atomic.Uint64
 	docs int
-	// memo is set once any idf entry is filled, so a run of mutations with
-	// no read in between (a table build) clears the table at most once.
+	// memo is set once any idf entry is filled, so a run of SetDocs calls
+	// with no read in between (a table build) clears the table at most once.
 	memo atomic.Bool
+}
+
+// Docs returns the document count N.
+func (w *IDFTable) Docs() int { return w.docs }
+
+// SetDocs sets the document count, dropping every memoized weight and
+// growing the table with amortised capacity when n has outrun it.
+func (w *IDFTable) SetDocs(n int) {
+	w.docs = n
+	if n >= len(w.idf) {
+		w.idf = make([]atomic.Uint64, n+n/2+16)
+	} else if w.memo.Load() {
+		clear(w.idf)
+	}
+	w.memo.Store(false)
+}
+
+// Weight returns log(1 + N/df), with N and df each raised to at least 1:
+// an unseen token (df 0) is weighed as df = 1, which gives it the largest
+// weight, log(1 + N), so weights stay bounded and rare tokens are
+// favored, as the paper intends. A (N, df) pair already answered costs an
+// atomic load instead of a math.Log.
+//
+//autofj:hotpath
+func (w *IDFTable) Weight(df int) float64 {
+	if df < 1 {
+		df = 1
+	}
+	n := w.docs
+	if n < 1 {
+		n = 1
+	}
+	if df >= len(w.idf) { // empty corpus, or a df above N
+		return math.Log(1 + float64(n)/float64(df))
+	}
+	slot := &w.idf[df]
+	if bits := slot.Load(); bits != 0 {
+		return math.Float64frombits(bits)
+	}
+	v := math.Log(1 + float64(n)/float64(df))
+	slot.Store(math.Float64bits(v))
+	w.memo.Store(true)
+	return v
+}
+
+// Stats holds corpus document frequencies for IDF weighting: df by token,
+// with the weights memoized by df in an IDFTable. Stats is immutable
+// after construction and safe for concurrent readers.
+type Stats struct {
+	df map[string]int
+	w  IDFTable
 }
 
 // NewStats builds document-frequency statistics from a corpus of tokenized
 // documents. Each document contributes at most 1 to a token's df.
 func NewStats(docs [][]string) *Stats {
-	s := &Stats{docs: len(docs), df: make(map[string]int), idf: make([]atomic.Uint64, len(docs)+1)}
+	df := make(map[string]int)
 	seen := make(map[string]bool)
 	for _, d := range docs {
 		for k := range seen {
@@ -65,11 +112,11 @@ func NewStats(docs [][]string) *Stats {
 		for _, tok := range d {
 			if !seen[tok] {
 				seen[tok] = true
-				s.df[tok]++
+				df[tok]++
 			}
 		}
 	}
-	return s
+	return NewStatsFromDF(len(docs), df)
 }
 
 // NewStatsFromDF builds statistics from already-counted document
@@ -77,111 +124,18 @@ func NewStats(docs [][]string) *Stats {
 // ownership of df. Given the counts NewStats would make, the result equals
 // NewStats over the same corpus.
 func NewStatsFromDF(docs int, df map[string]int) *Stats {
-	return &Stats{docs: docs, df: df, idf: make([]atomic.Uint64, docs+1)}
-}
-
-// NewEmptyStats returns statistics over an empty corpus, ready for
-// incremental maintenance via AddDocTokens/RemoveDocTokens.
-func NewEmptyStats() *Stats {
-	return &Stats{df: make(map[string]int)}
-}
-
-// forgetIDF drops every memoized weight after docs changed, growing the
-// table with amortised capacity when docs has outrun it.
-func (s *Stats) forgetIDF() {
-	if s.docs >= len(s.idf) {
-		s.idf = make([]atomic.Uint64, s.docs+s.docs/2+16)
-	} else if s.memo.Load() {
-		clear(s.idf)
-	}
-	s.memo.Store(false)
-}
-
-// AddDocTokens adds one document given its DISTINCT token set (duplicates
-// would inflate df). Together with RemoveDocTokens this keeps Stats exactly
-// equal to NewStats over the current document multiset: df and docs are
-// integers, so the incremental path reproduces the batch-built statistics
-// bit for bit.
-func (s *Stats) AddDocTokens(distinct []string) {
-	s.docs++
-	for _, tok := range distinct {
-		s.df[tok]++
-	}
-	s.forgetIDF()
-}
-
-// RemoveDocTokens removes one document previously added with the same
-// distinct token set.
-func (s *Stats) RemoveDocTokens(distinct []string) {
-	s.docs--
-	for _, tok := range distinct {
-		if s.df[tok] <= 1 {
-			delete(s.df, tok)
-		} else {
-			s.df[tok]--
-		}
-	}
-	s.forgetIDF()
+	return &Stats{df: df, w: IDFTable{idf: make([]atomic.Uint64, docs+1), docs: docs}}
 }
 
 // Docs returns the number of documents the statistics were built from.
-func (s *Stats) Docs() int { return s.docs }
-
-// SortedEntries returns the document-frequency entries in ascending token
-// order, for deterministic serialization.
-func (s *Stats) SortedEntries() (tokens []string, dfs []int) {
-	tokens = make([]string, 0, len(s.df))
-	for tok := range s.df {
-		tokens = append(tokens, tok)
-	}
-	sort.Strings(tokens)
-	dfs = make([]int, len(tokens))
-	for i, tok := range tokens {
-		dfs[i] = s.df[tok]
-	}
-	return tokens, dfs
-}
-
-// NewRestoredStats rebuilds statistics from previously serialized state:
-// the document count plus parallel token/df slices. One map insert per
-// distinct corpus token, so restoring is far cheaper than replaying
-// AddDocTokens over every document.
-func NewRestoredStats(docs int, tokens []string, dfs []int) *Stats {
-	df := make(map[string]int, len(tokens))
-	for i, tok := range tokens {
-		df[tok] = dfs[i]
-	}
-	return NewStatsFromDF(docs, df)
-}
+func (s *Stats) Docs() int { return s.w.docs }
 
 // IDF returns log(1 + N/df) for the token, where N is the document count
-// (at least 1). An unseen token is weighed as df = 1, which gives it the
-// largest weight, log(1 + N): weights stay bounded and rare tokens are
-// favored, as the paper intends. The weight is memoized by df (see
-// Stats), so a (N, df) pair already answered costs a map lookup and an
-// atomic load instead of a math.Log.
+// (see IDFTable.Weight; an unseen token has df 0 and is weighed as df 1).
 //
 //autofj:hotpath
 func (s *Stats) IDF(token string) float64 {
-	df := s.df[token]
-	if df < 1 {
-		df = 1
-	}
-	n := s.docs
-	if n < 1 {
-		n = 1
-	}
-	if df >= len(s.idf) { // empty corpus, or a restored df above docs
-		return math.Log(1 + float64(n)/float64(df))
-	}
-	slot := &s.idf[df]
-	if bits := slot.Load(); bits != 0 {
-		return math.Float64frombits(bits)
-	}
-	w := math.Log(1 + float64(n)/float64(df))
-	slot.Store(math.Float64bits(w))
-	s.memo.Store(true)
-	return w
+	return s.w.Weight(s.df[token])
 }
 
 // Vector turns a token multiset into a weighted vector under the scheme.

@@ -91,29 +91,31 @@ func closedIDF(docs, df int) float64 {
 	return math.Log(1 + float64(docs)/float64(df))
 }
 
-// expectClosedForm checks every vocabulary token — present, removed, or
-// never seen — against the closed form under the model's (docs, df), twice,
-// so both the computing read and the memoized read are compared.
-func expectClosedForm(t *testing.T, s *Stats, docs int, df map[string]int, vocab []string, step int) {
+// expectClosedForm checks the weight of every vocabulary token — present,
+// removed, or never seen — against the closed form under the model's
+// (docs, df), twice, so both the computing read and the memoized read are
+// compared.
+func expectClosedForm(t *testing.T, w *IDFTable, docs int, df map[string]int, vocab []string, step int) {
 	t.Helper()
-	if s.Docs() != docs {
-		t.Fatalf("step %d: Docs = %d, want %d", step, s.Docs(), docs)
+	if w.Docs() != docs {
+		t.Fatalf("step %d: Docs = %d, want %d", step, w.Docs(), docs)
 	}
 	for pass := 0; pass < 2; pass++ {
 		for _, tok := range vocab {
-			got, want := s.IDF(tok), closedIDF(docs, df[tok])
+			got, want := w.Weight(df[tok]), closedIDF(docs, df[tok])
 			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("step %d pass %d: IDF(%q) = %v, want %v (docs %d, df %d)",
+				t.Fatalf("step %d pass %d: weight of %q = %v, want %v (docs %d, df %d)",
 					step, pass, tok, got, want, docs, df[tok])
 			}
 		}
 	}
 }
 
-// TestIDFMemoMatchesClosedFormUnderMutations drives a seeded Add/Remove
-// sequence and pins IDF to math.Log(1 + N/df) bit for bit after every
-// step: a mutation changes N, so every memoized weight must be forgotten,
-// across table growth and shrinking document counts alike.
+// TestIDFMemoMatchesClosedFormUnderMutations drives a seeded sequence of
+// document adds and removes and pins IDFTable.Weight to
+// math.Log(1 + N/df) bit for bit after every step: a mutation changes N,
+// so every memoized weight must be forgotten, across table growth and
+// shrinking document counts alike.
 func TestIDFMemoMatchesClosedFormUnderMutations(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		rng := rand.New(rand.NewSource(seed))
@@ -122,14 +124,13 @@ func TestIDFMemoMatchesClosedFormUnderMutations(t *testing.T) {
 			vocab[i] = fmt.Sprintf("tok%02d", i)
 		}
 		probe := append(append([]string(nil), vocab...), "never-seen", "")
-		s := NewEmptyStats()
+		var w IDFTable
 		df := map[string]int{}
 		var live [][]string
-		expectClosedForm(t, s, 0, df, probe, -1)
+		expectClosedForm(t, &w, 0, df, probe, -1)
 		for step := 0; step < 400; step++ {
 			if len(live) > 0 && rng.Intn(3) == 0 {
 				i := rng.Intn(len(live))
-				s.RemoveDocTokens(live[i])
 				for _, tok := range live[i] {
 					df[tok]--
 				}
@@ -142,36 +143,35 @@ func TestIDFMemoMatchesClosedFormUnderMutations(t *testing.T) {
 				}
 				sort.Strings(doc)
 				doc = slices.Compact(doc)
-				s.AddDocTokens(doc)
 				for _, tok := range doc {
 					df[tok]++
 				}
 				live = append(live, doc)
 			}
-			expectClosedForm(t, s, len(live), df, probe, step)
+			w.SetDocs(len(live))
+			expectClosedForm(t, &w, len(live), df, probe, step)
 		}
 
-		// Batch-built and restored statistics answer the same bits.
-		toks, dfs := s.SortedEntries()
-		for name, other := range map[string]*Stats{
-			"NewStats":         NewStats(live),
-			"NewRestoredStats": NewRestoredStats(s.Docs(), toks, dfs),
-		} {
-			expectClosedForm(t, other, len(live), df, probe, 400)
-			for _, tok := range probe {
-				if math.Float64bits(other.IDF(tok)) != math.Float64bits(s.IDF(tok)) {
-					t.Fatalf("%s: IDF(%q) differs from the incrementally maintained statistics", name, tok)
-				}
+		// Batch-built statistics answer the same bits.
+		s := NewStats(live)
+		for _, tok := range probe {
+			if math.Float64bits(s.IDF(tok)) != math.Float64bits(w.Weight(df[tok])) {
+				t.Fatalf("NewStats: IDF(%q) differs from the incrementally maintained table", tok)
 			}
 		}
 	}
 }
 
-// TestIDFRestoredAboveDocs: a restored df larger than the document count
-// (only a hand-made snapshot can say so) falls outside the memo table and
-// still answers the closed form.
+// TestIDFRestoredAboveDocs: a df larger than the document count (only a
+// hand-made snapshot can say so) falls outside the memo table and still
+// answers the closed form.
 func TestIDFRestoredAboveDocs(t *testing.T) {
-	s := NewRestoredStats(2, []string{"a"}, []int{9})
+	var w IDFTable
+	w.SetDocs(2)
+	if got, want := w.Weight(9), closedIDF(2, 9); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("Weight = %v, want %v", got, want)
+	}
+	s := NewStatsFromDF(2, map[string]int{"a": 9})
 	if got, want := s.IDF("a"), closedIDF(2, 9); math.Float64bits(got) != math.Float64bits(want) {
 		t.Errorf("IDF = %v, want %v", got, want)
 	}
@@ -213,16 +213,16 @@ func TestIDFConcurrentReaders(t *testing.T) {
 
 // TestIDFNeverAllocates: the read path is map lookup → atomic load (or one
 // math.Log on a table miss); the table itself is only ever allocated by
-// the constructors and the mutators.
+// the constructors and SetDocs growth.
 func TestIDFNeverAllocates(t *testing.T) {
-	s := NewEmptyStats()
-	s.AddDocTokens([]string{"a", "b"})
-	s.AddDocTokens([]string{"a"})
+	s := NewStats([][]string{{"a", "b"}, {"a"}})
+	var w IDFTable
+	w.SetDocs(2)
 	var sink float64
 	if n := testing.AllocsPerRun(100, func() {
-		s.AddDocTokens(nil) // changes N: the next reads recompute
-		s.RemoveDocTokens(nil)
-		sink += s.IDF("a") + s.IDF("b") + s.IDF("zzz")
+		w.SetDocs(3) // changes N: the next reads recompute
+		w.SetDocs(2)
+		sink += s.IDF("a") + s.IDF("b") + s.IDF("zzz") + w.Weight(1) + w.Weight(2) + w.Weight(0)
 	}); n != 0 {
 		t.Errorf("IDF after a mutation: %.1f allocs, want 0", n)
 	}
@@ -230,31 +230,35 @@ func TestIDFNeverAllocates(t *testing.T) {
 }
 
 // TestIDFMemoizesByDF: the first read of a (N, df) pair stores its bits at
-// idf[df] — so the second performs no math.Log — and any mutation empties
-// the table again.
+// idf[df] — so the second performs no math.Log — and a change of N
+// empties the table again.
 func TestIDFMemoizesByDF(t *testing.T) {
 	s := NewStats([][]string{{"a", "b"}, {"a"}})
-	if len(s.idf) != 3 {
-		t.Fatalf("table spans %d entries, want docs+1 = 3", len(s.idf))
+	if len(s.w.idf) != 3 {
+		t.Fatalf("table spans %d entries, want docs+1 = 3", len(s.w.idf))
 	}
-	w := s.IDF("a") // df 2
-	if got := s.idf[2].Load(); got != math.Float64bits(w) || got == 0 {
-		t.Fatalf("idf[2] = %#x after IDF(a) = %v", got, w)
+	v := s.IDF("a") // df 2
+	if got := s.w.idf[2].Load(); got != math.Float64bits(v) || got == 0 {
+		t.Fatalf("idf[2] = %#x after IDF(a) = %v", got, v)
 	}
-	if s.idf[1].Load() != 0 {
+	if s.w.idf[1].Load() != 0 {
 		t.Fatal("idf[1] filled before any df-1 token was read")
 	}
-	s.AddDocTokens([]string{"c"})
-	for df := range s.idf {
-		if s.idf[df].Load() != 0 {
-			t.Fatalf("idf[%d] survived AddDocTokens", df)
+	w := &s.w
+	w.SetDocs(1)
+	for df := range w.idf {
+		if w.idf[df].Load() != 0 {
+			t.Fatalf("idf[%d] survived a shrinking SetDocs", df)
 		}
 	}
-	s.IDF("c")
-	s.RemoveDocTokens([]string{"c"})
-	for df := range s.idf {
-		if s.idf[df].Load() != 0 {
-			t.Fatalf("idf[%d] survived RemoveDocTokens", df)
+	w.Weight(1)
+	w.SetDocs(40) // outgrows the table
+	if len(w.idf) <= 40 {
+		t.Fatalf("table spans %d entries after SetDocs(40)", len(w.idf))
+	}
+	for df := range w.idf {
+		if w.idf[df].Load() != 0 {
+			t.Fatalf("idf[%d] survived a growing SetDocs", df)
 		}
 	}
 }
