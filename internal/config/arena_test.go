@@ -33,7 +33,7 @@ func TestArenaDistancesMatchProfiles(t *testing.T) {
 			if arena.Len() != len(refs) {
 				t.Fatalf("%s task %d: arena holds %d records, want %d", name, id, arena.Len(), len(refs))
 			}
-			check := func(l int, s string, qa *QueryProfile, qp *Profile) {
+			check := func(l int, s string, qa *IDProfile, qp *Profile) {
 				ev.ArenaDistances(arena, int32(l), qa, sc, got)
 				ev.Distances(profs[0][l], qp, sc, want)
 				for fi, f := range space {

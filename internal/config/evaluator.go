@@ -73,7 +73,8 @@ type embPlan struct {
 // EvalScratch is the reusable per-worker state of an Evaluator. It is
 // not safe for concurrent use; give each worker its own.
 type EvalScratch struct {
-	char distance.CharScratch
+	char   distance.CharScratch
+	derive DeriveBuf // ArenaDistances' reference-row buffers
 }
 
 // NewEvaluator compiles the space into representation-keyed evaluation
@@ -234,40 +235,6 @@ func scatterSet(g *setPlan, sd distance.SetDists, out []float64) {
 			// Unknown set-based distances score 1, matching the
 			// JoinFunction.Distance fallback.
 			out[s.fi] = 1
-		}
-	}
-}
-
-// ArenaDistances is Distances over columnar storage: the reference side
-// reads arena blocks (record l), the query side a prebuilt QueryProfile.
-// Values are bit-identical to Distances on the equivalent pointer
-// profiles — the char kernels run on pre-converted runes, the set
-// kernels merge interned ids in the same token order, and the embedding
-// dot product runs stride-1 over the flat block with the same
-// accumulation order. The steady state allocates nothing.
-//
-//autofj:hotpath
-func (e *Evaluator) ArenaDistances(a *ProfileArena, l int32, q *QueryProfile, sc *EvalScratch, out []float64) {
-	for gi := range e.char {
-		g := &e.char[gi]
-		ap := &a.pre[g.pre]
-		lp := ap.procBlob[ap.procOff[l]:ap.procOff[l+1]]
-		lr := ap.runes[ap.runeOff[l]:ap.runeOff[l+1]]
-		cd := sc.char.DistancesRunes(lp, q.proc[g.pre], lr, q.runes[g.pre], g.need)
-		scatterChar(g, cd, out)
-	}
-	for gi := range e.set {
-		g := &e.set[gi]
-		rep := a.rep[g.pre][g.tok]
-		sd := distance.SetFamilyIDs(a.setVec(rep, int(g.wt), l), q.vec[g.pre][g.tok][g.wt])
-		scatterSet(g, sd, out)
-	}
-	for gi := range e.emb {
-		g := &e.emb[gi]
-		ap := &a.pre[g.pre]
-		d := embed.CosineDistanceFlat(ap.emb[int(l)*embed.Dim:(int(l)+1)*embed.Dim], q.emb[g.pre][:])
-		for _, fi := range g.fns {
-			out[fi] = d
 		}
 	}
 }

@@ -123,6 +123,29 @@ func FuzzEvaluator(f *testing.F) {
 					fn.Name(), a, b, out[fi], want)
 			}
 		}
+
+		// The id path: a and b stored as the rows of a Vocab, row 0
+		// derived, and b queried as is and with a token no row holds.
+		v := NewVocab(space)
+		rows := v.NewRows(2, 0)
+		v.AppendProfile(&rows, v.CountProfile(a))
+		v.AppendProfile(&rows, v.CountProfile(b))
+		v.Settle()
+		var buf DeriveBuf
+		var ref IDProfile
+		v.Derive(&rows, 0, &buf, &ref)
+		sc := ev.NewScratch()
+		got := make([]float64, len(space))
+		for _, q := range []string{b, b + " zqxj"} {
+			ev.IDDistances(&ref, v.Query(q), sc, got)
+			ev.Distances(profs[0], corpus.Profile(q), sc, out)
+			for fi, fn := range space {
+				if got[fi] != out[fi] {
+					t.Fatalf("fn %s on (%q, %q): IDDistances %v != Distances %v",
+						fn.Name(), a, q, got[fi], out[fi])
+				}
+			}
+		}
 	})
 }
 

@@ -67,11 +67,12 @@ func newLayout(c *Corpus) *layout {
 }
 
 // Vocab is the token vocabulary of one program column of a mutable
-// table. For every counted representation, each distinct token the
-// column's rows hold gets a stable integer slot, assigned in
-// first-appearance order, with its document frequency over the live rows
-// and its lexical rank among all the representation's slots. The
-// document count is shared by the column's representations.
+// table, or of the records of a ProfileArena. For every counted
+// representation, each distinct token the column's rows hold gets a
+// stable integer slot, assigned in first-appearance order, with its
+// document frequency over the live rows and its lexical rank among all
+// the representation's slots. The document count is shared by the
+// column's representations.
 //
 // A slot whose df drops to 0 stays: it still ranks, re-adding the token
 // reuses it, and it is dropped only when the table is rebuilt from its
@@ -104,8 +105,11 @@ type repVocab struct {
 
 // NewVocab returns an empty vocabulary for one program column of a table
 // serving space.
-func NewVocab(space []JoinFunction) *Vocab {
-	c := newCorpusNeeds(space)
+func NewVocab(space []JoinFunction) *Vocab { return newVocab(newCorpusNeeds(space)) }
+
+// newVocab returns an empty vocabulary for the needs of c, which holds no
+// statistics.
+func newVocab(c *Corpus) *Vocab {
 	v := &Vocab{c: c, lay: newLayout(c)}
 	v.reps = make([]repVocab, len(v.lay.reps))
 	return v
@@ -582,4 +586,75 @@ func (q vocabRep) lookup(tok string, idf bool) (id int32, w float64, known bool)
 		w = q.v.idf.Weight(df)
 	}
 	return id, w, known
+}
+
+// buildQueryVecs fills one (pre, tok) group of query vectors from the
+// sorted token occurrence list. A token the vocabulary does not hold
+// carries no id, so it can match nothing, but it still counts toward
+// Sum, Norm and N and sets Extra, so the id kernels reproduce the string
+// kernels exactly.
+func buildQueryVecs(need [numWt]bool, toks []string, qv vocabRep, out *[numWt]distance.IDVec) {
+	// len(toks) bounds the distinct tokens: one block per element type.
+	ids := make([]int32, 0, len(toks))
+	var w [numWt][]float64
+	nw := 0
+	for _, ok := range need {
+		if ok {
+			nw++
+		}
+	}
+	wbuf := make([]float64, nw*len(toks))
+	for wi := range w {
+		if need[wi] {
+			w[wi], wbuf = wbuf[:0:len(toks)], wbuf[len(toks):]
+		}
+	}
+	var sum, norm [numWt]float64
+	var n int32
+	extra := false
+	for i := 0; i < len(toks); {
+		j := i + 1
+		for j < len(toks) && toks[j] == toks[i] {
+			j++
+		}
+		// A token occurring k times gets map weight k via k additions of
+		// 1.0 — exact integers, so float64(k) is the identical value.
+		count := float64(j - i)
+		n++
+		id, idf, known := qv.lookup(toks[i], need[weights.IDF])
+		if !known {
+			extra = true
+		}
+		for wi := 0; wi < numWt; wi++ {
+			if !need[wi] {
+				continue
+			}
+			wv := count
+			if weights.Scheme(wi) == weights.IDF {
+				wv = count * idf
+			}
+			if known {
+				w[wi] = append(w[wi], wv)
+			}
+			sum[wi] += wv
+			norm[wi] += wv * wv
+		}
+		if known {
+			ids = append(ids, id)
+		}
+		i = j
+	}
+	for wi := 0; wi < numWt; wi++ {
+		if !need[wi] {
+			continue
+		}
+		out[wi] = distance.IDVec{
+			IDs:   ids,
+			W:     w[wi],
+			Sum:   sum[wi],
+			Norm:  math.Sqrt(norm[wi]),
+			N:     n,
+			Extra: extra,
+		}
+	}
 }

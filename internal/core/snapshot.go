@@ -617,7 +617,8 @@ func (r *snapReader) int32Lists(nlists int) [][]int32 {
 	return lists
 }
 
-// strsArena is the string-list analogue of int32sArena.
+// strsArena reads one string list into the next entries of arena, a
+// block sized by the declared element total, and returns them.
 func (r *snapReader) strsArena(arena *[]string) []string {
 	n := r.count(1)
 	if r.err != nil || n == 0 {

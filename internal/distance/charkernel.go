@@ -133,32 +133,6 @@ func (cs *CharScratch) Distances(a, b string, need CharNeed) CharDists {
 	return d
 }
 
-// DistancesRunes is Distances for callers that already hold the rune
-// views of both strings. Its one caller is the columnar arena
-// (config.Evaluator.ArenaDistances), which converts reference-side runes
-// once at build time and the query's once per QueryProfile. ra and rb
-// must be exactly []rune(a) and []rune(b); the string forms are still
-// required for Monge-Elkan's field splitting. Results are bit-identical
-// to Distances — the rune conversion is the only work skipped.
-//
-//autofj:hotpath
-func (cs *CharScratch) DistancesRunes(a, b string, ra, rb []rune, need CharNeed) CharDists {
-	var d CharDists
-	if need.ED {
-		d.ED = cs.editDistance(ra, rb)
-	}
-	if need.JW {
-		d.JW = 1 - cs.jaroWinkler(ra, rb)
-	}
-	if need.ME {
-		d.ME = cs.mongeElkan(a, b)
-	}
-	if need.SW {
-		d.SW = cs.smithWaterman(ra, rb)
-	}
-	return d
-}
-
 // editDistance is EditDistance over pre-converted runes.
 //
 //autofj:hotpath

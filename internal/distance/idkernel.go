@@ -1,13 +1,13 @@
 package distance
 
 // This file holds the token-id variant of the fused set-family kernel.
-// The columnar serving path (internal/config.ProfileArena) interns every
+// The serving table (internal/config.Vocab and Rows) ranks every
 // reference-side token into a dense id assigned in ascending lexical
 // order, so a sorted-merge over int32 ids visits exactly the same matched
 // tokens, in exactly the same order, as the string merge in setkernel.go —
 // the accumulated sumMin/dot values are therefore bit-identical, and
 // SetFamilyIDs reproduces SetFamily to the last float bit (enforced by
-// TestSetFamilyIDsMatchesStrings and the columnar oracle in core).
+// TestSetFamilyIDsMatchesStrings and core's TestTableMatchesPointerOracle).
 //
 // Query-side vectors may contain tokens outside the reference vocabulary.
 // Those tokens have no id, so they are excluded from the merge lists —

@@ -7,8 +7,8 @@ import (
 )
 
 // toIDVec converts a Sparse to its interned form under vocab (a sorted
-// distinct token list, ids = lex ranks) — the same mapping the columnar
-// arena applies. Out-of-vocabulary tokens are dropped from the merge
+// distinct token list, ids = lex ranks) — the same mapping a serving
+// table's config.Vocab applies. Out-of-vocabulary tokens are dropped from the merge
 // list but still counted in Sum/Norm/N and flagged in Extra, exactly as
 // documented on IDVec.
 func toIDVec(s Sparse, vocab []string) IDVec {

@@ -100,34 +100,10 @@ func Embed(s string) Vector {
 // CosineDistance returns 1 - cosine similarity of a and b, clamped to
 // [0, 1] (negative cosine similarity is treated as maximally distant).
 // Zero vectors are maximally distant from everything except each other.
-func CosineDistance(a, b Vector) float64 {
-	var dot, na, nb float64
-	for i := 0; i < Dim; i++ {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
-	}
-	if na == 0 && nb == 0 {
-		return 0
-	}
-	if na == 0 || nb == 0 {
-		return 1
-	}
-	d := 1 - dot/math.Sqrt(na*nb)
-	if d < 0 {
-		return 0
-	}
-	if d > 1 {
-		return 1
-	}
-	return d
-}
+func CosineDistance(a, b Vector) float64 { return CosineDistanceFlat(a[:], b[:]) }
 
-// CosineDistanceFlat is CosineDistance over Dim-length slices — the
-// columnar arena stores every record's embedding contiguously in one
-// flat block, and the stride-1 loop over the two slices performs the
-// exact arithmetic of CosineDistance (same accumulation order), so the
-// two are bit-identical.
+// CosineDistanceFlat is CosineDistance over Dim-length slices, the form
+// in which stored table rows (config.Rows) hold their embeddings.
 //
 //autofj:hotpath
 func CosineDistanceFlat(a, b []float64) float64 {
