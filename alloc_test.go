@@ -20,7 +20,7 @@ import (
 // the count the test measures, in the same change that moves it.
 const (
 	topKAllocBudget         = 0   // per pass of 512 blocking top-k queries
-	evaluatorAllocBudget    = 0   // per pass of 64 full-space Evaluator.Distances pairs
+	evaluatorAllocBudget    = 0   // per pass of 64 full-space IDDistances pairs over learn views
 	tableAddAllocBudget     = 45  // per Table.Add of one row
 	matchDeltaAllocBudget   = 11  // per cache-off Match with a 256-row delta
 	snapshotLoadAllocBudget = 188 // per LoadTableFile of the 10k-row table; 179-180 on Linux
@@ -53,13 +53,13 @@ func TestAllocationBudgets(t *testing.T) {
 
 	space := config.Space()
 	recs := left[:64]
-	profs := config.NewCorpus(space, recs).Profiles(recs, 1)
+	views := config.LearnProfiles(space, 1, recs)[0]
 	ev := config.NewEvaluator(space)
 	evSc := ev.NewScratch()
 	out := make([]float64, len(space))
-	check("Evaluator.Distances", evaluatorAllocBudget, 5, func() {
-		for i := range profs {
-			ev.Distances(profs[i], profs[(i+7)%len(profs)], evSc, out)
+	check("Evaluator.IDDistances", evaluatorAllocBudget, 5, func() {
+		for i := range views {
+			ev.IDDistances(&views[i], &views[(i+7)%len(views)], evSc, out)
 		}
 	})
 

@@ -10,8 +10,8 @@ import (
 // distance, scored as 1-distance. The result is indexed by function,
 // feeding the Best-Static-Join-function (BSJ) comparison of Table 2.
 func StaticJoins(left, right []string, space []config.JoinFunction, cands [][]int32) [][]metrics.ScoredJoin {
-	_, profs := config.NewCorpusProfiles(space, 0, left, right)
-	profL, profR := profs[0], profs[1]
+	views := config.LearnProfiles(space, 0, left, right)
+	viewL, viewR := views[0], views[1]
 	// Pair-major: one fused evaluation per candidate pair scores every
 	// function of the space at once (see config.Evaluator).
 	ev := config.NewEvaluator(space)
@@ -25,7 +25,7 @@ func StaticJoins(left, right []string, space []config.JoinFunction, cands [][]in
 			bestL[fi], bestD[fi] = -1, 2.0
 		}
 		for _, l := range cs {
-			ev.Distances(profL[l], profR[r], sc, row)
+			ev.IDDistances(&viewL[l], &viewR[r], sc, row)
 			for fi := range space {
 				if row[fi] < bestD[fi] {
 					bestD[fi] = row[fi]
@@ -68,8 +68,8 @@ func UpperBoundRecall(left, right []string, space []config.JoinFunction, cands [
 	if len(truth) == 0 {
 		return 0
 	}
-	_, profs := config.NewCorpusProfiles(space, 0, left, right)
-	profL, profR := profs[0], profs[1]
+	views := config.LearnProfiles(space, 0, left, right)
+	viewL, viewR := views[0], views[1]
 	ev := config.NewEvaluator(space)
 	sc := ev.NewScratch()
 	row := make([]float64, len(space))
@@ -84,7 +84,7 @@ func UpperBoundRecall(left, right []string, space []config.JoinFunction, cands [
 			bestL[fi], bestD[fi] = -1, 2.0
 		}
 		for _, l := range cands[r] {
-			ev.Distances(profL[l], profR[r], sc, row)
+			ev.IDDistances(&viewL[l], &viewR[r], sc, row)
 			for fi := range space {
 				if row[fi] < bestD[fi] {
 					bestD[fi] = row[fi]

@@ -28,14 +28,15 @@ func TestArenaDistancesMatchProfiles(t *testing.T) {
 		for _, id := range []int{0, 2, 4, 14, 20} {
 			task := benchgen.SingleColumnTask(id, benchgen.Options{Seed: 1, Scale: 1})
 			refs := append(task.LeftKey(), edge...)
-			corpus, profs := NewCorpusProfiles(space, 1, refs)
-			arena := corpus.BuildArena(profs[0])
+			corpus := NewCorpus(space, refs)
+			profs := corpus.Profiles(refs, 1)
+			arena := corpus.BuildArena(profs)
 			if arena.Len() != len(refs) {
 				t.Fatalf("%s task %d: arena holds %d records, want %d", name, id, arena.Len(), len(refs))
 			}
 			check := func(l int, s string, qa *IDProfile, qp *Profile) {
 				ev.ArenaDistances(arena, int32(l), qa, sc, got)
-				ev.Distances(profs[0][l], qp, sc, want)
+				ev.Distances(profs[l], qp, sc, want)
 				for fi, f := range space {
 					if got[fi] != want[fi] {
 						t.Fatalf("%s task %d, %s between reference %q and query %q: arena %v, profiles %v",

@@ -14,10 +14,12 @@ import (
 // This file holds the statistics-independent half of a Profile. Profile
 // is built in two steps — a count profile first (CountProfile: processed
 // strings, embeddings, token COUNT vectors), then the IDF vectors derived
-// from the counts by weighIDF. A mutable table (core.Table) stores only
-// the counts, as integer slot runs (see Vocab), and derives the IDF view
-// per candidate with weighIDF's arithmetic, so its distances stay
-// bit-identical to full Profiles built against the same statistics.
+// from the counts by weighIDF. Learning and a mutable table (core.Table)
+// both start from count profiles: they intern the counted tokens into a
+// Vocab and derive the IDF view with weighIDF's arithmetic (weighRun),
+// once per record when learning and per candidate in a table, so their
+// distances stay bit-identical to full Profiles built against the same
+// statistics.
 
 // Rep identifies one (pre-processing, tokenization) representation pair.
 type Rep struct {

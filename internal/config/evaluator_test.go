@@ -146,6 +146,20 @@ func FuzzEvaluator(f *testing.F) {
 				}
 			}
 		}
+
+		// The learn path: L = {a} and R = {b} derived under one closed
+		// vocabulary, against the profiles of a corpus over the same
+		// collections.
+		views := LearnProfiles(space, 1, []string{a}, []string{b})
+		lc := NewCorpus(space, []string{a}, []string{b})
+		ev.IDDistances(&views[0][0], &views[1][0], sc, got)
+		ev.Distances(lc.Profile(a), lc.Profile(b), sc, out)
+		for fi, fn := range space {
+			if got[fi] != out[fi] {
+				t.Fatalf("fn %s on (%q, %q): learn IDDistances %v != Distances %v",
+					fn.Name(), a, b, got[fi], out[fi])
+			}
+		}
 	})
 }
 

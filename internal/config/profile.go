@@ -16,9 +16,8 @@ const (
 )
 
 // Corpus holds per-(pre-processing, tokenization) IDF statistics computed
-// over all records of both input tables, plus which representations the
-// configured space needs. Build one Corpus per join task and derive record
-// Profiles from it.
+// over the records of some collections, plus which representations the
+// configured space needs. Record Profiles are derived from it.
 type Corpus struct {
 	stats    [numPre][numTok]*weights.Stats
 	needVec  [numPre][numTok][numWt]bool
@@ -43,10 +42,10 @@ func newCorpusNeeds(space []JoinFunction) *Corpus {
 }
 
 // NewCorpus computes the corpus statistics required by space over the given
-// record collections (typically L and R). Code that also needs the
-// collections' profiles should call NewCorpusProfiles, which tokenizes
-// every record once for both. With no collections the statistics are
-// empty. A mutable table keeps its statistics in a Vocab instead.
+// record collections (typically L and R), for the string-keyed Profiles
+// that Evaluator.Distances scores. With no collections the statistics are
+// empty. Learning (LearnProfiles) and a mutable table keep their
+// statistics in a Vocab instead.
 func NewCorpus(space []JoinFunction, collections ...[]string) *Corpus {
 	c := newCorpusNeeds(space)
 	// IDF stats are needed for every (pre, tok) that has an IDF vector.
@@ -89,9 +88,11 @@ type VecBlock [numWt]distance.Sparse
 // record, of which a typical space touches a small fraction. Code that
 // indexes vecs/emb directly (the distance kernels, Vocab.AppendProfile)
 // runs only for representations the profile was built with, so those
-// reads never see nil. Learning holds one Profile per record; a serving
-// table stores none — its rows are id runs over a Vocab, scored through
-// IDProfile views.
+// reads never see nil. Neither learning nor a serving table keeps a
+// Profile: LearnProfiles derives each record's IDProfile once from its
+// token counts and drops the token strings, and a table's rows are id
+// runs over a Vocab, scored through IDProfile views. Full Profiles are the
+// string reference path that the tests hold the id path to.
 type Profile struct {
 	Raw  string
 	proc [numPre]string
@@ -161,50 +162,6 @@ func (c *Corpus) buildAll(records []string, parallelism int, build func(string) 
 		}
 	})
 	return out
-}
-
-// NewCorpusProfiles builds the corpus statistics of space over the given
-// record collections together with every record's profile (profs[k][i] is
-// collections[k][i]), tokenizing each record once per representation pair
-// for both. Count profiles are built in parallel, document frequencies are
-// accumulated from their distinct-token lists — the integers NewStats
-// counts — and the IDF vectors are then derived in place. The result is
-// bit-identical to NewCorpus followed by Profiles on each collection, at
-// every parallelism level (0 means GOMAXPROCS, 1 forces sequential).
-func NewCorpusProfiles(space []JoinFunction, parallelism int, collections ...[]string) (*Corpus, [][]*Profile) {
-	c := newCorpusNeeds(space)
-	profs := make([][]*Profile, len(collections))
-	for k, coll := range collections {
-		profs[k] = c.buildAll(coll, parallelism, c.CountProfile)
-	}
-	reps := c.IDFReps()
-	if len(reps) == 0 {
-		return c, profs
-	}
-	// Each representation pair's statistics are independent of the others.
-	parallel.Shard(len(reps), parallel.Workers(parallelism, len(reps)), func(_, start, end int) {
-		for _, rep := range reps[start:end] {
-			docs := 0
-			df := make(map[string]int)
-			for _, ps := range profs {
-				docs += len(ps)
-				for _, p := range ps {
-					for _, tok := range p.vecs[rep.Pre][rep.Tok][weights.Equal].Tokens {
-						df[tok]++
-					}
-				}
-			}
-			c.stats[rep.Pre][rep.Tok] = weights.NewStatsFromDF(docs, df)
-		}
-	})
-	for _, ps := range profs {
-		parallel.Shard(len(ps), parallel.Workers(parallelism, len(ps)), func(_, start, end int) {
-			for _, p := range ps[start:end] {
-				c.weigh(p)
-			}
-		})
-	}
-	return c, profs
 }
 
 // Processed returns the record's pre-processed string under pre.

@@ -3,6 +3,7 @@ package config
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/benchgen"
@@ -130,13 +131,77 @@ func countSlots(c *Corpus) *[numPre][numTok][numWt]bool {
 	return &used
 }
 
-// TestProfilesMatchMapOracle: NewCorpusProfiles, Profile and CountProfile
-// reproduce the map-based construction (NewCorpus + Scheme.Vector +
-// NewSparse) to the bit — every slot, Sum and Norm — on the five learn
-// tasks of the benchmark and on edge-case strings, under the full,
-// reduced, extended and an IDF-only space, at parallelism 1 and 3. Slots
-// the space does not use stay empty and stored slices have no spare
-// capacity, so a stored profile is no larger than the map-built one.
+// checkView compares the id view a learn build gave one record with the
+// record's map-oracle profile: the same processed strings and embeddings,
+// and in every vector slot the space uses the oracle's tokens as ids, with
+// its weights, Sum and Norm to the bit, no Extra, and no spare capacity.
+// Slots the space does not use stay empty. ids[pi][ti] collects the
+// token of every id seen so far, so that one id names one token across
+// all records.
+func checkView(t *testing.T, where string, got *IDProfile, want *Profile, c *Corpus, ids *[numPre][numTok]map[int32]string) {
+	t.Helper()
+	if got.proc != want.proc {
+		t.Fatalf("%s: processed strings %q, want %q", where, got.proc, want.proc)
+	}
+	for pi := 0; pi < numPre; pi++ {
+		if (got.emb[pi] != nil) != c.needEmb[pi] {
+			t.Fatalf("%s: embedding %d present=%v, want %v", where, pi, got.emb[pi] != nil, c.needEmb[pi])
+		}
+		if c.needEmb[pi] && embed.Vector(got.emb[pi]) != want.emb[pi] {
+			t.Fatalf("%s: embedding %d differs", where, pi)
+		}
+		for ti := 0; ti < numTok; ti++ {
+			for wi := 0; wi < numWt; wi++ {
+				g := got.vec[pi][ti][wi]
+				slot := func() string {
+					return fmt.Sprintf("%s (%s,%s,%s)", where, textproc.Option(pi), tokenize.Option(ti), weights.Scheme(wi))
+				}
+				if !c.needVec[pi][ti][wi] {
+					if g.IDs != nil || g.W != nil || g.N != 0 || g.Sum != 0 || g.Norm != 0 {
+						t.Fatalf("%s: slot the space does not use holds %d tokens", slot(), g.N)
+					}
+					continue
+				}
+				w := want.vecs[pi][ti][wi]
+				if int(g.N) != len(w.Tokens) || len(g.IDs) != len(w.Tokens) || len(g.W) != len(w.W) || g.Extra ||
+					!sameBits(g.Sum, w.Sum) || !sameBits(g.Norm, w.Norm) {
+					t.Fatalf("%s: got %d ids sum %v norm %v extra %v, want %d tokens sum %v norm %v",
+						slot(), len(g.IDs), g.Sum, g.Norm, g.Extra, len(w.Tokens), w.Sum, w.Norm)
+				}
+				if cap(g.IDs) != len(g.IDs) || cap(g.W) != len(g.W) {
+					t.Fatalf("%s: stored with spare capacity (ids %d/%d, weights %d/%d)",
+						slot(), len(g.IDs), cap(g.IDs), len(g.W), cap(g.W))
+				}
+				if ids[pi][ti] == nil {
+					ids[pi][ti] = map[int32]string{}
+				}
+				for k, id := range g.IDs {
+					if tok, ok := ids[pi][ti][id]; ok && tok != w.Tokens[k] {
+						t.Fatalf("%s: id %d names %q and %q", slot(), id, tok, w.Tokens[k])
+					}
+					ids[pi][ti][id] = w.Tokens[k]
+					if !sameBits(g.W[k], w.W[k]) {
+						t.Fatalf("%s: token %q weighs %v, want %v", slot(), w.Tokens[k], g.W[k], w.W[k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestProfilesMatchMapOracle: the learn builder (LearnProfiles) scores
+// exactly like the map-based construction (NewCorpus + Scheme.Vector +
+// NewSparse), on the five learn tasks of the benchmark with edge-case
+// strings appended to R, under the full, reduced, extended and an
+// IDF-only space, at parallelism 0 (GOMAXPROCS), 1 and 3:
+//   - every record's view holds its oracle profile's vectors to the bit
+//     (checkView), and ids rank the tokens in lexical order;
+//   - IDDistances equals Distances on the oracle profiles, bit for bit,
+//     for every pair of a sample of the records — the first 30 of L and R
+//     and the edge cases — in both orders.
+//
+// Profile and CountProfile of single records, including records whose
+// tokens the corpus has never seen, reproduce the oracle too.
 func TestProfilesMatchMapOracle(t *testing.T) {
 	var idfOnly []JoinFunction
 	for _, f := range Space() {
@@ -158,38 +223,65 @@ func TestProfilesMatchMapOracle(t *testing.T) {
 		task := benchgen.SingleColumnTask(id, benchgen.Options{Seed: 1, Scale: 1})
 		tasks = append(tasks, [2][]string{task.LeftKey(), append(task.RightKey(), edge...)})
 	}
+	const sampleSide = 30
 	for _, name := range []string{"full", "reduced", "extended", "idf-only"} {
 		space := spaces[name]
+		ev := NewEvaluator(space)
+		sc := ev.NewScratch()
+		got, want := make([]float64, len(space)), make([]float64, len(space))
 		for ti, task := range tasks {
 			oracle := NewCorpus(space, task[0], task[1])
-			var want [2][]*Profile
+			var oprofs [2][]*Profile
 			for k, coll := range task {
 				for _, s := range coll {
-					want[k] = append(want[k], mapOracleProfile(oracle, s))
+					oprofs[k] = append(oprofs[k], mapOracleProfile(oracle, s))
 				}
 			}
-			for _, par := range []int{1, 3} {
-				c, profs := NewCorpusProfiles(space, par, task[0], task[1])
-				for _, rep := range oracle.IDFReps() {
-					got, want := c.stats[rep.Pre][rep.Tok], oracle.stats[rep.Pre][rep.Tok]
-					if got.Docs() != want.Docs() {
-						t.Fatalf("%s task %d par %d: statistics of %v count %d documents, want %d",
-							name, ti, par, rep, got.Docs(), want.Docs())
+			var sample [][2]int // (collection, record)
+			for i := 0; i < sampleSide; i++ {
+				sample = append(sample, [2]int{0, i}, [2]int{1, i})
+			}
+			for i := len(task[1]) - len(edge); i < len(task[1]); i++ {
+				sample = append(sample, [2]int{1, i})
+			}
+			for _, par := range []int{0, 1, 3} {
+				views := LearnProfiles(space, par, task[0], task[1])
+				var ids [numPre][numTok]map[int32]string
+				for k, coll := range task {
+					if len(views[k]) != len(coll) {
+						t.Fatalf("%s task %d par %d: %d views of collection %d, want %d", name, ti, par, len(views[k]), k, len(coll))
 					}
-					for _, ps := range profs {
-						for _, p := range ps {
-							for _, tok := range p.vecs[rep.Pre][rep.Tok][weights.IDF].Tokens {
-								if !sameBits(got.IDF(tok), want.IDF(tok)) {
-									t.Fatalf("%s task %d par %d: IDF(%q) of %v differs", name, ti, par, tok, rep)
-								}
+					for i, s := range coll {
+						where := fmt.Sprintf("%s task %d par %d LearnProfiles[%d][%d] %q", name, ti, par, k, i, s)
+						checkView(t, where, &views[k][i], oprofs[k][i], oracle, &ids)
+					}
+				}
+				for pi := range ids {
+					for tk, m := range ids[pi] {
+						var byID []int32
+						for id := range m {
+							byID = append(byID, id)
+						}
+						slices.Sort(byID)
+						for i := 1; i < len(byID); i++ {
+							if m[byID[i-1]] >= m[byID[i]] {
+								t.Fatalf("%s task %d par %d (%d,%d): id %d is %q but id %d is %q",
+									name, ti, par, pi, tk, byID[i-1], m[byID[i-1]], byID[i], m[byID[i]])
 							}
 						}
 					}
 				}
-				for k, coll := range task {
-					for i, s := range coll {
-						where := fmt.Sprintf("%s task %d par %d NewCorpusProfiles[%d][%d] %q", name, ti, par, k, i, s)
-						checkProfile(t, where, profs[k][i], want[k][i], &c.needVec)
+				for _, a := range sample {
+					for _, b := range sample {
+						l, r := &views[a[0]][a[1]], &views[b[0]][b[1]]
+						ev.IDDistances(l, r, sc, got)
+						ev.Distances(oprofs[a[0]][a[1]], oprofs[b[0]][b[1]], sc, want)
+						for fi, f := range space {
+							if !sameBits(got[fi], want[fi]) {
+								t.Fatalf("%s task %d par %d, %s between %q and %q: IDDistances %v, Distances %v",
+									name, ti, par, f.Name(), task[a[0]][a[1]], task[b[0]][b[1]], got[fi], want[fi])
+							}
+						}
 					}
 				}
 			}

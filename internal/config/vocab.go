@@ -14,13 +14,15 @@ import (
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/weights"
 )
 
-// This file holds the at-rest form of a mutable reference table
-// (core.Table): one Vocab per program column, and per storage region a
-// Rows block whose token sets are integer slot runs into that Vocab.
+// This file holds the id representation that learning and serving both
+// score on. A mutable reference table (core.Table) keeps one Vocab per
+// program column, and per storage region a Rows block whose token sets are
+// integer slot runs into that Vocab. A Learn builds one Vocab closed over
+// L ∪ R and derives every record once (LearnProfiles, learn.go).
 //
-// A candidate is scored without touching a token string: Derive turns a
-// stored row into an IDProfile by array lookups — each slot's lexical rank
-// becomes its id, each count times the IDF weight of the slot's df
+// A candidate is scored without touching a token string: weighRun turns a
+// slot run into id-space vectors by array lookups — each slot's lexical
+// rank becomes its id, each count times the IDF weight of the slot's df
 // becomes its weight — and Evaluator.IDDistances merges the id runs with
 // distance.SetFamilyIDs. Ids follow lexical token order, so the merge
 // visits matched tokens in the order the string merge of a full Profile
@@ -67,7 +69,8 @@ func newLayout(c *Corpus) *layout {
 }
 
 // Vocab is the token vocabulary of one program column of a mutable
-// table, or of the records of a ProfileArena. For every counted
+// table, of the records of a ProfileArena, or of the records a Learn
+// scores (LearnProfiles). For every counted
 // representation, each distinct token the column's rows hold gets a
 // stable integer slot, assigned in first-appearance order, with its
 // document frequency over the live rows and its lexical rank among all
@@ -448,8 +451,9 @@ func (s *Rows) Tail(m int) Rows {
 
 // IDProfile is the id-space view of one record that Evaluator.IDDistances
 // scores: processed strings, embeddings, and set vectors whose ids are
-// lexical ranks in one Vocab. A reference row's view is derived per
-// candidate by Vocab.Derive; a query's is built once by Vocab.Query.
+// lexical ranks in one Vocab. A table row's view is derived per candidate
+// by Vocab.Derive and a query's is built once by Vocab.Query; a learning
+// record's is built once by LearnProfiles.
 type IDProfile struct {
 	proc [numPre]string
 	emb  [numPre][]float64
@@ -487,28 +491,40 @@ func (v *Vocab) Derive(s *Rows, i int, buf *DeriveBuf, dst *IDProfile) {
 }
 
 // deriveRun derives the id-space vectors of run at of s, representation
-// r: ids are the slots' ranks, Equal weights are the counts with the
-// stored count Sum and Norm, and IDF weights are count × idf(df) with Sum
-// and Norm accumulated in ascending token order, as weighIDF does.
+// r, into buf (see weighRun).
 //
 //autofj:hotpath
 func (v *Vocab) deriveRun(r int, s *Rows, at int, buf *DeriveBuf, out *[numWt]distance.IDVec) {
-	rv := &v.reps[r]
 	rep := v.lay.reps[r]
 	need := &v.lay.need[rep.Pre][rep.Tok]
 	lo, hi := s.off[at], s.off[at+1]
-	slots, counts := s.slots[lo:hi], s.counts[lo:hi]
-	n := len(slots)
+	n := int(hi - lo)
 	if cap(buf.ids[r]) < n {
 		buf.ids[r] = make([]int32, 2*n)
 	}
-	ids := buf.ids[r][:n]
 	w := &buf.w[r]
 	for wi := range w {
 		if need[wi] && cap(w[wi]) < n {
 			w[wi] = make([]float64, 2*n)
 		}
 	}
+	v.weighRun(r, s.slots[lo:hi], s.counts[lo:hi], s.sums[2*at], s.sums[2*at+1], buf.ids[r][:n], w, out)
+}
+
+// weighRun fills out with the id-space vectors of one slot run of
+// representation r under the current statistics: ids are the slots'
+// ranks, Equal weights are the counts with the count vector's Sum and
+// Norm (csum, cnorm), and IDF weights are count × idf(df) with Sum and
+// Norm accumulated in ascending token order, as weighIDF does. ids has
+// len(slots) entries, and every weight buffer the representation needs
+// has room for as many.
+//
+//autofj:hotpath
+func (v *Vocab) weighRun(r int, slots []int32, counts []uint32, csum, cnorm float64, ids []int32, w *[numWt][]float64, out *[numWt]distance.IDVec) {
+	rv := &v.reps[r]
+	rep := v.lay.reps[r]
+	need := &v.lay.need[rep.Pre][rep.Tok]
+	n := len(slots)
 	if need[weights.IDF] {
 		widf := w[weights.IDF][:n]
 		var sum, norm float64
@@ -530,7 +546,7 @@ func (v *Vocab) deriveRun(r int, s *Rows, at int, buf *DeriveBuf, out *[numWt]di
 		for k, c := range counts {
 			weq[k] = float64(c)
 		}
-		out[weights.Equal] = distance.IDVec{IDs: ids, W: weq, Sum: s.sums[2*at], Norm: s.sums[2*at+1], N: int32(n)}
+		out[weights.Equal] = distance.IDVec{IDs: ids, W: weq, Sum: csum, Norm: cnorm, N: int32(n)}
 	}
 }
 
@@ -542,31 +558,34 @@ func (v *Vocab) deriveRun(r int, s *Rows, at int, buf *DeriveBuf, out *[numWt]di
 func (v *Vocab) Query(s string) *IDProfile {
 	q := &IDProfile{}
 	lay := v.lay
-	var emb []float64 // the embeddings the space needs, in layout order
+	var emb []float64
 	if lay.nemb > 0 {
 		emb = make([]float64, lay.nemb*embed.Dim)
 	}
+	lay.procEmb(s, emb, q)
+	for r, rep := range lay.reps {
+		toks := rep.Tok.Tokens(q.proc[rep.Pre])
+		sort.Strings(toks)
+		buildQueryVecs(lay.need[rep.Pre][rep.Tok], toks, vocabRep{v, r}, &q.vec[rep.Pre][rep.Tok])
+	}
+	return q
+}
+
+// procEmb sets the processed strings and embeddings of record s that the
+// layout stores in p. The embeddings are copied into emb, which holds the
+// space's nemb embeddings in layout order.
+func (lay *layout) procEmb(s string, emb []float64, p *IDProfile) {
 	for pi := 0; pi < numPre; pi++ {
 		if lay.proc[pi] < 0 {
 			continue
 		}
-		q.proc[pi] = textproc.Option(pi).Apply(s)
+		p.proc[pi] = textproc.Option(pi).Apply(s)
 		if e := int(lay.emb[pi]); e >= 0 {
-			vec := embed.Embed(q.proc[pi])
-			q.emb[pi] = emb[e*embed.Dim : (e+1)*embed.Dim]
-			copy(q.emb[pi], vec[:])
-		}
-		for ti := 0; ti < numTok; ti++ {
-			r := lay.rep[pi][ti]
-			if r < 0 {
-				continue
-			}
-			toks := tokenize.Option(ti).Tokens(q.proc[pi])
-			sort.Strings(toks)
-			buildQueryVecs(lay.need[pi][ti], toks, vocabRep{v, int(r)}, &q.vec[pi][ti])
+			vec := embed.Embed(p.proc[pi])
+			p.emb[pi] = emb[e*embed.Dim : (e+1)*embed.Dim : (e+1)*embed.Dim]
+			copy(p.emb[pi], vec[:])
 		}
 	}
-	return q
 }
 
 // vocabRep resolves query tokens against one representation of a Vocab.

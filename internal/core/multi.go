@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"github.com/chu-data-lab/autofuzzyjoin-go/internal/config"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/parallel"
 )
 
@@ -23,6 +22,12 @@ type columnTensors struct {
 // across columns, as in §5.2.2). Missing cells are empty strings and two
 // missing cells compare at maximal distance.
 func JoinMultiColumnTables(leftCols, rightCols [][]string, opt Options) (*Result, error) {
+	return joinMultiColumn(leftCols, rightCols, opt, idPairs)
+}
+
+// joinMultiColumn is JoinMultiColumnTables scoring each column's pairs
+// through the evaluator that pairs builds.
+func joinMultiColumn(leftCols, rightCols [][]string, opt Options, pairs pairSource) (*Result, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
@@ -59,9 +64,9 @@ func JoinMultiColumnTables(leftCols, rightCols [][]string, opt Options) (*Result
 	var profileTime time.Duration
 	for j := 0; j < m; j++ {
 		tProf := time.Now()
-		_, profs := config.NewCorpusProfiles(opt.Space, opt.Parallelism, leftCols[j], rightCols[j])
+		newEval := pairs(opt.Space, opt.Parallelism, leftCols[j], rightCols[j], lrCand, llCand)
 		profileTime += time.Since(tProf)
-		tensors[j] = buildColumnTensors(opt.Space, leftCols[j], rightCols[j], profs[0], profs[1], lrCand, llCand, lrOff, llOff, opt.Parallelism)
+		tensors[j] = buildColumnTensors(len(opt.Space), leftCols[j], rightCols[j], newEval, lrCand, llCand, lrOff, llOff, opt.Parallelism)
 	}
 
 	// weighted runs Algorithm 1 on the weighted combination of columns.
@@ -196,15 +201,13 @@ func JoinMultiColumnTables(leftCols, rightCols [][]string, opt Options) (*Result
 	return best, nil
 }
 
-// buildColumnTensors evaluates every join function on every blocked pair
-// of one column (profiles profL/profR of cells lcol/rcol), pair-major:
-// workers shard over records and one fused Evaluator pass per candidate
-// pair fills the whole function axis of the tensor (0 means GOMAXPROCS).
-// Two empty cells compare at maximal distance (missing-value convention
-// of §5.2.2).
-func buildColumnTensors(space []config.JoinFunction, lcol, rcol []string, profL, profR []*config.Profile, lrCand, llCand [][]int32, lrOff, llOff []int32, parallelism int) *columnTensors {
-	ev := config.NewEvaluator(space)
-	numFn := len(space)
+// buildColumnTensors evaluates all numFn join functions on every blocked
+// pair of one column (cells lcol/rcol), pair-major: workers shard over
+// records, each with its own evaluator from newEval, and one fused pass
+// per candidate pair fills the whole function axis of the tensor (0 means
+// GOMAXPROCS). Two empty cells compare at maximal distance (missing-value
+// convention of §5.2.2).
+func buildColumnTensors(numFn int, lcol, rcol []string, newEval func() pairEval, lrCand, llCand [][]int32, lrOff, llOff []int32, parallelism int) *columnTensors {
 	nLR := int(lrOff[len(lrOff)-1])
 	nLL := int(llOff[len(llOff)-1])
 	t := &columnTensors{
@@ -217,7 +220,7 @@ func buildColumnTensors(space []config.JoinFunction, lcol, rcol []string, profL,
 	}
 	workers := parallel.Resolve(parallelism)
 	parallel.Shard(len(lrCand), workers, func(_, start, end int) {
-		sc := ev.NewScratch()
+		e := newEval()
 		row := make([]float64, numFn)
 		for r := start; r < end; r++ {
 			base := int(lrOff[r])
@@ -228,7 +231,7 @@ func buildColumnTensors(space []config.JoinFunction, lcol, rcol []string, profL,
 					}
 					continue
 				}
-				ev.Distances(profL[l], profR[r], sc, row)
+				e.lr(r, ci, row)
 				for fi := 0; fi < numFn; fi++ {
 					t.lr[fi][base+ci] = float32(row[fi])
 				}
@@ -236,7 +239,7 @@ func buildColumnTensors(space []config.JoinFunction, lcol, rcol []string, profL,
 		}
 	})
 	parallel.Shard(len(llCand), workers, func(_, start, end int) {
-		sc := ev.NewScratch()
+		e := newEval()
 		row := make([]float64, numFn)
 		for l := start; l < end; l++ {
 			base := int(llOff[l])
@@ -247,7 +250,7 @@ func buildColumnTensors(space []config.JoinFunction, lcol, rcol []string, profL,
 					}
 					continue
 				}
-				ev.Distances(profL[l], profL[l2], sc, row)
+				e.ll(l, ci, row)
 				for fi := 0; fi < numFn; fi++ {
 					t.ll[fi][base+ci] = float32(row[fi])
 				}

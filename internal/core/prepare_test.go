@@ -41,7 +41,8 @@ func prepareTables(nL, nR int, seed int64) (left, right []string) {
 }
 
 // buildPrepareInput assembles the engine input for a table pair via the
-// real blocking pipeline, plus the one-function-at-a-time callbacks the
+// real blocking pipeline and the id views learning scores on, plus the
+// one-function-at-a-time callbacks over string Profiles that the
 // function-major baseline scores through.
 func buildPrepareInput(left, right []string, space []config.JoinFunction, steps int, selfJoin bool) (*engineInput, func(fi, r, ci int) float64, func(fi, l, ci int) float64) {
 	opt := Options{BlockingBeta: 1.0}
@@ -49,7 +50,7 @@ func buildPrepareInput(left, right []string, space []config.JoinFunction, steps 
 	if selfJoin {
 		_, llCand, _ = blockCandidates(left, nil, opt, false)
 		lrCand = llCand
-		right = left
+		right = nil
 	} else {
 		lrCand, llCand, _ = blockCandidates(left, right, opt, false)
 	}
@@ -59,26 +60,15 @@ func buildPrepareInput(left, right []string, space []config.JoinFunction, steps 
 	if selfJoin {
 		profR = profL
 	}
-	ev := config.NewEvaluator(space)
 	in := &engineInput{
 		space:    space,
 		steps:    steps,
 		nL:       len(left),
-		nR:       len(right),
+		nR:       len(profR),
 		lrCand:   lrCand,
 		llCand:   llCand,
 		selfJoin: selfJoin,
-		newEval: func() pairEval {
-			sc := ev.NewScratch()
-			return pairEval{
-				lr: func(r, ci int, out []float64) {
-					ev.Distances(profL[lrCand[r][ci]], profR[r], sc, out)
-				},
-				ll: func(l, ci int, out []float64) {
-					ev.Distances(profL[l], profL[llCand[l][ci]], sc, out)
-				},
-			}
-		},
+		newEval:  idPairs(space, 0, left, right, lrCand, llCand),
 	}
 	lrDist := func(fi, r, ci int) float64 {
 		return space[fi].Distance(profL[lrCand[r][ci]], profR[r])
@@ -90,10 +80,11 @@ func buildPrepareInput(left, right []string, space []config.JoinFunction, steps 
 }
 
 // TestPreparePairMajorMatchesFunctionMajor: the pair-major fused prepare
-// must be bit-identical to the function-major reference — bestL/bestD,
-// threshold grids, ball counts, profit totals, and joinable ordering —
-// for every function of the full space, at every parallelism level, in
-// both join and self-join modes.
+// over learn-time id views must be bit-identical to the function-major
+// reference over string Profiles — bestL/bestD, threshold grids, ball
+// counts, profit totals, and joinable ordering — for every function of
+// the full space, at every parallelism level, in both join and self-join
+// modes.
 func TestPreparePairMajorMatchesFunctionMajor(t *testing.T) {
 	left, right := prepareTables(80, 60, 3)
 	for _, mode := range []struct {

@@ -3,8 +3,6 @@ package core
 import (
 	"sort"
 	"time"
-
-	"github.com/chu-data-lab/autofuzzyjoin-go/internal/config"
 )
 
 // SelfJoin finds fuzzy duplicates within a single table: the table plays
@@ -14,6 +12,12 @@ import (
 // precision estimates become conservative (a record's duplicates inflate
 // its 2θ-ball), so the output errs toward high precision.
 func SelfJoin(records []string, opt Options) (*Result, error) {
+	return selfJoin(records, opt, idPairs)
+}
+
+// selfJoin is SelfJoin scoring pairs through the evaluator that pairs
+// builds.
+func selfJoin(records []string, opt Options, pairs pairSource) (*Result, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
@@ -29,32 +33,19 @@ func SelfJoin(records []string, opt Options) (*Result, error) {
 	// pair differing by one word ("northern" vs a "nothern" typo) would be
 	// learned as a negative rule and veto exactly the join we want.
 	_, cand, _ := blockCandidates(records, nil, opt, false)
-	lrCand := cand
 	blockingTime := time.Since(tBlock)
 
 	tProf := time.Now()
-	_, profs := config.NewCorpusProfiles(opt.Space, opt.Parallelism, records)
-	prof := profs[0]
+	newEval := pairs(opt.Space, opt.Parallelism, records, nil, cand, cand)
 	profileTime := time.Since(tProf)
-	ev := config.NewEvaluator(opt.Space)
 	in := &engineInput{
-		space:  opt.Space,
-		steps:  opt.ThresholdSteps,
-		nL:     len(records),
-		nR:     len(records),
-		lrCand: lrCand,
-		llCand: cand,
-		newEval: func() pairEval {
-			sc := ev.NewScratch()
-			return pairEval{
-				lr: func(r, ci int, out []float64) {
-					ev.Distances(prof[lrCand[r][ci]], prof[r], sc, out)
-				},
-				ll: func(l, ci int, out []float64) {
-					ev.Distances(prof[l], prof[cand[l][ci]], sc, out)
-				},
-			}
-		},
+		space:    opt.Space,
+		steps:    opt.ThresholdSteps,
+		nL:       len(records),
+		nR:       len(records),
+		lrCand:   cand,
+		llCand:   cand,
+		newEval:  newEval,
 		selfJoin: true,
 	}
 	res := run(in, opt)

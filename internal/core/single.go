@@ -13,6 +13,12 @@ import (
 // reference table left and query table right, returning the selected
 // program and the induced many-to-one join.
 func JoinTables(left, right []string, opt Options) (*Result, error) {
+	return joinTables(left, right, opt, idPairs)
+}
+
+// joinTables is JoinTables scoring pairs through the evaluator that pairs
+// builds.
+func joinTables(left, right []string, opt Options, pairs pairSource) (*Result, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
@@ -30,29 +36,17 @@ func JoinTables(left, right []string, opt Options) (*Result, error) {
 	// Lines 3-4: distances and precision pre-computation, then the greedy
 	// union search — all inside run().
 	tProf := time.Now()
-	_, profs := config.NewCorpusProfiles(opt.Space, opt.Parallelism, left, right)
-	profL, profR := profs[0], profs[1]
+	newEval := pairs(opt.Space, opt.Parallelism, left, right, lrCand, llCand)
 	profileTime := time.Since(tProf)
-	ev := config.NewEvaluator(opt.Space)
 
 	in := &engineInput{
-		space:  opt.Space,
-		steps:  opt.ThresholdSteps,
-		nL:     len(left),
-		nR:     len(right),
-		lrCand: lrCand,
-		llCand: llCand,
-		newEval: func() pairEval {
-			sc := ev.NewScratch()
-			return pairEval{
-				lr: func(r, ci int, out []float64) {
-					ev.Distances(profL[lrCand[r][ci]], profR[r], sc, out)
-				},
-				ll: func(l, ci int, out []float64) {
-					ev.Distances(profL[l], profL[llCand[l][ci]], sc, out)
-				},
-			}
-		},
+		space:   opt.Space,
+		steps:   opt.ThresholdSteps,
+		nL:      len(left),
+		nR:      len(right),
+		lrCand:  lrCand,
+		llCand:  llCand,
+		newEval: newEval,
 	}
 	res := run(in, opt)
 	res.NegativeRules = rules
@@ -60,6 +54,34 @@ func JoinTables(left, right []string, opt Options) (*Result, error) {
 	res.Timing.Blocking = blockingTime
 	res.Timing.Profile = profileTime
 	return res, nil
+}
+
+// pairSource builds the record representations of one column — the cells
+// of left and right, or of left alone for a self-join (right nil) — and
+// returns engineInput's per-worker evaluator over the blocked pairs.
+type pairSource func(space []config.JoinFunction, parallelism int, left, right []string, lrCand, llCand [][]int32) func() pairEval
+
+// idPairs is the pairSource learning runs: every record is derived once
+// into an id view under one vocabulary closed over left ∪ right
+// (config.LearnProfiles), and pairs are scored by Evaluator.IDDistances.
+func idPairs(space []config.JoinFunction, parallelism int, left, right []string, lrCand, llCand [][]int32) func() pairEval {
+	views := config.LearnProfiles(space, parallelism, left, right)
+	viewL, viewR := views[0], views[1]
+	if right == nil { // a self-join: left plays both sides
+		viewR = viewL
+	}
+	ev := config.NewEvaluator(space)
+	return func() pairEval {
+		sc := ev.NewScratch()
+		return pairEval{
+			lr: func(r, ci int, out []float64) {
+				ev.IDDistances(&viewL[lrCand[r][ci]], &viewR[r], sc, out)
+			},
+			ll: func(l, ci int, out []float64) {
+				ev.IDDistances(&viewL[l], &viewL[llCand[l][ci]], sc, out)
+			},
+		}
+	}
 }
 
 // blockCandidates runs Algorithm 1 lines 1–2 on blocking keys: top-k

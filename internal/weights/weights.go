@@ -116,15 +116,8 @@ func NewStats(docs [][]string) *Stats {
 			}
 		}
 	}
-	return NewStatsFromDF(len(docs), df)
-}
-
-// NewStatsFromDF builds statistics from already-counted document
-// frequencies: docs documents, df[tok] of which contain tok. It takes
-// ownership of df. Given the counts NewStats would make, the result equals
-// NewStats over the same corpus.
-func NewStatsFromDF(docs int, df map[string]int) *Stats {
-	return &Stats{df: df, w: IDFTable{idf: make([]atomic.Uint64, docs+1), docs: docs}}
+	n := len(docs)
+	return &Stats{df: df, w: IDFTable{idf: make([]atomic.Uint64, n+1), docs: n}}
 }
 
 // Docs returns the number of documents the statistics were built from.

@@ -171,10 +171,6 @@ func TestIDFRestoredAboveDocs(t *testing.T) {
 	if got, want := w.Weight(9), closedIDF(2, 9); math.Float64bits(got) != math.Float64bits(want) {
 		t.Errorf("Weight = %v, want %v", got, want)
 	}
-	s := NewStatsFromDF(2, map[string]int{"a": 9})
-	if got, want := s.IDF("a"), closedIDF(2, 9); math.Float64bits(got) != math.Float64bits(want) {
-		t.Errorf("IDF = %v, want %v", got, want)
-	}
 }
 
 // TestIDFConcurrentReaders is the read-path contract under -race: many
