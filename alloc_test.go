@@ -59,7 +59,7 @@ func TestAllocationBudgets(t *testing.T) {
 	out := make([]float64, len(space))
 	check("Evaluator.IDDistances", evaluatorAllocBudget, 5, func() {
 		for i := range views {
-			ev.IDDistances(&views[i], &views[(i+7)%len(views)], evSc, out)
+			ev.IDDistances(&views[i], &views[(i+7)%len(views)], config.AllGroups, evSc, out)
 		}
 	})
 

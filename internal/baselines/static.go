@@ -25,7 +25,7 @@ func StaticJoins(left, right []string, space []config.JoinFunction, cands [][]in
 			bestL[fi], bestD[fi] = -1, 2.0
 		}
 		for _, l := range cs {
-			ev.IDDistances(&viewL[l], &viewR[r], sc, row)
+			ev.IDDistances(&viewL[l], &viewR[r], config.AllGroups, sc, row)
 			for fi := range space {
 				if row[fi] < bestD[fi] {
 					bestD[fi] = row[fi]
@@ -84,7 +84,7 @@ func UpperBoundRecall(left, right []string, space []config.JoinFunction, cands [
 			bestL[fi], bestD[fi] = -1, 2.0
 		}
 		for _, l := range cands[r] {
-			ev.IDDistances(&viewL[l], &viewR[r], sc, row)
+			ev.IDDistances(&viewL[l], &viewR[r], config.AllGroups, sc, row)
 			for fi := range space {
 				if row[fi] < bestD[fi] {
 					bestD[fi] = row[fi]

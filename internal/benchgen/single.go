@@ -1,7 +1,7 @@
 // Package benchgen generates the synthetic fuzzy-join benchmark described
-// in DESIGN.md: 50 single-column entity-type tasks standing in for the
-// paper's DBPedia-derived benchmark, and 8 multi-column tasks standing in
-// for the Magellan benchmark suite. Every task carries exact ground truth
+// in README's "Deviations from the paper": 50 single-column entity-type
+// tasks standing in for the paper's DBPedia-derived benchmark, and 8
+// multi-column tasks standing in for the Magellan benchmark suite. Every task carries exact ground truth
 // from synthetic entity ids, just as DBPedia entity-ids provide it in the
 // paper. Generation is fully deterministic given (seed, scale).
 package benchgen

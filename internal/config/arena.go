@@ -49,5 +49,5 @@ func (c *Corpus) ArenaQuery(a *ProfileArena, s string) *IDProfile { return a.v.Q
 func (e *Evaluator) ArenaDistances(a *ProfileArena, l int32, q *IDProfile, sc *EvalScratch, out []float64) {
 	var ref IDProfile
 	a.v.Derive(&a.rows, int(l), &sc.derive, &ref)
-	e.IDDistances(&ref, q, sc, out)
+	e.IDDistances(&ref, q, AllGroups, sc, out)
 }

@@ -52,7 +52,9 @@ func (c *Corpus) NeedCounts(pre textproc.Option, tok tokenize.Option) bool {
 // pre-processed strings, embeddings, and raw token COUNT vectors (stored in
 // the Equal slot, which doubles as the carrier for derived IDF weights).
 // Unlike Profile it never reads corpus statistics, so count profiles stay
-// valid across any sequence of table mutations.
+// valid across any sequence of table mutations. An option whose string
+// equals an earlier option's shares that option's string, embedding and
+// count vectors, which are then the same tokens.
 func (c *Corpus) CountProfile(s string) *Profile {
 	p := &Profile{Raw: s}
 	for pi := 0; pi < numPre; pi++ {
@@ -60,15 +62,29 @@ func (c *Corpus) CountProfile(s string) *Profile {
 			continue
 		}
 		pre := textproc.Option(pi)
-		p.proc[pi] = pre.Apply(s)
+		proc := pre.Apply(s)
+		pj := sameAs(&p.proc, &c.needProc, pi, proc)
+		if pj >= 0 {
+			proc = p.proc[pj]
+		}
+		p.proc[pi] = proc
 		if c.needEmb[pi] {
-			p.ensureEmb()[pi] = embed.Embed(p.proc[pi])
+			if pj >= 0 && c.needEmb[pj] {
+				p.emb[pi] = p.emb[pj]
+			} else {
+				p.ensureEmb()[pi] = embed.Embed(proc)
+			}
 		}
 		for ti := 0; ti < numTok; ti++ {
-			if !c.NeedCounts(pre, tokenize.Option(ti)) {
+			tok := tokenize.Option(ti)
+			if !c.NeedCounts(pre, tok) {
 				continue
 			}
-			p.ensureVec(pi, ti)[weights.Equal] = countVec(tokenize.Option(ti), p.proc[pi])
+			if pj >= 0 && c.NeedCounts(textproc.Option(pj), tok) {
+				p.ensureVec(pi, ti)[weights.Equal] = p.vecs[pj][ti][weights.Equal]
+			} else {
+				p.ensureVec(pi, ti)[weights.Equal] = countVec(tok, proc)
+			}
 		}
 	}
 	return p

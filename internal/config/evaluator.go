@@ -25,11 +25,27 @@ import (
 //     precomputed embeddings.
 //
 // For the full 140-function space this turns ~140 kernel invocations per
-// candidate pair into 16 merges + 4 char-pair DP groups + 4 dot
-// products. Distances are bit-identical to JoinFunction.Distance — the
-// plans reuse the exact arithmetic of the single-function kernels — so
+// candidate pair into at most 16 merges + 4 char-pair DP groups + 4 dot
+// products. IDDistances scores less still:
+//
+//   - a group whose pre-processing gives both records the same strings as
+//     an earlier group's copies that group's kernel result instead of
+//     rerunning it (a char group from one computing every member it needs,
+//     an embedding group from any embedding group, an equal-weight set
+//     group from one of the same tokenization; IDF weights differ per
+//     representation, so IDF groups never copy). Pre-processing options
+//     often agree — lower-casing and punctuation removal give the same
+//     string for most records without punctuation — and the record builds
+//     share equal strings, so the check is usually a pointer compare;
+//   - a GroupMask selects the groups to score, so a caller that needs only
+//     some functions (learning's ball pass, core.prepare phase 3) runs
+//     only their kernels.
+//
+// Distances are bit-identical to JoinFunction.Distance — the plans reuse
+// the exact arithmetic of the single-function kernels, and a copied
+// result is the one the kernel would compute from the same inputs — so
 // callers can switch freely between the two (enforced by
-// TestEvaluatorMatchesDistance and FuzzEvaluator).
+// TestEvaluatorMatchesDistance, TestIDDistancesMask and FuzzEvaluator).
 //
 // An Evaluator is immutable after NewEvaluator and safe for concurrent
 // use; the mutable per-worker state lives in EvalScratch (one per
@@ -39,12 +55,30 @@ type Evaluator struct {
 	char  []charPlan
 	set   []setPlan
 	emb   []embPlan
+	group []GroupMask // by function index: the group that scores it
 }
+
+// GroupMask selects evaluation groups of an Evaluator, one bit per group
+// (see Evaluator.Group). A space has at most 4 char, 16 set and 4
+// embedding groups, so every group has a bit.
+type GroupMask uint64
+
+// AllGroups selects every group: IDDistances fills every function's slot.
+const AllGroups = ^GroupMask(0)
 
 // slot routes one group member back to its function index in the space.
 type slot struct {
 	fi   int32
 	dist Distance
+}
+
+// source is an earlier group of the same kind whose kernel result a group
+// may copy when the two pre-processing options give both records the
+// same strings.
+type source struct {
+	gi  int32
+	pre textproc.Option
+	bit GroupMask
 }
 
 // charPlan fuses the character-family functions of one pre-processing
@@ -53,21 +87,27 @@ type charPlan struct {
 	pre  textproc.Option
 	need distance.CharNeed
 	fns  []slot
+	bit  GroupMask
+	from []source // earlier char groups computing every member need asks for
 }
 
 // setPlan fuses the set-family functions of one (pre, tok, weight)
 // representation.
 type setPlan struct {
-	pre textproc.Option
-	tok tokenize.Option
-	wt  weights.Scheme
-	fns []slot
+	pre  textproc.Option
+	tok  tokenize.Option
+	wt   weights.Scheme
+	fns  []slot
+	bit  GroupMask
+	from []source // earlier equal-weight groups of the same tokenization
 }
 
 // embPlan shares the embedding distance of one pre-processing pipeline.
 type embPlan struct {
-	pre textproc.Option
-	fns []int32
+	pre  textproc.Option
+	fns  []int32
+	bit  GroupMask
+	from []source // earlier embedding groups
 }
 
 // EvalScratch is the reusable per-worker state of an Evaluator. It is
@@ -75,16 +115,24 @@ type embPlan struct {
 type EvalScratch struct {
 	char   distance.CharScratch
 	derive DeriveBuf // ArenaDistances' reference-row buffers
+	// The kernel results of the current IDDistances call, by group, for
+	// later groups to copy.
+	cd [numPre]distance.CharDists
+	sd [numPre * numTok * numWt]distance.SetDists
+	ed [numPre]float64
 }
 
 // NewEvaluator compiles the space into representation-keyed evaluation
 // plans. Group order follows first appearance in the space, so plan
 // iteration (and therefore scratch reuse) is deterministic.
 func NewEvaluator(space []JoinFunction) *Evaluator {
-	e := &Evaluator{space: space}
+	e := &Evaluator{space: space, group: make([]GroupMask, len(space))}
 	charIdx := map[textproc.Option]int{}
 	setIdx := map[[3]uint8]int{}
 	embIdx := map[textproc.Option]int{}
+	// newBit is the bit of the next new group: groups take bits in order
+	// of first appearance.
+	newBit := func() GroupMask { return 1 << (len(e.char) + len(e.set) + len(e.emb)) }
 	for fi, f := range space {
 		switch f.Dist.Class() {
 		case CharBased:
@@ -92,7 +140,7 @@ func NewEvaluator(space []JoinFunction) *Evaluator {
 			if !ok {
 				gi = len(e.char)
 				charIdx[f.Pre] = gi
-				e.char = append(e.char, charPlan{pre: f.Pre})
+				e.char = append(e.char, charPlan{pre: f.Pre, bit: newBit()})
 			}
 			g := &e.char[gi]
 			switch f.Dist {
@@ -106,27 +154,63 @@ func NewEvaluator(space []JoinFunction) *Evaluator {
 				g.need.SW = true
 			}
 			g.fns = append(g.fns, slot{fi: int32(fi), dist: f.Dist})
+			e.group[fi] = g.bit
 		case EmbeddingBased:
 			gi, ok := embIdx[f.Pre]
 			if !ok {
 				gi = len(e.emb)
 				embIdx[f.Pre] = gi
-				e.emb = append(e.emb, embPlan{pre: f.Pre})
+				e.emb = append(e.emb, embPlan{pre: f.Pre, bit: newBit()})
 			}
 			e.emb[gi].fns = append(e.emb[gi].fns, int32(fi))
+			e.group[fi] = e.emb[gi].bit
 		default:
 			key := [3]uint8{uint8(f.Pre), uint8(f.Tok), uint8(f.Weight)}
 			gi, ok := setIdx[key]
 			if !ok {
 				gi = len(e.set)
 				setIdx[key] = gi
-				e.set = append(e.set, setPlan{pre: f.Pre, tok: f.Tok, wt: f.Weight})
+				e.set = append(e.set, setPlan{pre: f.Pre, tok: f.Tok, wt: f.Weight, bit: newBit()})
 			}
 			e.set[gi].fns = append(e.set[gi].fns, slot{fi: int32(fi), dist: f.Dist})
+			e.group[fi] = e.set[gi].bit
+		}
+	}
+
+	// The earlier groups each group may copy from.
+	for gi := range e.char {
+		g := &e.char[gi]
+		for si, s := range e.char[:gi] {
+			if covers(s.need, g.need) {
+				g.from = append(g.from, source{gi: int32(si), pre: s.pre, bit: s.bit})
+			}
+		}
+	}
+	for gi := range e.set {
+		g := &e.set[gi]
+		for si, s := range e.set[:gi] {
+			if g.wt == weights.Equal && s.wt == weights.Equal && s.tok == g.tok {
+				g.from = append(g.from, source{gi: int32(si), pre: s.pre, bit: s.bit})
+			}
+		}
+	}
+	for gi := range e.emb {
+		for si, s := range e.emb[:gi] {
+			e.emb[gi].from = append(e.emb[gi].from, source{gi: int32(si), pre: s.pre, bit: s.bit})
 		}
 	}
 	return e
 }
+
+// covers reports whether a char kernel run for need a computes every
+// member need b asks for.
+func covers(a, b distance.CharNeed) bool {
+	return (a.ED || !b.ED) && (a.JW || !b.JW) && (a.ME || !b.ME) && (a.SW || !b.SW)
+}
+
+// Group returns the bit of the group that scores function fi: the mask
+// under which IDDistances fills out[fi].
+func (e *Evaluator) Group(fi int) GroupMask { return e.group[fi] }
 
 // NumFunctions returns the size of the dense distance vector Distances
 // fills — the length of the compiled space.
@@ -165,23 +249,65 @@ func (e *Evaluator) Distances(l, r *Profile, sc *EvalScratch, out []float64) {
 // bit-identical to Distances on the equivalent Profiles. l is the
 // reference-side row, r the query side (or a second reference row).
 //
+// Only the groups in mask are scored: out[fi] is filled for every
+// function whose Group is in mask, and every other slot is left as it
+// was. A group copies the result of an earlier group scored in the same
+// call whose processed strings coincide with its own on both records.
+//
 //autofj:hotpath
-func (e *Evaluator) IDDistances(l, r *IDProfile, sc *EvalScratch, out []float64) {
+func (e *Evaluator) IDDistances(l, r *IDProfile, mask GroupMask, sc *EvalScratch, out []float64) {
 	for gi := range e.char {
 		g := &e.char[gi]
-		scatterChar(g, sc.char.Distances(l.proc[g.pre], r.proc[g.pre], g.need), out)
+		if mask&g.bit == 0 {
+			continue
+		}
+		if s := copySource(g.from, mask, g.pre, l, r); s >= 0 {
+			sc.cd[gi] = sc.cd[s]
+		} else {
+			sc.cd[gi] = sc.char.Distances(l.proc[g.pre], r.proc[g.pre], g.need)
+		}
+		scatterChar(g, sc.cd[gi], out)
 	}
 	for gi := range e.set {
 		g := &e.set[gi]
-		scatterSet(g, distance.SetFamilyIDs(l.vec[g.pre][g.tok][g.wt], r.vec[g.pre][g.tok][g.wt]), out)
+		if mask&g.bit == 0 {
+			continue
+		}
+		if s := copySource(g.from, mask, g.pre, l, r); s >= 0 {
+			sc.sd[gi] = sc.sd[s]
+		} else {
+			sc.sd[gi] = distance.SetFamilyIDs(l.vec[g.pre][g.tok][g.wt], r.vec[g.pre][g.tok][g.wt])
+		}
+		scatterSet(g, sc.sd[gi], out)
 	}
 	for gi := range e.emb {
 		g := &e.emb[gi]
-		d := embed.CosineDistanceFlat(l.emb[g.pre], r.emb[g.pre])
+		if mask&g.bit == 0 {
+			continue
+		}
+		if s := copySource(g.from, mask, g.pre, l, r); s >= 0 {
+			sc.ed[gi] = sc.ed[s]
+		} else {
+			sc.ed[gi] = embed.CosineDistanceFlat(l.emb[g.pre], r.emb[g.pre])
+		}
 		for _, fi := range g.fns {
-			out[fi] = d
+			out[fi] = sc.ed[gi]
 		}
 	}
+}
+
+// copySource returns the first group of from that mask scores and whose
+// processed strings equal those under pre on both l and r, or -1. Its
+// kernel result is then the one pre's group would compute.
+//
+//autofj:hotpath
+func copySource(from []source, mask GroupMask, pre textproc.Option, l, r *IDProfile) int {
+	for _, s := range from {
+		if mask&s.bit != 0 && l.proc[s.pre] == l.proc[pre] && r.proc[s.pre] == r.proc[pre] {
+			return int(s.gi)
+		}
+	}
+	return -1
 }
 
 // scatterChar fans one fused char-kernel result out to the plan's

@@ -2,6 +2,7 @@ package config
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -101,12 +102,105 @@ func TestEvaluatorDuplicateFunctions(t *testing.T) {
 	}
 }
 
+// TestIDDistancesMask: IDDistances under a group mask fills exactly the
+// functions whose group the mask selects, with the values of an unmasked
+// call, and leaves every other slot untouched — over the learn views and
+// over table rows against queries, the latter with out-of-vocabulary
+// tokens so masked copying crosses the Extra path.
+func TestIDDistancesMask(t *testing.T) {
+	spaces := map[string][]JoinFunction{
+		"Space":         Space(),
+		"ExtendedSpace": ExtendedSpace(),
+		"ReducedSpace":  ReducedSpace(),
+	}
+	const untouched = -7.0
+	for name, space := range spaces {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			var recs []string
+			for i := 0; i < 30; i++ {
+				recs = append(recs, randRecord(rng))
+			}
+			ev := NewEvaluator(space)
+			sc := ev.NewScratch()
+			want := make([]float64, len(space))
+			got := make([]float64, len(space))
+			// randMask ORs the groups of a random subset of functions, as
+			// learning's ball pass does, or draws raw bits.
+			randMask := func() GroupMask {
+				if rng.Intn(4) == 0 {
+					return GroupMask(rng.Uint64())
+				}
+				var m GroupMask
+				for fi := range space {
+					if rng.Intn(3) == 0 {
+						m |= ev.Group(fi)
+					}
+				}
+				return m
+			}
+			// check scores (l, r) under random masks, each time right after
+			// scoring the decoy pair (dl, dr) on the same scratch, so a group
+			// that copied a result its mask did not score would read the
+			// decoy's.
+			check := func(what string, l, r, dl, dr *IDProfile) {
+				t.Helper()
+				ev.IDDistances(l, r, AllGroups, sc, want)
+				for trial := 0; trial < 8; trial++ {
+					mask := randMask()
+					ev.IDDistances(dl, dr, AllGroups, sc, got)
+					for fi := range got {
+						got[fi] = untouched
+					}
+					ev.IDDistances(l, r, mask, sc, got)
+					for fi, fn := range space {
+						exp := untouched
+						if ev.Group(fi)&mask != 0 {
+							exp = want[fi]
+						}
+						if math.Float64bits(got[fi]) != math.Float64bits(exp) {
+							t.Fatalf("%s, mask %#x, fn %s: got %v, want %v", what, mask, fn.Name(), got[fi], exp)
+						}
+					}
+				}
+			}
+
+			views := LearnProfiles(space, 1, recs)[0]
+			for i := range views {
+				j, k := rng.Intn(len(views)), rng.Intn(len(views))
+				check(fmt.Sprintf("learn views %q, %q", recs[i], recs[j]), &views[i], &views[j], &views[k], &views[i])
+			}
+
+			v := NewVocab(space)
+			rows := v.NewRows(len(recs), 0)
+			for _, rec := range recs {
+				v.AppendProfile(&rows, v.CountProfile(rec))
+			}
+			v.Settle()
+			var buf DeriveBuf
+			var ref IDProfile
+			for i, rec := range recs {
+				v.Derive(&rows, i, &buf, &ref)
+				q := recs[rng.Intn(len(recs))] + " zqxj"
+				decoy := v.Query(recs[rng.Intn(len(recs))])
+				check(fmt.Sprintf("row %q, query %q", rec, q), &ref, v.Query(q), &ref, decoy)
+			}
+		})
+	}
+}
+
 // FuzzEvaluator cross-checks fused vs single-function scoring on
 // arbitrary string pairs under the extended space (every kernel family).
 func FuzzEvaluator(f *testing.F) {
 	f.Add("north museum of history", "nothern museum of history")
 	f.Add("", "x")
 	f.Add("O'Brien-Smith 2003", "o brien smith 2003")
+	// Pre-processing options that coincide partly, so IDDistances copies
+	// some groups: plural only (L = L+RP), punctuation only, both, neither.
+	f.Add("museums of history", "museum of history")
+	f.Add("st. louis cardinals", "st louis cardinals")
+	f.Add("O'Brien's museums", "obrien museum")
+	f.Add("alpha unit 2003", "alpha unit 2004")
 	f.Fuzz(func(t *testing.T, a, b string) {
 		if len(a) > 64 || len(b) > 64 {
 			return // quadratic kernels; keep the fuzz corpus fast
@@ -137,7 +231,7 @@ func FuzzEvaluator(f *testing.F) {
 		sc := ev.NewScratch()
 		got := make([]float64, len(space))
 		for _, q := range []string{b, b + " zqxj"} {
-			ev.IDDistances(&ref, v.Query(q), sc, got)
+			ev.IDDistances(&ref, v.Query(q), AllGroups, sc, got)
 			ev.Distances(profs[0], corpus.Profile(q), sc, out)
 			for fi, fn := range space {
 				if got[fi] != out[fi] {
@@ -152,7 +246,7 @@ func FuzzEvaluator(f *testing.F) {
 		// collections.
 		views := LearnProfiles(space, 1, []string{a}, []string{b})
 		lc := NewCorpus(space, []string{a}, []string{b})
-		ev.IDDistances(&views[0][0], &views[1][0], sc, got)
+		ev.IDDistances(&views[0][0], &views[1][0], AllGroups, sc, got)
 		ev.Distances(lc.Profile(a), lc.Profile(b), sc, out)
 		for fi, fn := range space {
 			if got[fi] != out[fi] {

@@ -274,7 +274,7 @@ func TestProfilesMatchMapOracle(t *testing.T) {
 				for _, a := range sample {
 					for _, b := range sample {
 						l, r := &views[a[0]][a[1]], &views[b[0]][b[1]]
-						ev.IDDistances(l, r, sc, got)
+						ev.IDDistances(l, r, AllGroups, sc, got)
 						ev.Distances(oprofs[a[0]][a[1]], oprofs[b[0]][b[1]], sc, want)
 						for fi, f := range space {
 							if !sameBits(got[fi], want[fi]) {

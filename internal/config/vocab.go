@@ -36,17 +36,18 @@ import (
 // (pre-processing, tokenization) representation within a row, -1 when
 // the space does not need it.
 type layout struct {
-	need  [numPre][numTok][numWt]bool
-	proc  [numPre]int8
-	emb   [numPre]int8
-	rep   [numPre][numTok]int8
-	reps  []Rep // counted representations in ascending (pre, tok) order
-	nproc int
-	nemb  int
+	need     [numPre][numTok][numWt]bool
+	needProc [numPre]bool
+	proc     [numPre]int8
+	emb      [numPre]int8
+	rep      [numPre][numTok]int8
+	reps     []Rep // counted representations in ascending (pre, tok) order
+	nproc    int
+	nemb     int
 }
 
 func newLayout(c *Corpus) *layout {
-	lay := &layout{need: c.needVec, reps: make([]Rep, 0, numPre*numTok)}
+	lay := &layout{need: c.needVec, needProc: c.needProc, reps: make([]Rep, 0, numPre*numTok)}
 	for pi := 0; pi < numPre; pi++ {
 		lay.proc[pi], lay.emb[pi] = -1, -1
 		if c.needProc[pi] {
@@ -563,9 +564,16 @@ func (v *Vocab) Query(s string) *IDProfile {
 		emb = make([]float64, lay.nemb*embed.Dim)
 	}
 	lay.procEmb(s, emb, q)
+	var sorted [numPre][numTok][]string // an earlier option with the same string shares its tokens
 	for r, rep := range lay.reps {
-		toks := rep.Tok.Tokens(q.proc[rep.Pre])
-		sort.Strings(toks)
+		var toks []string
+		if pj := sameAs(&q.proc, &lay.needProc, int(rep.Pre), q.proc[rep.Pre]); pj >= 0 && lay.rep[pj][rep.Tok] >= 0 {
+			toks = sorted[pj][rep.Tok]
+		} else {
+			toks = rep.Tok.Tokens(q.proc[rep.Pre])
+			sort.Strings(toks)
+		}
+		sorted[rep.Pre][rep.Tok] = toks
 		buildQueryVecs(lay.need[rep.Pre][rep.Tok], toks, vocabRep{v, r}, &q.vec[rep.Pre][rep.Tok])
 	}
 	return q
@@ -573,19 +581,41 @@ func (v *Vocab) Query(s string) *IDProfile {
 
 // procEmb sets the processed strings and embeddings of record s that the
 // layout stores in p. The embeddings are copied into emb, which holds the
-// space's nemb embeddings in layout order.
+// space's nemb embeddings in layout order. An option whose string equals
+// an earlier option's shares that string and copies its embedding when
+// it has one (see sameAs).
 func (lay *layout) procEmb(s string, emb []float64, p *IDProfile) {
 	for pi := 0; pi < numPre; pi++ {
 		if lay.proc[pi] < 0 {
 			continue
 		}
-		p.proc[pi] = textproc.Option(pi).Apply(s)
+		proc := textproc.Option(pi).Apply(s)
+		pj := sameAs(&p.proc, &lay.needProc, pi, proc)
+		if pj >= 0 {
+			proc = p.proc[pj]
+		}
+		p.proc[pi] = proc
 		if e := int(lay.emb[pi]); e >= 0 {
-			vec := embed.Embed(p.proc[pi])
 			p.emb[pi] = emb[e*embed.Dim : (e+1)*embed.Dim : (e+1)*embed.Dim]
-			copy(p.emb[pi], vec[:])
+			if pj >= 0 && lay.emb[pj] >= 0 {
+				copy(p.emb[pi], p.emb[pj])
+			} else {
+				vec := embed.Embed(proc)
+				copy(p.emb[pi], vec[:])
+			}
 		}
 	}
+}
+
+// sameAs returns the first option before pi that need marks as built and
+// whose processed string in procs equals proc, or -1.
+func sameAs(procs *[numPre]string, need *[numPre]bool, pi int, proc string) int {
+	for pj := 0; pj < pi; pj++ {
+		if need[pj] && procs[pj] == proc {
+			return pj
+		}
+	}
+	return -1
 }
 
 // vocabRep resolves query tokens against one representation of a Vocab.

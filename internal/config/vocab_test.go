@@ -82,7 +82,7 @@ func TestDeriveMatchesProfileAndNeverAllocates(t *testing.T) {
 				}
 			}
 			for _, q := range queries {
-				ev.IDDistances(&d, v.Query(q), sc, got)
+				ev.IDDistances(&d, v.Query(q), AllGroups, sc, got)
 				ev.Distances(p, oracle.Profile(q), sc, want)
 				for fi := range want {
 					if !sameBits(got[fi], want[fi]) {

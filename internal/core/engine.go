@@ -54,12 +54,17 @@ type engineInput struct {
 // pairEval is a per-worker fused distance oracle: lr fills out[fi] with
 // the distance under join function fi between right record r and its
 // ci-th blocked candidate; ll does the same between left record l (a
-// ball center) and its ci-th L-L candidate. out has len(space) entries.
+// ball center) and its ci-th L-L candidate, for at least the functions
+// of the evaluator groups in need, leaving other slots as they were. An
+// oracle that scores functions separately sets mask, which turns the
+// functions a center needs into that group mask; one without mask scores
+// every function whatever need says. out has len(space) entries.
 // Implementations may carry scratch, so oracles must not be shared
 // across goroutines — every worker gets its own from engineInput.newEval.
 type pairEval struct {
-	lr func(r, ci int, out []float64)
-	ll func(l, ci int, out []float64)
+	lr   func(r, ci int, out []float64)
+	ll   func(l, ci int, need config.GroupMask, out []float64)
+	mask func(fns []fnCenter) config.GroupMask
 }
 
 // preparedFn is the pre-computation of Algorithm 1 lines 3–4 for one join
@@ -126,8 +131,9 @@ type fnCenter struct {
 //  2. sharded over functions: threshold grids, grid positions, joinable
 //     rows, and the per-function ball-center grouping;
 //  3. sharded over the UNION of ball centers: one fused evaluation per
-//     L-L candidate pair feeds the sorted ball of every function that
-//     needs that center, then the 2θ-ball counts of its joinable rows;
+//     L-L candidate pair, restricted to the evaluator groups of the
+//     functions that need that center, feeds each such function's sorted
+//     ball, then the 2θ-ball counts of its joinable rows;
 //  4. sharded over functions: the totalP/totalCnt profit accumulators,
 //     summed sequentially in ascending right-record order so the
 //     floating-point accumulation order never depends on scheduling.
@@ -266,23 +272,30 @@ func prepare(in *engineInput, parallelism int) []*preparedFn {
 		}
 	})
 
-	// Union of ball centers across functions plus, per center, the list
-	// of functions that need it (built sequentially: it is a cheap index
-	// pass, and shared append targets must not race).
+	// Union of ball centers across functions, in ascending left id, plus,
+	// per center, the list of functions that need it (built sequentially:
+	// it is a cheap index pass, and shared append targets must not race).
+	// A center costs in proportion to the functions that need it, and
+	// the centers first needed by later functions of the space are needed
+	// by few, so id order, not first-need order, spreads the cost evenly
+	// over phase 3's contiguous shards.
 	gIdx := make([]int32, in.nL)
 	for i := range gIdx {
 		gIdx[i] = -1
 	}
-	var centers []int32
 	for fi := range fns {
 		if fns[fi] == nil {
 			continue
 		}
 		for _, l := range plans[fi].centers {
-			if gIdx[l] < 0 {
-				gIdx[l] = int32(len(centers))
-				centers = append(centers, l)
-			}
+			gIdx[l] = 0
+		}
+	}
+	var centers []int32
+	for l, g := range gIdx {
+		if g == 0 {
+			gIdx[l] = int32(len(centers))
+			centers = append(centers, int32(l))
 		}
 	}
 	perCenter := make([][]fnCenter, len(centers))
@@ -297,32 +310,38 @@ func prepare(in *engineInput, parallelism int) []*preparedFn {
 	}
 
 	// Phase 3 (pair-major, sharded over the center union): every L-L
-	// candidate pair of a center is evaluated ONCE under all functions;
-	// each function needing the center then sorts its slice of the
-	// per-center distance matrix and counts the 2θ-balls of its rows.
+	// candidate pair of a center is evaluated ONCE under the functions
+	// that need the center (a center is typically needed by a third of
+	// the space, and the oracle skips the kernels of the rest); each of
+	// them then sorts its row of the per-center distance matrix and
+	// counts the 2θ-balls of its rows.
 	// Writes are disjoint — every (function, joinable row) belongs to
 	// exactly one center — so scheduling cannot change the output.
 	parallel.Shard(len(centers), workers, func(_, start, end int) {
 		ev := in.newEval()
 		row := make([]float64, numFn)
-		var mat []float64  // per-center [numFn][nCand] distances
-		var ball []float64 // one function's sorted ball
+		var mat []float64 // per-center [len(need)][nCand] distances
 		for gi := start; gi < end; gi++ {
 			l := int(centers[gi])
-			nCand := len(in.llCand[l])
-			if cap(mat) < numFn*nCand {
-				mat = make([]float64, numFn*nCand)
+			need := perCenter[gi]
+			mask := config.AllGroups
+			if ev.mask != nil {
+				mask = ev.mask(need)
 			}
-			mat = mat[:numFn*nCand]
+			nCand := len(in.llCand[l])
+			if cap(mat) < len(need)*nCand {
+				mat = make([]float64, len(need)*nCand)
+			}
+			mat = mat[:len(need)*nCand]
 			for ci := 0; ci < nCand; ci++ {
-				ev.ll(l, ci, row)
-				for fi := 0; fi < numFn; fi++ {
-					mat[fi*nCand+ci] = row[fi]
+				ev.ll(l, ci, mask, row)
+				for k, fc := range need {
+					mat[k*nCand+ci] = row[fc.fi]
 				}
 			}
-			for _, fc := range perCenter[gi] {
+			for k, fc := range need {
 				fn, plan := fns[fc.fi], plans[fc.fi]
-				ball = append(ball[:0], mat[int(fc.fi)*nCand:(int(fc.fi)+1)*nCand]...)
+				ball := mat[k*nCand : (k+1)*nCand]
 				sort.Float64s(ball)
 				for _, ji := range plan.rows[plan.rowOff[fc.ci]:plan.rowOff[fc.ci+1]] {
 					countBall(in, fn, plan.arena, int(ji), ball)

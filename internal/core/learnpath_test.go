@@ -26,7 +26,7 @@ func stringPairs(space []config.JoinFunction, parallelism int, left, right []str
 			lr: func(r, ci int, out []float64) {
 				ev.Distances(profL[lrCand[r][ci]], profR[r], sc, out)
 			},
-			ll: func(l, ci int, out []float64) {
+			ll: func(l, ci int, _ config.GroupMask, out []float64) {
 				ev.Distances(profL[l], profL[llCand[l][ci]], sc, out)
 			},
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"github.com/chu-data-lab/autofuzzyjoin-go/internal/config"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/parallel"
 )
 
@@ -99,7 +100,7 @@ func joinMultiColumn(leftCols, rightCols [][]string, opt Options, pairs pairSour
 							out[fi] = d
 						}
 					},
-					ll: func(l, ci int, out []float64) {
+					ll: func(l, ci int, _ config.GroupMask, out []float64) {
 						idx := int(llOff[l]) + ci
 						for fi := range out {
 							var d float64
@@ -250,7 +251,7 @@ func buildColumnTensors(numFn int, lcol, rcol []string, newEval func() pairEval,
 					}
 					continue
 				}
-				e.ll(l, ci, row)
+				e.ll(l, ci, config.AllGroups, row)
 				for fi := 0; fi < numFn; fi++ {
 					t.ll[fi][base+ci] = float32(row[fi])
 				}

@@ -75,10 +75,17 @@ func idPairs(space []config.JoinFunction, parallelism int, left, right []string,
 		sc := ev.NewScratch()
 		return pairEval{
 			lr: func(r, ci int, out []float64) {
-				ev.IDDistances(&viewL[lrCand[r][ci]], &viewR[r], sc, out)
+				ev.IDDistances(&viewL[lrCand[r][ci]], &viewR[r], config.AllGroups, sc, out)
 			},
-			ll: func(l, ci int, out []float64) {
-				ev.IDDistances(&viewL[l], &viewL[llCand[l][ci]], sc, out)
+			ll: func(l, ci int, need config.GroupMask, out []float64) {
+				ev.IDDistances(&viewL[l], &viewL[llCand[l][ci]], need, sc, out)
+			},
+			mask: func(fns []fnCenter) config.GroupMask {
+				var m config.GroupMask
+				for _, fc := range fns {
+					m |= ev.Group(int(fc.fi))
+				}
+				return m
 			},
 		}
 	}

@@ -672,7 +672,7 @@ func (t *Table) pairDists(ms *tableScratch, e *queryState, ref blocking.Ref) {
 	var lp config.IDProfile
 	if !t.multi {
 		t.cols[0].Derive(&pl.cols[0], int(local), &ms.da, &lp)
-		t.eval.IDDistances(&lp, e.profs[0], ms.esc, ms.drow)
+		t.eval.IDDistances(&lp, e.profs[0], config.AllGroups, ms.esc, ms.drow)
 		return
 	}
 	for ci := range ms.drow {
@@ -686,7 +686,7 @@ func (t *Table) pairDists(ms *tableScratch, e *queryState, ref blocking.Ref) {
 			continue
 		}
 		t.cols[j].Derive(&pl.cols[j], int(local), &ms.da, &lp)
-		t.eval.IDDistances(&lp, e.profs[j], ms.esc, ms.crow)
+		t.eval.IDDistances(&lp, e.profs[j], config.AllGroups, ms.esc, ms.crow)
 		for ci := range ms.drow {
 			ms.drow[ci] += t.weights[j] * float64(float32(ms.crow[ci]))
 		}
@@ -731,7 +731,7 @@ func (t *Table) fillBalls(l int32, tag uint64, ms *tableScratch) {
 		bpl, blocal := t.payload(t.tix.Ref(int(c.ID)))
 		if !t.multi {
 			t.cols[0].Derive(&bpl.cols[0], int(blocal), &ms.db, &pb)
-			t.eval.IDDistances(&pa, &pb, ms.esc, ms.drow)
+			t.eval.IDDistances(&pa, &pb, config.AllGroups, ms.esc, ms.drow)
 		} else {
 			clear(ms.drow)
 			for j := range t.cols {
@@ -744,7 +744,7 @@ func (t *Table) fillBalls(l int32, tag uint64, ms *tableScratch) {
 				vocab := t.cols[j]
 				vocab.Derive(&apl.cols[j], int(alocal), &ms.da, &pa)
 				vocab.Derive(&bpl.cols[j], int(blocal), &ms.db, &pb)
-				t.eval.IDDistances(&pa, &pb, ms.esc, ms.crow)
+				t.eval.IDDistances(&pa, &pb, config.AllGroups, ms.esc, ms.crow)
 				for ci := range ms.drow {
 					ms.drow[ci] += t.weights[j] * float64(float32(ms.crow[ci]))
 				}

@@ -2,13 +2,13 @@
 // GED ("embedding distance") join functions.
 //
 // The paper uses spaCy's en_core_web_lg GloVe vectors, which are not
-// available offline. As documented in DESIGN.md, we substitute a
-// feature-hashed character-trigram embedding: each padded trigram of the
-// (pre-processed) string is hashed with FNV-1a into one of Dim buckets with
-// a deterministic sign, the bucket counts are accumulated and the vector is
-// L2-normalized. Like a word embedding, the result is a dense vector whose
-// cosine distance is robust to token reordering and small edits, which is
-// the role GED plays in the configuration space.
+// available offline. As README's "Deviations from the paper" says, we
+// substitute a feature-hashed character-trigram embedding: each padded
+// trigram of the (pre-processed) string is hashed with FNV-1a into one of
+// Dim buckets with a deterministic sign, the bucket counts are accumulated
+// and the vector is L2-normalized. Like a word embedding, the result is a
+// dense vector whose cosine distance is robust to token reordering and
+// small edits, which is the role GED plays in the configuration space.
 package embed
 
 import (

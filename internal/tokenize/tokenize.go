@@ -70,12 +70,3 @@ func QGrams(s string, q int) []string {
 	}
 	return out
 }
-
-// Counts aggregates tokens into a frequency map (multiset representation).
-func Counts(tokens []string) map[string]int {
-	m := make(map[string]int, len(tokens))
-	for _, t := range tokens {
-		m[t]++
-	}
-	return m
-}

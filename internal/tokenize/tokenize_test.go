@@ -84,13 +84,6 @@ func TestQGramCountProperty(t *testing.T) {
 	}
 }
 
-func TestCounts(t *testing.T) {
-	c := Counts([]string{"a", "b", "a"})
-	if c["a"] != 2 || c["b"] != 1 {
-		t.Errorf("Counts = %v", c)
-	}
-}
-
 func TestOptionStrings(t *testing.T) {
 	if Space.String() != "SP" || QGram3.String() != "3G" {
 		t.Error("option names wrong")
