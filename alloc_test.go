@@ -21,8 +21,8 @@ import (
 const (
 	topKAllocBudget         = 0   // per pass of 512 blocking top-k queries
 	evaluatorAllocBudget    = 0   // per pass of 64 full-space IDDistances pairs over learn views
-	tableAddAllocBudget     = 45  // per Table.Add of one row
-	matchDeltaAllocBudget   = 11  // per cache-off Match with a 256-row delta
+	tableAddAllocBudget     = 40  // per Table.Add of one row
+	matchDeltaAllocBudget   = 10  // per cache-off Match with a 256-row delta
 	snapshotLoadAllocBudget = 188 // per LoadTableFile of the 10k-row table; 179-180 on Linux
 )
 

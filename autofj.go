@@ -116,16 +116,13 @@ func LoadTableFile(path string, opt Options) (*Table, error) { return core.LoadT
 // explainable program and the training-time joins, and the Matcher — a
 // Table over left's records — answers future queries against left
 // without re-learning. This is the recommended deployment entry point.
+//
+// The Matcher is the one res.ToProgram().Compile(left, opt) would build,
+// but built from what the search already made over left — its blocking
+// index, negative-rule word sets and pre-processed strings — instead of
+// from scratch.
 func Learn(left, right []string, opt Options) (*Result, *Matcher, error) {
-	res, err := core.JoinTables(left, right, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	m, err := res.ToProgram().Compile(left, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, m, nil
+	return core.Learn(left, right, opt)
 }
 
 // LearnMultiColumn is the multi-column form of Learn: the compiled

@@ -203,6 +203,9 @@ type Result struct {
 	LL [][]Candidate
 	// K is the per-record candidate budget that was applied.
 	K int
+	// Index is the index Block built over the left table, the one
+	// BuildTableIndex(left, …) builds; nothing else holds it.
+	Index *TableIndex
 }
 
 // blockChunk is the work-stealing granularity of Block: small enough to
@@ -221,9 +224,10 @@ func Block(left, right []string, beta float64, parallelism int) *Result {
 	ix := NewIndexParallel(left, parallelism)
 	k := K(len(left), beta)
 	res := &Result{
-		LR: make([][]Candidate, len(right)),
-		LL: make([][]Candidate, len(left)),
-		K:  k,
+		LR:    make([][]Candidate, len(right)),
+		LL:    make([][]Candidate, len(left)),
+		K:     k,
+		Index: ix.tx,
 	}
 	// One job space covers both query kinds: right records first, then the
 	// left self-queries. Each job's list lands at a fixed index, so the

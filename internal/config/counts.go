@@ -2,6 +2,7 @@ package config
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/distance"
@@ -11,15 +12,26 @@ import (
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/weights"
 )
 
-// This file holds the statistics-independent half of a Profile. Profile
-// is built in two steps — a count profile first (CountProfile: processed
-// strings, embeddings, token COUNT vectors), then the IDF vectors derived
-// from the counts by weighIDF. Learning and a mutable table (core.Table)
-// both start from count profiles: they intern the counted tokens into a
-// Vocab and derive the IDF view with weighIDF's arithmetic (weighRun),
-// once per record when learning and per candidate in a table, so their
-// distances stay bit-identical to full Profiles built against the same
-// statistics.
+// This file holds the statistics-independent half of a record build: its
+// processed strings, embeddings and token COUNTS, from which the IDF view
+// is derived under some statistics.
+//
+// Learning and a mutable table (core.Table) count records in integers:
+// CountRecord fills a Counted whose 3-grams are packed uint64 keys
+// (tokenize.AppendGramKeys: three runes at 21 bits each, so ascending
+// keys are ascending gram strings) and whose words are substrings of the
+// processed string; the keys are sorted as integers and run-length
+// encoded, and a Vocab interns them by key, making a gram's string once,
+// when its slot is new. LearnProfiles counts each representation the same
+// way (learnRep). Weights derive from the counts with weighIDF's
+// arithmetic (weighRun), once per record when learning and per candidate
+// in a table.
+//
+// Corpus.CountProfile is the string form of the same counts — one heap
+// string per token, sorted with sort.Strings — kept as the reference the
+// tests hold the integer path to, and for ProfileArena. Both give the
+// same tokens in the same order with the same counts, Sums and Norms, so
+// every distance is bit-identical between them.
 
 // Rep identifies one (pre-processing, tokenization) representation pair.
 type Rep struct {
@@ -88,6 +100,128 @@ func (c *Corpus) CountProfile(s string) *Profile {
 		}
 	}
 	return p
+}
+
+// Processed holds one record's pre-processed strings by textproc.Option,
+// as a record build made them; an option the build did not need is "".
+type Processed [numPre]string
+
+// Processed returns the view's processed strings.
+func (p *IDProfile) Processed() Processed { return p.proc }
+
+// Counted is the statistics-independent build of one record in a Vocab's
+// layout: its processed strings, its embeddings (nemb × embed.Dim values
+// in layout order), and by layout position each counted representation's
+// distinct tokens ascending with their occurrence counts. Its buffers are
+// reused by the next CountRecord into it.
+type Counted struct {
+	proc [numPre]string
+	emb  []float64
+	runs [numPre * numTok]tokenRun
+}
+
+// tokenRun is one representation's count vector in integers: distinct
+// tokens ascending — packed 3-gram keys or words — with their counts, and
+// the Sum and Norm of the counts accumulated in ascending token order.
+type tokenRun struct {
+	keys   []uint64 // 3-grams
+	words  []string // words
+	counts []uint32
+	sum    float64
+	norm   float64
+}
+
+// count fills run with the count vector of s under tok, reusing its
+// buffers. The values, in the same floating-point order, are countVec's.
+func (run *tokenRun) count(tok tokenize.Option, s string) {
+	if tok == tokenize.QGram3 {
+		keys := tokenize.AppendGramKeys(run.keys[:0], s)
+		slices.Sort(keys)
+		run.keys, run.counts = rle(keys, run.counts[:0])
+	} else {
+		words := tokenize.AppendWords(run.words[:0], s)
+		sort.Strings(words)
+		run.words, run.counts = rle(words, run.counts[:0])
+	}
+	var sum, norm float64
+	for _, c := range run.counts {
+		w := float64(c)
+		sum += w
+		norm += w * w
+	}
+	run.sum, run.norm = sum, math.Sqrt(norm)
+}
+
+// rle compacts the sorted toks to their distinct values in place and
+// appends each one's occurrence count to counts.
+func rle[T comparable](toks []T, counts []uint32) ([]T, []uint32) {
+	n := 0
+	for i, t := range toks {
+		if i > 0 && t == toks[n-1] {
+			counts[n-1]++
+			continue
+		}
+		toks[n] = t
+		counts = append(counts, 1)
+		n++
+	}
+	return toks[:n], counts
+}
+
+// CountRecord fills dst with the build of record s (see Counted). proc,
+// when not nil, holds s's processed strings from a build under a space
+// whose pre-processing options include this vocabulary's (LearnProfiles
+// over the same records), and is taken instead of pre-processing s
+// again. An option whose string equals an earlier option's shares that
+// option's string, embedding and counts. CountRecord reads no
+// vocabulary state, so it is safe to call concurrently with anything for
+// distinct dst.
+func (v *Vocab) CountRecord(dst *Counted, s string, proc *Processed) {
+	lay := v.lay
+	if n := lay.nemb * embed.Dim; len(dst.emb) != n {
+		dst.emb = make([]float64, n)
+	}
+	for pi := 0; pi < numPre; pi++ {
+		if lay.proc[pi] < 0 {
+			continue
+		}
+		var ps string
+		if proc != nil {
+			ps = proc[pi]
+		} else {
+			ps = textproc.Option(pi).Apply(s)
+		}
+		pj := sameAs(&dst.proc, &lay.needProc, pi, ps)
+		if pj >= 0 {
+			ps = dst.proc[pj]
+		}
+		dst.proc[pi] = ps
+		if e := int(lay.emb[pi]); e >= 0 {
+			out := dst.emb[e*embed.Dim : (e+1)*embed.Dim]
+			if pj >= 0 && lay.emb[pj] >= 0 {
+				copy(out, dst.emb[int(lay.emb[pj])*embed.Dim:])
+			} else {
+				vec := embed.Embed(ps)
+				copy(out, vec[:])
+			}
+		}
+		for ti := 0; ti < numTok; ti++ {
+			r := lay.rep[pi][ti]
+			if r < 0 {
+				continue
+			}
+			run := &dst.runs[r]
+			if pj >= 0 && lay.rep[pj][ti] >= 0 {
+				src := &dst.runs[lay.rep[pj][ti]]
+				run.keys = append(run.keys[:0], src.keys...)
+				run.words = append(run.words[:0], src.words...)
+				run.counts = append(run.counts[:0], src.counts...)
+				run.sum, run.norm = src.sum, src.norm
+			} else {
+				run.count(tokenize.Option(ti), ps)
+			}
+		}
+	}
 }
 
 // countVec tokenizes s under tok, sorts the occurrences once and

@@ -174,7 +174,7 @@ func TestIDDistancesMask(t *testing.T) {
 			v := NewVocab(space)
 			rows := v.NewRows(len(recs), 0)
 			for _, rec := range recs {
-				v.AppendProfile(&rows, v.CountProfile(rec))
+				v.AppendRecord(&rows, rec)
 			}
 			v.Settle()
 			var buf DeriveBuf
@@ -222,8 +222,8 @@ func FuzzEvaluator(f *testing.F) {
 		// derived, and b queried as is and with a token no row holds.
 		v := NewVocab(space)
 		rows := v.NewRows(2, 0)
-		v.AppendProfile(&rows, v.CountProfile(a))
-		v.AppendProfile(&rows, v.CountProfile(b))
+		v.AppendRecord(&rows, a)
+		v.AppendRecord(&rows, b)
 		v.Settle()
 		var buf DeriveBuf
 		var ref IDProfile

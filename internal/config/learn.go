@@ -8,7 +8,7 @@ import (
 // LearnProfiles builds the id-space view of every record of the given
 // collections (views[k][i] is collections[k][i]) under one vocabulary
 // closed over all of them — the IDF statistics of a Learn count every
-// record of L and R. Each record is tokenized once per representation
+// record of L and R. Each record is counted once per representation
 // pair and derived once, so Evaluator.IDDistances on two views is
 // bit-identical to Evaluator.Distances on the Profiles that NewCorpus
 // over the same collections gives the two records.
@@ -52,11 +52,12 @@ func LearnProfiles(space []JoinFunction, parallelism int, collections ...[]strin
 	return out
 }
 
-// learnRep builds representation r of every view. It tokenizes each
-// record's processed string into its count vector (countVec) and interns
-// the tokens in record order, counting each record's distinct tokens into
-// the df; then it ranks the closed vocabulary and derives every record's
-// vectors with weighRun, the arithmetic Derive runs on a table row.
+// learnRep builds representation r of every view. It counts each
+// record's processed string in integers (tokenRun.count: packed 3-gram
+// keys or word substrings, sorted and run-length encoded) and interns the
+// distinct tokens in record order, counting each into the df; then it
+// ranks the closed vocabulary and derives every record's vectors with
+// weighRun, the arithmetic Derive runs on a table row.
 func (v *Vocab) learnRep(r int, views []IDProfile) {
 	rep := v.lay.reps[r]
 	need := &v.lay.need[rep.Pre][rep.Tok]
@@ -65,16 +66,17 @@ func (v *Vocab) learnRep(r int, views []IDProfile) {
 	var counts []uint32
 	off := make([]int32, len(views)+1)
 	sums := make([]float64, 2*len(views)) // each count vector's Sum and Norm
+	var run tokenRun
 	for i := range views {
-		cv := countVec(rep.Tok, views[i].proc[rep.Pre])
-		for k, tok := range cv.Tokens {
-			sl := v.intern(r, tok)
+		run.count(rep.Tok, views[i].proc[rep.Pre])
+		for k := range run.counts {
+			sl := v.intern(r, &run, k)
 			rv.df[sl]++
 			slots = append(slots, sl)
-			counts = append(counts, uint32(cv.W[k]))
 		}
+		counts = append(counts, run.counts...)
 		off[i+1] = int32(len(slots))
-		sums[2*i], sums[2*i+1] = cv.Sum, cv.Norm
+		sums[2*i], sums[2*i+1] = run.sum, run.norm
 	}
 	rv.rerank()
 

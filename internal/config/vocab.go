@@ -1,11 +1,13 @@
 package config
 
 import (
+	"fmt"
 	"iter"
 	"math"
 	"slices"
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/distance"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/embed"
@@ -19,6 +21,12 @@ import (
 // program column, and per storage region a Rows block whose token sets are
 // integer slot runs into that Vocab. A Learn builds one Vocab closed over
 // L ∪ R and derives every record once (LearnProfiles, learn.go).
+//
+// Records reach a Vocab counted in integers (Counted, counts.go): a
+// 3-gram representation interns packed uint64 gram keys and a word
+// representation interns substrings of the processed string, so a token
+// string is made only when a 3-gram first takes a slot. Query resolves a
+// query's packed grams against the same keys.
 //
 // A candidate is scored without touching a token string: weighRun turns a
 // slot run into id-space vectors by array lookups — each slot's lexical
@@ -84,27 +92,33 @@ func newLayout(c *Corpus) *layout {
 // drops it). A vocabulary therefore grows with the distinct tokens ever
 // added, not with the live rows.
 //
-// Mutators (AppendProfile, Intern, Count, Reserve, Settle) need
-// exclusive access, and a batch of them ends with Settle; Derive, Query
-// and the readers are safe for concurrent use between batches.
+// Mutators (AppendRecord, AppendCounted, AppendProfile, Intern, Count,
+// Reserve, Settle) need exclusive access, and a batch of them ends with
+// Settle; CountRecord, Derive, Query and the readers are safe for
+// concurrent use between batches.
 type Vocab struct {
 	c    *Corpus // the space's needs; it holds no statistics
 	lay  *layout
 	reps []repVocab // by layout position
 	docs int        // live rows; the IDF table follows it at Settle
 	idf  weights.IDFTable
-	row  Row // AppendProfile's scratch
+	row  Row     // AppendCounted's and AppendProfile's scratch
+	rec  Counted // AppendRecord's scratch
 }
 
-// repVocab is the vocabulary of one counted representation.
+// repVocab is the vocabulary of one counted representation. A 3-gram
+// representation interns by packed key (tokenize.AppendGramKeys) and a
+// word representation by string; either way each slot's token string is
+// kept once, for DF, Dictionary and ranking.
 type repVocab struct {
-	slot  map[string]int32
-	toks  []string // token by slot
-	df    []int32  // live rows holding the slot
-	rank  []int32  // lexical rank by slot, for the slots order covers
-	order []int32  // slots in ascending token order
-	spare []int32  // Settle's merge buffer
-	fresh []int32  // Settle's buffer of new slots
+	slot  map[string]int32 // words
+	key   map[uint64]int32 // packed 3-grams
+	toks  []string         // token by slot
+	df    []int32          // live rows holding the slot
+	rank  []int32          // lexical rank by slot, for the slots order covers
+	order []int32          // slots in ascending token order
+	spare []int32          // Settle's merge buffer
+	fresh []int32          // Settle's buffer of new slots
 }
 
 // NewVocab returns an empty vocabulary for one program column of a table
@@ -118,11 +132,6 @@ func newVocab(c *Corpus) *Vocab {
 	v.reps = make([]repVocab, len(v.lay.reps))
 	return v
 }
-
-// CountProfile builds the count profile of a record under the space (see
-// Corpus.CountProfile). It reads no vocabulary state, so it is safe to
-// call concurrently with anything.
-func (v *Vocab) CountProfile(s string) *Profile { return v.c.CountProfile(s) }
 
 // IDFReps lists the representations the space weighs by IDF (see
 // Corpus.IDFReps).
@@ -149,7 +158,11 @@ func (v *Vocab) Reserve(n int) {
 	for r := range v.reps {
 		rv := &v.reps[r]
 		if len(rv.toks) == 0 {
-			rv.slot = make(map[string]int32, n)
+			if v.lay.reps[r].Tok == tokenize.QGram3 {
+				rv.key = make(map[uint64]int32, n)
+			} else {
+				rv.slot = make(map[string]int32, n)
+			}
 		}
 		rv.toks = slices.Grow(rv.toks, n)
 		rv.df = slices.Grow(rv.df, n)
@@ -158,12 +171,22 @@ func (v *Vocab) Reserve(n int) {
 
 // Intern returns the slot of token under (pre, tok), assigning the next
 // free slot to a token the vocabulary has not seen. A new slot has df 0
-// and no rank until the next Settle.
-func (v *Vocab) Intern(pre textproc.Option, tok tokenize.Option, token string) int32 {
-	return v.intern(int(v.lay.rep[pre][tok]), token)
+// and no rank until the next Settle. A 3-gram token must be exactly three
+// runes.
+func (v *Vocab) Intern(pre textproc.Option, tok tokenize.Option, token string) (int32, error) {
+	r := int(v.lay.rep[pre][tok])
+	if tok != tokenize.QGram3 {
+		return v.internWord(r, token), nil
+	}
+	key, ok := tokenize.GramKey(token)
+	if !ok {
+		return 0, fmt.Errorf("config: 3-gram token %q is not three runes", token)
+	}
+	return v.internKey(r, key, token), nil
 }
 
-func (v *Vocab) intern(r int, token string) int32 {
+// internWord returns the slot of word token in word representation r.
+func (v *Vocab) internWord(r int, token string) int32 {
 	rv := &v.reps[r]
 	if sl, ok := rv.slot[token]; ok {
 		return sl
@@ -171,15 +194,83 @@ func (v *Vocab) intern(r int, token string) int32 {
 	if rv.slot == nil {
 		rv.slot = make(map[string]int32)
 	}
-	sl := int32(len(rv.toks))
+	sl := rv.newSlot(token)
 	rv.slot[token] = sl
+	return sl
+}
+
+// internKey returns the slot of the packed 3-gram key in 3-gram
+// representation r; token is its string, or "" to unpack it when the slot
+// is new.
+func (v *Vocab) internKey(r int, key uint64, token string) int32 {
+	rv := &v.reps[r]
+	if sl, ok := rv.key[key]; ok {
+		return sl
+	}
+	if rv.key == nil {
+		rv.key = make(map[uint64]int32)
+	}
+	if token == "" {
+		token = tokenize.GramString(key)
+	}
+	sl := rv.newSlot(token)
+	rv.key[key] = sl
+	return sl
+}
+
+func (rv *repVocab) newSlot(token string) int32 {
+	sl := int32(len(rv.toks))
 	rv.toks = append(rv.toks, token)
 	rv.df = append(rv.df, 0)
 	return sl
 }
 
+// intern returns the slot of the counted run's k-th token in
+// representation r.
+func (v *Vocab) intern(r int, run *tokenRun, k int) int32 {
+	if v.lay.reps[r].Tok == tokenize.QGram3 {
+		return v.internKey(r, run.keys[k], "")
+	}
+	return v.internWord(r, run.words[k])
+}
+
+// AppendRecord stores record s as the next row of rows: CountRecord, then
+// AppendCounted.
+func (v *Vocab) AppendRecord(rows *Rows, s string) {
+	v.CountRecord(&v.rec, s, nil)
+	v.AppendCounted(rows, &v.rec)
+}
+
+// AppendCounted stores the counted record c (see CountRecord) as the
+// next row of rows, interning its tokens, and counts the row live.
+func (v *Vocab) AppendCounted(rows *Rows, c *Counted) {
+	r := &v.row
+	for pi := 0; pi < numPre; pi++ {
+		if v.lay.proc[pi] >= 0 {
+			r.Proc[pi] = c.proc[pi]
+		}
+		if e := int(v.lay.emb[pi]); e >= 0 {
+			r.Emb[pi] = c.emb[e*embed.Dim : (e+1)*embed.Dim]
+		}
+	}
+	for ri, rep := range v.lay.reps {
+		run := &c.runs[ri]
+		slots := r.Slots[rep.Pre][rep.Tok][:0]
+		for k := range run.counts {
+			slots = append(slots, v.intern(ri, run, k))
+		}
+		r.Slots[rep.Pre][rep.Tok], r.Counts[rep.Pre][rep.Tok] = slots, run.counts
+		r.Sum[rep.Pre][rep.Tok], r.Norm[rep.Pre][rep.Tok] = run.sum, run.norm
+	}
+	rows.Append(r)
+	v.Count(rows, rows.n-1, 1)
+	r.Proc, r.Emb, r.Counts = [numPre]string{}, [numPre][]float64{}, [numPre][numTok][]uint32{}
+}
+
 // AppendProfile stores the count profile p (see Corpus.CountProfile) as
-// the next row of s, interning its tokens, and counts the row live.
+// the next row of s, interning its tokens, and counts the row live. It is
+// the string-path build that ProfileArena and the tests use; a table
+// stores rows with AppendRecord or AppendCounted.
 func (v *Vocab) AppendProfile(s *Rows, p *Profile) {
 	r := &v.row
 	for pi := 0; pi < numPre; pi++ {
@@ -190,11 +281,15 @@ func (v *Vocab) AppendProfile(s *Rows, p *Profile) {
 			r.Emb[pi] = p.emb[pi][:]
 		}
 	}
-	for ri, rep := range v.lay.reps {
+	for _, rep := range v.lay.reps {
 		cv := &p.vecs[rep.Pre][rep.Tok][weights.Equal]
 		slots, counts := r.Slots[rep.Pre][rep.Tok][:0], r.Counts[rep.Pre][rep.Tok][:0]
 		for k, tok := range cv.Tokens {
-			slots = append(slots, v.intern(ri, tok))
+			sl, err := v.Intern(rep.Pre, rep.Tok, tok)
+			if err != nil {
+				panic(err) // a count profile's 3-grams are QGrams output
+			}
+			slots = append(slots, sl)
 			counts = append(counts, uint32(cv.W[k]))
 		}
 		r.Slots[rep.Pre][rep.Tok], r.Counts[rep.Pre][rep.Tok] = slots, counts
@@ -564,17 +659,34 @@ func (v *Vocab) Query(s string) *IDProfile {
 		emb = make([]float64, lay.nemb*embed.Dim)
 	}
 	lay.procEmb(s, emb, q)
-	var sorted [numPre][numTok][]string // an earlier option with the same string shares its tokens
+	// Sorted token occurrences; an earlier option with the same string
+	// shares its list.
+	var keys [numPre][]uint64
+	var words [numPre][]string
 	for r, rep := range lay.reps {
-		var toks []string
-		if pj := sameAs(&q.proc, &lay.needProc, int(rep.Pre), q.proc[rep.Pre]); pj >= 0 && lay.rep[pj][rep.Tok] >= 0 {
-			toks = sorted[pj][rep.Tok]
-		} else {
-			toks = rep.Tok.Tokens(q.proc[rep.Pre])
-			sort.Strings(toks)
+		need, rv, out := lay.need[rep.Pre][rep.Tok], &v.reps[r], &q.vec[rep.Pre][rep.Tok]
+		pj := sameAs(&q.proc, &lay.needProc, int(rep.Pre), q.proc[rep.Pre])
+		if pj >= 0 && lay.rep[pj][rep.Tok] < 0 {
+			pj = -1
 		}
-		sorted[rep.Pre][rep.Tok] = toks
-		buildQueryVecs(lay.need[rep.Pre][rep.Tok], toks, vocabRep{v, r}, &q.vec[rep.Pre][rep.Tok])
+		if rep.Tok == tokenize.QGram3 {
+			if pj >= 0 {
+				keys[rep.Pre] = keys[pj]
+			} else {
+				ps := q.proc[rep.Pre]
+				keys[rep.Pre] = tokenize.AppendGramKeys(make([]uint64, 0, utf8.RuneCountInString(ps)+2), ps)
+				slices.Sort(keys[rep.Pre])
+			}
+			buildQueryVecs(need, keys[rep.Pre], rv.key, rv, &v.idf, out)
+		} else {
+			if pj >= 0 {
+				words[rep.Pre] = words[pj]
+			} else {
+				words[rep.Pre] = strings.Fields(q.proc[rep.Pre])
+				sort.Strings(words[rep.Pre])
+			}
+			buildQueryVecs(need, words[rep.Pre], rv.slot, rv, &v.idf, out)
+		}
 	}
 	return q
 }
@@ -618,31 +730,12 @@ func sameAs(procs *[numPre]string, need *[numPre]bool, pi int, proc string) int 
 	return -1
 }
 
-// vocabRep resolves query tokens against one representation of a Vocab.
-type vocabRep struct {
-	v *Vocab
-	r int
-}
-
-func (q vocabRep) lookup(tok string, idf bool) (id int32, w float64, known bool) {
-	rv := &q.v.reps[q.r]
-	sl, known := rv.slot[tok]
-	df := 0 // an unseen token weighs as df 1
-	if known {
-		id, df = rv.rank[sl], int(rv.df[sl])
-	}
-	if idf {
-		w = q.v.idf.Weight(df)
-	}
-	return id, w, known
-}
-
 // buildQueryVecs fills one (pre, tok) group of query vectors from the
-// sorted token occurrence list. A token the vocabulary does not hold
-// carries no id, so it can match nothing, but it still counts toward
-// Sum, Norm and N and sets Extra, so the id kernels reproduce the string
-// kernels exactly.
-func buildQueryVecs(need [numWt]bool, toks []string, qv vocabRep, out *[numWt]distance.IDVec) {
+// sorted token occurrence list, resolving tokens to rv's slots through
+// slot. A token the vocabulary does not hold carries no id, so it can
+// match nothing, but it still counts toward Sum, Norm and N and sets
+// Extra, so the id kernels reproduce the string kernels exactly.
+func buildQueryVecs[T comparable](need [numWt]bool, toks []T, slot map[T]int32, rv *repVocab, idfTab *weights.IDFTable, out *[numWt]distance.IDVec) {
 	// len(toks) bounds the distinct tokens: one block per element type.
 	ids := make([]int32, 0, len(toks))
 	var w [numWt][]float64
@@ -670,8 +763,12 @@ func buildQueryVecs(need [numWt]bool, toks []string, qv vocabRep, out *[numWt]di
 		// 1.0 — exact integers, so float64(k) is the identical value.
 		count := float64(j - i)
 		n++
-		id, idf, known := qv.lookup(toks[i], need[weights.IDF])
-		if !known {
+		sl, known := slot[toks[i]]
+		var id int32
+		df := 0 // an unseen token weighs as df 1
+		if known {
+			id, df = rv.rank[sl], int(rv.df[sl])
+		} else {
 			extra = true
 		}
 		for wi := 0; wi < numWt; wi++ {
@@ -680,7 +777,7 @@ func buildQueryVecs(need [numWt]bool, toks []string, qv vocabRep, out *[numWt]di
 			}
 			wv := count
 			if weights.Scheme(wi) == weights.IDF {
-				wv = count * idf
+				wv = count * idfTab.Weight(df)
 			}
 			if known {
 				w[wi] = append(w[wi], wv)

@@ -33,7 +33,7 @@ func TestDeriveMatchesProfileAndNeverAllocates(t *testing.T) {
 	live := map[int]bool{}
 	add := func(ss ...string) {
 		for _, s := range ss {
-			v.AppendProfile(&rows, v.CountProfile(s))
+			v.AppendRecord(&rows, s)
 			live[len(docs)] = true
 			docs = append(docs, s)
 		}

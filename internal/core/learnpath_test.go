@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -88,7 +90,7 @@ func TestJoinsMatchStringPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := joinTables(left, right, opt, stringPairs)
+			want, err := joinTables(left, right, opt, stringPairs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,4 +117,62 @@ func TestJoinsMatchStringPath(t *testing.T) {
 		}
 		sameResult(t, fmt.Sprintf("JoinMultiColumnTables %s par %d", mtask.Name, par), got, want)
 	}
+}
+
+// TestLearnMatcherMatchesCompile: the Matcher Learn builds from what the
+// search made over L answers every query exactly as a Compile of the same
+// program over the same L, and saves the same snapshot bytes. It covers
+// the five learn tasks of the benchmark (seed 1, scale 1), a run with
+// negative rules disabled, and an empty R (which learns nothing and
+// compiles the empty program).
+func TestLearnMatcherMatchesCompile(t *testing.T) {
+	ctx := context.Background()
+	check := func(name string, left, right []string, opt Options) {
+		t.Helper()
+		res, m, err := Learn(left, right, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := res.ToProgram().Compile(left, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries := append([]string(nil), right...)
+		for i, r := range right {
+			if i%3 == 0 && len(r) > 2 { // perturbed: a dropped rune and a stray word
+				queries = append(queries, r[:len(r)/2]+r[len(r)/2+1:], r+" zqxj")
+			}
+		}
+		queries = append(queries, left[0], "", "a", "ß#x 日本語")
+		for _, q := range queries {
+			g, gok, err := m.Match(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, wok, err := want.Match(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g != w || gok != wok {
+				t.Fatalf("%s: Match(%q) = %+v %v, Compile gives %+v %v", name, q, g, gok, w, wok)
+			}
+		}
+		var gb, wb bytes.Buffer
+		if err := m.Save(&gb); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.Save(&wb); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
+			t.Fatalf("%s: Learn's matcher saves %d bytes that differ from Compile's %d", name, gb.Len(), wb.Len())
+		}
+	}
+	for _, id := range []int{0, 2, 4, 14, 20} {
+		task := benchgen.SingleColumnTask(id, benchgen.Options{Seed: 1, Scale: 1})
+		check(fmt.Sprintf("task %d", id), task.LeftKey(), task.RightKey(), Options{})
+	}
+	task := benchgen.SingleColumnTask(0, benchgen.Options{Seed: 1, Scale: 1})
+	check("task 0 without negative rules", task.LeftKey(), task.RightKey(), Options{DisableNegativeRules: true})
+	check("empty right", task.LeftKey(), nil, Options{})
 }

@@ -45,11 +45,16 @@ func (p *Program) Compile(left []string, opt Options) (*Matcher, error) {
 	if len(p.Columns) > 0 {
 		return nil, errors.New("core: program was learned on multiple columns; use CompileMultiColumn")
 	}
+	return p.NewTable(1, oneCellRows(left), opt)
+}
+
+// oneCellRows views each record of left as a one-cell row.
+func oneCellRows(left []string) [][]string {
 	rows := make([][]string, len(left))
 	for i := range left {
 		rows[i] = left[i : i+1 : i+1] // NewTable copies every row
 	}
-	return p.NewTable(1, rows, opt)
+	return rows
 }
 
 // CompileMultiColumn builds a serving Matcher for a multi-column program:

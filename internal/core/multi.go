@@ -52,7 +52,7 @@ func joinMultiColumn(leftCols, rightCols [][]string, opt Options, pairs pairSour
 	leftCat := concatColumns(leftCols)
 	rightCat := concatColumns(rightCols)
 	tBlock := time.Now()
-	lrCand, llCand, rules := blockCandidates(leftCat, rightCat, opt, !opt.DisableNegativeRules)
+	lrCand, llCand, rules := blockCandidates(leftCat, rightCat, opt, !opt.DisableNegativeRules, nil)
 	blockingTime := time.Since(tBlock)
 
 	// Flattened pair offsets shared by all columns and functions.

@@ -48,11 +48,11 @@ func buildPrepareInput(left, right []string, space []config.JoinFunction, steps 
 	opt := Options{BlockingBeta: 1.0}
 	var lrCand, llCand [][]int32
 	if selfJoin {
-		_, llCand, _ = blockCandidates(left, nil, opt, false)
+		_, llCand, _ = blockCandidates(left, nil, opt, false, nil)
 		lrCand = llCand
 		right = nil
 	} else {
-		lrCand, llCand, _ = blockCandidates(left, right, opt, false)
+		lrCand, llCand, _ = blockCandidates(left, right, opt, false, nil)
 	}
 	corpus := config.NewCorpus(space, left, right)
 	profL := corpus.Profiles(left, 0)

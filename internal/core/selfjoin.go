@@ -32,7 +32,7 @@ func selfJoin(records []string, opt Options, pairs pairSource) (*Result, error) 
 	// whole premise is that the table contains duplicates — a duplicate
 	// pair differing by one word ("northern" vs a "nothern" typo) would be
 	// learned as a negative rule and veto exactly the join we want.
-	_, cand, _ := blockCandidates(records, nil, opt, false)
+	_, cand, _ := blockCandidates(records, nil, opt, false, nil)
 	blockingTime := time.Since(tBlock)
 
 	tProf := time.Now()

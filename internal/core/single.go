@@ -13,12 +13,59 @@ import (
 // reference table left and query table right, returning the selected
 // program and the induced many-to-one join.
 func JoinTables(left, right []string, opt Options) (*Result, error) {
-	return joinTables(left, right, opt, idPairs)
+	return joinTables(left, right, opt, idPairs, nil)
+}
+
+// Learn runs JoinTables and compiles the learned program over left, as
+// res.ToProgram().Compile(left, opt) would, into the same table. The table
+// is built from what the search already made over left (see learnedL)
+// instead of from scratch. An empty left or right learns nothing and
+// compiles the empty program the usual way.
+func Learn(left, right []string, opt Options) (*Result, *Table, error) {
+	var h learnedL
+	pairs := func(space []config.JoinFunction, parallelism int, left, right []string, lrCand, llCand [][]int32) func() pairEval {
+		views := config.LearnProfiles(space, parallelism, left, right)
+		h.proc = make([]config.Processed, len(left))
+		for i := range views[0] {
+			h.proc[i] = views[0][i].Processed()
+		}
+		return idEval(space, views[0], views[1], lrCand, llCand)
+	}
+	res, err := joinTables(left, right, opt, pairs, &h)
+	if err != nil {
+		return nil, nil, err
+	}
+	prog := res.ToProgram()
+	var m *Table
+	if h.index == nil {
+		m, err = prog.Compile(left, opt)
+	} else {
+		m, err = prog.newTable(1, oneCellRows(left), opt, &h)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, m, nil
+}
+
+// learnedL is what a single-column search builds over its reference table
+// L that a table over the same L would build again: the table's blocking
+// keys are L's records (DisplayRow of a one-cell row), its negative-rule
+// word sets are negrule.AppendWordSet of the same keys, and its rows
+// start from L's processed strings. The program's functions come from
+// the searched space, so the search processed L under every option the
+// table needs. Only strings and the index are kept, not the learn views:
+// the table recounts and re-embeds from the strings.
+type learnedL struct {
+	index *blocking.TableIndex // Block's index over L
+	words [][]string           // negrule.WordSets(L); nil when no rule was learned
+	proc  []config.Processed   // L's processed strings from LearnProfiles
 }
 
 // joinTables is JoinTables scoring pairs through the evaluator that pairs
-// builds.
-func joinTables(left, right []string, opt Options, pairs pairSource) (*Result, error) {
+// builds. When keep is not nil it receives what the search built over
+// left (see learnedL).
+func joinTables(left, right []string, opt Options, pairs pairSource, keep *learnedL) (*Result, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
@@ -30,7 +77,7 @@ func joinTables(left, right []string, opt Options, pairs pairSource) (*Result, e
 	// Algorithm 1 lines 1-2: blocking, then negative rules that veto L-R
 	// candidates.
 	tBlock := time.Now()
-	lrCand, llCand, rules := blockCandidates(left, right, opt, !opt.DisableNegativeRules)
+	lrCand, llCand, rules := blockCandidates(left, right, opt, !opt.DisableNegativeRules, keep)
 	blockingTime := time.Since(tBlock)
 
 	// Lines 3-4: distances and precision pre-computation, then the greedy
@@ -70,6 +117,12 @@ func idPairs(space []config.JoinFunction, parallelism int, left, right []string,
 	if right == nil { // a self-join: left plays both sides
 		viewR = viewL
 	}
+	return idEval(space, viewL, viewR, lrCand, llCand)
+}
+
+// idEval scores the blocked pairs between the learn views of left and
+// right.
+func idEval(space []config.JoinFunction, viewL, viewR []config.IDProfile, lrCand, llCand [][]int32) func() pairEval {
 	ev := config.NewEvaluator(space)
 	return func() pairEval {
 		sc := ev.NewScratch()
@@ -97,9 +150,13 @@ func idPairs(space []config.JoinFunction, parallelism int, left, right []string,
 // L–L pairs (Algorithm 2) that then veto L–R candidates through the same
 // Frozen.BlocksPair scan a serving table runs. Each record's word set is
 // computed once, R's only when a rule was learned. rules is nil when none
-// are learned.
-func blockCandidates(left, right []string, opt Options, learnRules bool) (lrCand, llCand [][]int32, rules *negrule.Set) {
+// are learned. When keep is not nil it receives the blocking index and,
+// when a rule was learned, left's word sets.
+func blockCandidates(left, right []string, opt Options, learnRules bool, keep *learnedL) (lrCand, llCand [][]int32, rules *negrule.Set) {
 	blk := blocking.Block(left, right, opt.BlockingBeta, opt.Parallelism)
+	if keep != nil {
+		keep.index = blk.Index
+	}
 	llCand = make([][]int32, len(left))
 	for i, cands := range blk.LL {
 		ids := make([]int32, len(cands))
@@ -121,6 +178,9 @@ func blockCandidates(left, right []string, opt Options, learnRules bool) (lrCand
 		if rules.Len() > 0 {
 			veto = rules.Freeze(nil, opt.Parallelism)
 			rightWords = negrule.WordSets(right, opt.Parallelism)
+			if keep != nil {
+				keep.words = leftWords
+			}
 		}
 	}
 	lrCand = make([][]int32, len(right))

@@ -964,7 +964,10 @@ func (r *snapReader) row(vocab *config.Vocab, dict []string, slotOf *config.Slot
 				}
 				sl := slotOf[pi][ti][idx]
 				if sl < 0 {
-					sl = vocab.Intern(pre, tok, dict[idx])
+					var err error
+					if sl, err = vocab.Intern(pre, tok, dict[idx]); err != nil {
+						return fmt.Errorf("core: invalid snapshot: %w", err)
+					}
 					slotOf[pi][ti][idx] = sl
 				}
 				slots = append(slots, sl)

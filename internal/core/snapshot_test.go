@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +14,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"github.com/chu-data-lab/autofuzzyjoin-go/internal/textproc"
+	"github.com/chu-data-lab/autofuzzyjoin-go/internal/tokenize"
 )
 
 // snapshotTable builds a table with segments, tombstones, AND live delta
@@ -366,6 +371,7 @@ func FuzzLoadTable(f *testing.F) {
 	}
 	valid := buf.Bytes()
 	f.Add(valid)
+	f.Add(badGramSnapshot(f))
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:9])
 	f.Add([]byte("AFJS"))
@@ -382,4 +388,121 @@ func FuzzLoadTable(f *testing.F) {
 			t.Fatalf("loaded table cannot serve: %v", err)
 		}
 	})
+}
+
+// gramProgram is a program whose rows hold 3-gram slot runs under two
+// pre-processing options, one IDF- and one equal-weighted.
+func gramProgram() *Program {
+	return &Program{
+		Version: 1,
+		Configurations: []ConfigurationSpec{
+			{Preprocess: "L", Tokenization: "3G", TokenWeights: "IDFW", Distance: "JD", Threshold: 0.4},
+			{Preprocess: "L+RP", Tokenization: "3G", TokenWeights: "EW", Distance: "CD", Threshold: 0.3},
+			{Preprocess: "L", Tokenization: "SP", TokenWeights: "IDFW", Distance: "JD", Threshold: 0.35},
+		},
+		BlockingBeta: 1,
+	}
+}
+
+// gramTokens lists, per counted 3-gram representation of the table's
+// column vocabulary, the tokens that live rows hold, in the order DF
+// yields them.
+func gramTokens(tab *Table) [][]string {
+	var out [][]string
+	for _, pre := range textproc.Options() {
+		if !tab.cols[0].NeedCounts(pre, tokenize.QGram3) {
+			continue
+		}
+		var toks []string
+		for tok := range tab.cols[0].DF(pre, tokenize.QGram3) {
+			toks = append(toks, tok)
+		}
+		out = append(out, toks)
+	}
+	return out
+}
+
+// TestSnapshotAddReusesDictionaryGrams: rows added to a loaded table find
+// the 3-gram slots that the snapshot's dictionary interned — a re-added
+// record brings no new token, and no token holds two slots — and the
+// table answers as a fresh compile of its rows.
+func TestSnapshotAddReusesDictionaryGrams(t *testing.T) {
+	L, R := makeTask(t, 53, 3)
+	prog := gramProgram()
+	tab, err := prog.NewTable(1, toRows(L[:100]), Options{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tab.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadTable(buf.Bytes(), Options{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := gramTokens(loaded)
+	if len(before) != 2 {
+		t.Fatalf("%d 3-gram representations, want 2", len(before))
+	}
+	// Records already in the table: every one of their grams came from the
+	// dictionary.
+	if _, err := loaded.Add(toRows(L[:10])); err != nil {
+		t.Fatal(err)
+	}
+	if got := gramTokens(loaded); !reflect.DeepEqual(got, before) {
+		t.Fatalf("re-adding loaded records changed the 3-gram vocabulary: %d/%d tokens, want %d/%d",
+			len(got[0]), len(got[1]), len(before[0]), len(before[1]))
+	}
+	if _, err := loaded.Add(toRows(L[100:130])); err != nil {
+		t.Fatal(err)
+	}
+	for r, toks := range gramTokens(loaded) {
+		for i := 1; i < len(toks); i++ {
+			if toks[i] <= toks[i-1] {
+				t.Fatalf("representation %d: token %q follows %q: a gram holds two slots", r, toks[i], toks[i-1])
+			}
+		}
+	}
+	expectOracle(t, prog, loaded, toRows(R), "loaded 3-gram table after Add")
+}
+
+// badGramSnapshot returns a checksum-valid snapshot of a 3-gram table
+// whose column dictionary holds a 3-gram token of two runes.
+func badGramSnapshot(tb testing.TB) []byte {
+	tb.Helper()
+	tab, err := gramProgram().NewTable(1, toRows([]string{
+		"2008 lsu tigers football team",
+		"2009 lsu tigers baseball team",
+	}), Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tab.Save(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	data := buf.Bytes()
+	// A length-prefixed "##2" is stored three times: in the blocking
+	// vocabulary, in the column dictionary and in the IDF statistics, in
+	// that order (no stored row string holds '#'). Rewrite the second.
+	// "!é" is three bytes and two runes, and sorts where "##2" did.
+	tok := []byte("\x03##2")
+	first := bytes.Index(data, tok)
+	at := first + 1 + bytes.Index(data[first+1:], tok)
+	if first < 0 || at == first || bytes.Count(data, tok) != 3 {
+		tb.Fatal("the snapshot does not store ##2 three times")
+	}
+	copy(data[at+1:], "!é")
+	binary.LittleEndian.PutUint32(data[5:9], crc32.Checksum(data[snapshotHeaderLen:], snapshotCRC))
+	return data
+}
+
+// TestSnapshotRejectsShortGram: a 3-gram dictionary token that is not
+// three runes fails the load with an error, not a panic.
+func TestSnapshotRejectsShortGram(t *testing.T) {
+	_, err := LoadTable(badGramSnapshot(t), Options{})
+	if err == nil || !strings.Contains(err.Error(), "not three runes") {
+		t.Fatalf("LoadTable = %v, want a not-three-runes error", err)
+	}
 }

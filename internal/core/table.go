@@ -197,6 +197,13 @@ const (
 // columns, which never matches). Every row must have exactly width cells;
 // rows are copied, so callers may reuse their slices.
 func (p *Program) NewTable(width int, rows [][]string, opt Options) (*Table, error) {
+	return p.newTable(width, rows, opt, nil)
+}
+
+// newTable is NewTable. h, when not nil, is what the search that learned
+// this single-column program built over the same rows (see Learn), and
+// the table takes it instead of building it again.
+func (p *Program) newTable(width int, rows [][]string, opt Options, h *learnedL) (*Table, error) {
 	configs, err := p.configurations()
 	if err != nil {
 		return nil, err
@@ -277,8 +284,12 @@ func (p *Program) NewTable(width int, rows [][]string, opt Options) (*Table, err
 	t.tix = blocking.NewTableIndex()
 	t.delta = t.newPayload(0)
 	if len(rows) > 0 {
-		pl := t.buildPayload(rows)
-		t.tix = blocking.BuildTableIndex(pl.keys, t.parallelism)
+		pl := t.buildPayload(rows, h)
+		if h != nil {
+			t.tix = h.index
+		} else {
+			t.tix = blocking.BuildTableIndex(pl.keys, t.parallelism)
+		}
 		t.segs = append(t.segs, pl)
 	}
 	t.k = blocking.K(t.tix.Len(), t.beta)
@@ -310,15 +321,17 @@ func (t *Table) cellOf(row []string, j int) string {
 	return row[t.columns[j]]
 }
 
-// buildChunk bounds the count profiles buildPayload holds at once: they
-// are scaffolding for the stored rows, dropped chunk by chunk.
+// buildChunk bounds the counted records buildPayload holds at once: they
+// are scaffolding for the stored rows, reused chunk by chunk.
 const buildChunk = 256
 
 // buildPayload compiles the row-level state of a block of rows and counts
-// every row live. Count profiles are built in parallel across the table's
-// parallelism, one chunk of rows at a time, then stored in row order
-// through the column vocabularies (the statistics pass). Rows are copied.
-func (t *Table) buildPayload(rows [][]string) *tablePayload {
+// every row live. Records are counted (config.Vocab.CountRecord) in
+// parallel across the table's parallelism, one chunk of rows at a time,
+// then stored in row order through the column vocabularies (the
+// statistics pass). h, when not nil, supplies the rows' processed strings
+// and word sets (see learnedL). Rows are copied.
+func (t *Table) buildPayload(rows [][]string, h *learnedL) *tablePayload {
 	n := len(rows)
 	ncols := len(t.cols)
 	pl := t.newPayload(n)
@@ -329,7 +342,7 @@ func (t *Table) buildPayload(rows [][]string) *tablePayload {
 	if t.hasRules {
 		pl.words = pl.words[:n]
 	}
-	profs := make([]*config.Profile, min(n, buildChunk)*ncols)
+	recs := make([]config.Counted, min(n, buildChunk)*ncols)
 	for lo := 0; lo < n; lo += buildChunk {
 		hi := min(n, lo+buildChunk)
 		parallel.Shard(hi-lo, parallel.Workers(t.parallelism, hi-lo), func(_, start, end int) {
@@ -338,19 +351,28 @@ func (t *Table) buildPayload(rows [][]string) *tablePayload {
 				pl.rows[i] = row
 				key := t.keyOf(row)
 				pl.keys[i] = key
+				var proc *config.Processed
+				if h != nil {
+					proc = &h.proc[i]
+				}
 				for j := range t.cols {
 					cell := t.cellOf(row, j)
 					pl.cells[j][i] = cell
-					profs[(i-lo)*ncols+j] = t.cols[j].CountProfile(cell)
+					t.cols[j].CountRecord(&recs[(i-lo)*ncols+j], cell, proc)
 				}
-				if t.hasRules {
+				if !t.hasRules {
+					continue
+				}
+				if h != nil && h.words != nil {
+					pl.words[i] = h.words[i]
+				} else {
 					pl.words[i] = negrule.AppendWordSet(nil, key)
 				}
 			}
 		})
 		for i := lo; i < hi; i++ {
 			for j := range t.cols {
-				t.cols[j].AppendProfile(&pl.cols[j], profs[(i-lo)*ncols+j])
+				t.cols[j].AppendCounted(&pl.cols[j], &recs[(i-lo)*ncols+j])
 			}
 		}
 	}
@@ -470,7 +492,7 @@ func (t *Table) Add(rows [][]string) (uint64, error) {
 		for j, vocab := range t.cols {
 			cell := t.cellOf(row, j)
 			pl.cells[j] = append(pl.cells[j], cell)
-			vocab.AppendProfile(&pl.cols[j], vocab.CountProfile(cell))
+			vocab.AppendRecord(&pl.cols[j], cell)
 		}
 		if t.hasRules {
 			pl.words = append(pl.words, negrule.AppendWordSet(nil, key))

@@ -11,10 +11,10 @@ package negrule
 
 import (
 	"sort"
-	"unicode"
 
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/parallel"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/textproc"
+	"github.com/chu-data-lab/autofuzzyjoin-go/internal/tokenize"
 )
 
 // Rule is an unordered pair of words known to separate distinct entities.
@@ -125,7 +125,7 @@ func oneWordDiff(a, b []string) (onlyA, onlyB string, ok bool) {
 //autofj:hotpath
 func AppendWordSet(dst []string, record string) []string {
 	//autofj:alloc-ok the pre-processing transform allocates once per record at add/freeze time and the word set is cached thereafter
-	dst = appendWords(dst, textproc.LowerStemRemovePunct.Apply(record))
+	dst = tokenize.AppendWords(dst, textproc.LowerStemRemovePunct.Apply(record))
 	sort.Strings(dst)
 	out := dst[:0]
 	for i, f := range dst {
@@ -134,29 +134,6 @@ func AppendWordSet(dst []string, record string) []string {
 		}
 	}
 	return out
-}
-
-// appendWords appends the whitespace-separated words of s to dst; each
-// word is a substring sharing s's memory, so splitting itself does not
-// allocate (unlike strings.Fields, which builds a fresh slice per call).
-//
-//autofj:hotpath
-func appendWords(dst []string, s string) []string {
-	start := -1
-	for i, r := range s {
-		if unicode.IsSpace(r) {
-			if start >= 0 {
-				dst = append(dst, s[start:i])
-				start = -1
-			}
-		} else if start < 0 {
-			start = i
-		}
-	}
-	if start >= 0 {
-		dst = append(dst, s[start:])
-	}
-	return dst
 }
 
 // Frozen is an immutable, goroutine-safe view of a rule set, optionally

@@ -1,6 +1,9 @@
 package tokenize
 
 import (
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -90,5 +93,50 @@ func TestOptionStrings(t *testing.T) {
 	}
 	if len(Options()) != 2 {
 		t.Error("want 2 tokenization options")
+	}
+}
+
+// FuzzPackedGrams: the packed keys of s unpack to QGrams(s, 3) in order,
+// every gram packs back to its key, and ascending keys order the grams
+// as sort.Strings does. AppendWords splits as strings.Fields.
+func FuzzPackedGrams(f *testing.F) {
+	for _, s := range []string{"", "a", "#", "ß#x", "日本語", "\xff\xfe a", "a b"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		grams := QGrams(s, 3)
+		keys := AppendGramKeys(nil, s)
+		if len(keys) != len(grams) {
+			t.Fatalf("%q: %d keys, %d grams", s, len(keys), len(grams))
+		}
+		for i, k := range keys {
+			if g := GramString(k); g != grams[i] {
+				t.Fatalf("%q: key %d unpacks to %q, want %q", s, i, g, grams[i])
+			}
+			if back, ok := GramKey(grams[i]); !ok || back != k {
+				t.Fatalf("%q: GramKey(%q) = %x, %v; want %x", s, grams[i], back, ok, k)
+			}
+		}
+		slices.Sort(keys)
+		sort.Strings(grams)
+		for i, k := range keys {
+			if GramString(k) != grams[i] {
+				t.Fatalf("%q: sorted key %d is %q, sorted gram %q", s, i, GramString(k), grams[i])
+			}
+		}
+		if got, want := AppendWords(nil, s), strings.Fields(s); !slices.Equal(got, want) {
+			t.Fatalf("AppendWords(%q) = %q, want %q", s, got, want)
+		}
+	})
+}
+
+func TestGramKeyRejects(t *testing.T) {
+	for _, g := range []string{"", "ab", "abcd", "a\xffb", "\xed\xa0\x80"} {
+		if _, ok := GramKey(g); ok {
+			t.Errorf("GramKey(%q) accepted a string that is not three runes", g)
+		}
+	}
+	if k, ok := GramKey("a\uFFFDb"); !ok || GramString(k) != "a\uFFFDb" {
+		t.Errorf("GramKey rejects or mangles an encoded U+FFFD")
 	}
 }
