@@ -28,10 +28,10 @@ import (
 // in a table.
 //
 // Corpus.CountProfile is the string form of the same counts — one heap
-// string per token, sorted with sort.Strings — kept as the reference the
-// tests hold the integer path to, and for ProfileArena. Both give the
-// same tokens in the same order with the same counts, Sums and Norms, so
-// every distance is bit-identical between them.
+// string per token, sorted with sort.Strings — kept as the base of the
+// full string Profile, the reference the tests hold the integer path to.
+// Both give the same tokens in the same order with the same counts, Sums
+// and Norms, so every distance is bit-identical between them.
 
 // Rep identifies one (pre-processing, tokenization) representation pair.
 type Rep struct {

@@ -86,7 +86,7 @@ type VecBlock [numWt]distance.Sparse
 // for the representations the space actually uses: inlined, the full
 // [numPre][numTok][numWt] vector block plus embeddings is over 3KB per
 // record, of which a typical space touches a small fraction. Code that
-// indexes vecs/emb directly (the distance kernels, Vocab.AppendProfile)
+// indexes vecs/emb directly (the distance kernels)
 // runs only for representations the profile was built with, so those
 // reads never see nil. Neither learning nor a serving table keeps a
 // Profile: LearnProfiles derives each record's IDProfile once from its

@@ -92,7 +92,7 @@ func newLayout(c *Corpus) *layout {
 // drops it). A vocabulary therefore grows with the distinct tokens ever
 // added, not with the live rows.
 //
-// Mutators (AppendRecord, AppendCounted, AppendProfile, Intern, Count,
+// Mutators (AppendRecord, AppendCounted, Intern, Count,
 // Reserve, Settle) need exclusive access, and a batch of them ends with
 // Settle; CountRecord, Derive, Query and the readers are safe for
 // concurrent use between batches.
@@ -102,7 +102,7 @@ type Vocab struct {
 	reps []repVocab // by layout position
 	docs int        // live rows; the IDF table follows it at Settle
 	idf  weights.IDFTable
-	row  Row     // AppendCounted's and AppendProfile's scratch
+	row  Row     // AppendCounted's scratch
 	rec  Counted // AppendRecord's scratch
 }
 
@@ -265,39 +265,6 @@ func (v *Vocab) AppendCounted(rows *Rows, c *Counted) {
 	rows.Append(r)
 	v.Count(rows, rows.n-1, 1)
 	r.Proc, r.Emb, r.Counts = [numPre]string{}, [numPre][]float64{}, [numPre][numTok][]uint32{}
-}
-
-// AppendProfile stores the count profile p (see Corpus.CountProfile) as
-// the next row of s, interning its tokens, and counts the row live. It is
-// the string-path build that ProfileArena and the tests use; a table
-// stores rows with AppendRecord or AppendCounted.
-func (v *Vocab) AppendProfile(s *Rows, p *Profile) {
-	r := &v.row
-	for pi := 0; pi < numPre; pi++ {
-		if v.lay.proc[pi] >= 0 {
-			r.Proc[pi] = p.proc[pi]
-		}
-		if v.lay.emb[pi] >= 0 {
-			r.Emb[pi] = p.emb[pi][:]
-		}
-	}
-	for _, rep := range v.lay.reps {
-		cv := &p.vecs[rep.Pre][rep.Tok][weights.Equal]
-		slots, counts := r.Slots[rep.Pre][rep.Tok][:0], r.Counts[rep.Pre][rep.Tok][:0]
-		for k, tok := range cv.Tokens {
-			sl, err := v.Intern(rep.Pre, rep.Tok, tok)
-			if err != nil {
-				panic(err) // a count profile's 3-grams are QGrams output
-			}
-			slots = append(slots, sl)
-			counts = append(counts, uint32(cv.W[k]))
-		}
-		r.Slots[rep.Pre][rep.Tok], r.Counts[rep.Pre][rep.Tok] = slots, counts
-		r.Sum[rep.Pre][rep.Tok], r.Norm[rep.Pre][rep.Tok] = cv.Sum, cv.Norm
-	}
-	s.Append(r)
-	v.Count(s, s.n-1, 1)
-	r.Proc, r.Emb = [numPre]string{}, [numPre][]float64{}
 }
 
 // Count adds delta to the document count and to the df of every slot

@@ -13,8 +13,8 @@ import (
 
 // stringPairs is the pairSource that learning ran before it scored on id
 // views, kept as the oracle of idPairs: full Profiles from one Corpus over
-// left ∪ right, scored by Evaluator.Distances.
-func stringPairs(space []config.JoinFunction, parallelism int, left, right []string, lrCand, llCand [][]int32) func() pairEval {
+// left ∪ right, scored by Evaluator.Distances. It returns no learn views.
+func stringPairs(space []config.JoinFunction, parallelism int, left, right []string, lrCand, llCand [][]int32) (func() pairEval, []config.IDProfile) {
 	corpus := config.NewCorpus(space, left, right)
 	profL := corpus.Profiles(left, parallelism)
 	profR := profL
@@ -32,7 +32,7 @@ func stringPairs(space []config.JoinFunction, parallelism int, left, right []str
 				ev.Distances(profL[l], profL[llCand[l][ci]], sc, out)
 			},
 		}
-	}
+	}, nil
 }
 
 // resultLines renders everything a learn run decides, with every float as

@@ -52,7 +52,8 @@ func joinMultiColumn(leftCols, rightCols [][]string, opt Options, pairs pairSour
 	leftCat := concatColumns(leftCols)
 	rightCat := concatColumns(rightCols)
 	tBlock := time.Now()
-	lrCand, llCand, rules := blockCandidates(leftCat, rightCat, opt, !opt.DisableNegativeRules, nil)
+	b := blockCandidates(leftCat, rightCat, opt, !opt.DisableNegativeRules)
+	lrCand, llCand, rules := b.lrCand, b.llCand, b.rules
 	blockingTime := time.Since(tBlock)
 
 	// Flattened pair offsets shared by all columns and functions.
@@ -65,7 +66,7 @@ func joinMultiColumn(leftCols, rightCols [][]string, opt Options, pairs pairSour
 	var profileTime time.Duration
 	for j := 0; j < m; j++ {
 		tProf := time.Now()
-		newEval := pairs(opt.Space, opt.Parallelism, leftCols[j], rightCols[j], lrCand, llCand)
+		newEval, _ := pairs(opt.Space, opt.Parallelism, leftCols[j], rightCols[j], lrCand, llCand)
 		profileTime += time.Since(tProf)
 		tensors[j] = buildColumnTensors(len(opt.Space), leftCols[j], rightCols[j], newEval, lrCand, llCand, lrOff, llOff, opt.Parallelism)
 	}

@@ -48,11 +48,12 @@ func buildPrepareInput(left, right []string, space []config.JoinFunction, steps 
 	opt := Options{BlockingBeta: 1.0}
 	var lrCand, llCand [][]int32
 	if selfJoin {
-		_, llCand, _ = blockCandidates(left, nil, opt, false, nil)
+		llCand = blockCandidates(left, nil, opt, false).llCand
 		lrCand = llCand
 		right = nil
 	} else {
-		lrCand, llCand, _ = blockCandidates(left, right, opt, false, nil)
+		b := blockCandidates(left, right, opt, false)
+		lrCand, llCand = b.lrCand, b.llCand
 	}
 	corpus := config.NewCorpus(space, left, right)
 	profL := corpus.Profiles(left, 0)
@@ -68,8 +69,8 @@ func buildPrepareInput(left, right []string, space []config.JoinFunction, steps 
 		lrCand:   lrCand,
 		llCand:   llCand,
 		selfJoin: selfJoin,
-		newEval:  idPairs(space, 0, left, right, lrCand, llCand),
 	}
+	in.newEval, _ = idPairs(space, 0, left, right, lrCand, llCand)
 	lrDist := func(fi, r, ci int) float64 {
 		return space[fi].Distance(profL[lrCand[r][ci]], profR[r])
 	}

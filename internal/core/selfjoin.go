@@ -32,11 +32,11 @@ func selfJoin(records []string, opt Options, pairs pairSource) (*Result, error) 
 	// whole premise is that the table contains duplicates — a duplicate
 	// pair differing by one word ("northern" vs a "nothern" typo) would be
 	// learned as a negative rule and veto exactly the join we want.
-	_, cand, _ := blockCandidates(records, nil, opt, false, nil)
+	cand := blockCandidates(records, nil, opt, false).llCand
 	blockingTime := time.Since(tBlock)
 
 	tProf := time.Now()
-	newEval := pairs(opt.Space, opt.Parallelism, records, nil, cand, cand)
+	newEval, _ := pairs(opt.Space, opt.Parallelism, records, nil, cand, cand)
 	profileTime := time.Since(tProf)
 	in := &engineInput{
 		space:    opt.Space,

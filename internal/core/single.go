@@ -23,15 +23,7 @@ func JoinTables(left, right []string, opt Options) (*Result, error) {
 // compiles the empty program the usual way.
 func Learn(left, right []string, opt Options) (*Result, *Table, error) {
 	var h learnedL
-	pairs := func(space []config.JoinFunction, parallelism int, left, right []string, lrCand, llCand [][]int32) func() pairEval {
-		views := config.LearnProfiles(space, parallelism, left, right)
-		h.proc = make([]config.Processed, len(left))
-		for i := range views[0] {
-			h.proc[i] = views[0][i].Processed()
-		}
-		return idEval(space, views[0], views[1], lrCand, llCand)
-	}
-	res, err := joinTables(left, right, opt, pairs, &h)
+	res, err := joinTables(left, right, opt, idPairs, &h)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -64,7 +56,7 @@ type learnedL struct {
 
 // joinTables is JoinTables scoring pairs through the evaluator that pairs
 // builds. When keep is not nil it receives what the search built over
-// left (see learnedL).
+// left (see learnedL); the search must then score on learn views.
 func joinTables(left, right []string, opt Options, pairs pairSource, keep *learnedL) (*Result, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -77,14 +69,25 @@ func joinTables(left, right []string, opt Options, pairs pairSource, keep *learn
 	// Algorithm 1 lines 1-2: blocking, then negative rules that veto L-R
 	// candidates.
 	tBlock := time.Now()
-	lrCand, llCand, rules := blockCandidates(left, right, opt, !opt.DisableNegativeRules, keep)
+	b := blockCandidates(left, right, opt, !opt.DisableNegativeRules)
+	lrCand, llCand, rules := b.lrCand, b.llCand, b.rules
 	blockingTime := time.Since(tBlock)
 
 	// Lines 3-4: distances and precision pre-computation, then the greedy
 	// union search — all inside run().
 	tProf := time.Now()
-	newEval := pairs(opt.Space, opt.Parallelism, left, right, lrCand, llCand)
+	newEval, viewL := pairs(opt.Space, opt.Parallelism, left, right, lrCand, llCand)
 	profileTime := time.Since(tProf)
+	if keep != nil {
+		keep.index = b.index
+		if rules != nil && rules.Len() > 0 {
+			keep.words = b.leftWords
+		}
+		keep.proc = make([]config.Processed, len(viewL))
+		for i := range viewL {
+			keep.proc[i] = viewL[i].Processed()
+		}
+	}
 
 	in := &engineInput{
 		space:   opt.Space,
@@ -105,24 +108,19 @@ func joinTables(left, right []string, opt Options, pairs pairSource, keep *learn
 
 // pairSource builds the record representations of one column — the cells
 // of left and right, or of left alone for a self-join (right nil) — and
-// returns engineInput's per-worker evaluator over the blocked pairs.
-type pairSource func(space []config.JoinFunction, parallelism int, left, right []string, lrCand, llCand [][]int32) func() pairEval
+// returns engineInput's per-worker evaluator over the blocked pairs and,
+// when it scores on learn views, left's views.
+type pairSource func(space []config.JoinFunction, parallelism int, left, right []string, lrCand, llCand [][]int32) (func() pairEval, []config.IDProfile)
 
 // idPairs is the pairSource learning runs: every record is derived once
 // into an id view under one vocabulary closed over left ∪ right
 // (config.LearnProfiles), and pairs are scored by Evaluator.IDDistances.
-func idPairs(space []config.JoinFunction, parallelism int, left, right []string, lrCand, llCand [][]int32) func() pairEval {
+func idPairs(space []config.JoinFunction, parallelism int, left, right []string, lrCand, llCand [][]int32) (func() pairEval, []config.IDProfile) {
 	views := config.LearnProfiles(space, parallelism, left, right)
 	viewL, viewR := views[0], views[1]
 	if right == nil { // a self-join: left plays both sides
 		viewR = viewL
 	}
-	return idEval(space, viewL, viewR, lrCand, llCand)
-}
-
-// idEval scores the blocked pairs between the learn views of left and
-// right.
-func idEval(space []config.JoinFunction, viewL, viewR []config.IDProfile, lrCand, llCand [][]int32) func() pairEval {
 	ev := config.NewEvaluator(space)
 	return func() pairEval {
 		sc := ev.NewScratch()
@@ -141,7 +139,7 @@ func idEval(space []config.JoinFunction, viewL, viewR []config.IDProfile, lrCand
 				return m
 			},
 		}
-	}
+	}, viewL
 }
 
 // blockCandidates runs Algorithm 1 lines 1–2 on blocking keys: top-k
@@ -149,15 +147,10 @@ func idEval(space []config.JoinFunction, viewL, viewR []config.IDProfile, lrCand
 // self-join) and, when learnRules is set, negative rules learned from the
 // L–L pairs (Algorithm 2) that then veto L–R candidates through the same
 // Frozen.BlocksPair scan a serving table runs. Each record's word set is
-// computed once, R's only when a rule was learned. rules is nil when none
-// are learned. When keep is not nil it receives the blocking index and,
-// when a rule was learned, left's word sets.
-func blockCandidates(left, right []string, opt Options, learnRules bool, keep *learnedL) (lrCand, llCand [][]int32, rules *negrule.Set) {
+// computed once, R's only when a rule was learned.
+func blockCandidates(left, right []string, opt Options, learnRules bool) blocked {
 	blk := blocking.Block(left, right, opt.BlockingBeta, opt.Parallelism)
-	if keep != nil {
-		keep.index = blk.Index
-	}
-	llCand = make([][]int32, len(left))
+	llCand := make([][]int32, len(left))
 	for i, cands := range blk.LL {
 		ids := make([]int32, len(cands))
 		for ci, c := range cands {
@@ -165,6 +158,7 @@ func blockCandidates(left, right []string, opt Options, learnRules bool, keep *l
 		}
 		llCand[i] = ids
 	}
+	var rules *negrule.Set
 	var veto *negrule.Frozen
 	var leftWords, rightWords [][]string
 	if learnRules {
@@ -178,12 +172,9 @@ func blockCandidates(left, right []string, opt Options, learnRules bool, keep *l
 		if rules.Len() > 0 {
 			veto = rules.Freeze(nil, opt.Parallelism)
 			rightWords = negrule.WordSets(right, opt.Parallelism)
-			if keep != nil {
-				keep.words = leftWords
-			}
 		}
 	}
-	lrCand = make([][]int32, len(right))
+	lrCand := make([][]int32, len(right))
 	for j, cands := range blk.LR {
 		ids := make([]int32, 0, len(cands))
 		for _, c := range cands {
@@ -194,7 +185,17 @@ func blockCandidates(left, right []string, opt Options, learnRules bool, keep *l
 		}
 		lrCand[j] = ids
 	}
-	return lrCand, llCand, rules
+	return blocked{lrCand: lrCand, llCand: llCand, rules: rules, index: blk.Index, leftWords: leftWords}
+}
+
+// blocked is what blockCandidates builds: the L–R and L–L candidate ids,
+// the negative rules learned (nil when rules were not asked for), Block's
+// index over L, and L's word sets (nil when rules were not asked for).
+type blocked struct {
+	lrCand, llCand [][]int32
+	rules          *negrule.Set
+	index          *blocking.TableIndex
+	leftWords      [][]string
 }
 
 // errColumnShape is returned when multi-column inputs are ragged.
