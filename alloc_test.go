@@ -23,7 +23,7 @@ const (
 	evaluatorAllocBudget    = 0   // per pass of 64 full-space IDDistances pairs over learn views
 	tableAddAllocBudget     = 40  // per Table.Add of one row
 	matchDeltaAllocBudget   = 10  // per cache-off Match with a 256-row delta
-	snapshotLoadAllocBudget = 188 // per LoadTableFile of the 10k-row table; 179-180 on Linux
+	snapshotLoadAllocBudget = 188 // per LoadTableFile of the 10k-row table; 181 on Linux
 )
 
 // TestAllocationBudgets pins the allocation count of each hot path at

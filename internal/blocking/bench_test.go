@@ -38,7 +38,7 @@ func BenchmarkBlockingTopK(b *testing.B) {
 	k := K(len(left), DefaultBeta)
 	sc := ix.NewScratch()
 	var dst []Candidate
-	// Warm up the scratch growth (touched list, heap, buffers).
+	// Warm up the scratch growth (score array, heap, buffers).
 	for _, q := range queries {
 		dst = ix.AppendTopK(dst[:0], sc, q, k, -1)
 	}

@@ -14,12 +14,13 @@
 // baselines query it through Index, a TableIndex with one fully-live
 // segment, so left ids are dense ids; mutable serving tables (core.Table)
 // query it directly. The query path is built for throughput: grams are
-// interned to dense ids at index time, each query scores into a reusable
-// dense array guarded by generation stamps (no per-query map), and top-k
-// selection runs through a bounded min-heap in O(n log k) instead of a
-// full sort. Block shards queries across worker goroutines, each with its
-// own TableScratch, so the hot loop is allocation-free after warmup and
-// the output is identical for every parallelism level.
+// interned to dense ids at index time, each query adds its gram weights
+// into a reusable dense array that is all zero between queries (no
+// per-query map, no first-touch check), and top-k selection runs through
+// a bounded min-heap in O(n log k) instead of a full sort. Block shards
+// queries across worker goroutines, each with its own TableScratch, so
+// the hot loop is allocation-free after warmup and the output is
+// identical for every parallelism level.
 package blocking
 
 import (

@@ -486,12 +486,16 @@ func (tx *TableIndex) CompactDelta(m int, seg *Segment) {
 // the dense-id score accumulator, gram stamps/weights, and top-k heap.
 // Arrays grow on demand, so one scratch serves a table across mutations
 // and even wholesale index rebuilds. Not safe for concurrent use.
+//
+// scores is all zero between calls. A top-k touches almost every row of
+// the table, so accumulating is a plain add with no first-touch check,
+// and the selection walks the whole live prefix: a nonzero score marks a
+// touched row (every gram weight log(1 + n/df) is positive), and the walk
+// zeroes it again.
 type TableScratch struct {
-	scores    []float64 // by dense id
-	stamp     []uint32  // by dense id; scores[d] live iff stamp[d] == gen
+	scores    []float64 // by dense id; zero outside a call
 	gramStamp []uint32  // by table gram id
 	gramW     []float64 // by table gram id; query gram weight
-	touched   []int32   // dense ids scored by the current query
 	qranks    []int32   // the current query's gram ranks, ascending (lex order)
 	heap      []Candidate
 	buf       []byte  // normalized, padded query bytes
@@ -503,14 +507,13 @@ type TableScratch struct {
 // query.
 func NewTableScratch() *TableScratch { return &TableScratch{} }
 
-// nextGen advances the generation stamp; on wraparound all stamp arrays
+// nextGen advances the gram generation stamp; on wraparound the stamps
 // are cleared so stale generations can never alias.
 //
 //autofj:hotpath
 func (sc *TableScratch) nextGen() uint32 {
 	sc.gen++
 	if sc.gen == 0 {
-		clear(sc.stamp)
 		clear(sc.gramStamp)
 		sc.gen = 1
 	}
@@ -518,14 +521,13 @@ func (sc *TableScratch) nextGen() uint32 {
 }
 
 // fit grows the dense- and gram-indexed arrays to the current table shape.
-// Fresh arrays start zeroed, which can never alias a live generation
-// (gen >= 1 always).
+// Fresh arrays start zeroed: scores as every call leaves them, and stamps
+// that can never alias a live generation (gen >= 1 always).
 //
 //autofj:hotpath
 func (sc *TableScratch) fit(nDense, nGrams int) {
 	if len(sc.scores) < nDense {
 		sc.scores = make([]float64, nDense)
-		sc.stamp = make([]uint32, nDense)
 	}
 	if len(sc.gramStamp) < nGrams {
 		sc.gramStamp = make([]uint32, nGrams)
@@ -613,7 +615,7 @@ func (tx *TableIndex) selfGramRanks(sc *TableScratch, d int) []int32 {
 // dense[] load; a segment with tombstones keeps the lookup.
 //
 //autofj:hotpath
-func (tx *TableIndex) scoreSegments(sc *TableScratch, qranks []int32, gen uint32, exclude int) {
+func (tx *TableIndex) scoreSegments(sc *TableScratch, qranks []int32) {
 	for si := range tx.segs {
 		seg := tx.segs[si]
 		dense := tx.segDense[si]
@@ -632,18 +634,18 @@ func (tx *TableIndex) scoreSegments(sc *TableScratch, qranks []int32, gen uint32
 				continue
 			}
 			if live {
-				sc.addRun(seg.postings[local], dense[0], sc.gramW[g], gen, int32(exclude))
+				addRun(seg.postings[local], sc.scores[dense[0]:], sc.gramW[g])
 			} else {
-				sc.addMapped(seg.postings[local], dense, sc.gramW[g], gen, int32(exclude))
+				addMapped(seg.postings[local], dense, sc.scores, sc.gramW[g])
 			}
 		}
 	}
 }
 
-// addRun accumulates weight w into the score of dense row base+id for
-// every local id on a posting list of a segment without tombstones,
-// skipping exclude. A row's first hit of this generation starts its score
-// and records it as touched.
+// addRun adds weight w to the score of every local id on a posting list
+// of a segment without tombstones; scores starts at the segment's first
+// dense id. A first hit adds to zero, which is exact, so no first-touch
+// check is needed.
 //
 // addRun and addMapped stay out of line: inlined into scoreSegments, the
 // posting loop runs out of registers and spills its index and bounds to
@@ -652,20 +654,9 @@ func (tx *TableIndex) scoreSegments(sc *TableScratch, qranks []int32, gen uint32
 //
 //autofj:hotpath
 //go:noinline
-func (sc *TableScratch) addRun(post []int32, base int32, w float64, gen uint32, exclude int32) {
-	stamp, scores := sc.stamp, sc.scores
+func addRun(post []int32, scores []float64, w float64) {
 	for _, id := range post {
-		d := base + id
-		if d == exclude {
-			continue
-		}
-		if stamp[d] != gen {
-			stamp[d] = gen
-			scores[d] = w
-			sc.touched = append(sc.touched, d)
-		} else {
-			scores[d] += w
-		}
+		scores[id] += w
 	}
 }
 
@@ -674,18 +665,9 @@ func (sc *TableScratch) addRun(post []int32, base int32, w float64, gen uint32, 
 //
 //autofj:hotpath
 //go:noinline
-func (sc *TableScratch) addMapped(post, dense []int32, w float64, gen uint32, exclude int32) {
-	stamp, scores := sc.stamp, sc.scores
+func addMapped(post, dense []int32, scores []float64, w float64) {
 	for _, id := range post {
-		d := dense[id]
-		if d < 0 || d == exclude {
-			continue
-		}
-		if stamp[d] != gen {
-			stamp[d] = gen
-			scores[d] = w
-			sc.touched = append(sc.touched, d)
-		} else {
+		if d := dense[id]; d >= 0 {
 			scores[d] += w
 		}
 	}
@@ -693,34 +675,32 @@ func (sc *TableScratch) addMapped(post, dense []int32, w float64, gen uint32, ex
 
 // scoreDelta brute-force scans the delta rows: each live row's stored
 // gram list (lex order) is intersected with the stamped query grams, so
-// shared-gram weights accumulate in the same order a segment uses.
+// shared-gram weights accumulate in the same order a segment uses. No
+// segment scores a delta row, so the sum is stored, zero for a row that
+// shares no gram.
 //
 //autofj:hotpath
-func (tx *TableIndex) scoreDelta(sc *TableScratch, gen uint32, exclude int) {
+func (tx *TableIndex) scoreDelta(sc *TableScratch, gen uint32) {
 	for di := range tx.delta {
 		d := tx.deltaDense[di]
-		if d < 0 || int(d) == exclude {
+		if d < 0 {
 			continue
 		}
 		score := 0.0
-		hit := false
 		for _, g := range tx.delta[di].grams {
 			if sc.gramStamp[g] == gen {
 				score += sc.gramW[g]
-				hit = true
 			}
 		}
-		if hit {
-			sc.stamp[d] = gen
-			sc.scores[d] = score
-			sc.touched = append(sc.touched, d)
-		}
+		sc.scores[d] = score
 	}
 }
 
 // appendTopK runs the merged query: weight the query grams, score segments
 // and delta into one dense accumulator, then select the global top k under
-// the (score desc, dense id asc) order.
+// the (score desc, dense id asc) order, zeroing the accumulator as it
+// goes. Dense row exclude (or none, when -1) is scored like any row and
+// skipped by the selection.
 //
 //autofj:hotpath
 func (tx *TableIndex) appendTopK(dst []Candidate, sc *TableScratch, qranks []int32, k, exclude int) []Candidate {
@@ -735,12 +715,19 @@ func (tx *TableIndex) appendTopK(dst []Candidate, sc *TableScratch, qranks []int
 		sc.gramStamp[g] = gen
 		sc.gramW[g] = math.Log(1 + nf/float64(tx.df[g]))
 	}
-	sc.touched = sc.touched[:0]
-	tx.scoreSegments(sc, qranks, gen, exclude)
-	tx.scoreDelta(sc, gen, exclude)
+	tx.scoreSegments(sc, qranks)
+	tx.scoreDelta(sc, gen)
 	h := sc.heap[:0]
-	for _, id := range sc.touched {
-		c := Candidate{ID: id, Score: sc.scores[id]}
+	scores := sc.scores[:len(tx.refs)]
+	for id, s := range scores {
+		if s == 0 {
+			continue
+		}
+		scores[id] = 0
+		if id == exclude {
+			continue
+		}
+		c := Candidate{ID: int32(id), Score: s}
 		if len(h) < k {
 			h = append(h, c)
 			heapUp(h, len(h)-1)

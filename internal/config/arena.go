@@ -60,6 +60,6 @@ func (c *Corpus) ArenaQuery(a *ProfileArena, s string) *IDProfile { return a.v.Q
 //autofj:hotpath
 func (e *Evaluator) ArenaDistances(a *ProfileArena, l int32, q *IDProfile, sc *EvalScratch, out []float64) {
 	var ref IDProfile
-	a.v.Derive(&a.rows, int(l), &sc.derive, &ref)
+	a.v.Derive(&a.rows, int(l), AllGroups, &sc.derive, &ref)
 	e.IDDistances(&ref, q, AllGroups, sc, out)
 }

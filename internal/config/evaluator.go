@@ -126,13 +126,10 @@ type EvalScratch struct {
 // plans. Group order follows first appearance in the space, so plan
 // iteration (and therefore scratch reuse) is deterministic.
 func NewEvaluator(space []JoinFunction) *Evaluator {
-	e := &Evaluator{space: space, group: make([]GroupMask, len(space))}
+	e := &Evaluator{space: space, group: groupBits(space)}
 	charIdx := map[textproc.Option]int{}
 	setIdx := map[[3]uint8]int{}
 	embIdx := map[textproc.Option]int{}
-	// newBit is the bit of the next new group: groups take bits in order
-	// of first appearance.
-	newBit := func() GroupMask { return 1 << (len(e.char) + len(e.set) + len(e.emb)) }
 	for fi, f := range space {
 		switch f.Dist.Class() {
 		case CharBased:
@@ -140,7 +137,7 @@ func NewEvaluator(space []JoinFunction) *Evaluator {
 			if !ok {
 				gi = len(e.char)
 				charIdx[f.Pre] = gi
-				e.char = append(e.char, charPlan{pre: f.Pre, bit: newBit()})
+				e.char = append(e.char, charPlan{pre: f.Pre, bit: e.group[fi]})
 			}
 			g := &e.char[gi]
 			switch f.Dist {
@@ -154,26 +151,23 @@ func NewEvaluator(space []JoinFunction) *Evaluator {
 				g.need.SW = true
 			}
 			g.fns = append(g.fns, slot{fi: int32(fi), dist: f.Dist})
-			e.group[fi] = g.bit
 		case EmbeddingBased:
 			gi, ok := embIdx[f.Pre]
 			if !ok {
 				gi = len(e.emb)
 				embIdx[f.Pre] = gi
-				e.emb = append(e.emb, embPlan{pre: f.Pre, bit: newBit()})
+				e.emb = append(e.emb, embPlan{pre: f.Pre, bit: e.group[fi]})
 			}
 			e.emb[gi].fns = append(e.emb[gi].fns, int32(fi))
-			e.group[fi] = e.emb[gi].bit
 		default:
 			key := [3]uint8{uint8(f.Pre), uint8(f.Tok), uint8(f.Weight)}
 			gi, ok := setIdx[key]
 			if !ok {
 				gi = len(e.set)
 				setIdx[key] = gi
-				e.set = append(e.set, setPlan{pre: f.Pre, tok: f.Tok, wt: f.Weight, bit: newBit()})
+				e.set = append(e.set, setPlan{pre: f.Pre, tok: f.Tok, wt: f.Weight, bit: e.group[fi]})
 			}
 			e.set[gi].fns = append(e.set[gi].fns, slot{fi: int32(fi), dist: f.Dist})
-			e.group[fi] = e.set[gi].bit
 		}
 	}
 
@@ -200,6 +194,28 @@ func NewEvaluator(space []JoinFunction) *Evaluator {
 		}
 	}
 	return e
+}
+
+// groupBits returns the bit of the evaluation group of every function of
+// space: one group per char pre-processing, per set (pre, tok, weight)
+// representation and per embedding pre-processing, taking bits in order
+// of first appearance.
+func groupBits(space []JoinFunction) []GroupMask {
+	bits := make([]GroupMask, len(space))
+	seen := map[[4]uint8]GroupMask{}
+	for fi, f := range space {
+		key := [4]uint8{uint8(f.Dist.Class()), uint8(f.Pre)}
+		if f.Dist.Class() == SetBased {
+			key[2], key[3] = uint8(f.Tok), uint8(f.Weight)
+		}
+		bit, ok := seen[key]
+		if !ok {
+			bit = 1 << len(seen)
+			seen[key] = bit
+		}
+		bits[fi] = bit
+	}
+	return bits
 }
 
 // covers reports whether a char kernel run for need a computes every

@@ -106,7 +106,8 @@ func TestEvaluatorDuplicateFunctions(t *testing.T) {
 // functions whose group the mask selects, with the values of an unmasked
 // call, and leaves every other slot untouched — over the learn views and
 // over table rows against queries, the latter with out-of-vocabulary
-// tokens so masked copying crosses the Extra path.
+// tokens so masked copying crosses the Extra path, and with the row
+// derived under the same mask.
 func TestIDDistancesMask(t *testing.T) {
 	spaces := map[string][]JoinFunction{
 		"Space":         Space(),
@@ -180,10 +181,35 @@ func TestIDDistancesMask(t *testing.T) {
 			var buf DeriveBuf
 			var ref IDProfile
 			for i, rec := range recs {
-				v.Derive(&rows, i, &buf, &ref)
+				v.Derive(&rows, i, AllGroups, &buf, &ref)
 				q := recs[rng.Intn(len(recs))] + " zqxj"
+				qp := v.Query(q)
 				decoy := v.Query(recs[rng.Intn(len(recs))])
-				check(fmt.Sprintf("row %q, query %q", rec, q), &ref, v.Query(q), &ref, decoy)
+				check(fmt.Sprintf("row %q, query %q", rec, q), &ref, qp, &ref, decoy)
+
+				// Row i derived under the mask over another row's view: the
+				// set vectors a masked Derive leaves stale are ones the
+				// mask's groups never read.
+				ev.IDDistances(&ref, qp, AllGroups, sc, want)
+				for trial := 0; trial < 8; trial++ {
+					mask := randMask()
+					v.Derive(&rows, rng.Intn(len(recs)), AllGroups, &buf, &ref)
+					v.Derive(&rows, i, mask, &buf, &ref)
+					for fi := range got {
+						got[fi] = untouched
+					}
+					ev.IDDistances(&ref, qp, mask, sc, got)
+					for fi, fn := range space {
+						exp := untouched
+						if ev.Group(fi)&mask != 0 {
+							exp = want[fi]
+						}
+						if math.Float64bits(got[fi]) != math.Float64bits(exp) {
+							t.Fatalf("row %q derived under mask %#x, query %q, fn %s: got %v, want %v",
+								rec, mask, q, fn.Name(), got[fi], exp)
+						}
+					}
+				}
 			}
 		})
 	}
@@ -227,7 +253,7 @@ func FuzzEvaluator(f *testing.F) {
 		v.Settle()
 		var buf DeriveBuf
 		var ref IDProfile
-		v.Derive(&rows, 0, &buf, &ref)
+		v.Derive(&rows, 0, AllGroups, &buf, &ref)
 		sc := ev.NewScratch()
 		got := make([]float64, len(space))
 		for _, q := range []string{b, b + " zqxj"} {

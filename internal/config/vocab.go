@@ -104,6 +104,11 @@ type Vocab struct {
 	idf  weights.IDFTable
 	row  Row     // AppendCounted's scratch
 	rec  Counted // AppendRecord's scratch
+	// groups holds, by layout position, the Evaluator groups that read a
+	// representation: a masked Derive derives only the representations its
+	// mask's groups read. Without the space (BuildArena) every group may
+	// read every representation.
+	groups [numPre * numTok]GroupMask
 }
 
 // repVocab is the vocabulary of one counted representation. A 3-gram
@@ -123,13 +128,25 @@ type repVocab struct {
 
 // NewVocab returns an empty vocabulary for one program column of a table
 // serving space.
-func NewVocab(space []JoinFunction) *Vocab { return newVocab(newCorpusNeeds(space)) }
+func NewVocab(space []JoinFunction) *Vocab {
+	v := newVocab(newCorpusNeeds(space))
+	clear(v.groups[:])
+	for fi, bit := range groupBits(space) {
+		if f := space[fi]; f.Dist.Class() == SetBased {
+			v.groups[v.lay.rep[f.Pre][f.Tok]] |= bit
+		}
+	}
+	return v
+}
 
 // newVocab returns an empty vocabulary for the needs of c, which holds no
 // statistics.
 func newVocab(c *Corpus) *Vocab {
 	v := &Vocab{c: c, lay: newLayout(c)}
 	v.reps = make([]repVocab, len(v.lay.reps))
+	for r := range v.groups {
+		v.groups[r] = AllGroups
+	}
 	return v
 }
 
@@ -532,11 +549,14 @@ type DeriveBuf struct {
 }
 
 // Derive fills dst with the id-space view of row i of s under the current
-// statistics. The set vectors live in buf and the strings and embeddings
-// alias s, so dst is valid until the next Derive into buf.
+// statistics, as Evaluator.IDDistances under mask reads it: the strings
+// and embeddings, and the set vectors of the representations that mask's
+// groups read. Every other set vector of dst is left as it was. The set
+// vectors live in buf and the strings and embeddings alias s, so dst is
+// valid until the next Derive into buf.
 //
 //autofj:hotpath
-func (v *Vocab) Derive(s *Rows, i int, buf *DeriveBuf, dst *IDProfile) {
+func (v *Vocab) Derive(s *Rows, i int, mask GroupMask, buf *DeriveBuf, dst *IDProfile) {
 	lay := v.lay
 	for pi := 0; pi < numPre; pi++ {
 		if k := lay.proc[pi]; k >= 0 {
@@ -549,7 +569,9 @@ func (v *Vocab) Derive(s *Rows, i int, buf *DeriveBuf, dst *IDProfile) {
 	}
 	nrep := len(lay.reps)
 	for r, rep := range lay.reps {
-		v.deriveRun(r, s, i*nrep+r, buf, &dst.vec[rep.Pre][rep.Tok])
+		if mask&v.groups[r] != 0 {
+			v.deriveRun(r, s, i*nrep+r, buf, &dst.vec[rep.Pre][rep.Tok])
+		}
 	}
 }
 

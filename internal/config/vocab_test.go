@@ -61,7 +61,7 @@ func TestDeriveMatchesProfileAndNeverAllocates(t *testing.T) {
 				continue
 			}
 			var d IDProfile
-			v.Derive(&rows, i, &buf, &d)
+			v.Derive(&rows, i, AllGroups, &buf, &d)
 			p := oracle.Profile(s)
 			for _, rep := range v.lay.reps {
 				rv := &v.reps[v.lay.rep[rep.Pre][rep.Tok]]
@@ -122,7 +122,7 @@ func TestDeriveMatchesProfileAndNeverAllocates(t *testing.T) {
 	}
 
 	var d IDProfile
-	if n := testing.AllocsPerRun(100, func() { v.Derive(&rows, 2, &buf, &d) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { v.Derive(&rows, 2, AllGroups, &buf, &d) }); n != 0 {
 		t.Errorf("warm Derive: %.1f allocs, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
@@ -130,7 +130,7 @@ func TestDeriveMatchesProfileAndNeverAllocates(t *testing.T) {
 		v.Settle()
 		v.Count(&rows, 0, 1)
 		v.Settle()
-		v.Derive(&rows, 2, &buf, &d)
+		v.Derive(&rows, 2, AllGroups, &buf, &d)
 	}); n != 0 {
 		t.Errorf("Derive after a mutation: %.1f allocs, want 0", n)
 	}

@@ -41,9 +41,11 @@ import (
 //     its set distances come from the id kernel, so no token string is
 //     hashed or compared per candidate;
 //   - the 2θ-ball precision denominators run over the same merged top-k
-//     candidates, counted for every configuration in one pass the first
-//     time a row wins, and cached tagged with the statistics generation so
-//     no mutation can leak a stale count.
+//     candidates. The first time a row wins, one pass counts its ball
+//     under the evaluator groups of the configurations that joined to it;
+//     the counts are cached per configuration, tagged with the statistics
+//     generation so no mutation can leak a stale count, and a later join
+//     under another group fills that group's slots then.
 //
 // Concurrency: queries take a read lock for their whole (batch) duration;
 // Add/Remove/compaction swaps take the write lock. The generation counter
@@ -177,8 +179,9 @@ type tableScratch struct {
 	drow   []float64
 	crow   []float64
 	bestD  []float64
-	bestL  []int32
-	counts []uint32 // per-configuration ball counts of the row being filled
+	bestL  []int32  // per configuration: the joined row, -1 when none
+	counts []uint32 // per configuration: the ball count of its joined row
+	fill   []uint32 // per configuration: the ball counts of the row being filled
 }
 
 const (
@@ -305,6 +308,7 @@ func (p *Program) newTable(width int, rows [][]string, opt Options, h *learnedL)
 			bestD:  make([]float64, len(t.configs)),
 			bestL:  make([]int32, len(t.configs)),
 			counts: make([]uint32, len(t.configs)),
+			fill:   make([]uint32, len(t.configs)),
 		}
 	}
 	return t, nil
@@ -693,7 +697,7 @@ func (t *Table) pairDists(ms *tableScratch, e *queryState, ref blocking.Ref) {
 	pl, local := t.payload(ref)
 	var lp config.IDProfile
 	if !t.multi {
-		t.cols[0].Derive(&pl.cols[0], int(local), &ms.da, &lp)
+		t.cols[0].Derive(&pl.cols[0], int(local), config.AllGroups, &ms.da, &lp)
 		t.eval.IDDistances(&lp, e.profs[0], config.AllGroups, ms.esc, ms.drow)
 		return
 	}
@@ -707,7 +711,7 @@ func (t *Table) pairDists(ms *tableScratch, e *queryState, ref blocking.Ref) {
 			}
 			continue
 		}
-		t.cols[j].Derive(&pl.cols[j], int(local), &ms.da, &lp)
+		t.cols[j].Derive(&pl.cols[j], int(local), config.AllGroups, &ms.da, &lp)
 		t.eval.IDDistances(&lp, e.profs[j], config.AllGroups, ms.esc, ms.crow)
 		for ci := range ms.drow {
 			ms.drow[ci] += t.weights[j] * float64(float32(ms.crow[ci]))
@@ -715,45 +719,82 @@ func (t *Table) pairDists(ms *tableScratch, e *queryState, ref blocking.Ref) {
 	}
 }
 
-// ballCount returns the 2θ-ball cardinality of dense row l under
-// configuration ci from the ball cache, filling every configuration's slot
-// of l on the first miss under the current statistics generation.
+// ballCounts sets ms.counts[ci] to the 2θ-ball cardinality of row
+// ms.bestL[ci] under configuration ci, for every configuration that joined
+// (bestL >= 0). A slot tagged with the current statistics generation is
+// read from the ball cache. Each distinct row with cold slots is filled
+// once, under the groups of the configurations that joined to it cold.
 //
 //autofj:hotpath
-func (t *Table) ballCount(ci int, l int32, ms *tableScratch) uint32 {
+func (t *Table) ballCounts(ms *tableScratch) {
 	tag := uint64(t.statsGen) << 32
-	if v := t.balls[ci*t.ballStride+int(l)].Load(); v&^uint64(0xffffffff) == tag && uint32(v) != 0 {
-		return uint32(v)
+	for ci, l := range ms.bestL {
+		if l >= 0 {
+			ms.counts[ci] = t.cachedBall(ci, l, tag)
+		}
 	}
-	t.fillBalls(l, tag, ms)
-	return ms.counts[ci]
+	for ci, l := range ms.bestL {
+		if l < 0 || ms.counts[ci] != 0 {
+			continue
+		}
+		var mask config.GroupMask
+		for cj := ci; cj < len(ms.bestL); cj++ {
+			if ms.bestL[cj] == l && ms.counts[cj] == 0 {
+				mask |= t.eval.Group(cj)
+			}
+		}
+		t.fillBalls(l, mask, tag, ms)
+		for cj := ci; cj < len(ms.bestL); cj++ {
+			if ms.bestL[cj] == l && ms.counts[cj] == 0 {
+				ms.counts[cj] = ms.fill[cj]
+			}
+		}
+	}
 }
 
-// fillBalls counts the balls of dense row l under EVERY configuration in
-// one pass — one self-blocking call, l's id-space view derived once,
-// and one fused evaluator row per ball candidate compared against all the
-// radii — and stores each count tagged with the statistics generation, so
-// mutations invalidate it wholesale and the other configurations that pick
-// l, in this query or a later one, hit. ms.drow/ms.crow are free here:
-// ball counts are only taken after the candidate scan has finished with
-// them. Values are deterministic, so concurrent fills are benign.
+// cachedBall returns the cached ball count of dense row l under
+// configuration ci, or 0 when its slot does not carry tag (a stored count
+// is at least 1).
 //
 //autofj:hotpath
-func (t *Table) fillBalls(l int32, tag uint64, ms *tableScratch) {
+func (t *Table) cachedBall(ci int, l int32, tag uint64) uint32 {
+	v := t.balls[ci*t.ballStride+int(l)].Load()
+	if v&^uint64(0xffffffff) != tag {
+		return 0
+	}
+	return uint32(v)
+}
+
+// fillBalls counts the balls of dense row l under every configuration
+// whose group is in mask, in one pass — one self-blocking call, l's
+// id-space view derived once, and one evaluator row per ball candidate
+// that scores only mask's groups, compared against the radii — and
+// stores those counts in ms.fill and in the ball cache, tagged with the
+// statistics generation, so mutations invalidate them wholesale and the
+// other configurations of those groups, in this query or a later one,
+// hit. The slots of every other configuration are left as they were:
+// their entries of ms.drow (and, multi-column, of ms.crow) hold stale
+// distances, and their counts in ms.fill are meaningless. ms.drow/ms.crow
+// are free here: ball counts are only taken after the candidate scan has
+// finished with them. Values are deterministic, so concurrent fills under
+// any masks are benign.
+//
+//autofj:hotpath
+func (t *Table) fillBalls(l int32, mask config.GroupMask, tag uint64, ms *tableScratch) {
 	ms.ballCands = t.tix.AppendTopKSelf(ms.ballCands[:0], ms.sc, int(l), t.k)
 	apl, alocal := t.payload(t.tix.Ref(int(l)))
 	var pa, pb config.IDProfile
 	if !t.multi { // single-column: l's view, derived once for all candidates
-		t.cols[0].Derive(&apl.cols[0], int(alocal), &ms.da, &pa)
+		t.cols[0].Derive(&apl.cols[0], int(alocal), mask, &ms.da, &pa)
 	}
-	for ci := range ms.counts {
-		ms.counts[ci] = 1
+	for ci := range ms.fill {
+		ms.fill[ci] = 1
 	}
 	for _, c := range ms.ballCands {
 		bpl, blocal := t.payload(t.tix.Ref(int(c.ID)))
 		if !t.multi {
-			t.cols[0].Derive(&bpl.cols[0], int(blocal), &ms.db, &pb)
-			t.eval.IDDistances(&pa, &pb, config.AllGroups, ms.esc, ms.drow)
+			t.cols[0].Derive(&bpl.cols[0], int(blocal), mask, &ms.db, &pb)
+			t.eval.IDDistances(&pa, &pb, mask, ms.esc, ms.drow)
 		} else {
 			clear(ms.drow)
 			for j := range t.cols {
@@ -764,18 +805,20 @@ func (t *Table) fillBalls(l int32, tag uint64, ms *tableScratch) {
 					continue
 				}
 				vocab := t.cols[j]
-				vocab.Derive(&apl.cols[j], int(alocal), &ms.da, &pa)
-				vocab.Derive(&bpl.cols[j], int(blocal), &ms.db, &pb)
-				t.eval.IDDistances(&pa, &pb, config.AllGroups, ms.esc, ms.crow)
+				vocab.Derive(&apl.cols[j], int(alocal), mask, &ms.da, &pa)
+				vocab.Derive(&bpl.cols[j], int(blocal), mask, &ms.db, &pb)
+				t.eval.IDDistances(&pa, &pb, mask, ms.esc, ms.crow)
 				for ci := range ms.drow {
 					ms.drow[ci] += t.weights[j] * float64(float32(ms.crow[ci]))
 				}
 			}
 		}
-		countBallRow(ms.counts, ms.drow, t.radii)
+		countBallRow(ms.fill, ms.drow, t.radii)
 	}
-	for ci, n := range ms.counts {
-		t.balls[ci*t.ballStride+int(l)].Store(tag | uint64(n))
+	for ci, n := range ms.fill {
+		if mask&t.eval.Group(ci) != 0 {
+			t.balls[ci*t.ballStride+int(l)].Store(tag | uint64(n))
+		}
 	}
 }
 
@@ -871,13 +914,19 @@ func (t *Table) score(ms *tableScratch, e *queryState) Match {
 			}
 		}
 	}
+	for ci := range t.configs {
+		if bd := ms.bestD[ci]; bd > t.configs[ci].Threshold || bd >= unjoinableDist {
+			ms.bestL[ci] = -1
+		}
+	}
+	t.ballCounts(ms)
 	best := noMatch()
 	for ci := range t.configs {
 		bl, bd := ms.bestL[ci], ms.bestD[ci]
-		if bl < 0 || bd > t.configs[ci].Threshold || bd >= unjoinableDist {
+		if bl < 0 {
 			continue
 		}
-		pr := 1 / float64(t.ballCount(ci, bl, ms))
+		pr := 1 / float64(ms.counts[ci])
 		switch {
 		case best.Left < 0:
 			best = Match{Left: int(bl), Distance: bd, Precision: pr, Config: ci}

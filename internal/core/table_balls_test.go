@@ -2,21 +2,28 @@ package core
 
 import (
 	"context"
+	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"github.com/chu-data-lab/autofuzzyjoin-go/internal/config"
 )
 
 // expectBallsOracle fills the ball of EVERY live row through the table's
-// fused fill and checks every (configuration, row) count against the
-// pointer oracle: a fresh blocking index and freshly built profiles over
-// the table's current live rows, one JoinFunction.Distance call per
-// (configuration, candidate). The configuration that triggers a row's fill
-// rotates with the row, so slots stored on behalf of other configurations
-// are read back, not just the one that asked. Returns the largest count
-// seen, for vacuity checks.
-func expectBallsOracle(t *testing.T, prog *Program, tab *Table, stage string) uint32 {
+// fused fill under seeded random group masks and checks every
+// (configuration, row) count against the pointer oracle: a fresh blocking
+// index and freshly built profiles over the table's current live rows, one
+// JoinFunction.Distance call per (configuration, candidate). For each cold
+// slot, in an order that rotates with the row, a fill runs under the
+// slot's group plus a random set of the others; it must store exactly the
+// configurations of its mask and leave every other slot as it was. So
+// slots stored on behalf of other configurations are read back, and a
+// multi-column fill that stored a configuration its mask left stale would
+// disagree with the oracle. Returns the largest count seen, for vacuity
+// checks.
+func expectBallsOracle(t *testing.T, prog *Program, tab *Table, stage string, rng *rand.Rand) uint32 {
 	t.Helper()
 	rows := tab.Rows()
 	o := newPointerOracle(t, prog, columnsOf(rows, tab.RowWidth()))
@@ -27,12 +34,41 @@ func expectBallsOracle(t *testing.T, prog *Program, tab *Table, stage string) ui
 	ms := tab.getScratch()
 	defer tab.putScratch(ms)
 	nc := len(tab.configs)
+	tag := uint64(tab.statsGen) << 32
+	before := make([]uint64, nc)
 	var largest uint32
 	for l := range rows {
 		for i := 0; i < nc; i++ {
 			ci := (l + i) % nc
+			if tab.cachedBall(ci, int32(l), tag) != 0 {
+				continue
+			}
+			mask := tab.eval.Group(ci)
+			for cj := range nc {
+				if rng.Intn(3) == 0 {
+					mask |= tab.eval.Group(cj)
+				}
+			}
+			for cj := range nc {
+				before[cj] = tab.balls[cj*tab.ballStride+l].Load()
+			}
+			tab.fillBalls(int32(l), mask, tag, ms)
+			for cj := range nc {
+				after := tab.balls[cj*tab.ballStride+l].Load()
+				if mask&tab.eval.Group(cj) != 0 {
+					if after != tag|uint64(ms.fill[cj]) {
+						t.Fatalf("%s: row %d, mask %#x: configuration %d stored %#x, filled %d",
+							stage, l, mask, cj, after, ms.fill[cj])
+					}
+				} else if after != before[cj] {
+					t.Fatalf("%s: row %d, mask %#x: configuration %d outside the mask went %#x -> %#x",
+						stage, l, mask, cj, before[cj], after)
+				}
+			}
+		}
+		for ci := 0; ci < nc; ci++ {
 			want := o.ballCount(ci, int32(l), sc)
-			if got := tab.ballCount(ci, int32(l), ms); got != want {
+			if got := tab.cachedBall(ci, int32(l), tag); got != want {
 				t.Fatalf("%s: row %d %q, configuration %d: table's fused count %d, oracle %d",
 					stage, l, rows[l], ci, got, want)
 			}
@@ -113,10 +149,12 @@ func ballMultiRows() [][]string {
 
 // TestTableFusedBallsMatchOracle is the fused fill's contract: through
 // delta rows, tombstones, compactions and statistics-generation bumps,
-// every configuration's ball of every live row equals the one-function
-// oracle's count.
+// fills under random group masks store exactly their mask's
+// configurations, and every configuration's ball of every live row equals
+// the one-function oracle's count.
 func TestTableFusedBallsMatchOracle(t *testing.T) {
 	L, _ := makeTask(t, 71, 3)
+	rng := rand.New(rand.NewSource(71))
 	cases := []struct {
 		name  string
 		prog  *Program
@@ -133,25 +171,25 @@ func TestTableFusedBallsMatchOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			largest := expectBallsOracle(t, tc.prog, tab, "initial segment")
+			largest := expectBallsOracle(t, tc.prog, tab, "initial segment", rng)
 
 			if _, err := tab.Add(tc.rows[n-30 : n-10]); err != nil {
 				t.Fatal(err)
 			}
-			largest = max(largest, expectBallsOracle(t, tc.prog, tab, "live delta rows"))
+			largest = max(largest, expectBallsOracle(t, tc.prog, tab, "live delta rows", rng))
 
 			// Tombstones in the segment and in the delta.
 			if _, err := tab.Remove([]int{0, 3, 21, n - 29, n - 12}); err != nil {
 				t.Fatal(err)
 			}
-			largest = max(largest, expectBallsOracle(t, tc.prog, tab, "tombstones"))
+			largest = max(largest, expectBallsOracle(t, tc.prog, tab, "tombstones", rng))
 
 			// Compaction keeps the statistics generation: the counts just
 			// filled are served from the cache over the new layout.
 			if did, err := tab.Compact(context.Background()); err != nil || !did {
 				t.Fatalf("compact: did=%v err=%v", did, err)
 			}
-			largest = max(largest, expectBallsOracle(t, tc.prog, tab, "after compaction"))
+			largest = max(largest, expectBallsOracle(t, tc.prog, tab, "after compaction", rng))
 
 			if _, err := tab.Add(tc.rows[n-10:]); err != nil {
 				t.Fatal(err)
@@ -159,7 +197,7 @@ func TestTableFusedBallsMatchOracle(t *testing.T) {
 			if _, err := tab.Remove([]int{1, tab.Len() - 1}); err != nil {
 				t.Fatal(err)
 			}
-			largest = max(largest, expectBallsOracle(t, tc.prog, tab, "post-compaction churn"))
+			largest = max(largest, expectBallsOracle(t, tc.prog, tab, "post-compaction churn", rng))
 
 			if largest < 3 {
 				t.Fatalf("largest ball holds %d rows; the comparison is vacuous", largest)
@@ -168,72 +206,130 @@ func TestTableFusedBallsMatchOracle(t *testing.T) {
 	}
 }
 
-// ballSlotsCurrent counts the configurations whose cached ball of dense row
-// l carries the current statistics generation.
-func ballSlotsCurrent(tab *Table, l int) int {
-	tab.mu.RLock()
-	defer tab.mu.RUnlock()
-	n := 0
-	for ci := range tab.configs {
-		v := tab.balls[ci*tab.ballStride+l].Load()
-		if uint32(v>>32) == tab.statsGen && uint32(v) != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// TestTableBallFillStoresEveryConfiguration: one miss whose winner is row
-// l leaves ALL configurations' slots of l current — no later query can
-// make a second self-blocking call for l — and Add and Remove each leave
-// no slot of any row current.
-func TestTableBallFillStoresEveryConfiguration(t *testing.T) {
+// TestTableBallFillStoresJoinedGroups: a miss won by row l fills l's
+// ball under the groups of the configurations that joined to it, each
+// count equal to the oracle's, and leaves every other group's slots of l
+// cold; a later query that joins l under another group fills that group
+// without storing the slots already current again; and Add and Remove
+// each leave no slot of any row current.
+func TestTableBallFillStoresJoinedGroups(t *testing.T) {
 	L, R := makeTask(t, 73, 3)
 	prog := tableTestProgram()
-	tab, err := prog.NewTable(1, toRows(L[:200]), Options{})
+	tab, err := prog.NewTable(1, toRows(L[:200]), Options{QueryCacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	nc := len(tab.configs)
+	current := func(l, ci int) bool {
+		return tab.cachedBall(ci, int32(l), uint64(tab.statsGen)<<32) != 0
+	}
 	expectCold := func(stage string) {
 		t.Helper()
 		for l := 0; l < tab.Len(); l++ {
-			if n := ballSlotsCurrent(tab, l); n != 0 {
-				t.Fatalf("%s: row %d has %d current ball slots, want 0", stage, l, n)
+			for ci := 0; ci < nc; ci++ {
+				if current(l, ci) {
+					t.Fatalf("%s: row %d configuration %d has a current ball slot", stage, l, ci)
+				}
 			}
 		}
 	}
-	// matchWinner runs queries until one joins, and returns the winner.
-	matchWinner := func(stage string) int {
-		t.Helper()
-		for _, q := range R {
-			m, ok, err := tab.Match(context.Background(), q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ok {
-				return m.Left
+	// miss scores q, result cache bypassed, and returns the match and, by
+	// configuration, the row it joined (-1 when none).
+	miss := func(q string) (Match, []int32) {
+		tab.mu.RLock()
+		defer tab.mu.RUnlock()
+		ms := tab.getScratch()
+		defer tab.putScratch(ms)
+		m := tab.score(ms, tab.fillQuery(ms, q, nil))
+		return m, append([]int32(nil), ms.bestL...)
+	}
+	joinedMask := func(bestL []int32, l int) config.GroupMask {
+		var mask config.GroupMask
+		for ci, bl := range bestL {
+			if int(bl) == l {
+				mask |= tab.eval.Group(ci)
 			}
 		}
-		t.Fatalf("%s: no query joined; the test is vacuous", stage)
-		return -1
+		return mask
+	}
+	var allGroups config.GroupMask
+	for ci := 0; ci < nc; ci++ {
+		allGroups |= tab.eval.Group(ci)
 	}
 
 	expectCold("fresh table")
-	l := matchWinner("fresh table")
-	if n := ballSlotsCurrent(tab, l); n != nc {
-		t.Fatalf("after a miss won by row %d: %d of %d configurations' slots are current", l, n, nc)
+	// The first query that joins under only some of the groups.
+	l := -1
+	var mask config.GroupMask
+	for _, q := range R {
+		m, bestL := miss(q)
+		if m.Left >= 0 {
+			if mask = joinedMask(bestL, m.Left); mask != allGroups {
+				l = m.Left
+				break
+			}
+		}
+	}
+	if l < 0 {
+		t.Fatal("no query joined under only some groups; the test is vacuous")
+	}
+	rows := tab.Rows()
+	o := newPointerOracle(t, prog, columnsOf(rows, 1))
+	sc := o.ix.NewScratch()
+	for ci := 0; ci < nc; ci++ {
+		v := tab.balls[ci*tab.ballStride+l].Load()
+		if mask&tab.eval.Group(ci) == 0 {
+			if current(l, ci) {
+				t.Fatalf("row %d configuration %d outside the joined groups %#x: slot is current", l, ci, mask)
+			}
+			continue
+		}
+		if want := o.ballCount(ci, int32(l), sc); !current(l, ci) || uint32(v) != want {
+			t.Fatalf("row %d configuration %d: slot %#x, oracle count %d", l, ci, v, want)
+		}
+	}
+
+	// Row l's own string joins l under the other groups too. Mark the
+	// current slots with a count no fill computes: they must keep it.
+	const marked = 1 << 20
+	tag := uint64(tab.statsGen) << 32
+	for ci := 0; ci < nc; ci++ {
+		if current(l, ci) {
+			tab.balls[ci*tab.ballStride+l].Store(tag | marked)
+		}
+	}
+	_, bestL := miss(rows[l][0])
+	if again := joinedMask(bestL, l); again&^mask == 0 {
+		t.Fatalf("row %d's own string joins it only under the groups %#x already filled", l, mask)
+	}
+	for ci := 0; ci < nc; ci++ {
+		v := tab.balls[ci*tab.ballStride+l].Load()
+		switch {
+		case mask&tab.eval.Group(ci) != 0:
+			if v != tag|marked {
+				t.Fatalf("row %d configuration %d: a current slot was stored again (%#x)", l, ci, v)
+			}
+		case bestL[ci] == int32(l):
+			if want := o.ballCount(ci, int32(l), sc); !current(l, ci) || uint32(v) != want {
+				t.Fatalf("row %d configuration %d, second query: slot %#x, oracle count %d", l, ci, v, want)
+			}
+		}
 	}
 
 	if _, err := tab.Add(toRows(L[200:210])); err != nil {
 		t.Fatal(err)
 	}
 	expectCold("after Add")
-	l = matchWinner("after Add")
-	if n := ballSlotsCurrent(tab, l); n != nc {
-		t.Fatalf("after Add, a miss won by row %d: %d of %d slots are current", l, n, nc)
+	joined := false
+	for _, q := range R {
+		if m, _ := miss(q); m.Left >= 0 {
+			joined = true
+			break
+		}
 	}
-
+	if !joined {
+		t.Fatal("after Add: no query joined; the Remove step is vacuous")
+	}
 	if _, err := tab.Remove([]int{tab.Len() - 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -241,10 +337,11 @@ func TestTableBallFillStoresEveryConfiguration(t *testing.T) {
 }
 
 // TestTableBallFillsUnderTraffic is the fused fill's concurrency contract
-// under -race: 8 goroutines fill overlapping rows at once — each checking
-// that the count it was handed is the count the cache then serves and the
-// count an independent refill computes — while a mutator adds and removes
-// rows, bumping the statistics generation under them. The surviving table
+// under -race: 8 goroutines fill overlapping rows at once, under
+// different group masks — each checking that the count it was handed is
+// the count the cache then serves and the count an independent refill
+// computes — while a mutator adds and removes rows, bumping the
+// statistics generation under them. The surviving table
 // must agree with the oracle on every (configuration, row).
 func TestTableBallFillsUnderTraffic(t *testing.T) {
 	L, _ := makeTask(t, 79, 2)
@@ -292,13 +389,17 @@ func TestTableBallFillsUnderTraffic(t *testing.T) {
 				for i := 0; i < 12; i++ {
 					l := int32((g*5 + round*3 + i) % n)
 					ci := (g + i) % nc
-					got := tab.ballCount(ci, l, ms)
-					if again := tab.ballCount(ci, l, ms); again != got {
+					got := tab.cachedBall(ci, l, tag)
+					if got == 0 {
+						tab.fillBalls(l, tab.eval.Group(ci)|tab.eval.Group((ci+g)%nc), tag, ms)
+						got = ms.fill[ci]
+					}
+					if again := tab.cachedBall(ci, l, tag); again != got {
 						t.Errorf("row %d configuration %d: filled %d, then served %d", l, ci, got, again)
 					}
-					tab.fillBalls(l, tag, ms2)
-					if ms2.counts[ci] != got {
-						t.Errorf("row %d configuration %d: filled %d, refill computes %d", l, ci, got, ms2.counts[ci])
+					tab.fillBalls(l, tab.eval.Group(ci), tag, ms2)
+					if ms2.fill[ci] != got {
+						t.Errorf("row %d configuration %d: filled %d, refill computes %d", l, ci, got, ms2.fill[ci])
 					}
 				}
 				tab.putScratch(ms)
@@ -311,5 +412,5 @@ func TestTableBallFillsUnderTraffic(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	expectBallsOracle(t, prog, tab, "after the storm")
+	expectBallsOracle(t, prog, tab, "after the storm", rand.New(rand.NewSource(79)))
 }
