@@ -20,10 +20,10 @@ import (
 // the count the test measures, in the same change that moves it.
 const (
 	topKAllocBudget         = 0   // per pass of 512 blocking top-k queries
-	evaluatorAllocBudget    = 0   // per pass of 64 full-space IDDistances pairs over learn views
+	evaluatorAllocBudget    = 0   // per pass of 64 full-space ViewDistances pairs over learn views
 	tableAddAllocBudget     = 40  // per Table.Add of one row
-	matchDeltaAllocBudget   = 10  // per cache-off Match with a 256-row delta
-	snapshotLoadAllocBudget = 188 // per LoadTableFile of the 10k-row table; 181 on Linux
+	matchDeltaAllocBudget   = 6   // per cache-off Match with a 256-row delta
+	snapshotLoadAllocBudget = 188 // per LoadTableFile of the 10k-row table; 182 on Linux
 )
 
 // TestAllocationBudgets pins the allocation count of each hot path at
@@ -56,10 +56,13 @@ func TestAllocationBudgets(t *testing.T) {
 	views := config.LearnProfiles(space, 1, recs)[0]
 	ev := config.NewEvaluator(space)
 	evSc := ev.NewScratch()
+	var side config.Side
 	out := make([]float64, len(space))
-	check("Evaluator.IDDistances", evaluatorAllocBudget, 5, func() {
+	check("Evaluator.ViewDistances", evaluatorAllocBudget, 5, func() {
 		for i := range views {
-			ev.IDDistances(&views[i], &views[(i+7)%len(views)], config.AllGroups, evSc, out)
+			f := side.PrepareView(&views[i], true)
+			ev.ViewDistances(&f, &views[(i+7)%len(views)], config.AllGroups, evSc, out)
+			side.Release()
 		}
 	})
 

@@ -1,14 +1,16 @@
 package autofj
 
-// The root package keeps one benchmark: the profiled serving path that
-// CI archives as its table CPU profile. Timings of record come from the
-// benchmark ledger under bench/; allocation counts are pinned by
-// TestAllocationBudgets, which shares this file's fixtures.
+// The root package keeps two benchmarks: the profiled serving path that
+// CI archives as its table CPU profile, and the same path over a large
+// vocabulary. Timings of record come from the benchmark ledger under
+// bench/; allocation counts are pinned by TestAllocationBudgets, which
+// shares this file's fixtures.
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/core"
@@ -72,6 +74,60 @@ func BenchmarkTableMatchWithDelta(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkTableMatchBigVocab is BenchmarkTableMatchWithDelta's query
+// path over a table whose vocabulary is large: 40k rows of 3–6 words
+// drawn from 10^5 random words. A miss prepares the query once into
+// tables as long as the vocabulary, so this is the shape where that
+// costs most; side_B reports their bytes per pooled scratch (8 B per slot
+// of the program's one IDF word representation, with the tables' 1/4
+// growth slack).
+func BenchmarkTableMatchBigVocab(b *testing.B) {
+	rng := rand.New(rand.NewSource(23))
+	words := make([]string, 100000)
+	for i := range words {
+		w := make([]byte, 4+rng.Intn(6))
+		for k := range w {
+			w[k] = byte('a' + rng.Intn(26))
+		}
+		words[i] = string(w)
+	}
+	record := func() string {
+		n := 3 + rng.Intn(4)
+		parts := make([]string, n)
+		for k := range parts {
+			parts[k] = words[rng.Intn(len(words))]
+		}
+		return strings.Join(parts, " ")
+	}
+	rows := make([][]string, 40000)
+	distinct := map[string]bool{}
+	for i := range rows {
+		rows[i] = []string{record()}
+		for _, w := range strings.Fields(rows[i][0]) {
+			distinct[w] = true
+		}
+	}
+	queries := make([]string, 2000)
+	for i := range queries {
+		q := []byte(rows[rng.Intn(len(rows))][0])
+		q[rng.Intn(len(q))] = byte('a' + rng.Intn(26)) // a typo
+		queries[i] = string(q)
+	}
+	tab, err := servingProgram().NewTable(1, rows, Options{QueryCacheSize: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := tab.Match(ctx, queries[i%len(queries)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(8*(len(distinct)+len(distinct)/4)), "side_B")
 }
 
 // blockingBenchTables synthesizes a ≥10k-record reference table and query

@@ -16,6 +16,7 @@ func StaticJoins(left, right []string, space []config.JoinFunction, cands [][]in
 	// function of the space at once (see config.Evaluator).
 	ev := config.NewEvaluator(space)
 	sc := ev.NewScratch()
+	var side config.Side
 	row := make([]float64, len(space))
 	bestL := make([]int32, len(space))
 	bestD := make([]float64, len(space))
@@ -24,8 +25,9 @@ func StaticJoins(left, right []string, space []config.JoinFunction, cands [][]in
 		for fi := range space {
 			bestL[fi], bestD[fi] = -1, 2.0
 		}
+		f := side.PrepareView(&viewR[r], false)
 		for _, l := range cs {
-			ev.IDDistances(&viewL[l], &viewR[r], config.AllGroups, sc, row)
+			ev.ViewDistances(&f, &viewL[l], config.AllGroups, sc, row)
 			for fi := range space {
 				if row[fi] < bestD[fi] {
 					bestD[fi] = row[fi]
@@ -33,6 +35,7 @@ func StaticJoins(left, right []string, space []config.JoinFunction, cands [][]in
 				}
 			}
 		}
+		side.Release()
 		for fi := range space {
 			if bestL[fi] >= 0 && bestD[fi] < 1 {
 				out[fi] = append(out[fi], metrics.ScoredJoin{Right: r, Left: int(bestL[fi]), Score: 1 - bestD[fi]})
@@ -72,6 +75,7 @@ func UpperBoundRecall(left, right []string, space []config.JoinFunction, cands [
 	viewL, viewR := views[0], views[1]
 	ev := config.NewEvaluator(space)
 	sc := ev.NewScratch()
+	var side config.Side
 	row := make([]float64, len(space))
 	bestL := make([]int32, len(space))
 	bestD := make([]float64, len(space))
@@ -83,8 +87,9 @@ func UpperBoundRecall(left, right []string, space []config.JoinFunction, cands [
 		for fi := range space {
 			bestL[fi], bestD[fi] = -1, 2.0
 		}
+		f := side.PrepareView(&viewR[r], false)
 		for _, l := range cands[r] {
-			ev.IDDistances(&viewL[l], &viewR[r], config.AllGroups, sc, row)
+			ev.ViewDistances(&f, &viewL[l], config.AllGroups, sc, row)
 			for fi := range space {
 				if row[fi] < bestD[fi] {
 					bestD[fi] = row[fi]
@@ -92,6 +97,7 @@ func UpperBoundRecall(left, right []string, space []config.JoinFunction, cands [
 				}
 			}
 		}
+		side.Release()
 		for fi := range space {
 			if int(bestL[fi]) == tl && bestD[fi] < 1 {
 				feasible++

@@ -6,8 +6,8 @@ import "github.com/chu-data-lab/autofuzzyjoin-go/internal/parallel"
 // stores its rows, by the same row builder: a Vocab holding the
 // collection's token statistics and a Rows block of integer slot runs
 // into it. Evaluator.ArenaDistances scores a stored record against a
-// query profile by Vocab.Derive and Evaluator.IDDistances, the path
-// core.Table serves with.
+// prepared query by Evaluator.RowDistances, the path core.Table serves
+// with.
 //
 // An arena is immutable after BuildArena and safe for concurrent use.
 type ProfileArena struct {
@@ -50,16 +50,17 @@ func (c *Corpus) BuildArena(profs []*Profile) *ProfileArena {
 // arenaChunk bounds the counted records BuildArena holds at once.
 const arenaChunk = 256
 
-// ArenaQuery builds the query profile of one record against the arena's
-// vocabulary (see Vocab.Query).
-func (c *Corpus) ArenaQuery(a *ProfileArena, s string) *IDProfile { return a.v.Query(s) }
+// ArenaQuery prepares one record as the query side against the arena's
+// vocabulary, in tables of its own (see Vocab.PrepareQuery).
+func (c *Corpus) ArenaQuery(a *ProfileArena, s string) *Fixed {
+	f := a.v.PrepareQuery(new(Side), s, AllGroups)
+	return &f
+}
 
-// ArenaDistances is IDDistances between record l of the arena, derived
-// into sc, and a query profile from ArenaQuery.
+// ArenaDistances is RowDistances between record l of the arena and a
+// query from ArenaQuery.
 //
 //autofj:hotpath
-func (e *Evaluator) ArenaDistances(a *ProfileArena, l int32, q *IDProfile, sc *EvalScratch, out []float64) {
-	var ref IDProfile
-	a.v.Derive(&a.rows, int(l), AllGroups, &sc.derive, &ref)
-	e.IDDistances(&ref, q, AllGroups, sc, out)
+func (e *Evaluator) ArenaDistances(a *ProfileArena, l int32, q *Fixed, sc *EvalScratch, out []float64) {
+	e.RowDistances(q, &a.rows, int(l), AllGroups, sc, out)
 }

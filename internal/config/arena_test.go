@@ -34,7 +34,7 @@ func TestArenaDistancesMatchProfiles(t *testing.T) {
 			if arena.Len() != len(refs) {
 				t.Fatalf("%s task %d: arena holds %d records, want %d", name, id, arena.Len(), len(refs))
 			}
-			check := func(l int, s string, qa *IDProfile, qp *Profile) {
+			check := func(l int, s string, qa *Fixed, qp *Profile) {
 				ev.ArenaDistances(arena, int32(l), qa, sc, got)
 				ev.Distances(profs[l], qp, sc, want)
 				for fi, f := range space {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"unicode/utf8"
 
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/distance"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/embed"
@@ -24,8 +25,8 @@ import (
 // encoded, and a Vocab interns them by key, making a gram's string once,
 // when its slot is new. LearnProfiles counts each representation the same
 // way (learnRep). Weights derive from the counts with weighIDF's
-// arithmetic (weighRun), once per record when learning and per candidate
-// in a table.
+// arithmetic, once per record when learning, and in a table once per
+// prepared side and per candidate token inside the set kernel.
 //
 // Corpus.CountProfile is the string form of the same counts — one heap
 // string per token, sorted with sort.Strings — kept as the base of the
@@ -134,14 +135,17 @@ type tokenRun struct {
 // count fills run with the count vector of s under tok, reusing its
 // buffers. The values, in the same floating-point order, are countVec's.
 func (run *tokenRun) count(tok tokenize.Option, s string) {
+	// The buffers are grown once to a bound on the token count: runes + 2
+	// grams, or (bytes + 1) / 2 words.
 	if tok == tokenize.QGram3 {
-		keys := tokenize.AppendGramKeys(run.keys[:0], s)
+		n := utf8.RuneCountInString(s) + 2
+		keys := tokenize.AppendGramKeys(slices.Grow(run.keys[:0], n), s)
 		slices.Sort(keys)
-		run.keys, run.counts = rle(keys, run.counts[:0])
+		run.keys, run.counts = rle(keys, slices.Grow(run.counts[:0], len(keys)))
 	} else {
-		words := tokenize.AppendWords(run.words[:0], s)
+		words := tokenize.AppendWords(slices.Grow(run.words[:0], (len(s)+1)/2), s)
 		sort.Strings(words)
-		run.words, run.counts = rle(words, run.counts[:0])
+		run.words, run.counts = rle(words, slices.Grow(run.counts[:0], len(words)))
 	}
 	var sum, norm float64
 	for _, c := range run.counts {

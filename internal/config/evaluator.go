@@ -26,7 +26,11 @@ import (
 //
 // For the full 140-function space this turns ~140 kernel invocations per
 // candidate pair into at most 16 merges + 4 char-pair DP groups + 4 dot
-// products. IDDistances scores less still:
+// products. RowDistances and ViewDistances, the id-space entry points,
+// score less still:
+//
+//   - one side of a run of pairs is prepared once (Side), and each set
+//     group is one pass over the other side's stored run;
 //
 //   - a group whose pre-processing gives both records the same strings as
 //     an earlier group's copies that group's kernel result instead of
@@ -37,9 +41,10 @@ import (
 //     often agree — lower-casing and punctuation removal give the same
 //     string for most records without punctuation — and the record builds
 //     share equal strings, so the check is usually a pointer compare;
+//
 //   - a GroupMask selects the groups to score, so a caller that needs only
-//     some functions (learning's ball pass, core.prepare phase 3) runs
-//     only their kernels.
+//     some functions (learning's ball pass, core.prepare phase 3, and a
+//     table's ball fill) runs only their kernels.
 //
 // Distances are bit-identical to JoinFunction.Distance — the plans reuse
 // the exact arithmetic of the single-function kernels, and a copied
@@ -63,7 +68,7 @@ type Evaluator struct {
 // embedding groups, so every group has a bit.
 type GroupMask uint64
 
-// AllGroups selects every group: IDDistances fills every function's slot.
+// AllGroups selects every group: RowDistances fills every function's slot.
 const AllGroups = ^GroupMask(0)
 
 // slot routes one group member back to its function index in the space.
@@ -113,10 +118,9 @@ type embPlan struct {
 // EvalScratch is the reusable per-worker state of an Evaluator. It is
 // not safe for concurrent use; give each worker its own.
 type EvalScratch struct {
-	char   distance.CharScratch
-	derive DeriveBuf // ArenaDistances' reference-row buffers
-	// The kernel results of the current IDDistances call, by group, for
-	// later groups to copy.
+	char distance.CharScratch
+	// The kernel results of the current RowDistances or ViewDistances
+	// call, by group, for later groups to copy.
 	cd [numPre]distance.CharDists
 	sd [numPre * numTok * numWt]distance.SetDists
 	ed [numPre]float64
@@ -225,7 +229,7 @@ func covers(a, b distance.CharNeed) bool {
 }
 
 // Group returns the bit of the group that scores function fi: the mask
-// under which IDDistances fills out[fi].
+// under which RowDistances fills out[fi].
 func (e *Evaluator) Group(fi int) GroupMask { return e.group[fi] }
 
 // NumFunctions returns the size of the dense distance vector Distances
@@ -259,26 +263,44 @@ func (e *Evaluator) Distances(l, r *Profile, sc *EvalScratch, out []float64) {
 	}
 }
 
-// IDDistances is Distances over id-space profiles (see Vocab): the set
-// kernels merge lexically ranked token ids with distance.SetFamilyIDs and
-// the embedding dot product runs over flat slices, so the values are
-// bit-identical to Distances on the equivalent Profiles. l is the
-// reference-side row, r the query side (or a second reference row).
-//
-// Only the groups in mask are scored: out[fi] is filled for every
-// function whose Group is in mask, and every other slot is left as it
-// was. A group copies the result of an earlier group scored in the same
-// call whose processed strings coincide with its own on both records.
+// RowDistances is Distances between the prepared record f and row i of
+// s, rows of f's vocabulary, oriented as f was prepared, and bit-identical
+// to Distances on the equivalent Profiles. Only the groups in mask, which
+// f must be prepared for, are scored: out[fi] is filled for every function
+// whose Group is in mask, and every other slot is left as it was. A group
+// copies the result of an earlier group scored in the same call whose
+// processed strings coincide with its own on both records.
 //
 //autofj:hotpath
-func (e *Evaluator) IDDistances(l, r *IDProfile, mask GroupMask, sc *EvalScratch, out []float64) {
+func (e *Evaluator) RowDistances(f *Fixed, s *Rows, i int, mask GroupMask, sc *EvalScratch, out []float64) {
+	o := s.record(i)
+	e.distances(f, &o, s, i, nil, mask, sc, out)
+}
+
+// ViewDistances is RowDistances between the prepared learn view f and
+// learn view x of the same LearnProfiles call.
+//
+//autofj:hotpath
+func (e *Evaluator) ViewDistances(f *Fixed, x *IDProfile, mask GroupMask, sc *EvalScratch, out []float64) {
+	e.distances(f, &x.Record, nil, 0, x, mask, sc, out)
+}
+
+// distances scores f against the record o: row i of s, or learn view x
+// when s is nil.
+//
+//autofj:hotpath
+func (e *Evaluator) distances(f *Fixed, o *Record, s *Rows, i int, x *IDProfile, mask GroupMask, sc *EvalScratch, out []float64) {
+	l, r := &f.rec, o
+	if !f.l {
+		l, r = o, &f.rec
+	}
 	for gi := range e.char {
 		g := &e.char[gi]
 		if mask&g.bit == 0 {
 			continue
 		}
-		if s := copySource(g.from, mask, g.pre, l, r); s >= 0 {
-			sc.cd[gi] = sc.cd[s]
+		if src := copySource(g.from, mask, g.pre, l, r); src >= 0 {
+			sc.cd[gi] = sc.cd[src]
 		} else {
 			sc.cd[gi] = sc.char.Distances(l.proc[g.pre], r.proc[g.pre], g.need)
 		}
@@ -289,10 +311,22 @@ func (e *Evaluator) IDDistances(l, r *IDProfile, mask GroupMask, sc *EvalScratch
 		if mask&g.bit == 0 {
 			continue
 		}
-		if s := copySource(g.from, mask, g.pre, l, r); s >= 0 {
-			sc.sd[gi] = sc.sd[s]
-		} else {
-			sc.sd[gi] = distance.SetFamilyIDs(l.vec[g.pre][g.tok][g.wt], r.vec[g.pre][g.tok][g.wt])
+		p := &f.side.set[g.pre][g.tok][g.wt]
+		switch src := copySource(g.from, mask, g.pre, l, r); {
+		case src >= 0:
+			sc.sd[gi] = sc.sd[src]
+		case s == nil:
+			v := &x.vec[g.pre][g.tok][g.wt]
+			sc.sd[gi] = distance.SetFamilyRun(p, v.ids, v.w, v.sum, v.norm, f.l)
+		default:
+			lay := s.lay
+			at := i*len(lay.reps) + int(lay.rep[g.pre][g.tok])
+			lo, hi := s.off[at], s.off[at+1]
+			if g.wt == weights.IDF {
+				sc.sd[gi] = p.SetFamilyIDF(s.slots[lo:hi], s.counts[lo:hi], f.v.reps[lay.rep[g.pre][g.tok]].sw, f.l)
+			} else {
+				sc.sd[gi] = distance.SetFamilyRun(p, s.slots[lo:hi], s.counts[lo:hi], s.sums[2*at], s.sums[2*at+1], f.l)
+			}
 		}
 		scatterSet(g, sc.sd[gi], out)
 	}
@@ -301,8 +335,8 @@ func (e *Evaluator) IDDistances(l, r *IDProfile, mask GroupMask, sc *EvalScratch
 		if mask&g.bit == 0 {
 			continue
 		}
-		if s := copySource(g.from, mask, g.pre, l, r); s >= 0 {
-			sc.ed[gi] = sc.ed[s]
+		if src := copySource(g.from, mask, g.pre, l, r); src >= 0 {
+			sc.ed[gi] = sc.ed[src]
 		} else {
 			sc.ed[gi] = embed.CosineDistanceFlat(l.emb[g.pre], r.emb[g.pre])
 		}
@@ -317,7 +351,7 @@ func (e *Evaluator) IDDistances(l, r *IDProfile, mask GroupMask, sc *EvalScratch
 // kernel result is then the one pre's group would compute.
 //
 //autofj:hotpath
-func copySource(from []source, mask GroupMask, pre textproc.Option, l, r *IDProfile) int {
+func copySource(from []source, mask GroupMask, pre textproc.Option, l, r *Record) int {
 	for _, s := range from {
 		if mask&s.bit != 0 && l.proc[s.pre] == l.proc[pre] && r.proc[s.pre] == r.proc[pre] {
 			return int(s.gi)

@@ -2,7 +2,6 @@ package config
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -102,12 +101,19 @@ func TestEvaluatorDuplicateFunctions(t *testing.T) {
 	}
 }
 
-// TestIDDistancesMask: IDDistances under a group mask fills exactly the
-// functions whose group the mask selects, with the values of an unmasked
-// call, and leaves every other slot untouched — over the learn views and
-// over table rows against queries, the latter with out-of-vocabulary
-// tokens so masked copying crosses the Extra path, and with the row
-// derived under the same mask.
+// TestIDDistancesMask: the id-space entry points under a group mask fill
+// exactly the functions whose group the mask selects, with the values of
+// an unmasked call, and leave every other slot untouched; unmasked, they
+// equal Distances on string profiles bit for bit. Every pair is prepared
+// under the mask it is scored with, in each orientation a caller uses:
+//   - a learn view prepared as l against a view, and as r;
+//   - a stored row as l against a prepared query as r, the query with a
+//     token no row holds, so masked copying crosses the out-of-vocabulary
+//     path;
+//   - a prepared center as l against a stored row as r;
+//
+// and the table cases again after Add and Remove have grown the
+// vocabulary past the size of the tables an earlier prepare sized.
 func TestIDDistancesMask(t *testing.T) {
 	spaces := map[string][]JoinFunction{
 		"Space":         Space(),
@@ -124,6 +130,7 @@ func TestIDDistancesMask(t *testing.T) {
 			}
 			ev := NewEvaluator(space)
 			sc := ev.NewScratch()
+			ref := make([]float64, len(space))
 			want := make([]float64, len(space))
 			got := make([]float64, len(space))
 			// randMask ORs the groups of a random subset of functions, as
@@ -140,88 +147,133 @@ func TestIDDistancesMask(t *testing.T) {
 				}
 				return m
 			}
-			// check scores (l, r) under random masks, each time right after
-			// scoring the decoy pair (dl, dr) on the same scratch, so a group
-			// that copied a result its mask did not score would read the
-			// decoy's.
-			check := func(what string, l, r, dl, dr *IDProfile) {
+			// check scores one pair under random masks, each time right
+			// after scoring a decoy pair on the same scratch and Side, so a
+			// group that copied a result its mask did not score would read
+			// the decoy's, and a table the decoy left uncleared would
+			// pollute the pair. The unmasked scores must equal ref.
+			type scorer func(mask GroupMask, out []float64)
+			check := func(what string, score, decoy scorer) {
 				t.Helper()
-				ev.IDDistances(l, r, AllGroups, sc, want)
+				score(AllGroups, want)
+				for fi, fn := range space {
+					if !sameBits(want[fi], ref[fi]) {
+						t.Fatalf("%s, fn %s: got %v, Distances %v", what, fn.Name(), want[fi], ref[fi])
+					}
+				}
 				for trial := 0; trial < 8; trial++ {
 					mask := randMask()
-					ev.IDDistances(dl, dr, AllGroups, sc, got)
+					decoy(AllGroups, got)
 					for fi := range got {
 						got[fi] = untouched
 					}
-					ev.IDDistances(l, r, mask, sc, got)
+					score(mask, got)
 					for fi, fn := range space {
 						exp := untouched
 						if ev.Group(fi)&mask != 0 {
 							exp = want[fi]
 						}
-						if math.Float64bits(got[fi]) != math.Float64bits(exp) {
+						if !sameBits(got[fi], exp) {
 							t.Fatalf("%s, mask %#x, fn %s: got %v, want %v", what, mask, fn.Name(), got[fi], exp)
 						}
 					}
 				}
 			}
+			var side Side
 
 			views := LearnProfiles(space, 1, recs)[0]
+			profs := NewCorpus(space, recs).Profiles(recs, 1)
+			viewPair := func(fixed, other int, l bool) scorer {
+				return func(mask GroupMask, out []float64) {
+					f := side.PrepareView(&views[fixed], l)
+					ev.ViewDistances(&f, &views[other], mask, sc, out)
+					side.Release()
+				}
+			}
 			for i := range views {
 				j, k := rng.Intn(len(views)), rng.Intn(len(views))
-				check(fmt.Sprintf("learn views %q, %q", recs[i], recs[j]), &views[i], &views[j], &views[k], &views[i])
+				ev.Distances(profs[i], profs[j], sc, ref)
+				check(fmt.Sprintf("view %q as l, view %q", recs[i], recs[j]), viewPair(i, j, true), viewPair(k, i, true))
+				check(fmt.Sprintf("view %q, view %q as r", recs[i], recs[j]), viewPair(j, i, false), viewPair(i, k, false))
 			}
 
 			v := NewVocab(space)
-			rows := v.NewRows(len(recs), 0)
-			for _, rec := range recs {
-				v.AppendRecord(&rows, rec)
+			rows := v.NewRows(0, 0)
+			var stored []string
+			var live []bool
+			add := func(ss ...string) {
+				for _, s := range ss {
+					v.AppendRecord(&rows, s)
+					stored = append(stored, s)
+					live = append(live, true)
+				}
+				v.Settle()
 			}
-			v.Settle()
-			var buf DeriveBuf
-			var ref IDProfile
-			for i, rec := range recs {
-				v.Derive(&rows, i, AllGroups, &buf, &ref)
-				q := recs[rng.Intn(len(recs))] + " zqxj"
-				qp := v.Query(q)
-				decoy := v.Query(recs[rng.Intn(len(recs))])
-				check(fmt.Sprintf("row %q, query %q", rec, q), &ref, qp, &ref, decoy)
-
-				// Row i derived under the mask over another row's view: the
-				// set vectors a masked Derive leaves stale are ones the
-				// mask's groups never read.
-				ev.IDDistances(&ref, qp, AllGroups, sc, want)
-				for trial := 0; trial < 8; trial++ {
-					mask := randMask()
-					v.Derive(&rows, rng.Intn(len(recs)), AllGroups, &buf, &ref)
-					v.Derive(&rows, i, mask, &buf, &ref)
-					for fi := range got {
-						got[fi] = untouched
-					}
-					ev.IDDistances(&ref, qp, mask, sc, got)
-					for fi, fn := range space {
-						exp := untouched
-						if ev.Group(fi)&mask != 0 {
-							exp = want[fi]
-						}
-						if math.Float64bits(got[fi]) != math.Float64bits(exp) {
-							t.Fatalf("row %q derived under mask %#x, query %q, fn %s: got %v, want %v",
-								rec, mask, q, fn.Name(), got[fi], exp)
-						}
-					}
+			queryPair := func(q string, row int) scorer {
+				return func(mask GroupMask, out []float64) {
+					f := v.PrepareQuery(&side, q, mask)
+					ev.RowDistances(&f, &rows, row, mask, sc, out)
+					side.Release()
 				}
 			}
+			centerPair := func(center, row int) scorer {
+				return func(mask GroupMask, out []float64) {
+					f := v.PrepareRow(&side, &rows, center, mask)
+					ev.RowDistances(&f, &rows, row, mask, sc, out)
+					side.Release()
+				}
+			}
+			tableChecks := func(stage string) {
+				t.Helper()
+				var liveIdx []int
+				var liveRecs []string
+				for i, s := range stored {
+					if live[i] {
+						liveIdx = append(liveIdx, i)
+						liveRecs = append(liveRecs, s)
+					}
+				}
+				oracle := NewCorpus(space, liveRecs)
+				for _, i := range liveIdx {
+					j := liveIdx[rng.Intn(len(liveIdx))]
+					q := recs[rng.Intn(len(recs))] + " zqxj"
+					decoy := recs[rng.Intn(len(recs))]
+					ev.Distances(oracle.Profile(stored[i]), oracle.Profile(q), sc, ref)
+					check(fmt.Sprintf("%s: row %q as l, query %q", stage, stored[i], q), queryPair(q, i), queryPair(decoy, j))
+					ev.Distances(oracle.Profile(stored[i]), oracle.Profile(stored[j]), sc, ref)
+					check(fmt.Sprintf("%s: center %q, row %q as r", stage, stored[i], stored[j]), centerPair(i, j), centerPair(j, i))
+				}
+			}
+			add(recs[:15]...)
+			tableChecks("initial")
+			// Grow the vocabulary with tokens no prepare has seen, then
+			// drop rows so some slots fall to df 0.
+			var grown []string
+			for i := 15; i < len(recs); i++ {
+				grown = append(grown, fmt.Sprintf("%s kw%dx vq%d", recs[i], i, i*7))
+			}
+			add(grown...)
+			for _, i := range []int{1, 4, 20} {
+				v.Count(&rows, i, -1)
+				live[i] = false
+			}
+			v.Settle()
+			tableChecks("after Add and Remove")
 		})
 	}
 }
 
 // FuzzEvaluator cross-checks fused vs single-function scoring on
-// arbitrary string pairs under the extended space (every kernel family).
+// arbitrary string pairs under the extended space (every kernel family),
+// and the id-space entry points against the string Distances: a stored
+// row against a prepared query, a prepared center against a stored row,
+// learn views prepared on either side, and the table cases again after
+// the vocabulary grew and shrank past an earlier prepare.
 func FuzzEvaluator(f *testing.F) {
 	f.Add("north museum of history", "nothern museum of history")
 	f.Add("", "x")
 	f.Add("O'Brien-Smith 2003", "o brien smith 2003")
-	// Pre-processing options that coincide partly, so IDDistances copies
+	// Pre-processing options that coincide partly, so the id path copies
 	// some groups: plural only (L = L+RP), punctuation only, both, neither.
 	f.Add("museums of history", "museum of history")
 	f.Add("st. louis cardinals", "st louis cardinals")
@@ -244,42 +296,62 @@ func FuzzEvaluator(f *testing.F) {
 			}
 		}
 
-		// The id path: a and b stored as the rows of a Vocab, row 0
-		// derived, and b queried as is and with a token no row holds.
+		sc := ev.NewScratch()
+		got := make([]float64, len(space))
+		var side Side
+		same := func(what string, l, r string, lp, rp *Profile) {
+			t.Helper()
+			side.Release()
+			ev.Distances(lp, rp, sc, out)
+			for fi, fn := range space {
+				if got[fi] != out[fi] {
+					t.Fatalf("fn %s on (%q, %q), %s: id path %v != Distances %v", fn.Name(), l, r, what, got[fi], out[fi])
+				}
+			}
+		}
+
+		// The table path: a and b stored as the rows of a Vocab; b queried
+		// against row a as is and with a token no row holds, and row a
+		// prepared as a ball's center against row b.
 		v := NewVocab(space)
 		rows := v.NewRows(2, 0)
 		v.AppendRecord(&rows, a)
 		v.AppendRecord(&rows, b)
 		v.Settle()
-		var buf DeriveBuf
-		var ref IDProfile
-		v.Derive(&rows, 0, AllGroups, &buf, &ref)
-		sc := ev.NewScratch()
-		got := make([]float64, len(space))
 		for _, q := range []string{b, b + " zqxj"} {
-			ev.IDDistances(&ref, v.Query(q), AllGroups, sc, got)
-			ev.Distances(profs[0], corpus.Profile(q), sc, out)
-			for fi, fn := range space {
-				if got[fi] != out[fi] {
-					t.Fatalf("fn %s on (%q, %q): IDDistances %v != Distances %v",
-						fn.Name(), a, q, got[fi], out[fi])
-				}
-			}
+			fq := v.PrepareQuery(&side, q, AllGroups)
+			ev.RowDistances(&fq, &rows, 0, AllGroups, sc, got)
+			same("row l, query r", a, q, profs[0], corpus.Profile(q))
 		}
+		fc := v.PrepareRow(&side, &rows, 0, AllGroups)
+		ev.RowDistances(&fc, &rows, 1, AllGroups, sc, got)
+		same("center l, row r", a, b, profs[0], profs[1])
+
+		// The vocabulary grows past those prepares and row a is removed.
+		c := b + " qvxk " + a
+		v.AppendRecord(&rows, c)
+		v.Count(&rows, 0, -1)
+		v.Settle()
+		grown := NewCorpus(space, []string{b, c})
+		fc = v.PrepareRow(&side, &rows, 2, AllGroups)
+		ev.RowDistances(&fc, &rows, 1, AllGroups, sc, got)
+		same("grown: center l, row r", c, b, grown.Profile(c), grown.Profile(b))
+		q := a + " zqxj"
+		fq := v.PrepareQuery(&side, q, AllGroups)
+		ev.RowDistances(&fq, &rows, 2, AllGroups, sc, got)
+		same("grown: row l, query r", c, q, grown.Profile(c), grown.Profile(q))
 
 		// The learn path: L = {a} and R = {b} derived under one closed
 		// vocabulary, against the profiles of a corpus over the same
-		// collections.
+		// collections, with either view prepared.
 		views := LearnProfiles(space, 1, []string{a}, []string{b})
 		lc := NewCorpus(space, []string{a}, []string{b})
-		ev.IDDistances(&views[0][0], &views[1][0], AllGroups, sc, got)
-		ev.Distances(lc.Profile(a), lc.Profile(b), sc, out)
-		for fi, fn := range space {
-			if got[fi] != out[fi] {
-				t.Fatalf("fn %s on (%q, %q): learn IDDistances %v != Distances %v",
-					fn.Name(), a, b, got[fi], out[fi])
-			}
-		}
+		fv := side.PrepareView(&views[1][0], false)
+		ev.ViewDistances(&fv, &views[0][0], AllGroups, sc, got)
+		same("learn view l, prepared view r", a, b, lc.Profile(a), lc.Profile(b))
+		fv = side.PrepareView(&views[0][0], true)
+		ev.ViewDistances(&fv, &views[1][0], AllGroups, sc, got)
+		same("prepared learn view l, view r", a, b, lc.Profile(a), lc.Profile(b))
 	})
 }
 

@@ -1,15 +1,35 @@
 package config
 
 import (
+	"math"
+
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/embed"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/parallel"
+	"github.com/chu-data-lab/autofuzzyjoin-go/internal/weights"
 )
+
+// IDProfile is the learn view of one record (LearnProfiles): its strings
+// and embeddings, and per set representation and weighting its tokens as
+// lexical ranks in the learn vocabulary, with their weights.
+type IDProfile struct {
+	Record
+	vec [numPre][numTok][numWt]viewVec
+}
+
+// viewVec is one weighted token set of a learn view: distinct token ranks
+// ascending, their weights, the Sum and Norm, and the vocabulary's size.
+type viewVec struct {
+	ids       []int32
+	w         []float64
+	sum, norm float64
+	ranks     int32
+}
 
 // LearnProfiles builds the id-space view of every record of the given
 // collections (views[k][i] is collections[k][i]) under one vocabulary
 // closed over all of them — the IDF statistics of a Learn count every
 // record of L and R. Each record is counted once per representation
-// pair and derived once, so Evaluator.IDDistances on two views is
+// pair and derived once, so Evaluator.ViewDistances on two views is
 // bit-identical to Evaluator.Distances on the Profiles that NewCorpus
 // over the same collections gives the two records.
 //
@@ -21,8 +41,7 @@ import (
 // A view's set vectors live in one exact-sized id and weight buffer per
 // representation, and its embeddings in one flat buffer; the vocabulary
 // and the token strings are dropped. Every token of every view is in the
-// vocabulary, so no vector carries Extra and either view of a pair may
-// take the reference side.
+// vocabulary, so either view of a pair may take the reference side.
 func LearnProfiles(space []JoinFunction, parallelism int, collections ...[]string) [][]IDProfile {
 	var recs []string
 	for _, coll := range collections {
@@ -35,7 +54,7 @@ func LearnProfiles(space []JoinFunction, parallelism int, collections ...[]strin
 	emb := make([]float64, len(recs)*stride)
 	parallel.Shard(len(recs), parallel.Workers(parallelism, len(recs)), func(_, start, end int) {
 		for i := start; i < end; i++ {
-			lay.procEmb(recs[i], emb[i*stride:(i+1)*stride], &views[i])
+			lay.procEmb(recs[i], emb[i*stride:(i+1)*stride], &views[i].Record)
 		}
 	})
 	v.docs = len(recs)
@@ -56,8 +75,8 @@ func LearnProfiles(space []JoinFunction, parallelism int, collections ...[]strin
 // record's processed string in integers (tokenRun.count: packed 3-gram
 // keys or word substrings, sorted and run-length encoded) and interns the
 // distinct tokens in record order, counting each into the df; then it
-// ranks the closed vocabulary and derives every record's vectors with
-// weighRun, the arithmetic Derive runs on a table row.
+// orders and weighs the closed vocabulary, as Settle does a table's, and
+// weighs every record's counts with PrepareRow's arithmetic.
 func (v *Vocab) learnRep(r int, views []IDProfile) {
 	rep := v.lay.reps[r]
 	need := &v.lay.need[rep.Pre][rep.Tok]
@@ -79,23 +98,61 @@ func (v *Vocab) learnRep(r int, views []IDProfile) {
 		sums[2*i], sums[2*i+1] = run.sum, run.norm
 	}
 	rv.rerank()
-
-	n := len(slots)
-	ids := make([]int32, n)
-	var w [numWt][]float64
-	for wi := range w {
-		if need[wi] {
-			w[wi] = make([]float64, n)
+	v.weighSlots(r)
+	rank := make([]int32, len(rv.order))
+	for k, sl := range rv.order {
+		rank[sl] = int32(k)
+	}
+	ids := make([]int32, len(slots))
+	for k, sl := range slots {
+		ids[k] = rank[sl]
+	}
+	for wi := range need {
+		if !need[wi] {
+			continue
+		}
+		w := make([]float64, len(slots))
+		for i := range views {
+			lo, hi := off[i], off[i+1]
+			sum, norm := sums[2*i], sums[2*i+1]
+			if wi == int(weights.IDF) {
+				sum, norm = 0, 0
+				for k := lo; k < hi; k++ {
+					w[k] = float64(counts[k]) * rv.sw[slots[k]]
+					sum += w[k]
+					norm += w[k] * w[k]
+				}
+				norm = math.Sqrt(norm)
+			} else {
+				for k := lo; k < hi; k++ {
+					w[k] = float64(counts[k])
+				}
+			}
+			views[i].vec[rep.Pre][rep.Tok][wi] = viewVec{ids: ids[lo:hi:hi], w: w[lo:hi:hi], sum: sum, norm: norm, ranks: int32(len(rank))}
 		}
 	}
-	for i := range views {
-		lo, hi := off[i], off[i+1]
-		var wr [numWt][]float64
-		for wi := range w {
-			if need[wi] {
-				wr[wi] = w[wi][lo:hi:hi]
+}
+
+// PrepareView prepares learn view x into sd, as the reference side l of
+// every pair when l is set and as the r side otherwise, against other
+// views of the same LearnProfiles call. Every representation x holds is
+// prepared, whatever groups are scored.
+//
+//autofj:hotpath
+func (sd *Side) PrepareView(x *IDProfile, l bool) Fixed {
+	for pi := range x.vec {
+		for ti := range x.vec[pi] {
+			for wi := range x.vec[pi][ti] {
+				if vec := &x.vec[pi][ti][wi]; vec.ranks > 0 {
+					sd.held[pi][ti] = append(sd.held[pi][ti][:0], vec.ids...)
+					p := sized(&sd.set[pi][ti][wi], int(vec.ranks))
+					for k, id := range vec.ids {
+						p.W[id] = vec.w[k]
+					}
+					p.Sum, p.Norm, p.N = vec.sum, vec.norm, int32(len(vec.ids))
+				}
 			}
 		}
-		v.weighRun(r, slots[lo:hi], counts[lo:hi], sums[2*i], sums[2*i+1], ids[lo:hi:hi], &wr, &views[i].vec[rep.Pre][rep.Tok])
 	}
+	return Fixed{rec: x.Record, side: sd, l: l}
 }

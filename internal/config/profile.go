@@ -91,7 +91,7 @@ type VecBlock [numWt]distance.Sparse
 // reads never see nil. Neither learning nor a serving table keeps a
 // Profile: LearnProfiles derives each record's IDProfile once from its
 // token counts and drops the token strings, and a table's rows are id
-// runs over a Vocab, scored through IDProfile views. Full Profiles are the
+// runs over a Vocab, scored straight from the runs. Full Profiles are the
 // string reference path that the tests hold the id path to.
 type Profile struct {
 	Raw  string

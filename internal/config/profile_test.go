@@ -133,8 +133,9 @@ func countSlots(c *Corpus) *[numPre][numTok][numWt]bool {
 
 // checkView compares the id view a learn build gave one record with the
 // record's map-oracle profile: the same processed strings and embeddings,
-// and in every vector slot the space uses the oracle's tokens as ids, with
-// its weights, Sum and Norm to the bit, no Extra, and no spare capacity.
+// and in every vector slot the space uses the oracle's tokens as ids below
+// the vocabulary's size, with its weights, Sum and Norm to the bit, and no
+// spare capacity.
 // Slots the space does not use stay empty. ids[pi][ti] collects the
 // token of every id seen so far, so that one id names one token across
 // all records.
@@ -157,31 +158,33 @@ func checkView(t *testing.T, where string, got *IDProfile, want *Profile, c *Cor
 					return fmt.Sprintf("%s (%s,%s,%s)", where, textproc.Option(pi), tokenize.Option(ti), weights.Scheme(wi))
 				}
 				if !c.needVec[pi][ti][wi] {
-					if g.IDs != nil || g.W != nil || g.N != 0 || g.Sum != 0 || g.Norm != 0 {
-						t.Fatalf("%s: slot the space does not use holds %d tokens", slot(), g.N)
+					if g.ids != nil || g.w != nil || g.ranks != 0 || g.sum != 0 || g.norm != 0 {
+						t.Fatalf("%s: slot the space does not use holds %d tokens", slot(), len(g.ids))
 					}
 					continue
 				}
 				w := want.vecs[pi][ti][wi]
-				if int(g.N) != len(w.Tokens) || len(g.IDs) != len(w.Tokens) || len(g.W) != len(w.W) || g.Extra ||
-					!sameBits(g.Sum, w.Sum) || !sameBits(g.Norm, w.Norm) {
-					t.Fatalf("%s: got %d ids sum %v norm %v extra %v, want %d tokens sum %v norm %v",
-						slot(), len(g.IDs), g.Sum, g.Norm, g.Extra, len(w.Tokens), w.Sum, w.Norm)
+				if len(g.ids) != len(w.Tokens) || len(g.w) != len(w.W) || !sameBits(g.sum, w.Sum) || !sameBits(g.norm, w.Norm) {
+					t.Fatalf("%s: got %d ids sum %v norm %v, want %d tokens sum %v norm %v",
+						slot(), len(g.ids), g.sum, g.norm, len(w.Tokens), w.Sum, w.Norm)
 				}
-				if cap(g.IDs) != len(g.IDs) || cap(g.W) != len(g.W) {
+				if cap(g.ids) != len(g.ids) || cap(g.w) != len(g.w) {
 					t.Fatalf("%s: stored with spare capacity (ids %d/%d, weights %d/%d)",
-						slot(), len(g.IDs), cap(g.IDs), len(g.W), cap(g.W))
+						slot(), len(g.ids), cap(g.ids), len(g.w), cap(g.w))
 				}
 				if ids[pi][ti] == nil {
 					ids[pi][ti] = map[int32]string{}
 				}
-				for k, id := range g.IDs {
+				for k, id := range g.ids {
+					if id < 0 || id >= g.ranks {
+						t.Fatalf("%s: id %d outside the vocabulary's %d ranks", slot(), id, g.ranks)
+					}
 					if tok, ok := ids[pi][ti][id]; ok && tok != w.Tokens[k] {
 						t.Fatalf("%s: id %d names %q and %q", slot(), id, tok, w.Tokens[k])
 					}
 					ids[pi][ti][id] = w.Tokens[k]
-					if !sameBits(g.W[k], w.W[k]) {
-						t.Fatalf("%s: token %q weighs %v, want %v", slot(), w.Tokens[k], g.W[k], w.W[k])
+					if !sameBits(g.w[k], w.W[k]) {
+						t.Fatalf("%s: token %q weighs %v, want %v", slot(), w.Tokens[k], g.w[k], w.W[k])
 					}
 				}
 			}
@@ -196,9 +199,9 @@ func checkView(t *testing.T, where string, got *IDProfile, want *Profile, c *Cor
 // IDF-only space, at parallelism 0 (GOMAXPROCS), 1 and 3:
 //   - every record's view holds its oracle profile's vectors to the bit
 //     (checkView), and ids rank the tokens in lexical order;
-//   - IDDistances equals Distances on the oracle profiles, bit for bit,
+//   - ViewDistances equals Distances on the oracle profiles, bit for bit,
 //     for every pair of a sample of the records — the first 30 of L and R
-//     and the edge cases — in both orders.
+//     and the edge cases — in both orders, with either view prepared.
 //
 // Profile and CountProfile of single records, including records whose
 // tokens the corpus has never seen, reproduce the oracle too.
@@ -271,15 +274,24 @@ func TestProfilesMatchMapOracle(t *testing.T) {
 						}
 					}
 				}
+				var side Side
 				for _, a := range sample {
 					for _, b := range sample {
 						l, r := &views[a[0]][a[1]], &views[b[0]][b[1]]
-						ev.IDDistances(l, r, AllGroups, sc, got)
 						ev.Distances(oprofs[a[0]][a[1]], oprofs[b[0]][b[1]], sc, want)
-						for fi, f := range space {
-							if !sameBits(got[fi], want[fi]) {
-								t.Fatalf("%s task %d par %d, %s between %q and %q: IDDistances %v, Distances %v",
-									name, ti, par, f.Name(), task[a[0]][a[1]], task[b[0]][b[1]], got[fi], want[fi])
+						for _, lFixed := range []bool{true, false} {
+							fixed, other := l, r
+							if !lFixed {
+								fixed, other = r, l
+							}
+							f := side.PrepareView(fixed, lFixed)
+							ev.ViewDistances(&f, other, AllGroups, sc, got)
+							side.Release()
+							for fi, fn := range space {
+								if !sameBits(got[fi], want[fi]) {
+									t.Fatalf("%s task %d par %d, %s between %q and %q (l prepared: %v): ViewDistances %v, Distances %v",
+										name, ti, par, fn.Name(), task[a[0]][a[1]], task[b[0]][b[1]], lFixed, got[fi], want[fi])
+								}
 							}
 						}
 					}

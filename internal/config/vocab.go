@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"unicode/utf8"
 
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/distance"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/embed"
@@ -25,17 +24,14 @@ import (
 // Records reach a Vocab counted in integers (Counted, counts.go): a
 // 3-gram representation interns packed uint64 gram keys and a word
 // representation interns substrings of the processed string, so a token
-// string is made only when a 3-gram first takes a slot. Query resolves a
-// query's packed grams against the same keys.
+// string is made only when a 3-gram first takes a slot. PrepareQuery
+// resolves a query's packed grams against the same keys.
 //
-// A candidate is scored without touching a token string: weighRun turns a
-// slot run into id-space vectors by array lookups — each slot's lexical
-// rank becomes its id, each count times the IDF weight of the slot's df
-// becomes its weight — and Evaluator.IDDistances merges the id runs with
-// distance.SetFamilyIDs. Ids follow lexical token order, so the merge
-// visits matched tokens in the order the string merge of a full Profile
-// would, and the weights, sums and norms are accumulated in ascending
-// token order with the arithmetic of weighIDF: every distance is
+// A candidate is scored without touching a token string: against the side
+// its run of pairs shares, prepared once into a Side, straight from its
+// stored slot run, a row weight being count × sw[slot] with sw the IDF
+// column Settle keeps. Runs are in ascending token order and the weights,
+// sums and norms have weighIDF's arithmetic, so every distance is
 // bit-identical to Evaluator.Distances on Profiles built under the same
 // statistics.
 
@@ -82,11 +78,12 @@ func newLayout(c *Corpus) *layout {
 // scores (LearnProfiles). For every counted
 // representation, each distinct token the column's rows hold gets a
 // stable integer slot, assigned in first-appearance order, with its
-// document frequency over the live rows and its lexical rank among all
-// the representation's slots. The document count is shared by the
-// column's representations.
+// document frequency over the live rows, its place in the lexical order
+// of the representation's slots and, when the space weighs it by IDF,
+// its IDF weight. The document count is shared by the column's
+// representations.
 //
-// A slot whose df drops to 0 stays: it still ranks, re-adding the token
+// A slot whose df drops to 0 stays: it keeps its place, re-adding the token
 // reuses it, and it is dropped only when the table is rebuilt from its
 // rows (a snapshot stores live statistics, so a save and load also
 // drops it). A vocabulary therefore grows with the distinct tokens ever
@@ -94,8 +91,8 @@ func newLayout(c *Corpus) *layout {
 //
 // Mutators (AppendRecord, AppendCounted, Intern, Count,
 // Reserve, Settle) need exclusive access, and a batch of them ends with
-// Settle; CountRecord, Derive, Query and the readers are safe for
-// concurrent use between batches.
+// Settle; CountRecord, the prepares and the readers are safe
+// for concurrent use between batches.
 type Vocab struct {
 	c    *Corpus // the space's needs; it holds no statistics
 	lay  *layout
@@ -105,7 +102,7 @@ type Vocab struct {
 	row  Row     // AppendCounted's scratch
 	rec  Counted // AppendRecord's scratch
 	// groups holds, by layout position, the Evaluator groups that read a
-	// representation: a masked Derive derives only the representations its
+	// representation: a masked prepare fills only the representations its
 	// mask's groups read. Without the space (BuildArena) every group may
 	// read every representation.
 	groups [numPre * numTok]GroupMask
@@ -114,13 +111,13 @@ type Vocab struct {
 // repVocab is the vocabulary of one counted representation. A 3-gram
 // representation interns by packed key (tokenize.AppendGramKeys) and a
 // word representation by string; either way each slot's token string is
-// kept once, for DF, Dictionary and ranking.
+// kept once, for DF, Dictionary and ordering.
 type repVocab struct {
 	slot  map[string]int32 // words
 	key   map[uint64]int32 // packed 3-grams
 	toks  []string         // token by slot
 	df    []int32          // live rows holding the slot
-	rank  []int32          // lexical rank by slot, for the slots order covers
+	sw    []float64        // IDF weight by slot under the live statistics, when the space weighs by IDF
 	order []int32          // slots in ascending token order
 	spare []int32          // Settle's merge buffer
 	fresh []int32          // Settle's buffer of new slots
@@ -187,9 +184,9 @@ func (v *Vocab) Reserve(n int) {
 }
 
 // Intern returns the slot of token under (pre, tok), assigning the next
-// free slot to a token the vocabulary has not seen. A new slot has df 0
-// and no rank until the next Settle. A 3-gram token must be exactly three
-// runes.
+// free slot to a token the vocabulary has not seen. A new slot has df 0,
+// and no place in the order and no IDF weight until the next Settle. A
+// 3-gram token must be exactly three runes.
 func (v *Vocab) Intern(pre textproc.Option, tok tokenize.Option, token string) (int32, error) {
 	r := int(v.lay.rep[pre][tok])
 	if tok != tokenize.QGram3 {
@@ -299,16 +296,32 @@ func (v *Vocab) Count(s *Rows, i int, delta int32) {
 }
 
 // Settle ends a batch of mutations. The slots interned since the last
-// Settle are ranked — their tokens are sorted and merged into the sorted
-// slot order, and one pass over the order rewrites every rank, O(V) for
-// a vocabulary of V slots however many rows the table holds — and the IDF
-// table moves to the new document count.
+// Settle are sorted and merged into the sorted slot order, the IDF table
+// moves to the new document count, and one pass refreshes every slot's
+// IDF weight: O(V) for a vocabulary of V slots, however many rows the
+// table holds.
 func (v *Vocab) Settle() {
 	for r := range v.reps {
 		v.reps[r].rerank()
 	}
 	if v.idf.Docs() != v.docs {
 		v.idf.SetDocs(v.docs)
+	}
+	for r := range v.reps {
+		v.weighSlots(r)
+	}
+}
+
+// weighSlots sets the IDF weight of every slot of representation r under
+// the current statistics, when the space weighs r by IDF.
+func (v *Vocab) weighSlots(r int) {
+	rep, rv := v.lay.reps[r], &v.reps[r]
+	if !v.lay.need[rep.Pre][rep.Tok][weights.IDF] {
+		return
+	}
+	rv.sw = slices.Grow(rv.sw[:0], len(rv.df))[:len(rv.df)]
+	for sl, df := range rv.df {
+		rv.sw[sl] = v.idf.Weight(int(df))
 	}
 }
 
@@ -334,10 +347,6 @@ func (rv *repVocab) rerank() {
 	}
 	merged = append(merged, rv.order[i:]...)
 	rv.order, rv.spare = merged, rv.order
-	rv.rank = slices.Grow(rv.rank[:0], len(toks))[:len(toks)]
-	for k, sl := range rv.order {
-		rv.rank[sl] = int32(k)
-	}
 }
 
 // DF yields, in ascending token order, every token of (pre, tok) that a
@@ -472,15 +481,8 @@ func (s *Rows) Append(r *Row) {
 // Get fills r with views of row i. The views alias the storage.
 func (s *Rows) Get(i int, r *Row) {
 	lay := s.lay
-	for pi := 0; pi < numPre; pi++ {
-		if k := lay.proc[pi]; k >= 0 {
-			r.Proc[pi] = s.proc[i*lay.nproc+int(k)]
-		}
-		if e := lay.emb[pi]; e >= 0 {
-			lo := (i*lay.nemb + int(e)) * embed.Dim
-			r.Emb[pi] = s.emb[lo : lo+embed.Dim : lo+embed.Dim]
-		}
-	}
+	rec := s.record(i)
+	r.Proc, r.Emb = rec.proc, rec.emb
 	nrep := len(lay.reps)
 	for ri, rep := range lay.reps {
 		at := i*nrep + ri
@@ -529,155 +531,174 @@ func (s *Rows) Tail(m int) Rows {
 	return t
 }
 
-// IDProfile is the id-space view of one record that Evaluator.IDDistances
-// scores: processed strings, embeddings, and set vectors whose ids are
-// lexical ranks in one Vocab. A table row's view is derived per candidate
-// by Vocab.Derive and a query's is built once by Vocab.Query; a learning
-// record's is built once by LearnProfiles.
-type IDProfile struct {
+// Record is the string side of one record as an Evaluator reads it: its
+// processed strings and embeddings.
+type Record struct {
 	proc [numPre]string
 	emb  [numPre][]float64
-	vec  [numPre][numTok][numWt]distance.IDVec
 }
 
-// DeriveBuf holds the reusable id and weight buffers of Vocab.Derive, by
-// layout position. It holds no references, so a pooled DeriveBuf pins
-// nothing.
-type DeriveBuf struct {
-	ids [numPre * numTok][]int32
-	w   [numPre * numTok][numWt][]float64
-}
-
-// Derive fills dst with the id-space view of row i of s under the current
-// statistics, as Evaluator.IDDistances under mask reads it: the strings
-// and embeddings, and the set vectors of the representations that mask's
-// groups read. Every other set vector of dst is left as it was. The set
-// vectors live in buf and the strings and embeddings alias s, so dst is
-// valid until the next Derive into buf.
-//
-//autofj:hotpath
-func (v *Vocab) Derive(s *Rows, i int, mask GroupMask, buf *DeriveBuf, dst *IDProfile) {
-	lay := v.lay
+// record returns the strings and embeddings of row i. They alias the
+// storage.
+func (s *Rows) record(i int) Record {
+	var r Record
+	lay := s.lay
 	for pi := 0; pi < numPre; pi++ {
 		if k := lay.proc[pi]; k >= 0 {
-			dst.proc[pi] = s.proc[i*lay.nproc+int(k)]
+			r.proc[pi] = s.proc[i*lay.nproc+int(k)]
 		}
 		if e := lay.emb[pi]; e >= 0 {
 			lo := (i*lay.nemb + int(e)) * embed.Dim
-			dst.emb[pi] = s.emb[lo : lo+embed.Dim]
+			r.emb[pi] = s.emb[lo : lo+embed.Dim : lo+embed.Dim]
 		}
 	}
-	nrep := len(lay.reps)
-	for r, rep := range lay.reps {
+	return r
+}
+
+// Side holds one record prepared as the fixed side of a run of pairs: per
+// set representation and weighting, its weights by token id. Tables are
+// sized to the vocabulary when prepared and cleared by Release through
+// the ids they set, so a Side holds numbers only and may be pooled.
+// Release it before the next prepare.
+type Side struct {
+	set   [numPre][numTok][numWt]distance.Prepared
+	held  [numPre][numTok][]int32 // the ids set in the representation's tables
+	slots []int32                 // PrepareQuery's resolved slots
+}
+
+// Fixed is a prepared record: its strings and embeddings, its tables, the
+// vocabulary of the rows it is scored against (nil for a learn view), and
+// whether it is every pair's reference side l. It is valid until Release.
+type Fixed struct {
+	rec  Record
+	side *Side
+	v    *Vocab
+	l    bool
+}
+
+// sized returns p with its table sized for ids below n. A released or
+// grown table is all zeros.
+func sized(p *distance.Prepared, n int) *distance.Prepared {
+	if len(p.W) < n {
+		p.W = make([]float64, n+n/4)
+	}
+	return p
+}
+
+// Release clears what the last prepare set, through the ids it set (a
+// query's -1 set none).
+//
+//autofj:hotpath
+func (sd *Side) Release() {
+	for pi := range sd.held {
+		for ti, ids := range sd.held[pi] {
+			for wi := range sd.set[pi][ti] {
+				p := &sd.set[pi][ti][wi]
+				for _, id := range ids {
+					if id >= 0 && p.N > 0 {
+						p.W[id] = 0
+					}
+				}
+				p.N = 0
+			}
+			sd.held[pi][ti] = ids[:0]
+		}
+	}
+}
+
+// PrepareQuery counts query record s and prepares it into sd under the
+// current statistics, as the query side r of every pair, for the
+// representations mask's groups read. A token no row has held weighs as
+// df 0, as weights.Stats weighs an unseen token: it is in no table but
+// counts toward Sum, Norm and N.
+func (v *Vocab) PrepareQuery(sd *Side, s string, mask GroupMask) Fixed {
+	var q Counted
+	v.CountRecord(&q, s, nil)
+	for r, rep := range v.lay.reps {
+		if mask&v.groups[r] == 0 {
+			continue
+		}
+		run, rv := &q.runs[r], &v.reps[r]
+		slots := slices.Grow(sd.slots[:0], len(run.counts))[:len(run.counts)]
+		for k := range slots {
+			var ok bool
+			if rep.Tok == tokenize.QGram3 {
+				slots[k], ok = rv.key[run.keys[k]]
+			} else {
+				slots[k], ok = rv.slot[run.words[k]]
+			}
+			if !ok {
+				slots[k] = -1
+			}
+		}
+		sd.slots = slots
+		v.prepare(sd, r, slots, run.counts, run.sum, run.norm)
+	}
+	return Fixed{rec: v.lay.record(&q), side: sd, v: v}
+}
+
+// PrepareRow prepares row i of s into sd under the current statistics, as
+// the reference side l of every pair, for the representations mask's
+// groups read.
+//
+//autofj:hotpath
+func (v *Vocab) PrepareRow(sd *Side, s *Rows, i int, mask GroupMask) Fixed {
+	nrep := len(v.lay.reps)
+	for r := range v.lay.reps {
 		if mask&v.groups[r] != 0 {
-			v.deriveRun(r, s, i*nrep+r, buf, &dst.vec[rep.Pre][rep.Tok])
+			at := i*nrep + r
+			lo, hi := s.off[at], s.off[at+1]
+			v.prepare(sd, r, s.slots[lo:hi], s.counts[lo:hi], s.sums[2*at], s.sums[2*at+1])
 		}
 	}
+	return Fixed{rec: s.record(i), side: sd, v: v, l: true}
 }
 
-// deriveRun derives the id-space vectors of run at of s, representation
-// r, into buf (see weighRun).
+// prepare fills the tables of representation r from a count vector: slots
+// ascending by token (-1 for a token v lacks), counts, and their Sum and
+// Norm. IDF weights are count × sw with weighIDF's arithmetic.
 //
 //autofj:hotpath
-func (v *Vocab) deriveRun(r int, s *Rows, at int, buf *DeriveBuf, out *[numWt]distance.IDVec) {
-	rep := v.lay.reps[r]
+func (v *Vocab) prepare(sd *Side, r int, slots []int32, counts []uint32, csum, cnorm float64) {
+	rep, rv := v.lay.reps[r], &v.reps[r]
+	sd.held[rep.Pre][rep.Tok] = append(sd.held[rep.Pre][rep.Tok][:0], slots...)
 	need := &v.lay.need[rep.Pre][rep.Tok]
-	lo, hi := s.off[at], s.off[at+1]
-	n := int(hi - lo)
-	if cap(buf.ids[r]) < n {
-		buf.ids[r] = make([]int32, 2*n)
-	}
-	w := &buf.w[r]
-	for wi := range w {
-		if need[wi] && cap(w[wi]) < n {
-			w[wi] = make([]float64, 2*n)
-		}
-	}
-	v.weighRun(r, s.slots[lo:hi], s.counts[lo:hi], s.sums[2*at], s.sums[2*at+1], buf.ids[r][:n], w, out)
-}
-
-// weighRun fills out with the id-space vectors of one slot run of
-// representation r under the current statistics: ids are the slots'
-// ranks, Equal weights are the counts with the count vector's Sum and
-// Norm (csum, cnorm), and IDF weights are count × idf(df) with Sum and
-// Norm accumulated in ascending token order, as weighIDF does. ids has
-// len(slots) entries, and every weight buffer the representation needs
-// has room for as many.
-//
-//autofj:hotpath
-func (v *Vocab) weighRun(r int, slots []int32, counts []uint32, csum, cnorm float64, ids []int32, w *[numWt][]float64, out *[numWt]distance.IDVec) {
-	rv := &v.reps[r]
-	rep := v.lay.reps[r]
-	need := &v.lay.need[rep.Pre][rep.Tok]
-	n := len(slots)
+	n := int32(len(slots))
 	if need[weights.IDF] {
-		widf := w[weights.IDF][:n]
+		p := sized(&sd.set[rep.Pre][rep.Tok][weights.IDF], len(rv.toks))
+		unseen := v.idf.Weight(0)
 		var sum, norm float64
 		for k, sl := range slots {
-			ids[k] = rv.rank[sl]
-			x := float64(counts[k]) * v.idf.Weight(int(rv.df[sl]))
-			widf[k] = x
+			x := float64(counts[k]) * unseen
+			if sl >= 0 {
+				x = float64(counts[k]) * rv.sw[sl]
+				p.W[sl] = x
+			}
 			sum += x
 			norm += x * x
 		}
-		out[weights.IDF] = distance.IDVec{IDs: ids, W: widf, Sum: sum, Norm: math.Sqrt(norm), N: int32(n)}
-	} else {
-		for k, sl := range slots {
-			ids[k] = rv.rank[sl]
-		}
+		p.Sum, p.Norm, p.N = sum, math.Sqrt(norm), n
 	}
 	if need[weights.Equal] {
-		weq := w[weights.Equal][:n]
-		for k, c := range counts {
-			weq[k] = float64(c)
+		p := sized(&sd.set[rep.Pre][rep.Tok][weights.Equal], len(rv.toks))
+		for k, sl := range slots {
+			if sl >= 0 {
+				p.W[sl] = float64(counts[k])
+			}
 		}
-		out[weights.Equal] = distance.IDVec{IDs: ids, W: weq, Sum: csum, Norm: cnorm, N: int32(n)}
+		p.Sum, p.Norm, p.N = csum, cnorm, n
 	}
 }
 
-// Query builds the id-space profile of a query record: the Profile a
-// full corpus build would give it, with tokens resolved against the
-// vocabulary. A token no row has held carries no id but counts toward
-// Sum, Norm and N and sets Extra (see buildQueryVecs); its IDF weight
-// uses df 1, as weights.Stats weighs an unseen token.
-func (v *Vocab) Query(s string) *IDProfile {
-	q := &IDProfile{}
-	lay := v.lay
-	var emb []float64
-	if lay.nemb > 0 {
-		emb = make([]float64, lay.nemb*embed.Dim)
-	}
-	lay.procEmb(s, emb, q)
-	// Sorted token occurrences; an earlier option with the same string
-	// shares its list.
-	var keys [numPre][]uint64
-	var words [numPre][]string
-	for r, rep := range lay.reps {
-		need, rv, out := lay.need[rep.Pre][rep.Tok], &v.reps[r], &q.vec[rep.Pre][rep.Tok]
-		pj := sameAs(&q.proc, &lay.needProc, int(rep.Pre), q.proc[rep.Pre])
-		if pj >= 0 && lay.rep[pj][rep.Tok] < 0 {
-			pj = -1
-		}
-		if rep.Tok == tokenize.QGram3 {
-			if pj >= 0 {
-				keys[rep.Pre] = keys[pj]
-			} else {
-				ps := q.proc[rep.Pre]
-				keys[rep.Pre] = tokenize.AppendGramKeys(make([]uint64, 0, utf8.RuneCountInString(ps)+2), ps)
-				slices.Sort(keys[rep.Pre])
-			}
-			buildQueryVecs(need, keys[rep.Pre], rv.key, rv, &v.idf, out)
-		} else {
-			if pj >= 0 {
-				words[rep.Pre] = words[pj]
-			} else {
-				words[rep.Pre] = strings.Fields(q.proc[rep.Pre])
-				sort.Strings(words[rep.Pre])
-			}
-			buildQueryVecs(need, words[rep.Pre], rv.slot, rv, &v.idf, out)
+// record returns the strings and embeddings of the counted record c.
+func (lay *layout) record(c *Counted) Record {
+	r := Record{proc: c.proc}
+	for pi := 0; pi < numPre; pi++ {
+		if e := int(lay.emb[pi]); e >= 0 {
+			r.emb[pi] = c.emb[e*embed.Dim : (e+1)*embed.Dim : (e+1)*embed.Dim]
 		}
 	}
-	return q
+	return r
 }
 
 // procEmb sets the processed strings and embeddings of record s that the
@@ -685,7 +706,7 @@ func (v *Vocab) Query(s string) *IDProfile {
 // space's nemb embeddings in layout order. An option whose string equals
 // an earlier option's shares that string and copies its embedding when
 // it has one (see sameAs).
-func (lay *layout) procEmb(s string, emb []float64, p *IDProfile) {
+func (lay *layout) procEmb(s string, emb []float64, p *Record) {
 	for pi := 0; pi < numPre; pi++ {
 		if lay.proc[pi] < 0 {
 			continue
@@ -717,79 +738,4 @@ func sameAs(procs *[numPre]string, need *[numPre]bool, pi int, proc string) int 
 		}
 	}
 	return -1
-}
-
-// buildQueryVecs fills one (pre, tok) group of query vectors from the
-// sorted token occurrence list, resolving tokens to rv's slots through
-// slot. A token the vocabulary does not hold carries no id, so it can
-// match nothing, but it still counts toward Sum, Norm and N and sets
-// Extra, so the id kernels reproduce the string kernels exactly.
-func buildQueryVecs[T comparable](need [numWt]bool, toks []T, slot map[T]int32, rv *repVocab, idfTab *weights.IDFTable, out *[numWt]distance.IDVec) {
-	// len(toks) bounds the distinct tokens: one block per element type.
-	ids := make([]int32, 0, len(toks))
-	var w [numWt][]float64
-	nw := 0
-	for _, ok := range need {
-		if ok {
-			nw++
-		}
-	}
-	wbuf := make([]float64, nw*len(toks))
-	for wi := range w {
-		if need[wi] {
-			w[wi], wbuf = wbuf[:0:len(toks)], wbuf[len(toks):]
-		}
-	}
-	var sum, norm [numWt]float64
-	var n int32
-	extra := false
-	for i := 0; i < len(toks); {
-		j := i + 1
-		for j < len(toks) && toks[j] == toks[i] {
-			j++
-		}
-		// A token occurring k times gets map weight k via k additions of
-		// 1.0 — exact integers, so float64(k) is the identical value.
-		count := float64(j - i)
-		n++
-		sl, known := slot[toks[i]]
-		var id int32
-		df := 0 // an unseen token weighs as df 1
-		if known {
-			id, df = rv.rank[sl], int(rv.df[sl])
-		} else {
-			extra = true
-		}
-		for wi := 0; wi < numWt; wi++ {
-			if !need[wi] {
-				continue
-			}
-			wv := count
-			if weights.Scheme(wi) == weights.IDF {
-				wv = count * idfTab.Weight(df)
-			}
-			if known {
-				w[wi] = append(w[wi], wv)
-			}
-			sum[wi] += wv
-			norm[wi] += wv * wv
-		}
-		if known {
-			ids = append(ids, id)
-		}
-		i = j
-	}
-	for wi := 0; wi < numWt; wi++ {
-		if !need[wi] {
-			continue
-		}
-		out[wi] = distance.IDVec{
-			IDs:   ids,
-			W:     w[wi],
-			Sum:   sum[wi],
-			Norm:  math.Sqrt(norm[wi]),
-			N:     n,
-			Extra: extra,
-		}
-	}
 }

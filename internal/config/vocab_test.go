@@ -9,14 +9,15 @@ import (
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/weights"
 )
 
-// TestDeriveMatchesProfileAndNeverAllocates: a stored row derived from
-// its slot run under the vocabulary's live statistics equals, to the bit,
-// the Profile a corpus built over the live rows gives it — before and
-// after the statistics and the vocabulary move — a Query holding unseen
-// tokens agrees with Profile, IDDistances equals Distances on the
-// equivalent Profiles, and a warm Derive allocates nothing, even right
-// after a mutation.
-func TestDeriveMatchesProfileAndNeverAllocates(t *testing.T) {
+// TestPreparedRowMatchesProfileAndNeverAllocates: a stored row prepared
+// from its slot run under the vocabulary's live statistics holds, to the
+// bit and by slot, the weights, Sum and Norm of the Profile a corpus
+// built over the live rows gives it — before and after the statistics
+// and the vocabulary move — a query holding unseen tokens scores against
+// the rows as Distances does on the equivalent Profiles, and a warm
+// prepare, score and release allocate nothing, even right after a
+// mutation.
+func TestPreparedRowMatchesProfileAndNeverAllocates(t *testing.T) {
 	space := []JoinFunction{
 		{Pre: textproc.Lower, Tok: tokenize.Space, Weight: weights.IDF, Dist: JD},
 		{Pre: textproc.Lower, Tok: tokenize.Space, Weight: weights.Equal, Dist: CJD},
@@ -41,7 +42,7 @@ func TestDeriveMatchesProfileAndNeverAllocates(t *testing.T) {
 	}
 	queries := []string{"alpha team", "Alpha, alpha beta TEAM unseen", "zzz never seen", "", "gamma squad team"}
 
-	var buf DeriveBuf
+	var side Side
 	check := func(stage string) {
 		t.Helper()
 		var liveDocs []string
@@ -60,33 +61,47 @@ func TestDeriveMatchesProfileAndNeverAllocates(t *testing.T) {
 			if !live[i] {
 				continue
 			}
-			var d IDProfile
-			v.Derive(&rows, i, AllGroups, &buf, &d)
+			v.PrepareRow(&side, &rows, i, AllGroups)
 			p := oracle.Profile(s)
+			var row Row
+			rows.Get(i, &row)
 			for _, rep := range v.lay.reps {
 				rv := &v.reps[v.lay.rep[rep.Pre][rep.Tok]]
 				for wi := 0; wi < numWt; wi++ {
 					if !v.lay.need[rep.Pre][rep.Tok][wi] {
 						continue
 					}
-					g, w := d.vec[rep.Pre][rep.Tok][wi], p.vecs[rep.Pre][rep.Tok][wi]
-					if int(g.N) != len(w.Tokens) || len(g.IDs) != len(w.Tokens) || !sameBits(g.Sum, w.Sum) || !sameBits(g.Norm, w.Norm) {
-						t.Fatalf("%s: row %d %v/%d derived %+v, built %+v", stage, i, rep, wi, g, w)
+					g, w := &side.set[rep.Pre][rep.Tok][wi], p.vecs[rep.Pre][rep.Tok][wi]
+					slots := row.Slots[rep.Pre][rep.Tok]
+					if int(g.N) != len(w.Tokens) || len(slots) != len(w.Tokens) || !sameBits(g.Sum, w.Sum) || !sameBits(g.Norm, w.Norm) {
+						t.Fatalf("%s: row %d %v/%d prepared N %d sum %v norm %v, built %+v", stage, i, rep, wi, g.N, g.Sum, g.Norm, w)
 					}
-					for k, id := range g.IDs {
-						if tok := rv.toks[rv.order[id]]; tok != w.Tokens[k] || !sameBits(g.W[k], w.W[k]) {
-							t.Fatalf("%s: row %d %v/%d token %d derived (%q, %v), built (%q, %v)",
-								stage, i, rep, wi, k, tok, g.W[k], w.Tokens[k], w.W[k])
+					set := 0
+					for _, x := range g.W {
+						if x != 0 {
+							set++
+						}
+					}
+					if set != len(slots) {
+						t.Fatalf("%s: row %d %v/%d: %d table entries set, want %d", stage, i, rep, wi, set, len(slots))
+					}
+					for k, sl := range slots {
+						if tok := rv.toks[sl]; tok != w.Tokens[k] || !sameBits(g.W[sl], w.W[k]) {
+							t.Fatalf("%s: row %d %v/%d token %d prepared (%q, %v), built (%q, %v)",
+								stage, i, rep, wi, k, tok, g.W[sl], w.Tokens[k], w.W[k])
 						}
 					}
 				}
 			}
+			side.Release()
 			for _, q := range queries {
-				ev.IDDistances(&d, v.Query(q), AllGroups, sc, got)
+				f := v.PrepareQuery(&side, q, AllGroups)
+				ev.RowDistances(&f, &rows, i, AllGroups, sc, got)
+				side.Release()
 				ev.Distances(p, oracle.Profile(q), sc, want)
 				for fi := range want {
 					if !sameBits(got[fi], want[fi]) {
-						t.Fatalf("%s: row %d query %q %s: IDDistances %v, Distances %v",
+						t.Fatalf("%s: row %d query %q %s: RowDistances %v, Distances %v",
 							stage, i, q, space[fi].Name(), got[fi], want[fi])
 					}
 				}
@@ -121,17 +136,22 @@ func TestDeriveMatchesProfileAndNeverAllocates(t *testing.T) {
 		}
 	}
 
-	var d IDProfile
-	if n := testing.AllocsPerRun(100, func() { v.Derive(&rows, 2, AllGroups, &buf, &d) }); n != 0 {
-		t.Errorf("warm Derive: %.1f allocs, want 0", n)
+	out := make([]float64, len(space))
+	score := func() {
+		f := v.PrepareRow(&side, &rows, 2, AllGroups)
+		ev.RowDistances(&f, &rows, 0, AllGroups, sc, out)
+		side.Release()
+	}
+	if n := testing.AllocsPerRun(100, score); n != 0 {
+		t.Errorf("warm prepare, score and release: %.1f allocs, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		v.Count(&rows, 0, -1) // N moves: every weight is recomputed
 		v.Settle()
 		v.Count(&rows, 0, 1)
 		v.Settle()
-		v.Derive(&rows, 2, AllGroups, &buf, &d)
+		score()
 	}); n != 0 {
-		t.Errorf("Derive after a mutation: %.1f allocs, want 0", n)
+		t.Errorf("prepare and score after a mutation: %.1f allocs, want 0", n)
 	}
 }

@@ -112,11 +112,14 @@ type queryState struct {
 	// cands lists the surviving candidates — blocking top-k minus
 	// negative-rule vetoes — in blocking order.
 	cands []int32
-	// profs holds the query's id-space profiles, one per program column.
-	profs []*config.IDProfile
-	// qcells are the projected query cells of a multi-column row, for the
-	// missing-value rule.
+	// fixed holds the prepared query, one per program column.
+	fixed []config.Fixed
+	// qcells are the projected query cells, one per program column: a
+	// multi-column row's feed the missing-value rule.
 	qcells []string
+	// A single-column query's fixed and qcells.
+	fixed1 [1]config.Fixed
+	qcell  [1]string
 }
 
 // concatRow builds the blocking key of a full row, matching the

@@ -114,7 +114,9 @@ type pairSource func(space []config.JoinFunction, parallelism int, left, right [
 
 // idPairs is the pairSource learning runs: every record is derived once
 // into an id view under one vocabulary closed over left ∪ right
-// (config.LearnProfiles), and pairs are scored by Evaluator.IDDistances.
+// (config.LearnProfiles), and pairs are scored by Evaluator.ViewDistances
+// against the record a run of them shares, prepared once: the right record
+// of phase 1 (the r side), the center of phase 3 (the l side).
 func idPairs(space []config.JoinFunction, parallelism int, left, right []string, lrCand, llCand [][]int32) (func() pairEval, []config.IDProfile) {
 	views := config.LearnProfiles(space, parallelism, left, right)
 	viewL, viewR := views[0], views[1]
@@ -124,12 +126,23 @@ func idPairs(space []config.JoinFunction, parallelism int, left, right []string,
 	ev := config.NewEvaluator(space)
 	return func() pairEval {
 		sc := ev.NewScratch()
+		var side config.Side
+		var f config.Fixed
+		cur, curL := -1, false // the record f holds, and whether it is a center
+		prepare := func(x []config.IDProfile, i int, l bool) *config.Fixed {
+			if i != cur || l != curL {
+				side.Release()
+				f = side.PrepareView(&x[i], l)
+				cur, curL = i, l
+			}
+			return &f
+		}
 		return pairEval{
 			lr: func(r, ci int, out []float64) {
-				ev.IDDistances(&viewL[lrCand[r][ci]], &viewR[r], config.AllGroups, sc, out)
+				ev.ViewDistances(prepare(viewR, r, false), &viewL[lrCand[r][ci]], config.AllGroups, sc, out)
 			},
 			ll: func(l, ci int, need config.GroupMask, out []float64) {
-				ev.IDDistances(&viewL[l], &viewL[llCand[l][ci]], need, sc, out)
+				ev.ViewDistances(prepare(viewL, l, true), &viewL[llCand[l][ci]], need, sc, out)
 			},
 			mask: func(fns []fnCenter) config.GroupMask {
 				var m config.GroupMask

@@ -35,14 +35,16 @@ import (
 //   - rows store their token sets as integer slot runs with counts over
 //     one vocabulary per program column and counted representation
 //     (config.Vocab), which keeps integer df/doc counts — equal to the
-//     batch-built statistics exactly — and each slot's lexical rank. A
-//     candidate's ids and IDF weights are derived per candidate by array
-//     lookups, in the floating-point order a fresh profile build uses, and
-//     its set distances come from the id kernel, so no token string is
-//     hashed or compared per candidate;
+//     batch-built statistics exactly — each slot's place in the lexical
+//     order and its IDF weight. A query is prepared once into
+//     slot-indexed weight tables, and each candidate is scored straight
+//     from its stored slot run, in the floating-point order a fresh
+//     profile build uses, so no token string is hashed or compared per
+//     candidate;
 //   - the 2θ-ball precision denominators run over the same merged top-k
-//     candidates. The first time a row wins, one pass counts its ball
-//     under the evaluator groups of the configurations that joined to it;
+//     candidates. The first time a row wins, one pass, with the row
+//     prepared as the fixed side, counts its ball under the evaluator
+//     groups of the configurations that joined to it;
 //     the counts are cached per configuration, tagged with the statistics
 //     generation so no mutation can leak a stale count, and a later join
 //     under another group fills that group's slots then.
@@ -174,8 +176,10 @@ type tableScratch struct {
 	ballCands []blocking.Candidate
 	kbuf      []byte // composite cache key of a multi-column row
 	//autofj:keep persistent distance-kernel sub-scratch; rows are overwritten per pair and hold no references
-	esc    *config.EvalScratch
-	da, db config.DeriveBuf // id and weight buffers of the two rows a pair derives
+	esc *config.EvalScratch
+	// per program column, the tables of the fixed side of the current run
+	// of pairs: the query of the candidate scan, the center of a ball fill
+	sides  []config.Side
 	drow   []float64
 	crow   []float64
 	bestD  []float64
@@ -303,6 +307,7 @@ func (p *Program) newTable(width int, rows [][]string, opt Options, h *learnedL)
 		return &tableScratch{
 			sc:     blocking.NewTableScratch(),
 			esc:    t.eval.NewScratch(),
+			sides:  make([]config.Side, len(t.cols)),
 			drow:   make([]float64, len(t.configs)),
 			crow:   make([]float64, len(t.configs)),
 			bestD:  make([]float64, len(t.configs)),
@@ -688,17 +693,15 @@ func (t *Table) payload(ref blocking.Ref) (*tablePayload, int32) {
 }
 
 // pairDists fills ms.drow with every configuration's distance between
-// reference row ref and the query profiles. Multi-column distances
-// reproduce the learned tensor semantics: per-column float32 rounding and
-// maximal distance for two missing cells.
+// reference row ref and the query, prepared in e.fixed. Multi-column
+// distances reproduce the learned tensor semantics: per-column float32
+// rounding and maximal distance for two missing cells.
 //
 //autofj:hotpath
 func (t *Table) pairDists(ms *tableScratch, e *queryState, ref blocking.Ref) {
 	pl, local := t.payload(ref)
-	var lp config.IDProfile
 	if !t.multi {
-		t.cols[0].Derive(&pl.cols[0], int(local), config.AllGroups, &ms.da, &lp)
-		t.eval.IDDistances(&lp, e.profs[0], config.AllGroups, ms.esc, ms.drow)
+		t.eval.RowDistances(&e.fixed[0], &pl.cols[0], int(local), config.AllGroups, ms.esc, ms.drow)
 		return
 	}
 	for ci := range ms.drow {
@@ -711,8 +714,7 @@ func (t *Table) pairDists(ms *tableScratch, e *queryState, ref blocking.Ref) {
 			}
 			continue
 		}
-		t.cols[j].Derive(&pl.cols[j], int(local), config.AllGroups, &ms.da, &lp)
-		t.eval.IDDistances(&lp, e.profs[j], config.AllGroups, ms.esc, ms.crow)
+		t.eval.RowDistances(&e.fixed[j], &pl.cols[j], int(local), config.AllGroups, ms.esc, ms.crow)
 		for ci := range ms.drow {
 			ms.drow[ci] += t.weights[j] * float64(float32(ms.crow[ci]))
 		}
@@ -766,26 +768,31 @@ func (t *Table) cachedBall(ci int, l int32, tag uint64) uint32 {
 }
 
 // fillBalls counts the balls of dense row l under every configuration
-// whose group is in mask, in one pass — one self-blocking call, l's
-// id-space view derived once, and one evaluator row per ball candidate
-// that scores only mask's groups, compared against the radii — and
-// stores those counts in ms.fill and in the ball cache, tagged with the
-// statistics generation, so mutations invalidate them wholesale and the
-// other configurations of those groups, in this query or a later one,
+// whose group is in mask, in one pass — one self-blocking call, l
+// prepared once as the fixed side, and one evaluator row per ball
+// candidate that scores only mask's groups, compared against the radii —
+// and stores those counts in ms.fill and in the ball cache, tagged with
+// the statistics generation, so mutations invalidate them wholesale and
+// the other configurations of those groups, in this query or a later one,
 // hit. The slots of every other configuration are left as they were:
 // their entries of ms.drow (and, multi-column, of ms.crow) hold stale
 // distances, and their counts in ms.fill are meaningless. ms.drow/ms.crow
-// are free here: ball counts are only taken after the candidate scan has
-// finished with them. Values are deterministic, so concurrent fills under
-// any masks are benign.
+// and ms.sides are free here: ball counts are only taken after the
+// candidate scan has finished with them. Values are deterministic, so
+// concurrent fills under any masks are benign.
 //
 //autofj:hotpath
 func (t *Table) fillBalls(l int32, mask config.GroupMask, tag uint64, ms *tableScratch) {
 	ms.ballCands = t.tix.AppendTopKSelf(ms.ballCands[:0], ms.sc, int(l), t.k)
 	apl, alocal := t.payload(t.tix.Ref(int(l)))
-	var pa, pb config.IDProfile
-	if !t.multi { // single-column: l's view, derived once for all candidates
-		t.cols[0].Derive(&apl.cols[0], int(alocal), mask, &ms.da, &pa)
+	var one [1]config.Fixed
+	centers := one[:]
+	if t.multi {
+		//autofj:alloc-ok one slot per program column per multi-column fill; the single-column center stays on the stack
+		centers = make([]config.Fixed, len(t.cols))
+	}
+	for j, vocab := range t.cols {
+		centers[j] = vocab.PrepareRow(&ms.sides[j], &apl.cols[j], int(alocal), mask)
 	}
 	for ci := range ms.fill {
 		ms.fill[ci] = 1
@@ -793,8 +800,7 @@ func (t *Table) fillBalls(l int32, mask config.GroupMask, tag uint64, ms *tableS
 	for _, c := range ms.ballCands {
 		bpl, blocal := t.payload(t.tix.Ref(int(c.ID)))
 		if !t.multi {
-			t.cols[0].Derive(&bpl.cols[0], int(blocal), mask, &ms.db, &pb)
-			t.eval.IDDistances(&pa, &pb, mask, ms.esc, ms.drow)
+			t.eval.RowDistances(&centers[0], &bpl.cols[0], int(blocal), mask, ms.esc, ms.drow)
 		} else {
 			clear(ms.drow)
 			for j := range t.cols {
@@ -804,10 +810,7 @@ func (t *Table) fillBalls(l int32, mask config.GroupMask, tag uint64, ms *tableS
 					}
 					continue
 				}
-				vocab := t.cols[j]
-				vocab.Derive(&apl.cols[j], int(alocal), mask, &ms.da, &pa)
-				vocab.Derive(&bpl.cols[j], int(blocal), mask, &ms.db, &pb)
-				t.eval.IDDistances(&pa, &pb, mask, ms.esc, ms.crow)
+				t.eval.RowDistances(&centers[j], &bpl.cols[j], int(blocal), mask, ms.esc, ms.crow)
 				for ci := range ms.drow {
 					ms.drow[ci] += t.weights[j] * float64(float32(ms.crow[ci]))
 				}
@@ -815,6 +818,7 @@ func (t *Table) fillBalls(l int32, mask config.GroupMask, tag uint64, ms *tableS
 		}
 		countBallRow(ms.fill, ms.drow, t.radii)
 	}
+	ms.releaseSides()
 	for ci, n := range ms.fill {
 		if mask&t.eval.Group(ci) != 0 {
 			t.balls[ci*t.ballStride+int(l)].Store(tag | uint64(n))
@@ -822,10 +826,20 @@ func (t *Table) fillBalls(l int32, mask config.GroupMask, tag uint64, ms *tableS
 	}
 }
 
+// releaseSides clears the fixed side of the run of pairs that just ended.
+//
+//autofj:hotpath
+func (ms *tableScratch) releaseSides() {
+	for j := range ms.sides {
+		ms.sides[j].Release()
+	}
+}
+
 // fillQuery is the Table's cache-fill edge: merged blocking,
-// negative-rule vetoes, and query-profile construction for one surface
-// form under the current generation's statistics. Caller must hold the
-// read lock (the profiles read the live vocabulary).
+// negative-rule vetoes, and the query resolved and prepared into ms.sides
+// for one surface form under the current generation's statistics; score
+// releases the sides after its candidate scan. Caller must hold the read
+// lock (the query reads the live vocabulary).
 func (t *Table) fillQuery(ms *tableScratch, key string, row []string) *queryState {
 	e := &queryState{}
 	ms.cands = t.tix.AppendTopK(ms.cands[:0], ms.sc, key, t.k)
@@ -843,17 +857,18 @@ func (t *Table) fillQuery(ms *tableScratch, key string, row []string) *queryStat
 			e.cands = append(e.cands, c.ID)
 		}
 	}
-	e.qcells = make([]string, len(t.cols))
 	if t.multi {
+		e.qcells = make([]string, len(t.cols))
+		e.fixed = make([]config.Fixed, len(t.cols))
 		for j, cj := range t.columns {
 			e.qcells[j] = row[cj]
 		}
 	} else {
+		e.qcells, e.fixed = e.qcell[:], e.fixed1[:]
 		e.qcells[0] = key
 	}
-	e.profs = make([]*config.IDProfile, len(t.cols))
-	for j := range t.cols {
-		e.profs[j] = t.cols[j].Query(e.qcells[j])
+	for j, vocab := range t.cols {
+		e.fixed[j] = vocab.PrepareQuery(&ms.sides[j], e.qcells[j], config.AllGroups)
 	}
 	return e
 }
@@ -914,6 +929,7 @@ func (t *Table) score(ms *tableScratch, e *queryState) Match {
 			}
 		}
 	}
+	ms.releaseSides()
 	for ci := range t.configs {
 		if bd := ms.bestD[ci]; bd > t.configs[ci].Threshold || bd >= unjoinableDist {
 			ms.bestL[ci] = -1
@@ -944,8 +960,9 @@ func (t *Table) score(ms *tableScratch, e *queryState) Match {
 func (t *Table) getScratch() *tableScratch { return t.pool.Get().(*tableScratch) }
 
 // putScratch returns a scratch to the pool. Query-derived references
-// live in the per-miss queryState and reference-row views on the stack,
-// never in the scratch (TestTableScratchRetainsNoQueryMemory).
+// live in the per-miss queryState and a ball center's strings on the
+// stack, never in the scratch, whose sides hold released weight tables
+// only (TestTableScratchRetainsNoQueryMemory).
 //
 //autofj:hotpath
 func (t *Table) putScratch(ms *tableScratch) { t.pool.Put(ms) }

@@ -482,9 +482,9 @@ func pointerFreeType(t reflect.Type) bool {
 // TestTableScratchRetainsNoQueryMemory: pooled table scratches must be
 // structurally incapable of pinning query input or reference rows between
 // requests — query-derived references live in generation-keyed cache
-// entries and the per-miss queryState, derived reference-row views on the
+// entries and the per-miss queryState, a ball center's strings on the
 // stack — so every scratch field is a whitelisted persistent sub-scratch
-// or a pointer-free buffer, the derive buffers included.
+// or a pointer-free buffer, the prepared sides' weight tables included.
 func TestTableScratchRetainsNoQueryMemory(t *testing.T) {
 	persistent := map[string]bool{
 		"sc":  true, // *blocking.TableScratch: capacity + generation stamps only
@@ -501,7 +501,7 @@ func TestTableScratchRetainsNoQueryMemory(t *testing.T) {
 		}
 	}
 
-	// The scratch really carries a query's candidates and derived rows
+	// The scratch really carries a query's candidates and prepared sides
 	// through the path the structural check covers.
 	L, _ := makeTask(t, 43, 4)
 	prog := tableTestProgram()

@@ -6,33 +6,64 @@ import (
 	"testing"
 )
 
-// toIDVec converts a Sparse to its interned form under vocab (a sorted
-// distinct token list, ids = lex ranks) — the same mapping a serving
-// table's config.Vocab applies. Out-of-vocabulary tokens are dropped from the merge
-// list but still counted in Sum/Norm/N and flagged in Extra, exactly as
-// documented on IDVec.
-func toIDVec(s Sparse, vocab []string) IDVec {
-	v := IDVec{Sum: s.Sum, Norm: s.Norm, N: int32(len(s.Tokens))}
+// prepare builds the prepared form of s over vocab (a sorted distinct
+// token list, ids = lexical ranks — the mapping a learn view uses; a
+// table's slots differ only in numbering). Tokens outside vocab are in
+// no table but still count toward Sum, Norm and N, as a query's
+// out-of-vocabulary tokens do.
+func prepare(s Sparse, vocab []string) *Prepared {
+	p := &Prepared{W: make([]float64, len(vocab)), Sum: s.Sum, Norm: s.Norm, N: int32(len(s.Tokens))}
 	for i, tok := range s.Tokens {
-		id := sort.SearchStrings(vocab, tok)
-		if id < len(vocab) && vocab[id] == tok {
-			v.IDs = append(v.IDs, int32(id))
-			v.W = append(v.W, s.W[i])
-		} else {
-			v.Extra = true
+		if id := sort.SearchStrings(vocab, tok); id < len(vocab) && vocab[id] == tok {
+			p.W[id] = s.W[i]
 		}
 	}
-	return v
+	return p
 }
 
-// TestSetFamilyIDsMatchesStrings: the id-space kernel must be
-// bit-identical to the string kernel on random pairs. The reference side
-// is always fully in-vocabulary (the serving-path precondition); the
-// query side mixes in out-of-vocabulary tokens, which must break the
-// containment gate exactly as an unmatched string token would.
+// ids returns the ids of s's tokens under vocab, which holds them all.
+func ids(s Sparse, vocab []string) []int32 {
+	out := make([]int32, len(s.Tokens))
+	for i, tok := range s.Tokens {
+		out[i] = int32(sort.SearchStrings(vocab, tok))
+	}
+	return out
+}
+
+// union returns the sorted distinct tokens of the sets.
+func union(sets ...Sparse) []string {
+	var toks []string
+	for _, s := range sets {
+		toks = append(toks, s.Tokens...)
+	}
+	sort.Strings(toks)
+	n := 0
+	for i, tok := range toks {
+		if i == 0 || tok != toks[n-1] {
+			toks[n] = tok
+			n++
+		}
+	}
+	return toks[:n]
+}
+
+// TestSetFamilyIDsMatchesStrings: the id-space kernels must be
+// bit-identical to the string kernel on random pairs, in both
+// orientations. With the stored run as l, the prepared query side r mixes
+// in out-of-vocabulary tokens, which must break the containment gate
+// exactly as an unmatched string token would; with the prepared side as
+// l (a ball's center), both sides are in the vocabulary. The float
+// weights of a learn view, the integer counts of an equal-weight row and
+// the count × IDF weights of an IDF row are each checked.
 func TestSetFamilyIDsMatchesStrings(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	oov := []string{"zz-novel", "qq-novel", "xx-novel"}
+	check := func(trial int, what string, got, want SetDists, l, r Sparse) {
+		t.Helper()
+		if got != want {
+			t.Fatalf("trial %d, %s: ids %+v != strings %+v (l=%v r=%v)", trial, what, got, want, l.Tokens, r.Tokens)
+		}
+	}
 	for trial := 0; trial < 2000; trial++ {
 		l := randSparse(rng)
 		r := randSparse(rng)
@@ -47,34 +78,65 @@ func TestSetFamilyIDsMatchesStrings(t *testing.T) {
 			}
 			r = NewSparse(vec)
 		}
-		// The reference side's own tokens ARE the vocabulary: every l
-		// token interns, and any r token outside l's set is Extra.
-		vocab := append([]string(nil), l.Tokens...)
-		lv, rv := toIDVec(l, vocab), toIDVec(r, vocab)
-		if lv.Extra {
-			t.Fatalf("trial %d: reference side out of its own vocabulary", trial)
+		// The stored side's own tokens ARE the vocabulary: every l token
+		// has an id, and any r token outside l's set is out of it.
+		vocab := union(l)
+		check(trial, "row l, prepared query r", SetFamilyRun(prepare(r, vocab), ids(l, vocab), l.W, l.Sum, l.Norm, false), SetFamily(l, r), l, r)
+
+		// A prepared center against a stored neighbor, both in vocabulary.
+		c, n := randSparse(rng), randSparse(rng)
+		vocab = union(c, n)
+		check(trial, "prepared center l, row r", SetFamilyRun(prepare(c, vocab), ids(n, vocab), n.W, n.Sum, n.Norm, true), SetFamily(c, n), c, n)
+
+		// Stored rows weigh integer counts, times an IDF column sw.
+		sw := make([]float64, len(vocab))
+		for id := range sw {
+			sw[id] = 0.25 + rng.Float64()*3
 		}
-		got, want := SetFamilyIDs(lv, rv), SetFamily(l, r)
-		if got != want {
-			t.Fatalf("trial %d: ids %+v != strings %+v (l=%v r=%v)",
-				trial, got, want, l.Tokens, r.Tokens)
+		counts := make([]uint32, len(n.Tokens))
+		eq, idf := map[string]float64{}, map[string]float64{}
+		for k, tok := range n.Tokens {
+			counts[k] = 1 + uint32(rng.Intn(4))
+			eq[tok] = float64(counts[k])
+			idf[tok] = float64(counts[k]) * sw[sort.SearchStrings(vocab, tok)]
+		}
+		ne, ni := NewSparse(eq), NewSparse(idf)
+		nids := ids(n, vocab)
+		for _, pL := range []bool{true, false} {
+			l, r := c, ne
+			if !pL {
+				l, r = ne, c
+			}
+			check(trial, "equal-weight row", SetFamilyRun(prepare(c, vocab), nids, counts, ne.Sum, ne.Norm, pL), SetFamily(l, r), l, r)
+			l, r = c, ni
+			if !pL {
+				l, r = ni, c
+			}
+			check(trial, "IDF row", prepare(c, vocab).SetFamilyIDF(nids, counts, sw, pL), SetFamily(l, r), l, r)
 		}
 	}
 }
 
 // TestSetFamilyIDsEmpty pins the empty-set short circuits: both empty is
-// all-zero, one empty is the all-ones distance row of the string kernel.
+// all-zero, one empty is the all-ones distance row of the string kernel,
+// in either orientation.
 func TestSetFamilyIDsEmpty(t *testing.T) {
-	full := toIDVec(NewSparse(map[string]float64{"a": 1}), []string{"a"})
-	if d := SetFamilyIDs(IDVec{}, IDVec{}); d != (SetDists{}) {
-		t.Errorf("both empty: %+v, want zero row", d)
-	}
-	want := SetFamily(NewSparse(map[string]float64{"a": 1}), NewSparse(nil))
-	if d := SetFamilyIDs(full, IDVec{}); d != want {
-		t.Errorf("empty query: ids %+v != strings %+v", d, want)
-	}
-	want = SetFamily(NewSparse(nil), NewSparse(map[string]float64{"a": 1}))
-	if d := SetFamilyIDs(IDVec{}, full); d != want {
-		t.Errorf("empty reference: ids %+v != strings %+v", d, want)
+	a := NewSparse(map[string]float64{"a": 1})
+	vocab := []string{"a"}
+	full, empty := prepare(a, vocab), prepare(NewSparse(nil), vocab)
+	for _, pL := range []bool{true, false} {
+		if d := SetFamilyRun(empty, nil, []float64(nil), 0, 0, pL); d != (SetDists{}) {
+			t.Errorf("both empty: %+v, want zero row", d)
+		}
+		if d := empty.SetFamilyIDF(nil, nil, nil, pL); d != (SetDists{}) {
+			t.Errorf("both empty, IDF row: %+v, want zero row", d)
+		}
+		want := SetFamily(a, NewSparse(nil))
+		if d := SetFamilyRun(full, nil, []float64(nil), 0, 0, pL); d != want {
+			t.Errorf("empty run: ids %+v != strings %+v", d, want)
+		}
+		if d := SetFamilyRun(empty, []int32{0}, []float64{1}, 1, 1, pL); d != want {
+			t.Errorf("empty prepared side: ids %+v != strings %+v", d, want)
+		}
 	}
 }

@@ -66,41 +66,51 @@ func mergeStats(l, r Sparse) (sumMin, dot float64, rInL bool) {
 // record, exactly as in the single-function entry points.
 func SetFamily(l, r Sparse) SetDists {
 	if l.Empty() || r.Empty() {
-		// bothEmptyOrOne collapses every family member: two empty sets are
-		// identical (0 everywhere — an empty r is contained in any l, and
-		// Jaccard/Dice of two empties is 0), one empty set is maximally
-		// different (1 everywhere — the Contain-* gate either fails or
-		// passes into a one-empty distance of 1).
-		if l.Empty() && r.Empty() {
-			return SetDists{}
-		}
-		return SetDists{JD: 1, CD: 1, DD: 1, MD: 1, ID: 1, CJD: 1, CCD: 1, CDD: 1}
+		return emptyFamily(l.Empty(), r.Empty())
 	}
 	sumMin, dot, rInL := mergeStats(l, r)
+	return family(l.Sum, l.Norm, r.Sum, r.Norm, sumMin, dot, rInL)
+}
+
+// emptyFamily is the distance row of a pair with at least one empty set.
+// Two empty sets are identical (0 everywhere — an empty r is contained in
+// any l, and Jaccard/Dice of two empties is 0); one empty set is
+// maximally different (1 everywhere — the Contain-* gate either fails or
+// passes into a one-empty distance of 1).
+func emptyFamily(lEmpty, rEmpty bool) SetDists {
+	if lEmpty && rEmpty {
+		return SetDists{}
+	}
+	return SetDists{JD: 1, CD: 1, DD: 1, MD: 1, ID: 1, CJD: 1, CCD: 1, CDD: 1}
+}
+
+// family applies the closed forms to the shared statistics of one pair of
+// non-empty sets.
+func family(lSum, lNorm, rSum, rNorm, sumMin, dot float64, rInL bool) SetDists {
 	var d SetDists
 
 	// Weighted Jaccard: 1 - Σmin / Σmax.
-	if union := l.Sum + r.Sum - sumMin; union <= 0 {
+	if union := lSum + rSum - sumMin; union <= 0 {
 		d.JD = 0
 	} else {
 		d.JD = clamp01(1 - sumMin/union)
 	}
 	// Cosine: 1 - l·r / (|l||r|).
-	if den := l.Norm * r.Norm; den <= 0 {
+	if den := lNorm * rNorm; den <= 0 {
 		d.CD = 1
 	} else {
 		d.CD = clamp01(1 - dot/den)
 	}
 	// Dice: 1 - 2Σmin / (Σl + Σr).
-	if den := l.Sum + r.Sum; den <= 0 {
+	if den := lSum + rSum; den <= 0 {
 		d.DD = 0
 	} else {
 		d.DD = clamp01(1 - 2*sumMin/den)
 	}
 	// Max-inclusion: overlap relative to the smaller set.
-	minSum := l.Sum
-	if r.Sum < minSum {
-		minSum = r.Sum
+	minSum := lSum
+	if rSum < minSum {
+		minSum = rSum
 	}
 	if minSum <= 0 {
 		d.MD = 0
@@ -108,10 +118,10 @@ func SetFamily(l, r Sparse) SetDists {
 		d.MD = clamp01(1 - sumMin/minSum)
 	}
 	// Inclusion of r in l: how much of the right record is missing.
-	if r.Sum <= 0 {
+	if rSum <= 0 {
 		d.ID = 0
 	} else {
-		d.ID = clamp01(1 - sumMin/r.Sum)
+		d.ID = clamp01(1 - sumMin/rSum)
 	}
 	// Contain-*: gate on r ⊆ l, then reuse the symmetric formula.
 	if rInL {
