@@ -20,7 +20,7 @@ import (
 // the count the test measures, in the same change that moves it.
 const (
 	topKAllocBudget         = 0   // per pass of 512 blocking top-k queries
-	evaluatorAllocBudget    = 0   // per pass of 64 full-space ViewDistances pairs over learn views
+	evaluatorAllocBudget    = 0   // per pass of 64 full-space RowDistances pairs over learn rows
 	tableAddAllocBudget     = 40  // per Table.Add of one row
 	matchDeltaAllocBudget   = 6   // per cache-off Match with a 256-row delta
 	snapshotLoadAllocBudget = 188 // per LoadTableFile of the 10k-row table; 182 on Linux
@@ -53,15 +53,16 @@ func TestAllocationBudgets(t *testing.T) {
 
 	space := config.Space()
 	recs := left[:64]
-	views := config.LearnProfiles(space, 1, recs)[0]
+	learned := config.LearnProfiles(space, 1, recs)
+	vocab, learnRows := learned.Vocab(), learned.Rows()
 	ev := config.NewEvaluator(space)
 	evSc := ev.NewScratch()
 	var side config.Side
 	out := make([]float64, len(space))
-	check("Evaluator.ViewDistances", evaluatorAllocBudget, 5, func() {
-		for i := range views {
-			f := side.PrepareView(&views[i], true)
-			ev.ViewDistances(&f, &views[(i+7)%len(views)], config.AllGroups, evSc, out)
+	check("Evaluator.RowDistances", evaluatorAllocBudget, 5, func() {
+		for i := range len(recs) {
+			f := vocab.PrepareRow(&side, learnRows, i, config.AllGroups, true)
+			ev.RowDistances(&f, learnRows, (i+7)%len(recs), config.AllGroups, evSc, out)
 			side.Release()
 		}
 	})

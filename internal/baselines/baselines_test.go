@@ -271,6 +271,54 @@ func TestStaticJoinsAndUBR(t *testing.T) {
 	}
 }
 
+// TestStaticJoinsMatchStringPath: StaticJoins, which scores learn rows
+// with each right record prepared as the query side r, keeps exactly the
+// joins of the same scan over string Profiles (Evaluator.Distances with
+// the left record as l), under the full space, whose containment
+// distances are not symmetric.
+func TestStaticJoinsMatchStringPath(t *testing.T) {
+	left, right, _ := smallTask(t)
+	cands := Candidates(left, right, 1.0)
+	space := config.Space()
+	corpus := config.NewCorpus(space, left, right)
+	profL, profR := corpus.Profiles(left, 1), corpus.Profiles(right, 1)
+	ev := config.NewEvaluator(space)
+	sc := ev.NewScratch()
+	row := make([]float64, len(space))
+	want := make([][]metrics.ScoredJoin, len(space))
+	bestL, bestD := make([]int, len(space)), make([]float64, len(space))
+	for r, cs := range cands {
+		for fi := range space {
+			bestL[fi], bestD[fi] = -1, 2.0
+		}
+		for _, l := range cs {
+			ev.Distances(profL[l], profR[r], sc, row)
+			for fi, d := range row {
+				if d < bestD[fi] {
+					bestL[fi], bestD[fi] = int(l), d
+				}
+			}
+		}
+		for fi := range space {
+			if bestL[fi] >= 0 && bestD[fi] < 1 {
+				want[fi] = append(want[fi], metrics.ScoredJoin{Right: r, Left: bestL[fi], Score: 1 - bestD[fi]})
+			}
+		}
+	}
+	got := StaticJoins(left, right, space, cands)
+	for fi, fn := range space {
+		if len(got[fi]) != len(want[fi]) {
+			t.Fatalf("%s: %d joins, string path %d", fn.Name(), len(got[fi]), len(want[fi]))
+		}
+		for k := range want[fi] {
+			g, w := got[fi][k], want[fi][k]
+			if g.Right != w.Right || g.Left != w.Left || math.Float64bits(g.Score) != math.Float64bits(w.Score) {
+				t.Fatalf("%s: join %d is %+v, string path %+v", fn.Name(), k, g, w)
+			}
+		}
+	}
+}
+
 func TestConcatColumns(t *testing.T) {
 	cols := [][]string{{"a", ""}, {"b", "c"}}
 	got := ConcatColumns(cols)

@@ -10,8 +10,8 @@ import (
 // distance, scored as 1-distance. The result is indexed by function,
 // feeding the Best-Static-Join-function (BSJ) comparison of Table 2.
 func StaticJoins(left, right []string, space []config.JoinFunction, cands [][]int32) [][]metrics.ScoredJoin {
-	views := config.LearnProfiles(space, 0, left, right)
-	viewL, viewR := views[0], views[1]
+	learned := config.LearnProfiles(space, 0, left, right)
+	v, rows := learned.Vocab(), learned.Rows()
 	// Pair-major: one fused evaluation per candidate pair scores every
 	// function of the space at once (see config.Evaluator).
 	ev := config.NewEvaluator(space)
@@ -25,9 +25,9 @@ func StaticJoins(left, right []string, space []config.JoinFunction, cands [][]in
 		for fi := range space {
 			bestL[fi], bestD[fi] = -1, 2.0
 		}
-		f := side.PrepareView(&viewR[r], false)
+		f := v.PrepareRow(&side, rows, len(left)+r, config.AllGroups, false)
 		for _, l := range cs {
-			ev.ViewDistances(&f, &viewL[l], config.AllGroups, sc, row)
+			ev.RowDistances(&f, rows, int(l), config.AllGroups, sc, row)
 			for fi := range space {
 				if row[fi] < bestD[fi] {
 					bestD[fi] = row[fi]
@@ -71,8 +71,8 @@ func UpperBoundRecall(left, right []string, space []config.JoinFunction, cands [
 	if len(truth) == 0 {
 		return 0
 	}
-	views := config.LearnProfiles(space, 0, left, right)
-	viewL, viewR := views[0], views[1]
+	learned := config.LearnProfiles(space, 0, left, right)
+	v, rows := learned.Vocab(), learned.Rows()
 	ev := config.NewEvaluator(space)
 	sc := ev.NewScratch()
 	var side config.Side
@@ -87,9 +87,9 @@ func UpperBoundRecall(left, right []string, space []config.JoinFunction, cands [
 		for fi := range space {
 			bestL[fi], bestD[fi] = -1, 2.0
 		}
-		f := side.PrepareView(&viewR[r], false)
+		f := v.PrepareRow(&side, rows, len(left)+r, config.AllGroups, false)
 		for _, l := range cands[r] {
-			ev.ViewDistances(&f, &viewL[l], config.AllGroups, sc, row)
+			ev.RowDistances(&f, rows, int(l), config.AllGroups, sc, row)
 			for fi := range space {
 				if row[fi] < bestD[fi] {
 					bestD[fi] = row[fi]

@@ -1,15 +1,20 @@
 package config
 
-import "github.com/chu-data-lab/autofuzzyjoin-go/internal/parallel"
+import (
+	"slices"
+
+	"github.com/chu-data-lab/autofuzzyjoin-go/internal/parallel"
+)
 
 // ProfileArena is one record collection stored the way a serving table
 // stores its rows, by the same row builder: a Vocab holding the
 // collection's token statistics and a Rows block of integer slot runs
-// into it. Evaluator.ArenaDistances scores a stored record against a
-// prepared query by Evaluator.RowDistances, the path core.Table serves
-// with.
+// into it. It is the store a Learn scores (LearnProfiles: L's rows, then
+// R's, under one vocabulary closed over both) and the one BuildArena
+// makes from string Profiles. Evaluator.RowDistances scores a stored
+// record against a prepared side, the path core.Table serves with.
 //
-// An arena is immutable after BuildArena and safe for concurrent use.
+// An arena is immutable once built and safe for concurrent use.
 type ProfileArena struct {
 	v    *Vocab
 	rows Rows
@@ -18,37 +23,89 @@ type ProfileArena struct {
 // Len returns the number of records in the arena.
 func (a *ProfileArena) Len() int { return a.rows.Len() }
 
+// Vocab returns the vocabulary the arena's rows index.
+func (a *ProfileArena) Vocab() *Vocab { return a.v }
+
+// Rows returns the arena's rows, in the order their records were given.
+func (a *ProfileArena) Rows() *Rows { return &a.rows }
+
+// Processed returns the processed strings of record i.
+func (a *ProfileArena) Processed(i int) Processed { return a.rows.record(i).proc }
+
+// LearnProfiles stores the records a Learn scores, collections[0] (L)
+// then collections[1] (R), as the rows of one arena whose vocabulary is
+// closed over all of them: the IDF statistics of a Learn count every
+// record of L and R. A self-join passes L alone. Rows are built on up to
+// parallelism workers (0 means GOMAXPROCS, 1 forces sequential) by the
+// builder a table's rows use, and every level gives identical rows.
+func LearnProfiles(space []JoinFunction, parallelism int, collections ...[]string) *ProfileArena {
+	var recs []string
+	for _, coll := range collections {
+		recs = append(recs, coll...)
+	}
+	v := NewVocab(space)
+	return v.buildArena(len(recs), parallelism, func(dst *Counted, i int) {
+		v.CountRecord(dst, recs[i], nil)
+	})
+}
+
 // BuildArena stores the records of profs, which c.Profile or c.Profiles
 // built, in an arena. Each row is built from Profile.Raw by the table's
-// row builder: records are counted (Vocab.CountRecord) on GOMAXPROCS
-// workers one chunk at a time, then appended in order (AppendCounted), so
-// the pointer profiles can be dropped afterwards.
+// row builder on GOMAXPROCS workers, so the pointer profiles can be
+// dropped afterwards.
 //
 // The arena's IDF statistics follow its own rows, not c's. The two agree
 // when c was built over the same collection, and then ArenaDistances
 // reproduces Evaluator.Distances on profs bit for bit.
 func (c *Corpus) BuildArena(profs []*Profile) *ProfileArena {
-	n := len(profs)
 	v := newVocab(&Corpus{needVec: c.needVec, needEmb: c.needEmb, needProc: c.needProc})
+	return v.buildArena(len(profs), 0, func(dst *Counted, i int) {
+		v.CountRecord(dst, profs[i].Raw, nil)
+	})
+}
+
+// BuildChunk bounds the counted records a row build holds at once: they
+// are scaffolding for the stored rows, reused chunk by chunk.
+const BuildChunk = 256
+
+// buildArena stores n records as the rows of a new arena of the empty v,
+// in order: count fills dst with record i (see CountRecord) on up to
+// parallelism workers, one chunk at a time, AppendChunk stores each chunk,
+// and Settle closes the statistics.
+func (v *Vocab) buildArena(n, parallelism int, count func(dst *Counted, i int)) *ProfileArena {
 	a := &ProfileArena{v: v, rows: v.NewRows(n, 0)}
-	recs := make([]Counted, min(n, arenaChunk))
-	for lo := 0; lo < n; lo += arenaChunk {
-		hi := min(n, lo+arenaChunk)
-		parallel.Shard(hi-lo, parallel.Workers(0, hi-lo), func(_, start, end int) {
+	recs := make([]Counted, min(n, BuildChunk))
+	for lo := 0; lo < n; lo += BuildChunk {
+		chunk := recs[:min(n-lo, BuildChunk)]
+		parallel.Shard(len(chunk), parallel.Workers(parallelism, len(chunk)), func(_, start, end int) {
 			for i := start; i < end; i++ {
-				v.CountRecord(&recs[i], profs[lo+i].Raw, nil)
+				count(&chunk[i], lo+i)
 			}
 		})
-		for i := range hi - lo {
-			v.AppendCounted(&a.rows, &recs[i])
+		tokens := 0
+		for i := range chunk {
+			for r := range v.reps {
+				tokens += len(chunk[i].runs[r].counts)
+			}
 		}
+		a.rows.reserve(tokens)
+		v.AppendChunk(&a.rows, chunk, parallelism)
 	}
 	v.Settle()
 	return a
 }
 
-// arenaChunk bounds the counted records BuildArena holds at once.
-const arenaChunk = 256
+// reserve makes room for tokens more slot entries, at least doubling the
+// storage when it grows: an arena's runs are then copied O(1) times as it
+// is built, not once per append's smaller growth step. A table's rows,
+// which live on, grow by append and keep less spare capacity.
+func (s *Rows) reserve(tokens int) {
+	if need := len(s.slots) + tokens; need > cap(s.slots) {
+		c := max(need, 2*cap(s.slots))
+		s.slots = slices.Grow(s.slots, c-len(s.slots))
+		s.counts = slices.Grow(s.counts, c-len(s.counts))
+	}
+}
 
 // ArenaQuery prepares one record as the query side against the arena's
 // vocabulary, in tables of its own (see Vocab.PrepareQuery).

@@ -14,8 +14,8 @@ import (
 )
 
 // This file holds the statistics-independent half of a record build: its
-// processed strings, embeddings and token COUNTS, from which the IDF view
-// is derived under some statistics.
+// processed strings, embeddings and token COUNTS, from which the IDF
+// weights are derived under some statistics.
 //
 // Learning and a mutable table (core.Table) count records in integers:
 // CountRecord fills a Counted whose 3-grams are packed uint64 keys
@@ -23,10 +23,9 @@ import (
 // keys are ascending gram strings) and whose words are substrings of the
 // processed string; the keys are sorted as integers and run-length
 // encoded, and a Vocab interns them by key, making a gram's string once,
-// when its slot is new. LearnProfiles counts each representation the same
-// way (learnRep). Weights derive from the counts with weighIDF's
-// arithmetic, once per record when learning, and in a table once per
-// prepared side and per candidate token inside the set kernel.
+// when its slot is new. Weights derive from the counts with weighIDF's
+// arithmetic, once per prepared side and per candidate token inside the
+// set kernel.
 //
 // Corpus.CountProfile is the string form of the same counts — one heap
 // string per token, sorted with sort.Strings — kept as the base of the
@@ -107,9 +106,6 @@ func (c *Corpus) CountProfile(s string) *Profile {
 // as a record build made them; an option the build did not need is "".
 type Processed [numPre]string
 
-// Processed returns the view's processed strings.
-func (p *IDProfile) Processed() Processed { return p.proc }
-
 // Counted is the statistics-independent build of one record in a Vocab's
 // layout: its processed strings, its embeddings (nemb × embed.Dim values
 // in layout order), and by layout position each counted representation's
@@ -174,8 +170,8 @@ func rle[T comparable](toks []T, counts []uint32) ([]T, []uint32) {
 
 // CountRecord fills dst with the build of record s (see Counted). proc,
 // when not nil, holds s's processed strings from a build under a space
-// whose pre-processing options include this vocabulary's (LearnProfiles
-// over the same records), and is taken instead of pre-processing s
+// whose pre-processing options include this vocabulary's (a LearnProfiles
+// arena over the same records), and is taken instead of pre-processing s
 // again. An option whose string equals an earlier option's shares that
 // option's string, embedding and counts. CountRecord reads no
 // vocabulary state, so it is safe to call concurrently with anything for

@@ -26,8 +26,8 @@ import (
 //
 // For the full 140-function space this turns ~140 kernel invocations per
 // candidate pair into at most 16 merges + 4 char-pair DP groups + 4 dot
-// products. RowDistances and ViewDistances, the id-space entry points,
-// score less still:
+// products. RowDistances, the id-space entry point that learning and
+// serving both score through, scores less still:
 //
 //   - one side of a run of pairs is prepared once (Side), and each set
 //     group is one pass over the other side's stored run;
@@ -50,7 +50,7 @@ import (
 // the exact arithmetic of the single-function kernels, and a copied
 // result is the one the kernel would compute from the same inputs — so
 // callers can switch freely between the two (enforced by
-// TestEvaluatorMatchesDistance, TestIDDistancesMask and FuzzEvaluator).
+// TestEvaluatorMatchesDistance, TestRowDistancesMask and FuzzEvaluator).
 //
 // An Evaluator is immutable after NewEvaluator and safe for concurrent
 // use; the mutable per-worker state lives in EvalScratch (one per
@@ -119,8 +119,8 @@ type embPlan struct {
 // not safe for concurrent use; give each worker its own.
 type EvalScratch struct {
 	char distance.CharScratch
-	// The kernel results of the current RowDistances or ViewDistances
-	// call, by group, for later groups to copy.
+	// The kernel results of the current RowDistances call, by group, for
+	// later groups to copy.
 	cd [numPre]distance.CharDists
 	sd [numPre * numTok * numWt]distance.SetDists
 	ed [numPre]float64
@@ -274,25 +274,9 @@ func (e *Evaluator) Distances(l, r *Profile, sc *EvalScratch, out []float64) {
 //autofj:hotpath
 func (e *Evaluator) RowDistances(f *Fixed, s *Rows, i int, mask GroupMask, sc *EvalScratch, out []float64) {
 	o := s.record(i)
-	e.distances(f, &o, s, i, nil, mask, sc, out)
-}
-
-// ViewDistances is RowDistances between the prepared learn view f and
-// learn view x of the same LearnProfiles call.
-//
-//autofj:hotpath
-func (e *Evaluator) ViewDistances(f *Fixed, x *IDProfile, mask GroupMask, sc *EvalScratch, out []float64) {
-	e.distances(f, &x.Record, nil, 0, x, mask, sc, out)
-}
-
-// distances scores f against the record o: row i of s, or learn view x
-// when s is nil.
-//
-//autofj:hotpath
-func (e *Evaluator) distances(f *Fixed, o *Record, s *Rows, i int, x *IDProfile, mask GroupMask, sc *EvalScratch, out []float64) {
-	l, r := &f.rec, o
+	l, r := &f.rec, &o
 	if !f.l {
-		l, r = o, &f.rec
+		l, r = &o, &f.rec
 	}
 	for gi := range e.char {
 		g := &e.char[gi]
@@ -311,19 +295,15 @@ func (e *Evaluator) distances(f *Fixed, o *Record, s *Rows, i int, x *IDProfile,
 		if mask&g.bit == 0 {
 			continue
 		}
-		p := &f.side.set[g.pre][g.tok][g.wt]
-		switch src := copySource(g.from, mask, g.pre, l, r); {
-		case src >= 0:
+		if src := copySource(g.from, mask, g.pre, l, r); src >= 0 {
 			sc.sd[gi] = sc.sd[src]
-		case s == nil:
-			v := &x.vec[g.pre][g.tok][g.wt]
-			sc.sd[gi] = distance.SetFamilyRun(p, v.ids, v.w, v.sum, v.norm, f.l)
-		default:
-			lay := s.lay
-			at := i*len(lay.reps) + int(lay.rep[g.pre][g.tok])
+		} else {
+			p := &f.side.set[g.pre][g.tok][g.wt]
+			ri := s.lay.rep[g.pre][g.tok]
+			at := i*len(s.lay.reps) + int(ri)
 			lo, hi := s.off[at], s.off[at+1]
 			if g.wt == weights.IDF {
-				sc.sd[gi] = p.SetFamilyIDF(s.slots[lo:hi], s.counts[lo:hi], f.v.reps[lay.rep[g.pre][g.tok]].sw, f.l)
+				sc.sd[gi] = p.SetFamilyIDF(s.slots[lo:hi], s.counts[lo:hi], f.v.reps[ri].sw, f.l)
 			} else {
 				sc.sd[gi] = distance.SetFamilyRun(p, s.slots[lo:hi], s.counts[lo:hi], s.sums[2*at], s.sums[2*at+1], f.l)
 			}

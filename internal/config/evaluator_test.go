@@ -101,12 +101,12 @@ func TestEvaluatorDuplicateFunctions(t *testing.T) {
 	}
 }
 
-// TestIDDistancesMask: the id-space entry points under a group mask fill
-// exactly the functions whose group the mask selects, with the values of
-// an unmasked call, and leave every other slot untouched; unmasked, they
-// equal Distances on string profiles bit for bit. Every pair is prepared
-// under the mask it is scored with, in each orientation a caller uses:
-//   - a learn view prepared as l against a view, and as r;
+// TestRowDistancesMask: RowDistances under a group mask fills exactly the
+// functions whose group the mask selects, with the values of an unmasked
+// call, and leaves every other slot untouched; unmasked, it equals
+// Distances on string profiles bit for bit. Every pair is prepared under
+// the mask it is scored with, in each orientation a caller uses:
+//   - a learn row prepared as l against a learn row, and as r;
 //   - a stored row as l against a prepared query as r, the query with a
 //     token no row holds, so masked copying crosses the out-of-vocabulary
 //     path;
@@ -114,7 +114,7 @@ func TestEvaluatorDuplicateFunctions(t *testing.T) {
 //
 // and the table cases again after Add and Remove have grown the
 // vocabulary past the size of the tables an earlier prepare sized.
-func TestIDDistancesMask(t *testing.T) {
+func TestRowDistancesMask(t *testing.T) {
 	spaces := map[string][]JoinFunction{
 		"Space":         Space(),
 		"ExtendedSpace": ExtendedSpace(),
@@ -181,20 +181,20 @@ func TestIDDistancesMask(t *testing.T) {
 			}
 			var side Side
 
-			views := LearnProfiles(space, 1, recs)[0]
+			learned := LearnProfiles(space, 1, recs)
 			profs := NewCorpus(space, recs).Profiles(recs, 1)
-			viewPair := func(fixed, other int, l bool) scorer {
+			learnPair := func(fixed, other int, l bool) scorer {
 				return func(mask GroupMask, out []float64) {
-					f := side.PrepareView(&views[fixed], l)
-					ev.ViewDistances(&f, &views[other], mask, sc, out)
+					f := learned.v.PrepareRow(&side, &learned.rows, fixed, mask, l)
+					ev.RowDistances(&f, &learned.rows, other, mask, sc, out)
 					side.Release()
 				}
 			}
-			for i := range views {
-				j, k := rng.Intn(len(views)), rng.Intn(len(views))
+			for i := range learned.Len() {
+				j, k := rng.Intn(learned.Len()), rng.Intn(learned.Len())
 				ev.Distances(profs[i], profs[j], sc, ref)
-				check(fmt.Sprintf("view %q as l, view %q", recs[i], recs[j]), viewPair(i, j, true), viewPair(k, i, true))
-				check(fmt.Sprintf("view %q, view %q as r", recs[i], recs[j]), viewPair(j, i, false), viewPair(i, k, false))
+				check(fmt.Sprintf("learn row %q as l, row %q", recs[i], recs[j]), learnPair(i, j, true), learnPair(k, i, true))
+				check(fmt.Sprintf("learn row %q, row %q as r", recs[i], recs[j]), learnPair(j, i, false), learnPair(i, k, false))
 			}
 
 			v := NewVocab(space)
@@ -218,7 +218,7 @@ func TestIDDistancesMask(t *testing.T) {
 			}
 			centerPair := func(center, row int) scorer {
 				return func(mask GroupMask, out []float64) {
-					f := v.PrepareRow(&side, &rows, center, mask)
+					f := v.PrepareRow(&side, &rows, center, mask, true)
 					ev.RowDistances(&f, &rows, row, mask, sc, out)
 					side.Release()
 				}
@@ -267,7 +267,7 @@ func TestIDDistancesMask(t *testing.T) {
 // arbitrary string pairs under the extended space (every kernel family),
 // and the id-space entry points against the string Distances: a stored
 // row against a prepared query, a prepared center against a stored row,
-// learn views prepared on either side, and the table cases again after
+// learn rows prepared on either side, and the table cases again after
 // the vocabulary grew and shrank past an earlier prepare.
 func FuzzEvaluator(f *testing.F) {
 	f.Add("north museum of history", "nothern museum of history")
@@ -323,7 +323,7 @@ func FuzzEvaluator(f *testing.F) {
 			ev.RowDistances(&fq, &rows, 0, AllGroups, sc, got)
 			same("row l, query r", a, q, profs[0], corpus.Profile(q))
 		}
-		fc := v.PrepareRow(&side, &rows, 0, AllGroups)
+		fc := v.PrepareRow(&side, &rows, 0, AllGroups, true)
 		ev.RowDistances(&fc, &rows, 1, AllGroups, sc, got)
 		same("center l, row r", a, b, profs[0], profs[1])
 
@@ -333,7 +333,7 @@ func FuzzEvaluator(f *testing.F) {
 		v.Count(&rows, 0, -1)
 		v.Settle()
 		grown := NewCorpus(space, []string{b, c})
-		fc = v.PrepareRow(&side, &rows, 2, AllGroups)
+		fc = v.PrepareRow(&side, &rows, 2, AllGroups, true)
 		ev.RowDistances(&fc, &rows, 1, AllGroups, sc, got)
 		same("grown: center l, row r", c, b, grown.Profile(c), grown.Profile(b))
 		q := a + " zqxj"
@@ -341,17 +341,17 @@ func FuzzEvaluator(f *testing.F) {
 		ev.RowDistances(&fq, &rows, 2, AllGroups, sc, got)
 		same("grown: row l, query r", c, q, grown.Profile(c), grown.Profile(q))
 
-		// The learn path: L = {a} and R = {b} derived under one closed
-		// vocabulary, against the profiles of a corpus over the same
-		// collections, with either view prepared.
-		views := LearnProfiles(space, 1, []string{a}, []string{b})
+		// The learn path: L = {a} and R = {b} stored as rows 0 and 1 under
+		// one closed vocabulary, against the profiles of a corpus over the
+		// same collections, with either row prepared.
+		learned := LearnProfiles(space, 1, []string{a}, []string{b})
 		lc := NewCorpus(space, []string{a}, []string{b})
-		fv := side.PrepareView(&views[1][0], false)
-		ev.ViewDistances(&fv, &views[0][0], AllGroups, sc, got)
-		same("learn view l, prepared view r", a, b, lc.Profile(a), lc.Profile(b))
-		fv = side.PrepareView(&views[0][0], true)
-		ev.ViewDistances(&fv, &views[1][0], AllGroups, sc, got)
-		same("prepared learn view l, view r", a, b, lc.Profile(a), lc.Profile(b))
+		fl := learned.v.PrepareRow(&side, &learned.rows, 1, AllGroups, false)
+		ev.RowDistances(&fl, &learned.rows, 0, AllGroups, sc, got)
+		same("learn row l, prepared row r", a, b, lc.Profile(a), lc.Profile(b))
+		fl = learned.v.PrepareRow(&side, &learned.rows, 0, AllGroups, true)
+		ev.RowDistances(&fl, &learned.rows, 1, AllGroups, sc, got)
+		same("prepared learn row l, row r", a, b, lc.Profile(a), lc.Profile(b))
 	})
 }
 

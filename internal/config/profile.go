@@ -44,8 +44,8 @@ func newCorpusNeeds(space []JoinFunction) *Corpus {
 // NewCorpus computes the corpus statistics required by space over the given
 // record collections (typically L and R), for the string-keyed Profiles
 // that Evaluator.Distances scores. With no collections the statistics are
-// empty. Learning (LearnProfiles) and a mutable table keep their
-// statistics in a Vocab instead.
+// empty. Learning (LearnProfiles) and a mutable table store their rows
+// and statistics in a Vocab instead.
 func NewCorpus(space []JoinFunction, collections ...[]string) *Corpus {
 	c := newCorpusNeeds(space)
 	// IDF stats are needed for every (pre, tok) that has an IDF vector.
@@ -89,10 +89,10 @@ type VecBlock [numWt]distance.Sparse
 // indexes vecs/emb directly (the distance kernels)
 // runs only for representations the profile was built with, so those
 // reads never see nil. Neither learning nor a serving table keeps a
-// Profile: LearnProfiles derives each record's IDProfile once from its
-// token counts and drops the token strings, and a table's rows are id
-// runs over a Vocab, scored straight from the runs. Full Profiles are the
-// string reference path that the tests hold the id path to.
+// Profile: both store a record as a row of id runs over a Vocab
+// (LearnProfiles, Vocab.AppendChunk), scored straight from the runs.
+// Full Profiles are the string reference path that the tests hold the id
+// path to.
 type Profile struct {
 	Raw  string
 	proc [numPre]string

@@ -3,7 +3,6 @@ package config
 import (
 	"fmt"
 	"math"
-	"slices"
 	"testing"
 
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/benchgen"
@@ -131,62 +130,53 @@ func countSlots(c *Corpus) *[numPre][numTok][numWt]bool {
 	return &used
 }
 
-// checkView compares the id view a learn build gave one record with the
-// record's map-oracle profile: the same processed strings and embeddings,
-// and in every vector slot the space uses the oracle's tokens as ids below
-// the vocabulary's size, with its weights, Sum and Norm to the bit, and no
-// spare capacity.
-// Slots the space does not use stay empty. ids[pi][ti] collects the
-// token of every id seen so far, so that one id names one token across
-// all records.
-func checkView(t *testing.T, where string, got *IDProfile, want *Profile, c *Corpus, ids *[numPre][numTok]map[int32]string) {
+// checkRow compares learn row i of a with the record's map-oracle count
+// profile: the same processed strings and embeddings, and for every
+// representation the space counts the oracle's tokens ascending (read
+// through the vocabulary), counts, Sum and Norm to the bit.
+// slotOf[r] collects the slot of every token seen so far in
+// representation r, so that one slot names one token across all rows.
+func checkRow(t *testing.T, where string, a *ProfileArena, i int, want *Profile, c *Corpus, slotOf []map[string]int32) {
 	t.Helper()
-	if got.proc != want.proc {
-		t.Fatalf("%s: processed strings %q, want %q", where, got.proc, want.proc)
+	var row Row
+	a.rows.Get(i, &row)
+	if row.Proc != want.proc {
+		t.Fatalf("%s: processed strings %q, want %q", where, row.Proc, want.proc)
 	}
 	for pi := 0; pi < numPre; pi++ {
-		if (got.emb[pi] != nil) != c.needEmb[pi] {
-			t.Fatalf("%s: embedding %d present=%v, want %v", where, pi, got.emb[pi] != nil, c.needEmb[pi])
+		if (row.Emb[pi] != nil) != c.needEmb[pi] {
+			t.Fatalf("%s: embedding %d present=%v, want %v", where, pi, row.Emb[pi] != nil, c.needEmb[pi])
 		}
-		if c.needEmb[pi] && embed.Vector(got.emb[pi]) != want.emb[pi] {
+		if c.needEmb[pi] && embed.Vector(row.Emb[pi]) != want.emb[pi] {
 			t.Fatalf("%s: embedding %d differs", where, pi)
 		}
 		for ti := 0; ti < numTok; ti++ {
-			for wi := 0; wi < numWt; wi++ {
-				g := got.vec[pi][ti][wi]
-				slot := func() string {
-					return fmt.Sprintf("%s (%s,%s,%s)", where, textproc.Option(pi), tokenize.Option(ti), weights.Scheme(wi))
-				}
-				if !c.needVec[pi][ti][wi] {
-					if g.ids != nil || g.w != nil || g.ranks != 0 || g.sum != 0 || g.norm != 0 {
-						t.Fatalf("%s: slot the space does not use holds %d tokens", slot(), len(g.ids))
-					}
-					continue
-				}
-				w := want.vecs[pi][ti][wi]
-				if len(g.ids) != len(w.Tokens) || len(g.w) != len(w.W) || !sameBits(g.sum, w.Sum) || !sameBits(g.norm, w.Norm) {
-					t.Fatalf("%s: got %d ids sum %v norm %v, want %d tokens sum %v norm %v",
-						slot(), len(g.ids), g.sum, g.norm, len(w.Tokens), w.Sum, w.Norm)
-				}
-				if cap(g.ids) != len(g.ids) || cap(g.w) != len(g.w) {
-					t.Fatalf("%s: stored with spare capacity (ids %d/%d, weights %d/%d)",
-						slot(), len(g.ids), cap(g.ids), len(g.w), cap(g.w))
-				}
-				if ids[pi][ti] == nil {
-					ids[pi][ti] = map[int32]string{}
-				}
-				for k, id := range g.ids {
-					if id < 0 || id >= g.ranks {
-						t.Fatalf("%s: id %d outside the vocabulary's %d ranks", slot(), id, g.ranks)
-					}
-					if tok, ok := ids[pi][ti][id]; ok && tok != w.Tokens[k] {
-						t.Fatalf("%s: id %d names %q and %q", slot(), id, tok, w.Tokens[k])
-					}
-					ids[pi][ti][id] = w.Tokens[k]
-					if !sameBits(g.w[k], w.W[k]) {
-						t.Fatalf("%s: token %q weighs %v, want %v", slot(), w.Tokens[k], g.w[k], w.W[k])
-					}
-				}
+			pre, tok := textproc.Option(pi), tokenize.Option(ti)
+			if got, want := a.v.NeedCounts(pre, tok), c.NeedCounts(pre, tok); got != want {
+				t.Fatalf("%s: (%s,%s) counted=%v, want %v", where, pre, tok, got, want)
+			}
+		}
+	}
+	for r, rep := range a.v.lay.reps {
+		slot := fmt.Sprintf("%s (%s,%s)", where, rep.Pre, rep.Tok)
+		slots, counts := row.Slots[rep.Pre][rep.Tok], row.Counts[rep.Pre][rep.Tok]
+		w := want.vecs[rep.Pre][rep.Tok][weights.Equal]
+		if len(slots) != len(w.Tokens) || len(counts) != len(w.W) ||
+			!sameBits(row.Sum[rep.Pre][rep.Tok], w.Sum) || !sameBits(row.Norm[rep.Pre][rep.Tok], w.Norm) {
+			t.Fatalf("%s: got %d slots sum %v norm %v, want %d tokens sum %v norm %v",
+				slot, len(slots), row.Sum[rep.Pre][rep.Tok], row.Norm[rep.Pre][rep.Tok], len(w.Tokens), w.Sum, w.Norm)
+		}
+		toks := a.v.reps[r].toks
+		for k, sl := range slots {
+			if sl < 0 || int(sl) >= len(toks) || toks[sl] != w.Tokens[k] {
+				t.Fatalf("%s: token %d is slot %d, want %q", slot, k, sl, w.Tokens[k])
+			}
+			if prev, ok := slotOf[r][w.Tokens[k]]; ok && prev != sl {
+				t.Fatalf("%s: token %q is slot %d and slot %d", slot, w.Tokens[k], prev, sl)
+			}
+			slotOf[r][w.Tokens[k]] = sl
+			if !sameBits(float64(counts[k]), w.W[k]) {
+				t.Fatalf("%s: token %q counts %d, want %v", slot, w.Tokens[k], counts[k], w.W[k])
 			}
 		}
 	}
@@ -197,11 +187,12 @@ func checkView(t *testing.T, where string, got *IDProfile, want *Profile, c *Cor
 // NewSparse), on the five learn tasks of the benchmark with edge-case
 // strings appended to R, under the full, reduced, extended and an
 // IDF-only space, at parallelism 0 (GOMAXPROCS), 1 and 3:
-//   - every record's view holds its oracle profile's vectors to the bit
-//     (checkView), and ids rank the tokens in lexical order;
-//   - ViewDistances equals Distances on the oracle profiles, bit for bit,
+//   - every record's row, L's then R's, holds its oracle count profile to
+//     the bit (checkRow), and one slot names one token across rows;
+//   - RowDistances equals Distances on the oracle profiles, bit for bit,
 //     for every pair of a sample of the records — the first 30 of L and R
-//     and the edge cases — in both orders, with either view prepared.
+//     and the edge cases — in both orders, with either row prepared, as l
+//     or as r.
 //
 // Profile and CountProfile of single records, including records whose
 // tokens the corpus has never seen, reproduce the oracle too.
@@ -234,10 +225,11 @@ func TestProfilesMatchMapOracle(t *testing.T) {
 		got, want := make([]float64, len(space)), make([]float64, len(space))
 		for ti, task := range tasks {
 			oracle := NewCorpus(space, task[0], task[1])
-			var oprofs [2][]*Profile
+			var oprofs, ocounts [2][]*Profile
 			for k, coll := range task {
 				for _, s := range coll {
 					oprofs[k] = append(oprofs[k], mapOracleProfile(oracle, s))
+					ocounts[k] = append(ocounts[k], mapOracleCountProfile(oracle, s))
 				}
 			}
 			var sample [][2]int // (collection, record)
@@ -248,49 +240,37 @@ func TestProfilesMatchMapOracle(t *testing.T) {
 				sample = append(sample, [2]int{1, i})
 			}
 			for _, par := range []int{0, 1, 3} {
-				views := LearnProfiles(space, par, task[0], task[1])
-				var ids [numPre][numTok]map[int32]string
-				for k, coll := range task {
-					if len(views[k]) != len(coll) {
-						t.Fatalf("%s task %d par %d: %d views of collection %d, want %d", name, ti, par, len(views[k]), k, len(coll))
-					}
-					for i, s := range coll {
-						where := fmt.Sprintf("%s task %d par %d LearnProfiles[%d][%d] %q", name, ti, par, k, i, s)
-						checkView(t, where, &views[k][i], oprofs[k][i], oracle, &ids)
-					}
+				a := LearnProfiles(space, par, task[0], task[1])
+				if a.Len() != len(task[0])+len(task[1]) {
+					t.Fatalf("%s task %d par %d: %d rows, want %d", name, ti, par, a.Len(), len(task[0])+len(task[1]))
 				}
-				for pi := range ids {
-					for tk, m := range ids[pi] {
-						var byID []int32
-						for id := range m {
-							byID = append(byID, id)
-						}
-						slices.Sort(byID)
-						for i := 1; i < len(byID); i++ {
-							if m[byID[i-1]] >= m[byID[i]] {
-								t.Fatalf("%s task %d par %d (%d,%d): id %d is %q but id %d is %q",
-									name, ti, par, pi, tk, byID[i-1], m[byID[i-1]], byID[i], m[byID[i]])
-							}
-						}
+				slotOf := make([]map[string]int32, len(a.v.reps))
+				for r := range slotOf {
+					slotOf[r] = map[string]int32{}
+				}
+				for k, coll := range task {
+					for i, s := range coll {
+						where := fmt.Sprintf("%s task %d par %d collection %d record %d %q", name, ti, par, k, i, s)
+						checkRow(t, where, a, k*len(task[0])+i, ocounts[k][i], oracle, slotOf)
 					}
 				}
 				var side Side
-				for _, a := range sample {
-					for _, b := range sample {
-						l, r := &views[a[0]][a[1]], &views[b[0]][b[1]]
-						ev.Distances(oprofs[a[0]][a[1]], oprofs[b[0]][b[1]], sc, want)
+				for _, x := range sample {
+					for _, y := range sample {
+						ev.Distances(oprofs[x[0]][x[1]], oprofs[y[0]][y[1]], sc, want)
+						rl, rr := x[0]*len(task[0])+x[1], y[0]*len(task[0])+y[1]
 						for _, lFixed := range []bool{true, false} {
-							fixed, other := l, r
+							fixed, other := rl, rr
 							if !lFixed {
-								fixed, other = r, l
+								fixed, other = rr, rl
 							}
-							f := side.PrepareView(fixed, lFixed)
-							ev.ViewDistances(&f, other, AllGroups, sc, got)
+							f := a.v.PrepareRow(&side, &a.rows, fixed, AllGroups, lFixed)
+							ev.RowDistances(&f, &a.rows, other, AllGroups, sc, got)
 							side.Release()
 							for fi, fn := range space {
 								if !sameBits(got[fi], want[fi]) {
-									t.Fatalf("%s task %d par %d, %s between %q and %q (l prepared: %v): ViewDistances %v, Distances %v",
-										name, ti, par, fn.Name(), task[a[0]][a[1]], task[b[0]][b[1]], lFixed, got[fi], want[fi])
+									t.Fatalf("%s task %d par %d, %s between %q and %q (l prepared: %v): RowDistances %v, Distances %v",
+										name, ti, par, fn.Name(), task[x[0]][x[1]], task[y[0]][y[1]], lFixed, got[fi], want[fi])
 								}
 							}
 						}

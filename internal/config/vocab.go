@@ -10,6 +10,7 @@ import (
 
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/distance"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/embed"
+	"github.com/chu-data-lab/autofuzzyjoin-go/internal/parallel"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/textproc"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/tokenize"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/weights"
@@ -18,14 +19,20 @@ import (
 // This file holds the id representation that learning and serving both
 // score on. A mutable reference table (core.Table) keeps one Vocab per
 // program column, and per storage region a Rows block whose token sets are
-// integer slot runs into that Vocab. A Learn builds one Vocab closed over
-// L ∪ R and derives every record once (LearnProfiles, learn.go).
+// integer slot runs into that Vocab. A Learn stores L ∪ R the same way, as
+// the rows of one ProfileArena whose Vocab is closed over both
+// (LearnProfiles, arena.go).
 //
 // Records reach a Vocab counted in integers (Counted, counts.go): a
 // 3-gram representation interns packed uint64 gram keys and a word
 // representation interns substrings of the processed string, so a token
 // string is made only when a 3-gram first takes a slot. PrepareQuery
-// resolves a query's packed grams against the same keys.
+// resolves a query's packed grams against the same keys. One builder
+// stores a batch of rows for a table and an arena alike: records are
+// counted on workers a chunk at a time, the chunk's rows are appended in
+// order with room for their slot runs, and each representation is
+// interned into them on a worker of its own, record by record
+// (AppendChunk).
 //
 // A candidate is scored without touching a token string: against the side
 // its run of pairs shares, prepared once into a Side, straight from its
@@ -89,7 +96,7 @@ func newLayout(c *Corpus) *layout {
 // drops it). A vocabulary therefore grows with the distinct tokens ever
 // added, not with the live rows.
 //
-// Mutators (AppendRecord, AppendCounted, Intern, Count,
+// Mutators (AppendRecord, AppendChunk, Intern, Count,
 // Reserve, Settle) need exclusive access, and a batch of them ends with
 // Settle; CountRecord, the prepares and the readers are safe
 // for concurrent use between batches.
@@ -99,7 +106,6 @@ type Vocab struct {
 	reps []repVocab // by layout position
 	docs int        // live rows; the IDF table follows it at Settle
 	idf  weights.IDFTable
-	row  Row     // AppendCounted's scratch
 	rec  Counted // AppendRecord's scratch
 	// groups holds, by layout position, the Evaluator groups that read a
 	// representation: a masked prepare fills only the representations its
@@ -248,17 +254,56 @@ func (v *Vocab) intern(r int, run *tokenRun, k int) int32 {
 	return v.internWord(r, run.words[k])
 }
 
-// AppendRecord stores record s as the next row of rows: CountRecord, then
-// AppendCounted.
-func (v *Vocab) AppendRecord(rows *Rows, s string) {
-	v.CountRecord(&v.rec, s, nil)
-	v.AppendCounted(rows, &v.rec)
+// internRun interns the tokens of run, representation r of a counted
+// record, into slots, counting each into the df of its slot. It touches
+// representation r alone, so distinct representations may be interned
+// concurrently.
+func (v *Vocab) internRun(r int, run *tokenRun, slots []int32) {
+	for k := range slots {
+		sl := v.intern(r, run, k)
+		v.reps[r].df[sl]++
+		slots[k] = sl
+	}
 }
 
-// AppendCounted stores the counted record c (see CountRecord) as the
-// next row of rows, interning its tokens, and counts the row live.
-func (v *Vocab) AppendCounted(rows *Rows, c *Counted) {
-	r := &v.row
+// AppendRecord stores record s as the next row of rows, interning its
+// tokens, and counts the row live.
+func (v *Vocab) AppendRecord(rows *Rows, s string) {
+	c := &v.rec
+	v.CountRecord(c, s, nil)
+	v.appendCounted(rows, c)
+	for r := range v.reps {
+		v.internRun(r, &c.runs[r], rows.runSlots(rows.n-1, r))
+	}
+	v.docs++
+}
+
+// AppendChunk stores the counted records recs (see CountRecord) as the
+// next rows of rows, in order, interning their tokens into the stored
+// runs, and counts the rows live. Each representation is interned by one
+// of up to parallelism workers (0 means GOMAXPROCS), record by record in
+// order, so slots are assigned in first-appearance order at every
+// parallelism.
+func (v *Vocab) AppendChunk(rows *Rows, recs []Counted, parallelism int) {
+	first := rows.n
+	for i := range recs {
+		v.appendCounted(rows, &recs[i])
+	}
+	nrep := len(v.reps)
+	parallel.Shard(nrep, parallel.Workers(parallelism, nrep), func(_, start, end int) {
+		for r := start; r < end; r++ {
+			for i := range recs {
+				v.internRun(r, &recs[i].runs[r], rows.runSlots(first+i, r))
+			}
+		}
+	})
+	v.docs += len(recs)
+}
+
+// appendCounted stores the counted record c as the next row of rows, its
+// slot runs left for internRun to fill.
+func (v *Vocab) appendCounted(rows *Rows, c *Counted) {
+	var r Row
 	for pi := 0; pi < numPre; pi++ {
 		if v.lay.proc[pi] >= 0 {
 			r.Proc[pi] = c.proc[pi]
@@ -269,16 +314,10 @@ func (v *Vocab) AppendCounted(rows *Rows, c *Counted) {
 	}
 	for ri, rep := range v.lay.reps {
 		run := &c.runs[ri]
-		slots := r.Slots[rep.Pre][rep.Tok][:0]
-		for k := range run.counts {
-			slots = append(slots, v.intern(ri, run, k))
-		}
-		r.Slots[rep.Pre][rep.Tok], r.Counts[rep.Pre][rep.Tok] = slots, run.counts
+		r.Counts[rep.Pre][rep.Tok] = run.counts
 		r.Sum[rep.Pre][rep.Tok], r.Norm[rep.Pre][rep.Tok] = run.sum, run.norm
 	}
-	rows.Append(r)
-	v.Count(rows, rows.n-1, 1)
-	r.Proc, r.Emb, r.Counts = [numPre]string{}, [numPre][]float64{}, [numPre][numTok][]uint32{}
+	rows.Append(&r)
 }
 
 // Count adds delta to the document count and to the df of every slot
@@ -453,7 +492,8 @@ func (s *Rows) Len() int { return s.n }
 // Tokens returns the number of slot entries the rows hold in all.
 func (s *Rows) Tokens() int { return len(s.slots) }
 
-// Append stores r as the next row.
+// Append stores r as the next row. A run whose Slots are nil is stored
+// with its Counts and room for its slots, which the caller fills.
 func (s *Rows) Append(r *Row) {
 	lay := s.lay
 	for pi := 0; pi < numPre; pi++ {
@@ -470,12 +510,23 @@ func (s *Rows) Append(r *Row) {
 		s.off = append(s.off, 0)
 	}
 	for _, rep := range lay.reps {
-		s.slots = append(s.slots, r.Slots[rep.Pre][rep.Tok]...)
-		s.counts = append(s.counts, r.Counts[rep.Pre][rep.Tok]...)
+		counts := r.Counts[rep.Pre][rep.Tok]
+		if slots := r.Slots[rep.Pre][rep.Tok]; slots != nil {
+			s.slots = append(s.slots, slots...)
+		} else {
+			s.slots = slices.Grow(s.slots, len(counts))[:len(s.slots)+len(counts)]
+		}
+		s.counts = append(s.counts, counts...)
 		s.off = append(s.off, int32(len(s.slots)))
 		s.sums = append(s.sums, r.Sum[rep.Pre][rep.Tok], r.Norm[rep.Pre][rep.Tok])
 	}
 	s.n++
+}
+
+// runSlots returns the slot run of row i at layout position r.
+func (s *Rows) runSlots(i, r int) []int32 {
+	at := i*len(s.lay.reps) + r
+	return s.slots[s.off[at]:s.off[at+1]]
 }
 
 // Get fills r with views of row i. The views alias the storage.
@@ -567,8 +618,8 @@ type Side struct {
 }
 
 // Fixed is a prepared record: its strings and embeddings, its tables, the
-// vocabulary of the rows it is scored against (nil for a learn view), and
-// whether it is every pair's reference side l. It is valid until Release.
+// vocabulary of the rows it is scored against, and whether it is every
+// pair's reference side l. It is valid until Release.
 type Fixed struct {
 	rec  Record
 	side *Side
@@ -638,11 +689,11 @@ func (v *Vocab) PrepareQuery(sd *Side, s string, mask GroupMask) Fixed {
 }
 
 // PrepareRow prepares row i of s into sd under the current statistics, as
-// the reference side l of every pair, for the representations mask's
-// groups read.
+// the reference side l of every pair when l is set and as the query side
+// r otherwise, for the representations mask's groups read.
 //
 //autofj:hotpath
-func (v *Vocab) PrepareRow(sd *Side, s *Rows, i int, mask GroupMask) Fixed {
+func (v *Vocab) PrepareRow(sd *Side, s *Rows, i int, mask GroupMask, l bool) Fixed {
 	nrep := len(v.lay.reps)
 	for r := range v.lay.reps {
 		if mask&v.groups[r] != 0 {
@@ -651,7 +702,7 @@ func (v *Vocab) PrepareRow(sd *Side, s *Rows, i int, mask GroupMask) Fixed {
 			v.prepare(sd, r, s.slots[lo:hi], s.counts[lo:hi], s.sums[2*at], s.sums[2*at+1])
 		}
 	}
-	return Fixed{rec: s.record(i), side: sd, v: v, l: true}
+	return Fixed{rec: s.record(i), side: sd, v: v, l: l}
 }
 
 // prepare fills the tables of representation r from a count vector: slots
@@ -699,34 +750,6 @@ func (lay *layout) record(c *Counted) Record {
 		}
 	}
 	return r
-}
-
-// procEmb sets the processed strings and embeddings of record s that the
-// layout stores in p. The embeddings are copied into emb, which holds the
-// space's nemb embeddings in layout order. An option whose string equals
-// an earlier option's shares that string and copies its embedding when
-// it has one (see sameAs).
-func (lay *layout) procEmb(s string, emb []float64, p *Record) {
-	for pi := 0; pi < numPre; pi++ {
-		if lay.proc[pi] < 0 {
-			continue
-		}
-		proc := textproc.Option(pi).Apply(s)
-		pj := sameAs(&p.proc, &lay.needProc, pi, proc)
-		if pj >= 0 {
-			proc = p.proc[pj]
-		}
-		p.proc[pi] = proc
-		if e := int(lay.emb[pi]); e >= 0 {
-			p.emb[pi] = emb[e*embed.Dim : (e+1)*embed.Dim : (e+1)*embed.Dim]
-			if pj >= 0 && lay.emb[pj] >= 0 {
-				copy(p.emb[pi], p.emb[pj])
-			} else {
-				vec := embed.Embed(proc)
-				copy(p.emb[pi], vec[:])
-			}
-		}
-	}
 }
 
 // sameAs returns the first option before pi that need marks as built and

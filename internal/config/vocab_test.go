@@ -61,7 +61,7 @@ func TestPreparedRowMatchesProfileAndNeverAllocates(t *testing.T) {
 			if !live[i] {
 				continue
 			}
-			v.PrepareRow(&side, &rows, i, AllGroups)
+			v.PrepareRow(&side, &rows, i, AllGroups, true)
 			p := oracle.Profile(s)
 			var row Row
 			rows.Get(i, &row)
@@ -138,7 +138,7 @@ func TestPreparedRowMatchesProfileAndNeverAllocates(t *testing.T) {
 
 	out := make([]float64, len(space))
 	score := func() {
-		f := v.PrepareRow(&side, &rows, 2, AllGroups)
+		f := v.PrepareRow(&side, &rows, 2, AllGroups, true)
 		ev.RowDistances(&f, &rows, 0, AllGroups, sc, out)
 		side.Release()
 	}

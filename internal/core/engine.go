@@ -26,7 +26,7 @@ const ballRadius = 2
 
 // engineInput abstracts the distance oracle so that the same greedy
 // machinery (Algorithm 1) serves both single-column joins (distances over
-// id views, see idPairs) and multi-column joins (weighted per-column
+// learn rows, see idPairs) and multi-column joins (weighted per-column
 // tensors).
 type engineInput struct {
 	space  []config.JoinFunction

@@ -12,9 +12,9 @@ import (
 )
 
 // stringPairs is the pairSource that learning ran before it scored on id
-// views, kept as the oracle of idPairs: full Profiles from one Corpus over
-// left ∪ right, scored by Evaluator.Distances. It returns no learn views.
-func stringPairs(space []config.JoinFunction, parallelism int, left, right []string, lrCand, llCand [][]int32) (func() pairEval, []config.IDProfile) {
+// rows, kept as the oracle of idPairs: full Profiles from one Corpus over
+// left ∪ right, scored by Evaluator.Distances. It returns no learn rows.
+func stringPairs(space []config.JoinFunction, parallelism int, left, right []string, lrCand, llCand [][]int32) (func() pairEval, *config.ProfileArena) {
 	corpus := config.NewCorpus(space, left, right)
 	profL := corpus.Profiles(left, parallelism)
 	profR := profL
@@ -75,7 +75,7 @@ func sameResult(t *testing.T, where string, got, want *Result) {
 }
 
 // TestJoinsMatchStringPath: JoinTables, SelfJoin and
-// JoinMultiColumnTables, which score on learn-time id views, give the
+// JoinMultiColumnTables, which score on learn-time id rows, give the
 // result of the same engine scoring string Profiles (stringPairs) bit for
 // bit, on the five learn tasks of the benchmark (0, 2, 4, 14, 20; seed 1)
 // and a multi-column benchgen task, at parallelism 1 and 4.

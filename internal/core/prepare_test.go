@@ -41,7 +41,7 @@ func prepareTables(nL, nR int, seed int64) (left, right []string) {
 }
 
 // buildPrepareInput assembles the engine input for a table pair via the
-// real blocking pipeline and the id views learning scores on, plus the
+// real blocking pipeline and the id rows learning scores on, plus the
 // one-function-at-a-time callbacks over string Profiles that the
 // function-major baseline scores through.
 func buildPrepareInput(left, right []string, space []config.JoinFunction, steps int, selfJoin bool) (*engineInput, func(fi, r, ci int) float64, func(fi, l, ci int) float64) {
@@ -81,7 +81,7 @@ func buildPrepareInput(left, right []string, space []config.JoinFunction, steps 
 }
 
 // TestPreparePairMajorMatchesFunctionMajor: the pair-major fused prepare
-// over learn-time id views must be bit-identical to the function-major
+// over learn-time id rows must be bit-identical to the function-major
 // reference over string Profiles — bestL/bestD, threshold grids, ball
 // counts, profit totals, and joinable ordering — for every function of
 // the full space, at every parallelism level, in both join and self-join

@@ -11,7 +11,7 @@ import (
 
 // Timing breaks the run down into the components of Figure 7(d):
 // blocking (+negative rules), building the records' representations
-// (the closed vocabulary and every record's id view), the distance/precision
+// (the closed vocabulary and every record's id row), the distance/precision
 // pre-computation of Algorithm 1 lines 3-4, and the greedy search of
 // lines 5-15.
 type Timing struct {

@@ -46,17 +46,17 @@ func Learn(left, right []string, opt Options) (*Result, *Table, error) {
 // word sets are negrule.AppendWordSet of the same keys, and its rows
 // start from L's processed strings. The program's functions come from
 // the searched space, so the search processed L under every option the
-// table needs. Only strings and the index are kept, not the learn views:
+// table needs. Only strings and the index are kept, not the learn rows:
 // the table recounts and re-embeds from the strings.
 type learnedL struct {
 	index *blocking.TableIndex // Block's index over L
 	words [][]string           // negrule.WordSets(L); nil when no rule was learned
-	proc  []config.Processed   // L's processed strings from LearnProfiles
+	proc  []config.Processed   // L's processed strings, from L's learn rows
 }
 
 // joinTables is JoinTables scoring pairs through the evaluator that pairs
 // builds. When keep is not nil it receives what the search built over
-// left (see learnedL); the search must then score on learn views.
+// left (see learnedL); the search must then score on learn rows.
 func joinTables(left, right []string, opt Options, pairs pairSource, keep *learnedL) (*Result, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -76,16 +76,16 @@ func joinTables(left, right []string, opt Options, pairs pairSource, keep *learn
 	// Lines 3-4: distances and precision pre-computation, then the greedy
 	// union search — all inside run().
 	tProf := time.Now()
-	newEval, viewL := pairs(opt.Space, opt.Parallelism, left, right, lrCand, llCand)
+	newEval, learned := pairs(opt.Space, opt.Parallelism, left, right, lrCand, llCand)
 	profileTime := time.Since(tProf)
 	if keep != nil {
 		keep.index = b.index
 		if rules != nil && rules.Len() > 0 {
 			keep.words = b.leftWords
 		}
-		keep.proc = make([]config.Processed, len(viewL))
-		for i := range viewL {
-			keep.proc[i] = viewL[i].Processed()
+		keep.proc = make([]config.Processed, len(left))
+		for i := range keep.proc {
+			keep.proc[i] = learned.Processed(i)
 		}
 	}
 
@@ -109,40 +109,43 @@ func joinTables(left, right []string, opt Options, pairs pairSource, keep *learn
 // pairSource builds the record representations of one column — the cells
 // of left and right, or of left alone for a self-join (right nil) — and
 // returns engineInput's per-worker evaluator over the blocked pairs and,
-// when it scores on learn views, left's views.
-type pairSource func(space []config.JoinFunction, parallelism int, left, right []string, lrCand, llCand [][]int32) (func() pairEval, []config.IDProfile)
+// when it scores on learn rows, their arena, left's rows first.
+type pairSource func(space []config.JoinFunction, parallelism int, left, right []string, lrCand, llCand [][]int32) (func() pairEval, *config.ProfileArena)
 
-// idPairs is the pairSource learning runs: every record is derived once
-// into an id view under one vocabulary closed over left ∪ right
-// (config.LearnProfiles), and pairs are scored by Evaluator.ViewDistances
-// against the record a run of them shares, prepared once: the right record
-// of phase 1 (the r side), the center of phase 3 (the l side).
-func idPairs(space []config.JoinFunction, parallelism int, left, right []string, lrCand, llCand [][]int32) (func() pairEval, []config.IDProfile) {
-	views := config.LearnProfiles(space, parallelism, left, right)
-	viewL, viewR := views[0], views[1]
+// idPairs is the pairSource learning runs: every record is stored once as
+// a row of one arena under a vocabulary closed over left ∪ right
+// (config.LearnProfiles), and pairs are scored by Evaluator.RowDistances
+// against the row a run of them shares, prepared once: the right record
+// of phase 1 (the r side), the center of phase 3 (the l side, for the
+// groups the center's functions read).
+func idPairs(space []config.JoinFunction, parallelism int, left, right []string, lrCand, llCand [][]int32) (func() pairEval, *config.ProfileArena) {
+	a := config.LearnProfiles(space, parallelism, left, right)
+	v, rows := a.Vocab(), a.Rows()
+	rOff := len(left) // right's rows follow left's
 	if right == nil { // a self-join: left plays both sides
-		viewR = viewL
+		rOff = 0
 	}
 	ev := config.NewEvaluator(space)
 	return func() pairEval {
 		sc := ev.NewScratch()
 		var side config.Side
 		var f config.Fixed
-		cur, curL := -1, false // the record f holds, and whether it is a center
-		prepare := func(x []config.IDProfile, i int, l bool) *config.Fixed {
-			if i != cur || l != curL {
+		// The row f holds, its orientation and the groups it was prepared for.
+		cur, curL, curMask := -1, false, config.GroupMask(0)
+		prepare := func(i int, l bool, mask config.GroupMask) *config.Fixed {
+			if i != cur || l != curL || mask != curMask {
 				side.Release()
-				f = side.PrepareView(&x[i], l)
-				cur, curL = i, l
+				f = v.PrepareRow(&side, rows, i, mask, l)
+				cur, curL, curMask = i, l, mask
 			}
 			return &f
 		}
 		return pairEval{
 			lr: func(r, ci int, out []float64) {
-				ev.ViewDistances(prepare(viewR, r, false), &viewL[lrCand[r][ci]], config.AllGroups, sc, out)
+				ev.RowDistances(prepare(rOff+r, false, config.AllGroups), rows, int(lrCand[r][ci]), config.AllGroups, sc, out)
 			},
 			ll: func(l, ci int, need config.GroupMask, out []float64) {
-				ev.ViewDistances(prepare(viewL, l, true), &viewL[llCand[l][ci]], need, sc, out)
+				ev.RowDistances(prepare(l, true, need), rows, int(llCand[l][ci]), need, sc, out)
 			},
 			mask: func(fns []fnCenter) config.GroupMask {
 				var m config.GroupMask
@@ -152,7 +155,7 @@ func idPairs(space []config.JoinFunction, parallelism int, left, right []string,
 				return m
 			},
 		}
-	}, viewL
+	}, a
 }
 
 // blockCandidates runs Algorithm 1 lines 1–2 on blocking keys: top-k

@@ -330,16 +330,13 @@ func (t *Table) cellOf(row []string, j int) string {
 	return row[t.columns[j]]
 }
 
-// buildChunk bounds the counted records buildPayload holds at once: they
-// are scaffolding for the stored rows, reused chunk by chunk.
-const buildChunk = 256
-
 // buildPayload compiles the row-level state of a block of rows and counts
-// every row live. Records are counted (config.Vocab.CountRecord) in
-// parallel across the table's parallelism, one chunk of rows at a time,
-// then stored in row order through the column vocabularies (the
-// statistics pass). h, when not nil, supplies the rows' processed strings
-// and word sets (see learnedL). Rows are copied.
+// every row live, by the row builder a config.ProfileArena uses: records
+// are counted (config.Vocab.CountRecord) in parallel across the table's
+// parallelism, one chunk of rows at a time (config.BuildChunk), then each
+// column's chunk is interned and stored in row order
+// (config.Vocab.AppendChunk). h, when not nil, supplies the rows'
+// processed strings and word sets (see learnedL). Rows are copied.
 func (t *Table) buildPayload(rows [][]string, h *learnedL) *tablePayload {
 	n := len(rows)
 	ncols := len(t.cols)
@@ -351,9 +348,10 @@ func (t *Table) buildPayload(rows [][]string, h *learnedL) *tablePayload {
 	if t.hasRules {
 		pl.words = pl.words[:n]
 	}
-	recs := make([]config.Counted, min(n, buildChunk)*ncols)
-	for lo := 0; lo < n; lo += buildChunk {
-		hi := min(n, lo+buildChunk)
+	chunk := min(n, config.BuildChunk)
+	recs := make([]config.Counted, chunk*ncols) // column j's at [j*chunk, (j+1)*chunk)
+	for lo := 0; lo < n; lo += config.BuildChunk {
+		hi := min(n, lo+config.BuildChunk)
 		parallel.Shard(hi-lo, parallel.Workers(t.parallelism, hi-lo), func(_, start, end int) {
 			for i := lo + start; i < lo+end; i++ {
 				row := append([]string(nil), rows[i]...)
@@ -367,7 +365,7 @@ func (t *Table) buildPayload(rows [][]string, h *learnedL) *tablePayload {
 				for j := range t.cols {
 					cell := t.cellOf(row, j)
 					pl.cells[j][i] = cell
-					t.cols[j].CountRecord(&recs[(i-lo)*ncols+j], cell, proc)
+					t.cols[j].CountRecord(&recs[j*chunk+i-lo], cell, proc)
 				}
 				if !t.hasRules {
 					continue
@@ -379,10 +377,8 @@ func (t *Table) buildPayload(rows [][]string, h *learnedL) *tablePayload {
 				}
 			}
 		})
-		for i := lo; i < hi; i++ {
-			for j := range t.cols {
-				t.cols[j].AppendCounted(&pl.cols[j], &recs[(i-lo)*ncols+j])
-			}
+		for j := range t.cols {
+			t.cols[j].AppendChunk(&pl.cols[j], recs[j*chunk:j*chunk+hi-lo], t.parallelism)
 		}
 	}
 	for j := range t.cols {
@@ -792,7 +788,7 @@ func (t *Table) fillBalls(l int32, mask config.GroupMask, tag uint64, ms *tableS
 		centers = make([]config.Fixed, len(t.cols))
 	}
 	for j, vocab := range t.cols {
-		centers[j] = vocab.PrepareRow(&ms.sides[j], &apl.cols[j], int(alocal), mask)
+		centers[j] = vocab.PrepareRow(&ms.sides[j], &apl.cols[j], int(alocal), mask, true)
 	}
 	for ci := range ms.fill {
 		ms.fill[ci] = 1

@@ -4,10 +4,10 @@ import "math"
 
 // This file holds the token-id form of the fused set-family kernel. The
 // side of a run of pairs that never changes is prepared once into a table
-// by token id (a vocabulary slot, or a learn view's rank), 0 for a token
-// it lacks, and the other side is scored from its stored run, a table
-// read per token. Runs are in ascending token order, so matched tokens
-// come in the string merge's order and a token the table lacks adds +0.0:
+// by token id (a vocabulary slot), 0 for a token it lacks, and the other
+// side is scored from its stored run, a table read per token. Runs are in
+// ascending token order, so matched tokens come in the string merge's
+// order and a token the table lacks adds +0.0:
 // every distance is bit-identical to SetFamily. A prepared query's tokens
 // outside the vocabulary are in no table but count toward its Sum, Norm
 // and N, so the r ⊆ l gate, matched tokens against r's N, fails as the
@@ -48,20 +48,20 @@ func (p *Prepared) SetFamilyIDF(ids []int32, counts []uint32, sw []float64, pL b
 	return p.oriented(sumMin, dot, sum, math.Sqrt(norm), int32(len(ids)), m, pL)
 }
 
-// SetFamilyRun is SetFamilyIDF for a run with weights w and the given Sum
-// and Norm.
+// SetFamilyRun is SetFamilyIDF for a run weighing its counts as they
+// are, with the given Sum and Norm.
 //
 //autofj:hotpath
-func SetFamilyRun[W uint32 | float64](p *Prepared, ids []int32, w []W, sum, norm float64, pL bool) SetDists {
+func SetFamilyRun(p *Prepared, ids []int32, counts []uint32, sum, norm float64, pL bool) SetDists {
 	if p.N == 0 || len(ids) == 0 {
 		return emptyFamily(p.N == 0, len(ids) == 0)
 	}
 	tab := p.W
-	w = w[:len(ids)]
+	counts = counts[:len(ids)]
 	var sumMin, dot float64
 	var m int32
 	for k, id := range ids {
-		x := float64(w[k])
+		x := float64(counts[k])
 		f := tab[id]
 		sumMin += minBits(f, x)
 		dot += f * x

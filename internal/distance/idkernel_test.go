@@ -7,8 +7,8 @@ import (
 )
 
 // prepare builds the prepared form of s over vocab (a sorted distinct
-// token list, ids = lexical ranks — the mapping a learn view uses; a
-// table's slots differ only in numbering). Tokens outside vocab are in
+// token list, ids = lexical ranks; a vocabulary's slots differ only in
+// numbering). Tokens outside vocab are in
 // no table but still count toward Sum, Norm and N, as a query's
 // out-of-vocabulary tokens do.
 func prepare(s Sparse, vocab []string) *Prepared {
@@ -47,14 +47,33 @@ func union(sets ...Sparse) []string {
 	return toks[:n]
 }
 
+// storedRow returns the run a stored row holds for the tokens of s, all
+// in vocab: their ids, random integer counts and an IDF column sw over
+// vocab, with the string sets the row weighs as, by its counts (eq) and
+// by count × sw (idf).
+func storedRow(rng *rand.Rand, s Sparse, vocab []string) (rowIDs []int32, counts []uint32, sw []float64, eq, idf Sparse) {
+	sw = make([]float64, len(vocab))
+	for id := range sw {
+		sw[id] = 0.25 + rng.Float64()*3
+	}
+	counts = make([]uint32, len(s.Tokens))
+	eqW, idfW := map[string]float64{}, map[string]float64{}
+	for k, tok := range s.Tokens {
+		counts[k] = 1 + uint32(rng.Intn(4))
+		eqW[tok] = float64(counts[k])
+		idfW[tok] = float64(counts[k]) * sw[sort.SearchStrings(vocab, tok)]
+	}
+	return ids(s, vocab), counts, sw, NewSparse(eqW), NewSparse(idfW)
+}
+
 // TestSetFamilyIDsMatchesStrings: the id-space kernels must be
 // bit-identical to the string kernel on random pairs, in both
 // orientations. With the stored run as l, the prepared query side r mixes
 // in out-of-vocabulary tokens, which must break the containment gate
 // exactly as an unmatched string token would; with the prepared side as
-// l (a ball's center), both sides are in the vocabulary. The float
-// weights of a learn view, the integer counts of an equal-weight row and
-// the count × IDF weights of an IDF row are each checked.
+// l (a ball's center), both sides are in the vocabulary. The integer
+// counts of an equal-weight row and the count × IDF weights of an IDF row
+// are each checked.
 func TestSetFamilyIDsMatchesStrings(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	oov := []string{"zz-novel", "qq-novel", "xx-novel"}
@@ -81,27 +100,16 @@ func TestSetFamilyIDsMatchesStrings(t *testing.T) {
 		// The stored side's own tokens ARE the vocabulary: every l token
 		// has an id, and any r token outside l's set is out of it.
 		vocab := union(l)
-		check(trial, "row l, prepared query r", SetFamilyRun(prepare(r, vocab), ids(l, vocab), l.W, l.Sum, l.Norm, false), SetFamily(l, r), l, r)
+		lids, counts, sw, le, li := storedRow(rng, l, vocab)
+		q := prepare(r, vocab)
+		check(trial, "equal-weight row l, prepared query r", SetFamilyRun(q, lids, counts, le.Sum, le.Norm, false), SetFamily(le, r), le, r)
+		check(trial, "IDF row l, prepared query r", q.SetFamilyIDF(lids, counts, sw, false), SetFamily(li, r), li, r)
 
-		// A prepared center against a stored neighbor, both in vocabulary.
+		// A prepared center against a stored neighbor, both in vocabulary,
+		// in either orientation.
 		c, n := randSparse(rng), randSparse(rng)
 		vocab = union(c, n)
-		check(trial, "prepared center l, row r", SetFamilyRun(prepare(c, vocab), ids(n, vocab), n.W, n.Sum, n.Norm, true), SetFamily(c, n), c, n)
-
-		// Stored rows weigh integer counts, times an IDF column sw.
-		sw := make([]float64, len(vocab))
-		for id := range sw {
-			sw[id] = 0.25 + rng.Float64()*3
-		}
-		counts := make([]uint32, len(n.Tokens))
-		eq, idf := map[string]float64{}, map[string]float64{}
-		for k, tok := range n.Tokens {
-			counts[k] = 1 + uint32(rng.Intn(4))
-			eq[tok] = float64(counts[k])
-			idf[tok] = float64(counts[k]) * sw[sort.SearchStrings(vocab, tok)]
-		}
-		ne, ni := NewSparse(eq), NewSparse(idf)
-		nids := ids(n, vocab)
+		nids, counts, sw, ne, ni := storedRow(rng, n, vocab)
 		for _, pL := range []bool{true, false} {
 			l, r := c, ne
 			if !pL {
@@ -125,17 +133,17 @@ func TestSetFamilyIDsEmpty(t *testing.T) {
 	vocab := []string{"a"}
 	full, empty := prepare(a, vocab), prepare(NewSparse(nil), vocab)
 	for _, pL := range []bool{true, false} {
-		if d := SetFamilyRun(empty, nil, []float64(nil), 0, 0, pL); d != (SetDists{}) {
+		if d := SetFamilyRun(empty, nil, nil, 0, 0, pL); d != (SetDists{}) {
 			t.Errorf("both empty: %+v, want zero row", d)
 		}
 		if d := empty.SetFamilyIDF(nil, nil, nil, pL); d != (SetDists{}) {
 			t.Errorf("both empty, IDF row: %+v, want zero row", d)
 		}
 		want := SetFamily(a, NewSparse(nil))
-		if d := SetFamilyRun(full, nil, []float64(nil), 0, 0, pL); d != want {
+		if d := SetFamilyRun(full, nil, nil, 0, 0, pL); d != want {
 			t.Errorf("empty run: ids %+v != strings %+v", d, want)
 		}
-		if d := SetFamilyRun(empty, []int32{0}, []float64{1}, 1, 1, pL); d != want {
+		if d := SetFamilyRun(empty, []int32{0}, []uint32{1}, 1, 1, pL); d != want {
 			t.Errorf("empty prepared side: ids %+v != strings %+v", d, want)
 		}
 	}
