@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"github.com/chu-data-lab/autofuzzyjoin-go/internal/benchgen"
 )
 
 // benchRecords synthesizes n organization-style records with a shared
@@ -38,7 +40,7 @@ func BenchmarkBlockingTopK(b *testing.B) {
 	k := K(len(left), DefaultBeta)
 	sc := ix.NewScratch()
 	var dst []Candidate
-	// Warm up the scratch growth (score array, heap, buffers).
+	// Warm up the scratch growth (stamps, weight tables, heap, buffers).
 	for _, q := range queries {
 		dst = ix.AppendTopK(dst[:0], sc, q, k, -1)
 	}
@@ -47,6 +49,48 @@ func BenchmarkBlockingTopK(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		dst = ix.AppendTopK(dst[:0], sc, queries[i%len(queries)], k, -1)
 	}
+}
+
+// ledgerShape is the reference table the serving benchmarks query
+// (benchgen task 0 at scale 10, |L| = 6,270) with n never-seen queries,
+// each a perturbation of a random reference row. Its IDF is steep: a
+// query's rarest grams reach a few rows, unlike benchRecords' flat one.
+func ledgerShape(n int) (left, queries []string) {
+	task := benchgen.SingleColumnTask(0, benchgen.Options{Seed: 1, Scale: 10})
+	left = task.LeftKey()
+	rng := rand.New(rand.NewSource(7))
+	prof := benchgen.DefaultProfile()
+	queries = make([]string, n)
+	for i := range queries {
+		queries[i] = prof.Apply(rng, left[rng.Intn(len(left))])
+	}
+	return left, queries
+}
+
+// BenchmarkBlockingTopKLedgerShape measures one steady-state top-k on
+// the ledger's reference table: a perturbed row's query top-k, and a
+// row's self top-k (the two top-k calls of a serving miss).
+func BenchmarkBlockingTopKLedgerShape(b *testing.B) {
+	left, queries := ledgerShape(512)
+	ix := NewIndex(left)
+	k := K(len(left), DefaultBeta)
+	sc := ix.NewScratch()
+	var dst []Candidate
+	for _, q := range queries {
+		dst = ix.AppendTopK(dst[:0], sc, q, k, -1)
+	}
+	b.Run("query", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			dst = ix.AppendTopK(dst[:0], sc, queries[i%len(queries)], k, -1)
+		}
+	})
+	b.Run("self", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			dst = ix.AppendTopKSelf(dst[:0], sc, (i*7919)%len(left), k)
+		}
+	})
 }
 
 // BenchmarkBlockingTopKSeed measures the seed implementation (fresh map

@@ -14,13 +14,14 @@
 // baselines query it through Index, a TableIndex with one fully-live
 // segment, so left ids are dense ids; mutable serving tables (core.Table)
 // query it directly. The query path is built for throughput: grams are
-// interned to dense ids at index time, each query adds its gram weights
-// into a reusable dense array that is all zero between queries (no
-// per-query map, no first-touch check), and top-k selection runs through
-// a bounded min-heap in O(n log k) instead of a full sort. Block shards
-// queries across worker goroutines, each with its own TableScratch, so
-// the hot loop is allocation-free after warmup and the output is
-// identical for every parallelism level.
+// interned to dense ids at index time, and each query visits its grams'
+// posting lists rarest first, scores each row the first time a list
+// reaches it exactly from the row's own gram list into a bounded top-k
+// heap, and stops once the grams left unvisited weigh less than the k-th
+// score, so most rows are never touched. Block shards queries across
+// worker goroutines, each with its own TableScratch, so the hot loop is
+// allocation-free after warmup and the output is identical for every
+// parallelism level.
 package blocking
 
 import (
@@ -132,30 +133,13 @@ func heapDown(h []Candidate, i int) {
 	}
 }
 
-// cmpCandidate orders candidates score descending, id ascending.
-//
-//autofj:hotpath
-func cmpCandidate(a, b Candidate) int {
-	switch {
-	case a.Score > b.Score:
-		return -1
-	case a.Score < b.Score:
-		return 1
-	case a.ID < b.ID:
-		return -1
-	case a.ID > b.ID:
-		return 1
-	}
-	return 0
-}
-
 // AppendTopK appends up to k candidates for query to dst, omitting left
 // record exclude (or none, when -1), reusing sc. Allocation-free after
 // warmup when dst has capacity.
 //
 //autofj:hotpath
 func (ix *Index) AppendTopK(dst []Candidate, sc *TableScratch, query string, k, exclude int) []Candidate {
-	return ix.tx.appendTopK(dst, sc, ix.tx.queryGramRanks(sc, query), k, exclude)
+	return ix.tx.appendTopK(dst, sc, ix.tx.queryGrams(sc, query), k, exclude)
 }
 
 // AppendTopKSelf appends the L–L candidates for left record i to dst,

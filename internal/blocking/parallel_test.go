@@ -93,7 +93,7 @@ func tieHeavyRecords(rng *rand.Rand, n int) []string {
 	return out
 }
 
-// TestTopKMatchesSeedImplementation checks the heap/dense-array path
+// TestTopKMatchesSeedImplementation checks the pruned threshold scan
 // against the seed map+sort oracle on tie-heavy data: identical ids,
 // identical scores, identical order.
 func TestTopKMatchesSeedImplementation(t *testing.T) {

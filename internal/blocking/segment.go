@@ -21,13 +21,16 @@ import (
 //   - Gram IDF weights log(1 + n/df) are computed at query time from
 //     globally maintained (n, df) over the live corpus.
 //   - Each candidate's score accumulates its shared-gram weights in
-//     lexicographic gram order: segments iterate query grams in lex order
-//     with ascending postings, and delta rows store their gram ids in lex
-//     order, so every float64 sum is performed in one fixed order.
+//     lexicographic gram order: a row is scored from its own stored gram
+//     list (segment and delta rows both keep theirs in lex order) against
+//     weight tables that are +0.0 outside the query, so every float64 sum
+//     is performed in one fixed order, whichever list reached the row.
 //   - Global top-k selection runs one bounded heap over all segment and
 //     delta candidates under the (score desc, dense id asc) total order;
 //     the selected set is order-independent, and the final sort fixes the
-//     output order.
+//     output order. The scan visits posting lists rarest gram first and
+//     stops only when no unreached row can reach the k-th score, so the
+//     rows it never scores could not have been selected.
 //
 // Mutations (AddDelta / RemoveDense / Renumber / CompactDelta /
 // AttachSegment) require external synchronization against queries;
@@ -100,7 +103,7 @@ func (s *Segment) Parts() (vocab []string, postings, docGrams [][]int32) {
 
 // NewSegmentFromParts reassembles a segment from serialized components,
 // validating every invariant the query path relies on so a corrupted
-// snapshot can never cause out-of-bounds access or wrong merge order:
+// snapshot can never cause out-of-bounds access or a wrong summation order:
 // vocab strictly ascending, postings ascending within [0, n), docGrams
 // ascending within the vocab.
 func NewSegmentFromParts(n int, vocab []string, postings, docGrams [][]int32) (*Segment, error) {
@@ -169,21 +172,16 @@ type deltaRow struct {
 //
 // Grams are interned into a table-wide dictionary that only grows; df
 // tracks each gram's live document count and drives the query-time IDF
-// weights. rank/sortedIDs maintain the dictionary's lexicographic order
-// incrementally so the query path can walk grams in lex order without
-// sorting strings.
+// weights.
 type TableIndex struct {
 	segs       []*Segment
 	seg2tab    [][]int32 // per segment: local gram id -> table gram id
 	segDense   [][]int32 // per segment: local row id -> dense id, -1 dead
 	tab2local  [][]int32 // per segment: table gram id (at attach time) -> local gram id, -1 absent
 	delta      []deltaRow
-	deltaDense []int32  // per delta slot: dense id, -1 dead
-	refs       []Ref    // dense id -> location; len(refs) == live rows
-	gramStr    []string // table gram id -> gram
-	rank       []int32  // table gram id -> lexicographic rank
-	sortedIDs  []int32  // lexicographic rank -> table gram id
-	df         []int32  // table gram id -> live document count
+	deltaDense []int32 // per delta slot: dense id, -1 dead
+	refs       []Ref   // dense id -> location; len(refs) == live rows
+	df         []int32 // table gram id -> live document count
 	gramID     map[string]int32
 	stored     int // total stored rows, dead included
 }
@@ -239,66 +237,24 @@ func (tx *TableIndex) DeltaAlive(i int) bool { return tx.delta[i].alive }
 // Ref locates dense row id d.
 func (tx *TableIndex) Ref(d int) Ref { return tx.refs[d] }
 
-// intern returns the table gram id of g, adding it to the dictionary (and
-// splicing it into the lexicographic order) if new. O(dictionary) worst
-// case per NEW gram; lookups of known grams are map hits.
+// intern returns the table gram id of g, adding it to the dictionary if
+// new.
 func (tx *TableIndex) intern(g string) int32 {
-	if id, ok := tx.gramID[g]; ok {
-		return id
-	}
-	id := int32(len(tx.gramStr))
-	tx.gramID[g] = id
-	tx.gramStr = append(tx.gramStr, g)
-	tx.df = append(tx.df, 0)
-	pos := sort.Search(len(tx.sortedIDs), func(i int) bool { return tx.gramStr[tx.sortedIDs[i]] >= g })
-	tx.sortedIDs = append(tx.sortedIDs, 0)
-	copy(tx.sortedIDs[pos+1:], tx.sortedIDs[pos:])
-	tx.sortedIDs[pos] = id
-	tx.rank = append(tx.rank, 0)
-	for i := pos; i < len(tx.sortedIDs); i++ {
-		tx.rank[tx.sortedIDs[i]] = int32(i)
+	id, ok := tx.gramID[g]
+	if !ok {
+		id = int32(len(tx.df))
+		tx.gramID[g] = id
+		tx.df = append(tx.df, 0)
 	}
 	return id
 }
 
-// internVocab bulk-interns a segment vocabulary, rebuilding the
-// lexicographic order with one merge instead of per-gram splices.
+// internVocab interns a segment vocabulary and returns its local ->
+// table gram id map.
 func (tx *TableIndex) internVocab(vocab []string) []int32 {
 	seg2tab := make([]int32, len(vocab))
-	var newIDs []int32 // in vocab (lex) order; all strings new to the dict
 	for lg, g := range vocab {
-		if id, ok := tx.gramID[g]; ok {
-			seg2tab[lg] = id
-			continue
-		}
-		id := int32(len(tx.gramStr))
-		tx.gramID[g] = id
-		tx.gramStr = append(tx.gramStr, g)
-		tx.df = append(tx.df, 0)
-		seg2tab[lg] = id
-		newIDs = append(newIDs, id)
-	}
-	if len(newIDs) == 0 {
-		return seg2tab
-	}
-	merged := make([]int32, 0, len(tx.sortedIDs)+len(newIDs))
-	i, j := 0, 0
-	for i < len(tx.sortedIDs) && j < len(newIDs) {
-		if tx.gramStr[tx.sortedIDs[i]] < tx.gramStr[newIDs[j]] {
-			merged = append(merged, tx.sortedIDs[i])
-			i++
-		} else {
-			merged = append(merged, newIDs[j])
-			j++
-		}
-	}
-	merged = append(merged, tx.sortedIDs[i:]...)
-	merged = append(merged, newIDs[j:]...)
-	tx.sortedIDs = merged
-	tx.rank = tx.rank[:0]
-	tx.rank = append(tx.rank, make([]int32, len(tx.gramStr))...)
-	for r, id := range tx.sortedIDs {
-		tx.rank[id] = int32(r)
+		seg2tab[lg] = tx.intern(g)
 	}
 	return seg2tab
 }
@@ -358,12 +314,12 @@ func (tx *TableIndex) AttachSegment(seg *Segment, alive []bool, countDF bool) {
 	tx.segs = append(tx.segs, seg)
 	tx.seg2tab = append(tx.seg2tab, seg2tab)
 	tx.segDense = append(tx.segDense, dense)
-	tx.tab2local = append(tx.tab2local, tab2localFor(seg2tab, len(tx.gramStr)))
+	tx.tab2local = append(tx.tab2local, tab2localFor(seg2tab, len(tx.df)))
 	tx.stored += seg.n
 }
 
 // tab2localFor inverts a segment's seg2tab mapping into a dense
-// table-gram-id -> local-gram-id array for the merge hot path, replacing a
+// table-gram-id -> local-gram-id array for the query scan, replacing a
 // per-query-gram string hash with an index. Grams interned after this
 // attach cannot appear in the segment, so the length snapshot is complete
 // for it; queries check the bound before indexing.
@@ -384,7 +340,7 @@ func (tx *TableIndex) AddDelta(key string) int {
 	gs := grams(key)
 	ids := make([]int32, len(gs))
 	for i, g := range gs {
-		ids[i] = tx.intern(g) // gs is lex-sorted, so ids land in lex order
+		ids[i] = tx.intern(g) // gs is lex-sorted, so the list is in lex gram order
 	}
 	for _, id := range ids {
 		tx.df[id]++
@@ -447,8 +403,8 @@ func (tx *TableIndex) Renumber() {
 // and keeps the remaining slots as the new delta. Liveness is read from
 // the CURRENT delta flags, so removals that landed between sealing and
 // swap are honored. Dense ids, df counts, and query results are all
-// unchanged — the rows merely move from the delta scan to the segment
-// merge.
+// unchanged — the rows merely move from the delta scan to the segment's
+// posting lists.
 func (tx *TableIndex) CompactDelta(m int, seg *Segment) {
 	if m < 0 || m > len(tx.delta) || seg.n != m {
 		panic("blocking: CompactDelta segment does not cover the sealed delta prefix")
@@ -465,7 +421,7 @@ func (tx *TableIndex) CompactDelta(m int, seg *Segment) {
 	tx.segs = append(tx.segs, seg)
 	tx.seg2tab = append(tx.seg2tab, seg2tab)
 	tx.segDense = append(tx.segDense, dense)
-	tx.tab2local = append(tx.tab2local, tab2localFor(seg2tab, len(tx.gramStr)))
+	tx.tab2local = append(tx.tab2local, tab2localFor(seg2tab, len(tx.df)))
 
 	tail := tx.delta[m:]
 	nd := make([]deltaRow, len(tail))
@@ -483,68 +439,86 @@ func (tx *TableIndex) CompactDelta(m int, seg *Segment) {
 }
 
 // TableScratch is the per-worker reusable query state of a TableIndex —
-// the dense-id score accumulator, gram stamps/weights, and top-k heap.
-// Arrays grow on demand, so one scratch serves a table across mutations
-// and even wholesale index rebuilds. Not safe for concurrent use.
+// the query's gram weights, gram and row stamps, the gram visit order and
+// the top-k heap. Arrays grow on demand, so one scratch serves a table
+// across mutations and even wholesale index rebuilds. Not safe for
+// concurrent use.
 //
-// scores is all zero between calls. A top-k touches almost every row of
-// the table, so accumulating is a plain add with no first-touch check,
-// and the selection walks the whole live prefix: a nonzero score marks a
-// touched row (every gram weight log(1 + n/df) is positive), and the walk
-// zeroes it again.
+// gramW and segW are all +0.0 between calls: a call sets the query grams'
+// weights and clears them again on the way out, so a row is scored by
+// summing the weights of its whole gram list, and a gram the query lacks
+// adds +0.0, which changes no bit of a non-negative sum. rowStamp marks
+// the rows a call has scored (or excluded) with the call's generation.
 type TableScratch struct {
-	scores    []float64 // by dense id; zero outside a call
-	gramStamp []uint32  // by table gram id
-	gramW     []float64 // by table gram id; query gram weight
-	qranks    []int32   // the current query's gram ranks, ascending (lex order)
+	gramW     []float64   // by table gram id; query gram weight
+	segW      [][]float64 // per segment, by local gram id; query gram weight
+	gramStamp []uint32    // by table gram id
+	rowStamp  []uint32    // by dense id
+	qgrams    []int32     // the current query's distinct table gram ids
+	order     []uint64    // the query grams to visit, as df<<32 | table gram id
+	rest      []float64   // rest[i]: summed weight of order[i:]
+	fresh     []int32     // local ids a posting list reached first
 	heap      []Candidate
 	buf       []byte  // normalized, padded query bytes
 	starts    []int32 // byte offset of each rune in buf, plus end sentinel
-	gen       uint32
+	// rowsScored and postingsRead count the rows exact-scored and the
+	// posting entries read over the scratch's lifetime.
+	rowsScored, postingsRead int64
+	gen                      uint32
 }
 
 // NewTableScratch allocates an empty scratch; arrays are sized lazily per
 // query.
 func NewTableScratch() *TableScratch { return &TableScratch{} }
 
-// nextGen advances the gram generation stamp; on wraparound the stamps
-// are cleared so stale generations can never alias.
+// nextGen advances the generation stamp; on wraparound the gram and row
+// stamps are cleared so stale generations can never alias.
 //
 //autofj:hotpath
 func (sc *TableScratch) nextGen() uint32 {
 	sc.gen++
 	if sc.gen == 0 {
 		clear(sc.gramStamp)
+		clear(sc.rowStamp)
 		sc.gen = 1
 	}
 	return sc.gen
 }
 
-// fit grows the dense- and gram-indexed arrays to the current table shape.
-// Fresh arrays start zeroed: scores as every call leaves them, and stamps
-// that can never alias a live generation (gen >= 1 always).
+// fit grows the dense-, gram- and segment-indexed arrays to the current
+// table shape. Fresh arrays start zeroed: weights as every call leaves
+// them, and stamps that can never alias a live generation (gen >= 1
+// always).
 //
 //autofj:hotpath
-func (sc *TableScratch) fit(nDense, nGrams int) {
-	if len(sc.scores) < nDense {
-		sc.scores = make([]float64, nDense)
+func (sc *TableScratch) fit(tx *TableIndex) {
+	if len(sc.rowStamp) < len(tx.refs) {
+		sc.rowStamp = make([]uint32, len(tx.refs))
 	}
-	if len(sc.gramStamp) < nGrams {
-		sc.gramStamp = make([]uint32, nGrams)
-		sc.gramW = make([]float64, nGrams)
+	if n := len(tx.df); len(sc.gramStamp) < n {
+		sc.gramStamp = make([]uint32, n)
+		sc.gramW = make([]float64, n)
+	}
+	if len(sc.segW) < len(tx.segs) {
+		sc.segW = slices.Grow(sc.segW, len(tx.segs)-len(sc.segW))[:len(tx.segs)]
+	}
+	for si, seg := range tx.segs {
+		if len(sc.segW[si]) < len(seg.vocab) {
+			sc.segW[si] = make([]float64, len(seg.vocab))
+		}
 	}
 }
 
-// queryGramRanks extracts the distinct live gram ranks of query, ascending
-// (= lexicographic gram order), into sc.qranks. Grams absent from the
-// dictionary or with zero live df carry zero weight and are skipped. The
-// byte loop inlines normalize(): per-rune lower-casing with whitespace
-// collapsed to single spaces, matching strings.Fields/ToLower semantics.
+// queryGrams extracts the distinct live table gram ids of query into
+// sc.qgrams. Grams absent from the dictionary or with zero live df carry
+// zero weight and are skipped. The byte loop inlines normalize(): per-rune
+// lower-casing with whitespace collapsed to single spaces, matching
+// strings.Fields/ToLower semantics.
 //
 //autofj:hotpath
-func (tx *TableIndex) queryGramRanks(sc *TableScratch, query string) []int32 {
-	sc.fit(len(tx.refs), len(tx.gramStr))
-	sc.qranks = sc.qranks[:0]
+func (tx *TableIndex) queryGrams(sc *TableScratch, query string) []int32 {
+	sc.fit(tx)
+	sc.qgrams = sc.qgrams[:0]
 	sc.buf = append(sc.buf[:0], '#', '#')
 	sc.starts = append(sc.starts[:0], 0, 1)
 	content := false
@@ -577,170 +551,207 @@ func (tx *TableIndex) queryGramRanks(sc *TableScratch, query string) []int32 {
 			continue
 		}
 		sc.gramStamp[id] = gen
-		sc.qranks = append(sc.qranks, tx.rank[id])
+		sc.qgrams = append(sc.qgrams, id)
 	}
-	slices.Sort(sc.qranks)
-	return sc.qranks
+	return sc.qgrams
 }
 
-// selfGramRanks fills sc.qranks with the ranks of dense row d's own grams,
-// ascending: segment gram lists and delta gram lists are both stored in
-// lexicographic order, and rank order preserves it.
+// selfGrams returns the table gram ids of dense row d's own grams: a
+// delta row's stored list (read only), or a segment row's list mapped into
+// sc.qgrams.
 //
 //autofj:hotpath
-func (tx *TableIndex) selfGramRanks(sc *TableScratch, d int) []int32 {
-	sc.qranks = sc.qranks[:0]
+func (tx *TableIndex) selfGrams(sc *TableScratch, d int) []int32 {
 	ref := tx.refs[d]
-	if ref.Seg >= 0 {
-		seg2tab := tx.seg2tab[ref.Seg]
-		for _, lg := range tx.segs[ref.Seg].docGrams[ref.Local] {
-			sc.qranks = append(sc.qranks, tx.rank[seg2tab[lg]])
-		}
-	} else {
-		for _, g := range tx.delta[ref.Local].grams {
-			sc.qranks = append(sc.qranks, tx.rank[g])
-		}
+	if ref.Seg < 0 {
+		return tx.delta[ref.Local].grams
 	}
-	return sc.qranks
+	seg2tab := tx.seg2tab[ref.Seg]
+	sc.qgrams = sc.qgrams[:0]
+	for _, lg := range tx.segs[ref.Seg].docGrams[ref.Local] {
+		sc.qgrams = append(sc.qgrams, seg2tab[lg])
+	}
+	return sc.qgrams
 }
 
-// scoreSegments merges the per-segment posting lists of the query grams
-// into the dense score accumulator: for each segment, query grams in lex
-// order with postings ascending, so every candidate's weight sum runs in
-// one fixed accumulation order.
-//
-// Live dense ids ascend with local ids, so a segment is free of tombstones
-// exactly when its first row is live and its last row sits n-1 dense ids
-// later. Such a segment maps local id i to dense id dense[0]+i without the
-// dense[] load; a segment with tombstones keeps the lookup.
+// weigh sets the query grams' weights in gramW and segW (setWeight), and
+// lays out the visit order, rarest gram first (df ascending, ties by gram
+// id), with rest as its suffix sums of weight.
 //
 //autofj:hotpath
-func (tx *TableIndex) scoreSegments(sc *TableScratch, qranks []int32) {
-	for si := range tx.segs {
-		seg := tx.segs[si]
-		dense := tx.segDense[si]
-		t2l := tx.tab2local[si]
-		n := len(dense)
-		live := n > 0 && dense[0] >= 0 && int(dense[n-1]-dense[0]) == n-1
-		for _, r := range qranks {
-			g := tx.sortedIDs[r]
-			// Grams interned after the segment attached are out of range and
-			// by construction cannot occur in the segment.
-			if int(g) >= len(t2l) {
-				continue
-			}
-			local := t2l[g]
-			if local < 0 {
-				continue
-			}
-			if live {
-				addRun(seg.postings[local], sc.scores[dense[0]:], sc.gramW[g])
-			} else {
-				addMapped(seg.postings[local], dense, sc.scores, sc.gramW[g])
-			}
-		}
+func (tx *TableIndex) weigh(sc *TableScratch, qgrams []int32) {
+	nf := float64(len(tx.refs))
+	sc.order = sc.order[:0]
+	for _, g := range qgrams {
+		tx.setWeight(sc, g, math.Log(1+nf/float64(tx.df[g])))
+		sc.order = append(sc.order, uint64(tx.df[g])<<32|uint64(g))
+	}
+	slices.Sort(sc.order)
+	n := len(sc.order)
+	if cap(sc.rest) < n+1 {
+		sc.rest = make([]float64, n+1)
+	}
+	sc.rest = sc.rest[:n+1]
+	sc.rest[n] = 0
+	for i := n - 1; i >= 0; i-- {
+		sc.rest[i] = sc.rest[i+1] + sc.gramW[uint32(sc.order[i])]
 	}
 }
 
-// addRun adds weight w to the score of every local id on a posting list
-// of a segment without tombstones; scores starts at the segment's first
-// dense id. A first hit adds to zero, which is exact, so no first-touch
-// check is needed.
-//
-// addRun and addMapped stay out of line: inlined into scoreSegments, the
-// posting loop runs out of registers and spills its index and bounds to
-// the stack on every element, which cost ~15% of BenchmarkBlock/sequential
-// (2-core x86-64, go1.24).
+// setWeight sets table gram g's query weight in gramW and in the segW of
+// each segment holding it.
 //
 //autofj:hotpath
-//go:noinline
-func addRun(post []int32, scores []float64, w float64) {
-	for _, id := range post {
-		scores[id] += w
-	}
-}
-
-// addMapped is addRun for a segment with tombstones: dense maps each
-// local id, and dead rows (-1) are skipped.
-//
-//autofj:hotpath
-//go:noinline
-func addMapped(post, dense []int32, scores []float64, w float64) {
-	for _, id := range post {
-		if d := dense[id]; d >= 0 {
-			scores[d] += w
+func (tx *TableIndex) setWeight(sc *TableScratch, g int32, w float64) {
+	sc.gramW[g] = w
+	for si, t2l := range tx.tab2local {
+		// Grams interned after the segment attached are out of range and
+		// by construction cannot occur in the segment.
+		if int(g) < len(t2l) && t2l[g] >= 0 {
+			sc.segW[si][t2l[g]] = w
 		}
 	}
 }
 
-// scoreDelta brute-force scans the delta rows: each live row's stored
-// gram list (lex order) is intersected with the stamped query grams, so
-// shared-gram weights accumulate in the same order a segment uses. No
-// segment scores a delta row, so the sum is stored, zero for a row that
-// shares no gram.
+// addScores adds w over a row's gram list to s, in list order. The list is
+// in lexicographic gram order and w is +0.0 outside the query's grams, so
+// from s = 0 the sum is the row's shared-gram weights added in
+// lexicographic order.
 //
 //autofj:hotpath
-func (tx *TableIndex) scoreDelta(sc *TableScratch, gen uint32) {
-	for di := range tx.delta {
-		d := tx.deltaDense[di]
-		if d < 0 {
-			continue
-		}
-		score := 0.0
-		for _, g := range tx.delta[di].grams {
-			if sc.gramStamp[g] == gen {
-				score += sc.gramW[g]
-			}
-		}
-		sc.scores[d] = score
+func addScores(s float64, grams []int32, w []float64) float64 {
+	for _, g := range grams {
+		s += w[g]
 	}
+	return s
 }
 
-// appendTopK runs the merged query: weight the query grams, score segments
-// and delta into one dense accumulator, then select the global top k under
-// the (score desc, dense id asc) order, zeroing the accumulator as it
-// goes. Dense row exclude (or none, when -1) is scored like any row and
-// skipped by the selection.
+// offer keeps c in the bounded top-k heap h under the (score desc, dense
+// id asc) order.
 //
 //autofj:hotpath
-func (tx *TableIndex) appendTopK(dst []Candidate, sc *TableScratch, qranks []int32, k, exclude int) []Candidate {
-	if k <= 0 || len(tx.refs) == 0 || len(qranks) == 0 {
+func offer(h []Candidate, k int, c Candidate) []Candidate {
+	if len(h) < k {
+		h = append(h, c)
+		heapUp(h, len(h)-1)
+	} else if candWorse(h[0], c) {
+		h[0] = c
+		heapDown(h, 0)
+	}
+	return h
+}
+
+// appendTopK runs the query as one exact threshold scan: score every live
+// delta row, then visit the query grams' posting lists rarest first, and
+// score each live row the first time a list reaches it, exactly, from its
+// own gram list. Before each list the scan stops once the heap holds k
+// rows and the unvisited grams' summed weight, the most any unreached row
+// can score, is below the k-th score. Dense row exclude (or none, when
+// -1) is stamped as reached, so it is never scored.
+//
+//autofj:hotpath
+func (tx *TableIndex) appendTopK(dst []Candidate, sc *TableScratch, qgrams []int32, k, exclude int) []Candidate {
+	sc.fit(tx)
+	if k <= 0 || len(tx.refs) == 0 || len(qgrams) == 0 {
 		return dst
 	}
-	sc.fit(len(tx.refs), len(tx.gramStr))
 	gen := sc.nextGen()
-	nf := float64(len(tx.refs))
-	for _, r := range qranks {
-		g := tx.sortedIDs[r]
-		sc.gramStamp[g] = gen
-		sc.gramW[g] = math.Log(1 + nf/float64(tx.df[g]))
+	tx.weigh(sc, qgrams)
+	if exclude >= 0 {
+		sc.rowStamp[exclude] = gen
 	}
-	tx.scoreSegments(sc, qranks)
-	tx.scoreDelta(sc, gen)
 	h := sc.heap[:0]
-	scores := sc.scores[:len(tx.refs)]
-	for id, s := range scores {
-		if s == 0 {
+	for di := range tx.delta {
+		d := tx.deltaDense[di]
+		if d < 0 || int(d) == exclude {
 			continue
 		}
-		scores[id] = 0
-		if id == exclude {
-			continue
+		sc.rowsScored++
+		if s := addScores(0, tx.delta[di].grams, sc.gramW); s != 0 {
+			h = offer(h, k, Candidate{ID: d, Score: s})
 		}
-		c := Candidate{ID: int32(id), Score: s}
-		if len(h) < k {
-			h = append(h, c)
-			heapUp(h, len(h)-1)
-		} else if candWorse(h[0], c) {
-			h[0] = c
-			heapDown(h, 0)
+	}
+	// An unreached row's computed score sums at most m = len(qgrams) of the
+	// unvisited weights, and rest[i] sums all of them: each sum is within a
+	// relative (m-1)·2^-53 of its exact value, and the exact subset sum is at
+	// most the exact whole. Inflating rest by m·2^-50 covers both errors and
+	// the rounding of the product, so an unreached row scores strictly below
+	// the k-th score and can neither beat nor tie it.
+	slack := 1 + float64(len(qgrams))*0x1p-50
+	for i, key := range sc.order {
+		if len(h) == k && sc.rest[i]*slack < h[0].Score {
+			break
+		}
+		g := int32(uint32(key))
+		for si, t2l := range tx.tab2local {
+			if int(g) >= len(t2l) || t2l[g] < 0 {
+				continue
+			}
+			post := tx.segs[si].postings[t2l[g]]
+			sc.postingsRead += int64(len(post))
+			h = sc.reach(h, k, gen, post, tx.segDense[si], tx.segs[si].docGrams, sc.segW[si])
 		}
 	}
 	sc.heap = h
-	base := len(dst)
+	for _, key := range sc.order {
+		tx.setWeight(sc, int32(uint32(key)), 0)
+	}
+	// Heap-sort in place: each pass moves the worst kept row to the end,
+	// leaving h best first.
+	for n := len(h) - 1; n > 0; n-- {
+		h[0], h[n] = h[n], h[0]
+		heapDown(h[:n], 0)
+	}
 	dst = append(dst, h...)
-	slices.SortFunc(dst[base:], cmpCandidate)
 	return dst
+}
+
+// reach scores each live row of one segment posting list that no earlier
+// list reached (dense maps local ids, -1 dead) and offers it to the heap.
+// The rows are scored four at a time: each row's sum is one chain of
+// dependent adds, and four chains in flight hide each other's latency.
+//
+//autofj:hotpath
+func (sc *TableScratch) reach(h []Candidate, k int, gen uint32, post, dense []int32, docGrams [][]int32, w []float64) []Candidate {
+	fresh := sc.fresh[:0]
+	for _, local := range post {
+		d := dense[local]
+		if d < 0 || sc.rowStamp[d] == gen {
+			continue
+		}
+		sc.rowStamp[d] = gen
+		fresh = append(fresh, local)
+	}
+	sc.fresh = fresh
+	sc.rowsScored += int64(len(fresh))
+	i := 0
+	for ; i+4 <= len(fresh); i += 4 {
+		a, b, c, d := fresh[i], fresh[i+1], fresh[i+2], fresh[i+3]
+		s0, s1, s2, s3 := rowScore4(docGrams[a], docGrams[b], docGrams[c], docGrams[d], w)
+		h = offer(h, k, Candidate{ID: dense[a], Score: s0})
+		h = offer(h, k, Candidate{ID: dense[b], Score: s1})
+		h = offer(h, k, Candidate{ID: dense[c], Score: s2})
+		h = offer(h, k, Candidate{ID: dense[d], Score: s3})
+	}
+	for _, local := range fresh[i:] {
+		h = offer(h, k, Candidate{ID: dense[local], Score: addScores(0, docGrams[local], w)})
+	}
+	return h
+}
+
+// rowScore4 scores four rows at once, each summed in its own list order.
+//
+//autofj:hotpath
+func rowScore4(a, b, c, d []int32, w []float64) (sa, sb, sc, sd float64) {
+	n := min(len(a), len(b), len(c), len(d))
+	a2, b2, c2, d2 := a[:n], b[:n], c[:n], d[:n]
+	for i := range a2 {
+		sa += w[a2[i]]
+		sb += w[b2[i]]
+		sc += w[c2[i]]
+		sd += w[d2[i]]
+	}
+	return addScores(sa, a[n:], w), addScores(sb, b[n:], w), addScores(sc, c[n:], w), addScores(sd, d[n:], w)
 }
 
 // AppendTopK appends up to k candidates (dense ids) for query to dst,
@@ -748,7 +759,7 @@ func (tx *TableIndex) appendTopK(dst []Candidate, sc *TableScratch, qranks []int
 //
 //autofj:hotpath
 func (tx *TableIndex) AppendTopK(dst []Candidate, sc *TableScratch, query string, k int) []Candidate {
-	return tx.appendTopK(dst, sc, tx.queryGramRanks(sc, query), k, -1)
+	return tx.appendTopK(dst, sc, tx.queryGrams(sc, query), k, -1)
 }
 
 // AppendTopKSelf appends the self-join candidates of dense row d
@@ -756,5 +767,5 @@ func (tx *TableIndex) AppendTopK(dst []Candidate, sc *TableScratch, query string
 //
 //autofj:hotpath
 func (tx *TableIndex) AppendTopKSelf(dst []Candidate, sc *TableScratch, d, k int) []Candidate {
-	return tx.appendTopK(dst, sc, tx.selfGramRanks(sc, d), k, d)
+	return tx.appendTopK(dst, sc, tx.selfGrams(sc, d), k, d)
 }

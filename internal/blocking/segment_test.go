@@ -2,6 +2,7 @@ package blocking
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -46,8 +47,8 @@ func TestTableIndexMatchesSeed(t *testing.T) {
 // FuzzTableTopK runs driveTableIndex over keys that mix tie-heavy records
 // with the fuzzed lines of extra, and after each step checks query and
 // self top-k at random k against the seed oracle over the live keys, and
-// that every call leaves the scratch's score accumulator all zero. With
-// an empty extra, seeds 1-3 are the cases of TestTableIndexMatchesSeed.
+// that every call leaves the scratch idle (checkScratchIdle). With an
+// empty extra, seeds 1-3 are the cases of TestTableIndexMatchesSeed.
 func FuzzTableTopK(f *testing.F) {
 	for _, seed := range []int64{1, 2, 3} {
 		f.Add(seed, "")
@@ -84,14 +85,6 @@ func FuzzTableTopK(f *testing.F) {
 		queries = append(queries, lines...)
 		tx := NewTableIndex()
 		sc := NewTableScratch()
-		expectZero := func(stage, what string) {
-			t.Helper()
-			for d, s := range sc.scores {
-				if s != 0 {
-					t.Fatalf("%s: %s left score %v at dense id %d", stage, what, s, d)
-				}
-			}
-		}
 		// Each step asks a random sample of the queries and self-queries,
 		// which keeps an input fast enough for coverage-guided fuzzing.
 		const sample = 24
@@ -105,7 +98,7 @@ func FuzzTableTopK(f *testing.F) {
 				if !candidateListsEqual(got, want) {
 					t.Fatalf("%s: k=%d query=%q:\n got %v\nwant %v", stage, k, q, got, want)
 				}
-				expectZero(stage, fmt.Sprintf("query %q", q))
+				checkScratchIdle(t, tx, sc, fmt.Sprintf("%s: query %q", stage, q))
 			}
 			for i := 0; i < sample && len(live) > 0; i++ {
 				d := krng.Intn(len(live))
@@ -116,10 +109,32 @@ func FuzzTableTopK(f *testing.F) {
 				if !candidateListsEqual(got, want) {
 					t.Fatalf("%s: k=%d self=%d %q:\n got %v\nwant %v", stage, k, d, key, got, want)
 				}
-				expectZero(stage, fmt.Sprintf("self %d", d))
+				checkScratchIdle(t, tx, sc, fmt.Sprintf("%s: self %d", stage, d))
 			}
 		})
 	})
+}
+
+// checkScratchIdle checks the invariants a top-k call leaves in sc for
+// the next: every query weight table is all +0.0 (a row sums its whole
+// gram list against them), and the row stamps cover every dense id.
+func checkScratchIdle(t *testing.T, tx *TableIndex, sc *TableScratch, what string) {
+	t.Helper()
+	zero := func(table string, ws []float64) {
+		t.Helper()
+		for i, w := range ws {
+			if math.Float64bits(w) != 0 {
+				t.Fatalf("%s: left %s[%d] = %v", what, table, i, w)
+			}
+		}
+	}
+	zero("gramW", sc.gramW)
+	for si, ws := range sc.segW {
+		zero(fmt.Sprintf("segW[%d]", si), ws)
+	}
+	if len(sc.rowStamp) < tx.Len() {
+		t.Fatalf("%s: %d row stamps for %d live rows", what, len(sc.rowStamp), tx.Len())
+	}
 }
 
 // driveTableIndex drives tx, empty, through every mutation — a segment
