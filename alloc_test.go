@@ -21,9 +21,9 @@ import (
 const (
 	topKAllocBudget         = 0   // per pass of 512 blocking top-k queries
 	evaluatorAllocBudget    = 0   // per pass of 64 full-space RowDistances pairs over learn rows
-	tableAddAllocBudget     = 40  // per Table.Add of one row
-	matchDeltaAllocBudget   = 6   // per cache-off Match with a 256-row delta
-	snapshotLoadAllocBudget = 188 // per LoadTableFile of the 10k-row table; 182 on Linux
+	tableAddAllocBudget     = 2   // per Table.Add of one row
+	matchDeltaAllocBudget   = 4   // per cache-off Match with a 256-row delta
+	snapshotLoadAllocBudget = 164 // per LoadTableFile of the 10k-row table; 158 on Linux
 )
 
 // TestAllocationBudgets pins the allocation count of each hot path at

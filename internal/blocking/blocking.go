@@ -26,12 +26,12 @@ package blocking
 
 import (
 	"math"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/parallel"
+	"github.com/chu-data-lab/autofuzzyjoin-go/internal/textproc"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/tokenize"
 )
 
@@ -46,26 +46,18 @@ type Index struct {
 	tx *TableIndex
 }
 
-// normalize lower-cases and collapses whitespace; blocking is deliberately
+// gramKeys returns, in keys' storage, the padded 3-grams of a record's
+// blocking key as packed keys (tokenize.AppendGramKeys), whose ascending
+// order is the grams' lexicographic order. The key is taken under L
+// (textproc.AppendLower, in buf's storage): blocking is deliberately
 // insensitive to the configurable pre-processing options because it must
 // work before any configuration is chosen.
-func normalize(s string) string {
-	return strings.Join(strings.Fields(strings.ToLower(s)), " ")
-}
-
-// grams returns the distinct padded 3-grams of the normalized record.
-func grams(s string) []string {
-	gs := tokenize.QGrams(normalize(s), 3)
-	seen := make(map[string]bool, len(gs))
-	out := gs[:0]
-	for _, g := range gs {
-		if !seen[g] {
-			seen[g] = true
-			out = append(out, g)
-		}
-	}
-	sort.Strings(out)
-	return out
+//
+//autofj:hotpath
+func gramKeys(keys []uint64, buf []byte, key string) ([]uint64, []byte) {
+	buf = textproc.AppendLower(buf[:0], key)
+	// A view of buf, read before buf is next written, so it needs no copy.
+	return tokenize.AppendGramKeys(keys[:0], unsafe.String(unsafe.SliceData(buf), len(buf))), buf
 }
 
 // NewIndex indexes the left table sequentially.

@@ -91,9 +91,9 @@ func TestTopKStopRuleBoundary(t *testing.T) {
 
 // TestScratchGenerationWrap runs query and self top-k across the wrap of
 // the scratch's generation counter against the seed oracle. Before the
-// wrap, the gram and row stamps are set to the small generations a
-// previous cycle of the counter would have left and the next cycle
-// reuses, so a wrap that did not clear them would skip grams and rows.
+// wrap, the row stamps are set to the small generations a previous cycle
+// of the counter would have left and the next cycle reuses, so a wrap
+// that did not clear them would skip rows.
 func TestScratchGenerationWrap(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	left := tieHeavyRecords(rng, 120)
@@ -120,9 +120,6 @@ func TestScratchGenerationWrap(t *testing.T) {
 	}
 	for i := range 10 {
 		check(i)
-	}
-	for i := range sc.gramStamp {
-		sc.gramStamp[i] = uint32(1 + i%16)
 	}
 	for i := range sc.rowStamp {
 		sc.rowStamp[i] = uint32(1 + i%16)

@@ -3,13 +3,13 @@ package blocking
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
-	"sort"
-	"unicode"
 	"unicode/utf8"
 
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/parallel"
+	"github.com/chu-data-lab/autofuzzyjoin-go/internal/tokenize"
 )
 
 // This file implements the blocking index: an ordered list of immutable
@@ -47,45 +47,45 @@ type Segment struct {
 }
 
 // BuildSegment compiles the inverted index of a block of blocking keys,
-// extracting record grams across up to parallelism goroutines.
+// extracting record grams across up to parallelism goroutines. Grams stay
+// packed keys (gramKeys) until the vocabulary is sorted, and each distinct
+// gram's string is made once.
 func BuildSegment(keys []string, parallelism int) *Segment {
-	docStrs := make([][]string, len(keys))
+	docKeys := make([][]uint64, len(keys))
 	parallel.Shard(len(keys), parallel.Workers(parallelism, len(keys)), func(_, start, end int) {
+		var ks []uint64
+		var buf []byte
 		for i := start; i < end; i++ {
-			docStrs[i] = grams(keys[i])
+			ks, buf = gramKeys(ks, buf, keys[i])
+			slices.Sort(ks)
+			docKeys[i] = slices.Clone(slices.Compact(ks))
 		}
 	})
-
-	vocab := make(map[string]struct{})
-	for _, gs := range docStrs {
-		for _, g := range gs {
-			vocab[g] = struct{}{}
+	gramID := make(map[uint64]int32)
+	for _, ks := range docKeys {
+		for _, k := range ks {
+			gramID[k] = 0
 		}
 	}
-	sorted := make([]string, 0, len(vocab))
-	for g := range vocab {
-		sorted = append(sorted, g)
-	}
-	sort.Strings(sorted)
-
-	gramID := make(map[string]int32, len(sorted))
-	for id, g := range sorted {
-		gramID[g] = int32(id)
-	}
+	//autofj:nondet-ok slices.Sorted orders the keys; the iteration order cannot reach the output
+	sorted := slices.Sorted(maps.Keys(gramID))
 	s := &Segment{
 		n:        len(keys),
-		vocab:    sorted,
+		vocab:    make([]string, len(sorted)),
 		postings: make([][]int32, len(sorted)),
 		docGrams: make([][]int32, len(keys)),
 	}
-	for i, gs := range docStrs {
-		ids := make([]int32, len(gs))
-		for gi, g := range gs {
-			id := gramID[g]
-			ids[gi] = id
-			s.postings[id] = append(s.postings[id], int32(i))
+	for id, k := range sorted {
+		gramID[k] = int32(id)
+		s.vocab[id] = tokenize.GramString(k)
+	}
+	for i, ks := range docKeys {
+		ids := make([]int32, len(ks))
+		for x, k := range ks {
+			ids[x] = gramID[k]
+			s.postings[ids[x]] = append(s.postings[ids[x]], int32(i))
 		}
-		s.docGrams[i] = ids // ascending: gs is sorted and ids are lexicographic
+		s.docGrams[i] = ids // ascending: keys ascend, and ids follow key order
 	}
 	return s
 }
@@ -237,13 +237,13 @@ func (tx *TableIndex) DeltaAlive(i int) bool { return tx.delta[i].alive }
 // Ref locates dense row id d.
 func (tx *TableIndex) Ref(d int) Ref { return tx.refs[d] }
 
-// intern returns the table gram id of g, adding it to the dictionary if
-// new.
-func (tx *TableIndex) intern(g string) int32 {
-	id, ok := tx.gramID[g]
+// intern returns the table gram id of gram g, adding it to the
+// dictionary if new: a gram's string is made only then.
+func intern[G string | []byte](tx *TableIndex, g G) int32 {
+	id, ok := tx.gramID[string(g)]
 	if !ok {
 		id = int32(len(tx.df))
-		tx.gramID[g] = id
+		tx.gramID[string(g)] = id
 		tx.df = append(tx.df, 0)
 	}
 	return id
@@ -254,7 +254,7 @@ func (tx *TableIndex) intern(g string) int32 {
 func (tx *TableIndex) internVocab(vocab []string) []int32 {
 	seg2tab := make([]int32, len(vocab))
 	for lg, g := range vocab {
-		seg2tab[lg] = tx.intern(g)
+		seg2tab[lg] = intern(tx, g)
 	}
 	return seg2tab
 }
@@ -337,10 +337,13 @@ func tab2localFor(seg2tab []int32, ngrams int) []int32 {
 // AddDelta appends one live delta row for the given blocking key and
 // returns its dense id.
 func (tx *TableIndex) AddDelta(key string) int {
-	gs := grams(key)
-	ids := make([]int32, len(gs))
-	for i, g := range gs {
-		ids[i] = tx.intern(g) // gs is lex-sorted, so the list is in lex gram order
+	keys, _ := gramKeys(make([]uint64, 0, 64), make([]byte, 0, 256), key)
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	ids := make([]int32, len(keys))
+	var g [3 * utf8.UTFMax]byte
+	for i, k := range keys {
+		ids[i] = intern(tx, tokenize.AppendGram(g[:0], k)) // keys ascend, so the list is in lex gram order
 	}
 	for _, id := range ids {
 		tx.df[id]++
@@ -450,17 +453,16 @@ func (tx *TableIndex) CompactDelta(m int, seg *Segment) {
 // adds +0.0, which changes no bit of a non-negative sum. rowStamp marks
 // the rows a call has scored (or excluded) with the call's generation.
 type TableScratch struct {
-	gramW     []float64   // by table gram id; query gram weight
-	segW      [][]float64 // per segment, by local gram id; query gram weight
-	gramStamp []uint32    // by table gram id
-	rowStamp  []uint32    // by dense id
-	qgrams    []int32     // the current query's distinct table gram ids
-	order     []uint64    // the query grams to visit, as df<<32 | table gram id
-	rest      []float64   // rest[i]: summed weight of order[i:]
-	fresh     []int32     // local ids a posting list reached first
-	heap      []Candidate
-	buf       []byte  // normalized, padded query bytes
-	starts    []int32 // byte offset of each rune in buf, plus end sentinel
+	gramW    []float64   // by table gram id; query gram weight
+	segW     [][]float64 // per segment, by local gram id; query gram weight
+	rowStamp []uint32    // by dense id
+	qgrams   []int32     // the current query's table gram ids
+	order    []uint64    // the query grams to visit, as df<<32 | table gram id
+	rest     []float64   // rest[i]: summed weight of order[i:]
+	fresh    []int32     // local ids a posting list reached first
+	heap     []Candidate
+	buf      []byte // gramKeys' buffers
+	keys     []uint64
 	// rowsScored and postingsRead count the rows exact-scored and the
 	// posting entries read over the scratch's lifetime.
 	rowsScored, postingsRead int64
@@ -471,14 +473,13 @@ type TableScratch struct {
 // query.
 func NewTableScratch() *TableScratch { return &TableScratch{} }
 
-// nextGen advances the generation stamp; on wraparound the gram and row
-// stamps are cleared so stale generations can never alias.
+// nextGen advances the generation stamp; on wraparound the row stamps are
+// cleared so stale generations can never alias.
 //
 //autofj:hotpath
 func (sc *TableScratch) nextGen() uint32 {
 	sc.gen++
 	if sc.gen == 0 {
-		clear(sc.gramStamp)
 		clear(sc.rowStamp)
 		sc.gen = 1
 	}
@@ -495,8 +496,7 @@ func (sc *TableScratch) fit(tx *TableIndex) {
 	if len(sc.rowStamp) < len(tx.refs) {
 		sc.rowStamp = make([]uint32, len(tx.refs))
 	}
-	if n := len(tx.df); len(sc.gramStamp) < n {
-		sc.gramStamp = make([]uint32, n)
+	if n := len(tx.df); len(sc.gramW) < n {
 		sc.gramW = make([]float64, n)
 	}
 	if len(sc.segW) < len(tx.segs) {
@@ -509,49 +509,21 @@ func (sc *TableScratch) fit(tx *TableIndex) {
 	}
 }
 
-// queryGrams extracts the distinct live table gram ids of query into
-// sc.qgrams. Grams absent from the dictionary or with zero live df carry
-// zero weight and are skipped. The byte loop inlines normalize(): per-rune
-// lower-casing with whitespace collapsed to single spaces, matching
-// strings.Fields/ToLower semantics.
+// queryGrams extracts the live table gram ids of query into sc.qgrams,
+// from its grams as a row's are made (gramKeys), a repeated gram repeated
+// (weigh drops the repeats). Grams absent from the dictionary or with
+// zero live df carry zero weight and are skipped.
 //
 //autofj:hotpath
 func (tx *TableIndex) queryGrams(sc *TableScratch, query string) []int32 {
 	sc.fit(tx)
 	sc.qgrams = sc.qgrams[:0]
-	sc.buf = append(sc.buf[:0], '#', '#')
-	sc.starts = append(sc.starts[:0], 0, 1)
-	content := false
-	pendingSpace := false
-	for _, r := range query {
-		r = unicode.ToLower(r)
-		if unicode.IsSpace(r) {
-			pendingSpace = content
-			continue
+	sc.keys, sc.buf = gramKeys(sc.keys, sc.buf, query)
+	var g [3 * utf8.UTFMax]byte
+	for _, k := range sc.keys {
+		if id, ok := tx.gramID[string(tokenize.AppendGram(g[:0], k))]; ok && tx.df[id] > 0 {
+			sc.qgrams = append(sc.qgrams, id)
 		}
-		if pendingSpace {
-			sc.starts = append(sc.starts, int32(len(sc.buf)))
-			sc.buf = append(sc.buf, ' ')
-			pendingSpace = false
-		}
-		sc.starts = append(sc.starts, int32(len(sc.buf)))
-		sc.buf = utf8.AppendRune(sc.buf, r)
-		content = true
-	}
-	if !content {
-		return nil // QGrams("") is empty: padding alone yields no grams
-	}
-	sc.starts = append(sc.starts, int32(len(sc.buf)), int32(len(sc.buf)+1))
-	sc.buf = append(sc.buf, '#', '#')
-	sc.starts = append(sc.starts, int32(len(sc.buf)))
-	gen := sc.nextGen()
-	for i := 0; i+3 < len(sc.starts); i++ {
-		id, ok := tx.gramID[string(sc.buf[sc.starts[i]:sc.starts[i+3]])]
-		if !ok || tx.df[id] <= 0 || sc.gramStamp[id] == gen {
-			continue
-		}
-		sc.gramStamp[id] = gen
-		sc.qgrams = append(sc.qgrams, id)
 	}
 	return sc.qgrams
 }
@@ -575,8 +547,8 @@ func (tx *TableIndex) selfGrams(sc *TableScratch, d int) []int32 {
 }
 
 // weigh sets the query grams' weights in gramW and segW (setWeight), and
-// lays out the visit order, rarest gram first (df ascending, ties by gram
-// id), with rest as its suffix sums of weight.
+// lays out the visit order of the distinct grams, rarest first (df
+// ascending, ties by gram id), with rest as its suffix sums of weight.
 //
 //autofj:hotpath
 func (tx *TableIndex) weigh(sc *TableScratch, qgrams []int32) {
@@ -587,6 +559,7 @@ func (tx *TableIndex) weigh(sc *TableScratch, qgrams []int32) {
 		sc.order = append(sc.order, uint64(tx.df[g])<<32|uint64(g))
 	}
 	slices.Sort(sc.order)
+	sc.order = slices.Compact(sc.order)
 	n := len(sc.order)
 	if cap(sc.rest) < n+1 {
 		sc.rest = make([]float64, n+1)
@@ -671,13 +644,13 @@ func (tx *TableIndex) appendTopK(dst []Candidate, sc *TableScratch, qgrams []int
 			h = offer(h, k, Candidate{ID: d, Score: s})
 		}
 	}
-	// An unreached row's computed score sums at most m = len(qgrams) of the
-	// unvisited weights, and rest[i] sums all of them: each sum is within a
-	// relative (m-1)·2^-53 of its exact value, and the exact subset sum is at
-	// most the exact whole. Inflating rest by m·2^-50 covers both errors and
+	// An unreached row's computed score sums at most m = len(sc.order) of
+	// the unvisited weights, and rest[i] sums all of them: each sum is
+	// within a relative (m-1)·2^-53 of its exact value, and the exact
+	// subset sum is at most the exact whole. Inflating rest by m·2^-50 covers both errors and
 	// the rounding of the product, so an unreached row scores strictly below
 	// the k-th score and can neither beat nor tie it.
-	slack := 1 + float64(len(qgrams))*0x1p-50
+	slack := 1 + float64(len(sc.order))*0x1p-50
 	for i, key := range sc.order {
 		if len(h) == k && sc.rest[i]*slack < h[0].Score {
 			break

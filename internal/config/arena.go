@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/parallel"
+	"github.com/chu-data-lab/autofuzzyjoin-go/internal/textproc"
 )
 
 // ProfileArena is one record collection stored the way a serving table
@@ -30,7 +31,7 @@ func (a *ProfileArena) Vocab() *Vocab { return a.v }
 func (a *ProfileArena) Rows() *Rows { return &a.rows }
 
 // Processed returns the processed strings of record i.
-func (a *ProfileArena) Processed(i int) Processed { return a.rows.record(i).proc }
+func (a *ProfileArena) Processed(i int) textproc.Forms { return a.rows.record(i).proc }
 
 // LearnProfiles stores the records a Learn scores, collections[0] (L)
 // then collections[1] (R), as the rows of one arena whose vocabulary is
@@ -44,8 +45,8 @@ func LearnProfiles(space []JoinFunction, parallelism int, collections ...[]strin
 		recs = append(recs, coll...)
 	}
 	v := NewVocab(space)
-	return v.buildArena(len(recs), parallelism, func(dst *Counted, i int) {
-		v.CountRecord(dst, recs[i], nil)
+	return v.buildArena(len(recs), parallelism, func(dst *Counted, i int, m *textproc.Memo) {
+		v.CountRecord(dst, recs[i], nil, m)
 	})
 }
 
@@ -59,8 +60,8 @@ func LearnProfiles(space []JoinFunction, parallelism int, collections ...[]strin
 // reproduces Evaluator.Distances on profs bit for bit.
 func (c *Corpus) BuildArena(profs []*Profile) *ProfileArena {
 	v := newVocab(&Corpus{needVec: c.needVec, needEmb: c.needEmb, needProc: c.needProc})
-	return v.buildArena(len(profs), 0, func(dst *Counted, i int) {
-		v.CountRecord(dst, profs[i].Raw, nil)
+	return v.buildArena(len(profs), 0, func(dst *Counted, i int, m *textproc.Memo) {
+		v.CountRecord(dst, profs[i].Raw, nil, m)
 	})
 }
 
@@ -70,16 +71,17 @@ const BuildChunk = 256
 
 // buildArena stores n records as the rows of a new arena of the empty v,
 // in order: count fills dst with record i (see CountRecord) on up to
-// parallelism workers, one chunk at a time, AppendChunk stores each chunk,
-// and Settle closes the statistics.
-func (v *Vocab) buildArena(n, parallelism int, count func(dst *Counted, i int)) *ProfileArena {
+// parallelism workers, one chunk at a time, each with its own stem memo;
+// AppendChunk stores each chunk, and Settle closes the statistics.
+func (v *Vocab) buildArena(n, parallelism int, count func(dst *Counted, i int, m *textproc.Memo)) *ProfileArena {
 	a := &ProfileArena{v: v, rows: v.NewRows(n, 0)}
 	recs := make([]Counted, min(n, BuildChunk))
+	memos := make([]textproc.Memo, parallel.Workers(parallelism, len(recs)))
 	for lo := 0; lo < n; lo += BuildChunk {
 		chunk := recs[:min(n-lo, BuildChunk)]
-		parallel.Shard(len(chunk), parallel.Workers(parallelism, len(chunk)), func(_, start, end int) {
+		parallel.Shard(len(chunk), parallel.Workers(parallelism, len(chunk)), func(w, start, end int) {
 			for i := start; i < end; i++ {
-				count(&chunk[i], lo+i)
+				count(&chunk[i], lo+i, &memos[w])
 			}
 		})
 		tokens := 0
@@ -110,7 +112,7 @@ func (s *Rows) reserve(tokens int) {
 // ArenaQuery prepares one record as the query side against the arena's
 // vocabulary, in tables of its own (see Vocab.PrepareQuery).
 func (c *Corpus) ArenaQuery(a *ProfileArena, s string) *Fixed {
-	f := a.v.PrepareQuery(new(Side), s, AllGroups)
+	f := a.v.PrepareQuery(new(Side), s, nil, AllGroups)
 	return &f
 }
 

@@ -102,17 +102,13 @@ func (c *Corpus) CountProfile(s string) *Profile {
 	return p
 }
 
-// Processed holds one record's pre-processed strings by textproc.Option,
-// as a record build made them; an option the build did not need is "".
-type Processed [numPre]string
-
 // Counted is the statistics-independent build of one record in a Vocab's
 // layout: its processed strings, its embeddings (nemb × embed.Dim values
 // in layout order), and by layout position each counted representation's
 // distinct tokens ascending with their occurrence counts. Its buffers are
 // reused by the next CountRecord into it.
 type Counted struct {
-	proc [numPre]string
+	proc textproc.Forms
 	emb  []float64
 	runs [numPre * numTok]tokenRun
 }
@@ -169,29 +165,27 @@ func rle[T comparable](toks []T, counts []uint32) ([]T, []uint32) {
 }
 
 // CountRecord fills dst with the build of record s (see Counted). proc,
-// when not nil, holds s's processed strings from a build under a space
-// whose pre-processing options include this vocabulary's (a LearnProfiles
-// arena over the same records), and is taken instead of pre-processing s
-// again. An option whose string equals an earlier option's shares that
-// option's string, embedding and counts. CountRecord reads no
-// vocabulary state, so it is safe to call concurrently with anything for
-// distinct dst.
-func (v *Vocab) CountRecord(dst *Counted, s string, proc *Processed) {
+// when not nil, holds s's processed strings under at least the options
+// this vocabulary stores (Forms); otherwise s is processed in one pass
+// (textproc.Process), stemming through m. An option whose string equals
+// an earlier option's shares that option's string, embedding and counts.
+// CountRecord reads no vocabulary state, so it is safe to call
+// concurrently with anything for distinct dst and m.
+func (v *Vocab) CountRecord(dst *Counted, s string, proc *textproc.Forms, m *textproc.Memo) {
 	lay := v.lay
 	if n := lay.nemb * embed.Dim; len(dst.emb) != n {
 		dst.emb = make([]float64, n)
+	}
+	if proc == nil {
+		textproc.Process(&dst.proc, s, lay.forms, m)
+		proc = &dst.proc
 	}
 	for pi := 0; pi < numPre; pi++ {
 		if lay.proc[pi] < 0 {
 			continue
 		}
-		var ps string
-		if proc != nil {
-			ps = proc[pi]
-		} else {
-			ps = textproc.Option(pi).Apply(s)
-		}
-		pj := sameAs(&dst.proc, &lay.needProc, pi, ps)
+		ps := proc[pi]
+		pj := sameAs((*[numPre]string)(&dst.proc), &lay.needProc, pi, ps)
 		if pj >= 0 {
 			ps = dst.proc[pj]
 		}

@@ -203,7 +203,7 @@ func TestRowDistancesMask(t *testing.T) {
 			var live []bool
 			add := func(ss ...string) {
 				for _, s := range ss {
-					v.AppendRecord(&rows, s)
+					v.AppendRecord(&rows, s, nil)
 					stored = append(stored, s)
 					live = append(live, true)
 				}
@@ -211,7 +211,7 @@ func TestRowDistancesMask(t *testing.T) {
 			}
 			queryPair := func(q string, row int) scorer {
 				return func(mask GroupMask, out []float64) {
-					f := v.PrepareQuery(&side, q, mask)
+					f := v.PrepareQuery(&side, q, nil, mask)
 					ev.RowDistances(&f, &rows, row, mask, sc, out)
 					side.Release()
 				}
@@ -315,11 +315,11 @@ func FuzzEvaluator(f *testing.F) {
 		// prepared as a ball's center against row b.
 		v := NewVocab(space)
 		rows := v.NewRows(2, 0)
-		v.AppendRecord(&rows, a)
-		v.AppendRecord(&rows, b)
+		v.AppendRecord(&rows, a, nil)
+		v.AppendRecord(&rows, b, nil)
 		v.Settle()
 		for _, q := range []string{b, b + " zqxj"} {
-			fq := v.PrepareQuery(&side, q, AllGroups)
+			fq := v.PrepareQuery(&side, q, nil, AllGroups)
 			ev.RowDistances(&fq, &rows, 0, AllGroups, sc, got)
 			same("row l, query r", a, q, profs[0], corpus.Profile(q))
 		}
@@ -329,7 +329,7 @@ func FuzzEvaluator(f *testing.F) {
 
 		// The vocabulary grows past those prepares and row a is removed.
 		c := b + " qvxk " + a
-		v.AppendRecord(&rows, c)
+		v.AppendRecord(&rows, c, nil)
 		v.Count(&rows, 0, -1)
 		v.Settle()
 		grown := NewCorpus(space, []string{b, c})
@@ -337,7 +337,7 @@ func FuzzEvaluator(f *testing.F) {
 		ev.RowDistances(&fc, &rows, 1, AllGroups, sc, got)
 		same("grown: center l, row r", c, b, grown.Profile(c), grown.Profile(b))
 		q := a + " zqxj"
-		fq := v.PrepareQuery(&side, q, AllGroups)
+		fq := v.PrepareQuery(&side, q, nil, AllGroups)
 		ev.RowDistances(&fq, &rows, 2, AllGroups, sc, got)
 		same("grown: row l, query r", c, q, grown.Profile(c), grown.Profile(q))
 

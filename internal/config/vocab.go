@@ -52,7 +52,8 @@ type layout struct {
 	proc     [numPre]int8
 	emb      [numPre]int8
 	rep      [numPre][numTok]int8
-	reps     []Rep // counted representations in ascending (pre, tok) order
+	reps     []Rep         // counted representations in ascending (pre, tok) order
+	forms    textproc.Mask // the options of proc
 	nproc    int
 	nemb     int
 }
@@ -64,6 +65,7 @@ func newLayout(c *Corpus) *layout {
 		if c.needProc[pi] {
 			lay.proc[pi] = int8(lay.nproc)
 			lay.nproc++
+			lay.forms |= textproc.Option(pi).Mask()
 		}
 		if c.needEmb[pi] {
 			lay.emb[pi] = int8(lay.nemb)
@@ -160,6 +162,9 @@ func (v *Vocab) IDFReps() []Rep { return v.c.IDFReps() }
 // NeedProc reports whether a stored row holds the processed string under
 // pre.
 func (v *Vocab) NeedProc(pre textproc.Option) bool { return v.lay.proc[pre] >= 0 }
+
+// Forms returns the options whose processed strings a stored row holds.
+func (v *Vocab) Forms() textproc.Mask { return v.lay.forms }
 
 // NeedEmb reports whether a stored row holds the embedding under pre.
 func (v *Vocab) NeedEmb(pre textproc.Option) bool { return v.lay.emb[pre] >= 0 }
@@ -267,10 +272,10 @@ func (v *Vocab) internRun(r int, run *tokenRun, slots []int32) {
 }
 
 // AppendRecord stores record s as the next row of rows, interning its
-// tokens, and counts the row live.
-func (v *Vocab) AppendRecord(rows *Rows, s string) {
+// tokens, and counts the row live. proc is CountRecord's.
+func (v *Vocab) AppendRecord(rows *Rows, s string, proc *textproc.Forms) {
 	c := &v.rec
-	v.CountRecord(c, s, nil)
+	v.CountRecord(c, s, proc, nil)
 	v.appendCounted(rows, c)
 	for r := range v.reps {
 		v.internRun(r, &c.runs[r], rows.runSlots(rows.n-1, r))
@@ -659,12 +664,12 @@ func (sd *Side) Release() {
 
 // PrepareQuery counts query record s and prepares it into sd under the
 // current statistics, as the query side r of every pair, for the
-// representations mask's groups read. A token no row has held weighs as
-// df 0, as weights.Stats weighs an unseen token: it is in no table but
-// counts toward Sum, Norm and N.
-func (v *Vocab) PrepareQuery(sd *Side, s string, mask GroupMask) Fixed {
+// representations mask's groups read. proc is CountRecord's. A token no
+// row has held weighs as df 0, as weights.Stats weighs an unseen token: it
+// is in no table but counts toward Sum, Norm and N.
+func (v *Vocab) PrepareQuery(sd *Side, s string, proc *textproc.Forms, mask GroupMask) Fixed {
 	var q Counted
-	v.CountRecord(&q, s, nil)
+	v.CountRecord(&q, s, proc, nil)
 	for r, rep := range v.lay.reps {
 		if mask&v.groups[r] == 0 {
 			continue

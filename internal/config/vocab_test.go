@@ -34,7 +34,7 @@ func TestPreparedRowMatchesProfileAndNeverAllocates(t *testing.T) {
 	live := map[int]bool{}
 	add := func(ss ...string) {
 		for _, s := range ss {
-			v.AppendRecord(&rows, s)
+			v.AppendRecord(&rows, s, nil)
 			live[len(docs)] = true
 			docs = append(docs, s)
 		}
@@ -95,7 +95,7 @@ func TestPreparedRowMatchesProfileAndNeverAllocates(t *testing.T) {
 			}
 			side.Release()
 			for _, q := range queries {
-				f := v.PrepareQuery(&side, q, AllGroups)
+				f := v.PrepareQuery(&side, q, nil, AllGroups)
 				ev.RowDistances(&f, &rows, i, AllGroups, sc, got)
 				side.Release()
 				ev.Distances(p, oracle.Profile(q), sc, want)

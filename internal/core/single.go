@@ -7,6 +7,7 @@ import (
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/blocking"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/config"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/negrule"
+	"github.com/chu-data-lab/autofuzzyjoin-go/internal/textproc"
 )
 
 // JoinTables runs single-column Auto-FuzzyJoin (Algorithm 1) on the
@@ -51,7 +52,7 @@ func Learn(left, right []string, opt Options) (*Result, *Table, error) {
 type learnedL struct {
 	index *blocking.TableIndex // Block's index over L
 	words [][]string           // negrule.WordSets(L); nil when no rule was learned
-	proc  []config.Processed   // L's processed strings, from L's learn rows
+	proc  []textproc.Forms     // L's processed strings, from L's learn rows
 }
 
 // joinTables is JoinTables scoring pairs through the evaluator that pairs
@@ -83,7 +84,7 @@ func joinTables(left, right []string, opt Options, pairs pairSource, keep *learn
 		if rules != nil && rules.Len() > 0 {
 			keep.words = b.leftWords
 		}
-		keep.proc = make([]config.Processed, len(left))
+		keep.proc = make([]textproc.Forms, len(left))
 		for i := range keep.proc {
 			keep.proc[i] = learned.Processed(i)
 		}

@@ -14,6 +14,7 @@ import (
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/config"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/negrule"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/parallel"
+	"github.com/chu-data-lab/autofuzzyjoin-go/internal/textproc"
 )
 
 // Table is a join program compiled against a MUTABLE reference table: an
@@ -92,6 +93,7 @@ type Table struct {
 	k           int
 	ballStride  int
 	statsGen    uint32
+	keyForms    textproc.Mask // see processKey
 	multi       bool
 	hasRules    bool
 	compacting  bool
@@ -287,6 +289,12 @@ func (p *Program) newTable(width int, rows [][]string, opt Options, h *learnedL)
 		t.rules = negrule.FreezeRules(p.NegativeRules)
 		t.hasRules = t.rules.Len() > 0
 	}
+	if !multi {
+		t.keyForms = t.cols[0].Forms()
+	}
+	if t.hasRules {
+		t.keyForms |= textproc.LowerStemRemovePunct.Mask()
+	}
 
 	t.tix = blocking.NewTableIndex()
 	t.delta = t.newPayload(0)
@@ -322,6 +330,17 @@ func (p *Program) newTable(width int, rows [][]string, opt Options, h *learnedL)
 // keyOf builds the blocking key of a full row.
 func (t *Table) keyOf(row []string) string { return DisplayRow(row, t.multi) }
 
+// processKey pre-processes a row's blocking key in one pass, through m:
+// under its column's stored options when it is a single cell, and under
+// L+S+RP for its negative-rule word set. It returns the forms CountRecord
+// takes, or nil for a multi-column table.
+func (t *Table) processKey(f *textproc.Forms, key string, m *textproc.Memo) *textproc.Forms {
+	if textproc.Process(f, key, t.keyForms, m); t.multi {
+		return nil
+	}
+	return f
+}
+
 // cellOf selects program column j's cell of a full row.
 func (t *Table) cellOf(row []string, j int) string {
 	if !t.multi {
@@ -350,30 +369,31 @@ func (t *Table) buildPayload(rows [][]string, h *learnedL) *tablePayload {
 	}
 	chunk := min(n, config.BuildChunk)
 	recs := make([]config.Counted, chunk*ncols) // column j's at [j*chunk, (j+1)*chunk)
+	memos := make([]textproc.Memo, parallel.Workers(t.parallelism, chunk))
 	for lo := 0; lo < n; lo += config.BuildChunk {
 		hi := min(n, lo+config.BuildChunk)
-		parallel.Shard(hi-lo, parallel.Workers(t.parallelism, hi-lo), func(_, start, end int) {
+		parallel.Shard(hi-lo, parallel.Workers(t.parallelism, hi-lo), func(w, start, end int) {
+			var f textproc.Forms
 			for i := lo + start; i < lo+end; i++ {
 				row := append([]string(nil), rows[i]...)
 				pl.rows[i] = row
 				key := t.keyOf(row)
 				pl.keys[i] = key
-				var proc *config.Processed
+				var proc *textproc.Forms
 				if h != nil {
 					proc = &h.proc[i]
+				} else {
+					proc = t.processKey(&f, key, &memos[w])
 				}
 				for j := range t.cols {
 					cell := t.cellOf(row, j)
 					pl.cells[j][i] = cell
-					t.cols[j].CountRecord(&recs[j*chunk+i-lo], cell, proc)
+					t.cols[j].CountRecord(&recs[j*chunk+i-lo], cell, proc, &memos[w])
 				}
-				if !t.hasRules {
-					continue
-				}
-				if h != nil && h.words != nil {
+				if t.hasRules && h != nil {
 					pl.words[i] = h.words[i]
-				} else {
-					pl.words[i] = negrule.AppendWordSet(nil, key)
+				} else if t.hasRules {
+					pl.words[i] = negrule.AppendWords(nil, f[textproc.LowerStemRemovePunct])
 				}
 			}
 		})
@@ -494,13 +514,15 @@ func (t *Table) Add(rows [][]string) (uint64, error) {
 		pl := t.delta
 		pl.rows = append(pl.rows, row)
 		pl.keys = append(pl.keys, key)
+		var f textproc.Forms
+		proc := t.processKey(&f, key, nil)
 		for j, vocab := range t.cols {
 			cell := t.cellOf(row, j)
 			pl.cells[j] = append(pl.cells[j], cell)
-			vocab.AppendRecord(&pl.cols[j], cell)
+			vocab.AppendRecord(&pl.cols[j], cell, proc)
 		}
 		if t.hasRules {
-			pl.words = append(pl.words, negrule.AppendWordSet(nil, key))
+			pl.words = append(pl.words, negrule.AppendWords(nil, f[textproc.LowerStemRemovePunct]))
 		}
 	}
 	for j := range t.cols {
@@ -838,10 +860,12 @@ func (ms *tableScratch) releaseSides() {
 // lock (the query reads the live vocabulary).
 func (t *Table) fillQuery(ms *tableScratch, key string, row []string) *queryState {
 	e := &queryState{}
+	var f textproc.Forms
+	proc := t.processKey(&f, key, nil)
 	ms.cands = t.tix.AppendTopK(ms.cands[:0], ms.sc, key, t.k)
 	e.cands = make([]int32, 0, len(ms.cands))
 	if t.hasRules {
-		qwords := negrule.AppendWordSet(nil, key)
+		qwords := negrule.AppendWords(nil, f[textproc.LowerStemRemovePunct])
 		for _, c := range ms.cands {
 			pl, local := t.payload(t.tix.Ref(int(c.ID)))
 			if !t.rules.BlocksPair(pl.words[local], qwords) {
@@ -864,7 +888,7 @@ func (t *Table) fillQuery(ms *tableScratch, key string, row []string) *queryStat
 		e.qcells[0] = key
 	}
 	for j, vocab := range t.cols {
-		e.fixed[j] = vocab.PrepareQuery(&ms.sides[j], e.qcells[j], config.AllGroups)
+		e.fixed[j] = vocab.PrepareQuery(&ms.sides[j], e.qcells[j], proc, config.AllGroups)
 	}
 	return e
 }

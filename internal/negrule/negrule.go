@@ -125,7 +125,15 @@ func oneWordDiff(a, b []string) (onlyA, onlyB string, ok bool) {
 //autofj:hotpath
 func AppendWordSet(dst []string, record string) []string {
 	//autofj:alloc-ok the pre-processing transform allocates once per record at add/freeze time and the word set is cached thereafter
-	dst = tokenize.AppendWords(dst, textproc.LowerStemRemovePunct.Apply(record))
+	return AppendWords(dst, textproc.LowerStemRemovePunct.Apply(record))
+}
+
+// AppendWords appends the AppendWordSet word set of a record to dst from
+// proc, the record under textproc.LowerStemRemovePunct.
+//
+//autofj:hotpath
+func AppendWords(dst []string, proc string) []string {
+	dst = tokenize.AppendWords(dst, proc)
 	sort.Strings(dst)
 	out := dst[:0]
 	for i, f := range dst {

@@ -6,20 +6,29 @@
 // words before diffing reference records.
 package stem
 
-// Stem returns the Porter stem of word. The input is expected to be
-// lower-case ASCII; non-ASCII and non-letter input is returned unchanged.
-// Words of length <= 2 are returned as-is, per the original algorithm.
-func Stem(word string) string {
+// Stems reports whether word can differ from its Porter stem: it is more
+// than two lower-case ASCII letters. Any other word is its own stem.
+func Stems(word []byte) bool {
 	if len(word) <= 2 {
-		return word
+		return false
 	}
-	for i := 0; i < len(word); i++ {
-		c := word[i]
+	for _, c := range word {
 		if c < 'a' || c > 'z' {
-			return word
+			return false
 		}
 	}
-	b := []byte(word)
+	return true
+}
+
+// AppendStem appends the Porter stem of word to dst and returns the
+// extended slice. A stem is never longer than its word.
+func AppendStem(dst, word []byte) []byte {
+	n := len(dst)
+	dst = append(dst, word...)
+	if !Stems(word) {
+		return dst
+	}
+	b := dst[n:]
 	b = step1a(b)
 	b = step1b(b)
 	b = step1c(b)
@@ -28,7 +37,7 @@ func Stem(word string) string {
 	b = step4(b)
 	b = step5a(b)
 	b = step5b(b)
-	return string(b)
+	return append(dst[:n], b...)
 }
 
 // isConsonant reports whether b[i] is a consonant in Porter's sense:

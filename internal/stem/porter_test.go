@@ -5,6 +5,9 @@ import (
 	"testing/quick"
 )
 
+// Stem returns the Porter stem of word.
+func Stem(word string) string { return string(AppendStem(nil, []byte(word))) }
+
 func TestStemKnownPairs(t *testing.T) {
 	cases := map[string]string{
 		"caresses":     "caress",

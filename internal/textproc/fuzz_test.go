@@ -3,18 +3,87 @@ package textproc
 import (
 	"strings"
 	"testing"
+	"unicode"
+
+	"github.com/chu-data-lab/autofuzzyjoin-go/internal/benchgen"
+	"github.com/chu-data-lab/autofuzzyjoin-go/internal/stem"
 )
 
-// FuzzApply checks the pre-processing pipelines on arbitrary input: no
-// panics, canonical spacing, and stability of the canonical form.
+// oracleApply is the per-option pipeline Process replaced, kept as the
+// reference every processed string is held to: strings.ToLower, then
+// punctuation and symbols to spaces, then a Porter stem per
+// whitespace-separated word, then whitespace collapsed.
+func oracleApply(o Option, s string) string {
+	s = strings.ToLower(s)
+	if o == LowerRemovePunct || o == LowerStemRemovePunct {
+		var b strings.Builder
+		for _, r := range s {
+			if unicode.IsPunct(r) || unicode.IsSymbol(r) {
+				b.WriteByte(' ')
+			} else {
+				b.WriteRune(r)
+			}
+		}
+		s = b.String()
+	}
+	if o == LowerStem || o == LowerStemRemovePunct {
+		fields := strings.Fields(s)
+		for i, f := range fields {
+			fields[i] = string(stem.AppendStem(nil, []byte(f)))
+		}
+		s = strings.Join(fields, " ")
+	}
+	return strings.Join(strings.Fields(s), " ")
+}
+
+// checkOracle holds Apply, and Process under want through m, to
+// oracleApply on s for every option.
+func checkOracle(t *testing.T, s string, want Mask, m *Memo) {
+	t.Helper()
+	var f Forms
+	Process(&f, s, want, m)
+	for _, o := range Options() {
+		exp := oracleApply(o, s)
+		if got := o.Apply(s); got != exp {
+			t.Fatalf("%v.Apply(%q) = %q, want %q", o, s, got, exp)
+		}
+		if want&o.Mask() == 0 {
+			if f[o] != "" {
+				t.Fatalf("Process(%q, %b) set unwanted %v to %q", s, want, o, f[o])
+			}
+		} else if f[o] != exp {
+			t.Fatalf("Process(%q, %b) %v = %q, want %q", s, want, o, f[o], exp)
+		}
+	}
+}
+
+// FuzzApply holds every option's output, bit for bit, to the per-option
+// oracle: through Apply, and through Process for a subset of the options
+// with no memo, a cold memo and the memo warm from s and the seeds.
 func FuzzApply(f *testing.F) {
-	for _, s := range []string{
+	seeds := []string{
 		"", "  spaced   out  ", "2008 LSU Tigers!", "ALL-CAPS_PUNCT.",
 		"日本語 と English", "\x00\x01控え", strings.Repeat("running ", 40),
-	} {
-		f.Add(s)
+		"#", "## #a# b##", "bad \xff\xfe utf8\xc3", "\xe2\x82", "İstanbul İİ",
+		"STRASSE ẞ ß", "Σίσυφος ΣΑΣ", "... --- !!! (?) $ €", "a.b-c,d e!!f",
+		"connect connected connecting connection connections",
+		"generalize generalization generic general", "ponies pony poni",
+		"agreed agree agreement", " nbsp\u0085next em",
+		"� literal replacement", "Dr.O'Brien-Smith's caresses",
 	}
-	f.Fuzz(func(t *testing.T, s string) {
+	warm := &Memo{}
+	for _, s := range seeds {
+		f.Add(s, uint8(1<<numOptions-1))
+		var forms Forms
+		Process(&forms, s, 1<<numOptions-1, warm)
+	}
+	f.Add("Tigers Football Teams", uint8(LowerStemRemovePunct.Mask()))
+	f.Fuzz(func(t *testing.T, s string, want uint8) {
+		w := Mask(want) & (1<<numOptions - 1)
+		checkOracle(t, s, w, nil)
+		checkOracle(t, s, w, &Memo{})
+		checkOracle(t, s, w, warm)
+		checkOracle(t, s, w, warm) // every stem of s now comes from the memo
 		for _, o := range Options() {
 			out := o.Apply(s)
 			if strings.Contains(out, "  ") {
@@ -25,4 +94,71 @@ func FuzzApply(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestMemoCapped holds a memo that has filled and started over to the
+// oracle, and checks it never holds more than memoCap words.
+func TestMemoCapped(t *testing.T) {
+	m := &Memo{}
+	all := Mask(1<<numOptions - 1)
+	for i := 0; i < memoCap+memoCap/2; i++ {
+		w := []byte("walking")
+		for k, x := 0, i; k < 4; k, x = k+1, x/26 {
+			w = append(w, byte('a'+x%26))
+		}
+		s := "The " + string(w) + "s connected, Walking"
+		checkOracle(t, s, all, m)
+		if len(m.stems) > memoCap {
+			t.Fatalf("memo holds %d words, cap %d", len(m.stems), memoCap)
+		}
+	}
+}
+
+// TestProcessShares checks that options with equal strings share one, and
+// that a string equal to the record is the record itself.
+func TestProcessShares(t *testing.T) {
+	var f Forms
+	Process(&f, "tv 12 ab", 1<<numOptions-1, nil)
+	for _, o := range Options() {
+		if f[o] != "tv 12 ab" {
+			t.Fatalf("%v = %q", o, f[o])
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		Process(&f, "tv 12 ab", 1<<numOptions-1, nil)
+	})
+	if allocs != 0 {
+		t.Errorf("Process of a canonical lower-case record allocates %.0f times, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		Process(&f, "Running, Jumping; Dogs", 1<<numOptions-1, nil)
+	})
+	if allocs != 1 {
+		t.Errorf("Process allocates %.0f times, want 1 (the shared string)", allocs)
+	}
+}
+
+// BenchmarkProcess pre-processes the ledger's reference table (benchgen
+// task 0 at scale 10) under all four options, one record at a time as a
+// single-row path does (nil memo), and as a build worker does (a memo
+// kept across the table).
+func BenchmarkProcess(b *testing.B) {
+	task := benchgen.SingleColumnTask(0, benchgen.Options{Seed: 1, Scale: 10})
+	recs := task.LeftKey()
+	all := Mask(1<<numOptions - 1)
+	for _, memo := range []bool{false, true} {
+		b.Run(map[bool]string{false: "nomemo", true: "memo"}[memo], func(b *testing.B) {
+			b.ReportAllocs()
+			var f Forms
+			for i := 0; i < b.N; i++ {
+				var m *Memo
+				if memo {
+					m = &Memo{}
+				}
+				for _, s := range recs {
+					Process(&f, s, all, m)
+				}
+			}
+		})
+	}
 }

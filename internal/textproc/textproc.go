@@ -6,8 +6,9 @@
 package textproc
 
 import (
-	"strings"
+	"bytes"
 	"unicode"
+	"unicode/utf8"
 
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/stem"
 )
@@ -48,53 +49,141 @@ func (o Option) String() string {
 	return "?"
 }
 
-// stems reports whether the pipeline includes Porter stemming.
-func (o Option) stems() bool { return o == LowerStem || o == LowerStemRemovePunct }
+// Mask is a set of Options.
+type Mask uint8
 
-// removesPunct reports whether the pipeline strips punctuation.
-func (o Option) removesPunct() bool {
-	return o == LowerRemovePunct || o == LowerStemRemovePunct
+// Mask returns the set holding o alone.
+func (o Option) Mask() Mask { return 1 << o }
+
+// Forms holds a record's processed strings by Option, "" where not made.
+type Forms [numOptions]string
+
+// Memo is a word → Porter stem memo one build worker owns for one build,
+// so a word recurring across records is stemmed once; nil memoizes none.
+type Memo struct{ stems map[string]string }
+
+// memoCap bounds a Memo's words; a full memo starts over.
+const memoCap = 1 << 13
+
+// appendStem appends the Porter stem of word to dst, through m.
+func (m *Memo) appendStem(dst, word []byte) []byte {
+	if m == nil || !stem.Stems(word) {
+		return stem.AppendStem(dst, word)
+	}
+	if st, ok := m.stems[string(word)]; ok {
+		return append(dst, st...)
+	}
+	if m.stems == nil || len(m.stems) >= memoCap {
+		m.stems = make(map[string]string)
+	}
+	n := len(dst)
+	dst = stem.AppendStem(dst, word)
+	m.stems[string(word)] = string(dst[n:])
+	return dst
 }
 
-// Apply runs the pipeline on s and returns the processed string.
-// Whitespace runs are always collapsed to single spaces and the result is
-// trimmed, so that downstream tokenizers see canonical spacing.
+// Apply runs the pipeline on s: the one-option case of Process.
 func (o Option) Apply(s string) string {
-	s = strings.ToLower(s)
-	if o.removesPunct() {
-		s = stripPunct(s)
-	}
-	if o.stems() {
-		s = stemWords(s)
-	}
-	return collapseSpaces(s)
+	var f Forms
+	Process(&f, s, o.Mask(), nil)
+	return f[o]
 }
 
-// stripPunct replaces punctuation and symbol runes with spaces so that
-// "O'Brien-Smith" tokenizes as two words rather than fusing.
-func stripPunct(s string) string {
-	var b strings.Builder
-	b.Grow(len(s))
+// AppendLower appends s under L to dst: each rune lower-cased as
+// strings.ToLower maps it (ill-formed UTF-8 becomes U+FFFD), and
+// whitespace runs collapsed to single spaces and trimmed.
+func AppendLower(dst []byte, s string) []byte {
+	n, space := len(dst), false
 	for _, r := range s {
-		if unicode.IsPunct(r) || unicode.IsSymbol(r) {
-			b.WriteByte(' ')
-		} else {
-			b.WriteRune(r)
+		if r = unicode.ToLower(r); unicode.IsSpace(r) {
+			space = len(dst) > n
+			continue
+		}
+		if space {
+			dst, space = append(dst, ' '), false
+		}
+		dst = utf8.AppendRune(dst, r)
+	}
+	return dst
+}
+
+// Process sets f to s processed under every option of want, in one pass
+// over the words of L (AppendLower); stems go through m. A string equal to
+// s or to an earlier option's is shared, and the rest are cut from one
+// allocation.
+func Process(f *Forms, s string, want Mask, m *Memo) {
+	*f = Forms{}
+	// The options after L are built a space before each word.
+	var stack [numOptions + 1][128]byte
+	b := [numOptions][]byte{stack[0][:0], stack[1][:0], stack[2][:0], stack[3][:0]}
+	b[Lower] = AppendLower(b[Lower], s)
+	for rest := b[Lower]; len(rest) > 0 && want != Lower.Mask(); {
+		var word []byte
+		word, rest, _ = bytes.Cut(rest, []byte{' '})
+		b = appendWord(b, word, want, m)
+	}
+	var at [numOptions]int // where each option's string starts in out
+	out := stack[numOptions][:0]
+	for o := range b {
+		if o != int(Lower) && len(b[o]) > 0 {
+			b[o] = b[o][1:]
+		}
+		if at[o] = -1; want&Option(o).Mask() == 0 || string(b[o]) == s {
+			continue // not wanted, or s itself
+		}
+		at[o] = len(out)
+		for p := range o {
+			if at[p] >= 0 && string(b[p]) == string(b[o]) {
+				at[o] = at[p]
+				break
+			}
+		}
+		if at[o] == len(out) {
+			out = append(out, b[o]...)
 		}
 	}
-	return b.String()
-}
-
-// stemWords stems each whitespace-separated word.
-func stemWords(s string) string {
-	fields := strings.Fields(s)
-	for i, f := range fields {
-		fields[i] = stem.Stem(f)
+	all := string(out)
+	for o := range f {
+		if at[o] >= 0 {
+			f[o] = all[at[o] : at[o]+len(b[o])]
+		} else if want&Option(o).Mask() != 0 {
+			f[o] = s
+		}
 	}
-	return strings.Join(fields, " ")
 }
 
-// collapseSpaces collapses runs of whitespace into single spaces and trims.
-func collapseSpaces(s string) string {
-	return strings.Join(strings.Fields(s), " ")
+// appendWord appends a word of L to L+S stemmed, and its pieces between
+// punctuation and symbol runes ("O'Brien-Smith" is two) to L+RP and,
+// stemmed, to L+S+RP; a word without punctuation is stemmed once for
+// both. b[LowerStem] and b[LowerRemovePunct] are scratch when not wanted.
+func appendWord(b [numOptions][]byte, word []byte, want Mask, m *Memo) [numOptions][]byte {
+	b[LowerStem] = append(b[LowerStem], ' ')
+	st := len(b[LowerStem])
+	if want&(LowerStem.Mask()|LowerStemRemovePunct.Mask()) != 0 {
+		b[LowerStem] = m.appendStem(b[LowerStem], word)
+	}
+	for rest := word; len(rest) > 0 && want&(LowerRemovePunct.Mask()|LowerStemRemovePunct.Mask()) != 0; {
+		piece := rest
+		if i := bytes.IndexFunc(rest, punct); i >= 0 {
+			_, n := utf8.DecodeRune(rest[i:])
+			piece, rest = rest[:i], rest[i+n:]
+		} else {
+			rest = nil
+		}
+		if len(piece) == 0 {
+			continue
+		}
+		b[LowerRemovePunct] = append(append(b[LowerRemovePunct], ' '), piece...)
+		switch srp := append(b[LowerStemRemovePunct], ' '); {
+		case want&LowerStemRemovePunct.Mask() == 0:
+		case len(piece) == len(word): // no punctuation: the word's stem is made
+			b[LowerStemRemovePunct] = append(srp, b[LowerStem][st:]...)
+		default:
+			b[LowerStemRemovePunct] = m.appendStem(srp, piece)
+		}
+	}
+	return b
 }
+
+// punct reports whether r is a punctuation or symbol rune.
+func punct(r rune) bool { return unicode.IsPunct(r) || unicode.IsSymbol(r) }

@@ -148,8 +148,12 @@ func GramKey(g string) (key uint64, ok bool) {
 // GramString returns the 3-gram string a packed key stands for.
 func GramString(key uint64) string {
 	var b [3 * utf8.UTFMax]byte
-	n := utf8.EncodeRune(b[:], rune(key>>(2*runeBits)))
-	n += utf8.EncodeRune(b[n:], rune(key>>runeBits&runeMask))
-	n += utf8.EncodeRune(b[n:], rune(key&runeMask))
-	return string(b[:n])
+	return string(AppendGram(b[:0], key))
+}
+
+// AppendGram appends the 3-gram a packed key stands for to dst.
+func AppendGram(dst []byte, key uint64) []byte {
+	dst = utf8.AppendRune(dst, rune(key>>(2*runeBits)))
+	dst = utf8.AppendRune(dst, rune(key>>runeBits&runeMask))
+	return utf8.AppendRune(dst, rune(key&runeMask))
 }
