@@ -45,8 +45,8 @@ func LearnProfiles(space []JoinFunction, parallelism int, collections ...[]strin
 		recs = append(recs, coll...)
 	}
 	v := NewVocab(space)
-	return v.buildArena(len(recs), parallelism, func(dst *Counted, i int, m *textproc.Memo) {
-		v.CountRecord(dst, recs[i], nil, m)
+	return v.buildArena(len(recs), parallelism, func(dst *Counted, i int) {
+		v.CountRecord(dst, recs[i], nil)
 	})
 }
 
@@ -60,8 +60,8 @@ func LearnProfiles(space []JoinFunction, parallelism int, collections ...[]strin
 // reproduces Evaluator.Distances on profs bit for bit.
 func (c *Corpus) BuildArena(profs []*Profile) *ProfileArena {
 	v := newVocab(&Corpus{needVec: c.needVec, needEmb: c.needEmb, needProc: c.needProc})
-	return v.buildArena(len(profs), 0, func(dst *Counted, i int, m *textproc.Memo) {
-		v.CountRecord(dst, profs[i].Raw, nil, m)
+	return v.buildArena(len(profs), 0, func(dst *Counted, i int) {
+		v.CountRecord(dst, profs[i].Raw, nil)
 	})
 }
 
@@ -71,17 +71,16 @@ const BuildChunk = 256
 
 // buildArena stores n records as the rows of a new arena of the empty v,
 // in order: count fills dst with record i (see CountRecord) on up to
-// parallelism workers, one chunk at a time, each with its own stem memo;
-// AppendChunk stores each chunk, and Settle closes the statistics.
-func (v *Vocab) buildArena(n, parallelism int, count func(dst *Counted, i int, m *textproc.Memo)) *ProfileArena {
+// parallelism workers, one chunk at a time, AppendChunk stores each chunk,
+// and Settle closes the statistics.
+func (v *Vocab) buildArena(n, parallelism int, count func(dst *Counted, i int)) *ProfileArena {
 	a := &ProfileArena{v: v, rows: v.NewRows(n, 0)}
 	recs := make([]Counted, min(n, BuildChunk))
-	memos := make([]textproc.Memo, parallel.Workers(parallelism, len(recs)))
 	for lo := 0; lo < n; lo += BuildChunk {
 		chunk := recs[:min(n-lo, BuildChunk)]
-		parallel.Shard(len(chunk), parallel.Workers(parallelism, len(chunk)), func(w, start, end int) {
+		parallel.Shard(len(chunk), parallel.Workers(parallelism, len(chunk)), func(_, start, end int) {
 			for i := start; i < end; i++ {
-				count(&chunk[i], lo+i, &memos[w])
+				count(&chunk[i], lo+i)
 			}
 		})
 		tokens := 0

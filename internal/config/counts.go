@@ -167,17 +167,17 @@ func rle[T comparable](toks []T, counts []uint32) ([]T, []uint32) {
 // CountRecord fills dst with the build of record s (see Counted). proc,
 // when not nil, holds s's processed strings under at least the options
 // this vocabulary stores (Forms); otherwise s is processed in one pass
-// (textproc.Process), stemming through m. An option whose string equals
-// an earlier option's shares that option's string, embedding and counts.
-// CountRecord reads no vocabulary state, so it is safe to call
-// concurrently with anything for distinct dst and m.
-func (v *Vocab) CountRecord(dst *Counted, s string, proc *textproc.Forms, m *textproc.Memo) {
+// (textproc.Process). An option whose string equals an earlier option's
+// shares that option's string, embedding and counts. CountRecord reads no
+// vocabulary state, so it is safe to call concurrently with anything for
+// distinct dst.
+func (v *Vocab) CountRecord(dst *Counted, s string, proc *textproc.Forms) {
 	lay := v.lay
 	if n := lay.nemb * embed.Dim; len(dst.emb) != n {
 		dst.emb = make([]float64, n)
 	}
 	if proc == nil {
-		textproc.Process(&dst.proc, s, lay.forms, m)
+		textproc.Process(&dst.proc, s, lay.forms)
 		proc = &dst.proc
 	}
 	for pi := 0; pi < numPre; pi++ {

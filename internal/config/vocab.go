@@ -275,7 +275,7 @@ func (v *Vocab) internRun(r int, run *tokenRun, slots []int32) {
 // tokens, and counts the row live. proc is CountRecord's.
 func (v *Vocab) AppendRecord(rows *Rows, s string, proc *textproc.Forms) {
 	c := &v.rec
-	v.CountRecord(c, s, proc, nil)
+	v.CountRecord(c, s, proc)
 	v.appendCounted(rows, c)
 	for r := range v.reps {
 		v.internRun(r, &c.runs[r], rows.runSlots(rows.n-1, r))
@@ -669,7 +669,7 @@ func (sd *Side) Release() {
 // is in no table but counts toward Sum, Norm and N.
 func (v *Vocab) PrepareQuery(sd *Side, s string, proc *textproc.Forms, mask GroupMask) Fixed {
 	var q Counted
-	v.CountRecord(&q, s, proc, nil)
+	v.CountRecord(&q, s, proc)
 	for r, rep := range v.lay.reps {
 		if mask&v.groups[r] == 0 {
 			continue

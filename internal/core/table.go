@@ -330,12 +330,12 @@ func (p *Program) newTable(width int, rows [][]string, opt Options, h *learnedL)
 // keyOf builds the blocking key of a full row.
 func (t *Table) keyOf(row []string) string { return DisplayRow(row, t.multi) }
 
-// processKey pre-processes a row's blocking key in one pass, through m:
-// under its column's stored options when it is a single cell, and under
-// L+S+RP for its negative-rule word set. It returns the forms CountRecord
-// takes, or nil for a multi-column table.
-func (t *Table) processKey(f *textproc.Forms, key string, m *textproc.Memo) *textproc.Forms {
-	if textproc.Process(f, key, t.keyForms, m); t.multi {
+// processKey pre-processes a row's blocking key in one pass: under
+// L+S+RP for its negative-rule word set when the table has rules, and
+// under its column's stored options when it is a single cell. It returns
+// the forms CountRecord takes, or nil for a multi-column table.
+func (t *Table) processKey(f *textproc.Forms, key string) *textproc.Forms {
+	if textproc.Process(f, key, t.keyForms); t.multi {
 		return nil
 	}
 	return f
@@ -369,10 +369,9 @@ func (t *Table) buildPayload(rows [][]string, h *learnedL) *tablePayload {
 	}
 	chunk := min(n, config.BuildChunk)
 	recs := make([]config.Counted, chunk*ncols) // column j's at [j*chunk, (j+1)*chunk)
-	memos := make([]textproc.Memo, parallel.Workers(t.parallelism, chunk))
 	for lo := 0; lo < n; lo += config.BuildChunk {
 		hi := min(n, lo+config.BuildChunk)
-		parallel.Shard(hi-lo, parallel.Workers(t.parallelism, hi-lo), func(w, start, end int) {
+		parallel.Shard(hi-lo, parallel.Workers(t.parallelism, hi-lo), func(_, start, end int) {
 			var f textproc.Forms
 			for i := lo + start; i < lo+end; i++ {
 				row := append([]string(nil), rows[i]...)
@@ -383,12 +382,12 @@ func (t *Table) buildPayload(rows [][]string, h *learnedL) *tablePayload {
 				if h != nil {
 					proc = &h.proc[i]
 				} else {
-					proc = t.processKey(&f, key, &memos[w])
+					proc = t.processKey(&f, key)
 				}
 				for j := range t.cols {
 					cell := t.cellOf(row, j)
 					pl.cells[j][i] = cell
-					t.cols[j].CountRecord(&recs[j*chunk+i-lo], cell, proc, &memos[w])
+					t.cols[j].CountRecord(&recs[j*chunk+i-lo], cell, proc)
 				}
 				if t.hasRules && h != nil {
 					pl.words[i] = h.words[i]
@@ -515,7 +514,7 @@ func (t *Table) Add(rows [][]string) (uint64, error) {
 		pl.rows = append(pl.rows, row)
 		pl.keys = append(pl.keys, key)
 		var f textproc.Forms
-		proc := t.processKey(&f, key, nil)
+		proc := t.processKey(&f, key)
 		for j, vocab := range t.cols {
 			cell := t.cellOf(row, j)
 			pl.cells[j] = append(pl.cells[j], cell)
@@ -861,7 +860,7 @@ func (ms *tableScratch) releaseSides() {
 func (t *Table) fillQuery(ms *tableScratch, key string, row []string) *queryState {
 	e := &queryState{}
 	var f textproc.Forms
-	proc := t.processKey(&f, key, nil)
+	proc := t.processKey(&f, key)
 	ms.cands = t.tix.AppendTopK(ms.cands[:0], ms.sc, key, t.k)
 	e.cands = make([]int32, 0, len(ms.cands))
 	if t.hasRules {

@@ -6,9 +6,9 @@
 // words before diffing reference records.
 package stem
 
-// Stems reports whether word can differ from its Porter stem: it is more
+// stems reports whether word can differ from its Porter stem: it is more
 // than two lower-case ASCII letters. Any other word is its own stem.
-func Stems(word []byte) bool {
+func stems(word []byte) bool {
 	if len(word) <= 2 {
 		return false
 	}
@@ -25,7 +25,7 @@ func Stems(word []byte) bool {
 func AppendStem(dst, word []byte) []byte {
 	n := len(dst)
 	dst = append(dst, word...)
-	if !Stems(word) {
+	if !stems(word) {
 		return dst
 	}
 	b := dst[n:]

@@ -36,12 +36,12 @@ func oracleApply(o Option, s string) string {
 	return strings.Join(strings.Fields(s), " ")
 }
 
-// checkOracle holds Apply, and Process under want through m, to
-// oracleApply on s for every option.
-func checkOracle(t *testing.T, s string, want Mask, m *Memo) {
+// checkOracle holds Apply, and Process under want, to oracleApply on s
+// for every option.
+func checkOracle(t *testing.T, s string, want Mask) {
 	t.Helper()
 	var f Forms
-	Process(&f, s, want, m)
+	Process(&f, s, want)
 	for _, o := range Options() {
 		exp := oracleApply(o, s)
 		if got := o.Apply(s); got != exp {
@@ -58,8 +58,7 @@ func checkOracle(t *testing.T, s string, want Mask, m *Memo) {
 }
 
 // FuzzApply holds every option's output, bit for bit, to the per-option
-// oracle: through Apply, and through Process for a subset of the options
-// with no memo, a cold memo and the memo warm from s and the seeds.
+// oracle: through Apply, and through Process for a subset of the options.
 func FuzzApply(f *testing.F) {
 	seeds := []string{
 		"", "  spaced   out  ", "2008 LSU Tigers!", "ALL-CAPS_PUNCT.",
@@ -71,19 +70,13 @@ func FuzzApply(f *testing.F) {
 		"agreed agree agreement", " nbsp\u0085next em",
 		"� literal replacement", "Dr.O'Brien-Smith's caresses",
 	}
-	warm := &Memo{}
 	for _, s := range seeds {
 		f.Add(s, uint8(1<<numOptions-1))
-		var forms Forms
-		Process(&forms, s, 1<<numOptions-1, warm)
 	}
 	f.Add("Tigers Football Teams", uint8(LowerStemRemovePunct.Mask()))
 	f.Fuzz(func(t *testing.T, s string, want uint8) {
 		w := Mask(want) & (1<<numOptions - 1)
-		checkOracle(t, s, w, nil)
-		checkOracle(t, s, w, &Memo{})
-		checkOracle(t, s, w, warm)
-		checkOracle(t, s, w, warm) // every stem of s now comes from the memo
+		checkOracle(t, s, w)
 		for _, o := range Options() {
 			out := o.Apply(s)
 			if strings.Contains(out, "  ") {
@@ -96,69 +89,46 @@ func FuzzApply(f *testing.F) {
 	})
 }
 
-// TestMemoCapped holds a memo that has filled and started over to the
-// oracle, and checks it never holds more than memoCap words.
-func TestMemoCapped(t *testing.T) {
-	m := &Memo{}
-	all := Mask(1<<numOptions - 1)
-	for i := 0; i < memoCap+memoCap/2; i++ {
-		w := []byte("walking")
-		for k, x := 0, i; k < 4; k, x = k+1, x/26 {
-			w = append(w, byte('a'+x%26))
-		}
-		s := "The " + string(w) + "s connected, Walking"
-		checkOracle(t, s, all, m)
-		if len(m.stems) > memoCap {
-			t.Fatalf("memo holds %d words, cap %d", len(m.stems), memoCap)
-		}
-	}
-}
-
-// TestProcessShares checks that options with equal strings share one, and
-// that a string equal to the record is the record itself.
+// TestProcessShares checks that options with equal strings share one, that
+// a string equal to the record is the record itself, and that an empty
+// option set costs nothing.
 func TestProcessShares(t *testing.T) {
 	var f Forms
-	Process(&f, "tv 12 ab", 1<<numOptions-1, nil)
+	Process(&f, "tv 12 ab", 1<<numOptions-1)
 	for _, o := range Options() {
 		if f[o] != "tv 12 ab" {
 			t.Fatalf("%v = %q", o, f[o])
 		}
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		Process(&f, "tv 12 ab", 1<<numOptions-1, nil)
+		Process(&f, "tv 12 ab", 1<<numOptions-1)
 	})
 	if allocs != 0 {
 		t.Errorf("Process of a canonical lower-case record allocates %.0f times, want 0", allocs)
 	}
 	allocs = testing.AllocsPerRun(100, func() {
-		Process(&f, "Running, Jumping; Dogs", 1<<numOptions-1, nil)
+		Process(&f, "Running, Jumping; Dogs", 1<<numOptions-1)
 	})
 	if allocs != 1 {
 		t.Errorf("Process allocates %.0f times, want 1 (the shared string)", allocs)
 	}
+	long := strings.Repeat("Running, Jumping; Dogs ", 20)
+	if allocs = testing.AllocsPerRun(100, func() { Process(&f, long, 0) }); allocs != 0 || f != (Forms{}) {
+		t.Errorf("Process under no option allocates %.0f times and sets %q", allocs, f)
+	}
 }
 
 // BenchmarkProcess pre-processes the ledger's reference table (benchgen
-// task 0 at scale 10) under all four options, one record at a time as a
-// single-row path does (nil memo), and as a build worker does (a memo
-// kept across the table).
+// task 0 at scale 10) under all four options, one record at a time as the
+// table build does.
 func BenchmarkProcess(b *testing.B) {
 	task := benchgen.SingleColumnTask(0, benchgen.Options{Seed: 1, Scale: 10})
 	recs := task.LeftKey()
-	all := Mask(1<<numOptions - 1)
-	for _, memo := range []bool{false, true} {
-		b.Run(map[bool]string{false: "nomemo", true: "memo"}[memo], func(b *testing.B) {
-			b.ReportAllocs()
-			var f Forms
-			for i := 0; i < b.N; i++ {
-				var m *Memo
-				if memo {
-					m = &Memo{}
-				}
-				for _, s := range recs {
-					Process(&f, s, all, m)
-				}
-			}
-		})
+	b.ReportAllocs()
+	var f Forms
+	for i := 0; i < b.N; i++ {
+		for _, s := range recs {
+			Process(&f, s, 1<<numOptions-1)
+		}
 	}
 }

@@ -58,34 +58,10 @@ func (o Option) Mask() Mask { return 1 << o }
 // Forms holds a record's processed strings by Option, "" where not made.
 type Forms [numOptions]string
 
-// Memo is a word → Porter stem memo one build worker owns for one build,
-// so a word recurring across records is stemmed once; nil memoizes none.
-type Memo struct{ stems map[string]string }
-
-// memoCap bounds a Memo's words; a full memo starts over.
-const memoCap = 1 << 13
-
-// appendStem appends the Porter stem of word to dst, through m.
-func (m *Memo) appendStem(dst, word []byte) []byte {
-	if m == nil || !stem.Stems(word) {
-		return stem.AppendStem(dst, word)
-	}
-	if st, ok := m.stems[string(word)]; ok {
-		return append(dst, st...)
-	}
-	if m.stems == nil || len(m.stems) >= memoCap {
-		m.stems = make(map[string]string)
-	}
-	n := len(dst)
-	dst = stem.AppendStem(dst, word)
-	m.stems[string(word)] = string(dst[n:])
-	return dst
-}
-
 // Apply runs the pipeline on s: the one-option case of Process.
 func (o Option) Apply(s string) string {
 	var f Forms
-	Process(&f, s, o.Mask(), nil)
+	Process(&f, s, o.Mask())
 	return f[o]
 }
 
@@ -108,19 +84,20 @@ func AppendLower(dst []byte, s string) []byte {
 }
 
 // Process sets f to s processed under every option of want, in one pass
-// over the words of L (AppendLower); stems go through m. A string equal to
-// s or to an earlier option's is shared, and the rest are cut from one
-// allocation.
-func Process(f *Forms, s string, want Mask, m *Memo) {
-	*f = Forms{}
+// over the words of L (AppendLower). A string equal to s or to an earlier
+// option's is shared, and the rest are cut from one allocation.
+func Process(f *Forms, s string, want Mask) {
+	if *f = (Forms{}); want == 0 {
+		return
+	}
 	// The options after L are built a space before each word.
 	var stack [numOptions + 1][128]byte
 	b := [numOptions][]byte{stack[0][:0], stack[1][:0], stack[2][:0], stack[3][:0]}
 	b[Lower] = AppendLower(b[Lower], s)
-	for rest := b[Lower]; len(rest) > 0 && want != Lower.Mask(); {
+	for rest := b[Lower]; len(rest) > 0 && want&^Lower.Mask() != 0; {
 		var word []byte
 		word, rest, _ = bytes.Cut(rest, []byte{' '})
-		b = appendWord(b, word, want, m)
+		b = appendWord(b, word, want)
 	}
 	var at [numOptions]int // where each option's string starts in out
 	out := stack[numOptions][:0]
@@ -156,11 +133,11 @@ func Process(f *Forms, s string, want Mask, m *Memo) {
 // punctuation and symbol runes ("O'Brien-Smith" is two) to L+RP and,
 // stemmed, to L+S+RP; a word without punctuation is stemmed once for
 // both. b[LowerStem] and b[LowerRemovePunct] are scratch when not wanted.
-func appendWord(b [numOptions][]byte, word []byte, want Mask, m *Memo) [numOptions][]byte {
+func appendWord(b [numOptions][]byte, word []byte, want Mask) [numOptions][]byte {
 	b[LowerStem] = append(b[LowerStem], ' ')
 	st := len(b[LowerStem])
 	if want&(LowerStem.Mask()|LowerStemRemovePunct.Mask()) != 0 {
-		b[LowerStem] = m.appendStem(b[LowerStem], word)
+		b[LowerStem] = stem.AppendStem(b[LowerStem], word)
 	}
 	for rest := word; len(rest) > 0 && want&(LowerRemovePunct.Mask()|LowerStemRemovePunct.Mask()) != 0; {
 		piece := rest
@@ -179,7 +156,7 @@ func appendWord(b [numOptions][]byte, word []byte, want Mask, m *Memo) [numOptio
 		case len(piece) == len(word): // no punctuation: the word's stem is made
 			b[LowerStemRemovePunct] = append(srp, b[LowerStem][st:]...)
 		default:
-			b[LowerStemRemovePunct] = m.appendStem(srp, piece)
+			b[LowerStemRemovePunct] = stem.AppendStem(srp, piece)
 		}
 	}
 	return b
