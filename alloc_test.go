@@ -62,7 +62,7 @@ func TestAllocationBudgets(t *testing.T) {
 	check("Evaluator.RowDistances", evaluatorAllocBudget, 5, func() {
 		for i := range len(recs) {
 			f := vocab.PrepareRow(&side, learnRows, i, config.AllGroups, true)
-			ev.RowDistances(&f, learnRows, (i+7)%len(recs), config.AllGroups, evSc, out)
+			ev.RowDistances(&f, learnRows, (i+7)%len(recs), config.AllGroups, nil, evSc, out)
 			side.Release()
 		}
 	})

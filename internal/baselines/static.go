@@ -27,7 +27,7 @@ func StaticJoins(left, right []string, space []config.JoinFunction, cands [][]in
 		}
 		f := v.PrepareRow(&side, rows, len(left)+r, config.AllGroups, false)
 		for _, l := range cs {
-			ev.RowDistances(&f, rows, int(l), config.AllGroups, sc, row)
+			ev.RowDistances(&f, rows, int(l), config.AllGroups, nil, sc, row)
 			for fi := range space {
 				if row[fi] < bestD[fi] {
 					bestD[fi] = row[fi]
@@ -89,7 +89,7 @@ func UpperBoundRecall(left, right []string, space []config.JoinFunction, cands [
 		}
 		f := v.PrepareRow(&side, rows, len(left)+r, config.AllGroups, false)
 		for _, l := range cands[r] {
-			ev.RowDistances(&f, rows, int(l), config.AllGroups, sc, row)
+			ev.RowDistances(&f, rows, int(l), config.AllGroups, nil, sc, row)
 			for fi := range space {
 				if row[fi] < bestD[fi] {
 					bestD[fi] = row[fi]

@@ -49,7 +49,8 @@ type Segment struct {
 // BuildSegment compiles the inverted index of a block of blocking keys,
 // extracting record grams across up to parallelism goroutines. Grams stay
 // packed keys (gramKeys) until the vocabulary is sorted, and each distinct
-// gram's string is made once.
+// gram's string is made once. The gram lists and the posting lists are
+// counted first and carved from one backing array each.
 func BuildSegment(keys []string, parallelism int) *Segment {
 	docKeys := make([][]uint64, len(keys))
 	parallel.Shard(len(keys), parallel.Workers(parallelism, len(keys)), func(_, start, end int) {
@@ -79,13 +80,26 @@ func BuildSegment(keys []string, parallelism int) *Segment {
 		gramID[k] = int32(id)
 		s.vocab[id] = tokenize.GramString(k)
 	}
+	var total int
+	for _, ks := range docKeys {
+		total += len(ks)
+	}
+	df, ids := make([]int32, len(sorted)), make([]int32, 0, total)
 	for i, ks := range docKeys {
-		ids := make([]int32, len(ks))
-		for x, k := range ks {
-			ids[x] = gramID[k]
-			s.postings[ids[x]] = append(s.postings[ids[x]], int32(i))
+		for _, k := range ks {
+			ids = append(ids, gramID[k])
+			df[gramID[k]]++
 		}
-		s.docGrams[i] = ids // ascending: keys ascend, and ids follow key order
+		s.docGrams[i] = ids[len(ids)-len(ks) : len(ids) : len(ids)] // ascending: ids follow key order
+	}
+	post := make([]int32, total)
+	for g, n := range df {
+		s.postings[g], post = post[:0:n], post[n:]
+	}
+	for i, ids := range s.docGrams {
+		for _, g := range ids {
+			s.postings[g] = append(s.postings[g], int32(i))
+		}
 	}
 	return s
 }

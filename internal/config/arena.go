@@ -83,13 +83,6 @@ func (v *Vocab) buildArena(n, parallelism int, count func(dst *Counted, i int)) 
 				count(&chunk[i], lo+i)
 			}
 		})
-		tokens := 0
-		for i := range chunk {
-			for r := range v.reps {
-				tokens += len(chunk[i].runs[r].counts)
-			}
-		}
-		a.rows.reserve(tokens)
 		v.AppendChunk(&a.rows, chunk, parallelism)
 	}
 	v.Settle()
@@ -97,9 +90,9 @@ func (v *Vocab) buildArena(n, parallelism int, count func(dst *Counted, i int)) 
 }
 
 // reserve makes room for tokens more slot entries, at least doubling the
-// storage when it grows: an arena's runs are then copied O(1) times as it
-// is built, not once per append's smaller growth step. A table's rows,
-// which live on, grow by append and keep less spare capacity.
+// storage when it grows: rows built a chunk at a time (AppendChunk) are
+// then copied O(1) times as they are built, not once per append's
+// smaller growth step.
 func (s *Rows) reserve(tokens int) {
 	if need := len(s.slots) + tokens; need > cap(s.slots) {
 		c := max(need, 2*cap(s.slots))
@@ -120,5 +113,5 @@ func (c *Corpus) ArenaQuery(a *ProfileArena, s string) *Fixed {
 //
 //autofj:hotpath
 func (e *Evaluator) ArenaDistances(a *ProfileArena, l int32, q *Fixed, sc *EvalScratch, out []float64) {
-	e.RowDistances(q, &a.rows, int(l), AllGroups, sc, out)
+	e.RowDistances(q, &a.rows, int(l), AllGroups, nil, sc, out)
 }

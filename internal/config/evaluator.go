@@ -1,6 +1,8 @@
 package config
 
 import (
+	"math"
+
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/distance"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/embed"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/textproc"
@@ -44,7 +46,10 @@ import (
 //
 //   - a GroupMask selects the groups to score, so a caller that needs only
 //     some functions (learning's ball pass, core.prepare phase 3, and a
-//     table's ball fill) runs only their kernels.
+//     table's ball fill) runs only their kernels;
+//
+//   - a per-function cut skips a char group whose distance.CharBound (on
+//     ED and JW; ME and SW never skip) is past every function's cut.
 //
 // Distances are bit-identical to JoinFunction.Distance — the plans reuse
 // the exact arithmetic of the single-function kernels, and a copied
@@ -118,7 +123,8 @@ type embPlan struct {
 // EvalScratch is the reusable per-worker state of an Evaluator. It is
 // not safe for concurrent use; give each worker its own.
 type EvalScratch struct {
-	char distance.CharScratch
+	char                    distance.CharScratch
+	charScored, charSkipped uint64 // char groups run and skipped (CharWork)
 	// The kernel results of the current RowDistances call, by group, for
 	// later groups to copy.
 	cd [numPre]distance.CharDists
@@ -271,22 +277,32 @@ func (e *Evaluator) Distances(l, r *Profile, sc *EvalScratch, out []float64) {
 // copies the result of an earlier group scored in the same call whose
 // processed strings coincide with its own on both records.
 //
+// A char group whose distance.CharBound exceeds cut[fi] for every function
+// fi of it runs no kernel: its functions get +Inf, past the cut as their
+// values are. A nil cut scores every group.
+//
 //autofj:hotpath
-func (e *Evaluator) RowDistances(f *Fixed, s *Rows, i int, mask GroupMask, sc *EvalScratch, out []float64) {
+func (e *Evaluator) RowDistances(f *Fixed, s *Rows, i int, mask GroupMask, cut []float64, sc *EvalScratch, out []float64) {
 	o := s.record(i)
 	l, r := &f.rec, &o
 	if !f.l {
 		l, r = &o, &f.rec
 	}
+	scored := mask // the char groups this call ran or copied, for later copies
 	for gi := range e.char {
 		g := &e.char[gi]
 		if mask&g.bit == 0 {
 			continue
 		}
-		if src := copySource(g.from, mask, g.pre, l, r); src >= 0 {
+		if src := copySource(g.from, scored, g.pre, l, r); src >= 0 {
 			sc.cd[gi] = sc.cd[src]
+		} else if cut != nil && beyond(g, distance.CharBound(f.shape[g.pre], s.shapes[i*s.lay.nproc+int(s.lay.proc[g.pre])]), cut) {
+			sc.cd[gi] = distance.CharDists{ED: math.Inf(1), JW: math.Inf(1), ME: math.Inf(1), SW: math.Inf(1)}
+			scored &^= g.bit
+			sc.charSkipped++
 		} else {
 			sc.cd[gi] = sc.char.Distances(l.proc[g.pre], r.proc[g.pre], g.need)
+			sc.charScored++
 		}
 		scatterChar(g, sc.cd[gi], out)
 	}
@@ -340,27 +356,48 @@ func copySource(from []source, mask GroupMask, pre textproc.Option, l, r *Record
 	return -1
 }
 
+// CharWork returns how many char groups RowDistances ran a kernel for
+// and how many it skipped by the bound, over the scratch's life.
+func (sc *EvalScratch) CharWork() (scored, skipped uint64) { return sc.charScored, sc.charSkipped }
+
+// beyond reports whether bound exceeds the cut of every function of g.
+//
+//autofj:hotpath
+func beyond(g *charPlan, bound distance.CharDists, cut []float64) bool {
+	for _, s := range g.fns {
+		if member(&bound, s.dist) <= cut[s.fi] {
+			return false
+		}
+	}
+	return true
+}
+
+// member returns the member of cd that scores distance d. Unknown
+// char-based distances score 1, matching the JoinFunction.Distance
+// fallback.
+//
+//autofj:hotpath
+func member(cd *distance.CharDists, d Distance) float64 {
+	switch d {
+	case ED:
+		return cd.ED
+	case JW:
+		return cd.JW
+	case ME:
+		return cd.ME
+	case SW:
+		return cd.SW
+	}
+	return 1
+}
+
 // scatterChar fans one fused char-kernel result out to the plan's
 // function slots (shared by the Distances entry points).
 //
 //autofj:hotpath
 func scatterChar(g *charPlan, cd distance.CharDists, out []float64) {
 	for _, s := range g.fns {
-		switch s.dist {
-		case ED:
-			out[s.fi] = cd.ED
-		case JW:
-			out[s.fi] = cd.JW
-		case ME:
-			out[s.fi] = cd.ME
-		case SW:
-			out[s.fi] = cd.SW
-		default:
-			// Unknown char-based distances score 1, matching the
-			// JoinFunction.Distance fallback; never leave the reused
-			// output buffer holding the previous pair's value.
-			out[s.fi] = 1
-		}
+		out[s.fi] = member(&cd, s.dist)
 	}
 }
 

@@ -2,6 +2,7 @@ package config
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -101,6 +102,65 @@ func TestEvaluatorDuplicateFunctions(t *testing.T) {
 	}
 }
 
+// TestRowDistancesCut: under per-function cuts, RowDistances gives every
+// function its uncut value, bit for bit, or +Inf, and +Inf only to a
+// char-based function whose uncut value is past its cut. The cuts mix 0,
+// ±Inf, the uncut value itself and random values, so groups whose
+// strings coincide get different verdicts, and a group that copied the
+// result of a skipped one would read +Inf within its cut. Each pair is
+// scored right after a decoy pair on the same scratch.
+func TestRowDistancesCut(t *testing.T) {
+	for name, space := range map[string][]JoinFunction{"Space": Space(), "ExtendedSpace": ExtendedSpace()} {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			var recs []string
+			for i := 0; i < 40; i++ {
+				recs = append(recs, randRecord(rng))
+			}
+			ev := NewEvaluator(space)
+			sc := ev.NewScratch()
+			a := LearnProfiles(space, 1, recs)
+			var side Side
+			full := make([]float64, len(space))
+			got := make([]float64, len(space))
+			cut := make([]float64, len(space))
+			for i := range recs {
+				f := a.v.PrepareRow(&side, &a.rows, i, AllGroups, i%2 == 0)
+				for j := range recs {
+					ev.RowDistances(&f, &a.rows, j, AllGroups, nil, sc, full)
+					for trial := 0; trial < 4; trial++ {
+						for fi := range cut {
+							switch rng.Intn(5) {
+							case 0:
+								cut[fi] = 0
+							case 1:
+								cut[fi] = math.Inf(1)
+							case 2:
+								cut[fi] = math.Inf(-1)
+							case 3:
+								cut[fi] = full[fi]
+							default:
+								cut[fi] = rng.Float64()
+							}
+						}
+						ev.RowDistances(&f, &a.rows, rng.Intn(len(recs)), AllGroups, nil, sc, got)
+						ev.RowDistances(&f, &a.rows, j, AllGroups, cut, sc, got)
+						for fi, fn := range space {
+							if !sameBits(got[fi], full[fi]) && (!math.IsInf(got[fi], 1) || fn.Dist.Class() != CharBased || full[fi] <= cut[fi]) {
+								t.Fatalf("%s between %q and %q, cut %v: got %v, uncut %v", fn.Name(), recs[i], recs[j], cut[fi], got[fi], full[fi])
+							}
+						}
+					}
+				}
+				side.Release()
+			}
+			if scored, skipped := sc.CharWork(); scored == 0 || skipped == 0 {
+				t.Fatalf("%d char groups scored, %d skipped: the cuts exercised nothing", scored, skipped)
+			}
+		})
+	}
+}
+
 // TestRowDistancesMask: RowDistances under a group mask fills exactly the
 // functions whose group the mask selects, with the values of an unmasked
 // call, and leaves every other slot untouched; unmasked, it equals
@@ -186,7 +246,7 @@ func TestRowDistancesMask(t *testing.T) {
 			learnPair := func(fixed, other int, l bool) scorer {
 				return func(mask GroupMask, out []float64) {
 					f := learned.v.PrepareRow(&side, &learned.rows, fixed, mask, l)
-					ev.RowDistances(&f, &learned.rows, other, mask, sc, out)
+					ev.RowDistances(&f, &learned.rows, other, mask, nil, sc, out)
 					side.Release()
 				}
 			}
@@ -212,14 +272,14 @@ func TestRowDistancesMask(t *testing.T) {
 			queryPair := func(q string, row int) scorer {
 				return func(mask GroupMask, out []float64) {
 					f := v.PrepareQuery(&side, q, nil, mask)
-					ev.RowDistances(&f, &rows, row, mask, sc, out)
+					ev.RowDistances(&f, &rows, row, mask, nil, sc, out)
 					side.Release()
 				}
 			}
 			centerPair := func(center, row int) scorer {
 				return func(mask GroupMask, out []float64) {
 					f := v.PrepareRow(&side, &rows, center, mask, true)
-					ev.RowDistances(&f, &rows, row, mask, sc, out)
+					ev.RowDistances(&f, &rows, row, mask, nil, sc, out)
 					side.Release()
 				}
 			}
@@ -320,11 +380,11 @@ func FuzzEvaluator(f *testing.F) {
 		v.Settle()
 		for _, q := range []string{b, b + " zqxj"} {
 			fq := v.PrepareQuery(&side, q, nil, AllGroups)
-			ev.RowDistances(&fq, &rows, 0, AllGroups, sc, got)
+			ev.RowDistances(&fq, &rows, 0, AllGroups, nil, sc, got)
 			same("row l, query r", a, q, profs[0], corpus.Profile(q))
 		}
 		fc := v.PrepareRow(&side, &rows, 0, AllGroups, true)
-		ev.RowDistances(&fc, &rows, 1, AllGroups, sc, got)
+		ev.RowDistances(&fc, &rows, 1, AllGroups, nil, sc, got)
 		same("center l, row r", a, b, profs[0], profs[1])
 
 		// The vocabulary grows past those prepares and row a is removed.
@@ -334,11 +394,11 @@ func FuzzEvaluator(f *testing.F) {
 		v.Settle()
 		grown := NewCorpus(space, []string{b, c})
 		fc = v.PrepareRow(&side, &rows, 2, AllGroups, true)
-		ev.RowDistances(&fc, &rows, 1, AllGroups, sc, got)
+		ev.RowDistances(&fc, &rows, 1, AllGroups, nil, sc, got)
 		same("grown: center l, row r", c, b, grown.Profile(c), grown.Profile(b))
 		q := a + " zqxj"
 		fq := v.PrepareQuery(&side, q, nil, AllGroups)
-		ev.RowDistances(&fq, &rows, 2, AllGroups, sc, got)
+		ev.RowDistances(&fq, &rows, 2, AllGroups, nil, sc, got)
 		same("grown: row l, query r", c, q, grown.Profile(c), grown.Profile(q))
 
 		// The learn path: L = {a} and R = {b} stored as rows 0 and 1 under
@@ -347,10 +407,10 @@ func FuzzEvaluator(f *testing.F) {
 		learned := LearnProfiles(space, 1, []string{a}, []string{b})
 		lc := NewCorpus(space, []string{a}, []string{b})
 		fl := learned.v.PrepareRow(&side, &learned.rows, 1, AllGroups, false)
-		ev.RowDistances(&fl, &learned.rows, 0, AllGroups, sc, got)
+		ev.RowDistances(&fl, &learned.rows, 0, AllGroups, nil, sc, got)
 		same("learn row l, prepared row r", a, b, lc.Profile(a), lc.Profile(b))
 		fl = learned.v.PrepareRow(&side, &learned.rows, 0, AllGroups, true)
-		ev.RowDistances(&fl, &learned.rows, 1, AllGroups, sc, got)
+		ev.RowDistances(&fl, &learned.rows, 1, AllGroups, nil, sc, got)
 		same("prepared learn row l, row r", a, b, lc.Profile(a), lc.Profile(b))
 	})
 }

@@ -265,7 +265,7 @@ func TestProfilesMatchMapOracle(t *testing.T) {
 								fixed, other = rr, rl
 							}
 							f := a.v.PrepareRow(&side, &a.rows, fixed, AllGroups, lFixed)
-							ev.RowDistances(&f, &a.rows, other, AllGroups, sc, got)
+							ev.RowDistances(&f, &a.rows, other, AllGroups, nil, sc, got)
 							side.Release()
 							for fi, fn := range space {
 								if !sameBits(got[fi], want[fi]) {

@@ -291,6 +291,13 @@ func (v *Vocab) AppendRecord(rows *Rows, s string, proc *textproc.Forms) {
 // parallelism.
 func (v *Vocab) AppendChunk(rows *Rows, recs []Counted, parallelism int) {
 	first := rows.n
+	tokens := 0
+	for i := range recs {
+		for r := range v.reps {
+			tokens += len(recs[i].runs[r].counts)
+		}
+	}
+	rows.reserve(tokens)
 	for i := range recs {
 		v.appendCounted(rows, &recs[i])
 	}
@@ -458,17 +465,18 @@ type Row struct {
 }
 
 // Rows is the columnar at-rest storage of a block of one program
-// column's rows: processed strings, flat embeddings, and per counted
-// representation a slot run with integer counts and the count vector's
-// Sum and Norm. A row's parts sit at fixed positions (see layout), so a
+// column's rows: processed strings and their shapes, flat embeddings, and
+// per counted representation a slot run with integer counts and the count
+// vector's Sum and Norm. A row's parts sit at fixed positions (see layout), so a
 // row is a handful of slices into a few flat arrays. Rows only grow, and
 // stored rows never change.
 type Rows struct {
 	lay    *layout
 	n      int
-	proc   []string  // n × nproc
-	emb    []float64 // n × nemb × embed.Dim
-	off    []int32   // n × nrep + 1 run offsets into slots and counts
+	proc   []string         // n × nproc
+	shapes []distance.Shape // of proc, for distance.CharBound
+	emb    []float64        // n × nemb × embed.Dim
+	off    []int32          // n × nrep + 1 run offsets into slots and counts
 	slots  []int32
 	counts []uint32
 	sums   []float64 // n × nrep (Sum, Norm) pairs
@@ -482,6 +490,7 @@ func (v *Vocab) NewRows(n, tokens int) Rows {
 	s := Rows{
 		lay:    lay,
 		proc:   make([]string, 0, n*lay.nproc),
+		shapes: make([]distance.Shape, 0, n*lay.nproc),
 		emb:    make([]float64, 0, n*lay.nemb*embed.Dim),
 		off:    make([]int32, 0, n*nrep+1),
 		slots:  make([]int32, 0, tokens),
@@ -504,6 +513,7 @@ func (s *Rows) Append(r *Row) {
 	for pi := 0; pi < numPre; pi++ {
 		if lay.proc[pi] >= 0 {
 			s.proc = append(s.proc, r.Proc[pi])
+			s.shapes = append(s.shapes, distance.ShapeOf(r.Proc[pi]))
 		}
 	}
 	for pi := 0; pi < numPre; pi++ {
@@ -570,6 +580,7 @@ func (s *Rows) Prefix(m int) Rows {
 		lay:    lay,
 		n:      m,
 		proc:   s.proc[:np:np],
+		shapes: s.shapes[:np:np],
 		emb:    s.emb[:ne:ne],
 		off:    s.off[: nr+1 : nr+1],
 		slots:  s.slots[:end:end],
@@ -622,14 +633,27 @@ type Side struct {
 	slots []int32                 // PrepareQuery's resolved slots
 }
 
-// Fixed is a prepared record: its strings and embeddings, its tables, the
-// vocabulary of the rows it is scored against, and whether it is every
-// pair's reference side l. It is valid until Release.
+// Fixed is a prepared record: its strings, their shapes and its
+// embeddings, its tables, the vocabulary of the rows it is scored against,
+// and whether it is every pair's reference side l. It is valid until
+// Release.
 type Fixed struct {
-	rec  Record
-	side *Side
-	v    *Vocab
-	l    bool
+	rec   Record
+	shape [numPre]distance.Shape
+	side  *Side
+	v     *Vocab
+	l     bool
+}
+
+// fixed returns rec prepared into sd.
+//
+//autofj:hotpath
+func (v *Vocab) fixed(rec Record, sd *Side, l bool) Fixed {
+	f := Fixed{rec: rec, side: sd, v: v, l: l}
+	for pi, s := range rec.proc {
+		f.shape[pi] = distance.ShapeOf(s)
+	}
+	return f
 }
 
 // sized returns p with its table sized for ids below n. A released or
@@ -690,7 +714,7 @@ func (v *Vocab) PrepareQuery(sd *Side, s string, proc *textproc.Forms, mask Grou
 		sd.slots = slots
 		v.prepare(sd, r, slots, run.counts, run.sum, run.norm)
 	}
-	return Fixed{rec: v.lay.record(&q), side: sd, v: v}
+	return v.fixed(v.lay.record(&q), sd, false)
 }
 
 // PrepareRow prepares row i of s into sd under the current statistics, as
@@ -707,7 +731,7 @@ func (v *Vocab) PrepareRow(sd *Side, s *Rows, i int, mask GroupMask, l bool) Fix
 			v.prepare(sd, r, s.slots[lo:hi], s.counts[lo:hi], s.sums[2*at], s.sums[2*at+1])
 		}
 	}
-	return Fixed{rec: s.record(i), side: sd, v: v, l: l}
+	return v.fixed(s.record(i), sd, l)
 }
 
 // prepare fills the tables of representation r from a count vector: slots

@@ -96,7 +96,7 @@ func TestPreparedRowMatchesProfileAndNeverAllocates(t *testing.T) {
 			side.Release()
 			for _, q := range queries {
 				f := v.PrepareQuery(&side, q, nil, AllGroups)
-				ev.RowDistances(&f, &rows, i, AllGroups, sc, got)
+				ev.RowDistances(&f, &rows, i, AllGroups, nil, sc, got)
 				side.Release()
 				ev.Distances(p, oracle.Profile(q), sc, want)
 				for fi := range want {
@@ -139,7 +139,7 @@ func TestPreparedRowMatchesProfileAndNeverAllocates(t *testing.T) {
 	out := make([]float64, len(space))
 	score := func() {
 		f := v.PrepareRow(&side, &rows, 2, AllGroups, true)
-		ev.RowDistances(&f, &rows, 0, AllGroups, sc, out)
+		ev.RowDistances(&f, &rows, 0, AllGroups, nil, sc, out)
 		side.Release()
 	}
 	if n := testing.AllocsPerRun(100, score); n != 0 {

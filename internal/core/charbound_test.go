@@ -1,0 +1,86 @@
+package core
+
+import (
+	"math/rand"
+	"testing"
+
+	"github.com/chu-data-lab/autofuzzyjoin-go/internal/benchgen"
+)
+
+// ledgerProgram returns the serving shape of the benchmark ledger: the
+// program learned on benchgen task 0 at scale 1 with default options, and
+// the reference keys of the same task at scale 10 (|L| = 6,270).
+func ledgerProgram(t *testing.T) (*Program, []string) {
+	t.Helper()
+	train := benchgen.SingleColumnTask(0, benchgen.Options{Seed: 1, Scale: 1})
+	ref := benchgen.SingleColumnTask(0, benchgen.Options{Seed: 1, Scale: 10})
+	res, err := JoinTables(train.LeftKey(), train.RightKey(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.ToProgram(), ref.LeftKey()
+}
+
+// nearQueries returns n never-seen queries made from random keys: half by
+// the benchmark's perturbation profile, half by edits that keep the length
+// (a swap of two neighbouring runes or one substituted letter), so the
+// length bound alone rarely decides and the signature bound must.
+func nearQueries(keys []string, n int, seed int64) []string {
+	rng := rand.New(rand.NewSource(seed))
+	prof := benchgen.DefaultProfile()
+	seen := make(map[string]bool, len(keys))
+	for _, k := range keys {
+		seen[k] = true
+	}
+	var qs []string
+	for len(qs) < n {
+		k := keys[rng.Intn(len(keys))]
+		q := prof.Apply(rng, k)
+		if r := []rune(k); len(qs)%2 == 1 && len(r) > 2 {
+			i := rng.Intn(len(r) - 1)
+			if rng.Intn(2) == 0 {
+				r[i], r[i+1] = r[i+1], r[i]
+			} else {
+				r[i] = rune('a' + rng.Intn(26))
+			}
+			q = string(r)
+		}
+		if q != "" && !seen[q] {
+			seen[q] = true
+			qs = append(qs, q)
+		}
+	}
+	return qs
+}
+
+// TestCharBoundWorkCount counts, exactly, the char groups the candidate
+// scan runs and skips on the ledger's serving shape. A first pass fills
+// the ball cache, so the second pass, with the result cache off, scores
+// candidates only.
+func TestCharBoundWorkCount(t *testing.T) {
+	prog, left := ledgerProgram(t)
+	tab, err := prog.NewTable(1, toRows(left), Options{QueryCacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := nearQueries(left, 300, 29)
+	ms := tab.getScratch()
+	defer tab.putScratch(ms)
+	tab.mu.RLock()
+	defer tab.mu.RUnlock()
+	for _, q := range queries {
+		tab.matchOne(ms, q, nil)
+	}
+	scored0, skipped0 := ms.esc.CharWork()
+	for _, q := range queries {
+		tab.matchOne(ms, q, nil)
+	}
+	scored, skipped := ms.esc.CharWork()
+	scored, skipped = scored-scored0, skipped-skipped0
+	share := float64(skipped) / float64(scored+skipped)
+	t.Logf("candidate scan: %d char groups run, %d skipped (%.1f %%) over %d queries",
+		scored, skipped, 100*share, len(queries))
+	if share < 0.8 {
+		t.Fatalf("skipped %.1f %% of candidate-scan char groups, want at least 80 %%", 100*share)
+	}
+}

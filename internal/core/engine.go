@@ -58,12 +58,14 @@ type engineInput struct {
 // of the evaluator groups in need, leaving other slots as they were. An
 // oracle that scores functions separately sets mask, which turns the
 // functions a center needs into that group mask; one without mask scores
-// every function whatever need says. out has len(space) entries.
-// Implementations may carry scratch, so oracles must not be shared
+// every function whatever need says. out has len(space) entries. An
+// oracle may give +Inf to a function a bound puts past its cut (see
+// config.Evaluator.RowDistances; nil cuts nothing). Implementations may
+// carry scratch, so oracles must not be shared
 // across goroutines — every worker gets its own from engineInput.newEval.
 type pairEval struct {
-	lr   func(r, ci int, out []float64)
-	ll   func(l, ci int, need config.GroupMask, out []float64)
+	lr   func(r, ci int, cut, out []float64)
+	ll   func(l, ci int, need config.GroupMask, cut, out []float64)
 	mask func(fns []fnCenter) config.GroupMask
 }
 
@@ -163,24 +165,28 @@ func prepare(in *engineInput, parallelism int) []*preparedFn {
 	// Phase 1 (pair-major, sharded over right records): closest candidate
 	// per (function, right record). Rows are independent; within a row,
 	// candidates are scanned in blocking order with a strict <, so the
-	// first minimum wins exactly as in a function-major scan.
+	// first minimum wins exactly as in a function-major scan. A function's
+	// cut is its running bestD: a pair past it is no new minimum.
 	parallel.Shard(in.nR, workers, func(_, start, end int) {
 		ev := in.newEval()
 		d := make([]float64, numFn)
+		cut := make([]float64, numFn)
 		for r := start; r < end; r++ {
-			for _, fn := range fns {
+			for fi, fn := range fns {
 				fn.bestL[r] = -1
 				fn.bestD[r] = math.Inf(1)
 				fn.kMin[r] = int32(s)
+				cut[fi] = math.Inf(1)
 			}
 			cands := in.lrCand[r]
 			for ci := range cands {
-				ev.lr(r, ci, d)
+				ev.lr(r, ci, cut, d)
 				l := cands[ci]
 				for fi, fn := range fns {
 					if d[fi] < fn.bestD[r] {
 						fn.bestD[r] = d[fi]
 						fn.bestL[r] = l
+						cut[fi] = d[fi]
 					}
 				}
 			}
@@ -314,12 +320,17 @@ func prepare(in *engineInput, parallelism int) []*preparedFn {
 	// that need the center (a center is typically needed by a third of
 	// the space, and the oracle skips the kernels of the rest); each of
 	// them then sorts its row of the per-center distance matrix and
-	// counts the 2θ-balls of its rows.
+	// counts the 2θ-balls of its rows. A needing function's cut is its
+	// widest radius, 2θ_max; the others' is -Inf, as they are not read.
 	// Writes are disjoint — every (function, joinable row) belongs to
 	// exactly one center — so scheduling cannot change the output.
 	parallel.Shard(len(centers), workers, func(_, start, end int) {
 		ev := in.newEval()
 		row := make([]float64, numFn)
+		cut := make([]float64, numFn)
+		for fi := range cut {
+			cut[fi] = math.Inf(-1)
+		}
 		var mat []float64 // per-center [len(need)][nCand] distances
 		for gi := start; gi < end; gi++ {
 			l := int(centers[gi])
@@ -333,11 +344,17 @@ func prepare(in *engineInput, parallelism int) []*preparedFn {
 				mat = make([]float64, len(need)*nCand)
 			}
 			mat = mat[:len(need)*nCand]
+			for _, fc := range need {
+				cut[fc.fi] = ballRadius * fns[fc.fi].thresholds[s-1]
+			}
 			for ci := 0; ci < nCand; ci++ {
-				ev.ll(l, ci, mask, row)
+				ev.ll(l, ci, mask, cut, row)
 				for k, fc := range need {
 					mat[k*nCand+ci] = row[fc.fi]
 				}
+			}
+			for _, fc := range need {
+				cut[fc.fi] = math.Inf(-1)
 			}
 			for k, fc := range need {
 				fn, plan := fns[fc.fi], plans[fc.fi]

@@ -70,10 +70,10 @@ func figure4Input(t *testing.T) (*engineInput, []string, []string) {
 		newEval: func() pairEval {
 			sc := ev.NewScratch()
 			return pairEval{
-				lr: func(r, ci int, out []float64) {
+				lr: func(r, ci int, _, out []float64) {
 					ev.Distances(profL[lrCand[r][ci]], profR[r], sc, out)
 				},
-				ll: func(l, ci int, _ config.GroupMask, out []float64) {
+				ll: func(l, ci int, _ config.GroupMask, _, out []float64) {
 					ev.Distances(profL[l], profL[llCand[l][ci]], sc, out)
 				},
 			}
@@ -87,7 +87,7 @@ func figure4Input(t *testing.T) (*engineInput, []string, []string) {
 func llDist1(in *engineInput, l, ci int) float64 {
 	ev := in.newEval()
 	out := make([]float64, len(in.space))
-	ev.ll(l, ci, config.AllGroups, out)
+	ev.ll(l, ci, config.AllGroups, nil, out)
 	return out[0]
 }
 

@@ -25,10 +25,10 @@ func stringPairs(space []config.JoinFunction, parallelism int, left, right []str
 	return func() pairEval {
 		sc := ev.NewScratch()
 		return pairEval{
-			lr: func(r, ci int, out []float64) {
+			lr: func(r, ci int, _, out []float64) {
 				ev.Distances(profL[lrCand[r][ci]], profR[r], sc, out)
 			},
-			ll: func(l, ci int, _ config.GroupMask, out []float64) {
+			ll: func(l, ci int, _ config.GroupMask, _, out []float64) {
 				ev.Distances(profL[l], profL[llCand[l][ci]], sc, out)
 			},
 		}

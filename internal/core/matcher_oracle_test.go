@@ -324,6 +324,29 @@ func TestTableMatchesPointerOracle(t *testing.T) {
 		}
 	})
 
+	// The ledger's learned program (22 configurations, tight char
+	// thresholds) over its reference table, queried by perturbed and
+	// near-equal-length strings: the char-bound skips must leave every
+	// answer as the oracle's, which runs every kernel.
+	t.Run("ledger-shape", func(t *testing.T) {
+		prog, L := ledgerProgram(t)
+		oracle := newPointerOracle(t, prog, [][]string{L})
+		queries := nearQueries(L, 120, 41)
+		m, err := prog.Compile(L, Options{Parallelism: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := m.MatchBatch(context.Background(), queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range queries {
+			if want := oracle.match(q, nil); got[i] != want {
+				t.Fatalf("MatchBatch[%d] %q: got %+v, oracle %+v", i, q, got[i], want)
+			}
+		}
+	})
+
 	t.Run("multi-column", func(t *testing.T) {
 		leftCols, rightCols, _ := makeMovieTables(false)
 		res, err := JoinMultiColumnTables(leftCols, rightCols, multiOptions())

@@ -91,7 +91,7 @@ func joinMultiColumn(leftCols, rightCols [][]string, opt Options, pairs pairSour
 			// per-column tensors computed once before the weight search.
 			newEval: func() pairEval {
 				return pairEval{
-					lr: func(r, ci int, out []float64) {
+					lr: func(r, ci int, _, out []float64) {
 						idx := int(lrOff[r]) + ci
 						for fi := range out {
 							var d float64
@@ -101,7 +101,7 @@ func joinMultiColumn(leftCols, rightCols [][]string, opt Options, pairs pairSour
 							out[fi] = d
 						}
 					},
-					ll: func(l, ci int, _ config.GroupMask, out []float64) {
+					ll: func(l, ci int, _ config.GroupMask, _, out []float64) {
 						idx := int(llOff[l]) + ci
 						for fi := range out {
 							var d float64
@@ -233,7 +233,7 @@ func buildColumnTensors(numFn int, lcol, rcol []string, newEval func() pairEval,
 					}
 					continue
 				}
-				e.lr(r, ci, row)
+				e.lr(r, ci, nil, row)
 				for fi := 0; fi < numFn; fi++ {
 					t.lr[fi][base+ci] = float32(row[fi])
 				}
@@ -252,7 +252,7 @@ func buildColumnTensors(numFn int, lcol, rcol []string, newEval func() pairEval,
 					}
 					continue
 				}
-				e.ll(l, ci, config.AllGroups, row)
+				e.ll(l, ci, config.AllGroups, nil, row)
 				for fi := 0; fi < numFn; fi++ {
 					t.ll[fi][base+ci] = float32(row[fi])
 				}

@@ -142,11 +142,11 @@ func idPairs(space []config.JoinFunction, parallelism int, left, right []string,
 			return &f
 		}
 		return pairEval{
-			lr: func(r, ci int, out []float64) {
-				ev.RowDistances(prepare(rOff+r, false, config.AllGroups), rows, int(lrCand[r][ci]), config.AllGroups, sc, out)
+			lr: func(r, ci int, cut, out []float64) {
+				ev.RowDistances(prepare(rOff+r, false, config.AllGroups), rows, int(lrCand[r][ci]), config.AllGroups, cut, sc, out)
 			},
-			ll: func(l, ci int, need config.GroupMask, out []float64) {
-				ev.RowDistances(prepare(l, true, need), rows, int(llCand[l][ci]), need, sc, out)
+			ll: func(l, ci int, need config.GroupMask, cut, out []float64) {
+				ev.RowDistances(prepare(l, true, need), rows, int(llCand[l][ci]), need, cut, sc, out)
 			},
 			mask: func(fns []fnCenter) config.GroupMask {
 				var m config.GroupMask

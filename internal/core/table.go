@@ -184,6 +184,7 @@ type tableScratch struct {
 	sides  []config.Side
 	drow   []float64
 	crow   []float64
+	ccut   []float64 // per configuration: a column's share of a cut
 	bestD  []float64
 	bestL  []int32  // per configuration: the joined row, -1 when none
 	counts []uint32 // per configuration: the ball count of its joined row
@@ -318,6 +319,7 @@ func (p *Program) newTable(width int, rows [][]string, opt Options, h *learnedL)
 			sides:  make([]config.Side, len(t.cols)),
 			drow:   make([]float64, len(t.configs)),
 			crow:   make([]float64, len(t.configs)),
+			ccut:   make([]float64, len(t.configs)),
 			bestD:  make([]float64, len(t.configs)),
 			bestL:  make([]int32, len(t.configs)),
 			counts: make([]uint32, len(t.configs)),
@@ -709,29 +711,33 @@ func (t *Table) payload(ref blocking.Ref) (*tablePayload, int32) {
 	return t.delta, ref.Local
 }
 
-// pairDists fills ms.drow with every configuration's distance between
-// reference row ref and the query, prepared in e.fixed. Multi-column
-// distances reproduce the learned tensor semantics: per-column float32
-// rounding and maximal distance for two missing cells.
+// rowDists fills ms.drow with the distance under every configuration whose
+// group is in mask between the fixed side (a prepared record and cell per
+// program column) and row local of pl, or +Inf where a bound puts it past
+// cut (see config.Evaluator.RowDistances). Multi-column distances keep the
+// learned tensor semantics: per-column float32 rounding and maximal
+// distance for two missing cells. As terms are non-negative, a column
+// skips when its term alone is past the cut (ccut leaves room for the
+// rounding).
 //
 //autofj:hotpath
-func (t *Table) pairDists(ms *tableScratch, e *queryState, ref blocking.Ref) {
-	pl, local := t.payload(ref)
+func (t *Table) rowDists(ms *tableScratch, fixed []config.Fixed, cells []string, pl *tablePayload, local int32, mask config.GroupMask, cut []float64) {
 	if !t.multi {
-		t.eval.RowDistances(&e.fixed[0], &pl.cols[0], int(local), config.AllGroups, ms.esc, ms.drow)
+		t.eval.RowDistances(&fixed[0], &pl.cols[0], int(local), mask, cut, ms.esc, ms.drow)
 		return
 	}
-	for ci := range ms.drow {
-		ms.drow[ci] = 0
-	}
+	clear(ms.drow)
 	for j := range t.cols {
-		if pl.cells[j][local] == "" && e.qcells[j] == "" {
+		if pl.cells[j][local] == "" && cells[j] == "" {
 			for ci := range ms.drow {
 				ms.drow[ci] += t.weights[j]
 			}
 			continue
 		}
-		t.eval.RowDistances(&e.fixed[j], &pl.cols[j], int(local), config.AllGroups, ms.esc, ms.crow)
+		for ci, c := range cut {
+			ms.ccut[ci] = c / t.weights[j] * (1 + 1e-6)
+		}
+		t.eval.RowDistances(&fixed[j], &pl.cols[j], int(local), mask, ms.ccut, ms.esc, ms.crow)
 		for ci := range ms.drow {
 			ms.drow[ci] += t.weights[j] * float64(float32(ms.crow[ci]))
 		}
@@ -803,36 +809,23 @@ func (t *Table) fillBalls(l int32, mask config.GroupMask, tag uint64, ms *tableS
 	ms.ballCands = t.tix.AppendTopKSelf(ms.ballCands[:0], ms.sc, int(l), t.k)
 	apl, alocal := t.payload(t.tix.Ref(int(l)))
 	var one [1]config.Fixed
-	centers := one[:]
+	centers, cells := one[:], []string(nil)
 	if t.multi {
 		//autofj:alloc-ok one slot per program column per multi-column fill; the single-column center stays on the stack
-		centers = make([]config.Fixed, len(t.cols))
+		centers, cells = make([]config.Fixed, len(t.cols)), make([]string, len(t.cols))
 	}
 	for j, vocab := range t.cols {
 		centers[j] = vocab.PrepareRow(&ms.sides[j], &apl.cols[j], int(alocal), mask, true)
+		if t.multi {
+			cells[j] = apl.cells[j][alocal]
+		}
 	}
 	for ci := range ms.fill {
 		ms.fill[ci] = 1
 	}
 	for _, c := range ms.ballCands {
 		bpl, blocal := t.payload(t.tix.Ref(int(c.ID)))
-		if !t.multi {
-			t.eval.RowDistances(&centers[0], &bpl.cols[0], int(blocal), mask, ms.esc, ms.drow)
-		} else {
-			clear(ms.drow)
-			for j := range t.cols {
-				if apl.cells[j][alocal] == "" && bpl.cells[j][blocal] == "" {
-					for ci := range ms.drow {
-						ms.drow[ci] += t.weights[j]
-					}
-					continue
-				}
-				t.eval.RowDistances(&centers[j], &bpl.cols[j], int(blocal), mask, ms.esc, ms.crow)
-				for ci := range ms.drow {
-					ms.drow[ci] += t.weights[j] * float64(float32(ms.crow[ci]))
-				}
-			}
-		}
+		t.rowDists(ms, centers, cells, bpl, blocal, mask, t.radii)
 		countBallRow(ms.fill, ms.drow, t.radii)
 	}
 	ms.releaseSides()
@@ -931,29 +924,28 @@ func (t *Table) matchOne(ms *tableScratch, key string, row []string) (m Match, c
 // per-configuration closest-candidate scans and the learning-faithful
 // union resolution of Algorithm 1. A pair-major scan with a strict <
 // keeps the first minimum in blocking order; conflicting configurations
-// resolve toward the join with the higher estimated precision.
+// resolve toward the join with the higher estimated precision. Each
+// configuration's bestD starts just past θ (at unjoinableDist when that
+// is lower), so only a candidate that joins becomes bestL; bestD is also
+// the cut of the candidate's char kernels (see rowDists).
 //
 //autofj:hotpath
 func (t *Table) score(ms *tableScratch, e *queryState) Match {
-	for ci := range t.configs {
+	for ci, c := range t.configs {
 		ms.bestL[ci] = -1
-		ms.bestD[ci] = math.Inf(1)
+		ms.bestD[ci] = min(math.Nextafter(c.Threshold, math.Inf(1)), unjoinableDist)
 	}
 	for _, l := range e.cands {
-		t.pairDists(ms, e, t.tix.Ref(int(l)))
-		for ci := range ms.drow {
-			if ms.drow[ci] < ms.bestD[ci] {
-				ms.bestD[ci] = ms.drow[ci]
+		pl, local := t.payload(t.tix.Ref(int(l)))
+		t.rowDists(ms, e.fixed, e.qcells, pl, local, config.AllGroups, ms.bestD)
+		for ci, d := range ms.drow {
+			if d < ms.bestD[ci] {
+				ms.bestD[ci] = d
 				ms.bestL[ci] = l
 			}
 		}
 	}
 	ms.releaseSides()
-	for ci := range t.configs {
-		if bd := ms.bestD[ci]; bd > t.configs[ci].Threshold || bd >= unjoinableDist {
-			ms.bestL[ci] = -1
-		}
-	}
 	t.ballCounts(ms)
 	best := noMatch()
 	for ci := range t.configs {

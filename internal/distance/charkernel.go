@@ -133,6 +133,49 @@ func (cs *CharScratch) Distances(a, b string, need CharNeed) CharDists {
 	return d
 }
 
+// Shape is what CharBound reads of a string: its rune count, as the kernel
+// counts runes (ill-formed UTF-8 as U+FFFD), and bit r&63 set per rune r.
+type Shape struct {
+	Len int
+	Sig uint64
+}
+
+// ShapeOf returns the Shape of s.
+//
+//autofj:hotpath
+func ShapeOf(s string) Shape {
+	var sh Shape
+	for _, r := range s {
+		sh.Len++
+		sh.Sig |= 1 << (uint32(r) & 63)
+	}
+	return sh
+}
+
+// CharBound returns a lower bound on each member Distances computes for
+// strings of shapes a and b; ME, SW and a pair with an empty string get 0.
+// A signature bit only a has marks a rune b lacks, so with pa = popcount(a
+// &^ b) and pb = popcount(b &^ a), ED needs max(|la−lb|, pa, pb) edits (the
+// kernel divides at least that by the same max(la, lb), so the bound is
+// exact), and Jaro matches at most m = min(la−pa, lb−pb) runes, so JW is
+// at least (1 − 4·prefix scale)·(1 − (m/la + m/lb + 1)/3), less a margin
+// for rounding.
+//
+//autofj:hotpath
+func CharBound(a, b Shape) CharDists {
+	if a.Len == 0 || b.Len == 0 {
+		return CharDists{}
+	}
+	pa := bits.OnesCount64(a.Sig &^ b.Sig)
+	pb := bits.OnesCount64(b.Sig &^ a.Sig)
+	m := max(0, min(a.Len-pa, b.Len-pb))
+	jmax := (float64(m)/float64(a.Len) + float64(m)/float64(b.Len) + 1) / 3
+	return CharDists{
+		ED: float64(max(a.Len-b.Len, b.Len-a.Len, pa, pb)) / float64(max(a.Len, b.Len)),
+		JW: (1-4*jaroWinklerPrefixScale)*(1-jmax) - 1e-9,
+	}
+}
+
 // editDistance is EditDistance over pre-converted runes.
 //
 //autofj:hotpath

@@ -2,6 +2,7 @@ package distance
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -37,6 +38,45 @@ func FuzzAllDistances(f *testing.F) {
 		}
 		if d := Levenshtein(a, b); d != Levenshtein(b, a) {
 			t.Fatalf("Levenshtein asymmetric on %q/%q", a, b)
+		}
+	})
+}
+
+// FuzzCharBound: CharBound never exceeds the fused kernel's value of any
+// member, in either argument order. The seeds cover empty strings,
+// ill-formed UTF-8, non-ASCII, strings over 64 runes (the DP paths),
+// equal-length anagrams (the length bound is 0), runes that share a
+// signature bit ('a' and '!' are 64 apart) and a pair on which both bounds
+// are tight.
+func FuzzCharBound(f *testing.F) {
+	seeds := [][2]string{
+		{"", ""},
+		{"", "abc"},
+		{"\xff\xfe", "\xef\xbf\xbd"},
+		{"caf\xc3", "cafe"},
+		{"naïve café", "naive cafe"},
+		{"日本語", "日本"},
+		{strings.Repeat("ab", 40), strings.Repeat("ba", 41)},
+		{strings.Repeat("xyz", 30), "xyz"},
+		{"listen", "silent"},
+		{"dormitory", "dirtyroom"},
+		{"aaaa", "!!!!"},
+		{"a!a!", "!a!a"},
+		{"museum of natural history", "museum of natural histroy"},
+		{"abcdx", "abcdy"}, // a four-rune prefix and no transposition: both bounds are tight
+	}
+	for _, s := range seeds {
+		f.Add(s[0], s[1])
+	}
+	need := CharNeed{ED: true, JW: true, ME: true, SW: true}
+	var cs CharScratch
+	f.Fuzz(func(t *testing.T, a, b string) {
+		for _, p := range [][2]string{{a, b}, {b, a}} {
+			got := cs.Distances(p[0], p[1], need)
+			bd := CharBound(ShapeOf(p[0]), ShapeOf(p[1]))
+			if bd.ED > got.ED || bd.JW > got.JW || bd.ME > got.ME || bd.SW > got.SW {
+				t.Fatalf("CharBound(%q, %q) = %+v exceeds the kernel's %+v", p[0], p[1], bd, got)
+			}
 		}
 	})
 }
