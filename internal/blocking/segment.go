@@ -54,12 +54,21 @@ type Segment struct {
 func BuildSegment(keys []string, parallelism int) *Segment {
 	docKeys := make([][]uint64, len(keys))
 	parallel.Shard(len(keys), parallel.Workers(parallelism, len(keys)), func(_, start, end int) {
+		// A worker's rows share one backing array, sized for every gram of
+		// its keys: a key of n runes pads to at most n+2 grams.
+		size := 0
+		for _, k := range keys[start:end] {
+			size += utf8.RuneCountInString(k) + 2
+		}
+		all := make([]uint64, 0, size)
 		var ks []uint64
 		var buf []byte
 		for i := start; i < end; i++ {
 			ks, buf = gramKeys(ks, buf, keys[i])
 			slices.Sort(ks)
-			docKeys[i] = slices.Clone(slices.Compact(ks))
+			lo := len(all)
+			all = append(all, slices.Compact(ks)...)
+			docKeys[i] = all[lo:len(all):len(all)]
 		}
 	})
 	gramID := make(map[uint64]int32)

@@ -89,11 +89,11 @@ func (v *Vocab) buildArena(n, parallelism int, count func(dst *Counted, i int)) 
 	return a
 }
 
-// reserve makes room for tokens more slot entries, at least doubling the
+// Reserve makes room for tokens more slot entries, at least doubling the
 // storage when it grows: rows built a chunk at a time (AppendChunk) are
 // then copied O(1) times as they are built, not once per append's
 // smaller growth step.
-func (s *Rows) reserve(tokens int) {
+func (s *Rows) Reserve(tokens int) {
 	if need := len(s.slots) + tokens; need > cap(s.slots) {
 		c := max(need, 2*cap(s.slots))
 		s.slots = slices.Grow(s.slots, c-len(s.slots))

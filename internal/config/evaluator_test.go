@@ -263,7 +263,7 @@ func TestRowDistancesMask(t *testing.T) {
 			var live []bool
 			add := func(ss ...string) {
 				for _, s := range ss {
-					v.AppendRecord(&rows, s, nil)
+					appendRecord(v, &rows, s)
 					stored = append(stored, s)
 					live = append(live, true)
 				}
@@ -375,8 +375,8 @@ func FuzzEvaluator(f *testing.F) {
 		// prepared as a ball's center against row b.
 		v := NewVocab(space)
 		rows := v.NewRows(2, 0)
-		v.AppendRecord(&rows, a, nil)
-		v.AppendRecord(&rows, b, nil)
+		appendRecord(v, &rows, a)
+		appendRecord(v, &rows, b)
 		v.Settle()
 		for _, q := range []string{b, b + " zqxj"} {
 			fq := v.PrepareQuery(&side, q, nil, AllGroups)
@@ -389,7 +389,7 @@ func FuzzEvaluator(f *testing.F) {
 
 		// The vocabulary grows past those prepares and row a is removed.
 		c := b + " qvxk " + a
-		v.AppendRecord(&rows, c, nil)
+		appendRecord(v, &rows, c)
 		v.Count(&rows, 0, -1)
 		v.Settle()
 		grown := NewCorpus(space, []string{b, c})

@@ -98,8 +98,8 @@ func newLayout(c *Corpus) *layout {
 // drops it). A vocabulary therefore grows with the distinct tokens ever
 // added, not with the live rows.
 //
-// Mutators (AppendRecord, AppendChunk, Intern, Count,
-// Reserve, Settle) need exclusive access, and a batch of them ends with
+// Mutators (AppendChunk, Intern, Count, Reserve, Settle) need exclusive
+// access, and a batch of them ends with
 // Settle; CountRecord, the prepares and the readers are safe
 // for concurrent use between batches.
 type Vocab struct {
@@ -108,7 +108,6 @@ type Vocab struct {
 	reps []repVocab // by layout position
 	docs int        // live rows; the IDF table follows it at Settle
 	idf  weights.IDFTable
-	rec  Counted // AppendRecord's scratch
 	// groups holds, by layout position, the Evaluator groups that read a
 	// representation: a masked prepare fills only the representations its
 	// mask's groups read. Without the space (BuildArena) every group may
@@ -271,18 +270,6 @@ func (v *Vocab) internRun(r int, run *tokenRun, slots []int32) {
 	}
 }
 
-// AppendRecord stores record s as the next row of rows, interning its
-// tokens, and counts the row live. proc is CountRecord's.
-func (v *Vocab) AppendRecord(rows *Rows, s string, proc *textproc.Forms) {
-	c := &v.rec
-	v.CountRecord(c, s, proc)
-	v.appendCounted(rows, c)
-	for r := range v.reps {
-		v.internRun(r, &c.runs[r], rows.runSlots(rows.n-1, r))
-	}
-	v.docs++
-}
-
 // AppendChunk stores the counted records recs (see CountRecord) as the
 // next rows of rows, in order, interning their tokens into the stored
 // runs, and counts the rows live. Each representation is interned by one
@@ -297,19 +284,29 @@ func (v *Vocab) AppendChunk(rows *Rows, recs []Counted, parallelism int) {
 			tokens += len(recs[i].runs[r].counts)
 		}
 	}
-	rows.reserve(tokens)
+	rows.Reserve(tokens)
 	for i := range recs {
 		v.appendCounted(rows, &recs[i])
 	}
 	nrep := len(v.reps)
-	parallel.Shard(nrep, parallel.Workers(parallelism, nrep), func(_, start, end int) {
-		for r := start; r < end; r++ {
-			for i := range recs {
-				v.internRun(r, &recs[i].runs[r], rows.runSlots(first+i, r))
-			}
-		}
-	})
+	// One worker interns inline: a sequential caller (Table.Add) builds
+	// no closure.
+	if w := parallel.Workers(parallelism, nrep); w == 1 {
+		v.internChunk(rows, recs, first, 0, nrep)
+	} else {
+		parallel.Shard(nrep, w, func(_, start, end int) { v.internChunk(rows, recs, first, start, end) })
+	}
 	v.docs += len(recs)
+}
+
+// internChunk interns representations [start, end) of the counted records
+// recs, stored as rows first on of rows, record by record in order.
+func (v *Vocab) internChunk(rows *Rows, recs []Counted, first, start, end int) {
+	for r := start; r < end; r++ {
+		for i := range recs {
+			v.internRun(r, &recs[i].runs[r], rows.runSlots(first+i, r))
+		}
+	}
 }
 
 // appendCounted stores the counted record c as the next row of rows, its

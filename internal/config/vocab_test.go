@@ -34,7 +34,7 @@ func TestPreparedRowMatchesProfileAndNeverAllocates(t *testing.T) {
 	live := map[int]bool{}
 	add := func(ss ...string) {
 		for _, s := range ss {
-			v.AppendRecord(&rows, s, nil)
+			appendRecord(v, &rows, s)
 			live[len(docs)] = true
 			docs = append(docs, s)
 		}
@@ -154,4 +154,12 @@ func TestPreparedRowMatchesProfileAndNeverAllocates(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("prepare and score after a mutation: %.1f allocs, want 0", n)
 	}
+}
+
+// appendRecord stores record s as the next row of rows by the chunked
+// builder, one record to a chunk, and counts it live.
+func appendRecord(v *Vocab, rows *Rows, s string) {
+	var c [1]Counted
+	v.CountRecord(&c[0], s, nil)
+	v.AppendChunk(rows, c[:], 1)
 }

@@ -69,11 +69,11 @@ func TestCharBoundWorkCount(t *testing.T) {
 	tab.mu.RLock()
 	defer tab.mu.RUnlock()
 	for _, q := range queries {
-		tab.matchOne(ms, q, nil)
+		tab.matchOne(ms, []string{q})
 	}
 	scored0, skipped0 := ms.esc.CharWork()
 	for _, q := range queries {
-		tab.matchOne(ms, q, nil)
+		tab.matchOne(ms, []string{q})
 	}
 	scored, skipped := ms.esc.CharWork()
 	scored, skipped = scored-scored0, skipped-skipped0

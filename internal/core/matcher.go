@@ -81,15 +81,21 @@ func (p *Program) CompileMultiColumn(leftCols [][]string, opt Options) (*Matcher
 			return nil, fmt.Errorf("core: program column %d out of range", c)
 		}
 	}
-	rows := make([][]string, nL)
+	return p.NewTable(len(leftCols), columnRows(leftCols), opt)
+}
+
+// columnRows transposes equal-length columns into rows.
+func columnRows(cols [][]string) [][]string {
+	rows := make([][]string, len(cols[0]))
+	cells := make([]string, len(rows)*len(cols))
 	for i := range rows {
-		row := make([]string, len(leftCols))
-		for j, col := range leftCols {
+		row := cells[i*len(cols) : (i+1)*len(cols) : (i+1)*len(cols)]
+		for j, col := range cols {
 			row[j] = col[i]
 		}
 		rows[i] = row
 	}
-	return p.NewTable(len(leftCols), rows, opt)
+	return rows
 }
 
 // countBallRow adds one ball candidate to every configuration's count:
@@ -114,12 +120,8 @@ type queryState struct {
 	cands []int32
 	// fixed holds the prepared query, one per program column.
 	fixed []config.Fixed
-	// qcells are the projected query cells, one per program column: a
-	// multi-column row's feed the missing-value rule.
-	qcells []string
-	// A single-column query's fixed and qcells.
+	// A single-column query's fixed.
 	fixed1 [1]config.Fixed
-	qcell  [1]string
 }
 
 // concatRow builds the blocking key of a full row, matching the

@@ -275,12 +275,9 @@ func offsets(cands [][]int32) []int32 {
 // concatColumns builds each record's blocking key with concatRow, the
 // key a serving table derives from the same row.
 func concatColumns(cols [][]string) []string {
-	out := make([]string, len(cols[0]))
-	row := make([]string, len(cols))
-	for i := range out {
-		for j := range cols {
-			row[j] = cols[j][i]
-		}
+	rows := columnRows(cols)
+	out := make([]string, len(rows))
+	for i, row := range rows {
 		out[i] = concatRow(row)
 	}
 	return out

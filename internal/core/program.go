@@ -103,75 +103,47 @@ func DecodeProgram(data []byte) (*Program, error) {
 func (p *Program) configurations() ([]Configuration, error) {
 	out := make([]Configuration, 0, len(p.Configurations))
 	for i, spec := range p.Configurations {
-		f := config.JoinFunction{}
-		pre, err := parsePre(spec.Preprocess)
+		f, err := spec.function()
+		if err == nil && (spec.Threshold < 0 || spec.Threshold > 1) {
+			err = fmt.Errorf("threshold %f out of [0,1]", spec.Threshold)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("core: configuration %d: %w", i, err)
-		}
-		f.Pre = pre
-		dist, err := parseDistance(spec.Distance)
-		if err != nil {
-			return nil, fmt.Errorf("core: configuration %d: %w", i, err)
-		}
-		f.Dist = dist
-		if dist.Class() == config.SetBased {
-			tok, err := parseTok(spec.Tokenization)
-			if err != nil {
-				return nil, fmt.Errorf("core: configuration %d: %w", i, err)
-			}
-			f.Tok = tok
-			w, err := parseWeights(spec.TokenWeights)
-			if err != nil {
-				return nil, fmt.Errorf("core: configuration %d: %w", i, err)
-			}
-			f.Weight = w
-		}
-		if spec.Threshold < 0 || spec.Threshold > 1 {
-			return nil, fmt.Errorf("core: configuration %d: threshold %f out of [0,1]", i, spec.Threshold)
 		}
 		out = append(out, Configuration{Function: f, Threshold: spec.Threshold})
 	}
 	return out, nil
 }
 
-func parsePre(s string) (textproc.Option, error) {
-	for _, o := range textproc.Options() {
-		if o.String() == s {
-			return o, nil
-		}
+// function resolves the spec's strings to its join function; only a
+// set-based distance reads the tokenization and token weights.
+func (spec ConfigurationSpec) function() (f config.JoinFunction, err error) {
+	if f.Pre, err = parseName("pre-processing", spec.Preprocess, textproc.Options()); err != nil {
+		return f, err
 	}
-	return 0, fmt.Errorf("unknown pre-processing %q", s)
-}
-
-func parseTok(s string) (tokenize.Option, error) {
-	for _, o := range tokenize.Options() {
-		if o.String() == s {
-			return o, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown tokenization %q", s)
-}
-
-func parseWeights(s string) (weights.Scheme, error) {
-	for _, o := range weights.Options() {
-		if o.String() == s {
-			return o, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown token weights %q", s)
-}
-
-func parseDistance(s string) (config.Distance, error) {
-	for _, d := range []config.Distance{
+	if f.Dist, err = parseName("distance", spec.Distance, []config.Distance{
 		config.ED, config.JW, config.JD, config.CD, config.DD, config.MD,
 		config.ID, config.CJD, config.CCD, config.CDD, config.GED,
 		config.ME, config.SW,
-	} {
-		if d.String() == s {
-			return d, nil
+	}); err != nil || f.Dist.Class() != config.SetBased {
+		return f, err
+	}
+	if f.Tok, err = parseName("tokenization", spec.Tokenization, tokenize.Options()); err != nil {
+		return f, err
+	}
+	f.Weight, err = parseName("token weights", spec.TokenWeights, weights.Options())
+	return f, err
+}
+
+// parseName returns the option of opts whose String is s.
+func parseName[T fmt.Stringer](kind, s string, opts []T) (T, error) {
+	for _, o := range opts {
+		if o.String() == s {
+			return o, nil
 		}
 	}
-	return 0, fmt.Errorf("unknown distance %q", s)
+	var zero T
+	return zero, fmt.Errorf("unknown %s %q", kind, s)
 }
 
 // Apply runs a saved single-column program against a fresh (left, right)
@@ -242,15 +214,7 @@ func (p *Program) ApplyMultiColumnContext(ctx context.Context, leftCols, rightCo
 	if err != nil {
 		return nil, err
 	}
-	rows := make([][]string, nR)
-	for i := range rows {
-		row := make([]string, len(rightCols))
-		for j := range rightCols {
-			row[j] = rightCols[j][i]
-		}
-		rows[i] = row
-	}
-	matches, err := m.MatchRows(ctx, rows)
+	matches, err := m.MatchRows(ctx, columnRows(rightCols))
 	if err != nil {
 		return nil, err
 	}

@@ -53,22 +53,11 @@ func newQueryCache(size int) *queryCache {
 	return &queryCache{cap: size, m: make(map[string]queryEntry, size)}
 }
 
-// lookup returns the answer cached for key under gen.
+// lookup returns the answer cached for key under gen. The map index
+// elides the string conversion, so the hit path allocates nothing.
 //
 //autofj:hotpath
-func (qc *queryCache) lookup(key string, gen uint64) (Match, bool) {
-	qc.mu.RLock()
-	e, ok := qc.m[key]
-	qc.mu.RUnlock()
-	return qc.count(e, ok && e.gen == gen)
-}
-
-// lookupBytes is lookup for composite byte keys (multi-column rows); the
-// map index elides the string conversion, so the hit path allocates
-// nothing.
-//
-//autofj:hotpath
-func (qc *queryCache) lookupBytes(key []byte, gen uint64) (Match, bool) {
+func (qc *queryCache) lookup(key []byte, gen uint64) (Match, bool) {
 	qc.mu.RLock()
 	e, ok := qc.m[string(key)]
 	qc.mu.RUnlock()

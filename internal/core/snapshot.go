@@ -34,8 +34,9 @@ import (
 // live delta rows, which are replayed through the normal Add path at load.
 // Strings decode as substrings of the mapped or loaded body; posting and
 // doc-gram lists and count-vector weights are aligned fixed-width
-// little-endian blocks aliased straight out of it. Cheaply derivable state
-// — blocking keys, cells — is recomputed rather than stored.
+// little-endian blocks aliased straight out of it. A row's blocking key
+// and program-column cells are derived from its cells, in the file as in
+// memory.
 //
 // Version 2 dictionary-encodes the token columns: each (segment, program
 // column) stores its sorted distinct tokens once, and every count vector
@@ -472,6 +473,20 @@ func (r *snapReader) count(per int) int {
 	return int(x)
 }
 
+// rows appends n rows of width cells to dst, their cells carved from one
+// block. The caller has checked that the data can back n*width cells.
+func (r *snapReader) rows(dst [][]string, n, width int) [][]string {
+	cells := make([]string, n*width)
+	for i := range n {
+		row := cells[i*width : (i+1)*width : (i+1)*width]
+		for c := range row {
+			row[c] = r.str()
+		}
+		dst = append(dst, row)
+	}
+	return dst
+}
+
 // str returns the next length-prefixed string as a substring of the blob.
 // The one-byte-length in-bounds case — nearly every token and cell — is
 // small enough to inline at the call sites.
@@ -733,15 +748,8 @@ func decodeBody(blob string, opt Options) (*Table, error) {
 		return nil, r.err
 	}
 
-	ndelta := r.count(2)
-	deltaRows := make([][]string, 0, ndelta)
-	for i := 0; i < ndelta && r.err == nil; i++ {
-		row := make([]string, width)
-		for c := range row {
-			row[c] = r.str()
-		}
-		deltaRows = append(deltaRows, row)
-	}
+	ndelta := r.count(max(2, width))
+	deltaRows := r.rows(nil, ndelta, width)
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -819,28 +827,8 @@ func (t *Table) decodeSegment(r *snapReader) error {
 		r.fail("%d row cells overrun data", cells)
 		return r.err
 	}
-	pl := &tablePayload{
-		rows:  make([][]string, n),
-		keys:  make([]string, n),
-		cells: make([][]string, len(t.cols)),
-		cols:  make([]config.Rows, len(t.cols)),
-	}
-	for j := range t.cols {
-		pl.cells[j] = make([]string, n)
-	}
-	cellArena := make([]string, n*t.rowWidth)
-	for i := 0; i < n; i++ {
-		row := cellArena[:t.rowWidth:t.rowWidth]
-		cellArena = cellArena[t.rowWidth:]
-		for c := range row {
-			row[c] = r.str()
-		}
-		pl.rows[i] = row
-		pl.keys[i] = t.keyOf(row)
-		for j := range t.cols {
-			pl.cells[j][i] = t.cellOf(row, j)
-		}
-	}
+	pl := t.newPayload(n)
+	pl.rows = r.rows(pl.rows, n, t.rowWidth)
 	var row config.Row
 	for j, vocab := range t.cols {
 		totalToks := r.count(1)
@@ -855,7 +843,8 @@ func (t *Table) decodeSegment(r *snapReader) error {
 				return fmt.Errorf("core: invalid snapshot: token dictionary out of order")
 			}
 		}
-		rows := vocab.NewRows(n, totalToks)
+		rows := &pl.cols[j]
+		rows.Reserve(totalToks)
 		vocab.Reserve(len(dict))
 		var slotOf config.SlotIndex // dictionary index -> slot, -1 until first use
 		for pi := range slotOf {
@@ -882,14 +871,13 @@ func (t *Table) decodeSegment(r *snapReader) error {
 			}
 			rows.Append(&row)
 			if alive[i] {
-				vocab.Count(&rows, i, 1)
+				vocab.Count(rows, i, 1)
 			}
 		}
-		pl.cols[j] = rows
 	}
 	if t.hasRules {
 		wordsArena := make([]string, r.count(1))
-		pl.words = make([][]string, n)
+		pl.words = pl.words[:n]
 		for i := 0; i < n; i++ {
 			pl.words[i] = r.strsArena(&wordsArena)
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"iter"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -27,6 +28,10 @@ import (
 // with one pass over every stored row (blocking.TableIndex.Renumber), so
 // it is linear in the stored table. Background Compact seals the delta
 // into a new segment off the serving path, swapping it in atomically.
+//
+// A row is stored once, as its cells, count rows and word set (see
+// tablePayload). NewTable, Learn's handover and Add store rows through one
+// builder, appendRows.
 //
 // Every query is BIT-IDENTICAL to what a fresh table over the current live
 // rows (NewTable, Program.Compile or CompileMultiColumn) would answer:
@@ -71,8 +76,9 @@ type Table struct {
 	tix   *blocking.TableIndex
 	segs  []*tablePayload
 	delta *tablePayload
-	cols  []*config.Vocab // per program column
-	balls []atomic.Uint64 // packed statsGen<<32 | count, by ci*ballStride+dense
+	cols  []*config.Vocab  // per program column
+	balls []atomic.Uint64  // packed statsGen<<32 | count, by ci*ballStride+dense
+	recs  []config.Counted // Add's counted record per program column, reused under the write lock
 
 	// cache is the result cache, keyed by the mutation generation: a
 	// repeated query surface form returns its stored Match. Entries fill
@@ -100,14 +106,14 @@ type Table struct {
 }
 
 // tablePayload stores the row-level compiled state of one segment (frozen)
-// or of the delta (append-only between compactions): the full rows, their
-// blocking keys, per-program-column cells and stored count rows, and the
-// negative-rule word sets. Slices only grow; row contents are immutable,
-// so read-locked queries may hold references across mutations.
+// or of the delta (append-only between compactions). A row is stored once,
+// as its cells, its count rows (one per program column) and its
+// negative-rule word set; its blocking key and program-column cells are
+// derived from the cells where they are read (keyOf, cellOf). Slices only
+// grow; row contents are immutable, so read-locked queries may hold
+// references across mutations.
 type tablePayload struct {
 	rows  [][]string
-	keys  []string
-	cells [][]string    // [program column][row]
 	cols  []config.Rows // [program column]
 	words [][]string    // nil when the program has no negative rules
 }
@@ -115,13 +121,10 @@ type tablePayload struct {
 // newPayload returns empty storage with room for n rows.
 func (t *Table) newPayload(n int) *tablePayload {
 	pl := &tablePayload{
-		rows:  make([][]string, 0, n),
-		keys:  make([]string, 0, n),
-		cells: make([][]string, len(t.cols)),
-		cols:  make([]config.Rows, len(t.cols)),
+		rows: make([][]string, 0, n),
+		cols: make([]config.Rows, len(t.cols)),
 	}
 	for j := range t.cols {
-		pl.cells[j] = make([]string, 0, n)
 		pl.cols[j] = t.cols[j].NewRows(n, 0)
 	}
 	if t.hasRules {
@@ -134,13 +137,10 @@ func (t *Table) newPayload(n int) *tablePayload {
 // later appends to the parent can never write into it).
 func (pl *tablePayload) prefix(m int) *tablePayload {
 	np := &tablePayload{
-		rows:  pl.rows[:m:m],
-		keys:  pl.keys[:m:m],
-		cells: make([][]string, len(pl.cells)),
-		cols:  make([]config.Rows, len(pl.cols)),
+		rows: pl.rows[:m:m],
+		cols: make([]config.Rows, len(pl.cols)),
 	}
-	for j := range pl.cells {
-		np.cells[j] = pl.cells[j][:m:m]
+	for j := range pl.cols {
 		np.cols[j] = pl.cols[j].Prefix(m)
 	}
 	if pl.words != nil {
@@ -152,13 +152,10 @@ func (pl *tablePayload) prefix(m int) *tablePayload {
 // tail returns a fresh payload holding the rows from m on.
 func (pl *tablePayload) tail(m int) *tablePayload {
 	np := &tablePayload{
-		rows:  append([][]string(nil), pl.rows[m:]...),
-		keys:  append([]string(nil), pl.keys[m:]...),
-		cells: make([][]string, len(pl.cells)),
-		cols:  make([]config.Rows, len(pl.cols)),
+		rows: append([][]string(nil), pl.rows[m:]...),
+		cols: make([]config.Rows, len(pl.cols)),
 	}
-	for j := range pl.cells {
-		np.cells[j] = append([]string(nil), pl.cells[j][m:]...)
+	for j := range pl.cols {
 		np.cols[j] = pl.cols[j].Tail(m)
 	}
 	if pl.words != nil {
@@ -176,7 +173,7 @@ type tableScratch struct {
 	sc        *blocking.TableScratch
 	cands     []blocking.Candidate
 	ballCands []blocking.Candidate
-	kbuf      []byte // composite cache key of a multi-column row
+	kbuf      []byte // cache key: the record, or a multi-column row's composite key
 	//autofj:keep persistent distance-kernel sub-scratch; rows are overwritten per pair and hold no references
 	esc *config.EvalScratch
 	// per program column, the tables of the fixed side of the current run
@@ -242,10 +239,8 @@ func (p *Program) newTable(width int, rows [][]string, opt Options, h *learnedL)
 			return nil, fmt.Errorf("core: program column %d out of range for width %d", c, width)
 		}
 	}
-	for i, row := range rows {
-		if len(row) != width {
-			return nil, fmt.Errorf("core: row %d has %d cells, want %d", i, len(row), width)
-		}
+	if err := checkRows(rows, width); err != nil {
+		return nil, err
 	}
 	progJSON, err := p.Encode()
 	if err != nil {
@@ -283,6 +278,7 @@ func (p *Program) newTable(width int, rows [][]string, opt Options, h *learnedL)
 	for j := range t.cols {
 		t.cols[j] = config.NewVocab(t.space)
 	}
+	t.recs = make([]config.Counted, ncols)
 	if ncols > 0 {
 		t.reps = t.cols[0].IDFReps()
 	}
@@ -299,12 +295,13 @@ func (p *Program) newTable(width int, rows [][]string, opt Options, h *learnedL)
 
 	t.tix = blocking.NewTableIndex()
 	t.delta = t.newPayload(0)
-	if len(rows) > 0 {
-		pl := t.buildPayload(rows, h)
+	if n := len(rows); n > 0 {
+		pl := t.newPayload(n)
+		t.appendRows(pl, rows, h, make([]config.Counted, min(n, config.BuildChunk)*ncols), t.parallelism)
 		if h != nil {
 			t.tix = h.index
 		} else {
-			t.tix = blocking.BuildTableIndex(pl.keys, t.parallelism)
+			t.tix = blocking.BuildTableIndex(t.keysOf(pl.rows), t.parallelism)
 		}
 		t.segs = append(t.segs, pl)
 	}
@@ -332,6 +329,15 @@ func (p *Program) newTable(width int, rows [][]string, opt Options, h *learnedL)
 // keyOf builds the blocking key of a full row.
 func (t *Table) keyOf(row []string) string { return DisplayRow(row, t.multi) }
 
+// keysOf builds the blocking keys of rows.
+func (t *Table) keysOf(rows [][]string) []string {
+	keys := make([]string, len(rows))
+	for i, row := range rows {
+		keys[i] = t.keyOf(row)
+	}
+	return keys
+}
+
 // processKey pre-processes a row's blocking key in one pass: under
 // L+S+RP for its negative-rule word set when the table has rules, and
 // under its column's stored options when it is a single cell. It returns
@@ -351,61 +357,69 @@ func (t *Table) cellOf(row []string, j int) string {
 	return row[t.columns[j]]
 }
 
-// buildPayload compiles the row-level state of a block of rows and counts
-// every row live, by the row builder a config.ProfileArena uses: records
-// are counted (config.Vocab.CountRecord) in parallel across the table's
-// parallelism, one chunk of rows at a time (config.BuildChunk), then each
-// column's chunk is interned and stored in row order
-// (config.Vocab.AppendChunk). h, when not nil, supplies the rows'
-// processed strings and word sets (see learnedL). Rows are copied.
-func (t *Table) buildPayload(rows [][]string, h *learnedL) *tablePayload {
-	n := len(rows)
-	ncols := len(t.cols)
-	pl := t.newPayload(n)
-	pl.rows, pl.keys = pl.rows[:n], pl.keys[:n]
-	for j := range t.cols {
-		pl.cells[j] = pl.cells[j][:n]
-	}
+// appendRows copies rows in as the next rows of pl and counts them live.
+// It is the one way rows enter a table (NewTable, Learn's handover and
+// Add), and the row builder a config.ProfileArena uses: records are
+// counted (config.Vocab.CountRecord) one chunk at a time on up to
+// parallelism workers, then each column's chunk is interned and stored in
+// row order (config.Vocab.AppendChunk), and the vocabularies settle.
+// recs holds a chunk's counted records, column j's at [j*chunk,
+// (j+1)*chunk), so its length sets the chunk. h, when not nil, supplies
+// the rows' processed strings and word sets (see learnedL).
+func (t *Table) appendRows(pl *tablePayload, rows [][]string, h *learnedL, recs []config.Counted, parallelism int) {
+	n, first, chunk := len(rows), len(pl.rows), t.chunk(recs)
+	pl.rows = slices.Grow(pl.rows, n)[:first+n]
 	if t.hasRules {
-		pl.words = pl.words[:n]
+		pl.words = slices.Grow(pl.words, n)[:first+n]
 	}
-	chunk := min(n, config.BuildChunk)
-	recs := make([]config.Counted, chunk*ncols) // column j's at [j*chunk, (j+1)*chunk)
-	for lo := 0; lo < n; lo += config.BuildChunk {
-		hi := min(n, lo+config.BuildChunk)
-		parallel.Shard(hi-lo, parallel.Workers(t.parallelism, hi-lo), func(_, start, end int) {
-			var f textproc.Forms
-			for i := lo + start; i < lo+end; i++ {
-				row := append([]string(nil), rows[i]...)
-				pl.rows[i] = row
-				key := t.keyOf(row)
-				pl.keys[i] = key
-				var proc *textproc.Forms
-				if h != nil {
-					proc = &h.proc[i]
-				} else {
-					proc = t.processKey(&f, key)
-				}
-				for j := range t.cols {
-					cell := t.cellOf(row, j)
-					pl.cells[j][i] = cell
-					t.cols[j].CountRecord(&recs[j*chunk+i-lo], cell, proc)
-				}
-				if t.hasRules && h != nil {
-					pl.words[i] = h.words[i]
-				} else if t.hasRules {
-					pl.words[i] = negrule.AppendWords(nil, f[textproc.LowerStemRemovePunct])
-				}
-			}
-		})
+	for lo := 0; lo < n; lo += chunk {
+		hi := min(n, lo+chunk)
+		// One worker counts inline: a sequential caller (Add) builds no
+		// closure.
+		if w := parallel.Workers(parallelism, hi-lo); w == 1 {
+			t.countRows(pl, rows, h, recs, first, lo, lo, hi)
+		} else {
+			parallel.Shard(hi-lo, w, func(_, start, end int) {
+				t.countRows(pl, rows, h, recs, first, lo, lo+start, lo+end)
+			})
+		}
 		for j := range t.cols {
-			t.cols[j].AppendChunk(&pl.cols[j], recs[j*chunk:j*chunk+hi-lo], t.parallelism)
+			t.cols[j].AppendChunk(&pl.cols[j], recs[j*chunk:j*chunk+hi-lo], parallelism)
 		}
 	}
 	for j := range t.cols {
 		t.cols[j].Settle()
 	}
-	return pl
+}
+
+// chunk returns the rows per chunk of the counted records recs (see
+// appendRows).
+func (t *Table) chunk(recs []config.Counted) int { return max(len(recs)/max(len(t.cols), 1), 1) }
+
+// countRows copies rows [start, end) of the chunk starting at row lo in
+// as rows first+i of pl, with their word sets, and counts each program
+// column's cell into recs (laid out as appendRows says).
+func (t *Table) countRows(pl *tablePayload, rows [][]string, h *learnedL, recs []config.Counted, first, lo, start, end int) {
+	chunk := t.chunk(recs)
+	var f textproc.Forms
+	for i := start; i < end; i++ {
+		row := append([]string(nil), rows[i]...)
+		pl.rows[first+i] = row
+		var proc *textproc.Forms
+		if h != nil {
+			proc = &h.proc[i]
+		} else if !t.multi || t.hasRules {
+			proc = t.processKey(&f, t.keyOf(row))
+		}
+		for j := range t.cols {
+			t.cols[j].CountRecord(&recs[j*chunk+i-lo], t.cellOf(row, j), proc)
+		}
+		if t.hasRules && h != nil {
+			pl.words[first+i] = h.words[i]
+		} else if t.hasRules {
+			pl.words[first+i] = negrule.AppendWords(nil, f[textproc.LowerStemRemovePunct])
+		}
+	}
 }
 
 // growBalls (re)allocates the ball-count cache when the dense id space has
@@ -501,34 +515,16 @@ func (t *Table) Row(d int) ([]string, error) {
 // rows are copied. Cost is proportional to the added rows plus, when they
 // bring new tokens, one pass over the token vocabulary — never the table.
 func (t *Table) Add(rows [][]string) (uint64, error) {
-	for i, row := range rows {
-		if len(row) != t.rowWidth {
-			return 0, fmt.Errorf("core: row %d has %d cells, want %d", i, len(row), t.rowWidth)
-		}
+	if err := checkRows(rows, t.rowWidth); err != nil {
+		return 0, err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, raw := range rows {
-		row := append([]string(nil), raw...)
-		key := t.keyOf(row)
-		t.tix.AddDelta(key)
-		pl := t.delta
-		pl.rows = append(pl.rows, row)
-		pl.keys = append(pl.keys, key)
-		var f textproc.Forms
-		proc := t.processKey(&f, key)
-		for j, vocab := range t.cols {
-			cell := t.cellOf(row, j)
-			pl.cells[j] = append(pl.cells[j], cell)
-			vocab.AppendRecord(&pl.cols[j], cell, proc)
-		}
-		if t.hasRules {
-			pl.words = append(pl.words, negrule.AppendWords(nil, f[textproc.LowerStemRemovePunct]))
-		}
+	for _, row := range rows {
+		t.tix.AddDelta(t.keyOf(row))
 	}
-	for j := range t.cols {
-		t.cols[j].Settle()
-	}
+	//autofj:blocking at parallelism 1 the builder counts and interns inline: no goroutine is started or waited on under the lock
+	t.appendRows(t.delta, rows, nil, t.recs, 1)
 	t.k = blocking.K(t.tix.Len(), t.beta)
 	t.statsGen++
 	t.growBalls()
@@ -588,26 +584,19 @@ func (t *Table) Remove(indices []int) (uint64, error) {
 // keeping the "every swap bumps" contract simple for cache layers.
 func (t *Table) Compact(ctx context.Context) (bool, error) {
 	t.mu.Lock()
-	if t.compacting {
+	m := t.tix.DeltaRows()
+	if t.compacting || m == 0 && !t.needsMajorLocked() {
 		t.mu.Unlock()
 		return false, nil
 	}
-	m := t.tix.DeltaRows()
+	t.compacting = true
+	rows := t.delta.rows[:m:m]
+	t.mu.Unlock()
 	if m == 0 {
-		if !t.needsMajorLocked() {
-			t.mu.Unlock()
-			return false, nil
-		}
-		t.compacting = true
-		t.mu.Unlock()
 		return t.compactMajor(ctx)
 	}
-	t.compacting = true
-	keys := t.delta.keys[:m:m]
-	par := t.parallelism
-	t.mu.Unlock()
 
-	seg := blocking.BuildSegment(keys, par)
+	seg := blocking.BuildSegment(t.keysOf(rows), t.parallelism)
 	if err := ctx.Err(); err != nil {
 		t.endCompaction()
 		return false, err
@@ -617,24 +606,15 @@ func (t *Table) Compact(ctx context.Context) (bool, error) {
 	t.tix.CompactDelta(m, seg)
 	t.segs = append(t.segs, t.delta.prefix(m))
 	t.delta = t.delta.tail(m)
-	t.compacting = false
 	t.gen.Add(1)
+	// Fold accumulated segments and tombstones right away, still holding
+	// the compaction.
 	needMajor := t.needsMajorLocked()
+	t.compacting = needMajor
 	t.mu.Unlock()
-
 	if needMajor {
-		// Fold accumulated segments/tombstones right away; a failed race
-		// just leaves it for the next Compact.
-		t.mu.Lock()
-		if t.compacting {
-			t.mu.Unlock()
-			return true, nil
-		}
-		t.compacting = true
-		t.mu.Unlock()
-		if _, err := t.compactMajor(ctx); err != nil {
-			return true, err
-		}
+		_, err := t.compactMajor(ctx)
+		return true, err
 	}
 	return true, nil
 }
@@ -670,19 +650,16 @@ func (t *Table) compactMajor(ctx context.Context) (bool, error) {
 	for d := 0; d < n; d++ {
 		pl, local := t.payload(t.tix.Ref(d))
 		npl.rows = append(npl.rows, pl.rows[local])
-		npl.keys = append(npl.keys, pl.keys[local])
 		for j := range t.cols {
-			npl.cells[j] = append(npl.cells[j], pl.cells[j][local])
 			npl.cols[j].AppendRow(&pl.cols[j], int(local))
 		}
 		if t.hasRules {
 			npl.words = append(npl.words, pl.words[local])
 		}
 	}
-	par := t.parallelism
 	t.mu.RUnlock()
 
-	ntix := blocking.BuildTableIndex(npl.keys, par)
+	ntix := blocking.BuildTableIndex(t.keysOf(npl.rows), t.parallelism)
 	if err := ctx.Err(); err != nil {
 		t.endCompaction()
 		return false, err
@@ -712,23 +689,23 @@ func (t *Table) payload(ref blocking.Ref) (*tablePayload, int32) {
 }
 
 // rowDists fills ms.drow with the distance under every configuration whose
-// group is in mask between the fixed side (a prepared record and cell per
-// program column) and row local of pl, or +Inf where a bound puts it past
-// cut (see config.Evaluator.RowDistances). Multi-column distances keep the
+// group is in mask between the fixed side (a prepared record per program
+// column, and its full row) and row local of pl, or +Inf where a bound
+// puts it past cut (see config.Evaluator.RowDistances). Multi-column distances keep the
 // learned tensor semantics: per-column float32 rounding and maximal
 // distance for two missing cells. As terms are non-negative, a column
 // skips when its term alone is past the cut (ccut leaves room for the
 // rounding).
 //
 //autofj:hotpath
-func (t *Table) rowDists(ms *tableScratch, fixed []config.Fixed, cells []string, pl *tablePayload, local int32, mask config.GroupMask, cut []float64) {
+func (t *Table) rowDists(ms *tableScratch, fixed []config.Fixed, fixedRow []string, pl *tablePayload, local int32, mask config.GroupMask, cut []float64) {
 	if !t.multi {
 		t.eval.RowDistances(&fixed[0], &pl.cols[0], int(local), mask, cut, ms.esc, ms.drow)
 		return
 	}
 	clear(ms.drow)
 	for j := range t.cols {
-		if pl.cells[j][local] == "" && cells[j] == "" {
+		if t.cellOf(pl.rows[local], j) == "" && t.cellOf(fixedRow, j) == "" {
 			for ci := range ms.drow {
 				ms.drow[ci] += t.weights[j]
 			}
@@ -809,23 +786,20 @@ func (t *Table) fillBalls(l int32, mask config.GroupMask, tag uint64, ms *tableS
 	ms.ballCands = t.tix.AppendTopKSelf(ms.ballCands[:0], ms.sc, int(l), t.k)
 	apl, alocal := t.payload(t.tix.Ref(int(l)))
 	var one [1]config.Fixed
-	centers, cells := one[:], []string(nil)
+	centers := one[:]
 	if t.multi {
 		//autofj:alloc-ok one slot per program column per multi-column fill; the single-column center stays on the stack
-		centers, cells = make([]config.Fixed, len(t.cols)), make([]string, len(t.cols))
+		centers = make([]config.Fixed, len(t.cols))
 	}
 	for j, vocab := range t.cols {
 		centers[j] = vocab.PrepareRow(&ms.sides[j], &apl.cols[j], int(alocal), mask, true)
-		if t.multi {
-			cells[j] = apl.cells[j][alocal]
-		}
 	}
 	for ci := range ms.fill {
 		ms.fill[ci] = 1
 	}
 	for _, c := range ms.ballCands {
 		bpl, blocal := t.payload(t.tix.Ref(int(c.ID)))
-		t.rowDists(ms, centers, cells, bpl, blocal, mask, t.radii)
+		t.rowDists(ms, centers, apl.rows[alocal], bpl, blocal, mask, t.radii)
 		countBallRow(ms.fill, ms.drow, t.radii)
 	}
 	ms.releaseSides()
@@ -846,54 +820,47 @@ func (ms *tableScratch) releaseSides() {
 }
 
 // fillQuery is the Table's cache-fill edge: merged blocking,
-// negative-rule vetoes, and the query resolved and prepared into ms.sides
-// for one surface form under the current generation's statistics; score
-// releases the sides after its candidate scan. Caller must hold the read
-// lock (the query reads the live vocabulary).
-func (t *Table) fillQuery(ms *tableScratch, key string, row []string) *queryState {
+// negative-rule vetoes, and the query row resolved and prepared into
+// ms.sides for one surface form under the current generation's
+// statistics; score releases the sides after its candidate scan. Caller
+// must hold the read lock (the query reads the live vocabulary).
+func (t *Table) fillQuery(ms *tableScratch, row []string) *queryState {
 	e := &queryState{}
+	key := t.keyOf(row)
 	var f textproc.Forms
 	proc := t.processKey(&f, key)
 	ms.cands = t.tix.AppendTopK(ms.cands[:0], ms.sc, key, t.k)
 	e.cands = make([]int32, 0, len(ms.cands))
+	var qwords []string
 	if t.hasRules {
-		qwords := negrule.AppendWords(nil, f[textproc.LowerStemRemovePunct])
-		for _, c := range ms.cands {
-			pl, local := t.payload(t.tix.Ref(int(c.ID)))
-			if !t.rules.BlocksPair(pl.words[local], qwords) {
-				e.cands = append(e.cands, c.ID)
+		qwords = negrule.AppendWords(nil, f[textproc.LowerStemRemovePunct])
+	}
+	for _, c := range ms.cands {
+		if t.hasRules {
+			if pl, local := t.payload(t.tix.Ref(int(c.ID))); t.rules.BlocksPair(pl.words[local], qwords) {
+				continue
 			}
 		}
-	} else {
-		for _, c := range ms.cands {
-			e.cands = append(e.cands, c.ID)
-		}
+		e.cands = append(e.cands, c.ID)
 	}
-	if t.multi {
-		e.qcells = make([]string, len(t.cols))
+	if e.fixed = e.fixed1[:]; t.multi {
 		e.fixed = make([]config.Fixed, len(t.cols))
-		for j, cj := range t.columns {
-			e.qcells[j] = row[cj]
-		}
-	} else {
-		e.qcells, e.fixed = e.qcell[:], e.fixed1[:]
-		e.qcells[0] = key
 	}
 	for j, vocab := range t.cols {
-		e.fixed[j] = vocab.PrepareQuery(&ms.sides[j], e.qcells[j], proc, config.AllGroups)
+		e.fixed[j] = vocab.PrepareQuery(&ms.sides[j], t.cellOf(row, j), proc, config.AllGroups)
 	}
 	return e
 }
 
-// matchOne answers one record against the segmented table and reports
-// whether the answer came from the result cache: a hit returns the Match
-// stored under the current generation, a miss runs the full query path
-// over Ref-addressed storage and stores its result. Multi-column callers
-// pass the row and an empty key. Caller must hold the read lock, which
-// also pins the generation for the duration of the call.
+// matchOne answers one query row (one cell on a single-column table)
+// against the segmented table and reports whether the answer came from
+// the result cache: a hit returns the Match stored under the current
+// generation, a miss runs the full query path over Ref-addressed storage
+// and stores its result. Caller must hold the read lock, which also pins
+// the generation for the duration of the call.
 //
 //autofj:hotpath
-func (t *Table) matchOne(ms *tableScratch, key string, row []string) (m Match, cached bool) {
+func (t *Table) matchOne(ms *tableScratch, row []string) (m Match, cached bool) {
 	if len(t.configs) == 0 || t.tix.Len() == 0 {
 		return noMatch(), false
 	}
@@ -902,16 +869,15 @@ func (t *Table) matchOne(ms *tableScratch, key string, row []string) (m Match, c
 		// Full-row key: the blocking key concatenates every cell, so rows
 		// differing only outside the program's columns can block apart.
 		ms.kbuf = appendRowKey(ms.kbuf[:0], row)
-		if hit, ok := t.cache.lookupBytes(ms.kbuf, gen); ok {
-			return hit, true
-		}
-		//autofj:alloc-ok cache-fill edge: the blocking key is concatenated once per (generation, distinct row)
-		key = concatRow(row)
-	} else if hit, ok := t.cache.lookup(key, gen); ok {
+	} else {
+		ms.kbuf = append(ms.kbuf[:0], row[0]...)
+	}
+	if hit, ok := t.cache.lookup(ms.kbuf, gen); ok {
 		return hit, true
 	}
 	//autofj:alloc-ok cache-fill edge: one query-state build per (generation, surface form), amortized across every repeat
-	best := t.score(ms, t.fillQuery(ms, key, row))
+	best := t.score(ms, t.fillQuery(ms, row), row)
+	key := row[0]
 	if t.multi {
 		//autofj:alloc-ok cache-fill edge: the composite key string is materialized once per (generation, distinct row)
 		key = string(ms.kbuf)
@@ -920,7 +886,7 @@ func (t *Table) matchOne(ms *tableScratch, key string, row []string) (m Match, c
 	return best, false
 }
 
-// score runs the query path proper over a filled query: the
+// score runs the query path proper over a filled query of row: the
 // per-configuration closest-candidate scans and the learning-faithful
 // union resolution of Algorithm 1. A pair-major scan with a strict <
 // keeps the first minimum in blocking order; conflicting configurations
@@ -930,14 +896,14 @@ func (t *Table) matchOne(ms *tableScratch, key string, row []string) (m Match, c
 // the cut of the candidate's char kernels (see rowDists).
 //
 //autofj:hotpath
-func (t *Table) score(ms *tableScratch, e *queryState) Match {
+func (t *Table) score(ms *tableScratch, e *queryState, row []string) Match {
 	for ci, c := range t.configs {
 		ms.bestL[ci] = -1
 		ms.bestD[ci] = min(math.Nextafter(c.Threshold, math.Inf(1)), unjoinableDist)
 	}
 	for _, l := range e.cands {
 		pl, local := t.payload(t.tix.Ref(int(l)))
-		t.rowDists(ms, e.fixed, e.qcells, pl, local, config.AllGroups, ms.bestD)
+		t.rowDists(ms, e.fixed, row, pl, local, config.AllGroups, ms.bestD)
 		for ci, d := range ms.drow {
 			if d < ms.bestD[ci] {
 				ms.bestD[ci] = d
@@ -985,15 +951,7 @@ func (t *Table) Match(ctx context.Context, record string) (Match, bool, error) {
 	if t.multi {
 		return noMatch(), false, errNeedRow
 	}
-	if err := ctx.Err(); err != nil {
-		return noMatch(), false, err
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ms := t.getScratch()
-	defer t.putScratch(ms)
-	mt, _ := t.matchOne(ms, record, nil)
-	return mt, mt.Left >= 0, nil
+	return t.MatchRow(ctx, []string{record})
 }
 
 // MatchRow matches one full row of exactly RowWidth cells. On a
@@ -1003,18 +961,38 @@ func (t *Table) MatchRow(ctx context.Context, row []string) (Match, bool, error)
 	if len(row) != t.rowWidth {
 		return noMatch(), false, fmt.Errorf("core: table wants rows with %d cells, got %d", t.rowWidth, len(row))
 	}
-	if !t.multi {
-		return t.Match(ctx, row[0])
-	}
-	if err := ctx.Err(); err != nil {
+	if err := t.rlock(ctx, nil); err != nil {
 		return noMatch(), false, err
 	}
-	t.mu.RLock()
 	defer t.mu.RUnlock()
 	ms := t.getScratch()
 	defer t.putScratch(ms)
-	mt, _ := t.matchOne(ms, "", row)
+	mt, _ := t.matchOne(ms, row)
 	return mt, mt.Left >= 0, nil
+}
+
+// rlock is the prologue every Match form shares: each query row must have
+// exactly RowWidth cells, and ctx must be live. On success the caller
+// holds the read lock, so its queries answer under one generation.
+func (t *Table) rlock(ctx context.Context, rows [][]string) error {
+	if err := checkRows(rows, t.rowWidth); err != nil {
+		return err
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	t.mu.RLock()
+	return nil
+}
+
+// checkRows reports the first of rows that does not have width cells.
+func checkRows(rows [][]string, width int) error {
+	for i, row := range rows {
+		if len(row) != width {
+			return fmt.Errorf("core: row %d has %d cells, want %d", i, len(row), width)
+		}
+	}
+	return nil
 }
 
 // MatchBatch matches a batch of query records, sharded across the
@@ -1025,13 +1003,7 @@ func (t *Table) MatchBatch(ctx context.Context, records []string) ([]Match, erro
 	if t.multi {
 		return nil, errNeedRow
 	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	//autofj:blocking the batch must answer under one generation, so the read lock is held across the fan-out by design; writers wait, readers do not
-	return t.batchLocked(ctx, len(records), func(ms *tableScratch, i int) Match {
-		mt, _ := t.matchOne(ms, records[i], nil)
-		return mt
-	})
+	return t.MatchRows(ctx, oneCellRows(records))
 }
 
 // MatchRows is the row-based batch form.
@@ -1060,21 +1032,14 @@ type TableBatch struct {
 // answered — everything a serving layer needs to render the results
 // without re-locking the table.
 func (t *Table) MatchBatchAt(ctx context.Context, rows [][]string) (*TableBatch, error) {
-	for i, row := range rows {
-		if len(row) != t.rowWidth {
-			return nil, fmt.Errorf("core: row %d has %d cells, want %d", i, len(row), t.rowWidth)
-		}
+	if err := t.rlock(ctx, rows); err != nil {
+		return nil, err
 	}
-	t.mu.RLock()
 	defer t.mu.RUnlock()
 	cached := make([]bool, len(rows))
 	//autofj:blocking the batch must answer under one generation, so the read lock is held across the fan-out by design; writers wait, readers do not
 	out, err := t.batchLocked(ctx, len(rows), func(ms *tableScratch, i int) (mt Match) {
-		if t.multi {
-			mt, cached[i] = t.matchOne(ms, "", rows[i])
-		} else {
-			mt, cached[i] = t.matchOne(ms, rows[i][0], nil)
-		}
+		mt, cached[i] = t.matchOne(ms, rows[i])
 		return mt
 	})
 	if err != nil {
@@ -1094,9 +1059,6 @@ func (t *Table) MatchBatchAt(ctx context.Context, rows [][]string) (*TableBatch,
 // caller's read lock; results land at fixed indexes. Cancellation is
 // checked per record.
 func (t *Table) batchLocked(ctx context.Context, n int, one func(*tableScratch, int) Match) ([]Match, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	out := make([]Match, n)
 	var stop atomic.Bool
 	parallel.Shard(n, parallel.Workers(t.parallelism, n), func(_, start, end int) {

@@ -240,7 +240,7 @@ func TestTableBallFillStoresJoinedGroups(t *testing.T) {
 		defer tab.mu.RUnlock()
 		ms := tab.getScratch()
 		defer tab.putScratch(ms)
-		m := tab.score(ms, tab.fillQuery(ms, q, nil))
+		m := tab.score(ms, tab.fillQuery(ms, []string{q}), []string{q})
 		return m, append([]int32(nil), ms.bestL...)
 	}
 	joinedMask := func(bestL []int32, l int) config.GroupMask {

@@ -511,8 +511,8 @@ func TestTableScratchRetainsNoQueryMemory(t *testing.T) {
 	}
 	tab.mu.RLock()
 	ms := tab.getScratch()
-	tab.matchOne(ms, "2008 wisconsin badgers football team alpha beta gamma", nil)
-	tab.matchOne(ms, "lsu tigers", nil)
+	tab.matchOne(ms, []string{"2008 wisconsin badgers football team alpha beta gamma"})
+	tab.matchOne(ms, []string{"lsu tigers"})
 	if len(ms.cands) == 0 {
 		t.Fatal("query did not populate the scratch; the test is vacuous")
 	}

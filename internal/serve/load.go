@@ -64,9 +64,5 @@ func CompileTable(prog *core.Program, left dataset.Table, column string, opt cor
 	if err != nil {
 		return nil, err
 	}
-	rows := make([][]string, len(keys))
-	for i, k := range keys {
-		rows[i] = []string{k}
-	}
-	return prog.NewTable(1, rows, opt)
+	return prog.Compile(keys, opt)
 }
