@@ -260,7 +260,7 @@ func TestStaticJoinsAndUBR(t *testing.T) {
 	if fi < 0 || len(joins) == 0 {
 		t.Fatal("BestStatic found nothing")
 	}
-	ubr := UpperBoundRecall(left, right, space, cands, truth)
+	ubr := UpperBoundRecall(static, truth)
 	if ubr <= 0 || ubr > 1 {
 		t.Fatalf("UBR = %f", ubr)
 	}

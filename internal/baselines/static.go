@@ -7,29 +7,13 @@ import (
 
 // StaticJoins evaluates every join function of the space as a stand-alone
 // scorer: per right record it keeps the candidate with the smallest
-// distance, scored as 1-distance. The result is indexed by function,
-// feeding the Best-Static-Join-function (BSJ) comparison of Table 2.
+// distance (the first on a tie), scored as 1-distance. The result is
+// indexed by function, feeding the Best-Static-Join-function (BSJ)
+// comparison of Table 2 and UpperBoundRecall. Records are the rows of one
+// learn arena, left's then right's, and each pair is one fused evaluation
+// (see config.Evaluator) with the right record prepared once as the query
+// side.
 func StaticJoins(left, right []string, space []config.JoinFunction, cands [][]int32) [][]metrics.ScoredJoin {
-	scan := nearest(left, right, space)
-	out := make([][]metrics.ScoredJoin, len(space))
-	for r, cs := range cands {
-		bestL, bestD := scan(r, cs)
-		for fi := range space {
-			if bestL[fi] >= 0 && bestD[fi] < 1 {
-				out[fi] = append(out[fi], metrics.ScoredJoin{Right: r, Left: int(bestL[fi]), Score: 1 - bestD[fi]})
-			}
-		}
-	}
-	return out
-}
-
-// nearest returns a scan that finds, under every function of a space at
-// once, a right record's closest blocked candidate: for right record r
-// and its candidates, each function's closest one (the first on a tie;
-// -1 when there is none) and its distance. The slices are reused by the
-// next scan. Records are the rows of one learn arena, left's then
-// right's, and each pair is one fused evaluation (see config.Evaluator).
-func nearest(left, right []string, space []config.JoinFunction) func(r int, cands []int32) ([]int32, []float64) {
 	learned := config.LearnProfiles(space, 0, left, right)
 	v, rows := learned.Vocab(), learned.Rows()
 	ev := config.NewEvaluator(space)
@@ -38,12 +22,13 @@ func nearest(left, right []string, space []config.JoinFunction) func(r int, cand
 	row := make([]float64, len(space))
 	bestL := make([]int32, len(space))
 	bestD := make([]float64, len(space))
-	return func(r int, cands []int32) ([]int32, []float64) {
+	out := make([][]metrics.ScoredJoin, len(space))
+	for r, cs := range cands {
 		for fi := range space {
 			bestL[fi], bestD[fi] = -1, 2.0
 		}
 		f := v.PrepareRow(&side, rows, len(left)+r, config.AllGroups, false)
-		for _, l := range cands {
+		for _, l := range cs {
 			ev.RowDistances(&f, rows, int(l), config.AllGroups, nil, sc, row)
 			for fi, d := range row {
 				if d < bestD[fi] {
@@ -52,8 +37,13 @@ func nearest(left, right []string, space []config.JoinFunction) func(r int, cand
 			}
 		}
 		side.Release()
-		return bestL, bestD
+		for fi := range space {
+			if bestL[fi] >= 0 && bestD[fi] < 1 {
+				out[fi] = append(out[fi], metrics.ScoredJoin{Right: r, Left: int(bestL[fi]), Score: 1 - bestD[fi]})
+			}
+		}
 	}
+	return out
 }
 
 // BestStatic picks the function with the highest adjusted recall on this
@@ -74,27 +64,23 @@ func BestStatic(static [][]metrics.ScoredJoin, truth metrics.Truth, targetPrecis
 	return bestFi, static[bestFi]
 }
 
-// UpperBoundRecall computes UBR (§5.1.3): a ground-truth pair (l, r) is
-// feasible when some configuration of the space ranks l as r's closest
-// record; UBR is the fraction of ground-truth pairs that are feasible —
-// the recall ceiling of any fuzzy-join program over this space.
-func UpperBoundRecall(left, right []string, space []config.JoinFunction, cands [][]int32, truth metrics.Truth) float64 {
+// UpperBoundRecall computes UBR (§5.1.3) from StaticJoins' result: a
+// ground-truth pair (l, r) is feasible when some configuration of the
+// space ranks l as r's closest record (at a distance below 1, as a static
+// join keeps it); UBR is the fraction of ground-truth pairs that are
+// feasible — the recall ceiling of any fuzzy-join program over this
+// space.
+func UpperBoundRecall(static [][]metrics.ScoredJoin, truth metrics.Truth) float64 {
 	if len(truth) == 0 {
 		return 0
 	}
-	scan := nearest(left, right, space)
-	feasible := 0
-	for r, tl := range truth {
-		if r >= len(cands) {
-			continue
-		}
-		bestL, bestD := scan(r, cands[r])
-		for fi := range space {
-			if int(bestL[fi]) == tl && bestD[fi] < 1 {
-				feasible++
-				break
+	feasible := map[int]bool{}
+	for _, joins := range static {
+		for _, j := range joins {
+			if tl, ok := truth[j.Right]; ok && tl == j.Left {
+				feasible[j.Right] = true
 			}
 		}
 	}
-	return float64(feasible) / float64(len(truth))
+	return float64(len(feasible)) / float64(len(truth))
 }

@@ -128,8 +128,8 @@ type deepFeatures struct {
 }
 
 func (d deepFeatures) features(r int, l int32) []float64 {
-	el := embed.Embed(d.left[l])
-	er := embed.Embed(d.right[r])
+	vl, vr := embed.Embed(d.left[l]), embed.Embed(d.right[r])
+	el, er := vl.Unit(), vr.Unit()
 	out := make([]float64, 0, 3*embed.Dim)
 	for _, v := range el {
 		out = append(out, v)

@@ -1,8 +1,6 @@
 package config
 
 import (
-	"slices"
-
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/parallel"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/textproc"
 )
@@ -89,16 +87,30 @@ func (v *Vocab) buildArena(n, parallelism int, count func(dst *Counted, i int)) 
 	return a
 }
 
-// Reserve makes room for tokens more slot entries, at least doubling the
-// storage when it grows: rows built a chunk at a time (AppendChunk) are
-// then copied O(1) times as they are built, not once per append's
-// smaller growth step.
-func (s *Rows) Reserve(tokens int) {
-	if need := len(s.slots) + tokens; need > cap(s.slots) {
-		c := max(need, 2*cap(s.slots))
-		s.slots = slices.Grow(s.slots, c-len(s.slots))
-		s.counts = slices.Grow(s.counts, c-len(s.counts))
+// Reserve makes room for tokens more slot entries, those of the next rows
+// rows. Storage made for a build of known size (NewRows' n rows) is sized
+// once, for the whole build: when it must grow before the build's last
+// rows, to the tokens per row stored so far (these rows included) times
+// the build's rows, with 1/32 head room, and at least 1/16 more than it
+// holds, so a build whose later rows run longer still regrows a bounded
+// number of times; for the build's last rows, to what they need. Past the
+// build's size (a table's delta rows), storage at least doubles, so rows
+// appended one chunk at a time are copied O(1) times.
+func (s *Rows) Reserve(tokens, rows int) {
+	need := len(s.slots) + tokens
+	if need <= cap(s.slots) {
+		return
 	}
+	c := max(need, 2*cap(s.slots))
+	if stored := s.n + rows; stored < s.want {
+		est := int64(need+need/32) * int64(s.want) / int64(stored)
+		c = max(need, int(est), cap(s.slots)+cap(s.slots)/16)
+	} else if stored == s.want {
+		c = need
+	}
+	// Not slices.Grow: append's growth rounding would overshoot c.
+	s.slots = append(make([]int32, 0, c), s.slots...)
+	s.counts = append(make([]uint32, 0, c), s.counts...)
 }
 
 // ArenaQuery prepares one record as the query side against the arena's

@@ -103,13 +103,13 @@ func (c *Corpus) CountProfile(s string) *Profile {
 }
 
 // Counted is the statistics-independent build of one record in a Vocab's
-// layout: its processed strings, its embeddings (nemb × embed.Dim values
-// in layout order), and by layout position each counted representation's
-// distinct tokens ascending with their occurrence counts. Its buffers are
-// reused by the next CountRecord into it.
+// layout: its processed strings, its embeddings (integer count vectors,
+// by layout position), and by layout position each counted
+// representation's distinct tokens ascending with their occurrence counts.
+// Its buffers are reused by the next CountRecord into it.
 type Counted struct {
 	proc textproc.Forms
-	emb  []float64
+	emb  []embed.Vector
 	runs [numPre * numTok]tokenRun
 }
 
@@ -173,8 +173,8 @@ func rle[T comparable](toks []T, counts []uint32) ([]T, []uint32) {
 // distinct dst.
 func (v *Vocab) CountRecord(dst *Counted, s string, proc *textproc.Forms) {
 	lay := v.lay
-	if n := lay.nemb * embed.Dim; len(dst.emb) != n {
-		dst.emb = make([]float64, n)
+	if len(dst.emb) != lay.nemb {
+		dst.emb = make([]embed.Vector, lay.nemb)
 	}
 	if proc == nil {
 		textproc.Process(&dst.proc, s, lay.forms)
@@ -190,13 +190,11 @@ func (v *Vocab) CountRecord(dst *Counted, s string, proc *textproc.Forms) {
 			ps = dst.proc[pj]
 		}
 		dst.proc[pi] = ps
-		if e := int(lay.emb[pi]); e >= 0 {
-			out := dst.emb[e*embed.Dim : (e+1)*embed.Dim]
+		if e := lay.emb[pi]; e >= 0 {
 			if pj >= 0 && lay.emb[pj] >= 0 {
-				copy(out, dst.emb[int(lay.emb[pj])*embed.Dim:])
+				dst.emb[e] = dst.emb[lay.emb[pj]]
 			} else {
-				vec := embed.Embed(ps)
-				copy(out, vec[:])
+				dst.emb[e] = embed.Embed(ps)
 			}
 		}
 		for ti := 0; ti < numTok; ti++ {

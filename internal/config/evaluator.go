@@ -23,8 +23,8 @@ import (
 //   - every character-based group (pre-processing) converts the two
 //     processed strings to runes once and runs the ED/JW/ME/SW dynamic
 //     programs on reusable per-worker buffers (distance.CharScratch);
-//   - every embedding group is a single dot product over the profiles'
-//     precomputed embeddings.
+//   - every embedding group is a single exact integer dot product over the
+//     profiles' precomputed count vectors (see package embed).
 //
 // For the full 140-function space this turns ~140 kernel invocations per
 // candidate pair into at most 16 merges + 4 char-pair DP groups + 4 dot
@@ -275,7 +275,8 @@ func (e *Evaluator) Distances(l, r *Profile, sc *EvalScratch, out []float64) {
 // f must be prepared for, are scored: out[fi] is filled for every function
 // whose Group is in mask, and every other slot is left as it was. A group
 // copies the result of an earlier group scored in the same call whose
-// processed strings coincide with its own on both records.
+// processed strings coincide with its own on both records. Row i's strings
+// and embeddings are read only where a scored group needs them.
 //
 // A char group whose distance.CharBound exceeds cut[fi] for every function
 // fi of it runs no kernel: its functions get +Inf, past the cut as their
@@ -283,25 +284,24 @@ func (e *Evaluator) Distances(l, r *Profile, sc *EvalScratch, out []float64) {
 //
 //autofj:hotpath
 func (e *Evaluator) RowDistances(f *Fixed, s *Rows, i int, mask GroupMask, cut []float64, sc *EvalScratch, out []float64) {
-	o := s.record(i)
-	l, r := &f.rec, &o
-	if !f.l {
-		l, r = &o, &f.rec
-	}
 	scored := mask // the char groups this call ran or copied, for later copies
 	for gi := range e.char {
 		g := &e.char[gi]
 		if mask&g.bit == 0 {
 			continue
 		}
-		if src := copySource(g.from, scored, g.pre, l, r); src >= 0 {
+		if src := copySource(g.from, scored, g.pre, &f.rec, s, i); src >= 0 {
 			sc.cd[gi] = sc.cd[src]
 		} else if cut != nil && beyond(g, distance.CharBound(f.shape[g.pre], s.shapes[i*s.lay.nproc+int(s.lay.proc[g.pre])]), cut) {
 			sc.cd[gi] = distance.CharDists{ED: math.Inf(1), JW: math.Inf(1), ME: math.Inf(1), SW: math.Inf(1)}
 			scored &^= g.bit
 			sc.charSkipped++
 		} else {
-			sc.cd[gi] = sc.char.Distances(l.proc[g.pre], r.proc[g.pre], g.need)
+			l, r := f.rec.proc[g.pre], s.procAt(i, g.pre)
+			if !f.l {
+				l, r = r, l
+			}
+			sc.cd[gi] = sc.char.Distances(l, r, g.need)
 			sc.charScored++
 		}
 		scatterChar(g, sc.cd[gi], out)
@@ -311,7 +311,7 @@ func (e *Evaluator) RowDistances(f *Fixed, s *Rows, i int, mask GroupMask, cut [
 		if mask&g.bit == 0 {
 			continue
 		}
-		if src := copySource(g.from, mask, g.pre, l, r); src >= 0 {
+		if src := copySource(g.from, mask, g.pre, &f.rec, s, i); src >= 0 {
 			sc.sd[gi] = sc.sd[src]
 		} else {
 			p := &f.side.set[g.pre][g.tok][g.wt]
@@ -331,10 +331,11 @@ func (e *Evaluator) RowDistances(f *Fixed, s *Rows, i int, mask GroupMask, cut [
 		if mask&g.bit == 0 {
 			continue
 		}
-		if src := copySource(g.from, mask, g.pre, l, r); src >= 0 {
+		if src := copySource(g.from, mask, g.pre, &f.rec, s, i); src >= 0 {
 			sc.ed[gi] = sc.ed[src]
 		} else {
-			sc.ed[gi] = embed.CosineDistanceFlat(l.emb[g.pre], r.emb[g.pre])
+			// Cosine is symmetric, so the orientation does not matter.
+			sc.ed[gi] = embed.CosineDistanceLanes(f.rec.emb[g.pre], s.lanes(i, int(s.lay.emb[g.pre])))
 		}
 		for _, fi := range g.fns {
 			out[fi] = sc.ed[gi]
@@ -343,14 +344,15 @@ func (e *Evaluator) RowDistances(f *Fixed, s *Rows, i int, mask GroupMask, cut [
 }
 
 // copySource returns the first group of from that mask scores and whose
-// processed strings equal those under pre on both l and r, or -1. Its
-// kernel result is then the one pre's group would compute.
+// processed strings equal those under pre on both the fixed record and
+// row i of s, or -1. Its kernel result is then the one pre's group would
+// compute.
 //
 //autofj:hotpath
-func copySource(from []source, mask GroupMask, pre textproc.Option, l, r *Record) int {
-	for _, s := range from {
-		if mask&s.bit != 0 && l.proc[s.pre] == l.proc[pre] && r.proc[s.pre] == r.proc[pre] {
-			return int(s.gi)
+func copySource(from []source, mask GroupMask, pre textproc.Option, fixed *Record, s *Rows, i int) int {
+	for _, src := range from {
+		if mask&src.bit != 0 && fixed.proc[src.pre] == fixed.proc[pre] && s.procAt(i, src.pre) == s.procAt(i, pre) {
+			return int(src.gi)
 		}
 	}
 	return -1

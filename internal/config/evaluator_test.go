@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -339,11 +340,22 @@ func FuzzEvaluator(f *testing.F) {
 	f.Add("st. louis cardinals", "st louis cardinals")
 	f.Add("O'Brien's museums", "obrien museum")
 	f.Add("alpha unit 2003", "alpha unit 2004")
+	// Counts past int8 (300 copies of "aaa" in one bucket) and past int16
+	// (40,000): embeddings kept in wide lanes, on either side of a pair.
+	f.Add(strings.Repeat("a", 300), strings.Repeat("a", 299))
+	f.Add("aaaa", strings.Repeat("a", 40000))
+	f.Add(strings.Repeat("A", 40000), strings.Repeat("ab", 200))
 	f.Fuzz(func(t *testing.T, a, b string) {
-		if len(a) > 64 || len(b) > 64 {
-			return // quadratic kernels; keep the fuzz corpus fast
-		}
 		space := ExtendedSpace()
+		if len(a) > 64 || len(b) > 64 {
+			// The char kernels are quadratic, so a long input, the kind
+			// whose embedding can overflow int8 lanes, scores every other
+			// function.
+			if len(a) > 1<<17 || len(b) > 1<<17 {
+				return
+			}
+			space = slices.DeleteFunc(space, func(f JoinFunction) bool { return f.Dist.Class() == CharBased })
+		}
 		corpus := NewCorpus(space, []string{a, b})
 		profs := corpus.Profiles([]string{a, b}, 1)
 		ev := NewEvaluator(space)

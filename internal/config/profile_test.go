@@ -144,10 +144,10 @@ func checkRow(t *testing.T, where string, a *ProfileArena, i int, want *Profile,
 		t.Fatalf("%s: processed strings %q, want %q", where, row.Proc, want.proc)
 	}
 	for pi := 0; pi < numPre; pi++ {
-		if (row.Emb[pi] != nil) != c.needEmb[pi] {
-			t.Fatalf("%s: embedding %d present=%v, want %v", where, pi, row.Emb[pi] != nil, c.needEmb[pi])
+		if present := row.Emb[pi].Narrow != nil || row.Emb[pi].Wide != nil; present != c.needEmb[pi] {
+			t.Fatalf("%s: embedding %d present=%v, want %v", where, pi, present, c.needEmb[pi])
 		}
-		if c.needEmb[pi] && embed.Vector(row.Emb[pi]) != want.emb[pi] {
+		if c.needEmb[pi] && (widen(row.Emb[pi]) != want.emb[pi] || row.Emb[pi].Norm != want.emb[pi].Norm()) {
 			t.Fatalf("%s: embedding %d differs", where, pi)
 		}
 		for ti := 0; ti < numTok; ti++ {
@@ -288,4 +288,17 @@ func TestProfilesMatchMapOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// widen returns the count vector stored lanes hold.
+func widen(l embed.Lanes) embed.Vector {
+	var v embed.Vector
+	for d := range v {
+		if l.Narrow != nil {
+			v[d] = int32(l.Narrow[d])
+		} else {
+			v[d] = l.Wide[d]
+		}
+	}
+	return v
 }

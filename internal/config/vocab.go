@@ -284,7 +284,7 @@ func (v *Vocab) AppendChunk(rows *Rows, recs []Counted, parallelism int) {
 			tokens += len(recs[i].runs[r].counts)
 		}
 	}
-	rows.Reserve(tokens)
+	rows.Reserve(tokens, len(recs))
 	for i := range recs {
 		v.appendCounted(rows, &recs[i])
 	}
@@ -317,8 +317,8 @@ func (v *Vocab) appendCounted(rows *Rows, c *Counted) {
 		if v.lay.proc[pi] >= 0 {
 			r.Proc[pi] = c.proc[pi]
 		}
-		if e := int(v.lay.emb[pi]); e >= 0 {
-			r.Emb[pi] = c.emb[e*embed.Dim : (e+1)*embed.Dim]
+		if e := v.lay.emb[pi]; e >= 0 {
+			r.Emb[pi] = embed.Lanes{Wide: c.emb[e][:]}
 		}
 	}
 	for ri, rep := range v.lay.reps {
@@ -452,9 +452,11 @@ func (v *Vocab) Dictionary(s *Rows) (dict []string, index SlotIndex) {
 // input of Rows.Append and the output of Rows.Get. Only the parts the
 // layout stores are read or written; Slots index the column's Vocab,
 // in ascending token order, and Sum and Norm are the count vector's.
+// Append stores each embedding in the narrowest lanes its counts fit and
+// computes its norm from them, whatever the input's lanes and Norm.
 type Row struct {
 	Proc   [numPre]string
-	Emb    [numPre][]float64 // embed.Dim values each
+	Emb    [numPre]embed.Lanes
 	Slots  [numPre][numTok][]int32
 	Counts [numPre][numTok][]uint32
 	Sum    [numPre][numTok]float64
@@ -462,17 +464,24 @@ type Row struct {
 }
 
 // Rows is the columnar at-rest storage of a block of one program
-// column's rows: processed strings and their shapes, flat embeddings, and
-// per counted representation a slot run with integer counts and the count
-// vector's Sum and Norm. A row's parts sit at fixed positions (see layout), so a
-// row is a handful of slices into a few flat arrays. Rows only grow, and
+// column's rows: processed strings and their shapes, embeddings as integer
+// lanes with their squared norms, and per counted representation a slot
+// run with integer counts and the count vector's Sum and Norm. A row's
+// parts sit at fixed positions (see layout), so a row is a handful of
+// slices into a few flat arrays. An embedding whose counts all fit int8
+// takes embed.Dim bytes; one that does not keeps zero narrow lanes and its
+// counts in wide, found by its position in wideAt. Rows only grow, and
 // stored rows never change.
 type Rows struct {
 	lay    *layout
 	n      int
+	want   int              // the rows the storage was made for (see Reserve)
 	proc   []string         // n × nproc
 	shapes []distance.Shape // of proc, for distance.CharBound
-	emb    []float64        // n × nemb × embed.Dim
+	emb    []int8           // n × nemb × embed.Dim narrow lanes
+	norms  []int64          // n × nemb squared norms
+	wide   []int32          // embed.Dim lanes per embedding that does not fit int8
+	wideAt []int32          // ascending position (row × nemb + e) of each wide embedding
 	off    []int32          // n × nrep + 1 run offsets into slots and counts
 	slots  []int32
 	counts []uint32
@@ -486,9 +495,11 @@ func (v *Vocab) NewRows(n, tokens int) Rows {
 	nrep := len(lay.reps)
 	s := Rows{
 		lay:    lay,
+		want:   n,
 		proc:   make([]string, 0, n*lay.nproc),
 		shapes: make([]distance.Shape, 0, n*lay.nproc),
-		emb:    make([]float64, 0, n*lay.nemb*embed.Dim),
+		emb:    make([]int8, 0, n*lay.nemb*embed.Dim),
+		norms:  make([]int64, 0, n*lay.nemb),
 		off:    make([]int32, 0, n*nrep+1),
 		slots:  make([]int32, 0, tokens),
 		counts: make([]uint32, 0, tokens),
@@ -503,6 +514,10 @@ func (s *Rows) Len() int { return s.n }
 // Tokens returns the number of slot entries the rows hold in all.
 func (s *Rows) Tokens() int { return len(s.slots) }
 
+// TokenCap returns the number of slot entries the rows have room for
+// without growing (see Reserve).
+func (s *Rows) TokenCap() int { return min(cap(s.slots), cap(s.counts)) }
+
 // Append stores r as the next row. A run whose Slots are nil is stored
 // with its Counts and room for its slots, which the caller fills.
 func (s *Rows) Append(r *Row) {
@@ -515,7 +530,7 @@ func (s *Rows) Append(r *Row) {
 	}
 	for pi := 0; pi < numPre; pi++ {
 		if lay.emb[pi] >= 0 {
-			s.emb = append(s.emb, r.Emb[pi]...)
+			s.appendEmb(&r.Emb[pi])
 		}
 	}
 	if len(s.off) == 0 {
@@ -533,6 +548,49 @@ func (s *Rows) Append(r *Row) {
 		s.sums = append(s.sums, r.Sum[rep.Pre][rep.Tok], r.Norm[rep.Pre][rep.Tok])
 	}
 	s.n++
+}
+
+// appendEmb stores the next embedding in int8 lanes when its counts fit,
+// and in wide lanes otherwise.
+func (s *Rows) appendEmb(l *embed.Lanes) {
+	lo := len(s.emb)
+	s.emb = slices.Grow(s.emb, embed.Dim)[:lo+embed.Dim]
+	lanes := s.emb[lo:]
+	switch {
+	case l.Narrow != nil:
+		copy(lanes, l.Narrow[:embed.Dim])
+	case !embed.Narrow(lanes, l.Wide):
+		clear(lanes)
+		s.wideAt = append(s.wideAt, int32(len(s.norms)))
+		s.wide = append(s.wide, l.Wide[:embed.Dim]...)
+		s.norms = append(s.norms, embed.NormOf(l.Wide))
+		return
+	}
+	s.norms = append(s.norms, embed.NormOf(lanes))
+}
+
+// lanes returns the embedding of row i at layout position e. It aliases
+// the storage.
+//
+//autofj:hotpath
+func (s *Rows) lanes(i, e int) embed.Lanes {
+	at := i*s.lay.nemb + e
+	if len(s.wideAt) > 0 {
+		if k, ok := slices.BinarySearch(s.wideAt, int32(at)); ok {
+			lo := k * embed.Dim
+			return embed.Lanes{Wide: s.wide[lo : lo+embed.Dim : lo+embed.Dim], Norm: s.norms[at]}
+		}
+	}
+	lo := at * embed.Dim
+	return embed.Lanes{Narrow: s.emb[lo : lo+embed.Dim : lo+embed.Dim], Norm: s.norms[at]}
+}
+
+// procAt returns row i's processed string under pre, which the layout
+// stores.
+//
+//autofj:hotpath
+func (s *Rows) procAt(i int, pre textproc.Option) string {
+	return s.proc[i*s.lay.nproc+int(s.lay.proc[pre])]
 }
 
 // runSlots returns the slot run of row i at layout position r.
@@ -571,14 +629,18 @@ func (s *Rows) Prefix(m int) Rows {
 	if m == 0 {
 		return Rows{lay: lay}
 	}
-	np, ne, nr := m*lay.nproc, m*lay.nemb*embed.Dim, m*len(lay.reps)
+	np, ne, nr := m*lay.nproc, m*lay.nemb, m*len(lay.reps)
 	end := s.off[nr]
+	nw, _ := slices.BinarySearch(s.wideAt, int32(ne))
 	return Rows{
 		lay:    lay,
 		n:      m,
 		proc:   s.proc[:np:np],
 		shapes: s.shapes[:np:np],
-		emb:    s.emb[:ne:ne],
+		emb:    s.emb[: ne*embed.Dim : ne*embed.Dim],
+		norms:  s.norms[:ne:ne],
+		wide:   s.wide[: nw*embed.Dim : nw*embed.Dim],
+		wideAt: s.wideAt[:nw:nw],
 		off:    s.off[: nr+1 : nr+1],
 		slots:  s.slots[:end:end],
 		counts: s.counts[:end:end],
@@ -599,7 +661,7 @@ func (s *Rows) Tail(m int) Rows {
 // processed strings and embeddings.
 type Record struct {
 	proc [numPre]string
-	emb  [numPre][]float64
+	emb  [numPre]embed.Lanes
 }
 
 // record returns the strings and embeddings of row i. They alias the
@@ -608,12 +670,11 @@ func (s *Rows) record(i int) Record {
 	var r Record
 	lay := s.lay
 	for pi := 0; pi < numPre; pi++ {
-		if k := lay.proc[pi]; k >= 0 {
-			r.proc[pi] = s.proc[i*lay.nproc+int(k)]
+		if lay.proc[pi] >= 0 {
+			r.proc[pi] = s.procAt(i, textproc.Option(pi))
 		}
 		if e := lay.emb[pi]; e >= 0 {
-			lo := (i*lay.nemb + int(e)) * embed.Dim
-			r.emb[pi] = s.emb[lo : lo+embed.Dim : lo+embed.Dim]
+			r.emb[pi] = s.lanes(i, int(e))
 		}
 	}
 	return r
@@ -771,8 +832,8 @@ func (v *Vocab) prepare(sd *Side, r int, slots []int32, counts []uint32, csum, c
 func (lay *layout) record(c *Counted) Record {
 	r := Record{proc: c.proc}
 	for pi := 0; pi < numPre; pi++ {
-		if e := int(lay.emb[pi]); e >= 0 {
-			r.emb[pi] = c.emb[e*embed.Dim : (e+1)*embed.Dim : (e+1)*embed.Dim]
+		if e := lay.emb[pi]; e >= 0 {
+			r.emb[pi] = c.emb[e].Lanes()
 		}
 	}
 	return r

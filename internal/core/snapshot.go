@@ -31,7 +31,8 @@ import (
 // The body stores the program (JSON, so snapshots stay debuggable), the row
 // arity, each compiled segment (blocking parts, alive bitmap, rows, count
 // rows, negative-rule word sets), the token IDF statistics, and the raw
-// live delta rows, which are replayed through the normal Add path at load.
+// live delta rows, which are replayed through the normal Add path at load
+// (storing the decoded rows themselves, not copies).
 // Strings decode as substrings of the mapped or loaded body; posting and
 // doc-gram lists and count-vector weights are aligned fixed-width
 // little-endian blocks aliased straight out of it. A row's blocking key
@@ -47,6 +48,15 @@ import (
 // per-token string comparison, and a dictionary token is hashed into the
 // column vocabulary once, on its first use, not once per row.
 //
+// Version 3 stores each embedding as its integer bucket counts (see
+// package embed): one lane-width byte, 1 when every count fits an int8
+// and 4 otherwise, then embed.Dim lanes of that width in little-endian
+// two's complement — 65 bytes an embedding instead of version 2's 512
+// bytes of float64s. A row of the benchmark ledger's program (three GED
+// pre-processings) stores 195 embedding bytes of its ~1,195 (2,543 in
+// version 2). A vector whose counts fit int8 is always written in the
+// 1-byte form. Norms are not stored: Load computes each from its lanes.
+//
 // Load never trusts the input: every count is bounds-checked against the
 // remaining bytes and every cross-reference is validated, so a truncated or
 // corrupted file yields a descriptive error, never a panic. Only the
@@ -55,7 +65,7 @@ import (
 
 const (
 	snapshotMagic     = "AFJS"
-	snapshotVersion   = 2
+	snapshotVersion   = 3
 	snapshotHeaderLen = 9 // magic + version byte + crc32c
 )
 
@@ -363,9 +373,7 @@ func (w *snapWriter) row(vocab *config.Vocab, r *config.Row, index *config.SlotI
 		}
 		w.str(r.Proc[pi])
 		if vocab.NeedEmb(pre) {
-			for _, v := range r.Emb[pi] {
-				w.f64(v)
-			}
+			w.lanes(&r.Emb[pi])
 		}
 		for ti := range r.Slots[pi] {
 			if !vocab.NeedCounts(pre, tokenize.Option(ti)) {
@@ -394,6 +402,23 @@ func (w *snapWriter) row(vocab *config.Vocab, r *config.Row, index *config.SlotI
 				w.uvarint(uint64(c))
 			}
 		}
+	}
+}
+
+// lanes writes one stored embedding: its lane width in bytes, then its
+// embed.Dim counts at that width, little-endian.
+func (w *snapWriter) lanes(l *embed.Lanes) {
+	if l.Narrow != nil {
+		w.buf.WriteByte(1)
+		for _, x := range l.Narrow {
+			w.buf.WriteByte(byte(x))
+		}
+		return
+	}
+	w.buf.WriteByte(4)
+	for _, x := range l.Wide {
+		binary.LittleEndian.PutUint32(w.tmp[:4], uint32(x))
+		w.buf.Write(w.tmp[:4])
 	}
 }
 
@@ -763,7 +788,7 @@ func decodeBody(blob string, opt Options) (*Table, error) {
 		}
 	}
 	if len(deltaRows) > 0 {
-		if _, err := t.Add(deltaRows); err != nil {
+		if _, err := t.add(deltaRows, false); err != nil {
 			return nil, fmt.Errorf("core: snapshot delta: %w", err)
 		}
 	}
@@ -844,7 +869,7 @@ func (t *Table) decodeSegment(r *snapReader) error {
 			}
 		}
 		rows := &pl.cols[j]
-		rows.Reserve(totalToks)
+		rows.Reserve(totalToks, n)
 		vocab.Reserve(len(dict))
 		var slotOf config.SlotIndex // dictionary index -> slot, -1 until first use
 		for pi := range slotOf {
@@ -911,11 +936,8 @@ func (r *snapReader) row(vocab *config.Vocab, dict []string, slotOf *config.Slot
 		}
 		dst.Proc[pi] = r.str()
 		if vocab.NeedEmb(pre) {
-			if dst.Emb[pi] == nil {
-				dst.Emb[pi] = make([]float64, embed.Dim)
-			}
-			for d := range dst.Emb[pi] {
-				dst.Emb[pi][d] = r.f64()
+			if err := r.lanes(&dst.Emb[pi]); err != nil {
+				return err
 			}
 		}
 		for ti := range dst.Slots[pi] {
@@ -978,6 +1000,44 @@ func (r *snapReader) row(vocab *config.Vocab, dict []string, slotOf *config.Slot
 	return r.err
 }
 
-// embedDim guards against a mismatch between the snapshot format and the
-// embedding dimension at compile time.
-var _ [embed.Dim]float64 = embed.Vector{}
+// lanes decodes one embedding written by snapWriter.lanes into dst. Narrow
+// lanes alias the blob; wide ones decode into dst's own buffer, and must
+// hold a count that does not fit int8 and make a vector a string could
+// embed to (embed.Valid), so its norm is exact.
+func (r *snapReader) lanes(dst *embed.Lanes) error {
+	if r.err != nil {
+		return r.err
+	}
+	if r.remaining() < 1 {
+		r.fail("truncated embedding")
+		return r.err
+	}
+	width := int(r.blob[r.pos])
+	r.pos++
+	if width != 1 && width != 4 {
+		r.fail("embedding lane width %d, want 1 or 4", width)
+		return r.err
+	}
+	if r.remaining() < width*embed.Dim {
+		r.fail("truncated embedding")
+		return r.err
+	}
+	b := r.blob[r.pos : r.pos+width*embed.Dim]
+	r.pos += width * embed.Dim
+	if width == 1 {
+		dst.Narrow = unsafe.Slice((*int8)(unsafe.Pointer(unsafe.StringData(b))), embed.Dim)
+		return nil
+	}
+	if dst.Wide == nil {
+		dst.Wide = make([]int32, embed.Dim)
+	}
+	for d := range dst.Wide {
+		dst.Wide[d] = int32(uint32(b[4*d]) | uint32(b[4*d+1])<<8 | uint32(b[4*d+2])<<16 | uint32(b[4*d+3])<<24)
+	}
+	var narrow [embed.Dim]int8
+	if embed.Narrow(narrow[:], dst.Wide) || !embed.Valid(dst.Wide) {
+		return fmt.Errorf("core: invalid snapshot: wide embedding lanes out of range")
+	}
+	dst.Narrow = nil
+	return nil
+}

@@ -131,11 +131,11 @@ func TestSnapshotSaveFile(t *testing.T) {
 // TestSnapshotBytesPinned pins the exact bytes Save writes for a
 // deterministic table with an IDF-weighted program that went through Add,
 // Remove and Compact: a change to the in-memory representation must not
-// move a single byte of the version-2 format. The table is built at
+// move a single byte of the version-3 format. The table is built at
 // parallelism 1, 2 and 4, since its rows are counted and interned on
 // workers, and every build must give the same bytes.
 func TestSnapshotBytesPinned(t *testing.T) {
-	const want = "42a5f4195eb89df8a960fdf968fd1c9c31ecd44bba934f7c64e9a09ee123b940"
+	const want = "cf6d3674ba244ca3811e4ae6f553b683363f5483f60c7d903abc829bef01ec3a"
 	for _, par := range []int{1, 2, 4} {
 		_, tab, _ := snapshotTableAt(t, par)
 		var buf bytes.Buffer

@@ -297,7 +297,7 @@ func (p *Program) newTable(width int, rows [][]string, opt Options, h *learnedL)
 	t.delta = t.newPayload(0)
 	if n := len(rows); n > 0 {
 		pl := t.newPayload(n)
-		t.appendRows(pl, rows, h, make([]config.Counted, min(n, config.BuildChunk)*ncols), t.parallelism)
+		t.appendRows(pl, rows, true, h, make([]config.Counted, min(n, config.BuildChunk)*ncols), t.parallelism)
 		if h != nil {
 			t.tix = h.index
 		} else {
@@ -357,16 +357,17 @@ func (t *Table) cellOf(row []string, j int) string {
 	return row[t.columns[j]]
 }
 
-// appendRows copies rows in as the next rows of pl and counts them live.
-// It is the one way rows enter a table (NewTable, Learn's handover and
-// Add), and the row builder a config.ProfileArena uses: records are
+// appendRows stores rows as the next rows of pl, each copied when copyRows
+// is set (rows the caller owns), and counts them live. It is the one way
+// rows enter a table (NewTable, Learn's handover, Add and a snapshot's
+// delta rows), and the row builder a config.ProfileArena uses: records are
 // counted (config.Vocab.CountRecord) one chunk at a time on up to
 // parallelism workers, then each column's chunk is interned and stored in
 // row order (config.Vocab.AppendChunk), and the vocabularies settle.
 // recs holds a chunk's counted records, column j's at [j*chunk,
 // (j+1)*chunk), so its length sets the chunk. h, when not nil, supplies
 // the rows' processed strings and word sets (see learnedL).
-func (t *Table) appendRows(pl *tablePayload, rows [][]string, h *learnedL, recs []config.Counted, parallelism int) {
+func (t *Table) appendRows(pl *tablePayload, rows [][]string, copyRows bool, h *learnedL, recs []config.Counted, parallelism int) {
 	n, first, chunk := len(rows), len(pl.rows), t.chunk(recs)
 	pl.rows = slices.Grow(pl.rows, n)[:first+n]
 	if t.hasRules {
@@ -377,10 +378,10 @@ func (t *Table) appendRows(pl *tablePayload, rows [][]string, h *learnedL, recs 
 		// One worker counts inline: a sequential caller (Add) builds no
 		// closure.
 		if w := parallel.Workers(parallelism, hi-lo); w == 1 {
-			t.countRows(pl, rows, h, recs, first, lo, lo, hi)
+			t.countRows(pl, rows, copyRows, h, recs, first, lo, lo, hi)
 		} else {
 			parallel.Shard(hi-lo, w, func(_, start, end int) {
-				t.countRows(pl, rows, h, recs, first, lo, lo+start, lo+end)
+				t.countRows(pl, rows, copyRows, h, recs, first, lo, lo+start, lo+end)
 			})
 		}
 		for j := range t.cols {
@@ -396,14 +397,18 @@ func (t *Table) appendRows(pl *tablePayload, rows [][]string, h *learnedL, recs 
 // appendRows).
 func (t *Table) chunk(recs []config.Counted) int { return max(len(recs)/max(len(t.cols), 1), 1) }
 
-// countRows copies rows [start, end) of the chunk starting at row lo in
-// as rows first+i of pl, with their word sets, and counts each program
-// column's cell into recs (laid out as appendRows says).
-func (t *Table) countRows(pl *tablePayload, rows [][]string, h *learnedL, recs []config.Counted, first, lo, start, end int) {
+// countRows stores rows [start, end) of the chunk starting at row lo as
+// rows first+i of pl (copies when copyRows is set), with their word sets,
+// and counts each program column's cell into recs (laid out as appendRows
+// says).
+func (t *Table) countRows(pl *tablePayload, rows [][]string, copyRows bool, h *learnedL, recs []config.Counted, first, lo, start, end int) {
 	chunk := t.chunk(recs)
 	var f textproc.Forms
 	for i := start; i < end; i++ {
-		row := append([]string(nil), rows[i]...)
+		row := rows[i]
+		if copyRows {
+			row = append([]string(nil), row...)
+		}
 		pl.rows[first+i] = row
 		var proc *textproc.Forms
 		if h != nil {
@@ -514,7 +519,11 @@ func (t *Table) Row(d int) ([]string, error) {
 // returns the new generation. Each row must have exactly RowWidth cells;
 // rows are copied. Cost is proportional to the added rows plus, when they
 // bring new tokens, one pass over the token vocabulary — never the table.
-func (t *Table) Add(rows [][]string) (uint64, error) {
+func (t *Table) Add(rows [][]string) (uint64, error) { return t.add(rows, true) }
+
+// add is Add, storing the rows themselves unless copyRows is set: a
+// snapshot's delta rows are already the loading table's own.
+func (t *Table) add(rows [][]string, copyRows bool) (uint64, error) {
 	if err := checkRows(rows, t.rowWidth); err != nil {
 		return 0, err
 	}
@@ -524,7 +533,7 @@ func (t *Table) Add(rows [][]string) (uint64, error) {
 		t.tix.AddDelta(t.keyOf(row))
 	}
 	//autofj:blocking at parallelism 1 the builder counts and interns inline: no goroutine is started or waited on under the lock
-	t.appendRows(t.delta, rows, nil, t.recs, 1)
+	t.appendRows(t.delta, rows, copyRows, nil, t.recs, 1)
 	t.k = blocking.K(t.tix.Len(), t.beta)
 	t.statsGen++
 	t.growBalls()

@@ -3,6 +3,7 @@ package embed
 import (
 	"hash/fnv"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -21,10 +22,13 @@ func TestEmbedUnitNorm(t *testing.T) {
 	f := func(s string) bool {
 		v := Embed(s)
 		if s == "" {
-			return v == Vector{}
+			return v == Vector{} && v.Unit() == [Dim]float64{}
+		}
+		if v.Norm() == 0 {
+			return false
 		}
 		var n float64
-		for _, x := range v {
+		for _, x := range v.Unit() {
 			n += x * x
 		}
 		return math.Abs(n-1) < 1e-9
@@ -85,9 +89,10 @@ func TestEmptyConventions(t *testing.T) {
 	}
 }
 
-// referenceEmbed is the pre-inlining implementation (hash/fnv over
-// tokenize.QGrams grams); Embed must stay bit-identical to it.
-func referenceEmbed(s string) Vector {
+// referenceCounts is the pre-inlining implementation (hash/fnv over
+// tokenize.QGrams grams): the signed bucket counts, with the one-hot
+// fallback when they all cancel. Embed must equal it.
+func referenceCounts(s string) Vector {
 	var v Vector
 	if s == "" {
 		return v
@@ -96,28 +101,38 @@ func referenceEmbed(s string) Vector {
 		h := fnv.New64a()
 		h.Write([]byte(g))
 		sum := h.Sum64()
-		idx := int(sum % Dim)
-		sign := 1.0
 		if (sum>>32)&1 == 1 {
-			sign = -1.0
+			v[sum%Dim]--
+		} else {
+			v[sum%Dim]++
 		}
-		v[idx] += sign
 	}
-	var norm float64
-	for _, x := range v {
-		norm += x * x
-	}
-	if norm == 0 {
+	if v == (Vector{}) {
 		h := fnv.New64a()
 		h.Write([]byte(s))
-		v[int(h.Sum64()%Dim)] = 1
-		return v
-	}
-	norm = math.Sqrt(norm)
-	for i := range v {
-		v[i] /= norm
+		v[h.Sum64()%Dim] = 1
 	}
 	return v
+}
+
+// referenceUnit is the float64 vector embeddings were stored as before
+// they were kept as integer counts: the counts over their norm, both
+// accumulated in float64. Unit must equal it bit for bit.
+func referenceUnit(v Vector) [Dim]float64 {
+	var u [Dim]float64
+	var norm float64
+	for i, x := range v {
+		u[i] = float64(x)
+		norm += u[i] * u[i]
+	}
+	if norm == 0 {
+		return u
+	}
+	norm = math.Sqrt(norm)
+	for i := range u {
+		u[i] /= norm
+	}
+	return u
 }
 
 func TestEmbedMatchesReference(t *testing.T) {
@@ -125,13 +140,16 @@ func TestEmbedMatchesReference(t *testing.T) {
 		"a", "ab", "abc", "wisconsin badgers", "héllo wörld",
 		"日本語テキスト", "x\xffy", "   ", "##", "madison",
 	}
+	same := func(s string) bool {
+		v := Embed(s)
+		return v == referenceCounts(s) && v.Unit() == referenceUnit(v)
+	}
 	for _, s := range cases {
-		if got, want := Embed(s), referenceEmbed(s); got != want {
+		if !same(s) {
 			t.Errorf("Embed(%q) diverged from the hash/fnv reference", s)
 		}
 	}
-	f := func(s string) bool { return Embed(s) == referenceEmbed(s) }
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(same, nil); err != nil {
 		t.Error(err)
 	}
 }
@@ -141,5 +159,72 @@ func TestEmbedZeroAlloc(t *testing.T) {
 		_ = Embed("wisconsin badgers football 1998")
 	}); n != 0 {
 		t.Errorf("Embed allocates %v times per call, want 0", n)
+	}
+}
+
+// TestLanesExact: CosineDistanceLanes gives CosineDistance's bits whatever
+// lane width either side is stored in, for counts that fit int8 and for
+// counts past int8 and int16, which only wide lanes hold.
+func TestLanesExact(t *testing.T) {
+	strs := []string{
+		"", "a", "wisconsin badgers football", "badgers wisconsin",
+		strings.Repeat("a", 300), strings.Repeat("a", 40000), strings.Repeat("ab", 200),
+	}
+	lanes := func(v *Vector) []Lanes {
+		out := []Lanes{v.Lanes()}
+		var narrow [Dim]int8
+		if Narrow(narrow[:], v[:]) {
+			out = append(out, Lanes{Narrow: narrow[:], Norm: NormOf(narrow[:])})
+		} else if fits(v) {
+			t.Fatalf("Narrow refused counts that fit")
+		}
+		return out
+	}
+	for _, a := range strs {
+		va := Embed(a)
+		if !Valid(va[:]) {
+			t.Fatalf("Embed of a %d-byte string is not Valid", len(a))
+		}
+		for _, b := range strs {
+			vb := Embed(b)
+			want := CosineDistance(va, vb)
+			for _, la := range lanes(&va) {
+				for _, lb := range lanes(&vb) {
+					if got := CosineDistanceLanes(la, lb); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%d and %d bytes: lanes %v, vectors %v", len(a), len(b), got, want)
+					}
+				}
+			}
+		}
+	}
+	if d := Distance(strings.Repeat("a", 300), strings.Repeat("a", 301)); d <= 0 || d > 1e-4 {
+		t.Errorf("runs of 300 and 301 a's are %v apart, want a small positive distance", d)
+	}
+}
+
+// fits reports whether every count of v fits an int8 lane.
+func fits(v *Vector) bool {
+	for _, x := range v {
+		if x < math.MinInt8 || x > math.MaxInt8 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestValidBound: Valid accepts counts whose magnitudes sum to the bound,
+// where the squared norm still fits an int64, and refuses one more.
+func TestValidBound(t *testing.T) {
+	var v Vector
+	v[0], v[1] = math.MaxInt32, int32(maxMass-math.MaxInt32)
+	if !Valid(v[:]) {
+		t.Fatal("counts summing to the bound refused")
+	}
+	if n := NormOf(v[:]); n <= 0 {
+		t.Fatalf("squared norm at the bound overflowed: %d", n)
+	}
+	v[2] = -1
+	if Valid(v[:]) {
+		t.Fatal("counts past the bound accepted")
 	}
 }

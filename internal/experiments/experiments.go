@@ -161,7 +161,7 @@ func RunSingleTask(task dataset.Task, cfg Config) TaskResult {
 		tr.StaticAR[fi] = metrics.AdjustedRecallFraction(joins, truth, tr.Precision)
 		tr.StaticAUC[fi] = metrics.PRAUC(joins, truth)
 	}
-	tr.UBR = baselines.UpperBoundRecall(left, right, cfg.Space, cands, truth)
+	tr.UBR = baselines.UpperBoundRecall(static, truth)
 
 	record := func(name string, joins []metrics.ScoredJoin, tru metrics.Truth, dur time.Duration) {
 		tr.MethodAR[name] = metrics.AdjustedRecallFraction(joins, tru, tr.Precision)
