@@ -18,7 +18,10 @@ func TestMatchZeroAllocSteadyState(t *testing.T) {
 	ctx := context.Background()
 	prog := tableTestProgram()
 	L := makeReference()
-	queries := oracleQueries(L)[:24]
+	var queries []string
+	for _, q := range modelSingleFixture().queries[:24] {
+		queries = append(queries, q[0])
+	}
 
 	m, err := prog.Compile(L, Options{Parallelism: 1})
 	if err != nil {

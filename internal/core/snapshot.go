@@ -773,7 +773,8 @@ func decodeBody(blob string, opt Options) (*Table, error) {
 		return nil, r.err
 	}
 
-	ndelta := r.count(max(2, width))
+	// Each cell costs at least its length byte.
+	ndelta := r.count(width)
 	deltaRows := r.rows(nil, ndelta, width)
 	if r.err != nil {
 		return nil, r.err

@@ -297,7 +297,7 @@ func (p *Program) newTable(width int, rows [][]string, opt Options, h *learnedL)
 	t.delta = t.newPayload(0)
 	if n := len(rows); n > 0 {
 		pl := t.newPayload(n)
-		t.appendRows(pl, rows, true, h, make([]config.Counted, min(n, config.BuildChunk)*ncols), t.parallelism)
+		t.appendRows(pl, rows, make([]string, n*t.rowWidth), h, make([]config.Counted, min(n, config.BuildChunk)*ncols), t.parallelism)
 		if h != nil {
 			t.tix = h.index
 		} else {
@@ -357,17 +357,19 @@ func (t *Table) cellOf(row []string, j int) string {
 	return row[t.columns[j]]
 }
 
-// appendRows stores rows as the next rows of pl, each copied when copyRows
-// is set (rows the caller owns), and counts them live. It is the one way
-// rows enter a table (NewTable, Learn's handover, Add and a snapshot's
-// delta rows), and the row builder a config.ProfileArena uses: records are
-// counted (config.Vocab.CountRecord) one chunk at a time on up to
-// parallelism workers, then each column's chunk is interned and stored in
-// row order (config.Vocab.AppendChunk), and the vocabularies settle.
+// appendRows stores rows as the next rows of pl and counts them live. Rows
+// the caller owns are copied into cells, one block of len(rows) × RowWidth
+// cells as a snapshot's rows are; nil cells stores the rows themselves.
+// It is the one way rows enter a table (NewTable, Learn's handover, Add
+// and a snapshot's delta rows), and the row builder a config.ProfileArena
+// uses: records are counted (config.Vocab.CountRecord) one chunk at a time
+// on up to parallelism workers, then each column's chunk is interned and
+// stored in row order (config.Vocab.AppendChunk), and the vocabularies
+// settle.
 // recs holds a chunk's counted records, column j's at [j*chunk,
 // (j+1)*chunk), so its length sets the chunk. h, when not nil, supplies
 // the rows' processed strings and word sets (see learnedL).
-func (t *Table) appendRows(pl *tablePayload, rows [][]string, copyRows bool, h *learnedL, recs []config.Counted, parallelism int) {
+func (t *Table) appendRows(pl *tablePayload, rows [][]string, cells []string, h *learnedL, recs []config.Counted, parallelism int) {
 	n, first, chunk := len(rows), len(pl.rows), t.chunk(recs)
 	pl.rows = slices.Grow(pl.rows, n)[:first+n]
 	if t.hasRules {
@@ -378,10 +380,10 @@ func (t *Table) appendRows(pl *tablePayload, rows [][]string, copyRows bool, h *
 		// One worker counts inline: a sequential caller (Add) builds no
 		// closure.
 		if w := parallel.Workers(parallelism, hi-lo); w == 1 {
-			t.countRows(pl, rows, copyRows, h, recs, first, lo, lo, hi)
+			t.countRows(pl, rows, cells, h, recs, first, lo, lo, hi)
 		} else {
 			parallel.Shard(hi-lo, w, func(_, start, end int) {
-				t.countRows(pl, rows, copyRows, h, recs, first, lo, lo+start, lo+end)
+				t.countRows(pl, rows, cells, h, recs, first, lo, lo+start, lo+end)
 			})
 		}
 		for j := range t.cols {
@@ -398,16 +400,17 @@ func (t *Table) appendRows(pl *tablePayload, rows [][]string, copyRows bool, h *
 func (t *Table) chunk(recs []config.Counted) int { return max(len(recs)/max(len(t.cols), 1), 1) }
 
 // countRows stores rows [start, end) of the chunk starting at row lo as
-// rows first+i of pl (copies when copyRows is set), with their word sets,
-// and counts each program column's cell into recs (laid out as appendRows
-// says).
-func (t *Table) countRows(pl *tablePayload, rows [][]string, copyRows bool, h *learnedL, recs []config.Counted, first, lo, start, end int) {
-	chunk := t.chunk(recs)
+// rows first+i of pl (copied into row i of cells when cells is not nil),
+// with their word sets, and counts each program column's cell into recs
+// (laid out as appendRows says).
+func (t *Table) countRows(pl *tablePayload, rows [][]string, cells []string, h *learnedL, recs []config.Counted, first, lo, start, end int) {
+	chunk, w := t.chunk(recs), t.rowWidth
 	var f textproc.Forms
 	for i := start; i < end; i++ {
 		row := rows[i]
-		if copyRows {
-			row = append([]string(nil), row...)
+		if cells != nil {
+			row = cells[i*w : (i+1)*w : (i+1)*w]
+			copy(row, rows[i])
 		}
 		pl.rows[first+i] = row
 		var proc *textproc.Forms
@@ -532,8 +535,12 @@ func (t *Table) add(rows [][]string, copyRows bool) (uint64, error) {
 	for _, row := range rows {
 		t.tix.AddDelta(t.keyOf(row))
 	}
+	var cells []string
+	if copyRows {
+		cells = make([]string, len(rows)*t.rowWidth)
+	}
 	//autofj:blocking at parallelism 1 the builder counts and interns inline: no goroutine is started or waited on under the lock
-	t.appendRows(t.delta, rows, copyRows, nil, t.recs, 1)
+	t.appendRows(t.delta, rows, cells, nil, t.recs, 1)
 	t.k = blocking.K(t.tix.Len(), t.beta)
 	t.statsGen++
 	t.growBalls()
