@@ -18,10 +18,7 @@ func TestMatchZeroAllocSteadyState(t *testing.T) {
 	ctx := context.Background()
 	prog := tableTestProgram()
 	L := makeReference()
-	var queries []string
-	for _, q := range modelSingleFixture().queries[:24] {
-		queries = append(queries, q[0])
-	}
+	queries := oracleQueries(L)[:24]
 
 	m, err := prog.Compile(L, Options{Parallelism: 1})
 	if err != nil {

@@ -187,6 +187,36 @@ func TestRoundTripReproducesLearnedJoinsMultiColumn(t *testing.T) {
 	}
 }
 
+// TestMatchAgreesWithBatch: single-record queries are the same function
+// as the batch path.
+func TestMatchAgreesWithBatch(t *testing.T) {
+	L, R := makeTask(t, 41, 4)
+	res, err := JoinTables(L, R, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := res.ToProgram().Compile(L, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := m.MatchBatch(context.Background(), R)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range R {
+		mt, ok, err := m.Match(context.Background(), rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok != (batch[i].Left >= 0) || mt != batch[i] {
+			t.Fatalf("record %d: Match %+v/%v vs batch %+v", i, mt, ok, batch[i])
+		}
+	}
+	if _, ok, err := m.Match(context.Background(), "zzz completely unrelated record 9000"); err != nil || ok {
+		t.Fatalf("unrelated record matched: ok=%v err=%v", ok, err)
+	}
+}
+
 // TestMatcherConcurrentUse hammers one Matcher from many goroutines; run
 // under -race this is the concurrency-safety contract.
 func TestMatcherConcurrentUse(t *testing.T) {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -76,10 +78,134 @@ func expectBallsOracle(t testing.TB, prog *Program, tab *Table, stage string, rn
 	return largest
 }
 
-// ballDirectional is the one asymmetric function of modelProgram:
-// the inclusion distance of the candidate in the center differs from the
-// reverse, so a fill that swaps the two sides disagrees with the oracle.
+// ballDirectional is the one asymmetric function of the ball programs and
+// of modelProgram: the inclusion distance of the candidate in the center
+// differs from the reverse, so a fill that swaps the two sides disagrees
+// with the oracle.
 var ballDirectional = ConfigurationSpec{Preprocess: "L", Tokenization: "SP", TokenWeights: "IDFW", Distance: "ID", Threshold: 0.15}
+
+// ballSingleProgram is tableTestProgram plus the directional function.
+func ballSingleProgram() *Program {
+	p := tableTestProgram()
+	p.Configurations = append(p.Configurations, ballDirectional)
+	return p
+}
+
+// ballSingleRows follows every eighth reference record with a copy missing
+// its first two words: a strict token subset of its neighbour, which is
+// what makes the directional function read differently from the two sides.
+func ballSingleRows(L []string) [][]string {
+	var rows [][]string
+	for i, rec := range L {
+		rows = append(rows, []string{rec})
+		if words := strings.Fields(rec); i%8 == 0 && len(words) > 3 {
+			rows = append(rows, []string{strings.Join(words[2:], " ")})
+		}
+	}
+	return rows
+}
+
+// ballMultiProgram is a hand-made two-column program over (title,
+// director) rows: IDF-weighted set distances, a character distance and
+// an embedding distance, so the multi-column fill folds all three kernel
+// families with the per-column float32 rounding.
+func ballMultiProgram() *Program {
+	return &Program{
+		Version: 1,
+		Configurations: []ConfigurationSpec{
+			{Preprocess: "L", Tokenization: "SP", TokenWeights: "IDFW", Distance: "JD", Threshold: 0.3},
+			{Preprocess: "L", Distance: "ED", Threshold: 0.2},
+			{Preprocess: "L", Distance: "GED", Threshold: 0.25},
+			{Preprocess: "L+S+RP", Tokenization: "SP", TokenWeights: "IDFW", Distance: "CD", Threshold: 0.35},
+			ballDirectional,
+		},
+		BlockingBeta: 2,
+		Columns:      []int{0, 1},
+		Weights:      []float64{0.6, 0.4},
+	}
+}
+
+// ballMultiRows are movie rows with holes: every third director and every
+// seventh title is empty, so ball candidates meet the both-cells-missing
+// rule as well as one-sided empties, and some titles recur without their
+// article.
+func ballMultiRows() [][]string {
+	leftCols, _, _ := makeMovieTables(false)
+	var rows [][]string
+	for i, title := range leftCols[0] {
+		row := []string{title, leftCols[1][i]}
+		if i%3 == 0 {
+			row[1] = ""
+		}
+		if i%7 == 0 {
+			row[0] = ""
+		}
+		rows = append(rows, row)
+		if i%5 == 1 { // a token-subset neighbour, for the directional function
+			rows = append(rows, []string{strings.TrimPrefix(title, "the "), row[1]})
+		}
+	}
+	return rows
+}
+
+// TestTableFusedBallsMatchOracle is the fused fill's contract: through
+// delta rows, tombstones, compactions and statistics-generation bumps,
+// fills under random group masks store exactly their mask's
+// configurations, and every configuration's ball of every live row equals
+// the one-function oracle's count.
+func TestTableFusedBallsMatchOracle(t *testing.T) {
+	L, _ := makeTask(t, 71, 3)
+	rng := rand.New(rand.NewSource(71))
+	cases := []struct {
+		name  string
+		prog  *Program
+		width int
+		rows  [][]string
+	}{
+		{"single-column", ballSingleProgram(), 1, ballSingleRows(L)},
+		{"multi-column", ballMultiProgram(), 2, ballMultiRows()},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := len(tc.rows)
+			tab, err := tc.prog.NewTable(tc.width, tc.rows[:n-30], Options{Parallelism: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			largest := expectBallsOracle(t, tc.prog, tab, "initial segment", rng)
+
+			if _, err := tab.Add(tc.rows[n-30 : n-10]); err != nil {
+				t.Fatal(err)
+			}
+			largest = max(largest, expectBallsOracle(t, tc.prog, tab, "live delta rows", rng))
+
+			// Tombstones in the segment and in the delta.
+			if _, err := tab.Remove([]int{0, 3, 21, n - 29, n - 12}); err != nil {
+				t.Fatal(err)
+			}
+			largest = max(largest, expectBallsOracle(t, tc.prog, tab, "tombstones", rng))
+
+			// Compaction keeps the statistics generation: the counts just
+			// filled are served from the cache over the new layout.
+			if did, err := tab.Compact(context.Background()); err != nil || !did {
+				t.Fatalf("compact: did=%v err=%v", did, err)
+			}
+			largest = max(largest, expectBallsOracle(t, tc.prog, tab, "after compaction", rng))
+
+			if _, err := tab.Add(tc.rows[n-10:]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tab.Remove([]int{1, tab.Len() - 1}); err != nil {
+				t.Fatal(err)
+			}
+			largest = max(largest, expectBallsOracle(t, tc.prog, tab, "post-compaction churn", rng))
+
+			if largest < 3 {
+				t.Fatalf("largest ball holds %d rows; the comparison is vacuous", largest)
+			}
+		})
+	}
+}
 
 // TestTableBallFillStoresJoinedGroups: a miss won by row l fills l's
 // ball under the groups of the configurations that joined to it, each
