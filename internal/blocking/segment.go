@@ -672,8 +672,9 @@ func (tx *TableIndex) appendTopK(dst []Candidate, sc *TableScratch, qgrams []int
 	// within a relative (m-1)·2^-53 of its exact value, and the exact
 	// subset sum is at most the exact whole. Inflating rest by m·2^-50 covers both errors and
 	// the rounding of the product, so an unreached row scores strictly below
-	// the k-th score and can neither beat nor tie it.
-	slack := 1 + float64(len(sc.order))*0x1p-50
+	// the k-th score and can neither beat nor tie it. The product is
+	// rounded before the sum, so no architecture fuses the two.
+	slack := 1 + float64(float64(len(sc.order))*0x1p-50)
 	for i, key := range sc.order {
 		if len(h) == k && sc.rest[i]*slack < h[0].Score {
 			break

@@ -57,7 +57,7 @@ func LearnProfiles(space []JoinFunction, parallelism int, collections ...[]strin
 // when c was built over the same collection, and then ArenaDistances
 // reproduces Evaluator.Distances on profs bit for bit.
 func (c *Corpus) BuildArena(profs []*Profile) *ProfileArena {
-	v := newVocab(&Corpus{needVec: c.needVec, needEmb: c.needEmb, needProc: c.needProc})
+	v := newVocab(newLayout(c))
 	return v.buildArena(len(profs), 0, func(dst *Counted, i int) {
 		v.CountRecord(dst, profs[i].Raw, nil)
 	})

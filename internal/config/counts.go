@@ -39,20 +39,6 @@ type Rep struct {
 	Tok tokenize.Option
 }
 
-// IDFReps lists the representation pairs for which the space needs IDF
-// statistics, in a fixed (pre, tok) order.
-func (c *Corpus) IDFReps() []Rep {
-	var reps []Rep
-	for p := 0; p < numPre; p++ {
-		for t := 0; t < numTok; t++ {
-			if c.needVec[p][t][weights.IDF] {
-				reps = append(reps, Rep{Pre: textproc.Option(p), Tok: tokenize.Option(t)})
-			}
-		}
-	}
-	return reps
-}
-
 // NeedCounts reports whether the space needs the token counts of (pre, tok)
 // — because it uses equal weighting directly, or as the base of a derived
 // IDF weighting.

@@ -53,11 +53,14 @@ type layout struct {
 	emb      [numPre]int8
 	rep      [numPre][numTok]int8
 	reps     []Rep         // counted representations in ascending (pre, tok) order
+	idfReps  []Rep         // the representations the space weighs by IDF, in (pre, tok) order
 	forms    textproc.Mask // the options of proc
 	nproc    int
 	nemb     int
 }
 
+// newLayout returns the layout of the needs of c; the layout keeps a copy
+// of them, and nothing of c's statistics.
 func newLayout(c *Corpus) *layout {
 	lay := &layout{need: c.needVec, needProc: c.needProc, reps: make([]Rep, 0, numPre*numTok)}
 	for pi := 0; pi < numPre; pi++ {
@@ -73,9 +76,13 @@ func newLayout(c *Corpus) *layout {
 		}
 		for ti := 0; ti < numTok; ti++ {
 			lay.rep[pi][ti] = -1
-			if c.needProc[pi] && c.NeedCounts(textproc.Option(pi), tokenize.Option(ti)) {
+			rep := Rep{Pre: textproc.Option(pi), Tok: tokenize.Option(ti)}
+			if c.needProc[pi] && c.NeedCounts(rep.Pre, rep.Tok) {
 				lay.rep[pi][ti] = int8(len(lay.reps))
-				lay.reps = append(lay.reps, Rep{Pre: textproc.Option(pi), Tok: tokenize.Option(ti)})
+				lay.reps = append(lay.reps, rep)
+			}
+			if c.needVec[pi][ti][weights.IDF] {
+				lay.idfReps = append(lay.idfReps, rep)
 			}
 		}
 	}
@@ -103,7 +110,6 @@ func newLayout(c *Corpus) *layout {
 // Settle; CountRecord, the prepares and the readers are safe
 // for concurrent use between batches.
 type Vocab struct {
-	c    *Corpus // the space's needs; it holds no statistics
 	lay  *layout
 	reps []repVocab // by layout position
 	docs int        // live rows; the IDF table follows it at Settle
@@ -133,7 +139,7 @@ type repVocab struct {
 // NewVocab returns an empty vocabulary for one program column of a table
 // serving space.
 func NewVocab(space []JoinFunction) *Vocab {
-	v := newVocab(newCorpusNeeds(space))
+	v := newVocab(newLayout(newCorpusNeeds(space)))
 	clear(v.groups[:])
 	for fi, bit := range groupBits(space) {
 		if f := space[fi]; f.Dist.Class() == SetBased {
@@ -143,10 +149,9 @@ func NewVocab(space []JoinFunction) *Vocab {
 	return v
 }
 
-// newVocab returns an empty vocabulary for the needs of c, which holds no
-// statistics.
-func newVocab(c *Corpus) *Vocab {
-	v := &Vocab{c: c, lay: newLayout(c)}
+// newVocab returns an empty vocabulary of the layout lay.
+func newVocab(lay *layout) *Vocab {
+	v := &Vocab{lay: lay}
 	v.reps = make([]repVocab, len(v.lay.reps))
 	for r := range v.groups {
 		v.groups[r] = AllGroups
@@ -154,9 +159,9 @@ func newVocab(c *Corpus) *Vocab {
 	return v
 }
 
-// IDFReps lists the representations the space weighs by IDF (see
-// Corpus.IDFReps).
-func (v *Vocab) IDFReps() []Rep { return v.c.IDFReps() }
+// IDFReps lists the representations the space weighs by IDF, in a fixed
+// (pre, tok) order. The slice is shared; callers must not modify it.
+func (v *Vocab) IDFReps() []Rep { return v.lay.idfReps }
 
 // NeedProc reports whether a stored row holds the processed string under
 // pre.

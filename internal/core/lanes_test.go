@@ -23,7 +23,7 @@ func TestNewTableSlotCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pl := range tab.segs {
+	for _, pl := range tab.store.segs {
 		for j := range pl.cols {
 			rows := &pl.cols[j]
 			n, c := rows.Tokens(), rows.TokenCap()

@@ -89,6 +89,8 @@ func joinMultiColumn(leftCols, rightCols [][]string, opt Options, pairs pairSour
 			// Weighted tensor lookups need no kernel scratch; the fused
 			// "evaluation" is a per-function linear combination of the
 			// per-column tensors computed once before the weight search.
+			// Each product is rounded (float64(x*y)) before it is summed,
+			// so no architecture fuses it into a multiply-add.
 			newEval: func() pairEval {
 				return pairEval{
 					lr: func(r, ci int, _, out []float64) {
@@ -96,7 +98,7 @@ func joinMultiColumn(leftCols, rightCols [][]string, opt Options, pairs pairSour
 						for fi := range out {
 							var d float64
 							for _, j := range active {
-								d += w[j] * float64(tensors[j].lr[fi][idx])
+								d += float64(w[j] * float64(tensors[j].lr[fi][idx]))
 							}
 							out[fi] = d
 						}
@@ -106,7 +108,7 @@ func joinMultiColumn(leftCols, rightCols [][]string, opt Options, pairs pairSour
 						for fi := range out {
 							var d float64
 							for _, j := range active {
-								d += w[j] * float64(tensors[j].ll[fi][idx])
+								d += float64(w[j] * float64(tensors[j].ll[fi][idx]))
 							}
 							out[fi] = d
 						}

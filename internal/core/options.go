@@ -58,7 +58,9 @@ type Options struct {
 	// wholesale when full): 0 uses the built-in default of 4096, a
 	// negative value disables caching. Cached entries never change results
 	// — they are keyed by the table generation, so any mutation
-	// invalidates them — only whether a repeated query is re-scored.
+	// invalidates them — only whether a repeated query is re-scored. A
+	// query longer than 64 KiB is never cached, so the cached keys hold at
+	// most QueryCacheSize × 64 KiB bytes (256 MiB at the default).
 	QueryCacheSize int
 }
 

@@ -10,6 +10,14 @@ import (
 // surface forms (the benchmark workload) stays fully resident.
 const defaultQueryCacheSize = 4096
 
+// maxCachedKey bounds the bytes of a key the result cache stores and the
+// capacity of the key buffer a pooled query scratch keeps. A longer query
+// is answered as any other but is neither cached nor kept in a pooled key
+// buffer, so huge distinct queries cannot pin their keys. 64 KiB is far above the benchmark's queries
+// (perturbed records of about 70 bytes) and the longest query a test of
+// this package sends (40,000 bytes).
+const maxCachedKey = 64 << 10
+
 // queryEntry is one memoized answer: the final Match of a query surface
 // form and the table generation it was computed under. Nothing that went
 // into the answer (candidates, profiles) is retained.
@@ -31,7 +39,9 @@ type queryEntry struct {
 // reached, with no recency order: the steady state of a serving workload
 // is a hot working set well under the cap, and one flush costs a single
 // miss round instead of per-entry bookkeeping on the hit path. Entries of
-// older generations stay resident until overwritten or flushed.
+// older generations stay resident until overwritten or flushed. A key is
+// stored only up to maxCachedKey bytes, so the keys hold at most
+// cap × maxCachedKey bytes (256 MiB at the default cap of 4096).
 type queryCache struct {
 	cap    int
 	hits   atomic.Uint64
@@ -75,9 +85,9 @@ func (qc *queryCache) count(e queryEntry, hit bool) (Match, bool) {
 }
 
 // store records the answer for key under gen, flushing the whole map
-// first when full.
+// first when full. A key longer than maxCachedKey is not stored.
 func (qc *queryCache) store(key string, gen uint64, m Match) {
-	if qc.m == nil {
+	if qc.m == nil || len(key) > maxCachedKey {
 		return
 	}
 	qc.mu.Lock()

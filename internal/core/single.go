@@ -33,7 +33,7 @@ func Learn(left, right []string, opt Options) (*Result, *Table, error) {
 	if h.index == nil {
 		m, err = prog.Compile(left, opt)
 	} else {
-		m, err = prog.newTable(1, oneCellRows(left), opt, &h)
+		m, err = prog.newTable(1, opt, func(s *rowStore) error { return s.build(oneCellRows(left), &h, opt.Parallelism) })
 	}
 	if err != nil {
 		return nil, nil, err

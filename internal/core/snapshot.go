@@ -9,14 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"unsafe"
-
-	"github.com/chu-data-lab/autofuzzyjoin-go/internal/blocking"
-	"github.com/chu-data-lab/autofuzzyjoin-go/internal/config"
-	"github.com/chu-data-lab/autofuzzyjoin-go/internal/embed"
-	"github.com/chu-data-lab/autofuzzyjoin-go/internal/textproc"
-	"github.com/chu-data-lab/autofuzzyjoin-go/internal/tokenize"
 )
 
 // Binary snapshot format for compiled tables.
@@ -76,9 +69,13 @@ var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // Save writes a snapshot of the table's current generation to w.
 func (t *Table) Save(w io.Writer) error {
+	b := &snapWriter{}
+	b.str(string(t.progJSON))
+	b.uvarint(uint64(t.store.width))
 	t.mu.RLock()
-	body := t.encodeBody()
+	t.store.encode(b)
 	t.mu.RUnlock()
+	body := b.buf.Bytes()
 
 	var hdr [9]byte
 	copy(hdr[:4], snapshotMagic)
@@ -260,165 +257,6 @@ func (w *snapWriter) bitmap(bs []bool) {
 			}
 		}
 		w.buf.WriteByte(b)
-	}
-}
-
-// encodeBody serializes the table under the caller's read lock.
-func (t *Table) encodeBody() []byte {
-	w := &snapWriter{}
-	w.str(string(t.progJSON))
-	w.uvarint(uint64(t.rowWidth))
-
-	w.uvarint(uint64(t.tix.Segments()))
-	for si := 0; si < t.tix.Segments(); si++ {
-		seg := t.tix.Segment(si)
-		pl := t.segs[si]
-		n := seg.Len()
-		w.uvarint(uint64(n))
-		vocab, postings, docGrams := seg.Parts()
-		w.strs(vocab)
-		w.uvarint(uint64(len(postings)))
-		w.int32Lists(postings)
-		w.int32Lists(docGrams)
-		w.bitmap(t.tix.SegmentAlive(si))
-		for i := 0; i < n; i++ {
-			for _, cell := range pl.rows[i] {
-				w.str(cell)
-			}
-		}
-		for j, vocab := range t.cols {
-			rows := &pl.cols[j]
-			// The column's token dictionary: sorted distinct tokens, written
-			// once; count vectors below store indices into it.
-			dict, index := vocab.Dictionary(rows)
-			w.uvarint(uint64(rows.Tokens()))
-			w.strs(dict)
-			var row config.Row
-			for i := 0; i < n; i++ {
-				// Each row is length-prefixed so Load can verify it was
-				// consumed exactly and fail before any cross-row smearing.
-				// The prefix is fixed-width and backpatched after the write:
-				// a varint's width would depend on the row's length, which
-				// depends on the alignment padding, which depends on the
-				// prefix's width.
-				off := w.buf.Len()
-				w.buf.Write([]byte{0, 0, 0, 0})
-				rows.Get(i, &row)
-				w.row(vocab, &row, &index)
-				binary.LittleEndian.PutUint32(w.buf.Bytes()[off:off+4], uint32(w.buf.Len()-off-4))
-			}
-		}
-		if t.hasRules {
-			totalWords := 0
-			for i := 0; i < n; i++ {
-				totalWords += len(pl.words[i])
-			}
-			w.uvarint(uint64(totalWords))
-			for i := 0; i < n; i++ {
-				w.strs(pl.words[i])
-			}
-		}
-	}
-
-	// IDF statistics over every live row (segments and delta), per program
-	// column and IDF-weighted representation. Entries are token-sorted so
-	// snapshots stay byte-deterministic.
-	for _, vocab := range t.cols {
-		for _, rep := range t.reps {
-			w.uvarint(uint64(vocab.Docs()))
-			n := 0
-			for range vocab.DF(rep.Pre, rep.Tok) {
-				n++
-			}
-			w.uvarint(uint64(n))
-			for tok, df := range vocab.DF(rep.Pre, rep.Tok) {
-				w.str(tok)
-				w.uvarint(uint64(df))
-			}
-		}
-	}
-
-	// Live delta rows, replayed through Add at load.
-	live := 0
-	for i := 0; i < t.tix.DeltaRows(); i++ {
-		if t.tix.DeltaAlive(i) {
-			live++
-		}
-	}
-	w.uvarint(uint64(live))
-	for i := 0; i < t.tix.DeltaRows(); i++ {
-		if !t.tix.DeltaAlive(i) {
-			continue
-		}
-		for _, cell := range t.delta.rows[i] {
-			w.str(cell)
-		}
-	}
-	return w.buf.Bytes()
-}
-
-// row serializes the representation-need-guided parts of one stored row.
-// Raw is not stored (it equals the cell); proc strings, embeddings, and
-// count vectors are, because recomputing them is the bulk of compile
-// cost. Tokens are stored as gap-encoded varint indices into the column
-// dictionary: the first index raw, each later one as the (strictly
-// positive) increment over its predecessor — a slot run is in ascending
-// token order and the dictionary is sorted, so the gaps are small and
-// almost always one byte.
-func (w *snapWriter) row(vocab *config.Vocab, r *config.Row, index *config.SlotIndex) {
-	for pi := range r.Proc {
-		pre := textproc.Option(pi)
-		if !vocab.NeedProc(pre) {
-			continue
-		}
-		w.str(r.Proc[pi])
-		if vocab.NeedEmb(pre) {
-			w.lanes(&r.Emb[pi])
-		}
-		for ti := range r.Slots[pi] {
-			if !vocab.NeedCounts(pre, tokenize.Option(ti)) {
-				continue
-			}
-			slots := r.Slots[pi][ti]
-			w.uvarint(uint64(len(slots)))
-			var prev uint64
-			for i, sl := range slots {
-				idx := uint64(index[pi][ti][sl])
-				if i == 0 {
-					w.uvarint(idx)
-				} else {
-					w.uvarint(idx - prev)
-				}
-				prev = idx
-			}
-			// Sum and Norm are stored rather than recomputed at load — the
-			// saved table's exact bits. The counts themselves stay varints:
-			// they are whole numbers by construction and almost always one
-			// byte, and the smaller file beats an aliasable fixed-width block
-			// on the boot path (checksum and page-in touch every byte).
-			w.f64(r.Sum[pi][ti])
-			w.f64(r.Norm[pi][ti])
-			for _, c := range r.Counts[pi][ti] {
-				w.uvarint(uint64(c))
-			}
-		}
-	}
-}
-
-// lanes writes one stored embedding: its lane width in bytes, then its
-// embed.Dim counts at that width, little-endian.
-func (w *snapWriter) lanes(l *embed.Lanes) {
-	if l.Narrow != nil {
-		w.buf.WriteByte(1)
-		for _, x := range l.Narrow {
-			w.buf.WriteByte(byte(x))
-		}
-		return
-	}
-	w.buf.WriteByte(4)
-	for _, x := range l.Wide {
-		binary.LittleEndian.PutUint32(w.tmp[:4], uint32(x))
-		w.buf.Write(w.tmp[:4])
 	}
 }
 
@@ -694,7 +532,8 @@ func (r *snapReader) bitmap(n int) []bool {
 }
 
 // decodeBody decodes a full snapshot (header included, already verified);
-// positions in error messages are absolute file offsets.
+// positions in error messages are absolute file offsets. The store is
+// decoded first, then the table built around it (see newTable).
 func decodeBody(blob string, opt Options) (*Table, error) {
 	r := &snapReader{blob: blob, pos: snapshotHeaderLen}
 	progJSON := r.str()
@@ -712,333 +551,10 @@ func decodeBody(blob string, opt Options) (*Table, error) {
 	if width < 1 || width > 1<<20 {
 		return nil, fmt.Errorf("core: snapshot row width %d out of range", width)
 	}
-	t, err := prog.NewTable(width, nil, opt)
-	if err != nil {
+	var derr error
+	t, err := prog.newTable(width, opt, func(s *rowStore) error { derr = s.decode(r); return derr })
+	if err != nil && derr == nil {
 		return nil, fmt.Errorf("core: snapshot program does not compile: %w", err)
 	}
-
-	nseg := r.count(8)
-	for si := 0; si < nseg && r.err == nil; si++ {
-		if err := t.decodeSegment(r); err != nil {
-			return nil, err
-		}
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	for _, vocab := range t.cols {
-		vocab.Settle()
-	}
-	segLive := t.tix.Len()
-
-	// The serialized IDF statistics cover every live row, delta included, so
-	// they are read here but checked only after the delta replay below.
-	type loadedStats struct {
-		docs   int
-		tokens []string
-		dfs    []int
-	}
-	stats := make([]loadedStats, 0, len(t.cols)*len(t.reps))
-	for j := 0; j < len(t.cols) && r.err == nil; j++ {
-		for range t.reps {
-			// docs counts documents, not bytes, so it is not bounded by the
-			// remaining data; validate its range directly.
-			docs := r.uvarint()
-			if r.err == nil && docs > 1<<40 {
-				return nil, fmt.Errorf("core: invalid snapshot: document count %d out of range", docs)
-			}
-			nent := r.count(2)
-			ls := loadedStats{docs: int(docs), tokens: make([]string, nent), dfs: make([]int, nent)}
-			prev := ""
-			for i := 0; i < nent && r.err == nil; i++ {
-				tok := r.str()
-				df := r.uvarint()
-				if r.err != nil {
-					break
-				}
-				if i > 0 && tok <= prev {
-					return nil, fmt.Errorf("core: invalid snapshot: df tokens out of order")
-				}
-				prev = tok
-				if df < 1 || df > docs {
-					return nil, fmt.Errorf("core: invalid snapshot: df %d out of range for %d documents", df, docs)
-				}
-				ls.tokens[i] = tok
-				ls.dfs[i] = int(df)
-			}
-			stats = append(stats, ls)
-		}
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-
-	// Each cell costs at least its length byte.
-	ndelta := r.count(width)
-	deltaRows := r.rows(nil, ndelta, width)
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("core: snapshot has %d trailing bytes", r.remaining())
-	}
-	for _, ls := range stats {
-		if ls.docs != segLive+ndelta {
-			return nil, fmt.Errorf("core: invalid snapshot: statistics cover %d documents, table has %d live rows",
-				ls.docs, segLive+ndelta)
-		}
-	}
-	if len(deltaRows) > 0 {
-		if _, err := t.add(deltaRows, false); err != nil {
-			return nil, fmt.Errorf("core: snapshot delta: %w", err)
-		}
-	}
-	// The vocabularies counted the live rows as they loaded; the stored
-	// statistics must say the same, entry for entry.
-	si := 0
-	for _, vocab := range t.cols {
-		for _, rep := range t.reps {
-			ls := stats[si]
-			si++
-			k := 0
-			for tok, df := range vocab.DF(rep.Pre, rep.Tok) {
-				if k == len(ls.tokens) || ls.tokens[k] != tok || ls.dfs[k] != df {
-					return nil, fmt.Errorf("core: invalid snapshot: statistics disagree with the stored rows")
-				}
-				k++
-			}
-			if k != len(ls.tokens) {
-				return nil, fmt.Errorf("core: invalid snapshot: statistics disagree with the stored rows")
-			}
-		}
-	}
-	t.gen.Store(1)
-	return t, nil
-}
-
-// decodeSegment reads one compiled segment with its payload and attaches
-// both to the (load-phase, unshared) table, counting its live rows into
-// the column vocabularies.
-//
-// Decoding is allocation-frugal on purpose: the serialized totals let
-// every posting list, doc-gram list, row cell and slot run be carved out
-// of one block per kind, instead of one heap object each. Per-object
-// allocation (and the GC traffic it causes) dominated load time before
-// this; the blocks are what keeps snapshot boot far cheaper than a
-// recompile.
-func (t *Table) decodeSegment(r *snapReader) error {
-	n := r.count(2)
-	vocab := r.strs()
-	npost := r.count(1)
-	if r.err != nil {
-		return r.err
-	}
-	if npost != len(vocab) {
-		return fmt.Errorf("core: invalid snapshot: %d posting lists for %d grams", npost, len(vocab))
-	}
-	postings := r.int32Lists(npost)
-	docGrams := r.int32Lists(n)
-	alive := r.bitmap(n)
-	if r.err != nil {
-		return r.err
-	}
-	seg, err := blocking.NewSegmentFromParts(n, vocab, postings, docGrams)
-	if err != nil {
-		return fmt.Errorf("core: invalid snapshot: %w", err)
-	}
-
-	if cells := n * t.rowWidth; cells > r.remaining() {
-		// Every cell costs at least its one length byte, so a row count the
-		// data cannot back fails here, before the block allocations.
-		r.fail("%d row cells overrun data", cells)
-		return r.err
-	}
-	pl := t.newPayload(n)
-	pl.rows = r.rows(pl.rows, n, t.rowWidth)
-	var row config.Row
-	for j, vocab := range t.cols {
-		totalToks := r.count(1)
-		dict := r.strs()
-		if r.err != nil {
-			return r.err
-		}
-		for i := 1; i < len(dict); i++ {
-			// A sorted dictionary is what makes "ascending indices" mean
-			// "ascending tokens" for every slot run decoded below.
-			if dict[i] <= dict[i-1] {
-				return fmt.Errorf("core: invalid snapshot: token dictionary out of order")
-			}
-		}
-		rows := &pl.cols[j]
-		rows.Reserve(totalToks, n)
-		vocab.Reserve(len(dict))
-		var slotOf config.SlotIndex // dictionary index -> slot, -1 until first use
-		for pi := range slotOf {
-			for ti := range slotOf[pi] {
-				if vocab.NeedCounts(textproc.Option(pi), tokenize.Option(ti)) {
-					slotOf[pi][ti] = make([]int32, len(dict))
-					for k := range slotOf[pi][ti] {
-						slotOf[pi][ti][k] = -1
-					}
-				}
-			}
-		}
-		for i := 0; i < n; i++ {
-			ln := r.u32()
-			if r.err != nil {
-				return r.err
-			}
-			end := r.pos + ln
-			if err := r.row(vocab, dict, &slotOf, &row, &totalToks); err != nil {
-				return err
-			}
-			if r.pos != end {
-				return fmt.Errorf("core: invalid snapshot: row length prefix off by %d bytes", end-r.pos)
-			}
-			rows.Append(&row)
-			if alive[i] {
-				vocab.Count(rows, i, 1)
-			}
-		}
-	}
-	if t.hasRules {
-		wordsArena := make([]string, r.count(1))
-		pl.words = pl.words[:n]
-		for i := 0; i < n; i++ {
-			pl.words[i] = r.strsArena(&wordsArena)
-		}
-	}
-	if r.err != nil {
-		return r.err
-	}
-
-	t.tix.AttachSegment(seg, alive, true)
-	t.segs = append(t.segs, pl)
-	t.k = blocking.K(t.tix.Len(), t.beta)
-	t.growBalls()
-	return nil
-}
-
-// row decodes one stored row of the vocab's column into dst, whose buffers it
-// reuses. Tokens arrive as gap-encoded indices into the column dictionary;
-// strictly positive gaps against a validated-sorted dictionary guarantee
-// the decoded slot run is in ascending token order without comparing a
-// single string, and slotOf resolves each index to its vocabulary slot,
-// interning the dictionary token on its first use. Sum and Norm of each
-// count vector carry the saved table's exact bits; count positivity is
-// validated so a corrupted snapshot cannot smuggle in a vector the
-// distance kernels would misbehave on. budget is the number of token
-// entries the column still declares.
-func (r *snapReader) row(vocab *config.Vocab, dict []string, slotOf *config.SlotIndex, dst *config.Row, budget *int) error {
-	for pi := range dst.Proc {
-		pre := textproc.Option(pi)
-		if !vocab.NeedProc(pre) {
-			continue
-		}
-		dst.Proc[pi] = r.str()
-		if vocab.NeedEmb(pre) {
-			if err := r.lanes(&dst.Emb[pi]); err != nil {
-				return err
-			}
-		}
-		for ti := range dst.Slots[pi] {
-			tok := tokenize.Option(ti)
-			if !vocab.NeedCounts(pre, tok) {
-				continue
-			}
-			nt := r.count(1)
-			if r.err != nil {
-				return r.err
-			}
-			if nt > *budget {
-				r.fail("count vector exceeds the declared token total")
-				return r.err
-			}
-			*budget -= nt
-			slots, counts := slices.Grow(dst.Slots[pi][ti][:0], nt), slices.Grow(dst.Counts[pi][ti][:0], nt)
-			var idx uint64
-			for i := 0; i < nt; i++ {
-				gap := r.uvarint()
-				if r.err != nil {
-					return r.err
-				}
-				if i == 0 {
-					idx = gap
-				} else {
-					if gap == 0 {
-						return fmt.Errorf("core: invalid snapshot: count vector tokens out of order")
-					}
-					idx += gap
-				}
-				if idx >= uint64(len(dict)) {
-					return fmt.Errorf("core: invalid snapshot: token index %d out of dictionary range %d", idx, len(dict))
-				}
-				sl := slotOf[pi][ti][idx]
-				if sl < 0 {
-					var err error
-					if sl, err = vocab.Intern(pre, tok, dict[idx]); err != nil {
-						return fmt.Errorf("core: invalid snapshot: %w", err)
-					}
-					slotOf[pi][ti][idx] = sl
-				}
-				slots = append(slots, sl)
-			}
-			dst.Sum[pi][ti] = r.f64()
-			dst.Norm[pi][ti] = r.f64()
-			for range slots {
-				c := r.uvarint()
-				if r.err != nil {
-					return r.err
-				}
-				if c == 0 || c > math.MaxUint32 {
-					return fmt.Errorf("core: invalid snapshot: token count %d out of range", c)
-				}
-				counts = append(counts, uint32(c))
-			}
-			dst.Slots[pi][ti], dst.Counts[pi][ti] = slots, counts
-		}
-	}
-	return r.err
-}
-
-// lanes decodes one embedding written by snapWriter.lanes into dst. Narrow
-// lanes alias the blob; wide ones decode into dst's own buffer, and must
-// hold a count that does not fit int8 and make a vector a string could
-// embed to (embed.Valid), so its norm is exact.
-func (r *snapReader) lanes(dst *embed.Lanes) error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.remaining() < 1 {
-		r.fail("truncated embedding")
-		return r.err
-	}
-	width := int(r.blob[r.pos])
-	r.pos++
-	if width != 1 && width != 4 {
-		r.fail("embedding lane width %d, want 1 or 4", width)
-		return r.err
-	}
-	if r.remaining() < width*embed.Dim {
-		r.fail("truncated embedding")
-		return r.err
-	}
-	b := r.blob[r.pos : r.pos+width*embed.Dim]
-	r.pos += width * embed.Dim
-	if width == 1 {
-		dst.Narrow = unsafe.Slice((*int8)(unsafe.Pointer(unsafe.StringData(b))), embed.Dim)
-		return nil
-	}
-	if dst.Wide == nil {
-		dst.Wide = make([]int32, embed.Dim)
-	}
-	for d := range dst.Wide {
-		dst.Wide[d] = int32(uint32(b[4*d]) | uint32(b[4*d+1])<<8 | uint32(b[4*d+2])<<16 | uint32(b[4*d+3])<<24)
-	}
-	var narrow [embed.Dim]int8
-	if embed.Narrow(narrow[:], dst.Wide) || !embed.Valid(dst.Wide) {
-		return fmt.Errorf("core: invalid snapshot: wide embedding lanes out of range")
-	}
-	dst.Narrow = nil
-	return nil
+	return t, err
 }

@@ -437,11 +437,11 @@ func gramProgram() *Program {
 func gramTokens(tab *Table) [][]string {
 	var out [][]string
 	for _, pre := range textproc.Options() {
-		if !tab.cols[0].NeedCounts(pre, tokenize.QGram3) {
+		if !tab.store.cols[0].NeedCounts(pre, tokenize.QGram3) {
 			continue
 		}
 		var toks []string
-		for tok := range tab.cols[0].DF(pre, tokenize.QGram3) {
+		for tok := range tab.store.cols[0].DF(pre, tokenize.QGram3) {
 			toks = append(toks, tok)
 		}
 		out = append(out, toks)

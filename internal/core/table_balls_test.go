@@ -383,7 +383,7 @@ func TestTableBallFillsUnderTraffic(t *testing.T) {
 			for round := 0; !done.Load() || round < 4; round++ {
 				tab.mu.RLock()
 				ms, ms2 := tab.getScratch(), tab.getScratch()
-				nc, n := len(tab.configs), tab.tix.Len()
+				nc, n := len(tab.configs), tab.store.tix.Len()
 				tag := uint64(tab.statsGen) << 32
 				// Windows overlap between neighbouring goroutines and drift
 				// across rounds, so the same rows are filled concurrently.

@@ -274,13 +274,13 @@ func (r *modelRun) remove() string {
 func (r *modelRun) compact() string {
 	r.logf("Compact, %d delta rows", r.tabs[0].tab.DeltaLen())
 	for _, mt := range r.tabs {
-		segs, want := slices.Clone(mt.tab.segs), mt.tab.DeltaLen() > 0 || mt.tab.needsMajorLocked()
+		segs, want := slices.Clone(mt.tab.store.segs), mt.tab.DeltaLen() > 0 || mt.tab.store.needsMajor()
 		ok, err := mt.tab.Compact(context.Background())
 		if err != nil || ok != want || mt.tab.SegmentCount() > maxTableSegments {
 			r.fatalf("%v: Compact swapped %v, want %v; %d segments, error %v", mt.v, ok, want, mt.tab.SegmentCount(), err)
 		}
 		r.setGen(mt, mt.tab.Generation(), ok, "Compact")
-		if ok && len(segs) > 0 && len(mt.tab.segs) == 1 && mt.tab.segs[0] != segs[0] && mt == r.tabs[0] {
+		if ok && len(segs) > 0 && len(mt.tab.store.segs) == 1 && mt.tab.store.segs[0] != segs[0] && mt == r.tabs[0] {
 			r.stats["majors"]++
 		}
 	}

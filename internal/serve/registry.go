@@ -53,6 +53,9 @@ type Registry struct {
 	// queue on the CPUs. Close takes every slot, so holding all of them
 	// means no admitted call is still running.
 	sem chan struct{}
+	// queue admits the callers waiting for a slot of sem, at most
+	// maxTableWaiters at once.
+	queue chan struct{}
 
 	compactKick chan struct{}
 
@@ -72,6 +75,7 @@ func NewRegistry(cfg Config, metrics *Metrics) *Registry {
 		metrics:     metrics,
 		progs:       make(map[string]*program),
 		sem:         make(chan struct{}, runtime.GOMAXPROCS(0)),
+		queue:       make(chan struct{}, maxTableWaiters),
 		compactKick: make(chan struct{}, 1),
 		stop:        make(chan struct{}),
 	}
@@ -264,22 +268,49 @@ func (r *Registry) QueryBatch(ctx context.Context, name string, rows [][]string)
 	return out, nil
 }
 
-// match runs one table call inside the in-flight bound. A caller waiting
-// for a slot leaves when its context ends or the registry starts shutting
-// down.
+// maxTableWaiters caps the callers parked for a table slot (see
+// Registry.sem). A caller past it is refused at once with ErrOverloaded
+// instead of holding its goroutine and decoded request while it waits.
+// 64 is far above the concurrency the daemon's tests and benchmark drive
+// (at most 8 concurrent callers; 2 benchmark clients).
+const maxTableWaiters = 64
+
+// match runs one table call inside the in-flight bound. A caller that
+// finds no free slot waits for one, unless maxTableWaiters callers are
+// already waiting; a waiting caller leaves when its context ends or the
+// registry starts shutting down.
 func (r *Registry) match(ctx context.Context, tab *core.Table, rows [][]string) (*core.TableBatch, error) {
 	select {
 	case r.sem <- struct{}{}:
-		defer func() { <-r.sem }()
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-r.stop:
-		return nil, ErrShuttingDown
+	default:
+		if err := r.wait(ctx); err != nil {
+			return nil, err
+		}
 	}
+	defer func() { <-r.sem }()
 	if r.stopped.Load() { // the slot was won in a race with Close
 		return nil, ErrShuttingDown
 	}
 	return tab.MatchBatchAt(ctx, rows)
+}
+
+// wait parks the caller until it takes a table slot, as one of at most
+// maxTableWaiters waiters.
+func (r *Registry) wait(ctx context.Context) error {
+	select {
+	case r.queue <- struct{}{}:
+		defer func() { <-r.queue }()
+	default:
+		return ErrOverloaded
+	}
+	select {
+	case r.sem <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-r.stop:
+		return ErrShuttingDown
+	}
 }
 
 // TableUpdate reports the outcome of a reference-table mutation: the new

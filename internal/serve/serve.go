@@ -45,6 +45,9 @@ import (
 var (
 	ErrUnknownProgram = errors.New("serve: unknown program")
 	ErrShuttingDown   = errors.New("serve: shutting down")
+	// ErrOverloaded refuses a query when every table slot is busy and
+	// the queue of callers waiting for one is full; retry later.
+	ErrOverloaded = errors.New("serve: overloaded, retry later")
 )
 
 // ProgramSpec names one program and says where its pieces come from.

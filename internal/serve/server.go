@@ -316,7 +316,7 @@ func statusOf(err error) int {
 	switch {
 	case errors.Is(err, ErrUnknownProgram):
 		return http.StatusNotFound
-	case errors.Is(err, ErrShuttingDown):
+	case errors.Is(err, ErrShuttingDown), errors.Is(err, ErrOverloaded):
 		return http.StatusServiceUnavailable
 	case errors.As(err, &arity):
 		return http.StatusBadRequest
@@ -361,5 +361,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
+	if errors.Is(err, ErrOverloaded) {
+		w.Header().Set("Retry-After", "1") // seconds; a table slot frees in milliseconds
+	}
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }

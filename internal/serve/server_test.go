@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -421,5 +422,97 @@ func TestServerBodyLimits(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("register with a %d-byte body = %d", len(padded), resp.StatusCode)
+	}
+}
+
+// TestServerOverload: with every table slot held, maxTableWaiters queries
+// wait for one and every query past them is refused at once with 503 and
+// a Retry-After header; once the slots free up, the waiting queries answer
+// as they do on an idle server.
+func TestServerOverload(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	if err := srv.reg.Register(testSpec("orgs")); err != nil {
+		t.Fatal(err)
+	}
+	srv.SetReady(true)
+	type answer struct {
+		query string
+		code  int
+		retry string
+		resp  queryResponse
+		err   error
+	}
+	get := func(q string) answer {
+		a := answer{query: q}
+		resp, err := http.Get(ts.URL + "/v1/programs/orgs/query?q=" + url.QueryEscape(q))
+		if err != nil {
+			a.err = err
+			return a
+		}
+		defer resp.Body.Close()
+		a.code, a.retry = resp.StatusCode, resp.Header.Get("Retry-After")
+		if a.code == http.StatusOK {
+			a.err = json.NewDecoder(resp.Body).Decode(&a.resp)
+			a.resp.Cached = false // a repeat is cached; the answer is the same
+		}
+		return a
+	}
+	queries := []string{"alpha reserch institute", "bravo analytcs bureau", "delta histry museum", "zzz unrelated"}
+	want := map[string]queryResponse{}
+	for _, q := range queries {
+		a := get(q)
+		if a.err != nil || a.code != http.StatusOK {
+			t.Fatalf("idle query %q: status %d, err %v", q, a.code, a.err)
+		}
+		want[q] = a.resp
+	}
+	if !want[queries[0]].Match || want[queries[3]].Match {
+		t.Fatalf("vacuous fixture: %+v", want)
+	}
+
+	held := cap(srv.reg.sem)
+	for range held { // stand in for admitted table calls
+		srv.reg.sem <- struct{}{}
+	}
+	release := func() {
+		for ; held > 0; held-- {
+			<-srv.reg.sem
+		}
+	}
+	t.Cleanup(release) // a failed run must not leave the waiters parked
+	const excess = 8
+	answers := make(chan answer, maxTableWaiters+excess)
+	for i := range maxTableWaiters + excess {
+		go func() { answers <- get(queries[i%len(queries)]) }()
+	}
+	// No waiter can leave while the slots are held, so the first answers
+	// are exactly the refused ones.
+	next := func() answer {
+		t.Helper()
+		select {
+		case a := <-answers:
+			return a
+		case <-time.After(30 * time.Second):
+			t.Fatal("no answer within 30 s")
+		}
+		return answer{}
+	}
+	for range excess {
+		if a := next(); a.err != nil || a.code != http.StatusServiceUnavailable || a.retry == "" {
+			t.Fatalf("query past the waiter cap: status %d, Retry-After %q, err %v", a.code, a.retry, a.err)
+		}
+	}
+	if n := len(srv.reg.queue); n != maxTableWaiters {
+		t.Fatalf("%d queries waiting, want %d", n, maxTableWaiters)
+	}
+	release()
+	for range maxTableWaiters {
+		a := next()
+		if a.err != nil || a.code != http.StatusOK {
+			t.Fatalf("waiting query %q: status %d, err %v", a.query, a.code, a.err)
+		}
+		if a.resp != want[a.query] {
+			t.Errorf("waiting query %q: %+v, idle server %+v", a.query, a.resp, want[a.query])
+		}
 	}
 }
