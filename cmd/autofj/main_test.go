@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -272,6 +273,38 @@ func TestCLIFlagValidation(t *testing.T) {
 		"-left", leftPath, "-load-program", "x.json", "-save-program", "y.json",
 	}, strings.NewReader(""), io.Discard, io.Discard); err == nil {
 		t.Error("-load-program with -save-program accepted")
+	}
+}
+
+// TestNonFiniteOptionsExit: a NaN precision target or a non-finite
+// blocking factor makes the CLI exit 1 naming the option, instead of
+// learning a run greedy never stops on precision. The test binary
+// re-runs itself as the CLI (AUTOFJ_MAIN_ARGS holds the arguments) so
+// main's exit code is what is checked.
+func TestNonFiniteOptionsExit(t *testing.T) {
+	if args := os.Getenv("AUTOFJ_MAIN_ARGS"); args != "" {
+		os.Args = append([]string{"autofj"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	leftPath, rightPath := cliTables(t, t.TempDir())
+	for _, c := range []struct{ flags, want string }{
+		{"-tau NaN", "precision target"},
+		{"-beta NaN", "blocking factor"},
+		{"-beta +Inf", "blocking factor"},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestNonFiniteOptionsExit$")
+		cmd.Env = append(os.Environ(), "AUTOFJ_MAIN_ARGS=-left "+leftPath+" -right "+rightPath+" -space reduced "+c.flags)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%s: exit %v, want exit status 1", c.flags, err)
+		}
+		if !strings.Contains(stderr.String(), c.want) {
+			t.Errorf("%s: stderr %q does not name the %s", c.flags, stderr.String(), c.want)
+		}
 	}
 }
 

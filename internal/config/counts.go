@@ -129,7 +129,10 @@ func (run *tokenRun) count(tok tokenize.Option, s string) {
 	for _, c := range run.counts {
 		w := float64(c)
 		sum += w
-		norm += w * w
+		// An integer count's square is exact, so fusing it would give
+		// the same bits; it is rounded anyway so the arm64 listing
+		// holds no fused op to vet.
+		norm += float64(w * w)
 	}
 	run.sum, run.norm = sum, math.Sqrt(norm)
 }
@@ -230,7 +233,7 @@ func countVec(tok tokenize.Option, s string) distance.Sparse {
 	var norm float64
 	for _, w := range v.W {
 		v.Sum += w
-		norm += w * w
+		norm += float64(w * w) // an exact integer-count square; see tokenRun.count
 	}
 	v.Norm = math.Sqrt(norm)
 	return v
@@ -259,7 +262,7 @@ func weighIDF(dst []float64, counts *distance.Sparse, st *weights.Stats) (sum, n
 		}
 		dst[i] = w
 		sum += w
-		norm += w * w
+		norm += float64(w * w)
 	}
 	return sum, norm
 }

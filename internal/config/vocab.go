@@ -818,7 +818,7 @@ func (v *Vocab) prepare(sd *Side, r int, slots []int32, counts []uint32, csum, c
 				p.W[sl] = x
 			}
 			sum += x
-			norm += x * x
+			norm += float64(x * x)
 		}
 		p.Sum, p.Norm, p.N = sum, math.Sqrt(norm), n
 	}

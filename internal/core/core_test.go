@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -269,6 +270,19 @@ func TestEmptyInputs(t *testing.T) {
 func TestInvalidOptions(t *testing.T) {
 	if _, err := JoinTables([]string{"a"}, []string{"a"}, Options{PrecisionTarget: 1.5}); err == nil {
 		t.Error("expected error for precision target > 1")
+	}
+	for _, opt := range []Options{
+		{PrecisionTarget: math.NaN()},
+		{BlockingBeta: math.NaN()},
+		{BlockingBeta: math.Inf(1)},
+		{BlockingBeta: math.Inf(-1)},
+	} {
+		if err := opt.Validate(); err == nil {
+			t.Errorf("Validate accepted %+v", opt)
+		}
+		if _, err := JoinTables([]string{"a"}, []string{"a"}, opt); err == nil {
+			t.Errorf("JoinTables accepted τ %v, β %v", opt.PrecisionTarget, opt.BlockingBeta)
+		}
 	}
 }
 

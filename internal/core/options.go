@@ -7,6 +7,7 @@ package core
 
 import (
 	"errors"
+	"math"
 
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/config"
 )
@@ -86,8 +87,13 @@ func (o Options) withDefaults() Options {
 
 // Validate reports option errors that withDefaults cannot repair.
 func (o Options) Validate() error {
-	if o.PrecisionTarget > 1 {
+	// Every ordered comparison with NaN is false, so NaN is refused by
+	// name: greedy never stops on a NaN precision target.
+	if o.PrecisionTarget > 1 || math.IsNaN(o.PrecisionTarget) {
 		return errors.New("core: precision target must be in (0, 1]")
+	}
+	if math.IsNaN(o.BlockingBeta) || math.IsInf(o.BlockingBeta, 0) {
+		return errors.New("core: blocking factor must be finite")
 	}
 	if o.ThresholdSteps < 0 || o.WeightSteps < 0 || o.Parallelism < 0 {
 		return errors.New("core: negative step or parallelism values are invalid")

@@ -24,8 +24,9 @@ import (
 // The body stores the program (JSON, so snapshots stay debuggable), the row
 // arity, each compiled segment (blocking parts, alive bitmap, rows, count
 // rows, negative-rule word sets), the token IDF statistics, and the raw
-// live delta rows, which are replayed through the normal Add path at load
-// (storing the decoded rows themselves, not copies).
+// live delta rows, which the row store's builder (rowStore.appendRows)
+// stores at load with nil cells, keeping the decoded rows themselves, not
+// copies.
 // Strings decode as substrings of the mapped or loaded body; posting and
 // doc-gram lists and count-vector weights are aligned fixed-width
 // little-endian blocks aliased straight out of it. A row's blocking key

@@ -55,59 +55,6 @@ func snapshotTableAt(t *testing.T, parallelism int) (*Program, *Table, [][]strin
 	return prog, tab, toRows(R)
 }
 
-// TestSnapshotRoundTrip: Save -> Load reproduces the table bit-identically
-// — same rows, same answers as the original AND as the full-compile
-// oracle — and keeps serving mutations afterwards.
-func TestSnapshotRoundTrip(t *testing.T) {
-	prog, tab, queries := snapshotTable(t)
-	var buf bytes.Buffer
-	if err := tab.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadTable(buf.Bytes(), Options{Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Len() != tab.Len() || loaded.RowWidth() != tab.RowWidth() {
-		t.Fatalf("loaded %d rows width %d, want %d width %d",
-			loaded.Len(), loaded.RowWidth(), tab.Len(), tab.RowWidth())
-	}
-	if loaded.Generation() != 1 {
-		t.Fatalf("loaded table starts at generation %d, want 1", loaded.Generation())
-	}
-	origRows, loadRows := tab.Rows(), loaded.Rows()
-	for i := range origRows {
-		for c := range origRows[i] {
-			if origRows[i][c] != loadRows[i][c] {
-				t.Fatalf("row %d cell %d differs after round trip", i, c)
-			}
-		}
-	}
-	want, err := tab.MatchRows(context.Background(), queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := loaded.MatchRows(context.Background(), queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("query %d differs after round trip: %+v vs %+v", i, got[i], want[i])
-		}
-	}
-	expectOracle(t, prog, loaded, queries, "loaded snapshot")
-
-	// The loaded table keeps full mutability.
-	if _, err := loaded.Add(toRows([]string{"fresh row after load"})); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loaded.Compact(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	expectOracle(t, prog, loaded, queries, "loaded snapshot after churn")
-}
-
 // TestSnapshotSaveFile: the file form round-trips and replaces atomically.
 func TestSnapshotSaveFile(t *testing.T) {
 	_, tab, queries := snapshotTable(t)

@@ -13,15 +13,13 @@ import (
 )
 
 // compiledProgram is the serving state of one program version: the
-// mutable reference table (segments + delta) and the spec bookkeeping.
+// mutable reference table (segments + delta) under its name and version.
 // Swap-in replaces the whole value behind an atomic pointer; row
 // mutations go through the table itself and bump its generation.
 type compiledProgram struct {
-	name         string
-	table        *core.Table
-	column       string
-	snapshotPath string
-	gen          uint64 // monotonically increasing per program name
+	name  string
+	table *core.Table
+	gen   uint64 // monotonically increasing per program name
 }
 
 // program is one registry slot: the current compiled version and the

@@ -157,12 +157,7 @@ func (s ProgramSpec) resolve(opt core.Options) (*compiledProgram, error) {
 			if err != nil {
 				return nil, fmt.Errorf("serve: program %q: snapshot %s: %w", s.Name, s.SnapshotPath, err)
 			}
-			return &compiledProgram{
-				name:         s.Name,
-				table:        tab,
-				column:       s.Column,
-				snapshotPath: s.SnapshotPath,
-			}, nil
+			return &compiledProgram{name: s.Name, table: tab}, nil
 		}
 	}
 	progData := []byte(s.Program)
@@ -201,10 +196,5 @@ func (s ProgramSpec) resolve(opt core.Options) (*compiledProgram, error) {
 			return nil, fmt.Errorf("serve: program %q: writing snapshot: %w", s.Name, err)
 		}
 	}
-	return &compiledProgram{
-		name:         s.Name,
-		table:        tab,
-		column:       s.Column,
-		snapshotPath: s.SnapshotPath,
-	}, nil
+	return &compiledProgram{name: s.Name, table: tab}, nil
 }
