@@ -53,7 +53,7 @@ type Segment struct {
 // counted first and carved from one backing array each.
 func BuildSegment(keys []string, parallelism int) *Segment {
 	docKeys := make([][]uint64, len(keys))
-	parallel.Shard(len(keys), parallel.Workers(parallelism, len(keys)), func(_, start, end int) {
+	parallel.Shard(len(keys), parallel.Workers(parallelism, len(keys)), func(start, end int) {
 		// A worker's rows share one backing array, sized for every gram of
 		// its keys: a key of n runes pads to at most n+2 grams.
 		size := 0

@@ -76,7 +76,7 @@ func (v *Vocab) buildArena(n, parallelism int, count func(dst *Counted, i int)) 
 	recs := make([]Counted, min(n, BuildChunk))
 	for lo := 0; lo < n; lo += BuildChunk {
 		chunk := recs[:min(n-lo, BuildChunk)]
-		parallel.Shard(len(chunk), parallel.Workers(parallelism, len(chunk)), func(_, start, end int) {
+		parallel.Shard(len(chunk), parallel.Workers(parallelism, len(chunk)), func(start, end int) {
 			for i := start; i < end; i++ {
 				count(&chunk[i], lo+i)
 			}

@@ -156,7 +156,7 @@ func (c *Corpus) Profiles(records []string, parallelism int) []*Profile {
 // buildAll maps build over records on up to parallelism workers.
 func (c *Corpus) buildAll(records []string, parallelism int, build func(string) *Profile) []*Profile {
 	out := make([]*Profile, len(records))
-	parallel.Shard(len(records), parallel.Workers(parallelism, len(records)), func(_, start, end int) {
+	parallel.Shard(len(records), parallel.Workers(parallelism, len(records)), func(start, end int) {
 		for i := start; i < end; i++ {
 			out[i] = build(records[i])
 		}

@@ -299,7 +299,7 @@ func (v *Vocab) AppendChunk(rows *Rows, recs []Counted, parallelism int) {
 	if w := parallel.Workers(parallelism, nrep); w == 1 {
 		v.internChunk(rows, recs, first, 0, nrep)
 	} else {
-		parallel.Shard(nrep, w, func(_, start, end int) { v.internChunk(rows, recs, first, start, end) })
+		parallel.Shard(nrep, w, func(start, end int) { v.internChunk(rows, recs, first, start, end) })
 	}
 	v.docs += len(recs)
 }

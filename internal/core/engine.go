@@ -24,6 +24,17 @@ const maxBallCount = 250
 // its target, the triangle-inequality argument of Eq. 8.
 const ballRadius = 2
 
+// reciprocal[c] is 1/float64(c), the precision estimate (Eq. 9) of a join
+// whose 2θ-ball holds c records: ball counts fit a uint8, so the profit
+// sums look the quotient up instead of dividing at every step. A lookup
+// gives the bits of the division it replaces.
+var reciprocal = func() (t [256]float64) {
+	for c := range t {
+		t[c] = 1 / float64(c)
+	}
+	return t
+}()
+
 // engineInput abstracts the distance oracle so that the same greedy
 // machinery (Algorithm 1) serves both single-column joins (distances over
 // learn rows, see idPairs) and multi-column joins (weighted per-column
@@ -98,20 +109,9 @@ type ballPlan struct {
 	rowOff  []int32 // group offsets into rows, len(centers)+1
 	rows    []int32 // joinable indexes grouped by center, ascending inside a group
 	arena   []uint8 // backing storage for preparedFn.cnt, steps per row
-}
-
-// centerIndex locates l in the ascending centers list.
-func centerIndex(centers []int32, l int32) int32 {
-	lo, hi := 0, len(centers)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if centers[mid] < l {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return int32(lo)
+	// radii[k] is the ball radius at grid step k, ballRadius·thresholds[k]:
+	// nondecreasing in k, so a ball is counted on the grid (see ballGrid).
+	radii []float64
 }
 
 // fnCenter addresses one (function, center) pair of the phase-3 pass.
@@ -134,11 +134,14 @@ type fnCenter struct {
 //     rows, and the per-function ball-center grouping;
 //  3. sharded over the UNION of ball centers: one fused evaluation per
 //     L-L candidate pair, restricted to the evaluator groups of the
-//     functions that need that center, feeds each such function's sorted
-//     ball, then the 2θ-ball counts of its joinable rows;
+//     functions that need that center, buckets each such function's ball
+//     distance at the first grid step whose 2θ radius holds it; a prefix
+//     sum then gives the ball at every step, and each joinable row of the
+//     center copies its counts from its own kMin on (no sort, no walk);
 //  4. sharded over functions: the totalP/totalCnt profit accumulators,
 //     summed sequentially in ascending right-record order so the
-//     floating-point accumulation order never depends on scheduling.
+//     floating-point accumulation order never depends on scheduling, each
+//     term looked up in reciprocal rather than divided.
 //
 // Functions with no joinable pair are nil. The output is bit-identical
 // for every parallelism level, and bit-identical to the function-major
@@ -167,28 +170,30 @@ func prepare(in *engineInput, parallelism int) []*preparedFn {
 	// candidates are scanned in blocking order with a strict <, so the
 	// first minimum wins exactly as in a function-major scan. A function's
 	// cut is its running bestD: a pair past it is no new minimum.
-	parallel.Shard(in.nR, workers, func(_, start, end int) {
+	// The row's scan runs in dense per-function arrays, written back once.
+	parallel.Shard(in.nR, workers, func(start, end int) {
 		ev := in.newEval()
 		d := make([]float64, numFn)
-		cut := make([]float64, numFn)
+		cut := make([]float64, numFn) // the running bestD
+		bestL := make([]int32, numFn)
 		for r := start; r < end; r++ {
-			for fi, fn := range fns {
-				fn.bestL[r] = -1
-				fn.bestD[r] = math.Inf(1)
-				fn.kMin[r] = int32(s)
+			for fi := range cut {
 				cut[fi] = math.Inf(1)
+				bestL[fi] = -1
 			}
-			cands := in.lrCand[r]
-			for ci := range cands {
+			for ci, l := range in.lrCand[r] {
 				ev.lr(r, ci, cut, d)
-				l := cands[ci]
-				for fi, fn := range fns {
-					if d[fi] < fn.bestD[r] {
-						fn.bestD[r] = d[fi]
-						fn.bestL[r] = l
-						cut[fi] = d[fi]
+				for fi, dv := range d {
+					if dv < cut[fi] {
+						cut[fi] = dv
+						bestL[fi] = l
 					}
 				}
+			}
+			for fi, fn := range fns {
+				fn.bestL[r] = bestL[fi]
+				fn.bestD[r] = cut[fi]
+				fn.kMin[r] = int32(s)
 			}
 		}
 	})
@@ -196,7 +201,13 @@ func prepare(in *engineInput, parallelism int) []*preparedFn {
 	// Phase 2 (sharded over functions): threshold grid, grid position of
 	// every joinable row, and the ball centers grouped for phase 3.
 	plans := make([]*ballPlan, numFn)
-	parallel.Shard(numFn, workers, func(_, start, end int) {
+	parallel.Shard(numFn, workers, func(start, end int) {
+		// at[l] is l's index among the function's ball centers, -1 when l
+		// is none; it is reset after each function.
+		at := make([]int32, in.nL)
+		for l := range at {
+			at[l] = -1
+		}
 		for fi := start; fi < end; fi++ {
 			fn := fns[fi]
 			dCap := 0.0
@@ -217,7 +228,6 @@ func prepare(in *engineInput, parallelism int) []*preparedFn {
 			for k := 0; k < s; k++ {
 				fn.thresholds[k] = dCap * float64(k+1) / float64(s)
 			}
-			needBall := make([]bool, in.nL)
 			nCenters := 0
 			for r := 0; r < in.nR; r++ {
 				d := fn.bestD[r]
@@ -239,8 +249,8 @@ func prepare(in *engineInput, parallelism int) []*preparedFn {
 					continue
 				}
 				fn.kMin[r] = kMin
-				if !needBall[fn.bestL[r]] {
-					needBall[fn.bestL[r]] = true
+				if at[fn.bestL[r]] < 0 {
+					at[fn.bestL[r]] = 0 // a center; its index comes below
 					nCenters++
 				}
 				fn.joinable = append(fn.joinable, int32(r))
@@ -254,15 +264,20 @@ func prepare(in *engineInput, parallelism int) []*preparedFn {
 			plan := &ballPlan{
 				centers: make([]int32, 0, nCenters),
 				arena:   make([]uint8, s*len(fn.joinable)),
+				radii:   make([]float64, s),
 			}
-			for l, need := range needBall {
-				if need {
+			for k, th := range fn.thresholds {
+				plan.radii[k] = ballRadius * th
+			}
+			for l, c := range at {
+				if c >= 0 {
+					at[l] = int32(len(plan.centers))
 					plan.centers = append(plan.centers, int32(l))
 				}
 			}
 			plan.rowOff = make([]int32, len(plan.centers)+1)
 			for _, r32 := range fn.joinable {
-				plan.rowOff[centerIndex(plan.centers, fn.bestL[r32])+1]++
+				plan.rowOff[at[fn.bestL[r32]]+1]++
 			}
 			for i := 0; i < len(plan.centers); i++ {
 				plan.rowOff[i+1] += plan.rowOff[i]
@@ -270,9 +285,12 @@ func prepare(in *engineInput, parallelism int) []*preparedFn {
 			plan.rows = make([]int32, len(fn.joinable))
 			fill := make([]int32, len(plan.centers))
 			for ji, r32 := range fn.joinable {
-				c := centerIndex(plan.centers, fn.bestL[r32])
+				c := at[fn.bestL[r32]]
 				plan.rows[plan.rowOff[c]+fill[c]] = int32(ji)
 				fill[c]++
+			}
+			for _, l := range plan.centers {
+				at[l] = -1
 			}
 			plans[fi] = plan
 		}
@@ -319,19 +337,21 @@ func prepare(in *engineInput, parallelism int) []*preparedFn {
 	// candidate pair of a center is evaluated ONCE under the functions
 	// that need the center (a center is typically needed by a third of
 	// the space, and the oracle skips the kernels of the rest); each of
-	// them then sorts its row of the per-center distance matrix and
-	// counts the 2θ-balls of its rows. A needing function's cut is its
-	// widest radius, 2θ_max; the others' is -Inf, as they are not read.
-	// Writes are disjoint — every (function, joinable row) belongs to
-	// exactly one center — so scheduling cannot change the output.
-	parallel.Shard(len(centers), workers, func(_, start, end int) {
+	// them buckets the distance on its threshold grid, and once the
+	// center's candidates are done, counts the 2θ-balls of its rows from
+	// the prefix sums. A needing function's cut is its widest radius,
+	// 2θ_max; the others' is -Inf, as they are not read. Writes are
+	// disjoint — every (function, joinable row) belongs to exactly one
+	// center — so scheduling cannot change the output.
+	parallel.Shard(len(centers), workers, func(start, end int) {
 		ev := in.newEval()
 		row := make([]float64, numFn)
 		cut := make([]float64, numFn)
 		for fi := range cut {
 			cut[fi] = math.Inf(-1)
 		}
-		var mat []float64 // per-center [len(need)][nCand] distances
+		var buckets []int32  // per-center [len(need)][s] grid counts
+		var grids []ballGrid // per-center, one per function in need
 		for gi := start; gi < end; gi++ {
 			l := int(centers[gi])
 			need := perCenter[gi]
@@ -339,18 +359,20 @@ func prepare(in *engineInput, parallelism int) []*preparedFn {
 			if ev.mask != nil {
 				mask = ev.mask(need)
 			}
-			nCand := len(in.llCand[l])
-			if cap(mat) < len(need)*nCand {
-				mat = make([]float64, len(need)*nCand)
+			if cap(buckets) < len(need)*s {
+				buckets = make([]int32, len(need)*s)
 			}
-			mat = mat[:len(need)*nCand]
-			for _, fc := range need {
-				cut[fc.fi] = ballRadius * fns[fc.fi].thresholds[s-1]
+			buckets = buckets[:len(need)*s]
+			clear(buckets)
+			grids = grids[:0]
+			for k, fc := range need {
+				grids = append(grids, newBallGrid(plans[fc.fi].radii, buckets[k*s:(k+1)*s]))
+				cut[fc.fi] = grids[k].rMax
 			}
-			for ci := 0; ci < nCand; ci++ {
+			for ci := range in.llCand[l] {
 				ev.ll(l, ci, mask, cut, row)
 				for k, fc := range need {
-					mat[k*nCand+ci] = row[fc.fi]
+					grids[k].add(row[fc.fi])
 				}
 			}
 			for _, fc := range need {
@@ -358,10 +380,12 @@ func prepare(in *engineInput, parallelism int) []*preparedFn {
 			}
 			for k, fc := range need {
 				fn, plan := fns[fc.fi], plans[fc.fi]
-				ball := mat[k*nCand : (k+1)*nCand]
-				sort.Float64s(ball)
+				le := grids[k].cumulate()
 				for _, ji := range plan.rows[plan.rowOff[fc.ci]:plan.rowOff[fc.ci+1]] {
-					countBall(in, fn, plan.arena, int(ji), ball)
+					r := fn.joinable[ji]
+					counts := plan.arena[int(ji)*s : int(ji+1)*s : int(ji+1)*s]
+					countBall(counts, le, int(fn.kMin[r]), selfDiscount(in, fn, r))
+					fn.cnt[r] = counts
 				}
 			}
 		}
@@ -370,7 +394,7 @@ func prepare(in *engineInput, parallelism int) []*preparedFn {
 	// Phase 4 (sharded over functions): profit accumulators. The float
 	// additions run sequentially in ascending right-record order per
 	// function — the same order at every parallelism level.
-	parallel.Shard(numFn, workers, func(_, start, end int) {
+	parallel.Shard(numFn, workers, func(start, end int) {
 		for fi := start; fi < end; fi++ {
 			fn := fns[fi]
 			if fn == nil {
@@ -380,7 +404,7 @@ func prepare(in *engineInput, parallelism int) []*preparedFn {
 				r := int(r32)
 				counts := fn.cnt[r]
 				for k := int(fn.kMin[r]); k < s; k++ {
-					fn.totalP[k] += 1 / float64(counts[k])
+					fn.totalP[k] += reciprocal[counts[k]]
 					fn.totalCnt[k]++
 				}
 			}
@@ -392,32 +416,77 @@ func prepare(in *engineInput, parallelism int) []*preparedFn {
 	return fns
 }
 
-// countBall fills one joinable row's 2θ-ball counts from its center's
-// sorted ball distances (phase 3 of prepare).
-func countBall(in *engineInput, fn *preparedFn, arena []uint8, ji int, ball []float64) {
-	s := in.steps
-	r := int(fn.joinable[ji])
-	kMin := fn.kMin[r]
-	// In self-join mode the query record r is itself in the reference
-	// table; since θ_k >= d it always falls inside the ball and must
-	// be discounted when it is among l's blocked candidates.
-	selfDiscount := 0
-	if in.selfJoin {
-		for _, id := range in.llCand[fn.bestL[r]] {
-			if int(id) == r {
-				selfDiscount = 1
-				break
-			}
-		}
+// ballGrid counts one (center, function) ball on the function's threshold
+// grid: it buckets each ball distance d at the first step k with
+// d <= radii[k], and a prefix sum then gives the ball at every step. The
+// counts are those of sorting the ball and walking it once over the
+// radii (walkCounts, which the tests hold this to), without the sort.
+type ballGrid struct {
+	radii []float64
+	rMax  float64 // radii[s-1], 2θ_max
+	scale float64 // s/rMax: places a distance on the grid
+	le    []int32 // bucket counts; after cumulate, the ball at every step
+	nan   bool    // a NaN distance was seen
+}
+
+// newBallGrid starts the count of one ball over radii (nondecreasing, at
+// least one) in le, which must be zero and have one slot per radius.
+func newBallGrid(radii []float64, le []int32) ballGrid {
+	rMax := radii[len(radii)-1]
+	return ballGrid{radii: radii, rMax: rMax, scale: float64(len(radii)) / rMax, le: le}
+}
+
+// add counts one ball distance. A distance past every radius (beyond
+// 2θ_max, or +Inf from a cut) joins no bucket; neither does a NaN, which
+// is noted for cumulate.
+func (g *ballGrid) add(d float64) {
+	if d <= g.rMax {
+		g.place(d)
+	} else if d != d {
+		g.nan = true
 	}
-	counts := arena[ji*s : (ji+1)*s : (ji+1)*s]
-	bi := 0
-	for k := int(kMin); k < s; k++ {
-		radius := ballRadius * fn.thresholds[k]
-		for bi < len(ball) && ball[bi] <= radius {
-			bi++
-		}
-		c := bi + 1 - selfDiscount // +1 for the center record itself
+}
+
+// place buckets a distance within 2θ_max. Its step is first put at
+// floor(d/2θ_max·s), which is the ceil(d/2θ_max·s)−1 the grid's shape
+// gives except where d/2θ_max·s is a whole number, and then repaired both
+// ways with the radii themselves, which also absorbs float round-off.
+func (g *ballGrid) place(d float64) {
+	if d <= 0 { // radii[0] >= 0; also every d when 2θ_max is 0
+		g.le[0]++
+		return
+	}
+	k := min(max(int(d*g.scale), 0), len(g.radii)-1) // scale may overflow to +Inf
+	for k > 0 && d <= g.radii[k-1] {
+		k--
+	}
+	for !(d <= g.radii[k]) {
+		k++
+	}
+	g.le[k]++
+}
+
+// cumulate turns the bucket counts into le[k], the number of ball
+// distances within radii[k], and returns le. A NaN in the ball gives 0 at
+// every step, so the center counts alone, as in the sort-and-walk count:
+// sort.Float64s orders NaN before every number, and the walk never moves
+// past it.
+func (g *ballGrid) cumulate() []int32 {
+	if g.nan {
+		clear(g.le)
+		return g.le
+	}
+	for k := 1; k < len(g.le); k++ {
+		g.le[k] += g.le[k-1]
+	}
+	return g.le
+}
+
+// countBall fills one joinable row's 2θ-ball counts from its center's
+// cumulated grid le, from the row's kMin on.
+func countBall(counts []uint8, le []int32, kMin, selfDiscount int) {
+	for k := kMin; k < len(counts); k++ {
+		c := int(le[k]) + 1 - selfDiscount // +1 for the center record itself
 		if c < 1 {
 			c = 1
 		}
@@ -426,7 +495,22 @@ func countBall(in *engineInput, fn *preparedFn, arena []uint8, ji int, ball []fl
 		}
 		counts[k] = uint8(c)
 	}
-	fn.cnt[r] = counts
+}
+
+// selfDiscount is 1 when the ball of join row r must leave r out: in
+// self-join mode the query record r is itself in the reference table;
+// since θ_k >= d it always falls inside the ball and must be discounted
+// when it is among the center's blocked candidates.
+func selfDiscount(in *engineInput, fn *preparedFn, r int32) int {
+	if !in.selfJoin {
+		return 0
+	}
+	for _, id := range in.llCand[fn.bestL[r]] {
+		if id == r {
+			return 1 // the query record sits in its own ball
+		}
+	}
+	return 0
 }
 
 // engineOut is the raw outcome of the greedy search.
@@ -477,19 +561,33 @@ func greedy(in *engineInput, fns []*preparedFn, opt Options) *engineOut {
 			asgCnt[fi] = make([]int, s)
 		}
 	}
-	// markAssigned removes row r's contribution from every function's
-	// unassigned pool.
-	markAssigned := func(r int) {
-		for fi, fn := range fns {
-			if fn == nil || fn.cnt[r] == nil {
-				continue
+	// markAssigned removes the contribution of rows, newly assigned, from
+	// every function's unassigned pool. Functions are sharded over the
+	// workers; each adds the rows in the order given, the order in which
+	// a row-at-a-time update would have summed them.
+	workers := parallel.Resolve(opt.Parallelism)
+	markAssigned := func(rows []int32) {
+		parallel.Shard(len(fns), workers, func(start, end int) {
+			for fi := start; fi < end; fi++ {
+				fn := fns[fi]
+				if fn == nil {
+					continue
+				}
+				p, c := asgP[fi], asgCnt[fi]
+				for _, r := range rows {
+					counts := fn.cnt[r]
+					if counts == nil {
+						continue
+					}
+					for k := int(fn.kMin[r]); k < s; k++ {
+						p[k] += reciprocal[counts[k]]
+						c[k]++
+					}
+				}
 			}
-			for k := int(fn.kMin[r]); k < s; k++ {
-				asgP[fi][k] += 1 / float64(fn.cnt[r][k])
-				asgCnt[fi][k]++
-			}
-		}
+		})
 	}
+	var fresh []int32 // rows the last configuration assigned
 
 	if opt.SingleConfiguration {
 		// AutoFJ-UC ablation: pick the single configuration with the
@@ -511,7 +609,8 @@ func greedy(in *engineInput, fns []*preparedFn, opt Options) *engineOut {
 			}
 		}
 		if bestFi >= 0 {
-			addConfig(in, fns[bestFi], bestFi, bestK, 1, out, markAssigned)
+			// The search ends here, so no pool needs the rows removed.
+			addConfig(in, fns[bestFi], bestFi, bestK, 1, out, nil)
 			out.trace = append(out.trace, IterationStat{
 				Config:       out.program[0],
 				EstPrecision: estPrecision(out.tp, out.fp),
@@ -550,7 +649,8 @@ func greedy(in *engineInput, fns []*preparedFn, opt Options) *engineOut {
 		if estPrecision(bestTP, bestFP) <= opt.PrecisionTarget {
 			break
 		}
-		addConfig(in, fns[bestFi], bestFi, bestK, iter, out, markAssigned)
+		fresh = addConfig(in, fns[bestFi], bestFi, bestK, iter, out, fresh[:0])
+		markAssigned(fresh)
 		out.trace = append(out.trace, IterationStat{
 			Config:       out.program[len(out.program)-1],
 			EstPrecision: estPrecision(out.tp, out.fp),
@@ -563,8 +663,10 @@ func greedy(in *engineInput, fns []*preparedFn, opt Options) *engineOut {
 
 // addConfig appends configuration (fi, k) to the program and applies its
 // joins, resolving conflicts toward the higher-precision assignment
-// (§3.1, "Estimate for a set of configurations").
-func addConfig(in *engineInput, fn *preparedFn, fi, k, iter int, out *engineOut, markAssigned func(int)) {
+// (§3.1, "Estimate for a set of configurations"). It appends the rows it
+// assigns for the first time to fresh, in ascending kMin order, and
+// returns it.
+func addConfig(in *engineInput, fn *preparedFn, fi, k, iter int, out *engineOut, fresh []int32) []int32 {
 	cfgIdx := int32(len(out.program))
 	out.program = append(out.program, Configuration{
 		Function:  in.space[fi],
@@ -575,7 +677,7 @@ func addConfig(in *engineInput, fn *preparedFn, fi, k, iter int, out *engineOut,
 		if fn.kMin[r] > int32(k) {
 			break // joinable is sorted by kMin
 		}
-		p := 1 / float64(fn.cnt[r][k])
+		p := reciprocal[fn.cnt[r][k]]
 		switch {
 		case out.assignedL[r] < 0:
 			out.assignedL[r] = fn.bestL[r]
@@ -585,7 +687,7 @@ func addConfig(in *engineInput, fn *preparedFn, fi, k, iter int, out *engineOut,
 			out.assignedIter[r] = int32(iter)
 			out.tp += p
 			out.fp += 1 - p
-			markAssigned(r)
+			fresh = append(fresh, r32)
 		case out.assignedL[r] == fn.bestL[r]:
 			// Same join produced again: keep the more confident estimate.
 			if p > out.assignedP[r] {
@@ -606,6 +708,7 @@ func addConfig(in *engineInput, fn *preparedFn, fi, k, iter int, out *engineOut,
 			}
 		}
 	}
+	return fresh
 }
 
 func estPrecision(tp, fp float64) float64 {

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/config"
@@ -246,5 +248,86 @@ func TestExplain(t *testing.T) {
 	}
 	if s := res.Explain(Join{Config: 99}); s == "" {
 		t.Error("Explain on bad config empty")
+	}
+}
+
+// TestGridCountsMatchSortedWalk: prepare's phase 3 counts a center's ball
+// on the threshold grid (ballGrid, then countBall per row); it must give
+// the counts of the sort-and-walk it replaced (walkCounts), for distances
+// exactly on a radius and one ulp either side, past 2θ_max, +Inf (a cut),
+// NaN, a grid of zero width (dCap == 0) or of subnormal width, counts past
+// the cap, every kMin and both self-discounts.
+func TestGridCountsMatchSortedWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	inf := math.Inf(1)
+	dCaps := []float64{0, 5e-324, 1e-310, 1e-3, 0.1, 0.37, 0.5, 0.9, 0.9994}
+	for range 40 {
+		dCaps = append(dCaps, rng.Float64()*unjoinableDist)
+	}
+	for _, dCap := range dCaps {
+		for _, s := range []int{1, 3, 7, 20, 50} {
+			thresholds := make([]float64, s)
+			radii := make([]float64, s)
+			for k := range thresholds {
+				thresholds[k] = dCap * float64(k+1) / float64(s)
+				radii[k] = ballRadius * thresholds[k]
+			}
+			// Every radius, one ulp either side, and the far cases.
+			var onGrid []float64
+			for _, r := range radii {
+				onGrid = append(onGrid, r, math.Nextafter(r, inf), math.Nextafter(r, -inf))
+			}
+			onGrid = append(onGrid, 0, inf, 2*radii[s-1]+1, math.Nextafter(radii[s-1], inf))
+			random := make([]float64, 300) // past the count cap at wide radii
+			for i := range random {
+				random[i] = rng.Float64() * 2.2 * dCap
+			}
+			balls := map[string][]float64{
+				"empty":   nil,
+				"on-grid": onGrid,
+				"random":  random,
+				"nan":     append([]float64{0.1 * dCap, math.NaN()}, onGrid...),
+			}
+			for name, ball := range balls {
+				g := newBallGrid(radii, make([]int32, s))
+				for _, d := range ball {
+					g.add(d)
+				}
+				le := g.cumulate()
+				for kMin := 0; kMin < s; kMin += 1 + s/7 {
+					for sd := 0; sd <= 1; sd++ {
+						got, want := make([]uint8, s), make([]uint8, s)
+						countBall(got, le, kMin, sd)
+						walkCounts(want, slices.Clone(ball), thresholds, kMin, sd)
+						if !slices.Equal(got, want) {
+							t.Fatalf("dCap %v s %d ball %s kMin %d self-discount %d:\ngrid %v\nwalk %v",
+								dCap, s, name, kMin, sd, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSelfDiscount: in a self-join a row's ball leaves the row out when
+// it is among its center's candidates, and never in a two-table join.
+func TestSelfDiscount(t *testing.T) {
+	fn := &preparedFn{bestL: []int32{1, 0, 0}}
+	llCand := [][]int32{{1}, {2, 0}, {0}}
+	for _, c := range []struct {
+		selfJoin bool
+		r        int32
+		want     int
+	}{
+		{true, 0, 1},  // center 1 lists row 0
+		{true, 1, 1},  // center 0 lists row 1
+		{true, 2, 0},  // center 0 does not list row 2
+		{false, 0, 0}, // a two-table join discounts nothing
+	} {
+		in := &engineInput{selfJoin: c.selfJoin, llCand: llCand}
+		if got := selfDiscount(in, fn, c.r); got != c.want {
+			t.Errorf("selfJoin %v row %d: discount %d, want %d", c.selfJoin, c.r, got, c.want)
+		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 // stringPairs is the pairSource that learning ran before it scored on id
 // rows, kept as the oracle of idPairs: full Profiles from one Corpus over
 // left ∪ right, scored by Evaluator.Distances. It returns no learn rows.
-func stringPairs(space []config.JoinFunction, parallelism int, left, right []string, lrCand, llCand [][]int32) (func() pairEval, *config.ProfileArena) {
+func stringPairs(space []config.JoinFunction, parallelism int, left, right []string) (bindPairs, *config.ProfileArena) {
 	corpus := config.NewCorpus(space, left, right)
 	profL := corpus.Profiles(left, parallelism)
 	profR := profL
@@ -22,15 +22,17 @@ func stringPairs(space []config.JoinFunction, parallelism int, left, right []str
 		profR = corpus.Profiles(right, parallelism)
 	}
 	ev := config.NewEvaluator(space)
-	return func() pairEval {
-		sc := ev.NewScratch()
-		return pairEval{
-			lr: func(r, ci int, _, out []float64) {
-				ev.Distances(profL[lrCand[r][ci]], profR[r], sc, out)
-			},
-			ll: func(l, ci int, _ config.GroupMask, _, out []float64) {
-				ev.Distances(profL[l], profL[llCand[l][ci]], sc, out)
-			},
+	return func(lrCand, llCand [][]int32) func() pairEval {
+		return func() pairEval {
+			sc := ev.NewScratch()
+			return pairEval{
+				lr: func(r, ci int, _, out []float64) {
+					ev.Distances(profL[lrCand[r][ci]], profR[r], sc, out)
+				},
+				ll: func(l, ci int, _ config.GroupMask, _, out []float64) {
+					ev.Distances(profL[l], profL[llCand[l][ci]], sc, out)
+				},
+			}
 		}
 	}, nil
 }

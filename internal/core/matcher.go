@@ -581,7 +581,7 @@ func (t *Table) MatchBatchAt(ctx context.Context, rows [][]string) (*TableBatch,
 func (t *Table) batchLocked(ctx context.Context, n int, one func(*tableScratch, int) Match) ([]Match, error) {
 	out := make([]Match, n)
 	var stop atomic.Bool
-	parallel.Shard(n, parallel.Workers(t.parallelism, n), func(_, start, end int) {
+	parallel.Shard(n, parallel.Workers(t.parallelism, n), func(start, end int) {
 		ms := t.getScratch()
 		defer t.putScratch(ms)
 		for i := start; i < end; i++ {

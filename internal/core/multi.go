@@ -66,9 +66,9 @@ func joinMultiColumn(leftCols, rightCols [][]string, opt Options, pairs pairSour
 	var profileTime time.Duration
 	for j := 0; j < m; j++ {
 		tProf := time.Now()
-		newEval, _ := pairs(opt.Space, opt.Parallelism, leftCols[j], rightCols[j], lrCand, llCand)
+		bind, _ := pairs(opt.Space, opt.Parallelism, leftCols[j], rightCols[j])
 		profileTime += time.Since(tProf)
-		tensors[j] = buildColumnTensors(len(opt.Space), leftCols[j], rightCols[j], newEval, lrCand, llCand, lrOff, llOff, opt.Parallelism)
+		tensors[j] = buildColumnTensors(len(opt.Space), leftCols[j], rightCols[j], bind(lrCand, llCand), lrCand, llCand, lrOff, llOff, opt.Parallelism)
 	}
 
 	// weighted runs Algorithm 1 on the weighted combination of columns.
@@ -223,7 +223,7 @@ func buildColumnTensors(numFn int, lcol, rcol []string, newEval func() pairEval,
 		t.ll[fi] = make([]float32, nLL)
 	}
 	workers := parallel.Resolve(parallelism)
-	parallel.Shard(len(lrCand), workers, func(_, start, end int) {
+	parallel.Shard(len(lrCand), workers, func(start, end int) {
 		e := newEval()
 		row := make([]float64, numFn)
 		for r := start; r < end; r++ {
@@ -242,7 +242,7 @@ func buildColumnTensors(numFn int, lcol, rcol []string, newEval func() pairEval,
 			}
 		}
 	})
-	parallel.Shard(len(llCand), workers, func(_, start, end int) {
+	parallel.Shard(len(llCand), workers, func(start, end int) {
 		e := newEval()
 		row := make([]float64, numFn)
 		for l := start; l < end; l++ {

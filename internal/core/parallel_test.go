@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/config"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/textproc"
@@ -25,7 +26,6 @@ func TestAddConfigConflictUpdatesIteration(t *testing.T) {
 		assignedCfg:  []int32{-1},
 		assignedIter: make([]int32, 1),
 	}
-	noop := func(int) {}
 	// Iteration 1: joins r0 to left record 0 with estimate 1/4.
 	first := &preparedFn{
 		thresholds: []float64{0.5},
@@ -35,7 +35,9 @@ func TestAddConfigConflictUpdatesIteration(t *testing.T) {
 		cnt:        [][]uint8{{4}},
 		joinable:   []int32{0},
 	}
-	addConfig(in, first, 0, 0, 1, out, noop)
+	if fresh := addConfig(in, first, 0, 0, 1, out, nil); !reflect.DeepEqual(fresh, []int32{0}) {
+		t.Fatalf("setup: fresh rows %v, want [0]", fresh)
+	}
 	if out.assignedL[0] != 0 || out.assignedIter[0] != 1 {
 		t.Fatalf("setup: assigned L=%d iter=%d", out.assignedL[0], out.assignedIter[0])
 	}
@@ -49,7 +51,10 @@ func TestAddConfigConflictUpdatesIteration(t *testing.T) {
 		cnt:        [][]uint8{{2}},
 		joinable:   []int32{0},
 	}
-	addConfig(in, second, 1, 0, 2, out, noop)
+	// A taken-over row was assigned before: it is not fresh.
+	if fresh := addConfig(in, second, 1, 0, 2, out, nil); len(fresh) != 0 {
+		t.Fatalf("conflict reported fresh rows %v", fresh)
+	}
 	if out.assignedL[0] != 1 || out.assignedCfg[0] != 1 {
 		t.Fatalf("conflict not taken: L=%d cfg=%d", out.assignedL[0], out.assignedCfg[0])
 	}
@@ -183,4 +188,24 @@ func TestMultiColumnParallelEquivalence(t *testing.T) {
 		t.Fatalf("column selection differs: %v/%v vs %v/%v",
 			seq.Columns, seq.Weights, par.Columns, par.Weights)
 	}
+}
+
+// TestBesideOverlapsOnlyPastOneWorker: beside runs build concurrently
+// with work when more than one worker is allowed (work here can only end
+// once build has run), and at parallelism 1 runs work, then build, on
+// the caller's goroutine.
+func TestBesideOverlapsOnlyPastOneWorker(t *testing.T) {
+	var order []string
+	beside(1, func() { order = append(order, "build") }, func() { order = append(order, "work") })
+	if !reflect.DeepEqual(order, []string{"work", "build"}) {
+		t.Fatalf("parallelism 1 ran %v, want work then build", order)
+	}
+	built := make(chan struct{})
+	beside(2, func() { close(built) }, func() {
+		select {
+		case <-built:
+		case <-time.After(10 * time.Second):
+			t.Error("parallelism 2: work ended without build running beside it")
+		}
+	})
 }

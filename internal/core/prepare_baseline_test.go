@@ -126,7 +126,6 @@ func functionMajorPrepareFn(in *engineInput, fi int, lrDist, llDist func(fi, r, 
 		for ci := range ds {
 			ds[ci] = llDist(fi, l, ci)
 		}
-		sort.Float64s(ds)
 		balls[int32(l)] = ds
 	}
 	cntArena := make([]uint8, s*len(fn.joinable))
@@ -144,21 +143,9 @@ func functionMajorPrepareFn(in *engineInput, fi int, lrDist, llDist func(fi, r, 
 			}
 		}
 		counts := cntArena[ji*s : (ji+1)*s : (ji+1)*s]
-		bi := 0
+		walkCounts(counts, ball, fn.thresholds, int(kMin), selfDiscount)
 		for k := int(kMin); k < s; k++ {
-			radius := ballRadius * fn.thresholds[k]
-			for bi < len(ball) && ball[bi] <= radius {
-				bi++
-			}
-			c := bi + 1 - selfDiscount
-			if c < 1 {
-				c = 1
-			}
-			if c > maxBallCount {
-				c = maxBallCount
-			}
-			counts[k] = uint8(c)
-			fn.totalP[k] += 1 / float64(c)
+			fn.totalP[k] += 1 / float64(counts[k])
 			fn.totalCnt[k]++
 		}
 		fn.cnt[r] = counts
@@ -167,4 +154,27 @@ func functionMajorPrepareFn(in *engineInput, fi int, lrDist, llDist func(fi, r, 
 		return fn.kMin[fn.joinable[a]] < fn.kMin[fn.joinable[b]]
 	})
 	return fn
+}
+
+// walkCounts is the 2θ-ball count the engine made before it counted on
+// the threshold grid: it sorts ball in place and walks it once from grid
+// step kMin on, counting the distances within each radius. counts has
+// one slot per step.
+func walkCounts(counts []uint8, ball, thresholds []float64, kMin, selfDiscount int) {
+	sort.Float64s(ball)
+	bi := 0
+	for k := kMin; k < len(counts); k++ {
+		radius := ballRadius * thresholds[k]
+		for bi < len(ball) && ball[bi] <= radius {
+			bi++
+		}
+		c := bi + 1 - selfDiscount
+		if c < 1 {
+			c = 1
+		}
+		if c > maxBallCount {
+			c = maxBallCount
+		}
+		counts[k] = uint8(c)
+	}
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/config"
@@ -70,7 +72,8 @@ func buildPrepareInput(left, right []string, space []config.JoinFunction, steps 
 		llCand:   llCand,
 		selfJoin: selfJoin,
 	}
-	in.newEval, _ = idPairs(space, 0, left, right, lrCand, llCand)
+	bind, _ := idPairs(space, 0, left, right)
+	in.newEval = bind(lrCand, llCand)
 	lrDist := func(fi, r, ci int) float64 {
 		return space[fi].Distance(profL[lrCand[r][ci]], profR[r])
 	}
@@ -151,5 +154,51 @@ func BenchmarkPrepareFunctionMajor(b *testing.B) {
 				functionMajorPrepare(in, lrDist, llDist, p)
 			}
 		})
+	}
+}
+
+// TestIDPairsRepreparesOnMaskChange: idPairs keeps the last center it
+// prepared, and must prepare it again when the same center is asked for
+// under another group mask. For each group g of the space, one evaluator
+// scores a center's candidates under g alone and then, back to back,
+// under every group; the second call must give the distances of a fresh
+// evaluator asked under every group first.
+func TestIDPairsRepreparesOnMaskChange(t *testing.T) {
+	left, right := prepareTables(40, 30, 7)
+	space := config.Space()
+	b := blockCandidates(left, right, Options{BlockingBeta: 1.0}, false)
+	bind, _ := idPairs(space, 1, left, right)
+	newEval := bind(b.lrCand, b.llCand)
+	ev := config.NewEvaluator(space)
+	var groups []config.GroupMask
+	for fi := range space {
+		if g := ev.Group(fi); !slices.Contains(groups, g) {
+			groups = append(groups, g)
+		}
+	}
+	narrow, got, want := make([]float64, len(space)), make([]float64, len(space)), make([]float64, len(space))
+	checked := 0
+	for _, g := range groups {
+		for l := 0; l < len(left); l += 9 {
+			if len(b.llCand[l]) == 0 {
+				continue
+			}
+			shared, fresh := newEval(), newEval()
+			for ci := range b.llCand[l] {
+				fresh.ll(l, ci, config.AllGroups, nil, want)
+				shared.ll(l, ci, g, nil, narrow)
+				shared.ll(l, ci, config.AllGroups, nil, got)
+				for fi := range space {
+					if math.Float64bits(got[fi]) != math.Float64bits(want[fi]) {
+						t.Fatalf("group %b, center %d, candidate %d: %s = %v after a call under one group, %v fresh",
+							g, l, ci, space[fi].Name(), got[fi], want[fi])
+					}
+				}
+				checked++
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no center had a candidate to score")
 	}
 }

@@ -13,7 +13,9 @@ import (
 // blocking (+negative rules), building the records' representations
 // (the closed vocabulary and every record's id row), the distance/precision
 // pre-computation of Algorithm 1 lines 3-4, and the greedy search of
-// lines 5-15.
+// lines 5-15. Each is the wall time of its stage. A single-column run or
+// self-join on more than one worker builds the representations while
+// blocking runs, so Blocking and Profile then overlap.
 type Timing struct {
 	Blocking   time.Duration
 	Profile    time.Duration
@@ -21,7 +23,8 @@ type Timing struct {
 	Greedy     time.Duration
 }
 
-// Total is the sum of the component times.
+// Total is the sum of the component times. Where Blocking and Profile
+// overlap it exceeds the run's wall time by their overlap.
 func (t Timing) Total() time.Duration {
 	return t.Blocking + t.Profile + t.Precompute + t.Greedy
 }

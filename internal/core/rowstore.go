@@ -191,7 +191,7 @@ func (s *rowStore) appendRows(pl *tablePayload, rows [][]string, cells []string,
 		if w := parallel.Workers(parallelism, hi-lo); w == 1 {
 			s.countRows(pl, rows, cells, h, recs, first, lo, lo, hi)
 		} else {
-			parallel.Shard(hi-lo, w, func(_, start, end int) {
+			parallel.Shard(hi-lo, w, func(start, end int) {
 				s.countRows(pl, rows, cells, h, recs, first, lo, lo+start, lo+end)
 			})
 		}

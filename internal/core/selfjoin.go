@@ -26,18 +26,24 @@ func selfJoin(records []string, opt Options, pairs pairSource) (*Result, error) 
 		return &Result{}, nil
 	}
 
-	tBlock := time.Now()
 	// Negative rules are intentionally NOT learned here: Algorithm 2
 	// assumes the reference table is duplicate-free, but a self-join's
 	// whole premise is that the table contains duplicates — a duplicate
 	// pair differing by one word ("northern" vs a "nothern" typo) would be
-	// learned as a negative rule and veto exactly the join we want.
-	cand := blockCandidates(records, nil, opt, false).llCand
-	blockingTime := time.Since(tBlock)
-
-	tProf := time.Now()
-	newEval, _ := pairs(opt.Space, opt.Parallelism, records, nil, cand, cand)
-	profileTime := time.Since(tProf)
+	// learned as a negative rule and veto exactly the join we want. The
+	// records' representations are built while blocking runs.
+	var cand [][]int32
+	var bind bindPairs
+	var blockingTime, profileTime time.Duration
+	beside(opt.Parallelism, func() {
+		tProf := time.Now()
+		bind, _ = pairs(opt.Space, opt.Parallelism, records, nil)
+		profileTime = time.Since(tProf)
+	}, func() {
+		tBlock := time.Now()
+		cand = blockCandidates(records, nil, opt, false).llCand
+		blockingTime = time.Since(tBlock)
+	})
 	in := &engineInput{
 		space:    opt.Space,
 		steps:    opt.ThresholdSteps,
@@ -45,7 +51,7 @@ func selfJoin(records []string, opt Options, pairs pairSource) (*Result, error) 
 		nR:       len(records),
 		lrCand:   cand,
 		llCand:   cand,
-		newEval:  newEval,
+		newEval:  bind(cand, cand),
 		selfJoin: true,
 	}
 	res := run(in, opt)

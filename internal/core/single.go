@@ -7,6 +7,7 @@ import (
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/blocking"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/config"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/negrule"
+	"github.com/chu-data-lab/autofuzzyjoin-go/internal/parallel"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/textproc"
 )
 
@@ -68,17 +69,25 @@ func joinTables(left, right []string, opt Options, pairs pairSource, keep *learn
 	}
 
 	// Algorithm 1 lines 1-2: blocking, then negative rules that veto L-R
-	// candidates.
-	tBlock := time.Now()
-	b := blockCandidates(left, right, opt, !opt.DisableNegativeRules)
+	// candidates, while the records' representations are built beside
+	// them (they need no candidates).
+	var b blocked
+	var bind bindPairs
+	var learned *config.ProfileArena
+	var blockingTime, profileTime time.Duration
+	beside(opt.Parallelism, func() {
+		tProf := time.Now()
+		bind, learned = pairs(opt.Space, opt.Parallelism, left, right)
+		profileTime = time.Since(tProf)
+	}, func() {
+		tBlock := time.Now()
+		b = blockCandidates(left, right, opt, !opt.DisableNegativeRules)
+		blockingTime = time.Since(tBlock)
+	})
 	lrCand, llCand, rules := b.lrCand, b.llCand, b.rules
-	blockingTime := time.Since(tBlock)
 
 	// Lines 3-4: distances and precision pre-computation, then the greedy
 	// union search — all inside run().
-	tProf := time.Now()
-	newEval, learned := pairs(opt.Space, opt.Parallelism, left, right, lrCand, llCand)
-	profileTime := time.Since(tProf)
 	if keep != nil {
 		keep.index = b.index
 		if rules != nil && rules.Len() > 0 {
@@ -97,7 +106,7 @@ func joinTables(left, right []string, opt Options, pairs pairSource, keep *learn
 		nR:      len(right),
 		lrCand:  lrCand,
 		llCand:  llCand,
-		newEval: newEval,
+		newEval: bind(lrCand, llCand),
 	}
 	res := run(in, opt)
 	res.NegativeRules = rules
@@ -109,9 +118,32 @@ func joinTables(left, right []string, opt Options, pairs pairSource, keep *learn
 
 // pairSource builds the record representations of one column — the cells
 // of left and right, or of left alone for a self-join (right nil) — and
-// returns engineInput's per-worker evaluator over the blocked pairs and,
-// when it scores on learn rows, their arena, left's rows first.
-type pairSource func(space []config.JoinFunction, parallelism int, left, right []string, lrCand, llCand [][]int32) (func() pairEval, *config.ProfileArena)
+// returns the binder of engineInput's per-worker evaluator to the blocked
+// pairs and, when it scores on learn rows, their arena, left's rows
+// first. It reads no candidates, so it may run while blocking does.
+type pairSource func(space []config.JoinFunction, parallelism int, left, right []string) (bindPairs, *config.ProfileArena)
+
+// bindPairs gives engineInput.newEval over the L–R candidates lrCand and
+// the L–L candidates llCand of the records its pairSource built.
+type bindPairs func(lrCand, llCand [][]int32) func() pairEval
+
+// beside runs build on a goroutine of its own while work runs on the
+// caller's, and returns when both are done; at parallelism 1 it starts no
+// goroutine and runs work, then build.
+func beside(parallelism int, build, work func()) {
+	if parallel.Resolve(parallelism) <= 1 {
+		work()
+		build()
+		return
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		build()
+	}()
+	work()
+	<-done
+}
 
 // idPairs is the pairSource learning runs: every record is stored once as
 // a row of one arena under a vocabulary closed over left ∪ right
@@ -119,7 +151,7 @@ type pairSource func(space []config.JoinFunction, parallelism int, left, right [
 // against the row a run of them shares, prepared once: the right record
 // of phase 1 (the r side), the center of phase 3 (the l side, for the
 // groups the center's functions read).
-func idPairs(space []config.JoinFunction, parallelism int, left, right []string, lrCand, llCand [][]int32) (func() pairEval, *config.ProfileArena) {
+func idPairs(space []config.JoinFunction, parallelism int, left, right []string) (bindPairs, *config.ProfileArena) {
 	a := config.LearnProfiles(space, parallelism, left, right)
 	v, rows := a.Vocab(), a.Rows()
 	rOff := len(left) // right's rows follow left's
@@ -127,34 +159,36 @@ func idPairs(space []config.JoinFunction, parallelism int, left, right []string,
 		rOff = 0
 	}
 	ev := config.NewEvaluator(space)
-	return func() pairEval {
-		sc := ev.NewScratch()
-		var side config.Side
-		var f config.Fixed
-		// The row f holds, its orientation and the groups it was prepared for.
-		cur, curL, curMask := -1, false, config.GroupMask(0)
-		prepare := func(i int, l bool, mask config.GroupMask) *config.Fixed {
-			if i != cur || l != curL || mask != curMask {
-				side.Release()
-				f = v.PrepareRow(&side, rows, i, mask, l)
-				cur, curL, curMask = i, l, mask
-			}
-			return &f
-		}
-		return pairEval{
-			lr: func(r, ci int, cut, out []float64) {
-				ev.RowDistances(prepare(rOff+r, false, config.AllGroups), rows, int(lrCand[r][ci]), config.AllGroups, cut, sc, out)
-			},
-			ll: func(l, ci int, need config.GroupMask, cut, out []float64) {
-				ev.RowDistances(prepare(l, true, need), rows, int(llCand[l][ci]), need, cut, sc, out)
-			},
-			mask: func(fns []fnCenter) config.GroupMask {
-				var m config.GroupMask
-				for _, fc := range fns {
-					m |= ev.Group(int(fc.fi))
+	return func(lrCand, llCand [][]int32) func() pairEval {
+		return func() pairEval {
+			sc := ev.NewScratch()
+			var side config.Side
+			var f config.Fixed
+			// The row f holds, its orientation and the groups it was prepared for.
+			cur, curL, curMask := -1, false, config.GroupMask(0)
+			prepare := func(i int, l bool, mask config.GroupMask) *config.Fixed {
+				if i != cur || l != curL || mask != curMask {
+					side.Release()
+					f = v.PrepareRow(&side, rows, i, mask, l)
+					cur, curL, curMask = i, l, mask
 				}
-				return m
-			},
+				return &f
+			}
+			return pairEval{
+				lr: func(r, ci int, cut, out []float64) {
+					ev.RowDistances(prepare(rOff+r, false, config.AllGroups), rows, int(lrCand[r][ci]), config.AllGroups, cut, sc, out)
+				},
+				ll: func(l, ci int, need config.GroupMask, cut, out []float64) {
+					ev.RowDistances(prepare(l, true, need), rows, int(llCand[l][ci]), need, cut, sc, out)
+				},
+				mask: func(fns []fnCenter) config.GroupMask {
+					var m config.GroupMask
+					for _, fc := range fns {
+						m |= ev.Group(int(fc.fi))
+					}
+					return m
+				},
+			}
 		}
 	}, a
 }

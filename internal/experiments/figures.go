@@ -361,7 +361,9 @@ func Figure7c(cfg Config) Series {
 
 // Figure7d sweeps the configuration-space size and reports the mean
 // per-component running time (blocking, building the records'
-// representations, pre-compute, greedy search).
+// representations, pre-compute, greedy search). total_s is their sum
+// (Timing.Total): on more than one worker blocking and building overlap,
+// so it exceeds the wall time by the overlap.
 func Figure7d(cfg Config) Series {
 	cfg = cfg.withDefaults()
 	sizes := []int{24, 48, 96, 140}
@@ -388,6 +390,6 @@ func Figure7d(cfg Config) Series {
 			s.Y[i] = append(s.Y[i], metrics.Mean(v))
 		}
 	}
-	s.print(cfg, "Figure 7(d): per-component time vs configuration-space size")
+	s.print(cfg, "Figure 7(d): per-component time vs configuration-space size (total_s sums the components; blocking_s and profile_s overlap)")
 	return s
 }

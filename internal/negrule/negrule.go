@@ -173,7 +173,7 @@ func (s *Set) Freeze(left []string, parallelism int) *Frozen {
 // to parallelism goroutines (0 means GOMAXPROCS).
 func WordSets(records []string, parallelism int) [][]string {
 	out := make([][]string, len(records))
-	parallel.Shard(len(records), parallel.Workers(parallelism, len(records)), func(_, start, end int) {
+	parallel.Shard(len(records), parallel.Workers(parallelism, len(records)), func(start, end int) {
 		for i := start; i < end; i++ {
 			out[i] = AppendWordSet(nil, records[i])
 		}

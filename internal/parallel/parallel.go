@@ -1,7 +1,9 @@
 // Package parallel holds the tiny worker-pool primitives shared by the
-// blocking layer and the core engine, so the parallelism-knob semantics
-// (0 means GOMAXPROCS, 1 forces sequential) and the contiguous-range
-// sharding formula live in exactly one place.
+// blocking layer, the config builders and the core engine: the
+// parallelism-knob semantics (0 means GOMAXPROCS, 1 forces sequential)
+// and a contiguous-range sharding of a job list. blocking.Block runs its
+// own pool instead, handing out chunks from an atomic counter, as its
+// rows cost too unevenly for fixed ranges.
 package parallel
 
 import (
@@ -32,14 +34,15 @@ func Workers(parallelism, jobs int) int {
 }
 
 // Shard splits [0, n) into one contiguous range per worker and runs body
-// on each, inline when a single worker suffices. body receives the worker
-// index so callers can keep per-worker state without sharing.
-func Shard(n, workers int, body func(w, start, end int)) {
+// on each, inline when a single worker suffices. Ranges are disjoint, so
+// a body that writes only what its range owns needs no lock; state a
+// body needs for itself (scratch, an evaluator) it makes on entry.
+func Shard(n, workers int, body func(start, end int)) {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		body(0, 0, n)
+		body(0, n)
 		return
 	}
 	var wg sync.WaitGroup
@@ -51,7 +54,7 @@ func Shard(n, workers int, body func(w, start, end int)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			body(w, start, end)
+			body(start, end)
 		}()
 	}
 	wg.Wait()
