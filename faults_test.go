@@ -104,7 +104,7 @@ func (res *testRun) runOnce(pkg string, names []string, overlay string) map[stri
 	for i, n := range names {
 		quoted[i] = regexp.QuoteMeta(n)
 	}
-	args := []string{"test", "-json", "-count=1", "-vet=off", "-timeout=10m", "-run=^(" + strings.Join(quoted, "|") + ")$"}
+	args := []string{"test", "-json", "-count=1", "-vet=off", "-timeout=3m", "-run=^(" + strings.Join(quoted, "|") + ")$"}
 	if overlay != "" {
 		args = append(args, "-overlay="+overlay)
 	}

@@ -235,6 +235,7 @@ var unreached = map[string]string{
 	"(*internal/blocking.Index).TopKSelf":             "TestTopKExcludesSelf",
 	"(*internal/config.Corpus).Stats":                 "TestCorpusOnlyBuildsWhatIsNeeded",
 	"(*internal/config.EvalScratch).CharWork":         "TestRowDistancesCut",
+	"(*internal/config.Rows).RunBytes":                "TestLedgerRowBytes",
 	"(*internal/config.Rows).TokenCap":                "TestNewTableSlotCapacity",
 	"internal/analysis/analysistest.Run":              "TestDetRange",
 	"internal/analysis/analysistest.RunNoDiagnostics": "TestDetRangeOutOfScope",

@@ -72,7 +72,7 @@ const BuildChunk = 256
 // parallelism workers, one chunk at a time, AppendChunk stores each chunk,
 // and Settle closes the statistics.
 func (v *Vocab) buildArena(n, parallelism int, count func(dst *Counted, i int)) *ProfileArena {
-	a := &ProfileArena{v: v, rows: v.NewRows(n, 0)}
+	a := &ProfileArena{v: v, rows: v.NewRows(n)}
 	recs := make([]Counted, min(n, BuildChunk))
 	for lo := 0; lo < n; lo += BuildChunk {
 		chunk := recs[:min(n-lo, BuildChunk)]
@@ -87,30 +87,42 @@ func (v *Vocab) buildArena(n, parallelism int, count func(dst *Counted, i int)) 
 	return a
 }
 
-// Reserve makes room for tokens more slot entries, those of the next rows
-// rows. Storage made for a build of known size (NewRows' n rows) is sized
+// Reserve makes room for tokens more slot entries and counted more counts
+// (those of runs not all ones), those of the next rows rows. Each array
+// of storage made for a build of known size (NewRows' n rows) is sized
 // once, for the whole build: when it must grow before the build's last
-// rows, to the tokens per row stored so far (these rows included) times
+// rows, to the entries per row stored so far (these rows included) times
 // the build's rows, with 1/32 head room, and at least 1/16 more than it
 // holds, so a build whose later rows run longer still regrows a bounded
 // number of times; for the build's last rows, to what they need. Past the
 // build's size (a table's delta rows), storage at least doubles, so rows
 // appended one chunk at a time are copied O(1) times.
-func (s *Rows) Reserve(tokens, rows int) {
-	need := len(s.slots) + tokens
-	if need <= cap(s.slots) {
-		return
+func (s *Rows) Reserve(tokens, counted, rows int) {
+	stored := s.n + rows
+	if s.wide {
+		s.slots32 = reserve(s.slots32, tokens, stored, s.want)
+	} else {
+		s.slots16 = reserve(s.slots16, tokens, stored, s.want)
 	}
-	c := max(need, 2*cap(s.slots))
-	if stored := s.n + rows; stored < s.want {
-		est := int64(need+need/32) * int64(s.want) / int64(stored)
-		c = max(need, int(est), cap(s.slots)+cap(s.slots)/16)
-	} else if stored == s.want {
+	s.counts = reserve(s.counts, counted, stored, s.want)
+}
+
+// reserve returns buf with room for more entries, grown as Reserve says
+// for stored of want rows.
+func reserve[T any](buf []T, more, stored, want int) []T {
+	need := len(buf) + more
+	if need <= cap(buf) {
+		return buf
+	}
+	c := max(need, 2*cap(buf))
+	if stored < want {
+		est := int64(need+need/32) * int64(want) / int64(stored)
+		c = max(need, int(est), cap(buf)+cap(buf)/16)
+	} else if stored == want {
 		c = need
 	}
 	// Not slices.Grow: append's growth rounding would overshoot c.
-	s.slots = append(make([]int32, 0, c), s.slots...)
-	s.counts = append(make([]uint32, 0, c), s.counts...)
+	return append(make([]T, 0, c), buf...)
 }
 
 // ArenaQuery prepares one record as the query side against the arena's

@@ -101,17 +101,16 @@ type Counted struct {
 
 // tokenRun is one representation's count vector in integers: distinct
 // tokens ascending — packed 3-gram keys or words — with their counts, and
-// the Sum and Norm of the counts accumulated in ascending token order.
+// once a Vocab has interned them (AppendChunk), their slots.
 type tokenRun struct {
 	keys   []uint64 // 3-grams
 	words  []string // words
 	counts []uint32
-	sum    float64
-	norm   float64
+	slots  []int32
 }
 
 // count fills run with the count vector of s under tok, reusing its
-// buffers. The values, in the same floating-point order, are countVec's.
+// buffers: countVec's tokens and counts.
 func (run *tokenRun) count(tok tokenize.Option, s string) {
 	// The buffers are grown once to a bound on the token count: runes + 2
 	// grams, or (bytes + 1) / 2 words.
@@ -125,8 +124,18 @@ func (run *tokenRun) count(tok tokenize.Option, s string) {
 		sort.Strings(words)
 		run.words, run.counts = rle(words, slices.Grow(run.counts[:0], len(words)))
 	}
-	var sum, norm float64
-	for _, c := range run.counts {
+}
+
+// RunSums returns the Sum and Norm of a count vector, accumulated in
+// ascending token order as countVec's are. A stored run keeps neither:
+// both are derived from its counts where they are read.
+func RunSums(counts []uint32) (sum, norm float64) {
+	if allOnes(counts) {
+		// n ones sum, and square-sum, to n exactly.
+		n := float64(len(counts))
+		return n, math.Sqrt(n)
+	}
+	for _, c := range counts {
 		w := float64(c)
 		sum += w
 		// An integer count's square is exact, so fusing it would give
@@ -134,7 +143,17 @@ func (run *tokenRun) count(tok tokenize.Option, s string) {
 		// holds no fused op to vet.
 		norm += float64(w * w)
 	}
-	run.sum, run.norm = sum, math.Sqrt(norm)
+	return sum, math.Sqrt(norm)
+}
+
+// allOnes reports whether every count is 1: a run stored with no counts.
+func allOnes(counts []uint32) bool {
+	for _, c := range counts {
+		if c != 1 {
+			return false
+		}
+	}
+	return true
 }
 
 // rle compacts the sorted toks to their distinct values in place and
@@ -197,7 +216,6 @@ func (v *Vocab) CountRecord(dst *Counted, s string, proc *textproc.Forms) {
 				run.keys = append(run.keys[:0], src.keys...)
 				run.words = append(run.words[:0], src.words...)
 				run.counts = append(run.counts[:0], src.counts...)
-				run.sum, run.norm = src.sum, src.norm
 			} else {
 				run.count(tokenize.Option(ti), ps)
 			}

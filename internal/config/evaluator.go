@@ -314,14 +314,22 @@ func (e *Evaluator) RowDistances(f *Fixed, s *Rows, i int, mask GroupMask, cut [
 		if src := copySource(g.from, mask, g.pre, &f.rec, s, i); src >= 0 {
 			sc.sd[gi] = sc.sd[src]
 		} else {
+			// The kernels take each slot width and each run kind (nil
+			// counts: all ones) through one generic loop apiece.
 			p := &f.side.set[g.pre][g.tok][g.wt]
 			ri := s.lay.rep[g.pre][g.tok]
 			at := i*len(s.lay.reps) + int(ri)
 			lo, hi := s.off[at], s.off[at+1]
-			if g.wt == weights.IDF {
-				sc.sd[gi] = p.SetFamilyIDF(s.slots[lo:hi], s.counts[lo:hi], f.v.reps[ri].sw, f.l)
-			} else {
-				sc.sd[gi] = distance.SetFamilyRun(p, s.slots[lo:hi], s.counts[lo:hi], s.sums[2*at], s.sums[2*at+1], f.l)
+			counts := s.runCounts(at)
+			switch {
+			case s.wide && g.wt == weights.IDF:
+				sc.sd[gi] = distance.SetFamilyIDF(p, s.slots32[lo:hi], counts, f.v.reps[ri].sw, f.l)
+			case s.wide:
+				sc.sd[gi] = distance.SetFamilyRun(p, s.slots32[lo:hi], counts, f.l)
+			case g.wt == weights.IDF:
+				sc.sd[gi] = distance.SetFamilyIDF(p, s.slots16[lo:hi], counts, f.v.reps[ri].sw, f.l)
+			default:
+				sc.sd[gi] = distance.SetFamilyRun(p, s.slots16[lo:hi], counts, f.l)
 			}
 		}
 		scatterSet(g, sc.sd[gi], out)

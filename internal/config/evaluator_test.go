@@ -259,7 +259,7 @@ func TestRowDistancesMask(t *testing.T) {
 			}
 
 			v := NewVocab(space)
-			rows := v.NewRows(0, 0)
+			rows := v.NewRows(0)
 			var stored []string
 			var live []bool
 			add := func(ss ...string) {
@@ -386,7 +386,7 @@ func FuzzEvaluator(f *testing.F) {
 		// against row a as is and with a token no row holds, and row a
 		// prepared as a ball's center against row b.
 		v := NewVocab(space)
-		rows := v.NewRows(2, 0)
+		rows := v.NewRows(2)
 		appendRecord(v, &rows, a)
 		appendRecord(v, &rows, b)
 		v.Settle()

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -8,6 +9,8 @@ import (
 
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/embed"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/textproc"
+	"github.com/chu-data-lab/autofuzzyjoin-go/internal/tokenize"
+	"github.com/chu-data-lab/autofuzzyjoin-go/internal/weights"
 )
 
 // TestRowsWideLanes: an embedding whose counts do not fit int8 is stored
@@ -30,7 +33,7 @@ func TestRowsWideLanes(t *testing.T) {
 	}
 	wide := []bool{true, false, true, false, true}
 	v := NewVocab(space)
-	rows := v.NewRows(len(recs), 0)
+	rows := v.NewRows(len(recs))
 	for _, s := range recs {
 		appendRecord(v, &rows, s)
 	}
@@ -38,7 +41,7 @@ func TestRowsWideLanes(t *testing.T) {
 	if rows.lay.nemb != len(space) {
 		t.Fatalf("layout holds %d embeddings, want %d", rows.lay.nemb, len(space))
 	}
-	copied := v.NewRows(0, 0)
+	copied := v.NewRows(0)
 	for i := range recs {
 		copied.AppendRow(&rows, i)
 	}
@@ -98,5 +101,92 @@ func TestRowsWideLanes(t *testing.T) {
 	}
 	if d := embed.Distance(strings.Repeat("a", 300), strings.Repeat("a", 40000)); d <= 0 || d >= 1 {
 		t.Fatalf("distance between the long runs %v, want inside (0, 1)", d)
+	}
+}
+
+// TestRowsCompactRuns: a run whose counts are all 1 stores none and a run
+// with a repeated token stores all of its own; slots stay uint16 until a
+// row holds slot 65,536 and then widen in place. Rows stored before the
+// widening read the same through the widened storage as through a narrow
+// prefix taken before it (Get, and RowDistances as the stored row and as
+// the prepared side, to the bit), and AppendRow copies a wide row exactly.
+func TestRowsCompactRuns(t *testing.T) {
+	space := []JoinFunction{
+		{Pre: textproc.Lower, Tok: tokenize.Space, Weight: weights.IDF, Dist: JD},
+		{Pre: textproc.Lower, Tok: tokenize.Space, Weight: weights.Equal, Dist: CD},
+		{Pre: textproc.Lower, Tok: tokenize.QGram3, Weight: weights.Equal, Dist: DD},
+	}
+	words := func(k, n int) string {
+		var b strings.Builder
+		for i := k; i < k+n; i++ {
+			fmt.Fprintf(&b, "w%d ", i)
+		}
+		return b.String()
+	}
+	v := NewVocab(space)
+	rows := v.NewRows(0)
+	appendRecord(v, &rows, "x y z")
+	if len(rows.counts) != 0 {
+		t.Fatalf("an all-ones row stores %d counts, want none", len(rows.counts))
+	}
+	appendRecord(v, &rows, "aaa aaa b")
+	// Words aaa:2 b:1, and 3-grams whose "aaa" repeats in "aaa aaa".
+	if got := len(rows.counts); got == 0 || got >= rows.Tokens()-3 {
+		t.Fatalf("a row with repeated tokens stores %d counts of %d slots", got, rows.Tokens())
+	}
+	for k := 0; k < 65000; k += 1000 {
+		appendRecord(v, &rows, words(k, 1000))
+	}
+	v.Settle()
+	if rows.wide {
+		t.Fatal("slots widened before any reached 65,536")
+	}
+	narrow := rows.Prefix(rows.Len())
+	appendRecord(v, &rows, words(65000, 1000))
+	v.Settle()
+	if !rows.wide || narrow.wide {
+		t.Fatalf("after slot 65,535: rows wide %v, earlier prefix wide %v; want true, false", rows.wide, narrow.wide)
+	}
+	ev := NewEvaluator(space)
+	sc := ev.NewScratch()
+	var side Side
+	got, want := make([]float64, len(space)), make([]float64, len(space))
+	for i := 0; i < narrow.Len(); i++ {
+		var a, b Row
+		rows.Get(i, &a)
+		narrow.Get(i, &b)
+		if fmt.Sprint(a) != fmt.Sprint(b) {
+			t.Fatalf("row %d reads differently once widened", i)
+		}
+		compare := func(what string) {
+			t.Helper()
+			for fi := range got {
+				if !sameBits(got[fi], want[fi]) {
+					t.Fatalf("row %d %s: %s %v widened, %v narrow", i, what, space[fi].Name(), got[fi], want[fi])
+				}
+			}
+		}
+		for _, l := range []bool{true, false} {
+			f := v.PrepareRow(&side, &rows, rows.Len()-1, AllGroups, l)
+			ev.RowDistances(&f, &rows, i, AllGroups, nil, sc, got)
+			ev.RowDistances(&f, &narrow, i, AllGroups, nil, sc, want)
+			side.Release()
+			compare(fmt.Sprintf("stored, l=%v", !l))
+			f = v.PrepareRow(&side, &rows, i, AllGroups, l)
+			ev.RowDistances(&f, &rows, 1, AllGroups, nil, sc, got)
+			side.Release()
+			f = v.PrepareRow(&side, &narrow, i, AllGroups, l)
+			ev.RowDistances(&f, &rows, 1, AllGroups, nil, sc, want)
+			side.Release()
+			compare(fmt.Sprintf("prepared, l=%v", l))
+		}
+	}
+	copied := v.NewRows(0)
+	copied.AppendRow(&rows, rows.Len()-1)
+	var a, b Row
+	rows.Get(rows.Len()-1, &a)
+	copied.Get(0, &b)
+	if !copied.wide || fmt.Sprint(a) != fmt.Sprint(b) {
+		t.Fatalf("AppendRow of a wide row: wide %v, same row %v", copied.wide, fmt.Sprint(a) == fmt.Sprint(b))
 	}
 }

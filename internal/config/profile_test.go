@@ -161,10 +161,10 @@ func checkRow(t *testing.T, where string, a *ProfileArena, i int, want *Profile,
 		slot := fmt.Sprintf("%s (%s,%s)", where, rep.Pre, rep.Tok)
 		slots, counts := row.Slots[rep.Pre][rep.Tok], row.Counts[rep.Pre][rep.Tok]
 		w := want.vecs[rep.Pre][rep.Tok][weights.Equal]
-		if len(slots) != len(w.Tokens) || len(counts) != len(w.W) ||
-			!sameBits(row.Sum[rep.Pre][rep.Tok], w.Sum) || !sameBits(row.Norm[rep.Pre][rep.Tok], w.Norm) {
+		sum, norm := RunSums(counts)
+		if len(slots) != len(w.Tokens) || len(counts) != len(w.W) || !sameBits(sum, w.Sum) || !sameBits(norm, w.Norm) {
 			t.Fatalf("%s: got %d slots sum %v norm %v, want %d tokens sum %v norm %v",
-				slot, len(slots), row.Sum[rep.Pre][rep.Tok], row.Norm[rep.Pre][rep.Tok], len(w.Tokens), w.Sum, w.Norm)
+				slot, len(slots), sum, norm, len(w.Tokens), w.Sum, w.Norm)
 		}
 		toks := a.v.reps[r].toks
 		for k, sl := range slots {

@@ -41,6 +41,12 @@ import (
 // sums and norms have weighIDF's arithmetic, so every distance is
 // bit-identical to Evaluator.Distances on Profiles built under the same
 // statistics.
+//
+// A stored run is compact: a run whose counts are all 1 (nearly every
+// one, since a token rarely repeats within a record) stores no counts,
+// slots are 16 bits wide while a row block's slots fit, and a run's Sum
+// and Norm are not stored but derived from its counts, which are whole
+// numbers, so the derived bits are the counted ones.
 
 // layout is the stored shape of one program column's rows under a space:
 // the position of each stored processed string, embedding and counted
@@ -264,58 +270,62 @@ func (v *Vocab) intern(r int, run *tokenRun, k int) int32 {
 }
 
 // internRun interns the tokens of run, representation r of a counted
-// record, into slots, counting each into the df of its slot. It touches
-// representation r alone, so distinct representations may be interned
-// concurrently.
-func (v *Vocab) internRun(r int, run *tokenRun, slots []int32) {
-	for k := range slots {
+// record, into its slots, counting each into the df of its slot. It
+// touches representation r alone, so distinct representations may be
+// interned concurrently.
+func (v *Vocab) internRun(r int, run *tokenRun) {
+	run.slots = slices.Grow(run.slots[:0], len(run.counts))[:len(run.counts)]
+	for k := range run.slots {
 		sl := v.intern(r, run, k)
 		v.reps[r].df[sl]++
-		slots[k] = sl
+		run.slots[k] = sl
 	}
 }
 
 // AppendChunk stores the counted records recs (see CountRecord) as the
-// next rows of rows, in order, interning their tokens into the stored
-// runs, and counts the rows live. Each representation is interned by one
-// of up to parallelism workers (0 means GOMAXPROCS), record by record in
-// order, so slots are assigned in first-appearance order at every
-// parallelism.
+// next rows of rows, in order, interning their tokens, and counts the
+// rows live. Each representation is interned by one of up to parallelism
+// workers (0 means GOMAXPROCS), record by record in order, so slots are
+// assigned in first-appearance order at every parallelism; the rows are
+// then stored in order, in storage reserved once for the chunk.
 func (v *Vocab) AppendChunk(rows *Rows, recs []Counted, parallelism int) {
-	first := rows.n
-	tokens := 0
-	for i := range recs {
-		for r := range v.reps {
-			tokens += len(recs[i].runs[r].counts)
-		}
-	}
-	rows.Reserve(tokens, len(recs))
-	for i := range recs {
-		v.appendCounted(rows, &recs[i])
-	}
 	nrep := len(v.reps)
 	// One worker interns inline: a sequential caller (Table.Add) builds
 	// no closure.
 	if w := parallel.Workers(parallelism, nrep); w == 1 {
-		v.internChunk(rows, recs, first, 0, nrep)
+		v.internChunk(recs, 0, nrep)
 	} else {
-		parallel.Shard(nrep, w, func(start, end int) { v.internChunk(rows, recs, first, start, end) })
+		parallel.Shard(nrep, w, func(start, end int) { v.internChunk(recs, start, end) })
+	}
+	tokens, counted := 0, 0
+	for i := range recs {
+		for r := range v.reps {
+			counts := recs[i].runs[r].counts
+			tokens += len(counts)
+			if !allOnes(counts) {
+				counted += len(counts)
+			}
+		}
+	}
+	rows.Reserve(tokens, counted, len(recs))
+	for i := range recs {
+		v.appendCounted(rows, &recs[i])
 	}
 	v.docs += len(recs)
 }
 
 // internChunk interns representations [start, end) of the counted records
-// recs, stored as rows first on of rows, record by record in order.
-func (v *Vocab) internChunk(rows *Rows, recs []Counted, first, start, end int) {
+// recs, record by record in order.
+func (v *Vocab) internChunk(recs []Counted, start, end int) {
 	for r := start; r < end; r++ {
 		for i := range recs {
-			v.internRun(r, &recs[i].runs[r], rows.runSlots(first+i, r))
+			v.internRun(r, &recs[i].runs[r])
 		}
 	}
 }
 
-// appendCounted stores the counted record c as the next row of rows, its
-// slot runs left for internRun to fill.
+// appendCounted stores the counted record c, interned, as the next row of
+// rows.
 func (v *Vocab) appendCounted(rows *Rows, c *Counted) {
 	var r Row
 	for pi := 0; pi < numPre; pi++ {
@@ -328,8 +338,7 @@ func (v *Vocab) appendCounted(rows *Rows, c *Counted) {
 	}
 	for ri, rep := range v.lay.reps {
 		run := &c.runs[ri]
-		r.Counts[rep.Pre][rep.Tok] = run.counts
-		r.Sum[rep.Pre][rep.Tok], r.Norm[rep.Pre][rep.Tok] = run.sum, run.norm
+		r.Slots[rep.Pre][rep.Tok], r.Counts[rep.Pre][rep.Tok] = run.slots, run.counts
 	}
 	rows.Append(&r)
 }
@@ -341,11 +350,21 @@ func (v *Vocab) Count(s *Rows, i int, delta int32) {
 	for r := range v.reps {
 		df := v.reps[r].df
 		at := i*nrep + r
-		for _, sl := range s.slots[s.off[at]:s.off[at+1]] {
-			df[sl] += delta
+		lo, hi := s.off[at], s.off[at+1]
+		if s.wide {
+			addDF(df, s.slots32[lo:hi], delta)
+		} else {
+			addDF(df, s.slots16[lo:hi], delta)
 		}
 	}
 	v.docs += int(delta)
+}
+
+// addDF adds delta to the df of every slot of a run.
+func addDF[S distance.Slot](df []int32, slots []S, delta int32) {
+	for _, sl := range slots {
+		df[sl] += delta
+	}
 }
 
 // Settle ends a batch of mutations. The slots interned since the last
@@ -431,11 +450,11 @@ func (v *Vocab) Dictionary(s *Rows) (dict []string, index SlotIndex) {
 			idx[sl] = -1
 		}
 		for at := r; at < s.n*nrep; at += nrep {
-			for _, sl := range s.slots[s.off[at]:s.off[at+1]] {
-				if idx[sl] < 0 {
-					idx[sl] = 0
-					dict = append(dict, v.reps[r].toks[sl])
-				}
+			lo, hi := s.off[at], s.off[at+1]
+			if s.wide {
+				dict = appendUnmarked(dict, idx, s.slots32[lo:hi], v.reps[r].toks)
+			} else {
+				dict = appendUnmarked(dict, idx, s.slots16[lo:hi], v.reps[r].toks)
 			}
 		}
 		index[rep.Pre][rep.Tok] = idx
@@ -453,52 +472,68 @@ func (v *Vocab) Dictionary(s *Rows) (dict []string, index SlotIndex) {
 	return dict, index
 }
 
+// appendUnmarked appends to dict the token of every slot of a run that idx
+// does not mark yet (-1), and marks it 0.
+func appendUnmarked[S distance.Slot](dict []string, idx []int32, slots []S, toks []string) []string {
+	for _, sl := range slots {
+		if idx[sl] < 0 {
+			idx[sl] = 0
+			dict = append(dict, toks[sl])
+		}
+	}
+	return dict
+}
+
 // Row is one stored row in exploded form, indexed like a Profile: the
 // input of Rows.Append and the output of Rows.Get. Only the parts the
 // layout stores are read or written; Slots index the column's Vocab,
-// in ascending token order, and Sum and Norm are the count vector's.
-// Append stores each embedding in the narrowest lanes its counts fit and
-// computes its norm from them, whatever the input's lanes and Norm.
+// in ascending token order, with one count each (RunSums gives the count
+// vector's Sum and Norm). Append stores each embedding in the narrowest
+// lanes its counts fit and computes its norm from them, whatever the
+// input's lanes and Norm.
 type Row struct {
 	Proc   [numPre]string
 	Emb    [numPre]embed.Lanes
 	Slots  [numPre][numTok][]int32
 	Counts [numPre][numTok][]uint32
-	Sum    [numPre][numTok]float64
-	Norm   [numPre][numTok]float64
 }
 
 // Rows is the columnar at-rest storage of a block of one program
 // column's rows: processed strings and their shapes, embeddings as integer
 // lanes with their squared norms, and per counted representation a slot
-// run with integer counts and the count vector's Sum and Norm. A row's
-// parts sit at fixed positions (see layout), so a row is a handful of
-// slices into a few flat arrays. An embedding whose counts all fit int8
-// takes embed.Dim bytes; one that does not keeps zero narrow lanes and its
-// counts in wide, found by its position in wideAt. Rows only grow, and
-// stored rows never change.
+// run with its integer counts. A row's parts sit at fixed positions (see
+// layout), so a row is a handful of slices into a few flat arrays. An
+// embedding whose counts all fit int8 takes embed.Dim bytes; one that
+// does not keeps zero narrow lanes and its counts in wide, found by its
+// position in wideAt. Slots are uint16 while every slot the block holds
+// fits, and the block widens them all to int32 when one does not. A run
+// whose counts are all 1 stores none. Rows only grow, and stored rows
+// never change.
 type Rows struct {
-	lay    *layout
-	n      int
-	want   int              // the rows the storage was made for (see Reserve)
-	proc   []string         // n × nproc
-	shapes []distance.Shape // of proc, for distance.CharBound
-	emb    []int8           // n × nemb × embed.Dim narrow lanes
-	norms  []int64          // n × nemb squared norms
-	wide   []int32          // embed.Dim lanes per embedding that does not fit int8
-	wideAt []int32          // ascending position (row × nemb + e) of each wide embedding
-	off    []int32          // n × nrep + 1 run offsets into slots and counts
-	slots  []int32
-	counts []uint32
-	sums   []float64 // n × nrep (Sum, Norm) pairs
+	lay     *layout
+	n       int
+	want    int              // the rows the storage was made for (see Reserve)
+	proc    []string         // n × nproc
+	shapes  []distance.Shape // of proc, for distance.CharBound
+	emb     []int8           // n × nemb × embed.Dim narrow lanes
+	norms   []int64          // n × nemb squared norms
+	wideEmb []int32          // embed.Dim lanes per embedding that does not fit int8
+	wideAt  []int32          // ascending position (row × nemb + e) of each wide embedding
+	off     []int32          // n × nrep + 1 run offsets into the slots
+	coff    []int32          // n × nrep + 1 run offsets into counts; equal neighbours mark an all-ones run
+	wide    bool             // the slots are in slots32, not slots16
+	slots16 []uint16
+	slots32 []int32
+	counts  []uint32 // the counts of the runs that are not all ones
 }
 
-// NewRows returns empty row storage in v's layout with room for n rows
-// holding tokens slots in all.
-func (v *Vocab) NewRows(n, tokens int) Rows {
+// NewRows returns empty row storage in v's layout with room for n rows'
+// strings, shapes, embeddings and run offsets; slots and counts are
+// reserved as rows arrive (see Reserve).
+func (v *Vocab) NewRows(n int) Rows {
 	lay := v.lay
 	nrep := len(lay.reps)
-	s := Rows{
+	return Rows{
 		lay:    lay,
 		want:   n,
 		proc:   make([]string, 0, n*lay.nproc),
@@ -506,25 +541,27 @@ func (v *Vocab) NewRows(n, tokens int) Rows {
 		emb:    make([]int8, 0, n*lay.nemb*embed.Dim),
 		norms:  make([]int64, 0, n*lay.nemb),
 		off:    make([]int32, 0, n*nrep+1),
-		slots:  make([]int32, 0, tokens),
-		counts: make([]uint32, 0, tokens),
-		sums:   make([]float64, 0, 2*n*nrep),
+		coff:   make([]int32, 0, n*nrep+1),
 	}
-	return s
 }
 
 // Len returns the number of stored rows.
 func (s *Rows) Len() int { return s.n }
 
 // Tokens returns the number of slot entries the rows hold in all.
-func (s *Rows) Tokens() int { return len(s.slots) }
+func (s *Rows) Tokens() int { return len(s.slots16) + len(s.slots32) }
 
 // TokenCap returns the number of slot entries the rows have room for
 // without growing (see Reserve).
-func (s *Rows) TokenCap() int { return min(cap(s.slots), cap(s.counts)) }
+func (s *Rows) TokenCap() int { return cap(s.slots16) + cap(s.slots32) }
 
-// Append stores r as the next row. A run whose Slots are nil is stored
-// with its Counts and room for its slots, which the caller fills.
+// RunBytes returns the bytes the rows' slot-run arrays take by capacity:
+// the run offsets, the slots and the counts.
+func (s *Rows) RunBytes() int {
+	return 4*(cap(s.off)+cap(s.coff)+cap(s.slots32)+cap(s.counts)) + 2*cap(s.slots16)
+}
+
+// Append stores r as the next row.
 func (s *Rows) Append(r *Row) {
 	lay := s.lay
 	for pi := 0; pi < numPre; pi++ {
@@ -538,21 +575,74 @@ func (s *Rows) Append(r *Row) {
 			s.appendEmb(&r.Emb[pi])
 		}
 	}
-	if len(s.off) == 0 {
-		s.off = append(s.off, 0)
-	}
-	for _, rep := range lay.reps {
+	s.startRow()
+	var ones [numPre * numTok]bool
+	tokens, counted := 0, 0
+	for ri, rep := range lay.reps {
 		counts := r.Counts[rep.Pre][rep.Tok]
-		if slots := r.Slots[rep.Pre][rep.Tok]; slots != nil {
-			s.slots = append(s.slots, slots...)
-		} else {
-			s.slots = slices.Grow(s.slots, len(counts))[:len(s.slots)+len(counts)]
+		tokens += len(counts)
+		if ones[ri] = allOnes(counts); !ones[ri] {
+			counted += len(counts)
 		}
-		s.counts = append(s.counts, counts...)
-		s.off = append(s.off, int32(len(s.slots)))
-		s.sums = append(s.sums, r.Sum[rep.Pre][rep.Tok], r.Norm[rep.Pre][rep.Tok])
+	}
+	s.Reserve(tokens, counted, 1)
+	for ri, rep := range lay.reps {
+		appendSlots(s, r.Slots[rep.Pre][rep.Tok])
+		if !ones[ri] {
+			s.counts = append(s.counts, r.Counts[rep.Pre][rep.Tok]...)
+		}
+		s.endRun()
 	}
 	s.n++
+}
+
+// startRow opens the run offsets before the first row is appended.
+func (s *Rows) startRow() {
+	if len(s.off) == 0 {
+		s.off, s.coff = append(s.off, 0), append(s.coff, 0)
+	}
+}
+
+// endRun closes the run whose slots and counts were just appended.
+func (s *Rows) endRun() {
+	s.off = append(s.off, int32(s.Tokens()))
+	s.coff = append(s.coff, int32(len(s.counts)))
+}
+
+// appendSlots appends a run's slots to s, widening s's slots first when
+// one does not fit in 16 bits.
+func appendSlots[S distance.Slot](s *Rows, slots []S) {
+	if !s.wide {
+		lo := len(s.slots16)
+		s.slots16 = slices.Grow(s.slots16, len(slots))[:lo+len(slots)]
+		for k, sl := range slots {
+			if int64(sl) > math.MaxUint16 {
+				s.slots16 = s.slots16[:lo]
+				s.widen()
+				break
+			}
+			s.slots16[lo+k] = uint16(sl)
+		}
+	}
+	if s.wide {
+		s.slots32 = appendConverted(s.slots32, slots)
+	}
+}
+
+// widen moves the slots to int32, keeping their capacity.
+func (s *Rows) widen() {
+	s.slots32 = appendConverted(make([]int32, 0, cap(s.slots16)), s.slots16)
+	s.slots16, s.wide = nil, true
+}
+
+// appendConverted appends src to dst, converting each slot.
+func appendConverted[D, S distance.Slot](dst []D, src []S) []D {
+	lo := len(dst)
+	dst = slices.Grow(dst, len(src))[:lo+len(src)]
+	for k, x := range src {
+		dst[lo+k] = D(x)
+	}
+	return dst
 }
 
 // appendEmb stores the next embedding in int8 lanes when its counts fit,
@@ -567,7 +657,7 @@ func (s *Rows) appendEmb(l *embed.Lanes) {
 	case !embed.Narrow(lanes, l.Wide):
 		clear(lanes)
 		s.wideAt = append(s.wideAt, int32(len(s.norms)))
-		s.wide = append(s.wide, l.Wide[:embed.Dim]...)
+		s.wideEmb = append(s.wideEmb, l.Wide[:embed.Dim]...)
 		s.norms = append(s.norms, embed.NormOf(l.Wide))
 		return
 	}
@@ -583,7 +673,7 @@ func (s *Rows) lanes(i, e int) embed.Lanes {
 	if len(s.wideAt) > 0 {
 		if k, ok := slices.BinarySearch(s.wideAt, int32(at)); ok {
 			lo := k * embed.Dim
-			return embed.Lanes{Wide: s.wide[lo : lo+embed.Dim : lo+embed.Dim], Norm: s.norms[at]}
+			return embed.Lanes{Wide: s.wideEmb[lo : lo+embed.Dim : lo+embed.Dim], Norm: s.norms[at]}
 		}
 	}
 	lo := at * embed.Dim
@@ -598,13 +688,21 @@ func (s *Rows) procAt(i int, pre textproc.Option) string {
 	return s.proc[i*s.lay.nproc+int(s.lay.proc[pre])]
 }
 
-// runSlots returns the slot run of row i at layout position r.
-func (s *Rows) runSlots(i, r int) []int32 {
-	at := i*len(s.lay.reps) + r
-	return s.slots[s.off[at]:s.off[at+1]]
+// runCounts returns the counts of run at (row × nrep + layout position),
+// or nil when they are all 1. It aliases the storage.
+//
+//autofj:hotpath
+func (s *Rows) runCounts(at int) []uint32 {
+	lo, hi := s.coff[at], s.coff[at+1]
+	if lo == hi {
+		return nil
+	}
+	return s.counts[lo:hi:hi]
 }
 
-// Get fills r with views of row i. The views alias the storage.
+// Get fills r with row i: its strings and embeddings alias the storage,
+// and its slot runs and counts are copied into r's buffers, which it
+// reuses.
 func (s *Rows) Get(i int, r *Row) {
 	lay := s.lay
 	rec := s.record(i)
@@ -613,18 +711,49 @@ func (s *Rows) Get(i int, r *Row) {
 	for ri, rep := range lay.reps {
 		at := i*nrep + ri
 		lo, hi := s.off[at], s.off[at+1]
-		r.Slots[rep.Pre][rep.Tok] = s.slots[lo:hi:hi]
-		r.Counts[rep.Pre][rep.Tok] = s.counts[lo:hi:hi]
-		r.Sum[rep.Pre][rep.Tok] = s.sums[2*at]
-		r.Norm[rep.Pre][rep.Tok] = s.sums[2*at+1]
+		slots := r.Slots[rep.Pre][rep.Tok][:0]
+		if s.wide {
+			slots = append(slots, s.slots32[lo:hi]...)
+		} else {
+			slots = appendConverted(slots, s.slots16[lo:hi])
+		}
+		counts := s.runCounts(at)
+		if counts == nil {
+			counts = slices.Grow(r.Counts[rep.Pre][rep.Tok][:0], len(slots))[:len(slots)]
+			for k := range counts {
+				counts[k] = 1
+			}
+		} else {
+			counts = append(r.Counts[rep.Pre][rep.Tok][:0], counts...)
+		}
+		r.Slots[rep.Pre][rep.Tok], r.Counts[rep.Pre][rep.Tok] = slots, counts
 	}
 }
 
 // AppendRow stores a copy of row i of src, which has the same layout.
 func (s *Rows) AppendRow(src *Rows, i int) {
-	var r Row
-	src.Get(i, &r)
-	s.Append(&r)
+	lay := s.lay
+	np, nrep := lay.nproc, len(lay.reps)
+	s.proc = append(s.proc, src.proc[i*np:(i+1)*np]...)
+	s.shapes = append(s.shapes, src.shapes[i*np:(i+1)*np]...)
+	for e := 0; e < lay.nemb; e++ {
+		l := src.lanes(i, e)
+		s.appendEmb(&l)
+	}
+	s.startRow()
+	first := i * nrep
+	s.Reserve(int(src.off[first+nrep]-src.off[first]), int(src.coff[first+nrep]-src.coff[first]), 1)
+	for at := first; at < first+nrep; at++ {
+		lo, hi := src.off[at], src.off[at+1]
+		if src.wide {
+			appendSlots(s, src.slots32[lo:hi])
+		} else {
+			appendSlots(s, src.slots16[lo:hi])
+		}
+		s.counts = append(s.counts, src.runCounts(at)...)
+		s.endRun()
+	}
+	s.n++
 }
 
 // Prefix returns a frozen view of the first m rows (capacity-capped, so
@@ -635,22 +764,28 @@ func (s *Rows) Prefix(m int) Rows {
 		return Rows{lay: lay}
 	}
 	np, ne, nr := m*lay.nproc, m*lay.nemb, m*len(lay.reps)
-	end := s.off[nr]
+	end, cend := s.off[nr], s.coff[nr]
 	nw, _ := slices.BinarySearch(s.wideAt, int32(ne))
-	return Rows{
-		lay:    lay,
-		n:      m,
-		proc:   s.proc[:np:np],
-		shapes: s.shapes[:np:np],
-		emb:    s.emb[: ne*embed.Dim : ne*embed.Dim],
-		norms:  s.norms[:ne:ne],
-		wide:   s.wide[: nw*embed.Dim : nw*embed.Dim],
-		wideAt: s.wideAt[:nw:nw],
-		off:    s.off[: nr+1 : nr+1],
-		slots:  s.slots[:end:end],
-		counts: s.counts[:end:end],
-		sums:   s.sums[: 2*nr : 2*nr],
+	p := Rows{
+		lay:     lay,
+		n:       m,
+		proc:    s.proc[:np:np],
+		shapes:  s.shapes[:np:np],
+		emb:     s.emb[: ne*embed.Dim : ne*embed.Dim],
+		norms:   s.norms[:ne:ne],
+		wideEmb: s.wideEmb[: nw*embed.Dim : nw*embed.Dim],
+		wideAt:  s.wideAt[:nw:nw],
+		off:     s.off[: nr+1 : nr+1],
+		coff:    s.coff[: nr+1 : nr+1],
+		wide:    s.wide,
+		counts:  s.counts[:cend:cend],
 	}
+	if s.wide {
+		p.slots32 = s.slots32[:end:end]
+	} else {
+		p.slots16 = s.slots16[:end:end]
+	}
+	return p
 }
 
 // Tail returns fresh storage holding copies of the rows from m on.
@@ -775,7 +910,7 @@ func (v *Vocab) PrepareQuery(sd *Side, s string, proc *textproc.Forms, mask Grou
 			}
 		}
 		sd.slots = slots
-		v.prepare(sd, r, slots, run.counts, run.sum, run.norm)
+		prepare(v, sd, r, slots, run.counts)
 	}
 	return v.fixed(v.lay.record(&q), sd, false)
 }
@@ -791,20 +926,25 @@ func (v *Vocab) PrepareRow(sd *Side, s *Rows, i int, mask GroupMask, l bool) Fix
 		if mask&v.groups[r] != 0 {
 			at := i*nrep + r
 			lo, hi := s.off[at], s.off[at+1]
-			v.prepare(sd, r, s.slots[lo:hi], s.counts[lo:hi], s.sums[2*at], s.sums[2*at+1])
+			if s.wide {
+				prepare(v, sd, r, s.slots32[lo:hi], s.runCounts(at))
+			} else {
+				prepare(v, sd, r, s.slots16[lo:hi], s.runCounts(at))
+			}
 		}
 	}
 	return v.fixed(s.record(i), sd, l)
 }
 
-// prepare fills the tables of representation r from a count vector: slots
-// ascending by token (-1 for a token v lacks), counts, and their Sum and
-// Norm. IDF weights are count × sw with weighIDF's arithmetic.
+// prepare fills the tables of representation r of v from a count vector:
+// slots ascending by token (-1 for a token v lacks) and their counts, nil
+// when every one is 1. IDF weights are count × sw with weighIDF's
+// arithmetic, and the equal-weight Sum and Norm are RunSums'.
 //
 //autofj:hotpath
-func (v *Vocab) prepare(sd *Side, r int, slots []int32, counts []uint32, csum, cnorm float64) {
+func prepare[S distance.Slot](v *Vocab, sd *Side, r int, slots []S, counts []uint32) {
 	rep, rv := v.lay.reps[r], &v.reps[r]
-	sd.held[rep.Pre][rep.Tok] = append(sd.held[rep.Pre][rep.Tok][:0], slots...)
+	sd.held[rep.Pre][rep.Tok] = appendConverted(sd.held[rep.Pre][rep.Tok][:0], slots)
 	need := &v.lay.need[rep.Pre][rep.Tok]
 	n := int32(len(slots))
 	if need[weights.IDF] {
@@ -812,9 +952,13 @@ func (v *Vocab) prepare(sd *Side, r int, slots []int32, counts []uint32, csum, c
 		unseen := v.idf.Weight(0)
 		var sum, norm float64
 		for k, sl := range slots {
-			x := float64(counts[k]) * unseen
+			c := 1.0
+			if counts != nil {
+				c = float64(counts[k])
+			}
+			x := float64(c * unseen)
 			if sl >= 0 {
-				x = float64(counts[k]) * rv.sw[sl]
+				x = float64(c * rv.sw[sl])
 				p.W[sl] = x
 			}
 			sum += x
@@ -826,10 +970,18 @@ func (v *Vocab) prepare(sd *Side, r int, slots []int32, counts []uint32, csum, c
 		p := sized(&sd.set[rep.Pre][rep.Tok][weights.Equal], len(rv.toks))
 		for k, sl := range slots {
 			if sl >= 0 {
-				p.W[sl] = float64(counts[k])
+				p.W[sl] = 1
+				if counts != nil {
+					p.W[sl] = float64(counts[k])
+				}
 			}
 		}
-		p.Sum, p.Norm, p.N = csum, cnorm, n
+		if counts == nil {
+			p.Sum, p.Norm = float64(n), math.Sqrt(float64(n))
+		} else {
+			p.Sum, p.Norm = RunSums(counts)
+		}
+		p.N = n
 	}
 }
 

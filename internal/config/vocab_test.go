@@ -29,7 +29,7 @@ func TestPreparedRowMatchesProfileAndNeverAllocates(t *testing.T) {
 	ev := NewEvaluator(space)
 	sc := ev.NewScratch()
 	v := NewVocab(space)
-	rows := v.NewRows(0, 0)
+	rows := v.NewRows(0)
 	var docs []string // stored rows, by row index
 	live := map[int]bool{}
 	add := func(ss ...string) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -650,6 +651,13 @@ func greedy(in *engineInput, fns []*preparedFn, opt Options) *engineOut {
 			break
 		}
 		fresh = addConfig(in, fns[bestFi], bestFi, bestK, iter, out, fresh[:0])
+		if len(fresh) == 0 {
+			// The pools said the configuration joins a row no configuration
+			// has assigned; had addConfig not assigned one, the next
+			// iteration would pick the same configuration, forever.
+			panic(fmt.Sprintf("core: greedy: %s at threshold %v assigned no fresh row, but addConfig must assign at least one whenever dCnt > 0",
+				in.space[bestFi].Name(), fns[bestFi].thresholds[bestK]))
+		}
 		markAssigned(fresh)
 		out.trace = append(out.trace, IterationStat{
 			Config:       out.program[len(out.program)-1],

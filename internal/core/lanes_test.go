@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"path/filepath"
@@ -12,6 +13,8 @@ import (
 
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/config"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/embed"
+	"github.com/chu-data-lab/autofuzzyjoin-go/internal/textproc"
+	"github.com/chu-data-lab/autofuzzyjoin-go/internal/tokenize"
 )
 
 // TestNewTableSlotCapacity: a table build sizes its slot runs once, for
@@ -32,6 +35,57 @@ func TestNewTableSlotCapacity(t *testing.T) {
 				t.Errorf("column %d: capacity %d for %d slot entries, want within 10 %%", j, c, n)
 			}
 		}
+	}
+}
+
+// TestLedgerRowBytes counts, exactly, the bytes of the ledger table's
+// slot-run arrays: two int32 run offsets a run, a uint16 slot a token and
+// a uint32 count a token of each run whose counts are not all 1, with at
+// most 10 % spare capacity. Against the layout that stored an int32 slot
+// and a uint32 count a token and one offset, a Sum and a Norm a run, that
+// is at least 40 % fewer bytes a row.
+func TestLedgerRowBytes(t *testing.T) {
+	prog, keys := ledgerProgram(t)
+	tab, err := prog.NewTable(1, oneCellRows(keys), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs, tokens, counted, got int
+	var row config.Row
+	for _, pl := range tab.store.segs {
+		for j := range pl.cols {
+			rows := &pl.cols[j]
+			for i := 0; i < rows.Len(); i++ {
+				rows.Get(i, &row)
+				for pi := range row.Slots {
+					for ti, slots := range row.Slots[pi] {
+						if !tab.store.cols[j].NeedCounts(textproc.Option(pi), tokenize.Option(ti)) {
+							continue
+						}
+						runs++
+						tokens += len(slots)
+						for _, c := range row.Counts[pi][ti] {
+							if c != 1 {
+								counted += len(slots)
+								break
+							}
+						}
+					}
+				}
+			}
+			got += rows.RunBytes()
+		}
+	}
+	n := len(keys)
+	want := 8*(runs+1) + 2*tokens + 4*counted
+	old := 4*(runs+1) + 16*runs + 8*tokens
+	t.Logf("%d rows, %d runs, %d slot entries, %d counted: %d B a row (%d B by length), %d B a row in the old layout",
+		n, runs, tokens, counted, got/n, want/n, old/n)
+	if got < want || got > want+want/10 {
+		t.Errorf("slot-run arrays take %d bytes, want %d to %d", got, want, want+want/10)
+	}
+	if 10*got > 6*old {
+		t.Errorf("slot-run arrays take %d bytes, more than 60 %% of the old layout's %d", got, old)
 	}
 }
 
@@ -118,6 +172,78 @@ func TestHostileEmbeddingRows(t *testing.T) {
 	for i, m := range check("loaded", loaded) {
 		if m != want[i] {
 			t.Fatalf("loaded table answers %+v for query %d, saved table %+v", m, i, want[i])
+		}
+	}
+}
+
+// TestHostileCountRows: rows whose token counts are past 1 and past 255
+// (repeated 3-grams and words) are stored as counted runs beside all-ones
+// ones, and rows that take a column's vocabulary past 65,536 word slots
+// through Add widen the delta's slots. Built, after Add, and through
+// SaveFile and LoadTableFile, every answer of a program of IDF- and
+// equal-weight set functions is the pointer oracle's (string Profiles).
+func TestHostileCountRows(t *testing.T) {
+	prog := &Program{
+		Version: 1,
+		Configurations: []ConfigurationSpec{
+			{Preprocess: "L", Tokenization: "3G", TokenWeights: "IDFW", Distance: "JD", Threshold: 0.5},
+			{Preprocess: "L", Tokenization: "3G", TokenWeights: "EW", Distance: "CD", Threshold: 0.3},
+			{Preprocess: "L", Tokenization: "SP", TokenWeights: "EW", Distance: "JD", Threshold: 0.5},
+			{Preprocess: "L+S", Tokenization: "SP", TokenWeights: "IDFW", Distance: "CD", Threshold: 0.4},
+		},
+		BlockingBeta: 1,
+	}
+	// words returns n distinct words from the k-th on, space-separated.
+	words := func(k, n int) string {
+		var b strings.Builder
+		for i := k; i < k+n; i++ {
+			fmt.Fprintf(&b, "w%d ", i)
+		}
+		return b.String()
+	}
+	rows := toRows([]string{
+		strings.Repeat("a", 300),
+		"museum of natural history",
+		strings.Repeat("ab", 200),
+		"aaa aaa",
+		strings.Repeat("abc ", 300),
+	})
+	queries := toRows([]string{
+		strings.Repeat("a", 299), strings.Repeat("ab", 199), "aaa aaa aaa", strings.Repeat("abc ", 290),
+		strings.Repeat("a", 302), strings.Repeat("xyz ", 279), "museum of natural histroy",
+		words(501, 99), words(69901, 98) + "w1",
+	})
+	tab, err := prog.NewTable(1, rows, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectModel(t, prog, tab, queries)
+	if _, err := tab.Add(toRows([]string{strings.Repeat("a", 301), strings.Repeat("xyz ", 280)})); err != nil {
+		t.Fatal(err)
+	}
+	expectModel(t, prog, tab, queries)
+	// 700 rows of 100 fresh words: the last rows' slots pass 65,535.
+	wide := make([]string, 700)
+	for i := range wide {
+		wide[i] = words(100*i, 100)
+	}
+	if _, err := tab.Add(toRows(wide)); err != nil {
+		t.Fatal(err)
+	}
+	expectModel(t, prog, tab, queries)
+	path := filepath.Join(t.TempDir(), "hostile.afjs")
+	if err := tab.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadTableFile(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectModel(t, prog, loaded, queries)
+	// Not vacuous: the counted rows and the widened rows answer.
+	for _, q := range []string{strings.Repeat("a", 299), strings.Repeat("xyz ", 279), queries[len(queries)-1][0]} {
+		if m, _, err := loaded.Match(context.Background(), q); err != nil || m.Left < 0 {
+			t.Fatalf("%d-byte query: match %+v, %v; want a joined row", len(q), m, err)
 		}
 	}
 }

@@ -82,7 +82,7 @@ func (s *rowStore) newPayload(n int) *tablePayload {
 		cols: make([]config.Rows, len(s.cols)),
 	}
 	for j := range s.cols {
-		pl.cols[j] = s.cols[j].NewRows(n, 0)
+		pl.cols[j] = s.cols[j].NewRows(n)
 	}
 	if s.hasRules {
 		pl.words = make([][]string, 0, n)
@@ -487,13 +487,15 @@ func (w *snapWriter) row(vocab *config.Vocab, r *config.Row, index *config.SlotI
 				}
 				prev = idx
 			}
-			// Sum and Norm are stored rather than recomputed at load — the
-			// saved table's exact bits. The counts themselves stay varints:
-			// they are whole numbers by construction and almost always one
-			// byte, and the smaller file beats an aliasable fixed-width block
-			// on the boot path (checksum and page-in touch every byte).
-			w.f64(r.Sum[pi][ti])
-			w.f64(r.Norm[pi][ti])
+			// Sum and Norm are written, derived from the counts as the
+			// store derives them, and checked against the counts at load.
+			// The counts themselves stay varints: they are whole numbers by
+			// construction and almost always one byte, and the smaller file
+			// beats an aliasable fixed-width block on the boot path
+			// (checksum and page-in touch every byte).
+			sum, norm := config.RunSums(r.Counts[pi][ti])
+			w.f64(sum)
+			w.f64(norm)
 			for _, c := range r.Counts[pi][ti] {
 				w.uvarint(uint64(c))
 			}
@@ -662,7 +664,7 @@ func (s *rowStore) decodeSegment(r *snapReader) error {
 			}
 		}
 		rows := &pl.cols[j]
-		rows.Reserve(totalToks, n)
+		rows.Reserve(totalToks, 0, n)
 		vocab.Reserve(len(dict))
 		var slotOf config.SlotIndex // dictionary index -> slot, -1 until first use
 		for pi := range slotOf {
@@ -714,10 +716,11 @@ func (s *rowStore) decodeSegment(r *snapReader) error {
 // strictly positive gaps against a validated-sorted dictionary guarantee
 // the decoded slot run is in ascending token order without comparing a
 // single string, and slotOf resolves each index to its vocabulary slot,
-// interning the dictionary token on its first use. Sum and Norm of each
-// count vector carry the saved table's exact bits; count positivity is
+// interning the dictionary token on its first use. Count positivity is
 // validated so a corrupted snapshot cannot smuggle in a vector the
-// distance kernels would misbehave on. budget is the number of token
+// distance kernels would misbehave on, and each count vector's stored Sum
+// and Norm must be the bits its counts give (config.RunSums), which is
+// what the store derives them as. budget is the number of token
 // entries the column still declares.
 func (r *snapReader) row(vocab *config.Vocab, dict []string, slotOf *config.SlotIndex, dst *config.Row, budget *int) error {
 	for pi := range dst.Proc {
@@ -773,8 +776,7 @@ func (r *snapReader) row(vocab *config.Vocab, dict []string, slotOf *config.Slot
 				}
 				slots = append(slots, sl)
 			}
-			dst.Sum[pi][ti] = r.f64()
-			dst.Norm[pi][ti] = r.f64()
+			sum, norm := r.f64(), r.f64()
 			for range slots {
 				c := r.uvarint()
 				if r.err != nil {
@@ -784,6 +786,9 @@ func (r *snapReader) row(vocab *config.Vocab, dict []string, slotOf *config.Slot
 					return fmt.Errorf("core: invalid snapshot: token count %d out of range", c)
 				}
 				counts = append(counts, uint32(c))
+			}
+			if wantSum, wantNorm := config.RunSums(counts); math.Float64bits(sum) != math.Float64bits(wantSum) || math.Float64bits(norm) != math.Float64bits(wantNorm) {
+				return fmt.Errorf("core: invalid snapshot: count vector Sum %v and Norm %v disagree with its counts (%v, %v)", sum, norm, wantSum, wantNorm)
 			}
 			dst.Slots[pi][ti], dst.Counts[pi][ti] = slots, counts
 		}

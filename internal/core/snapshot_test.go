@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -16,6 +17,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/chu-data-lab/autofuzzyjoin-go/internal/config"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/textproc"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/tokenize"
 )
@@ -346,6 +348,7 @@ func FuzzLoadTable(f *testing.F) {
 	}
 	f.Add(ebuf.Bytes())
 	f.Add(badGramSnapshot(f))
+	f.Add(badSumsSnapshot(f))
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:9])
 	f.Add([]byte("AFJS"))
@@ -470,6 +473,47 @@ func badGramSnapshot(tb testing.TB) []byte {
 	copy(data[at+1:], "!é")
 	binary.LittleEndian.PutUint32(data[5:9], crc32.Checksum(data[snapshotHeaderLen:], snapshotCRC))
 	return data
+}
+
+// badSumsSnapshot returns a checksum-valid snapshot of a 3-gram table
+// whose first count vector with a repeated token stores its Sum as its
+// Norm too.
+func badSumsSnapshot(tb testing.TB) []byte {
+	tb.Helper()
+	tab, err := gramProgram().NewTable(1, toRows([]string{
+		"abababab ab",
+		"2009 lsu tigers baseball team",
+	}), Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tab.Save(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	data := buf.Bytes()
+	var row config.Row
+	tab.store.segs[0].cols[0].Get(0, &row)
+	counts := row.Counts[textproc.Lower][tokenize.QGram3]
+	sum, norm := config.RunSums(counts)
+	stored := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, math.Float64bits(sum)), math.Float64bits(norm))
+	at := bytes.Index(data, stored)
+	if sum == float64(len(counts)) || at < 0 {
+		tb.Fatalf("the snapshot does not store the counted run's Sum %v and Norm %v", sum, norm)
+	}
+	binary.LittleEndian.PutUint64(data[at+8:], math.Float64bits(sum))
+	binary.LittleEndian.PutUint32(data[5:9], crc32.Checksum(data[snapshotHeaderLen:], snapshotCRC))
+	return data
+}
+
+// TestSnapshotRejectsBadSums: a count vector's stored Sum and Norm are
+// checked against its counts, not trusted: a Norm that disagrees fails
+// the load with an error.
+func TestSnapshotRejectsBadSums(t *testing.T) {
+	_, err := LoadTable(badSumsSnapshot(t), Options{})
+	if err == nil || !strings.Contains(err.Error(), "disagree with its counts") {
+		t.Fatalf("LoadTable = %v, want a Sum and Norm error", err)
+	}
 }
 
 // TestSnapshotRejectsShortGram: a 3-gram dictionary token that is not

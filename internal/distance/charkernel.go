@@ -172,7 +172,7 @@ func CharBound(a, b Shape) CharDists {
 	jmax := (float64(m)/float64(a.Len) + float64(m)/float64(b.Len) + 1) / 3
 	return CharDists{
 		ED: float64(max(a.Len-b.Len, b.Len-a.Len, pa, pb)) / float64(max(a.Len, b.Len)),
-		JW: (1-4*jaroWinklerPrefixScale)*(1-jmax) - 1e-9,
+		JW: float64((1-4*jaroWinklerPrefixScale)*(1-jmax)) - 1e-9,
 	}
 }
 
@@ -323,7 +323,7 @@ func jaroScore(matches, transpositions, la, lb int) float64 {
 		return 0
 	}
 	m := float64(matches)
-	t := float64(transpositions) / 2
+	t := float64(float64(transpositions) / 2)
 	return (m/float64(la) + m/float64(lb) + (m-t)/m) / 3
 }
 
@@ -444,7 +444,7 @@ func (cs *CharScratch) jaroWinkler(ra, rb []rune) float64 {
 	for prefix < len(ra) && prefix < len(rb) && prefix < 4 && ra[prefix] == rb[prefix] {
 		prefix++
 	}
-	return j + float64(prefix)*jaroWinklerPrefixScale*(1-j)
+	return j + float64(float64(prefix)*jaroWinklerPrefixScale*(1-j))
 }
 
 // mongeElkan is MongeElkan with the inner Jaro-Winkler running on
@@ -464,7 +464,7 @@ func (cs *CharScratch) mongeElkan(a, b string) float64 {
 	case len(cs.fa) == 0 || len(cs.fb) == 0:
 		d = 1
 	default:
-		d = 1 - (cs.mongeElkanDir(cs.fa, cs.fb)+cs.mongeElkanDir(cs.fb, cs.fa))/2
+		d = 1 - float64((cs.mongeElkanDir(cs.fa, cs.fb)+cs.mongeElkanDir(cs.fb, cs.fa))/2)
 	}
 	clear(cs.fa[:cap(cs.fa)])
 	clear(cs.fb[:cap(cs.fb)])

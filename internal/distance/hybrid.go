@@ -20,7 +20,7 @@ func MongeElkan(a, b string) float64 {
 	if len(ta) == 0 || len(tb) == 0 {
 		return 1
 	}
-	return 1 - (mongeElkanDir(ta, tb)+mongeElkanDir(tb, ta))/2
+	return 1 - float64((mongeElkanDir(ta, tb)+mongeElkanDir(tb, ta))/2)
 }
 
 func mongeElkanDir(from, to []string) float64 {

@@ -22,52 +22,85 @@ type Prepared struct {
 	N    int32     // distinct tokens, including out-of-vocabulary ones
 }
 
+// Slot is the integer type of a stored run's token ids: uint16 while a
+// row block's vocabulary fits in 16 bits, int32 past it. The kernels are
+// generic over it, so both widths run the same code.
+type Slot interface{ ~uint16 | ~int32 }
+
 // SetFamilyIDF evaluates the eight set distances between p and a stored
 // run of distinct ids in ascending token order weighing counts[k] ×
-// sw[ids[k]], its Sum and Norm accumulated in that order. pL reports
-// whether p is the pair's reference side l.
+// sw[ids[k]], its Sum and Norm accumulated in that order. A nil counts is
+// a run whose every count is 1: its tokens weigh sw[ids[k]], the bits
+// 1 × sw[ids[k]] has. pL reports whether p is the pair's reference side
+// l.
 //
 //autofj:hotpath
-func (p *Prepared) SetFamilyIDF(ids []int32, counts []uint32, sw []float64, pL bool) SetDists {
+func SetFamilyIDF[S Slot](p *Prepared, ids []S, counts []uint32, sw []float64, pL bool) SetDists {
 	if p.N == 0 || len(ids) == 0 {
 		return emptyFamily(p.N == 0, len(ids) == 0)
 	}
 	tab := p.W
-	counts = counts[:len(ids)]
 	var sumMin, dot, sum, norm float64
 	var m int32
-	for k, id := range ids {
-		x := float64(counts[k]) * sw[id]
-		f := tab[id]
-		sumMin += minBits(f, x)
-		dot += f * x
-		sum += x
-		norm += x * x
-		m += present(f)
+	if counts == nil {
+		for _, id := range ids {
+			x := sw[id]
+			f := tab[id]
+			sumMin += minBits(f, x)
+			dot += float64(f * x)
+			sum += x
+			norm += float64(x * x)
+			m += present(f)
+		}
+	} else {
+		counts = counts[:len(ids)]
+		for k, id := range ids {
+			x := float64(float64(counts[k]) * sw[id])
+			f := tab[id]
+			sumMin += minBits(f, x)
+			dot += float64(f * x)
+			sum += x
+			norm += float64(x * x)
+			m += present(f)
+		}
 	}
 	return p.oriented(sumMin, dot, sum, math.Sqrt(norm), int32(len(ids)), m, pL)
 }
 
 // SetFamilyRun is SetFamilyIDF for a run weighing its counts as they
-// are, with the given Sum and Norm.
+// are. Its Sum and Norm are the counts' own, accumulated in token order:
+// a run of n ones has Sum n and Norm √n, exact either way.
 //
 //autofj:hotpath
-func SetFamilyRun(p *Prepared, ids []int32, counts []uint32, sum, norm float64, pL bool) SetDists {
+func SetFamilyRun[S Slot](p *Prepared, ids []S, counts []uint32, pL bool) SetDists {
 	if p.N == 0 || len(ids) == 0 {
 		return emptyFamily(p.N == 0, len(ids) == 0)
 	}
 	tab := p.W
-	counts = counts[:len(ids)]
-	var sumMin, dot float64
+	var sumMin, dot, sum, norm float64
 	var m int32
+	if counts == nil {
+		for _, id := range ids {
+			f := tab[id]
+			sumMin += minBits(f, 1)
+			dot += f
+			m += present(f)
+		}
+		// Σ1² = Σ1: the Norm of n ones is √n.
+		sum = float64(len(ids))
+		return p.oriented(sumMin, dot, sum, math.Sqrt(sum), int32(len(ids)), m, pL)
+	}
+	counts = counts[:len(ids)]
 	for k, id := range ids {
 		x := float64(counts[k])
 		f := tab[id]
 		sumMin += minBits(f, x)
-		dot += f * x
+		dot += float64(f * x)
+		sum += x
+		norm += float64(x * x)
 		m += present(f)
 	}
-	return p.oriented(sumMin, dot, sum, norm, int32(len(ids)), m, pL)
+	return p.oriented(sumMin, dot, sum, math.Sqrt(norm), int32(len(ids)), m, pL)
 }
 
 // oriented applies the closed forms to one pair of p and a run of n

@@ -1,7 +1,9 @@
 package distance
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -50,7 +52,7 @@ func union(sets ...Sparse) []string {
 // storedRow returns the run a stored row holds for the tokens of s, all
 // in vocab: their ids, random integer counts and an IDF column sw over
 // vocab, with the string sets the row weighs as, by its counts (eq) and
-// by count × sw (idf).
+// by count × sw (idf). Half the runs have every count 1.
 func storedRow(rng *rand.Rand, s Sparse, vocab []string) (rowIDs []int32, counts []uint32, sw []float64, eq, idf Sparse) {
 	sw = make([]float64, len(vocab))
 	for id := range sw {
@@ -58,12 +60,48 @@ func storedRow(rng *rand.Rand, s Sparse, vocab []string) (rowIDs []int32, counts
 	}
 	counts = make([]uint32, len(s.Tokens))
 	eqW, idfW := map[string]float64{}, map[string]float64{}
+	spread := 1 + 3*rng.Intn(2) // half the runs are all ones
 	for k, tok := range s.Tokens {
-		counts[k] = 1 + uint32(rng.Intn(4))
+		counts[k] = 1 + uint32(rng.Intn(spread))
 		eqW[tok] = float64(counts[k])
 		idfW[tok] = float64(counts[k]) * sw[sort.SearchStrings(vocab, tok)]
 	}
 	return ids(s, vocab), counts, sw, NewSparse(eqW), NewSparse(idfW)
+}
+
+// storedRun is one form a stored run takes: its kind, and the two
+// kernels over it.
+type storedRun struct {
+	kind string
+	eq   func(p *Prepared, pL bool) SetDists
+	idf  func(p *Prepared, sw []float64, pL bool) SetDists
+}
+
+// runs returns every form the run ids, counts is stored in: int32 and
+// (when every id fits) uint16 slots, with its counts, and with none when
+// they are all 1.
+func runs(ids []int32, counts []uint32) []storedRun {
+	var out []storedRun
+	add := func(kind string, counts []uint32) {
+		out = append(out, storedRun{"int32 slots, " + kind,
+			func(p *Prepared, pL bool) SetDists { return SetFamilyRun(p, ids, counts, pL) },
+			func(p *Prepared, sw []float64, pL bool) SetDists { return SetFamilyIDF(p, ids, counts, sw, pL) }})
+		narrow := make([]uint16, len(ids))
+		for k, id := range ids {
+			if id > math.MaxUint16 {
+				return
+			}
+			narrow[k] = uint16(id)
+		}
+		out = append(out, storedRun{"uint16 slots, " + kind,
+			func(p *Prepared, pL bool) SetDists { return SetFamilyRun(p, narrow, counts, pL) },
+			func(p *Prepared, sw []float64, pL bool) SetDists { return SetFamilyIDF(p, narrow, counts, sw, pL) }})
+	}
+	add("counted", counts)
+	if !slices.ContainsFunc(counts, func(c uint32) bool { return c != 1 }) {
+		add("all ones", nil)
+	}
+	return out
 }
 
 // TestSetFamilyIDsMatchesStrings: the id-space kernels must be
@@ -73,7 +111,8 @@ func storedRow(rng *rand.Rand, s Sparse, vocab []string) (rowIDs []int32, counts
 // exactly as an unmatched string token would; with the prepared side as
 // l (a ball's center), both sides are in the vocabulary. The integer
 // counts of an equal-weight row and the count × IDF weights of an IDF row
-// are each checked.
+// are each checked, over int32 and uint16 slots, and an all-ones run
+// also with no counts stored.
 func TestSetFamilyIDsMatchesStrings(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	oov := []string{"zz-novel", "qq-novel", "xx-novel"}
@@ -102,8 +141,10 @@ func TestSetFamilyIDsMatchesStrings(t *testing.T) {
 		vocab := union(l)
 		lids, counts, sw, le, li := storedRow(rng, l, vocab)
 		q := prepare(r, vocab)
-		check(trial, "equal-weight row l, prepared query r", SetFamilyRun(q, lids, counts, le.Sum, le.Norm, false), SetFamily(le, r), le, r)
-		check(trial, "IDF row l, prepared query r", q.SetFamilyIDF(lids, counts, sw, false), SetFamily(li, r), li, r)
+		for _, run := range runs(lids, counts) {
+			check(trial, "equal-weight row l, prepared query r, "+run.kind, run.eq(q, false), SetFamily(le, r), le, r)
+			check(trial, "IDF row l, prepared query r, "+run.kind, run.idf(q, sw, false), SetFamily(li, r), li, r)
+		}
 
 		// A prepared center against a stored neighbor, both in vocabulary,
 		// in either orientation.
@@ -111,16 +152,18 @@ func TestSetFamilyIDsMatchesStrings(t *testing.T) {
 		vocab = union(c, n)
 		nids, counts, sw, ne, ni := storedRow(rng, n, vocab)
 		for _, pL := range []bool{true, false} {
-			l, r := c, ne
-			if !pL {
-				l, r = ne, c
+			for _, run := range runs(nids, counts) {
+				l, r := c, ne
+				if !pL {
+					l, r = ne, c
+				}
+				check(trial, "equal-weight row, "+run.kind, run.eq(prepare(c, vocab), pL), SetFamily(l, r), l, r)
+				l, r = c, ni
+				if !pL {
+					l, r = ni, c
+				}
+				check(trial, "IDF row, "+run.kind, run.idf(prepare(c, vocab), sw, pL), SetFamily(l, r), l, r)
 			}
-			check(trial, "equal-weight row", SetFamilyRun(prepare(c, vocab), nids, counts, ne.Sum, ne.Norm, pL), SetFamily(l, r), l, r)
-			l, r = c, ni
-			if !pL {
-				l, r = ni, c
-			}
-			check(trial, "IDF row", prepare(c, vocab).SetFamilyIDF(nids, counts, sw, pL), SetFamily(l, r), l, r)
 		}
 	}
 }
@@ -133,17 +176,20 @@ func TestSetFamilyIDsEmpty(t *testing.T) {
 	vocab := []string{"a"}
 	full, empty := prepare(a, vocab), prepare(NewSparse(nil), vocab)
 	for _, pL := range []bool{true, false} {
-		if d := SetFamilyRun(empty, nil, nil, 0, 0, pL); d != (SetDists{}) {
+		if d := SetFamilyRun[int32](empty, nil, nil, pL); d != (SetDists{}) {
 			t.Errorf("both empty: %+v, want zero row", d)
 		}
-		if d := empty.SetFamilyIDF(nil, nil, nil, pL); d != (SetDists{}) {
+		if d := SetFamilyIDF[uint16](empty, nil, nil, nil, pL); d != (SetDists{}) {
 			t.Errorf("both empty, IDF row: %+v, want zero row", d)
 		}
 		want := SetFamily(a, NewSparse(nil))
-		if d := SetFamilyRun(full, nil, nil, 0, 0, pL); d != want {
+		if d := SetFamilyRun[int32](full, nil, nil, pL); d != want {
 			t.Errorf("empty run: ids %+v != strings %+v", d, want)
 		}
-		if d := SetFamilyRun(empty, []int32{0}, []uint32{1}, 1, 1, pL); d != want {
+		if d := SetFamilyRun(empty, []int32{0}, []uint32{1}, pL); d != want {
+			t.Errorf("empty prepared side: ids %+v != strings %+v", d, want)
+		}
+		if d := SetFamilyRun(empty, []uint16{0}, nil, pL); d != want {
 			t.Errorf("empty prepared side: ids %+v != strings %+v", d, want)
 		}
 	}

@@ -45,7 +45,7 @@ func mergeStats(l, r Sparse) (sumMin, dot float64, rInL bool) {
 			} else {
 				sumMin += wr
 			}
-			dot += wl * wr
+			dot += float64(wl * wr)
 			i++
 			j++
 		case l.Tokens[i] < r.Tokens[j]:

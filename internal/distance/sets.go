@@ -30,7 +30,7 @@ func NewSparse(vec map[string]float64) Sparse {
 		w := vec[t]
 		s.W[i] = w
 		s.Sum += w
-		s.Norm += w * w
+		s.Norm += float64(w * w)
 	}
 	s.Norm = math.Sqrt(s.Norm)
 	return s
@@ -54,7 +54,7 @@ func overlap(a, b Sparse) (sumMin, dot float64, aInB bool) {
 			} else {
 				sumMin += wb
 			}
-			dot += wa * wb
+			dot += float64(wa * wb)
 			i++
 			j++
 		case a.Tokens[i] < b.Tokens[j]:

@@ -120,7 +120,7 @@ func Jaro(a, b string) float64 {
 		j++
 	}
 	m := float64(matches)
-	t := float64(transpositions) / 2
+	t := float64(float64(transpositions) / 2)
 	return (m/float64(la) + m/float64(lb) + (m-t)/m) / 3
 }
 
@@ -136,7 +136,7 @@ func JaroWinkler(a, b string) float64 {
 	for prefix < len(ra) && prefix < len(rb) && prefix < 4 && ra[prefix] == rb[prefix] {
 		prefix++
 	}
-	return j + float64(prefix)*jaroWinklerPrefixScale*(1-j)
+	return j + float64(float64(prefix)*jaroWinklerPrefixScale*(1-j))
 }
 
 // JaroWinklerDistance returns 1 - JaroWinkler(a, b).
