@@ -37,7 +37,9 @@
 // -snapshot names a binary index snapshot: when the file exists the
 // daemon boots from it (skipping the compile entirely — no -program or
 // -left needed), otherwise it compiles as usual and writes the snapshot
-// for the next boot:
+// for the next boot. A snapshot written by a build of another format
+// version is compiled over and rewritten when -program and -left are
+// given, and refused without them:
 //
 //	autofjd -addr :8080 -name orgs -snapshot orgs.afjs
 //

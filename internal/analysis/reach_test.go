@@ -237,6 +237,8 @@ var unreached = map[string]string{
 	"(*internal/config.EvalScratch).CharWork":         "TestRowDistancesCut",
 	"(*internal/config.Rows).RunBytes":                "TestLedgerRowBytes",
 	"(*internal/config.Rows).TokenCap":                "TestNewTableSlotCapacity",
+	"(*internal/config.Vocab).DF":                     "TestSnapshotSaveFile",
+	"(*internal/config.Vocab).Docs":                   "TestSnapshotSaveFile",
 	"internal/analysis/analysistest.Run":              "TestDetRange",
 	"internal/analysis/analysistest.RunNoDiagnostics": "TestDetRangeOutOfScope",
 	"internal/analysis/analysistest.collectWants":     "TestDetRange",

@@ -74,6 +74,7 @@ const BuildChunk = 256
 func (v *Vocab) buildArena(n, parallelism int, count func(dst *Counted, i int)) *ProfileArena {
 	a := &ProfileArena{v: v, rows: v.NewRows(n)}
 	recs := make([]Counted, min(n, BuildChunk))
+	var slots []int32
 	for lo := 0; lo < n; lo += BuildChunk {
 		chunk := recs[:min(n-lo, BuildChunk)]
 		parallel.Shard(len(chunk), parallel.Workers(parallelism, len(chunk)), func(start, end int) {
@@ -81,7 +82,7 @@ func (v *Vocab) buildArena(n, parallelism int, count func(dst *Counted, i int)) 
 				count(&chunk[i], lo+i)
 			}
 		})
-		v.AppendChunk(&a.rows, chunk, parallelism)
+		v.AppendChunk(&a.rows, chunk, &slots, parallelism)
 	}
 	v.Settle()
 	return a

@@ -101,12 +101,12 @@ type Counted struct {
 
 // tokenRun is one representation's count vector in integers: distinct
 // tokens ascending — packed 3-gram keys or words — with their counts, and
-// once a Vocab has interned them (AppendChunk), their slots.
+// where AppendChunk interns their slots.
 type tokenRun struct {
 	keys   []uint64 // 3-grams
 	words  []string // words
 	counts []uint32
-	slots  []int32
+	at     int // the run's first slot in AppendChunk's buffer
 }
 
 // count fills run with the count vector of s under tok, reusing its

@@ -160,6 +160,12 @@ func checkRow(t *testing.T, where string, a *ProfileArena, i int, want *Profile,
 	for r, rep := range a.v.lay.reps {
 		slot := fmt.Sprintf("%s (%s,%s)", where, rep.Pre, rep.Tok)
 		slots, counts := row.Slots[rep.Pre][rep.Tok], row.Counts[rep.Pre][rep.Tok]
+		if len(counts) == 0 { // a run of ones, which Get hands over with no counts
+			counts = make([]uint32, len(slots))
+			for k := range counts {
+				counts[k] = 1
+			}
+		}
 		w := want.vecs[rep.Pre][rep.Tok][weights.Equal]
 		sum, norm := RunSums(counts)
 		if len(slots) != len(w.Tokens) || len(counts) != len(w.W) || !sameBits(sum, w.Sum) || !sameBits(norm, w.Norm) {

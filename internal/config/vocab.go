@@ -59,7 +59,6 @@ type layout struct {
 	emb      [numPre]int8
 	rep      [numPre][numTok]int8
 	reps     []Rep         // counted representations in ascending (pre, tok) order
-	idfReps  []Rep         // the representations the space weighs by IDF, in (pre, tok) order
 	forms    textproc.Mask // the options of proc
 	nproc    int
 	nemb     int
@@ -87,9 +86,6 @@ func newLayout(c *Corpus) *layout {
 				lay.rep[pi][ti] = int8(len(lay.reps))
 				lay.reps = append(lay.reps, rep)
 			}
-			if c.needVec[pi][ti][weights.IDF] {
-				lay.idfReps = append(lay.idfReps, rep)
-			}
 		}
 	}
 	return lay
@@ -107,9 +103,9 @@ func newLayout(c *Corpus) *layout {
 //
 // A slot whose df drops to 0 stays: it keeps its place, re-adding the token
 // reuses it, and it is dropped only when the table is rebuilt from its
-// rows (a snapshot stores live statistics, so a save and load also
-// drops it). A vocabulary therefore grows with the distinct tokens ever
-// added, not with the live rows.
+// rows (a save and load keeps only the tokens its stored rows hold). A
+// vocabulary therefore grows with the distinct tokens ever added, not
+// with the live rows.
 //
 // Mutators (AppendChunk, Intern, Count, Reserve, Settle) need exclusive
 // access, and a batch of them ends with
@@ -164,10 +160,6 @@ func newVocab(lay *layout) *Vocab {
 	}
 	return v
 }
-
-// IDFReps lists the representations the space weighs by IDF, in a fixed
-// (pre, tok) order. The slice is shared; callers must not modify it.
-func (v *Vocab) IDFReps() []Rep { return v.lay.idfReps }
 
 // NeedProc reports whether a stored row holds the processed string under
 // pre.
@@ -270,15 +262,14 @@ func (v *Vocab) intern(r int, run *tokenRun, k int) int32 {
 }
 
 // internRun interns the tokens of run, representation r of a counted
-// record, into its slots, counting each into the df of its slot. It
-// touches representation r alone, so distinct representations may be
-// interned concurrently.
-func (v *Vocab) internRun(r int, run *tokenRun) {
-	run.slots = slices.Grow(run.slots[:0], len(run.counts))[:len(run.counts)]
-	for k := range run.slots {
+// record, into slots, counting each into the df of its slot. It touches
+// representation r alone, so distinct representations may be interned
+// concurrently.
+func (v *Vocab) internRun(r int, run *tokenRun, slots []int32) {
+	for k := range slots {
 		sl := v.intern(r, run, k)
 		v.reps[r].df[sl]++
-		run.slots[k] = sl
+		slots[k] = sl
 	}
 }
 
@@ -286,47 +277,53 @@ func (v *Vocab) internRun(r int, run *tokenRun) {
 // next rows of rows, in order, interning their tokens, and counts the
 // rows live. Each representation is interned by one of up to parallelism
 // workers (0 means GOMAXPROCS), record by record in order, so slots are
-// assigned in first-appearance order at every parallelism; the rows are
-// then stored in order, in storage reserved once for the chunk.
-func (v *Vocab) AppendChunk(rows *Rows, recs []Counted, parallelism int) {
+// assigned in first-appearance order at every parallelism, into *slots,
+// one flat buffer of the chunk's runs by (record, representation) that
+// the caller reuses across chunks; the rows are then stored in order, in
+// storage reserved once for the chunk.
+func (v *Vocab) AppendChunk(rows *Rows, recs []Counted, slots *[]int32, parallelism int) {
+	tokens, counted := 0, 0
+	for i := range recs {
+		for r := range v.reps {
+			run := &recs[i].runs[r]
+			run.at = tokens
+			tokens += len(run.counts)
+			if !allOnes(run.counts) {
+				counted += len(run.counts)
+			}
+		}
+	}
+	buf := slices.Grow((*slots)[:0], tokens)[:tokens]
+	*slots = buf
 	nrep := len(v.reps)
 	// One worker interns inline: a sequential caller (Table.Add) builds
 	// no closure.
 	if w := parallel.Workers(parallelism, nrep); w == 1 {
-		v.internChunk(recs, 0, nrep)
+		v.internChunk(recs, buf, 0, nrep)
 	} else {
-		parallel.Shard(nrep, w, func(start, end int) { v.internChunk(recs, start, end) })
-	}
-	tokens, counted := 0, 0
-	for i := range recs {
-		for r := range v.reps {
-			counts := recs[i].runs[r].counts
-			tokens += len(counts)
-			if !allOnes(counts) {
-				counted += len(counts)
-			}
-		}
+		parallel.Shard(nrep, w, func(start, end int) { v.internChunk(recs, buf, start, end) })
 	}
 	rows.Reserve(tokens, counted, len(recs))
 	for i := range recs {
-		v.appendCounted(rows, &recs[i])
+		v.appendCounted(rows, &recs[i], buf)
 	}
 	v.docs += len(recs)
 }
 
 // internChunk interns representations [start, end) of the counted records
-// recs, record by record in order.
-func (v *Vocab) internChunk(recs []Counted, start, end int) {
+// recs into buf (see AppendChunk), record by record in order.
+func (v *Vocab) internChunk(recs []Counted, buf []int32, start, end int) {
 	for r := start; r < end; r++ {
 		for i := range recs {
-			v.internRun(r, &recs[i].runs[r])
+			run := &recs[i].runs[r]
+			v.internRun(r, run, buf[run.at:run.at+len(run.counts)])
 		}
 	}
 }
 
-// appendCounted stores the counted record c, interned, as the next row of
-// rows.
-func (v *Vocab) appendCounted(rows *Rows, c *Counted) {
+// appendCounted stores the counted record c, interned into buf, as the
+// next row of rows.
+func (v *Vocab) appendCounted(rows *Rows, c *Counted, buf []int32) {
 	var r Row
 	for pi := 0; pi < numPre; pi++ {
 		if v.lay.proc[pi] >= 0 {
@@ -338,7 +335,7 @@ func (v *Vocab) appendCounted(rows *Rows, c *Counted) {
 	}
 	for ri, rep := range v.lay.reps {
 		run := &c.runs[ri]
-		r.Slots[rep.Pre][rep.Tok], r.Counts[rep.Pre][rep.Tok] = run.slots, run.counts
+		r.Slots[rep.Pre][rep.Tok], r.Counts[rep.Pre][rep.Tok] = buf[run.at:run.at+len(run.counts)], run.counts
 	}
 	rows.Append(&r)
 }
@@ -487,7 +484,8 @@ func appendUnmarked[S distance.Slot](dict []string, idx []int32, slots []S, toks
 // Row is one stored row in exploded form, indexed like a Profile: the
 // input of Rows.Append and the output of Rows.Get. Only the parts the
 // layout stores are read or written; Slots index the column's Vocab,
-// in ascending token order, with one count each (RunSums gives the count
+// in ascending token order, with one count each, or no counts when every
+// count is 1, as Get hands over such a run (RunSums gives the count
 // vector's Sum and Norm). Append stores each embedding in the narrowest
 // lanes its counts fit and computes its norm from them, whatever the
 // input's lanes and Norm.
@@ -580,7 +578,7 @@ func (s *Rows) Append(r *Row) {
 	tokens, counted := 0, 0
 	for ri, rep := range lay.reps {
 		counts := r.Counts[rep.Pre][rep.Tok]
-		tokens += len(counts)
+		tokens += len(r.Slots[rep.Pre][rep.Tok])
 		if ones[ri] = allOnes(counts); !ones[ri] {
 			counted += len(counts)
 		}
@@ -702,7 +700,7 @@ func (s *Rows) runCounts(at int) []uint32 {
 
 // Get fills r with row i: its strings and embeddings alias the storage,
 // and its slot runs and counts are copied into r's buffers, which it
-// reuses.
+// reuses. A run whose counts are all 1 gets none.
 func (s *Rows) Get(i int, r *Row) {
 	lay := s.lay
 	rec := s.record(i)
@@ -717,16 +715,8 @@ func (s *Rows) Get(i int, r *Row) {
 		} else {
 			slots = appendConverted(slots, s.slots16[lo:hi])
 		}
-		counts := s.runCounts(at)
-		if counts == nil {
-			counts = slices.Grow(r.Counts[rep.Pre][rep.Tok][:0], len(slots))[:len(slots)]
-			for k := range counts {
-				counts[k] = 1
-			}
-		} else {
-			counts = append(r.Counts[rep.Pre][rep.Tok][:0], counts...)
-		}
-		r.Slots[rep.Pre][rep.Tok], r.Counts[rep.Pre][rep.Tok] = slots, counts
+		r.Slots[rep.Pre][rep.Tok] = slots
+		r.Counts[rep.Pre][rep.Tok] = append(r.Counts[rep.Pre][rep.Tok][:0], s.runCounts(at)...)
 	}
 }
 

@@ -160,6 +160,7 @@ func TestPreparedRowMatchesProfileAndNeverAllocates(t *testing.T) {
 // builder, one record to a chunk, and counts it live.
 func appendRecord(v *Vocab, rows *Rows, s string) {
 	var c [1]Counted
+	var slots []int32
 	v.CountRecord(&c[0], s, nil)
-	v.AppendChunk(rows, c[:], 1)
+	v.AppendChunk(rows, c[:], &slots, 1)
 }

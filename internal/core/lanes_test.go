@@ -89,6 +89,26 @@ func TestLedgerRowBytes(t *testing.T) {
 	}
 }
 
+// TestLedgerSnapshotBytes: the ledger table's snapshot takes at most 920
+// bytes a row: it stores no float, no statistics and no count for a run
+// of ones.
+func TestLedgerSnapshotBytes(t *testing.T) {
+	prog, keys := ledgerProgram(t)
+	tab, err := prog.NewTable(1, oneCellRows(keys), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tab.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	perRow := float64(buf.Len()) / float64(len(keys))
+	t.Logf("%d rows: %d bytes, %.1f B a row", len(keys), buf.Len(), perRow)
+	if perRow > 920 {
+		t.Errorf("the ledger table's snapshot takes %.1f B a row, want at most 920", perRow)
+	}
+}
+
 // TestHostileEmbeddingRows: rows whose trigram counts do not fit int8
 // (300 copies of "aaa" fall in one bucket) or int16 (40,000) keep their
 // exact counts in wide lanes. Through NewTable, Add, SaveFile and

@@ -27,6 +27,7 @@ type rowStore struct {
 	delta *tablePayload
 	cols  []*config.Vocab  // per program column
 	recs  []config.Counted // add's counted record per program column, reused under the write lock
+	slots []int32          // add's interned slots (config.Vocab.AppendChunk), reused likewise
 
 	columns  []int         // program columns: the cells the vocabularies count
 	width    int           // cells per row
@@ -156,7 +157,7 @@ func (s *rowStore) build(rows [][]string, h *learnedL, parallelism int) error {
 		return err
 	}
 	pl := s.newPayload(n)
-	s.appendRows(pl, rows, make([]string, n*s.width), h, make([]config.Counted, min(n, config.BuildChunk)*len(s.cols)), parallelism)
+	s.appendRows(pl, rows, make([]string, n*s.width), h, make([]config.Counted, min(n, config.BuildChunk)*len(s.cols)), new([]int32), parallelism)
 	if h != nil {
 		s.tix = h.index
 	} else {
@@ -176,9 +177,10 @@ func (s *rowStore) build(rows [][]string, h *learnedL, parallelism int) error {
 // stored in row order (config.Vocab.AppendChunk), and the vocabularies
 // settle.
 // recs holds a chunk's counted records, column j's at [j*chunk,
-// (j+1)*chunk), so its length sets the chunk. h, when not nil, supplies
-// the rows' processed strings and word sets (see learnedL).
-func (s *rowStore) appendRows(pl *tablePayload, rows [][]string, cells []string, h *learnedL, recs []config.Counted, parallelism int) {
+// (j+1)*chunk), so its length sets the chunk, and slots the chunk's
+// interned slots, one column at a time. h, when not nil, supplies the
+// rows' processed strings and word sets (see learnedL).
+func (s *rowStore) appendRows(pl *tablePayload, rows [][]string, cells []string, h *learnedL, recs []config.Counted, slots *[]int32, parallelism int) {
 	n, first, chunk := len(rows), len(pl.rows), s.chunk(recs)
 	pl.rows = slices.Grow(pl.rows, n)[:first+n]
 	if s.hasRules {
@@ -196,7 +198,7 @@ func (s *rowStore) appendRows(pl *tablePayload, rows [][]string, cells []string,
 			})
 		}
 		for j := range s.cols {
-			s.cols[j].AppendChunk(&pl.cols[j], recs[j*chunk:j*chunk+hi-lo], parallelism)
+			s.cols[j].AppendChunk(&pl.cols[j], recs[j*chunk:j*chunk+hi-lo], slots, parallelism)
 		}
 	}
 	for j := range s.cols {
@@ -215,6 +217,7 @@ func (s *rowStore) chunk(recs []config.Counted) int { return max(len(recs)/max(l
 func (s *rowStore) countRows(pl *tablePayload, rows [][]string, cells []string, h *learnedL, recs []config.Counted, first, lo, start, end int) {
 	chunk, w := s.chunk(recs), s.width
 	var f textproc.Forms
+	var words []string // a row's word set, copied out at its size
 	for i := start; i < end; i++ {
 		row := rows[i]
 		if cells != nil {
@@ -234,7 +237,8 @@ func (s *rowStore) countRows(pl *tablePayload, rows [][]string, cells []string, 
 		if s.hasRules && h != nil {
 			pl.words[first+i] = h.words[i]
 		} else if s.hasRules {
-			pl.words[first+i] = negrule.AppendWords(nil, f[textproc.LowerStemRemovePunct])
+			words = negrule.AppendWords(words[:0], f[textproc.LowerStemRemovePunct])
+			pl.words[first+i] = append([]string(nil), words...)
 		}
 	}
 }
@@ -245,7 +249,7 @@ func (s *rowStore) add(rows [][]string, cells []string) {
 	for _, row := range rows {
 		s.tix.AddDelta(s.keyOf(row))
 	}
-	s.appendRows(s.delta, rows, cells, nil, s.recs, 1)
+	s.appendRows(s.delta, rows, cells, nil, s.recs, &s.slots, 1)
 }
 
 // remove tombstones and uncounts the rows at the ascending dense ids
@@ -420,24 +424,6 @@ func (s *rowStore) encode(w *snapWriter) {
 		}
 	}
 
-	// IDF statistics over every live row (segments and delta), per program
-	// column and IDF-weighted representation. Entries are token-sorted so
-	// snapshots stay byte-deterministic.
-	for _, vocab := range s.cols {
-		for _, rep := range vocab.IDFReps() {
-			w.uvarint(uint64(vocab.Docs()))
-			n := 0
-			for range vocab.DF(rep.Pre, rep.Tok) {
-				n++
-			}
-			w.uvarint(uint64(n))
-			for tok, df := range vocab.DF(rep.Pre, rep.Tok) {
-				w.str(tok)
-				w.uvarint(uint64(df))
-			}
-		}
-	}
-
 	// Live delta rows, stored through the row builder at load.
 	var live [][]string
 	for i, row := range s.pending() {
@@ -456,11 +442,16 @@ func (s *rowStore) encode(w *snapWriter) {
 // row serializes the representation-need-guided parts of one stored row.
 // Raw is not stored (it equals the cell); proc strings, embeddings, and
 // count vectors are, because recomputing them is the bulk of compile
-// cost. Tokens are stored as gap-encoded varint indices into the column
+// cost. A slot run is stored as uvarint(n<<1 | counted) for its n tokens,
+// then the tokens as gap-encoded varint indices into the column
 // dictionary: the first index raw, each later one as the (strictly
 // positive) increment over its predecessor — a slot run is in ascending
 // token order and the dictionary is sorted, so the gaps are small and
-// almost always one byte.
+// almost always one byte. A counted run, one whose counts are not all 1,
+// then stores its n counts as varints, almost always one byte too (the
+// smaller file beats an aliasable fixed-width block on the boot path,
+// where the checksum and page-in touch every byte); a run of ones, which
+// Get hands over with no counts, stores none.
 func (w *snapWriter) row(vocab *config.Vocab, r *config.Row, index *config.SlotIndex) {
 	for pi := range r.Proc {
 		pre := textproc.Option(pi)
@@ -475,8 +466,9 @@ func (w *snapWriter) row(vocab *config.Vocab, r *config.Row, index *config.SlotI
 			if !vocab.NeedCounts(pre, tokenize.Option(ti)) {
 				continue
 			}
-			slots := r.Slots[pi][ti]
-			w.uvarint(uint64(len(slots)))
+			slots, counts := r.Slots[pi][ti], r.Counts[pi][ti]
+			counted := uint64(min(len(counts), 1))
+			w.uvarint(uint64(len(slots))<<1 | counted)
 			var prev uint64
 			for i, sl := range slots {
 				idx := uint64(index[pi][ti][sl])
@@ -487,16 +479,7 @@ func (w *snapWriter) row(vocab *config.Vocab, r *config.Row, index *config.SlotI
 				}
 				prev = idx
 			}
-			// Sum and Norm are written, derived from the counts as the
-			// store derives them, and checked against the counts at load.
-			// The counts themselves stay varints: they are whole numbers by
-			// construction and almost always one byte, and the smaller file
-			// beats an aliasable fixed-width block on the boot path
-			// (checksum and page-in touch every byte).
-			sum, norm := config.RunSums(r.Counts[pi][ti])
-			w.f64(sum)
-			w.f64(norm)
-			for _, c := range r.Counts[pi][ti] {
+			for _, c := range counts {
 				w.uvarint(uint64(c))
 			}
 		}
@@ -535,44 +518,6 @@ func (s *rowStore) decode(r *snapReader) error {
 	for _, vocab := range s.cols {
 		vocab.Settle()
 	}
-	segLive := s.tix.Len()
-
-	// The serialized IDF statistics cover every live row, delta included, so
-	// they are read here but checked only after the delta rows are stored.
-	type dfEntry struct {
-		tok string
-		df  int
-	}
-	var docs []uint64
-	var stats [][]dfEntry
-	for j := 0; j < len(s.cols) && r.err == nil; j++ {
-		for range s.cols[j].IDFReps() {
-			// docs counts documents, not bytes, so it is not bounded by the
-			// remaining data; validate its range directly.
-			nd := r.uvarint()
-			if r.err == nil && nd > 1<<40 {
-				return fmt.Errorf("core: invalid snapshot: document count %d out of range", nd)
-			}
-			ents := make([]dfEntry, r.count(2))
-			for i := 0; i < len(ents) && r.err == nil; i++ {
-				tok, df := r.str(), r.uvarint()
-				if r.err != nil {
-					break
-				}
-				if i > 0 && tok <= ents[i-1].tok {
-					return fmt.Errorf("core: invalid snapshot: df tokens out of order")
-				}
-				if df < 1 || df > nd {
-					return fmt.Errorf("core: invalid snapshot: df %d out of range for %d documents", df, nd)
-				}
-				ents[i] = dfEntry{tok, int(df)}
-			}
-			docs, stats = append(docs, nd), append(stats, ents)
-		}
-	}
-	if r.err != nil {
-		return r.err
-	}
 
 	// Each cell costs at least its length byte.
 	ndelta := r.count(s.width)
@@ -583,30 +528,8 @@ func (s *rowStore) decode(r *snapReader) error {
 	if r.remaining() != 0 {
 		return fmt.Errorf("core: snapshot has %d trailing bytes", r.remaining())
 	}
-	for _, nd := range docs {
-		if nd != uint64(segLive+ndelta) {
-			return fmt.Errorf("core: invalid snapshot: statistics cover %d documents, table has %d live rows", nd, segLive+ndelta)
-		}
-	}
 	if len(deltaRows) > 0 {
 		s.add(deltaRows, nil) // the decoded rows are the store's own
-	}
-	// The vocabularies counted the live rows as they loaded; the stored
-	// statistics must say the same, entry for entry.
-	for _, vocab := range s.cols {
-		for _, rep := range vocab.IDFReps() {
-			ents := stats[0]
-			stats = stats[1:]
-			for tok, df := range vocab.DF(rep.Pre, rep.Tok) {
-				if len(ents) == 0 || ents[0] != (dfEntry{tok, df}) {
-					return fmt.Errorf("core: invalid snapshot: statistics disagree with the stored rows")
-				}
-				ents = ents[1:]
-			}
-			if len(ents) != 0 {
-				return fmt.Errorf("core: invalid snapshot: statistics disagree with the stored rows")
-			}
-		}
 	}
 	return nil
 }
@@ -716,12 +639,12 @@ func (s *rowStore) decodeSegment(r *snapReader) error {
 // strictly positive gaps against a validated-sorted dictionary guarantee
 // the decoded slot run is in ascending token order without comparing a
 // single string, and slotOf resolves each index to its vocabulary slot,
-// interning the dictionary token on its first use. Count positivity is
-// validated so a corrupted snapshot cannot smuggle in a vector the
-// distance kernels would misbehave on, and each count vector's stored Sum
-// and Norm must be the bits its counts give (config.RunSums), which is
-// what the store derives them as. budget is the number of token
-// entries the column still declares.
+// interning the dictionary token on its first use. A run of ones is
+// handed over with no counts, as Get hands it to the writer. A counted
+// run's counts must be positive, fit a uint32 and not all be 1, so a
+// corrupted snapshot cannot smuggle in a vector the distance kernels would
+// misbehave on, and a table has one encoding. budget is the number of
+// token entries the column still declares.
 func (r *snapReader) row(vocab *config.Vocab, dict []string, slotOf *config.SlotIndex, dst *config.Row, budget *int) error {
 	for pi := range dst.Proc {
 		pre := textproc.Option(pi)
@@ -739,16 +662,22 @@ func (r *snapReader) row(vocab *config.Vocab, dict []string, slotOf *config.Slot
 			if !vocab.NeedCounts(pre, tok) {
 				continue
 			}
-			nt := r.count(1)
+			h := r.uvarint()
 			if r.err != nil {
 				return r.err
 			}
+			// Every token costs at least its one gap byte.
+			if h>>1 > uint64(r.remaining()) {
+				r.fail("count vector of %d tokens overruns data", h>>1)
+				return r.err
+			}
+			nt, counted := int(h>>1), h&1 == 1
 			if nt > *budget {
 				r.fail("count vector exceeds the declared token total")
 				return r.err
 			}
 			*budget -= nt
-			slots, counts := slices.Grow(dst.Slots[pi][ti][:0], nt), slices.Grow(dst.Counts[pi][ti][:0], nt)
+			slots, counts := slices.Grow(dst.Slots[pi][ti][:0], nt), dst.Counts[pi][ti][:0]
 			var idx uint64
 			for i := 0; i < nt; i++ {
 				gap := r.uvarint()
@@ -776,19 +705,22 @@ func (r *snapReader) row(vocab *config.Vocab, dict []string, slotOf *config.Slot
 				}
 				slots = append(slots, sl)
 			}
-			sum, norm := r.f64(), r.f64()
-			for range slots {
-				c := r.uvarint()
-				if r.err != nil {
-					return r.err
+			if counted {
+				ones := true
+				for range nt {
+					c := r.uvarint()
+					if r.err != nil {
+						return r.err
+					}
+					if c == 0 || c > math.MaxUint32 {
+						return fmt.Errorf("core: invalid snapshot: token count %d out of range", c)
+					}
+					ones = ones && c == 1
+					counts = append(counts, uint32(c))
 				}
-				if c == 0 || c > math.MaxUint32 {
-					return fmt.Errorf("core: invalid snapshot: token count %d out of range", c)
+				if ones {
+					return fmt.Errorf("core: invalid snapshot: a counted run whose counts are all 1")
 				}
-				counts = append(counts, uint32(c))
-			}
-			if wantSum, wantNorm := config.RunSums(counts); math.Float64bits(sum) != math.Float64bits(wantSum) || math.Float64bits(norm) != math.Float64bits(wantNorm) {
-				return fmt.Errorf("core: invalid snapshot: count vector Sum %v and Norm %v disagree with its counts (%v, %v)", sum, norm, wantSum, wantNorm)
 			}
 			dst.Slots[pi][ti], dst.Counts[pi][ti] = slots, counts
 		}

@@ -3,10 +3,10 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"unsafe"
@@ -23,15 +23,13 @@ import (
 //
 // The body stores the program (JSON, so snapshots stay debuggable), the row
 // arity, each compiled segment (blocking parts, alive bitmap, rows, count
-// rows, negative-rule word sets), the token IDF statistics, and the raw
-// live delta rows, which the row store's builder (rowStore.appendRows)
-// stores at load with nil cells, keeping the decoded rows themselves, not
-// copies.
+// rows, negative-rule word sets), and the raw live delta rows, which the
+// row store's builder (rowStore.appendRows) stores at load with nil cells,
+// keeping the decoded rows themselves, not copies.
 // Strings decode as substrings of the mapped or loaded body; posting and
-// doc-gram lists and count-vector weights are aligned fixed-width
-// little-endian blocks aliased straight out of it. A row's blocking key
-// and program-column cells are derived from its cells, in the file as in
-// memory.
+// doc-gram lists are aligned fixed-width little-endian blocks aliased
+// straight out of it. A row's blocking key and program-column cells are
+// derived from its cells, in the file as in memory.
 //
 // Version 2 dictionary-encodes the token columns: each (segment, program
 // column) stores its sorted distinct tokens once, and every count vector
@@ -51,17 +49,32 @@ import (
 // version 2). A vector whose counts fit int8 is always written in the
 // 1-byte form. Norms are not stored: Load computes each from its lanes.
 //
+// Version 4 stores what the row store keeps and nothing it derives: no
+// float (a run's Sum and Norm follow from its counts, config.RunSums), no
+// IDF statistics (load counts the live rows into the vocabularies, as a
+// build does), and no count for a run whose counts are all 1 — each run's
+// length carries a counted bit, and only a counted run stores counts.
+// Load refuses a counted run of ones, so a table has one encoding. The
+// benchmark ledger's reference table takes 908 bytes a row (1,187 in
+// version 3).
+//
 // Load never trusts the input: every count is bounds-checked against the
 // remaining bytes and every cross-reference is validated, so a truncated or
 // corrupted file yields a descriptive error, never a panic. Only the
 // current version loads — a snapshot is a cache of a compile, so an old
-// reader answers with "recompile", never with a best-effort decode.
+// reader answers with "recompile" (ErrSnapshotVersion), never with a
+// best-effort decode.
 
 const (
 	snapshotMagic     = "AFJS"
-	snapshotVersion   = 3
+	snapshotVersion   = 4
 	snapshotHeaderLen = 9 // magic + version byte + crc32c
 )
+
+// ErrSnapshotVersion is wrapped by the error of a load whose snapshot has
+// another version than the one this build writes: the file is a stale
+// cache of a compile, to be rebuilt from its program and rows.
+var ErrSnapshotVersion = errors.New("core: unsupported snapshot version")
 
 // snapshotCRC is the Castagnoli table: crc32c has dedicated hardware
 // support on both amd64 and arm64, and the checksum pass touches every
@@ -154,7 +167,7 @@ func checkSnapshotHeader(data []byte) error {
 		return fmt.Errorf("core: not a table snapshot (bad magic %q)", data[:4])
 	}
 	if v := data[4]; v != snapshotVersion {
-		return fmt.Errorf("core: unsupported snapshot version %d (this build reads version %d)", v, snapshotVersion)
+		return fmt.Errorf("%w %d (this build reads version %d)", ErrSnapshotVersion, v, snapshotVersion)
 	}
 	if sum := crc32.Checksum(data[snapshotHeaderLen:], snapshotCRC); sum != binary.LittleEndian.Uint32(data[5:9]) {
 		return fmt.Errorf("core: snapshot checksum mismatch (file corrupted or truncated)")
@@ -204,11 +217,6 @@ func (w *snapWriter) uvarint(x uint64) {
 func (w *snapWriter) str(s string) {
 	w.uvarint(uint64(len(s)))
 	w.buf.WriteString(s)
-}
-
-func (w *snapWriter) f64(v float64) {
-	binary.LittleEndian.PutUint64(w.tmp[:8], math.Float64bits(v))
-	w.buf.Write(w.tmp[:8])
 }
 
 func (w *snapWriter) strs(ss []string) {
@@ -393,23 +401,6 @@ func (r *snapReader) u32() int {
 		uint32(r.blob[r.pos+2])<<16 | uint32(r.blob[r.pos+3])<<24
 	r.pos += 4
 	return int(v)
-}
-
-func (r *snapReader) f64() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.remaining() < 8 {
-		r.fail("truncated float")
-		return 0
-	}
-	// In-place unrolled LE decode; []byte(...) would allocate, and the
-	// compiler fuses the byte loads into one 8-byte load.
-	b := r.blob[r.pos : r.pos+8]
-	u := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-	r.pos += 8
-	return math.Float64frombits(u)
 }
 
 func (r *snapReader) strs() []string {

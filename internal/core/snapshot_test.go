@@ -7,7 +7,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash/crc32"
-	"math"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"github.com/chu-data-lab/autofuzzyjoin-go/internal/config"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/textproc"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/tokenize"
 )
@@ -57,9 +56,12 @@ func snapshotTableAt(t *testing.T, parallelism int) (*Program, *Table, [][]strin
 	return prog, tab, toRows(R)
 }
 
-// TestSnapshotSaveFile: the file form round-trips and replaces atomically.
+// TestSnapshotSaveFile: the file form round-trips and replaces atomically,
+// and the saved and the loaded table both count the statistics of a build
+// of their live rows.
 func TestSnapshotSaveFile(t *testing.T) {
-	_, tab, queries := snapshotTable(t)
+	prog, tab, queries := snapshotTable(t)
+	expectLiveStatistics(t, prog, tab)
 	path := filepath.Join(t.TempDir(), "table.afjs")
 	if err := tab.SaveFile(path); err != nil {
 		t.Fatal(err)
@@ -69,6 +71,7 @@ func TestSnapshotSaveFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	expectLiveStatistics(t, prog, loaded)
 	want, _ := tab.MatchRows(context.Background(), queries[:3])
 	got, _ := loaded.MatchRows(context.Background(), queries[:3])
 	for i := range want {
@@ -78,14 +81,39 @@ func TestSnapshotSaveFile(t *testing.T) {
 	}
 }
 
+// expectLiveStatistics checks that tab's column vocabularies count what
+// a fresh build of its live rows counts: the documents, and the df of
+// every token of every counted representation. A snapshot stores no
+// statistics, so this is what a load must rebuild from the stored rows.
+func expectLiveStatistics(tb testing.TB, prog *Program, tab *Table) {
+	tb.Helper()
+	fresh, err := prog.NewTable(tab.RowWidth(), tab.Rows(), Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for j, v := range tab.store.cols {
+		w := fresh.store.cols[j]
+		if v.Docs() != w.Docs() {
+			tb.Fatalf("column %d: %d documents, a build of the live rows %d", j, v.Docs(), w.Docs())
+		}
+		for _, pre := range textproc.Options() {
+			for _, tok := range tokenize.Options() {
+				if v.NeedCounts(pre, tok) && !maps.Equal(maps.Collect(v.DF(pre, tok)), maps.Collect(w.DF(pre, tok))) {
+					tb.Fatalf("column %d (%v, %v): df differs from a build of the live rows", j, pre, tok)
+				}
+			}
+		}
+	}
+}
+
 // TestSnapshotBytesPinned pins the exact bytes Save writes for a
 // deterministic table with an IDF-weighted program that went through Add,
 // Remove and Compact: a change to the in-memory representation must not
-// move a single byte of the version-3 format. The table is built at
+// move a single byte of the version-4 format. The table is built at
 // parallelism 1, 2 and 4, since its rows are counted and interned on
 // workers, and every build must give the same bytes.
 func TestSnapshotBytesPinned(t *testing.T) {
-	const want = "cf6d3674ba244ca3811e4ae6f553b683363f5483f60c7d903abc829bef01ec3a"
+	const want = "f4baa4c594d710e71c8021ae4624e2afa921b0620dcbedb4e08994e0938cdaed"
 	for _, par := range []int{1, 2, 4} {
 		_, tab, _ := snapshotTableAt(t, par)
 		var buf bytes.Buffer
@@ -307,6 +335,62 @@ func TestSnapshotRejectsCorrupt(t *testing.T) {
 	if err := load(append(append([]byte(nil), valid...), 0, 1, 2)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
+	// Checksum-valid slot runs that break the format's own rules.
+	for _, c := range corruptRuns {
+		if err := load(runSnapshot(t, c.edit)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: LoadTable = %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
+}
+
+// gramRun is how a snapshot of gramProgram's table of the one row "aaaa"
+// stores the row's 3-gram run, once under each pre-processing: the run
+// header uvarint(5<<1 | counted), the gaps of its dictionary indices
+// ("##a" "#aa" "a##" "aa#" "aaa" are the dictionary's first five
+// tokens), then its counts.
+var gramRun = []byte{5<<1 | 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 2}
+
+// corruptRuns are edits of gramRun that a load must refuse, with a part
+// of the error each must give.
+var corruptRuns = []struct {
+	name, want string
+	edit       func(run []byte) []byte
+}{
+	{"counted run of ones", "counts are all 1", func(run []byte) []byte {
+		run[len(run)-1] = 1
+		return run
+	}},
+	{"zero count", "token count 0 out of range", func(run []byte) []byte {
+		run[len(run)-1] = 0
+		return run
+	}},
+	{"run length past the data", "of 1073741824 tokens overruns data", func(run []byte) []byte {
+		return append(binary.AppendUvarint(nil, 1<<31|1), run[1:]...)
+	}},
+}
+
+// runSnapshot returns a checksum-valid snapshot of gramProgram's table of
+// the one row "aaaa" whose first stored gramRun is replaced by edit's
+// result.
+func runSnapshot(tb testing.TB, edit func(run []byte) []byte) []byte {
+	tb.Helper()
+	tab, err := gramProgram().NewTable(1, toRows([]string{"aaaa"}), Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tab.Save(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	data := buf.Bytes()
+	at := bytes.Index(data, gramRun)
+	if bytes.Count(data, gramRun) != 2 {
+		tb.Fatalf("the snapshot does not store the 3-gram run % x twice", gramRun)
+	}
+	run := edit(bytes.Clone(gramRun))
+	data = append(append(data[:at:at], run...), data[at+len(gramRun):]...)
+	binary.LittleEndian.PutUint32(data[5:9], crc32.Checksum(data[snapshotHeaderLen:], snapshotCRC))
+	return data
 }
 
 // FuzzLoadTable: the decoder must never panic, whatever bytes arrive. The
@@ -348,21 +432,31 @@ func FuzzLoadTable(f *testing.F) {
 	}
 	f.Add(ebuf.Bytes())
 	f.Add(badGramSnapshot(f))
-	f.Add(badSumsSnapshot(f))
+	for _, c := range corruptRuns {
+		f.Add(runSnapshot(f, c.edit))
+	}
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:9])
 	f.Add([]byte("AFJS"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tab, err := LoadTable(data, Options{})
-		if err != nil {
-			return
+		// A mutant rarely keeps its checksum, so each input is also loaded
+		// with the checksum repaired: the fuzzer then reaches the structured
+		// decode behind it.
+		repaired := bytes.Clone(data)
+		if len(repaired) >= snapshotHeaderLen {
+			binary.LittleEndian.PutUint32(repaired[5:9], crc32.Checksum(repaired[snapshotHeaderLen:], snapshotCRC))
 		}
-		// The rare mutant that passes the checksum must still be a coherent,
-		// queryable table.
-		if _, _, err := tab.Match(context.Background(), "lsu tigers football"); err != nil {
-			t.Fatalf("loaded table cannot serve: %v", err)
+		for _, in := range [][]byte{data, repaired} {
+			tab, err := LoadTable(in, Options{})
+			if err != nil {
+				continue
+			}
+			// A mutant that loads must still be a coherent, queryable table.
+			if _, _, err := tab.Match(context.Background(), "lsu tigers football"); err != nil {
+				t.Fatalf("loaded table cannot serve: %v", err)
+			}
 		}
 	})
 }
@@ -460,60 +554,18 @@ func badGramSnapshot(tb testing.TB) []byte {
 		tb.Fatal(err)
 	}
 	data := buf.Bytes()
-	// A length-prefixed "##2" is stored three times: in the blocking
-	// vocabulary, in the column dictionary and in the IDF statistics, in
-	// that order (no stored row string holds '#'). Rewrite the second.
-	// "!é" is three bytes and two runes, and sorts where "##2" did.
+	// A length-prefixed "##2" is stored twice: in the blocking vocabulary,
+	// then in the column dictionary (no stored row string holds '#').
+	// Rewrite the second. "!é" is three bytes and two runes, and sorts
+	// where "##2" did.
 	tok := []byte("\x03##2")
-	first := bytes.Index(data, tok)
-	at := first + 1 + bytes.Index(data[first+1:], tok)
-	if first < 0 || at == first || bytes.Count(data, tok) != 3 {
-		tb.Fatal("the snapshot does not store ##2 three times")
+	at := bytes.LastIndex(data, tok)
+	if bytes.Count(data, tok) != 2 {
+		tb.Fatal("the snapshot does not store ##2 twice")
 	}
 	copy(data[at+1:], "!é")
 	binary.LittleEndian.PutUint32(data[5:9], crc32.Checksum(data[snapshotHeaderLen:], snapshotCRC))
 	return data
-}
-
-// badSumsSnapshot returns a checksum-valid snapshot of a 3-gram table
-// whose first count vector with a repeated token stores its Sum as its
-// Norm too.
-func badSumsSnapshot(tb testing.TB) []byte {
-	tb.Helper()
-	tab, err := gramProgram().NewTable(1, toRows([]string{
-		"abababab ab",
-		"2009 lsu tigers baseball team",
-	}), Options{})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tab.Save(&buf); err != nil {
-		tb.Fatal(err)
-	}
-	data := buf.Bytes()
-	var row config.Row
-	tab.store.segs[0].cols[0].Get(0, &row)
-	counts := row.Counts[textproc.Lower][tokenize.QGram3]
-	sum, norm := config.RunSums(counts)
-	stored := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, math.Float64bits(sum)), math.Float64bits(norm))
-	at := bytes.Index(data, stored)
-	if sum == float64(len(counts)) || at < 0 {
-		tb.Fatalf("the snapshot does not store the counted run's Sum %v and Norm %v", sum, norm)
-	}
-	binary.LittleEndian.PutUint64(data[at+8:], math.Float64bits(sum))
-	binary.LittleEndian.PutUint32(data[5:9], crc32.Checksum(data[snapshotHeaderLen:], snapshotCRC))
-	return data
-}
-
-// TestSnapshotRejectsBadSums: a count vector's stored Sum and Norm are
-// checked against its counts, not trusted: a Norm that disagrees fails
-// the load with an error.
-func TestSnapshotRejectsBadSums(t *testing.T) {
-	_, err := LoadTable(badSumsSnapshot(t), Options{})
-	if err == nil || !strings.Contains(err.Error(), "disagree with its counts") {
-		t.Fatalf("LoadTable = %v, want a Sum and Norm error", err)
-	}
 }
 
 // TestSnapshotRejectsShortGram: a 3-gram dictionary token that is not

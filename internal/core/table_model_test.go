@@ -289,7 +289,9 @@ func (r *modelRun) compact() string {
 
 // save replaces every table by its snapshot loaded back at generation 1,
 // through memory or a file. The tables hold the same rows in the same
-// layout, so they write the same bytes.
+// layout, so they write the same bytes. A snapshot stores no statistics,
+// so the first table's, before the save and after the load, are held to
+// a build of its live rows.
 func (r *modelRun) save() string {
 	how := []string{"Save + LoadTable", "SaveFile + LoadTableFile"}[r.src.intn(2)]
 	r.logf("%s, %d live delta rows", how, r.tabs[0].tab.DeltaLen())
@@ -297,6 +299,7 @@ func (r *modelRun) save() string {
 		r.stats["deltaSaves"]++
 	}
 	var first []byte
+	expectLiveStatistics(r.tb, r.fx.prog, r.tabs[0].tab)
 	for i, mt := range r.tabs {
 		opt := Options{Parallelism: mt.v.par, QueryCacheSize: mt.v.cache}
 		var buf bytes.Buffer
@@ -318,6 +321,9 @@ func (r *modelRun) save() string {
 		}
 		if !bytes.Equal(buf.Bytes(), first) || loaded.Generation() != 1 {
 			r.fatalf("%v: other bytes than %v, or a loaded table at generation %d", mt.v, r.tabs[0].v, loaded.Generation())
+		}
+		if i == 0 {
+			expectLiveStatistics(r.tb, r.fx.prog, loaded)
 		}
 		mt.tab, mt.gen = loaded, 1
 		clear(mt.seen)
@@ -443,6 +449,9 @@ func (r *modelRun) probe(mt *modelTable, form int, qs []int, where string) {
 		if mt.seen[qi] {
 			seen++
 		}
+		if !r.cacheable(qi) && len(r.rows) > 0 {
+			r.stats["uncacheable"]++
+		}
 		if tb != nil && (want.Left >= 0 && !slices.Equal(tb.Rows[i], r.rows[want.Left]) || want.Left < 0 && tb.Rows[i] != nil) {
 			r.fatalf("%s: query %d matched row %q", where, qi, tb.Rows[i])
 		}
@@ -467,7 +476,7 @@ func (r *modelRun) probe(mt *modelTable, form int, qs []int, where string) {
 			where, lookups, hits, cached, seen, mt.gen)
 	}
 	for _, qi := range qs {
-		mt.seen[qi] = len(r.rows) > 0 && mt.v.cache >= 0
+		mt.seen[qi] = len(r.rows) > 0 && mt.v.cache >= 0 && r.cacheable(qi)
 	}
 	r.stats["hits"] += hits
 	switch n := tab.QueryCacheLen(); {
@@ -488,6 +497,16 @@ func (r *modelRun) probe(mt *modelTable, form int, qs []int, where string) {
 			}
 		}
 	}
+}
+
+// cacheable reports whether query qi's cache key fits maxCachedKey: a
+// longer query is answered but never cached.
+func (r *modelRun) cacheable(qi int) bool {
+	row := r.fx.queries[qi]
+	if r.fx.width > 1 {
+		return len(appendRowKey(nil, row)) <= maxCachedKey
+	}
+	return len(row[0]) <= maxCachedKey
 }
 
 // expectModel checks a table with the default result cache: its answers
@@ -527,7 +546,11 @@ func modelSingleFixture() *modelFixture {
 		}
 	}
 	rng := rand.New(rand.NewSource(97))
-	qs := []string{L[0], "", perturb(rng, L[8]), "2007 lsu tigers footbal team", "0000 aardvark wisconsin badgers football team", L[1]}
+	// The sixth query, a record padded past maxCachedKey, is answered but
+	// never cached, and is among the six that half the picks draw from, so
+	// it repeats within a generation.
+	long := "2008 lsu tigers football team" + strings.Repeat(" ", maxCachedKey)
+	qs := []string{L[0], "", perturb(rng, L[8]), "2007 lsu tigers footbal team", "0000 aardvark wisconsin badgers football team", long, L[1]}
 	for i := 9; i < len(L); i += 9 {
 		qs = append(qs, L[i], perturb(rng, L[i]))
 	}
@@ -620,8 +643,8 @@ func TestTableModel(t *testing.T) {
 		optional []string // what the fixture's runs need not reach
 	}{
 		{modelSingleFixture(), 6, 60, nil},
-		{modelMultiFixture(), 3, 60, nil},
-		{modelLedgerFixture(t), 2, 40, []string{"emptied", "bigBalls"}},
+		{modelMultiFixture(), 3, 60, []string{"uncacheable"}},
+		{modelLedgerFixture(t), 2, 40, []string{"emptied", "bigBalls", "uncacheable"}},
 	}
 	for _, c := range cases {
 		t.Run(c.fx.name, func(t *testing.T) {
@@ -632,7 +655,7 @@ func TestTableModel(t *testing.T) {
 				}
 			}
 			t.Log(sum)
-			for _, k := range strings.Fields("matched hits flushes refused removed emptied deltaSaves majors bigBalls") {
+			for _, k := range strings.Fields("matched hits flushes refused removed emptied deltaSaves majors bigBalls uncacheable") {
 				if sum[k] == 0 && !slices.Contains(c.optional, k) {
 					t.Errorf("vacuous runs: no %s", k)
 				}

@@ -71,7 +71,9 @@ type ProgramSpec struct {
 	// restart becomes a bulk read. If it does not exist, the program is
 	// compiled as usual and the snapshot is written for the next boot. A
 	// file that exists but fails validation is a hard, descriptive error:
-	// silently recompiling would mask corruption.
+	// silently recompiling would mask corruption. A file of another format
+	// version is a stale cache instead: a spec that also gives the program
+	// and the reference table compiles them and rewrites it.
 	SnapshotPath string `json:"snapshot_path,omitempty"`
 }
 
@@ -154,10 +156,13 @@ func (s ProgramSpec) resolve(opt core.Options) (*compiledProgram, error) {
 	if s.SnapshotPath != "" {
 		if _, err := os.Stat(s.SnapshotPath); err == nil {
 			tab, err := core.LoadTableFile(s.SnapshotPath, opt)
-			if err != nil {
+			if err == nil {
+				return &compiledProgram{name: s.Name, table: tab}, nil
+			}
+			compilable := (len(s.Program) > 0 || s.ProgramPath != "") && (s.LeftCSV != "" || s.LeftPath != "")
+			if !errors.Is(err, core.ErrSnapshotVersion) || !compilable {
 				return nil, fmt.Errorf("serve: program %q: snapshot %s: %w", s.Name, s.SnapshotPath, err)
 			}
-			return &compiledProgram{name: s.Name, table: tab}, nil
 		}
 	}
 	progData := []byte(s.Program)

@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"net/http"
 
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/core"
@@ -280,6 +282,45 @@ func TestSnapshotSpecBoot(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "snapshot") {
 		t.Errorf("corrupt-snapshot error not descriptive: %v", err)
+	}
+}
+
+// TestSnapshotSpecOtherVersion: a snapshot of another format version is
+// refused alone, naming both versions, and with the program and the
+// reference table beside it is compiled over and rewritten in the current
+// version.
+func TestSnapshotSpecOtherVersion(t *testing.T) {
+	snap := filepath.Join(t.TempDir(), "orgs.afjs")
+	spec := testSpec("orgs")
+	spec.SnapshotPath = snap
+	if _, err := spec.resolve(core.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	current := data[4]
+	data[4] = current - 1 // the header's version byte, outside the checksum
+	if err := os.WriteFile(snap, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	bare := ProgramSpec{Name: "orgs", SnapshotPath: snap}
+	_, err = bare.resolve(core.Options{})
+	if !errors.Is(err, core.ErrSnapshotVersion) || !strings.Contains(err.Error(), fmt.Sprintf("version %d (this build reads version %d)", current-1, current)) {
+		t.Fatalf("bare spec over an old snapshot: %v, want the unsupported-version error naming both versions", err)
+	}
+
+	reg := newTestRegistry(t, Config{})
+	if err := reg.Register(spec); err != nil {
+		t.Fatalf("a spec with program and reference over an old snapshot does not register: %v", err)
+	}
+	if data, err = os.ReadFile(snap); err != nil || data[4] != current {
+		t.Fatalf("the old snapshot was not rewritten: version %d, %v", data[4], err)
+	}
+	if _, err := bare.resolve(core.Options{}); err != nil {
+		t.Fatalf("the rewritten snapshot does not load: %v", err)
 	}
 }
 
