@@ -239,6 +239,7 @@ var unreached = map[string]string{
 	"(*internal/config.Rows).TokenCap":                "TestNewTableSlotCapacity",
 	"(*internal/config.Vocab).DF":                     "TestSnapshotSaveFile",
 	"(*internal/config.Vocab).Docs":                   "TestSnapshotSaveFile",
+	"(*internal/core.tableScratch).ballWork":          "TestCappedBallWorkCount",
 	"internal/analysis/analysistest.Run":              "TestDetRange",
 	"internal/analysis/analysistest.RunNoDiagnostics": "TestDetRangeOutOfScope",
 	"internal/analysis/analysistest.collectWants":     "TestDetRange",

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/benchgen"
+	"github.com/chu-data-lab/autofuzzyjoin-go/internal/config"
 )
 
 // ledgerProgram returns the serving shape of the benchmark ledger: the
@@ -82,5 +84,51 @@ func TestCharBoundWorkCount(t *testing.T) {
 		scored, skipped, 100*share, len(queries))
 	if share < 0.8 {
 		t.Fatalf("skipped %.1f %% of candidate-scan char groups, want at least 80 %%", 100*share)
+	}
+}
+
+// TestCappedBallWorkCount counts, exactly, the (candidate, group)
+// evaluations ball counting runs on the ledger's serving shape, with the
+// result cache off, over the queries of TestCharBoundWorkCount. A second
+// table counts every cold ball of the same queries' joined rows in full,
+// as a miss did before the counts were capped: the capped counts must run
+// at most 35 % of its evaluations.
+func TestCappedBallWorkCount(t *testing.T) {
+	prog, left := ledgerProgram(t)
+	capped, err := prog.NewTable(1, toRows(left), Options{QueryCacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := prog.NewTable(1, toRows(left), Options{QueryCacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, fs := capped.getScratch(), full.getScratch()
+	defer capped.putScratch(ms)
+	defer full.putScratch(fs)
+	capped.mu.RLock()
+	defer capped.mu.RUnlock()
+	full.mu.RLock()
+	defer full.mu.RUnlock()
+	tag := uint64(full.statsGen) << 32
+	var center [1]config.Fixed
+	for _, q := range nearQueries(left, 300, 29) {
+		capped.matchOne(ms, []string{q})
+		copy(fs.bestL, ms.bestL)
+		fs.rows, fs.center = fs.rows[:0], -1
+		for ci, l := range fs.bestL {
+			if l >= 0 && full.cachedBall(ci, l, tag) == 0 {
+				full.countBallTo(fs, center[:], ci, l, math.MaxUint32)
+			}
+		}
+		fs.releaseSides()
+	}
+	evals, centers := ms.ballWork()
+	fullEvals, fullCenters := fs.ballWork()
+	share := float64(evals) / float64(fullEvals)
+	t.Logf("ball counts: %d (candidate, group) evaluations and %d centers capped, %d and %d in full (%.1f %%)",
+		evals, centers, fullEvals, fullCenters, 100*share)
+	if fullEvals == 0 || share > 0.35 {
+		t.Fatalf("capped ball counts ran %d evaluations, %.1f %% of %d in full; want at most 35 %%", evals, 100*share, fullEvals)
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"iter"
 	"math"
+	"math/bits"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -106,19 +108,6 @@ func columnRows(cols [][]string) [][]string {
 	return rows
 }
 
-// countBallRow adds one ball candidate to every configuration's count:
-// counts[ci] grows when the candidate's distance is within radii[ci],
-// saturating at maxBallCount.
-//
-//autofj:hotpath
-func countBallRow(counts []uint32, drow, radii []float64) {
-	for ci, d := range drow {
-		if d <= radii[ci] && counts[ci] < maxBallCount {
-			counts[ci]++
-		}
-	}
-}
-
 // queryState is the transient miss-path state of one query: everything
 // about it that does not depend on which candidate it is scored against.
 // It is built per cache miss and dropped once the Match is computed.
@@ -183,10 +172,9 @@ const streamChunk = 128
 // or a pointer-free buffer.
 type tableScratch struct {
 	//autofj:keep persistent blocking sub-scratch; holds only capacity and generation stamps, never query data
-	sc        *blocking.TableScratch
-	cands     []blocking.Candidate
-	ballCands []blocking.Candidate
-	kbuf      []byte // cache key: the record, or a multi-column row's composite key
+	sc    *blocking.TableScratch
+	cands []blocking.Candidate
+	kbuf  []byte // cache key: the record, or a multi-column row's composite key
 	//autofj:keep persistent distance-kernel sub-scratch; rows are overwritten per pair and hold no references
 	esc *config.EvalScratch
 	// per program column, the tables of the fixed side of the current run
@@ -196,9 +184,22 @@ type tableScratch struct {
 	crow   []float64
 	ccut   []float64 // per configuration: a column's share of a cut
 	bestD  []float64
-	bestL  []int32  // per configuration: the joined row, -1 when none
-	counts []uint32 // per configuration: the ball count of its joined row
-	fill   []uint32 // per configuration: the ball counts of the row being filled
+	bestL  []int32   // per configuration: the joined row, -1 when none
+	rows   []ballRow // the joined rows whose balls this miss counts
+	center int32     // the row prepared in sides as a ball center, -1 when none
+	// ball-counting work over the scratch's life (ballWork)
+	ballEvals, ballCenters uint64
+}
+
+// ballRow is the lazy ball count of one joined row during a miss: the
+// row's self top-k in blocking order, how far each evaluator group has
+// scanned it, and every configuration's running count, which is final
+// once its group has scanned every candidate.
+type ballRow struct {
+	l      int32
+	cands  []blocking.Candidate
+	at     [64]int32 // by group bit
+	counts []uint32  // by configuration
 }
 
 // rowDists fills ms.drow with the distance under every configuration whose
@@ -236,39 +237,6 @@ func (t *Table) rowDists(ms *tableScratch, fixed []config.Fixed, fixedRow []stri
 	}
 }
 
-// ballCounts sets ms.counts[ci] to the 2θ-ball cardinality of row
-// ms.bestL[ci] under configuration ci, for every configuration that joined
-// (bestL >= 0). A slot tagged with the current statistics generation is
-// read from the ball cache. Each distinct row with cold slots is filled
-// once, under the groups of the configurations that joined to it cold.
-//
-//autofj:hotpath
-func (t *Table) ballCounts(ms *tableScratch) {
-	tag := uint64(t.statsGen) << 32
-	for ci, l := range ms.bestL {
-		if l >= 0 {
-			ms.counts[ci] = t.cachedBall(ci, l, tag)
-		}
-	}
-	for ci, l := range ms.bestL {
-		if l < 0 || ms.counts[ci] != 0 {
-			continue
-		}
-		var mask config.GroupMask
-		for cj := ci; cj < len(ms.bestL); cj++ {
-			if ms.bestL[cj] == l && ms.counts[cj] == 0 {
-				mask |= t.eval.Group(cj)
-			}
-		}
-		t.fillBalls(l, mask, tag, ms)
-		for cj := ci; cj < len(ms.bestL); cj++ {
-			if ms.bestL[cj] == l && ms.counts[cj] == 0 {
-				ms.counts[cj] = ms.fill[cj]
-			}
-		}
-	}
-}
-
 // cachedBall returns the cached ball count of dense row l under
 // configuration ci, or 0 when its slot does not carry tag (a stored count
 // is at least 1).
@@ -282,48 +250,87 @@ func (t *Table) cachedBall(ci int, l int32, tag uint64) uint32 {
 	return uint32(v)
 }
 
-// fillBalls counts the balls of dense row l under every configuration
-// whose group is in mask, in one pass — one self-blocking call, l
-// prepared once as the fixed side, and one evaluator row per ball
-// candidate that scores only mask's groups, compared against the radii —
-// and stores those counts in ms.fill and in the ball cache, tagged with
-// the statistics generation, so mutations invalidate them wholesale and
-// the other configurations of those groups, in this query or a later one,
-// hit. The slots of every other configuration are left as they were:
-// their entries of ms.drow (and, multi-column, of ms.crow) hold stale
-// distances, and their counts in ms.fill are meaningless. ms.drow/ms.crow
-// and ms.sides are free here: ball counts are only taken after the
-// candidate scan has finished with them. Values are deterministic, so
-// concurrent fills under any masks are benign.
+// countBallTo counts the 2θ-ball of dense row l under configuration ci,
+// whose slot the caller read cold, until the count reaches limit: the
+// result is the exact count when it is below limit, and limit or more
+// otherwise. It scores only ci's group, one self top-k candidate at a
+// time, with l prepared in ms.sides as the fixed side and held in
+// centers (the caller's, so no row's strings reach the scratch) until a
+// count at another row replaces it. The center is prepared for the groups
+// of the configurations from ci on that joined l and are cold, and for
+// ci's own group, whose slot another query may have filled since the
+// caller read it. A group whose scan reaches the last candidate stores
+// the counts of all its configurations in the ball cache, tagged with the
+// statistics generation, so mutations invalidate them wholesale; a group
+// scanned only part of the way stores nothing, so every current slot is
+// exact. Values are deterministic, so concurrent stores are benign.
 //
 //autofj:hotpath
-func (t *Table) fillBalls(l int32, mask config.GroupMask, tag uint64, ms *tableScratch) {
-	ms.ballCands = t.store.tix.AppendTopKSelf(ms.ballCands[:0], ms.sc, int(l), t.k)
+func (t *Table) countBallTo(ms *tableScratch, centers []config.Fixed, ci int, l int32, limit uint32) uint32 {
+	tag := uint64(t.statsGen) << 32
 	apl, alocal := t.store.payload(int(l))
-	var one [1]config.Fixed
-	centers := one[:]
-	if t.store.multi {
-		//autofj:alloc-ok one slot per program column per multi-column fill; the single-column center stays on the stack
-		centers = make([]config.Fixed, len(t.store.cols))
+	if ms.center != l {
+		ms.releaseSides()
+		mask := t.eval.Group(ci)
+		for cj := ci; cj < len(ms.bestL); cj++ {
+			if ms.bestL[cj] == l && t.cachedBall(cj, l, tag) == 0 {
+				mask |= t.eval.Group(cj)
+			}
+		}
+		for j, vocab := range t.store.cols {
+			centers[j] = vocab.PrepareRow(&ms.sides[j], &apl.cols[j], int(alocal), mask, true)
+		}
+		ms.center = l
+		ms.ballCenters++
 	}
-	for j, vocab := range t.store.cols {
-		centers[j] = vocab.PrepareRow(&ms.sides[j], &apl.cols[j], int(alocal), mask, true)
-	}
-	for ci := range ms.fill {
-		ms.fill[ci] = 1
-	}
-	for _, c := range ms.ballCands {
-		bpl, blocal := t.store.payload(int(c.ID))
-		t.rowDists(ms, centers, apl.rows[alocal], bpl, blocal, mask, t.radii)
-		countBallRow(ms.fill, ms.drow, t.radii)
-	}
-	ms.releaseSides()
-	for ci, n := range ms.fill {
-		if mask&t.eval.Group(ci) != 0 {
-			t.balls[ci*t.ballStride+int(l)].Store(tag | uint64(n))
+	r := ms.ballRow(t, l)
+	g := t.eval.Group(ci)
+	at := &r.at[bits.TrailingZeros64(uint64(g))]
+	for ; r.counts[ci] < limit && int(*at) < len(r.cands); *at++ {
+		bpl, blocal := t.store.payload(int(r.cands[*at].ID))
+		t.rowDists(ms, centers, apl.rows[alocal], bpl, blocal, g, t.radii)
+		ms.ballEvals++
+		for cj, d := range ms.drow {
+			if d <= t.radii[cj] && r.counts[cj] < maxBallCount && t.eval.Group(cj) == g {
+				r.counts[cj]++
+			}
 		}
 	}
+	if int(*at) == len(r.cands) {
+		for cj, n := range r.counts {
+			if t.eval.Group(cj) == g {
+				t.balls[cj*t.ballStride+int(l)].Store(tag | uint64(n))
+			}
+		}
+	}
+	return r.counts[ci]
 }
+
+// ballRow returns the miss's count state of row l, starting it (the
+// self top-k, no candidate scanned, every count at the center's 1) the
+// first time the miss counts a ball of l.
+//
+//autofj:hotpath
+func (ms *tableScratch) ballRow(t *Table, l int32) *ballRow {
+	for i := range ms.rows {
+		if ms.rows[i].l == l {
+			return &ms.rows[i]
+		}
+	}
+	ms.rows = slices.Grow(ms.rows, 1)[:len(ms.rows)+1] // reuses a dropped row's buffers
+	r := &ms.rows[len(ms.rows)-1]
+	r.l, r.at = l, [64]int32{}
+	r.cands = t.store.tix.AppendTopKSelf(r.cands[:0], ms.sc, int(l), t.k)
+	r.counts = r.counts[:0]
+	for range t.configs {
+		r.counts = append(r.counts, 1)
+	}
+	return r
+}
+
+// ballWork returns the (candidate, group) evaluations ball counting ran
+// and the ball centers it prepared, over the scratch's life.
+func (ms *tableScratch) ballWork() (evals, centers uint64) { return ms.ballEvals, ms.ballCenters }
 
 // releaseSides clears the fixed side of the run of pairs that just ended.
 //
@@ -410,6 +417,13 @@ func (t *Table) matchOne(ms *tableScratch, row []string) (m Match, cached bool) 
 // is lower), so only a candidate that joins becomes bestL; bestD is also
 // the cut of the candidate's char kernels (see rowDists).
 //
+// The estimate is 1/ball, so after the first join a configuration changes
+// the answer only when its ball is strictly smaller than cBest, the
+// current answer's: it raises the precision on the same row or switches
+// rows. The resolution walks the joined configurations in index order,
+// reads a current ball slot as is, counts the first join's ball exactly
+// and every later cold ball only until it reaches cBest (countBallTo).
+//
 //autofj:hotpath
 func (t *Table) score(ms *tableScratch, e *queryState, row []string) Match {
 	for ci, c := range t.configs {
@@ -427,25 +441,37 @@ func (t *Table) score(ms *tableScratch, e *queryState, row []string) Match {
 		}
 	}
 	ms.releaseSides()
-	t.ballCounts(ms)
-	best := noMatch()
-	for ci := range t.configs {
-		bl, bd := ms.bestL[ci], ms.bestD[ci]
+	ms.rows, ms.center = ms.rows[:0], -1
+	var one [1]config.Fixed
+	centers := one[:]
+	if t.store.multi {
+		//autofj:alloc-ok one slot per program column per multi-column miss; the single-column center stays on the stack
+		centers = make([]config.Fixed, len(t.store.cols))
+	}
+	tag := uint64(t.statsGen) << 32
+	best, cBest := noMatch(), uint32(math.MaxUint32)
+	for ci, bl := range ms.bestL {
+		if cBest == 1 {
+			break // no ball is smaller than its center alone
+		}
 		if bl < 0 {
 			continue
 		}
-		pr := 1 / float64(ms.counts[ci])
-		switch {
-		case best.Left < 0:
-			best = Match{Left: int(bl), Distance: bd, Precision: pr, Config: ci}
-		case best.Left == int(bl):
-			if pr > best.Precision {
-				best.Precision = pr
-			}
-		case pr > best.Precision:
-			best = Match{Left: int(bl), Distance: bd, Precision: pr, Config: ci}
+		c := t.cachedBall(ci, bl, tag)
+		if c == 0 {
+			c = t.countBallTo(ms, centers, ci, bl, cBest)
+		}
+		if c >= cBest {
+			continue
+		}
+		cBest = c
+		if best.Left == int(bl) {
+			best.Precision = 1 / float64(c)
+		} else {
+			best = Match{Left: int(bl), Distance: ms.bestD[ci], Precision: 1 / float64(c), Config: ci}
 		}
 	}
+	ms.releaseSides()
 	return best
 }
 

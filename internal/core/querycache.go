@@ -52,7 +52,8 @@ type queryCache struct {
 
 // newQueryCache builds a cache with the given entry cap: 0 means
 // defaultQueryCacheSize, negative disables caching (every lookup
-// misses and nothing is stored).
+// misses and nothing is stored). The map grows as answers are stored, so
+// a table that is never queried holds an empty one.
 func newQueryCache(size int) *queryCache {
 	if size < 0 {
 		return &queryCache{}
@@ -60,7 +61,7 @@ func newQueryCache(size int) *queryCache {
 	if size == 0 {
 		size = defaultQueryCacheSize
 	}
-	return &queryCache{cap: size, m: make(map[string]queryEntry, size)}
+	return &queryCache{cap: size, m: make(map[string]queryEntry)}
 }
 
 // lookup returns the answer cached for key under gen. The map index

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/chu-data-lab/autofuzzyjoin-go/internal/config"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/textproc"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/tokenize"
 )
@@ -122,6 +123,67 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		}
 		if sum := sha256.Sum256(buf.Bytes()); hex.EncodeToString(sum[:]) != want {
 			t.Fatalf("parallelism %d: snapshot bytes moved: sha256 %x (%d bytes), want %s", par, sum, buf.Len(), want)
+		}
+	}
+}
+
+// TestSnapshotCountedBytesPinned pins Save's bytes for a table that holds
+// counted runs beside all-ones ones, which TestSnapshotBytesPinned's
+// table does not: records with a repeated word, in the segment and in a
+// live delta, so the counted branch of the version-4 run encoding is
+// pinned too, and the loaded bytes must save the same bytes again. The
+// table is built at parallelism 1, 2 and 4.
+func TestSnapshotCountedBytesPinned(t *testing.T) {
+	const want = "28d28ad6feb08e665019fa32a4417ce1f0a10535fee1186648825a5152c6a91e"
+	L, _ := makeTask(t, 53, 3)
+	var recs []string
+	for i, rec := range L[:90] {
+		if w := strings.Fields(rec); i%4 == 0 && len(w) > 1 {
+			rec = rec + " " + w[1] + " " + w[len(w)-1]
+		}
+		recs = append(recs, rec)
+	}
+	for _, par := range []int{1, 2, 4} {
+		tab, err := tableTestProgram().NewTable(1, toRows(recs[:80]), Options{Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tab.Remove([]int{3, 40}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tab.Add(toRows(recs[80:])); err != nil {
+			t.Fatal(err)
+		}
+		counted := 0
+		var row config.Row
+		for d := range tab.Len() {
+			pl, local := tab.store.payload(d)
+			pl.cols[0].Get(int(local), &row)
+			for _, byTok := range row.Counts {
+				for _, counts := range byTok {
+					if len(counts) > 0 {
+						counted++
+					}
+				}
+			}
+		}
+		if counted == 0 {
+			t.Fatal("the table holds no counted run; the pin is vacuous")
+		}
+		var buf bytes.Buffer
+		if err := tab.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(buf.Bytes()); hex.EncodeToString(sum[:]) != want {
+			t.Fatalf("parallelism %d: snapshot bytes moved: sha256 %x (%d bytes, %d counted runs), want %s", par, sum, buf.Len(), counted, want)
+		}
+		loaded, err := LoadTable(buf.Bytes(), Options{Parallelism: par})
+		if err != nil {
+			t.Fatalf("parallelism %d: loading the pinned bytes: %v", par, err)
+		}
+		var again bytes.Buffer
+		if err := loaded.Save(&again); err != nil || !bytes.Equal(again.Bytes(), buf.Bytes()) {
+			t.Fatalf("parallelism %d: the loaded table saves other bytes (%d, want %d), error %v", par, again.Len(), buf.Len(), err)
 		}
 	}
 }

@@ -42,12 +42,12 @@ import (
 //     profile build uses, so no token string is hashed or compared per
 //     candidate;
 //   - the 2θ-ball precision denominators run over the same merged top-k
-//     candidates. The first time a row wins, one pass, with the row
-//     prepared as the fixed side, counts its ball under the evaluator
-//     groups of the configurations that joined to it;
-//     the counts are cached per configuration, tagged with the statistics
-//     generation so no mutation can leak a stale count, and a later join
-//     under another group fills that group's slots then.
+//     candidates, with the joined row prepared as the fixed side, one
+//     evaluator group at a time and only as far as the union resolution
+//     needs (see score): a group that scans every candidate caches the
+//     counts of all its configurations, tagged with the statistics
+//     generation so no mutation can leak a stale count, and a group
+//     stopped part of the way caches nothing.
 //
 // Concurrency: queries take a read lock for their whole (batch) duration;
 // Add/Remove/compaction swaps take the write lock, which guards the store
@@ -66,7 +66,10 @@ type Table struct {
 
 	mu    sync.RWMutex
 	store rowStore
-	balls []atomic.Uint64 // packed statsGen<<32 | count, by ci*ballStride+dense
+	// balls is the ball cache, packed statsGen<<32 | count by
+	// ci*ballStride+dense; a slot carrying the current statsGen holds the
+	// exact count (countBallTo stores only groups it scanned to the end).
+	balls []atomic.Uint64
 
 	// cache is the result cache, keyed by the mutation generation: a
 	// repeated query surface form returns its stored Match. Entries fill
@@ -172,16 +175,14 @@ func (p *Program) newTable(width int, opt Options, fill func(*rowStore) error) (
 	t.gen.Store(1)
 	t.pool.New = func() any {
 		return &tableScratch{
-			sc:     blocking.NewTableScratch(),
-			esc:    t.eval.NewScratch(),
-			sides:  make([]config.Side, len(t.store.cols)),
-			drow:   make([]float64, len(t.configs)),
-			crow:   make([]float64, len(t.configs)),
-			ccut:   make([]float64, len(t.configs)),
-			bestD:  make([]float64, len(t.configs)),
-			bestL:  make([]int32, len(t.configs)),
-			counts: make([]uint32, len(t.configs)),
-			fill:   make([]uint32, len(t.configs)),
+			sc:    blocking.NewTableScratch(),
+			esc:   t.eval.NewScratch(),
+			sides: make([]config.Side, len(t.store.cols)),
+			drow:  make([]float64, len(t.configs)),
+			crow:  make([]float64, len(t.configs)),
+			ccut:  make([]float64, len(t.configs)),
+			bestD: make([]float64, len(t.configs)),
+			bestL: make([]int32, len(t.configs)),
 		}
 	}
 	return t, nil

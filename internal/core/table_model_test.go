@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"slices"
@@ -15,7 +16,7 @@ import (
 )
 
 // The model-based differential harness for Table: one driver decodes
-// bytes into ops (Add, Remove, Compact, Save and load, a fused ball fill,
+// bytes into ops (Add, Remove, Compact, Save and load, uncapped ball counts,
 // each followed by a probe in one of the six query forms) and applies
 // them to one table per variant. The model is the live rows in dense
 // order, answered by the pointer oracle (matcher_oracle_test.go).
@@ -39,11 +40,11 @@ type modelFixture struct {
 	pool, special [][]string
 	queries       [][]string // distinct; half the picks are the first six
 	maxInit       int        // the largest initial table
-	balls         bool       // whether the fused-fill op runs: it fills every live row
+	balls         bool       // whether the ball op runs: it counts every live row's balls
 }
 
 // modelOps holds each op's letter as often as a byte should pick it: the
-// probe alone, Add, Remove, Compact, Save and a fused Ball fill.
+// probe alone, Add, Remove, Compact, Save and uncapped Ball counts.
 const modelOps = "ppppaaaarrrccssb"
 
 // modelSource decodes choices from bytes, all 0 once they run out.
@@ -331,18 +332,18 @@ func (r *modelRun) save() string {
 	return how
 }
 
-// balls runs the fused fill under random group masks on every live row
-// of one table (expectBallsOracle).
+// balls counts every ball of every live row of one table with no cap,
+// centers prepared under random group masks (expectBallsOracle).
 func (r *modelRun) balls() string {
 	if !r.fx.balls {
 		return "probe"
 	}
 	mt, seed := r.tabs[r.src.intn(len(r.tabs))], int64(r.src.intn(1<<16))
-	r.logf("fused ball fills on %v, mask seed %d", mt.v, seed)
-	if expectBallsOracle(r.tb, r.fx.prog, mt.tab, "fused fills", rand.New(rand.NewSource(seed))) >= 3 {
+	r.logf("uncapped ball counts on %v, mask seed %d", mt.v, seed)
+	if expectBallsOracle(r.tb, r.fx.prog, mt.tab, "uncapped counts", rand.New(rand.NewSource(seed))) >= 3 {
 		r.stats["bigBalls"]++
 	}
-	return "fused ball fills"
+	return "uncapped ball counts"
 }
 
 var modelForms = []string{"Match", "MatchRow", "MatchBatch", "MatchRows", "MatchBatchAt", "MatchStream"}
@@ -485,15 +486,43 @@ func (r *modelRun) probe(mt *modelTable, form int, qs []int, where string) {
 	case n < len0:
 		r.stats["flushes"]++
 	}
-	// The table holds the oracle's count of every ball an answer read.
+	// A miss of each query joins the oracle's row under every
+	// configuration. After it, at every row an answer joined, each current
+	// ball slot holds the oracle's count and a group's slots are current
+	// together or not at all (a group scanned only part of the way stores
+	// none); and the balls the resolution decided on, the first join and
+	// each strictly smaller count after it, are current.
 	tab.mu.RLock()
 	defer tab.mu.RUnlock()
+	ms := tab.getScratch()
+	defer tab.putScratch(ms)
 	tag := uint64(tab.statsGen) << 32
 	for _, qi := range qs {
-		for ci, l := range r.answer(qi).joined {
-			if l >= 0 && tab.cachedBall(ci, l, tag) != r.oracle.ballCount(ci, l, r.sc) {
-				r.fatalf("%s: query %d joined row %d under configuration %d: ball count %d, oracle %d",
-					where, qi, l, ci, tab.cachedBall(ci, l, tag), r.oracle.ballCount(ci, l, r.sc))
+		joined := r.answer(qi).joined
+		if q := r.fx.queries[qi]; joined != nil {
+			if tab.score(ms, tab.fillQuery(ms, q), q); !slices.Equal(ms.bestL, joined) {
+				r.fatalf("%s: query %d: the table joins rows %v by configuration, the oracle %v", where, qi, ms.bestL, joined)
+			}
+		}
+		cBest := uint32(math.MaxUint32)
+		for ci, l := range joined {
+			if l < 0 {
+				continue
+			}
+			for cj := range tab.configs {
+				got := tab.cachedBall(cj, l, tag)
+				if want := r.oracle.ballCount(cj, l, r.sc); got != 0 && got != want {
+					r.fatalf("%s: query %d joined row %d: configuration %d's ball count %d, oracle %d", where, qi, l, cj, got, want)
+				}
+				if tab.eval.Group(cj) == tab.eval.Group(ci) && (got != 0) != (tab.cachedBall(ci, l, tag) != 0) {
+					r.fatalf("%s: query %d joined row %d: configurations %d and %d of one group, one slot current", where, qi, l, ci, cj)
+				}
+			}
+			if want := r.oracle.ballCount(ci, l, r.sc); want < cBest {
+				cBest = want
+				if tab.cachedBall(ci, l, tag) == 0 {
+					r.fatalf("%s: query %d: the resolution decided on row %d's ball under configuration %d, slot cold", where, qi, l, ci)
+				}
 			}
 		}
 	}
@@ -522,6 +551,22 @@ func expectModel(t *testing.T, prog *Program, tab *Table, queries [][]string) {
 	}
 	for form := range modelForms {
 		r.probe(mt, form, qs, modelForms[form])
+	}
+	// A miss counts most joined balls only part of the way, so count each
+	// in full here: every ball an answer joined is the oracle's.
+	tab.mu.RLock()
+	defer tab.mu.RUnlock()
+	ms := tab.getScratch()
+	defer tab.putScratch(ms)
+	for qi := range queries {
+		for ci, l := range r.answer(qi).joined {
+			if l < 0 {
+				continue
+			}
+			if got, want := countUncapped(tab, ms, ci, l, ci), r.oracle.ballCount(ci, l, r.sc); got != want {
+				t.Fatalf("query %d joined row %d under configuration %d: counted in full %d, oracle %d", qi, l, ci, got, want)
+			}
+		}
 	}
 }
 
