@@ -20,10 +20,12 @@
 //	curl localhost:8080/metrics
 //
 // Register or hot-swap a program at runtime (traffic keeps flowing; the
-// swap is atomic):
+// swap is atomic). Over HTTP the program and the reference table travel
+// inline: a spec that sets program_path, left_path or snapshot_path gets
+// 400, as only the config file and the flags may name the daemon's files:
 //
 //	curl -X POST localhost:8080/v1/programs/orgs \
-//	     -d '{"program_path":"prog2.json","left_path":"left.csv","column":"name"}'
+//	     -d "{\"program\":$(cat prog2.json),\"left_csv\":$(jq -Rs . left.csv),\"column\":\"name\"}"
 //
 // Mutate the reference table in place — appends land in the table's
 // delta and are answerable immediately, deletes tombstone by index, and

@@ -128,18 +128,18 @@ func (z ZeroER) Joins(left, right []string, cands [][]int32) []metrics.ScoredJoi
 		}
 		mean /= float64(len(pairs))
 		for _, p := range pairs {
-			sd += (p.feats[k] - mean) * (p.feats[k] - mean)
+			sd += float64((p.feats[k] - mean) * (p.feats[k] - mean))
 		}
 		sd = math.Sqrt(sd/float64(len(pairs))) + 1e-3
 		match[k] = gauss{mu: math.Min(mean+sd, 1), sigma: sd}
-		non[k] = gauss{mu: math.Max(mean-sd/2, 0), sigma: sd}
+		non[k] = gauss{mu: math.Max(mean-float64(sd/2), 0), sigma: sd}
 	}
 	prior := 0.1
 	post := make([]float64, len(pairs))
 	logpdf := func(g gauss, x float64) float64 {
 		s := math.Max(g.sigma, 1e-3)
 		d := (x - g.mu) / s
-		return -0.5*d*d - math.Log(s)
+		return float64(-0.5*d*d) - math.Log(s)
 	}
 	for it := 0; it < iters; it++ {
 		for i, p := range pairs {
@@ -160,15 +160,15 @@ func (z ZeroER) Joins(left, right []string, cands [][]int32) []metrics.ScoredJoi
 		for k := 0; k < NumFeatures; k++ {
 			var muM, muN float64
 			for i, p := range pairs {
-				muM += post[i] * p.feats[k]
-				muN += (1 - post[i]) * p.feats[k]
+				muM += float64(post[i] * p.feats[k])
+				muN += float64((1 - post[i]) * p.feats[k])
 			}
 			muM /= math.Max(sumPost, 1e-9)
 			muN /= math.Max(n-sumPost, 1e-9)
 			var vM, vN float64
 			for i, p := range pairs {
-				vM += post[i] * (p.feats[k] - muM) * (p.feats[k] - muM)
-				vN += (1 - post[i]) * (p.feats[k] - muN) * (p.feats[k] - muN)
+				vM += float64(post[i] * (p.feats[k] - muM) * (p.feats[k] - muM))
+				vN += float64((1 - post[i]) * (p.feats[k] - muN) * (p.feats[k] - muN))
 			}
 			match[k] = gauss{mu: muM, sigma: math.Sqrt(vM/math.Max(sumPost, 1e-9)) + 1e-3}
 			non[k] = gauss{mu: muN, sigma: math.Sqrt(vN/math.Max(n-sumPost, 1e-9)) + 1e-3}

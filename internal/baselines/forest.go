@@ -122,7 +122,7 @@ func growTree(xs [][]float64, ys []bool, idx []int, depth, maxDepth, minLeaf, mt
 			if nL < float64(minLeaf) || nR < float64(minLeaf) {
 				continue
 			}
-			gini := nL*giniImpurity(pL/nL) + nR*giniImpurity(pR/nR)
+			gini := float64(nL*giniImpurity(pL/nL)) + float64(nR*giniImpurity(pR/nR))
 			if gini < bestGini {
 				bestGini = gini
 				bestFeat = ft
@@ -212,23 +212,23 @@ func (m *MLP) Fit(xs [][]float64, ys []bool) {
 			for h := 0; h < m.Hidden; h++ {
 				a := m.b1[h]
 				for k := 0; k < d; k++ {
-					a += m.w1[h][k] * x[k]
+					a += float64(m.w1[h][k] * x[k])
 				}
 				hid[h] = math.Tanh(a)
-				z += m.w2[h] * hid[h]
+				z += float64(m.w2[h] * hid[h])
 			}
 			p := 1 / (1 + math.Exp(-z))
 			// Backward (cross-entropy gradient).
 			g := p - y
 			for h := 0; h < m.Hidden; h++ {
-				gh := g * m.w2[h] * (1 - hid[h]*hid[h])
-				m.w2[h] -= m.LR * g * hid[h]
+				gh := g * m.w2[h] * (1 - float64(hid[h]*hid[h]))
+				m.w2[h] -= float64(m.LR * g * hid[h])
 				for k := 0; k < d; k++ {
-					m.w1[h][k] -= m.LR * gh * x[k]
+					m.w1[h][k] -= float64(m.LR * gh * x[k])
 				}
-				m.b1[h] -= m.LR * gh
+				m.b1[h] -= float64(m.LR * gh)
 			}
-			m.b2 -= m.LR * g
+			m.b2 -= float64(m.LR * g)
 		}
 	}
 }
@@ -242,9 +242,9 @@ func (m *MLP) Predict(x []float64) float64 {
 	for h := 0; h < m.Hidden; h++ {
 		a := m.b1[h]
 		for k := range x {
-			a += m.w1[h][k] * x[k]
+			a += float64(m.w1[h][k] * x[k])
 		}
-		z += m.w2[h] * math.Tanh(a)
+		z += float64(m.w2[h] * math.Tanh(a))
 	}
 	return 1 / (1 + math.Exp(-z))
 }

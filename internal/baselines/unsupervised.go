@@ -29,7 +29,7 @@ func (e *Excel) Score(l, r string) float64 {
 	ft := e.f.Features(l, r)
 	// Static expert weights: token evidence dominates, character evidence
 	// rescues typo-heavy pairs, containment rewards reference prefixes.
-	return 0.35*ft[4] + 0.25*ft[0] + 0.2*ft[2] + 0.1*ft[5] + 0.1*ft[1]
+	return float64(0.35*ft[4]) + float64(0.25*ft[0]) + float64(0.2*ft[2]) + float64(0.1*ft[5]) + float64(0.1*ft[1])
 }
 
 // Joins scores every blocked candidate pair and keeps the best per right

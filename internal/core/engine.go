@@ -145,8 +145,9 @@ type fnCenter struct {
 //     term looked up in reciprocal rather than divided.
 //
 // Functions with no joinable pair are nil. The output is bit-identical
-// for every parallelism level, and bit-identical to the function-major
-// reference implementation (see prepare_baseline_test.go).
+// for every parallelism level; with greedy it gives, bit for bit, the
+// result of Algorithm 1 written from the paper's equations (learnRef, in
+// learnref_test.go), which FuzzLearn holds it to.
 func prepare(in *engineInput, parallelism int) []*preparedFn {
 	numFn := len(in.space)
 	fns := make([]*preparedFn, numFn)
@@ -421,7 +422,9 @@ func prepare(in *engineInput, parallelism int) []*preparedFn {
 // grid: it buckets each ball distance d at the first step k with
 // d <= radii[k], and a prefix sum then gives the ball at every step. The
 // counts are those of sorting the ball and walking it once over the
-// radii (walkCounts, which the tests hold this to), without the sort.
+// radii (walkCounts, which TestGridCountsMatchSortedWalk holds this to),
+// without the sort: with no NaN in the ball, the number of ball distances
+// within each radius, as learnRef counts them.
 type ballGrid struct {
 	radii []float64
 	rMax  float64 // radii[s-1], 2θ_max

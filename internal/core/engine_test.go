@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/config"
@@ -329,5 +330,28 @@ func TestSelfDiscount(t *testing.T) {
 		if got := selfDiscount(in, fn, c.r); got != c.want {
 			t.Errorf("selfJoin %v row %d: discount %d, want %d", c.selfJoin, c.r, got, c.want)
 		}
+	}
+}
+
+// walkCounts is the 2θ-ball count the engine made before it counted on
+// the threshold grid: it sorts ball in place and walks it once from grid
+// step kMin on, counting the distances within each radius. counts has
+// one slot per step.
+func walkCounts(counts []uint8, ball, thresholds []float64, kMin, selfDiscount int) {
+	sort.Float64s(ball)
+	bi := 0
+	for k := kMin; k < len(counts); k++ {
+		radius := ballRadius * thresholds[k]
+		for bi < len(ball) && ball[bi] <= radius {
+			bi++
+		}
+		c := bi + 1 - selfDiscount
+		if c < 1 {
+			c = 1
+		}
+		if c > maxBallCount {
+			c = maxBallCount
+		}
+		counts[k] = uint8(c)
 	}
 }

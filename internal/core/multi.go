@@ -23,12 +23,6 @@ type columnTensors struct {
 // across columns, as in §5.2.2). Missing cells are empty strings and two
 // missing cells compare at maximal distance.
 func JoinMultiColumnTables(leftCols, rightCols [][]string, opt Options) (*Result, error) {
-	return joinMultiColumn(leftCols, rightCols, opt, idPairs)
-}
-
-// joinMultiColumn is JoinMultiColumnTables scoring each column's pairs
-// through the evaluator that pairs builds.
-func joinMultiColumn(leftCols, rightCols [][]string, opt Options, pairs pairSource) (*Result, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
@@ -66,9 +60,10 @@ func joinMultiColumn(leftCols, rightCols [][]string, opt Options, pairs pairSour
 	var profileTime time.Duration
 	for j := 0; j < m; j++ {
 		tProf := time.Now()
-		bind, _ := pairs(opt.Space, opt.Parallelism, leftCols[j], rightCols[j])
+		learned := config.LearnProfiles(opt.Space, opt.Parallelism, leftCols[j], rightCols[j])
 		profileTime += time.Since(tProf)
-		tensors[j] = buildColumnTensors(len(opt.Space), leftCols[j], rightCols[j], bind(lrCand, llCand), lrCand, llCand, lrOff, llOff, opt.Parallelism)
+		newEval := idPairs(opt.Space, learned, nL, lrCand, llCand)
+		tensors[j] = buildColumnTensors(len(opt.Space), leftCols[j], rightCols[j], newEval, lrCand, llCand, lrOff, llOff, opt.Parallelism)
 	}
 
 	// weighted runs Algorithm 1 on the weighted combination of columns.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -60,133 +59,6 @@ func TestAddConfigConflictUpdatesIteration(t *testing.T) {
 	}
 	if out.assignedIter[0] != 2 {
 		t.Errorf("assignedIter = %d after conflicting reassignment, want 2", out.assignedIter[0])
-	}
-}
-
-// TestPrepareParallelEquivalence: the intra-function sharding (single
-// function, many workers) must reproduce the sequential pre-computation
-// bit for bit — bestL/bestD, the threshold grid, ball counts, totals, and
-// the joinable ordering.
-func TestPrepareParallelEquivalence(t *testing.T) {
-	in, _, _ := figure4Input(t)
-	seq := prepare(in, 1)
-	for _, p := range []int{2, 4, 8} {
-		par := prepare(in, p)
-		if len(par) != len(seq) {
-			t.Fatalf("p=%d: %d fns vs %d", p, len(par), len(seq))
-		}
-		for fi := range seq {
-			if !reflect.DeepEqual(seq[fi], par[fi]) {
-				t.Fatalf("p=%d: preparedFn[%d] differs:\nseq %+v\npar %+v", p, fi, seq[fi], par[fi])
-			}
-		}
-	}
-}
-
-// parallelEquivTables builds small tables with enough near-duplicates to
-// produce multi-configuration programs.
-func parallelEquivTables() (left, right []string) {
-	kinds := []string{"museum", "institute", "library", "archive", "gallery"}
-	places := []string{"north", "south", "east", "west", "central"}
-	for _, k := range kinds {
-		for _, p := range places {
-			left = append(left, fmt.Sprintf("%s %s of history", p, k))
-		}
-	}
-	for i, k := range kinds {
-		for j, p := range places {
-			switch (i + j) % 3 {
-			case 0:
-				right = append(right, fmt.Sprintf("%s %s of histroy", p, k))
-			case 1:
-				right = append(right, fmt.Sprintf("the %s %s of history", p, k))
-			default:
-				right = append(right, fmt.Sprintf("%s %s", p, k))
-			}
-		}
-	}
-	return left, right
-}
-
-// TestJoinTablesParallelEquivalence runs the whole pipeline at several
-// parallelism levels and requires identical programs and joins.
-func TestJoinTablesParallelEquivalence(t *testing.T) {
-	left, right := parallelEquivTables()
-	opt := Options{Space: config.ReducedSpace(), ThresholdSteps: 12, PrecisionTarget: 0.5}
-	opt.Parallelism = 1
-	seq, err := JoinTables(left, right, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []int{2, 8} {
-		opt.Parallelism = p
-		par, err := JoinTables(left, right, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(seq.Program, par.Program) {
-			t.Fatalf("p=%d: programs differ:\nseq %v\npar %v", p, seq.Program, par.Program)
-		}
-		if !reflect.DeepEqual(seq.Joins, par.Joins) {
-			t.Fatalf("p=%d: joins differ:\nseq %v\npar %v", p, seq.Joins, par.Joins)
-		}
-		if seq.EstPrecision != par.EstPrecision || seq.EstRecall != par.EstRecall {
-			t.Fatalf("p=%d: estimates differ: %v/%v vs %v/%v",
-				p, seq.EstPrecision, seq.EstRecall, par.EstPrecision, par.EstRecall)
-		}
-	}
-}
-
-// TestSelfJoinParallelEquivalence covers the self-join blocking and
-// engine path under parallelism.
-func TestSelfJoinParallelEquivalence(t *testing.T) {
-	records, extra := parallelEquivTables()
-	records = append(records, extra...)
-	opt := Options{Space: config.ReducedSpace(), ThresholdSteps: 10, PrecisionTarget: 0.5}
-	opt.Parallelism = 1
-	seq, err := SelfJoin(records, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Parallelism = 8
-	par, err := SelfJoin(records, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq.Joins, par.Joins) {
-		t.Fatalf("self-join joins differ:\nseq %v\npar %v", seq.Joins, par.Joins)
-	}
-}
-
-// TestMultiColumnParallelEquivalence covers the tensor build and weighted
-// engine path under parallelism.
-func TestMultiColumnParallelEquivalence(t *testing.T) {
-	leftKey, rightKey := parallelEquivTables()
-	leftAux := make([]string, len(leftKey))
-	rightAux := make([]string, len(rightKey))
-	for i := range leftAux {
-		leftAux[i] = fmt.Sprintf("row %d", i%7)
-	}
-	for i := range rightAux {
-		rightAux[i] = fmt.Sprintf("row %d", i%7)
-	}
-	opt := Options{Space: config.ReducedSpace(), ThresholdSteps: 8, PrecisionTarget: 0.5, WeightSteps: 4}
-	opt.Parallelism = 1
-	seq, err := JoinMultiColumnTables([][]string{leftKey, leftAux}, [][]string{rightKey, rightAux}, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Parallelism = 8
-	par, err := JoinMultiColumnTables([][]string{leftKey, leftAux}, [][]string{rightKey, rightAux}, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq.Joins, par.Joins) {
-		t.Fatalf("multi-column joins differ:\nseq %v\npar %v", seq.Joins, par.Joins)
-	}
-	if !reflect.DeepEqual(seq.Weights, par.Weights) || !reflect.DeepEqual(seq.Columns, par.Columns) {
-		t.Fatalf("column selection differs: %v/%v vs %v/%v",
-			seq.Columns, seq.Weights, par.Columns, par.Weights)
 	}
 }
 

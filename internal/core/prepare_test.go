@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -43,115 +42,31 @@ func prepareTables(nL, nR int, seed int64) (left, right []string) {
 }
 
 // buildPrepareInput assembles the engine input for a table pair via the
-// real blocking pipeline and the id rows learning scores on, plus the
-// one-function-at-a-time callbacks over string Profiles that the
-// function-major baseline scores through.
-func buildPrepareInput(left, right []string, space []config.JoinFunction, steps int, selfJoin bool) (*engineInput, func(fi, r, ci int) float64, func(fi, l, ci int) float64) {
-	opt := Options{BlockingBeta: 1.0}
-	var lrCand, llCand [][]int32
-	if selfJoin {
-		llCand = blockCandidates(left, nil, opt, false).llCand
-		lrCand = llCand
-		right = nil
-	} else {
-		b := blockCandidates(left, right, opt, false)
-		lrCand, llCand = b.lrCand, b.llCand
+// real blocking pipeline and the id rows learning scores on.
+func buildPrepareInput(left, right []string, space []config.JoinFunction, steps int) *engineInput {
+	b := blockCandidates(left, right, Options{BlockingBeta: 1.0}, false)
+	return &engineInput{
+		space:   space,
+		steps:   steps,
+		nL:      len(left),
+		nR:      len(right),
+		lrCand:  b.lrCand,
+		llCand:  b.llCand,
+		newEval: idPairs(space, config.LearnProfiles(space, 0, left, right), len(left), b.lrCand, b.llCand),
 	}
-	corpus := config.NewCorpus(space, left, right)
-	profL := corpus.Profiles(left, 0)
-	profR := corpus.Profiles(right, 0)
-	if selfJoin {
-		profR = profL
-	}
-	in := &engineInput{
-		space:    space,
-		steps:    steps,
-		nL:       len(left),
-		nR:       len(profR),
-		lrCand:   lrCand,
-		llCand:   llCand,
-		selfJoin: selfJoin,
-	}
-	bind, _ := idPairs(space, 0, left, right)
-	in.newEval = bind(lrCand, llCand)
-	lrDist := func(fi, r, ci int) float64 {
-		return space[fi].Distance(profL[lrCand[r][ci]], profR[r])
-	}
-	llDist := func(fi, l, ci int) float64 {
-		return space[fi].Distance(profL[l], profL[llCand[l][ci]])
-	}
-	return in, lrDist, llDist
-}
-
-// TestPreparePairMajorMatchesFunctionMajor: the pair-major fused prepare
-// over learn-time id rows must be bit-identical to the function-major
-// reference over string Profiles — bestL/bestD, threshold grids, ball
-// counts, profit totals, and joinable ordering — for every function of
-// the full space, at every parallelism level, in both join and self-join
-// modes.
-func TestPreparePairMajorMatchesFunctionMajor(t *testing.T) {
-	left, right := prepareTables(80, 60, 3)
-	for _, mode := range []struct {
-		name     string
-		selfJoin bool
-		space    []config.JoinFunction
-	}{
-		{"join/full140", false, config.Space()},
-		{"join/extended148", false, config.ExtendedSpace()},
-		{"selfjoin/reduced24", true, config.ReducedSpace()},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			in, lrDist, llDist := buildPrepareInput(left, right, mode.space, 20, mode.selfJoin)
-			want := functionMajorPrepare(in, lrDist, llDist, 1)
-			for _, p := range []int{1, 4, 8} {
-				got := prepare(in, p)
-				if len(got) != len(want) {
-					t.Fatalf("p=%d: %d fns, want %d", p, len(got), len(want))
-				}
-				for fi := range want {
-					if !reflect.DeepEqual(got[fi], want[fi]) {
-						t.Fatalf("p=%d: fn %d (%s) differs:\npair-major %+v\nfn-major   %+v",
-							p, fi, mode.space[fi].Name(), got[fi], want[fi])
-					}
-				}
-			}
-		})
-	}
-}
-
-// benchPrepareInput is shared by the BenchmarkPrepare* pair so fused and
-// function-major runs see the identical workload.
-func benchPrepareInput(b *testing.B) (*engineInput, func(fi, r, ci int) float64, func(fi, l, ci int) float64) {
-	b.Helper()
-	left, right := prepareTables(400, 300, 11)
-	return buildPrepareInput(left, right, config.Space(), DefaultThresholdSteps, false)
 }
 
 // BenchmarkPrepareFused measures the pair-major fused-kernel prepare on
-// the full 140-function space.
+// the full 140-function space. The end-to-end learn time is recorded by
+// the `learn` workload of bench/.
 func BenchmarkPrepareFused(b *testing.B) {
-	in, _, _ := benchPrepareInput(b)
+	left, right := prepareTables(400, 300, 11)
+	in := buildPrepareInput(left, right, config.Space(), DefaultThresholdSteps)
 	for _, p := range []int{1, 4} {
 		b.Run(fmt.Sprintf("full140/p%d", p), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				prepare(in, p)
-			}
-		})
-	}
-}
-
-// BenchmarkPrepareFunctionMajor measures the pre-refactor function-major
-// baseline on the identical workload; the fused/function-major ratio at
-// equal parallelism is the fused prepare's speedup. The end-to-end learn
-// time is recorded by the `learn` workload of bench/.
-func BenchmarkPrepareFunctionMajor(b *testing.B) {
-	in, lrDist, llDist := benchPrepareInput(b)
-	for _, p := range []int{1, 4} {
-		b.Run(fmt.Sprintf("full140/p%d", p), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				functionMajorPrepare(in, lrDist, llDist, p)
 			}
 		})
 	}
@@ -167,8 +82,7 @@ func TestIDPairsRepreparesOnMaskChange(t *testing.T) {
 	left, right := prepareTables(40, 30, 7)
 	space := config.Space()
 	b := blockCandidates(left, right, Options{BlockingBeta: 1.0}, false)
-	bind, _ := idPairs(space, 1, left, right)
-	newEval := bind(b.lrCand, b.llCand)
+	newEval := idPairs(space, config.LearnProfiles(space, 1, left, right), len(left), b.lrCand, b.llCand)
 	ev := config.NewEvaluator(space)
 	var groups []config.GroupMask
 	for fi := range space {

@@ -3,6 +3,8 @@ package core
 import (
 	"sort"
 	"time"
+
+	"github.com/chu-data-lab/autofuzzyjoin-go/internal/config"
 )
 
 // SelfJoin finds fuzzy duplicates within a single table: the table plays
@@ -12,12 +14,6 @@ import (
 // precision estimates become conservative (a record's duplicates inflate
 // its 2θ-ball), so the output errs toward high precision.
 func SelfJoin(records []string, opt Options) (*Result, error) {
-	return selfJoin(records, opt, idPairs)
-}
-
-// selfJoin is SelfJoin scoring pairs through the evaluator that pairs
-// builds.
-func selfJoin(records []string, opt Options, pairs pairSource) (*Result, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
@@ -33,11 +29,11 @@ func selfJoin(records []string, opt Options, pairs pairSource) (*Result, error) 
 	// learned as a negative rule and veto exactly the join we want. The
 	// records' representations are built while blocking runs.
 	var cand [][]int32
-	var bind bindPairs
+	var learned *config.ProfileArena
 	var blockingTime, profileTime time.Duration
 	beside(opt.Parallelism, func() {
 		tProf := time.Now()
-		bind, _ = pairs(opt.Space, opt.Parallelism, records, nil)
+		learned = config.LearnProfiles(opt.Space, opt.Parallelism, records)
 		profileTime = time.Since(tProf)
 	}, func() {
 		tBlock := time.Now()
@@ -51,7 +47,7 @@ func selfJoin(records []string, opt Options, pairs pairSource) (*Result, error) 
 		nR:       len(records),
 		lrCand:   cand,
 		llCand:   cand,
-		newEval:  bind(cand, cand),
+		newEval:  idPairs(opt.Space, learned, 0, cand, cand),
 		selfJoin: true,
 	}
 	res := run(in, opt)

@@ -15,7 +15,7 @@ import (
 // reference table left and query table right, returning the selected
 // program and the induced many-to-one join.
 func JoinTables(left, right []string, opt Options) (*Result, error) {
-	return joinTables(left, right, opt, idPairs, nil)
+	return joinTables(left, right, opt, nil)
 }
 
 // Learn runs JoinTables and compiles the learned program over left, as
@@ -25,7 +25,7 @@ func JoinTables(left, right []string, opt Options) (*Result, error) {
 // compiles the empty program the usual way.
 func Learn(left, right []string, opt Options) (*Result, *Table, error) {
 	var h learnedL
-	res, err := joinTables(left, right, opt, idPairs, &h)
+	res, err := joinTables(left, right, opt, &h)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -56,10 +56,9 @@ type learnedL struct {
 	proc  []textproc.Forms     // L's processed strings, from L's learn rows
 }
 
-// joinTables is JoinTables scoring pairs through the evaluator that pairs
-// builds. When keep is not nil it receives what the search built over
-// left (see learnedL); the search must then score on learn rows.
-func joinTables(left, right []string, opt Options, pairs pairSource, keep *learnedL) (*Result, error) {
+// joinTables is JoinTables. When keep is not nil it receives what the
+// search built over left (see learnedL).
+func joinTables(left, right []string, opt Options, keep *learnedL) (*Result, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
@@ -72,12 +71,11 @@ func joinTables(left, right []string, opt Options, pairs pairSource, keep *learn
 	// candidates, while the records' representations are built beside
 	// them (they need no candidates).
 	var b blocked
-	var bind bindPairs
 	var learned *config.ProfileArena
 	var blockingTime, profileTime time.Duration
 	beside(opt.Parallelism, func() {
 		tProf := time.Now()
-		bind, learned = pairs(opt.Space, opt.Parallelism, left, right)
+		learned = config.LearnProfiles(opt.Space, opt.Parallelism, left, right)
 		profileTime = time.Since(tProf)
 	}, func() {
 		tBlock := time.Now()
@@ -106,7 +104,7 @@ func joinTables(left, right []string, opt Options, pairs pairSource, keep *learn
 		nR:      len(right),
 		lrCand:  lrCand,
 		llCand:  llCand,
-		newEval: bind(lrCand, llCand),
+		newEval: idPairs(opt.Space, learned, len(left), lrCand, llCand),
 	}
 	res := run(in, opt)
 	res.NegativeRules = rules
@@ -115,17 +113,6 @@ func joinTables(left, right []string, opt Options, pairs pairSource, keep *learn
 	res.Timing.Profile = profileTime
 	return res, nil
 }
-
-// pairSource builds the record representations of one column — the cells
-// of left and right, or of left alone for a self-join (right nil) — and
-// returns the binder of engineInput's per-worker evaluator to the blocked
-// pairs and, when it scores on learn rows, their arena, left's rows
-// first. It reads no candidates, so it may run while blocking does.
-type pairSource func(space []config.JoinFunction, parallelism int, left, right []string) (bindPairs, *config.ProfileArena)
-
-// bindPairs gives engineInput.newEval over the L–R candidates lrCand and
-// the L–L candidates llCand of the records its pairSource built.
-type bindPairs func(lrCand, llCand [][]int32) func() pairEval
 
 // beside runs build on a goroutine of its own while work runs on the
 // caller's, and returns when both are done; at parallelism 1 it starts no
@@ -145,52 +132,46 @@ func beside(parallelism int, build, work func()) {
 	<-done
 }
 
-// idPairs is the pairSource learning runs: every record is stored once as
-// a row of one arena under a vocabulary closed over left ∪ right
-// (config.LearnProfiles), and pairs are scored by Evaluator.RowDistances
-// against the row a run of them shares, prepared once: the right record
-// of phase 1 (the r side), the center of phase 3 (the l side, for the
-// groups the center's functions read).
-func idPairs(space []config.JoinFunction, parallelism int, left, right []string) (bindPairs, *config.ProfileArena) {
-	a := config.LearnProfiles(space, parallelism, left, right)
+// idPairs gives engineInput.newEval over learn rows: every record is
+// stored once as a row of the arena a (config.LearnProfiles, under a
+// vocabulary closed over left ∪ right), right record r as row rOff+r (a
+// self-join passes 0: its records play both sides), and pairs are scored
+// by Evaluator.RowDistances against the row a run of them shares,
+// prepared once: the right record of phase 1 (the r side), the center of
+// phase 3 (the l side, for the groups the center's functions read).
+func idPairs(space []config.JoinFunction, a *config.ProfileArena, rOff int, lrCand, llCand [][]int32) func() pairEval {
 	v, rows := a.Vocab(), a.Rows()
-	rOff := len(left) // right's rows follow left's
-	if right == nil { // a self-join: left plays both sides
-		rOff = 0
-	}
 	ev := config.NewEvaluator(space)
-	return func(lrCand, llCand [][]int32) func() pairEval {
-		return func() pairEval {
-			sc := ev.NewScratch()
-			var side config.Side
-			var f config.Fixed
-			// The row f holds, its orientation and the groups it was prepared for.
-			cur, curL, curMask := -1, false, config.GroupMask(0)
-			prepare := func(i int, l bool, mask config.GroupMask) *config.Fixed {
-				if i != cur || l != curL || mask != curMask {
-					side.Release()
-					f = v.PrepareRow(&side, rows, i, mask, l)
-					cur, curL, curMask = i, l, mask
-				}
-				return &f
+	return func() pairEval {
+		sc := ev.NewScratch()
+		var side config.Side
+		var f config.Fixed
+		// The row f holds, its orientation and the groups it was prepared for.
+		cur, curL, curMask := -1, false, config.GroupMask(0)
+		prepare := func(i int, l bool, mask config.GroupMask) *config.Fixed {
+			if i != cur || l != curL || mask != curMask {
+				side.Release()
+				f = v.PrepareRow(&side, rows, i, mask, l)
+				cur, curL, curMask = i, l, mask
 			}
-			return pairEval{
-				lr: func(r, ci int, cut, out []float64) {
-					ev.RowDistances(prepare(rOff+r, false, config.AllGroups), rows, int(lrCand[r][ci]), config.AllGroups, cut, sc, out)
-				},
-				ll: func(l, ci int, need config.GroupMask, cut, out []float64) {
-					ev.RowDistances(prepare(l, true, need), rows, int(llCand[l][ci]), need, cut, sc, out)
-				},
-				mask: func(fns []fnCenter) config.GroupMask {
-					var m config.GroupMask
-					for _, fc := range fns {
-						m |= ev.Group(int(fc.fi))
-					}
-					return m
-				},
-			}
+			return &f
 		}
-	}, a
+		return pairEval{
+			lr: func(r, ci int, cut, out []float64) {
+				ev.RowDistances(prepare(rOff+r, false, config.AllGroups), rows, int(lrCand[r][ci]), config.AllGroups, cut, sc, out)
+			},
+			ll: func(l, ci int, need config.GroupMask, cut, out []float64) {
+				ev.RowDistances(prepare(l, true, need), rows, int(llCand[l][ci]), need, cut, sc, out)
+			},
+			mask: func(fns []fnCenter) config.GroupMask {
+				var m config.GroupMask
+				for _, fc := range fns {
+					m |= ev.Group(int(fc.fi))
+				}
+				return m
+			},
+		}
+	}
 }
 
 // blockCandidates runs Algorithm 1 lines 1–2 on blocking keys: top-k

@@ -204,7 +204,7 @@ func autoScoredJoins(res *core.Result) []metrics.ScoredJoin {
 		out[i] = metrics.ScoredJoin{
 			Right: j.Right,
 			Left:  j.Left,
-			Score: j.Precision + (1-j.Distance)*1e-3,
+			Score: j.Precision + float64((1-j.Distance)*1e-3),
 		}
 	}
 	return out

@@ -138,7 +138,7 @@ func PRAUC(joins []ScoredJoin, truth Truth) float64 {
 	prevCorrect := 0
 	for _, p := range pts {
 		if p.correct > prevCorrect {
-			auc += float64(p.correct-prevCorrect) / float64(len(truth)) * p.precision
+			auc += float64(float64(p.correct-prevCorrect) / float64(len(truth)) * p.precision)
 			prevCorrect = p.correct
 		}
 	}
@@ -165,9 +165,9 @@ func Pearson(xs, ys []float64) float64 {
 	var cov, vx, vy float64
 	for i := range xs {
 		dx, dy := xs[i]-mx, ys[i]-my
-		cov += dx * dy
-		vx += dx * dx
-		vy += dy * dy
+		cov += float64(dx * dy)
+		vx += float64(dx * dx)
+		vy += float64(dy * dy)
 	}
 	if vx == 0 || vy == 0 {
 		return math.NaN()
@@ -206,7 +206,7 @@ func UpperTailedTTestP(a, b []float64) float64 {
 	mean /= n
 	var varSum float64
 	for _, d := range diffs {
-		varSum += (d - mean) * (d - mean)
+		varSum += float64((d - mean) * (d - mean))
 	}
 	sd := math.Sqrt(varSum / (n - 1))
 	if sd == 0 {

@@ -51,8 +51,9 @@ var (
 )
 
 // ProgramSpec names one program and says where its pieces come from.
-// Inline fields win over path fields, so the admin endpoint can POST a
-// fully self-contained spec while a config file references files on disk.
+// Inline fields win over path fields. A config file or the flags may
+// reference files on disk; the admin endpoint takes only inline specs and
+// refuses one that sets a path field.
 type ProgramSpec struct {
 	Name string `json:"name"`
 	// Program is the inline program JSON (the Program.Encode format);

@@ -139,6 +139,17 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spec.Name = name
+	// A path names a file of the daemon's host: only the operator, through
+	// the config file or the flags, may have the daemon read or write one.
+	for _, f := range [...]struct{ key, path string }{
+		{"program_path", spec.ProgramPath}, {"left_path", spec.LeftPath}, {"snapshot_path", spec.SnapshotPath},
+	} {
+		if f.path != "" {
+			writeError(w, http.StatusBadRequest,
+				fmt.Errorf("spec sets %q: over HTTP a program is registered inline (\"program\", \"left_csv\"), never from a path", f.key))
+			return
+		}
+	}
 	if err := s.reg.Register(spec); err != nil {
 		writeError(w, statusOf(err), err)
 		return

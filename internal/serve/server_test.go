@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -422,6 +426,44 @@ func TestServerBodyLimits(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("register with a %d-byte body = %d", len(padded), resp.StatusCode)
+	}
+}
+
+// TestRegisterRefusesPaths: a spec posted over HTTP that sets a path
+// field gets 400 and registers nothing. A reference path at a plain text
+// file is not read back through a query, and a snapshot path at a new
+// file is not created.
+func TestRegisterRefusesPaths(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	dir := t.TempDir()
+	prog, secret, snap := filepath.Join(dir, "prog.json"), filepath.Join(dir, "secret.txt"), filepath.Join(dir, "new.afjs")
+	if err := os.WriteFile(prog, []byte(testProgramJSON), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(secret, []byte("name\nprivate line one\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	withPath := func(set func(*ProgramSpec)) ProgramSpec {
+		spec := testSpec("")
+		set(&spec)
+		return spec
+	}
+	for key, spec := range map[string]ProgramSpec{
+		"program_path":  withPath(func(s *ProgramSpec) { s.Program, s.ProgramPath = nil, prog }),
+		"left_path":     withPath(func(s *ProgramSpec) { s.LeftCSV, s.LeftPath = "", secret }),
+		"snapshot_path": withPath(func(s *ProgramSpec) { s.SnapshotPath = snap }),
+	} {
+		var body map[string]any
+		if code := postJSON(t, ts.URL+"/v1/programs/orgs", spec, &body); code != http.StatusBadRequest || !strings.Contains(fmt.Sprint(body["error"]), key) {
+			t.Errorf("spec with %s: status %d, body %v; want 400 naming the field", key, code, body)
+		}
+		var q map[string]any
+		if code := getJSON(t, ts.URL+"/v1/programs/orgs/query?q=private+line+one", &q); code != http.StatusNotFound {
+			t.Errorf("after a spec with %s: query = %d %v, want 404 (nothing registered)", key, code, q)
+		}
+	}
+	if _, err := os.Stat(snap); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("snapshot path: %v, want no file created", err)
 	}
 }
 
