@@ -235,6 +235,9 @@ var unreached = map[string]string{
 	"(*internal/blocking.Index).TopKSelf":             "TestTopKExcludesSelf",
 	"(*internal/config.Corpus).Stats":                 "TestCorpusOnlyBuildsWhatIsNeeded",
 	"(*internal/config.EvalScratch).CharWork":         "TestRowDistancesCut",
+	"(*internal/config.EvalScratch).SetWork":          "TestRowDistancesCut",
+	"(*internal/config.Rows).SigBytes":                "TestLedgerBoundBytes",
+	"(*internal/config.SumCache).Bytes":               "TestLedgerBoundBytes",
 	"(*internal/config.Rows).RunBytes":                "TestLedgerRowBytes",
 	"(*internal/config.Rows).TokenCap":                "TestNewTableSlotCapacity",
 	"(*internal/config.Vocab).DF":                     "TestSnapshotSaveFile",

@@ -2,6 +2,7 @@ package config
 
 import (
 	"math"
+	"slices"
 
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/distance"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/embed"
@@ -48,8 +49,14 @@ import (
 //     some functions (learning's ball pass, core.prepare phase 3, and a
 //     table's ball fill) runs only their kernels;
 //
-//   - a per-function cut skips a char group whose distance.CharBound (on
-//     ED and JW; ME and SW never skip) is past every function's cut.
+//   - a per-function cut (Cut) skips a char group whose
+//     distance.CharBound (on ED and JW; ME and SW never skip) is past
+//     every function's cut, and, for a caller that keeps the stored runs'
+//     IDF sums (SumCache), a set group whose distance.SetBound (from the
+//     runs' token signatures, the prepared side's signature tables and
+//     the runs' Sum and Norm) is past every function's cut. A serving
+//     miss's candidate scan and ball fills find most set groups past
+//     every cut and learning few, so only serving keeps the sums.
 //
 // Distances are bit-identical to JoinFunction.Distance — the plans reuse
 // the exact arithmetic of the single-function kernels, and a copied
@@ -107,9 +114,14 @@ type setPlan struct {
 	pre  textproc.Option
 	tok  tokenize.Option
 	wt   weights.Scheme
-	fns  []slot
-	bit  GroupMask
-	from []source // earlier equal-weight groups of the same tokenization
+	need distance.SetNeed // the members fns score, for distance.SetBound
+	// By orientation (the prepared side as l), whether some member's
+	// bound is 0 when the run's Sum and Norm are not known (MD, and ID
+	// with the run as r), so the group cannot be past a cut of 0 or more.
+	coldZero [2]bool
+	fns      []slot
+	bit      GroupMask
+	from     []source // earlier equal-weight groups of the same tokenization
 }
 
 // embPlan shares the embedding distance of one pre-processing pipeline.
@@ -124,7 +136,9 @@ type embPlan struct {
 // not safe for concurrent use; give each worker its own.
 type EvalScratch struct {
 	char                    distance.CharScratch
-	charScored, charSkipped uint64 // char groups run and skipped (CharWork)
+	bound                   distance.SetDists // the set bound of the current group
+	charScored, charSkipped uint64            // char groups run and skipped (CharWork)
+	setScored, setSkipped   uint64            // set groups run and skipped (SetWork)
 	// The kernel results of the current RowDistances call, by group, for
 	// later groups to copy.
 	cd [numPre]distance.CharDists
@@ -177,7 +191,28 @@ func NewEvaluator(space []JoinFunction) *Evaluator {
 				setIdx[key] = gi
 				e.set = append(e.set, setPlan{pre: f.Pre, tok: f.Tok, wt: f.Weight, bit: e.group[fi]})
 			}
-			e.set[gi].fns = append(e.set[gi].fns, slot{fi: int32(fi), dist: f.Dist})
+			g := &e.set[gi]
+			switch f.Dist {
+			case JD:
+				g.need.JD = true
+			case CD:
+				g.need.CD = true
+			case DD:
+				g.need.DD = true
+			case MD:
+				g.need.MD = true
+				g.coldZero = [2]bool{true, true}
+			case ID:
+				g.need.ID = true
+				g.coldZero[1] = true
+			case CJD:
+				g.need.CJD = true
+			case CCD:
+				g.need.CCD = true
+			case CDD:
+				g.need.CDD = true
+			}
+			g.fns = append(g.fns, slot{fi: int32(fi), dist: f.Dist})
 		}
 	}
 
@@ -258,7 +293,8 @@ func (e *Evaluator) Distances(l, r *Profile, sc *EvalScratch, out []float64) {
 	}
 	for gi := range e.set {
 		g := &e.set[gi]
-		scatterSet(g, distance.SetFamily(l.vecs[g.pre][g.tok][g.wt], r.vecs[g.pre][g.tok][g.wt]), out)
+		sd := distance.SetFamily(l.vecs[g.pre][g.tok][g.wt], r.vecs[g.pre][g.tok][g.wt])
+		scatterSet(g, &sd, out)
 	}
 	for gi := range e.emb {
 		g := &e.emb[gi]
@@ -278,13 +314,13 @@ func (e *Evaluator) Distances(l, r *Profile, sc *EvalScratch, out []float64) {
 // processed strings coincide with its own on both records. Row i's strings
 // and embeddings are read only where a scored group needs them.
 //
-// A char group whose distance.CharBound exceeds cut[fi] for every function
-// fi of it runs no kernel: its functions get +Inf, past the cut as their
-// values are. A nil cut scores every group.
+// A group whose bound exceeds cut.D[fi] for every function fi of it runs
+// no kernel (see Cut): its functions get +Inf, past the cut as their
+// values are, and no later group copies it. A nil cut scores every group.
 //
 //autofj:hotpath
-func (e *Evaluator) RowDistances(f *Fixed, s *Rows, i int, mask GroupMask, cut []float64, sc *EvalScratch, out []float64) {
-	scored := mask // the char groups this call ran or copied, for later copies
+func (e *Evaluator) RowDistances(f *Fixed, s *Rows, i int, mask GroupMask, cut *Cut, sc *EvalScratch, out []float64) {
+	scored := mask // the groups this call ran or copied, for later copies
 	for gi := range e.char {
 		g := &e.char[gi]
 		if mask&g.bit == 0 {
@@ -292,7 +328,7 @@ func (e *Evaluator) RowDistances(f *Fixed, s *Rows, i int, mask GroupMask, cut [
 		}
 		if src := copySource(g.from, scored, g.pre, &f.rec, s, i); src >= 0 {
 			sc.cd[gi] = sc.cd[src]
-		} else if cut != nil && beyond(g, distance.CharBound(f.shape[g.pre], s.shapes[i*s.lay.nproc+int(s.lay.proc[g.pre])]), cut) {
+		} else if cut != nil && beyond(g, distance.CharBound(f.shape[g.pre], s.shapes[i*s.lay.nproc+int(s.lay.proc[g.pre])]), cut.D) {
 			sc.cd[gi] = distance.CharDists{ED: math.Inf(1), JW: math.Inf(1), ME: math.Inf(1), SW: math.Inf(1)}
 			scored &^= g.bit
 			sc.charSkipped++
@@ -311,28 +347,12 @@ func (e *Evaluator) RowDistances(f *Fixed, s *Rows, i int, mask GroupMask, cut [
 		if mask&g.bit == 0 {
 			continue
 		}
-		if src := copySource(g.from, mask, g.pre, &f.rec, s, i); src >= 0 {
+		if src := copySource(g.from, scored, g.pre, &f.rec, s, i); src >= 0 {
 			sc.sd[gi] = sc.sd[src]
-		} else {
-			// The kernels take each slot width and each run kind (nil
-			// counts: all ones) through one generic loop apiece.
-			p := &f.side.set[g.pre][g.tok][g.wt]
-			ri := s.lay.rep[g.pre][g.tok]
-			at := i*len(s.lay.reps) + int(ri)
-			lo, hi := s.off[at], s.off[at+1]
-			counts := s.runCounts(at)
-			switch {
-			case s.wide && g.wt == weights.IDF:
-				sc.sd[gi] = distance.SetFamilyIDF(p, s.slots32[lo:hi], counts, f.v.reps[ri].sw, f.l)
-			case s.wide:
-				sc.sd[gi] = distance.SetFamilyRun(p, s.slots32[lo:hi], counts, f.l)
-			case g.wt == weights.IDF:
-				sc.sd[gi] = distance.SetFamilyIDF(p, s.slots16[lo:hi], counts, f.v.reps[ri].sw, f.l)
-			default:
-				sc.sd[gi] = distance.SetFamilyRun(p, s.slots16[lo:hi], counts, f.l)
-			}
+		} else if !scoreSet(g, f, s, i, cut, sc, &sc.sd[gi]) {
+			scored &^= g.bit
 		}
-		scatterSet(g, sc.sd[gi], out)
+		scatterSet(g, &sc.sd[gi], out)
 	}
 	for gi := range e.emb {
 		g := &e.emb[gi]
@@ -349,6 +369,83 @@ func (e *Evaluator) RowDistances(f *Fixed, s *Rows, i int, mask GroupMask, cut [
 			out[fi] = sc.ed[gi]
 		}
 	}
+}
+
+// scoreSet fills d with set group g's distances between f and row i of
+// s, and reports whether its kernel ran: with cut.Sums set, a group whose
+// distance.SetBound is past every function's cut runs none and gets +Inf.
+//
+//autofj:hotpath
+func scoreSet(g *setPlan, f *Fixed, s *Rows, i int, cut *Cut, sc *EvalScratch, d *distance.SetDists) bool {
+	p := &f.side.set[g.pre][g.tok][g.wt]
+	ri := s.lay.rep[g.pre][g.tok]
+	at := i*len(s.lay.reps) + int(ri)
+	lo, hi := s.off[at], s.off[at+1]
+	counts := s.runCounts(at)
+	k := -1 // the run's IDF position in cut.Sums, while its values are cold
+	if cut != nil && cut.Sums != nil {
+		var past bool
+		if past, k = setPast(g, p, f.l, s, at, counts, cut, sc); past {
+			inf := math.Inf(1)
+			d.JD, d.CD, d.DD, d.MD, d.ID, d.CJD, d.CCD, d.CDD = inf, inf, inf, inf, inf, inf, inf, inf
+			sc.setSkipped++
+			return false
+		}
+	}
+	sc.setScored++
+	// The kernels take each slot width and each run kind (nil counts: all
+	// ones) through one generic loop apiece.
+	var sum, norm float64
+	switch {
+	case s.wide && g.wt == weights.IDF:
+		*d, sum, norm = distance.SetFamilyIDF(p, s.slots32[lo:hi], counts, f.v.reps[ri].sw, f.l)
+	case s.wide:
+		*d = distance.SetFamilyRun(p, s.slots32[lo:hi], counts, f.l)
+	case g.wt == weights.IDF:
+		*d, sum, norm = distance.SetFamilyIDF(p, s.slots16[lo:hi], counts, f.v.reps[ri].sw, f.l)
+	default:
+		*d = distance.SetFamilyRun(p, s.slots16[lo:hi], counts, f.l)
+	}
+	if k >= 0 && p.N > 0 {
+		cut.Sums.store(cut.Row, k, sum, norm)
+	}
+	return true
+}
+
+// setPast reports whether set group g's distance.SetBound between p
+// (the pair's l when pL) and run at of s, whose counts are counts, is past
+// every function's cut.D, and returns the run's IDF position in cut.Sums
+// when its Sum and Norm are cold there, else -1.
+//
+//autofj:hotpath
+func setPast(g *setPlan, p *distance.Prepared, pL bool, s *Rows, at int, counts []uint32, cut *Cut, sc *EvalScratch) (past bool, cold int) {
+	r := distance.Run{Sig: s.sigs[at], N: int(s.off[at+1] - s.off[at]), CMax: 1}
+	switch {
+	case g.wt == weights.IDF:
+		k := int(cut.Sums.idf[g.pre][g.tok])
+		if r.Sum, r.Norm, r.Known = cut.Sums.load(cut.Row, k); !r.Known {
+			if pL && g.coldZero[1] || !pL && g.coldZero[0] {
+				// A member bounded by 0 is within every cut a caller
+				// passes, all being 0 or more.
+				return false, k
+			}
+			cold = k
+		} else {
+			cold = -1
+		}
+	case counts == nil:
+		// n ones sum, and square-sum, to n exactly, as the kernel finds.
+		r.Sum = float64(r.N)
+		r.Norm, r.Known, cold = math.Sqrt(r.Sum), true, -1
+	default:
+		r.Sum, r.Norm = RunSums(counts)
+		r.Known, cold = true, -1
+	}
+	if counts != nil && (g.need.CD || g.need.CCD) {
+		r.CMax = slices.Max(counts)
+	}
+	distance.SetBound(p, &r, pL, g.need, &sc.bound)
+	return beyondSet(g, &sc.bound, cut.D), cold
 }
 
 // copySource returns the first group of from that mask scores and whose
@@ -369,6 +466,10 @@ func copySource(from []source, mask GroupMask, pre textproc.Option, fixed *Recor
 // CharWork returns how many char groups RowDistances ran a kernel for
 // and how many it skipped by the bound, over the scratch's life.
 func (sc *EvalScratch) CharWork() (scored, skipped uint64) { return sc.charScored, sc.charSkipped }
+
+// SetWork returns how many set groups RowDistances ran a kernel for and
+// how many it skipped by the bound, over the scratch's life.
+func (sc *EvalScratch) SetWork() (scored, skipped uint64) { return sc.setScored, sc.setSkipped }
 
 // beyond reports whether bound exceeds the cut of every function of g.
 //
@@ -401,6 +502,18 @@ func member(cd *distance.CharDists, d Distance) float64 {
 	return 1
 }
 
+// beyondSet reports whether bound exceeds the cut of every function of g.
+//
+//autofj:hotpath
+func beyondSet(g *setPlan, bound *distance.SetDists, cut []float64) bool {
+	for _, s := range g.fns {
+		if setMember(bound, s.dist) <= cut[s.fi] {
+			return false
+		}
+	}
+	return true
+}
+
 // scatterChar fans one fused char-kernel result out to the plan's
 // function slots (shared by the Distances entry points).
 //
@@ -415,29 +528,35 @@ func scatterChar(g *charPlan, cd distance.CharDists, out []float64) {
 // slots (shared by the Distances entry points).
 //
 //autofj:hotpath
-func scatterSet(g *setPlan, sd distance.SetDists, out []float64) {
+func scatterSet(g *setPlan, sd *distance.SetDists, out []float64) {
 	for _, s := range g.fns {
-		switch s.dist {
-		case JD:
-			out[s.fi] = sd.JD
-		case CD:
-			out[s.fi] = sd.CD
-		case DD:
-			out[s.fi] = sd.DD
-		case MD:
-			out[s.fi] = sd.MD
-		case ID:
-			out[s.fi] = sd.ID
-		case CJD:
-			out[s.fi] = sd.CJD
-		case CCD:
-			out[s.fi] = sd.CCD
-		case CDD:
-			out[s.fi] = sd.CDD
-		default:
-			// Unknown set-based distances score 1, matching the
-			// JoinFunction.Distance fallback.
-			out[s.fi] = 1
-		}
+		out[s.fi] = setMember(sd, s.dist)
 	}
+}
+
+// setMember returns the member of sd that scores distance d. Unknown
+// set-based distances score 1, matching the JoinFunction.Distance
+// fallback.
+//
+//autofj:hotpath
+func setMember(sd *distance.SetDists, d Distance) float64 {
+	switch d {
+	case JD:
+		return sd.JD
+	case CD:
+		return sd.CD
+	case DD:
+		return sd.DD
+	case MD:
+		return sd.MD
+	case ID:
+		return sd.ID
+	case CJD:
+		return sd.CJD
+	case CCD:
+		return sd.CCD
+	case CDD:
+		return sd.CDD
+	}
+	return 1
 }

@@ -105,10 +105,12 @@ func TestEvaluatorDuplicateFunctions(t *testing.T) {
 
 // TestRowDistancesCut: under per-function cuts, RowDistances gives every
 // function its uncut value, bit for bit, or +Inf, and +Inf only to a
-// char-based function whose uncut value is past its cut. The cuts mix 0,
-// ±Inf, the uncut value itself and random values, so groups whose
+// char- or set-based function whose uncut value is past its cut. The cuts
+// mix 0, ±Inf, the uncut value itself and random values, so groups whose
 // strings coincide get different verdicts, and a group that copied the
-// result of a skipped one would read +Inf within its cut. Each pair is
+// result of a skipped one would read +Inf within its cut. Every other
+// call bounds set groups too, reading the run sums its kernels stored in
+// a SumCache (cold for a row's first kernel, warm after). Each pair is
 // scored right after a decoy pair on the same scratch.
 func TestRowDistancesCut(t *testing.T) {
 	for name, space := range map[string][]JoinFunction{"Space": Space(), "ExtendedSpace": ExtendedSpace()} {
@@ -125,6 +127,8 @@ func TestRowDistancesCut(t *testing.T) {
 			full := make([]float64, len(space))
 			got := make([]float64, len(space))
 			cut := make([]float64, len(space))
+			sums := a.v.NewSumCache()
+			sums.Fit(len(recs), 1)
 			for i := range recs {
 				f := a.v.PrepareRow(&side, &a.rows, i, AllGroups, i%2 == 0)
 				for j := range recs {
@@ -144,10 +148,14 @@ func TestRowDistancesCut(t *testing.T) {
 								cut[fi] = rng.Float64()
 							}
 						}
+						c := &Cut{D: cut}
+						if trial%2 == 0 {
+							c.Sums, c.Row = sums, j
+						}
 						ev.RowDistances(&f, &a.rows, rng.Intn(len(recs)), AllGroups, nil, sc, got)
-						ev.RowDistances(&f, &a.rows, j, AllGroups, cut, sc, got)
+						ev.RowDistances(&f, &a.rows, j, AllGroups, c, sc, got)
 						for fi, fn := range space {
-							if !sameBits(got[fi], full[fi]) && (!math.IsInf(got[fi], 1) || fn.Dist.Class() != CharBased || full[fi] <= cut[fi]) {
+							if !sameBits(got[fi], full[fi]) && (!math.IsInf(got[fi], 1) || fn.Dist.Class() == EmbeddingBased || full[fi] <= cut[fi]) {
 								t.Fatalf("%s between %q and %q, cut %v: got %v, uncut %v", fn.Name(), recs[i], recs[j], cut[fi], got[fi], full[fi])
 							}
 						}
@@ -157,6 +165,9 @@ func TestRowDistancesCut(t *testing.T) {
 			}
 			if scored, skipped := sc.CharWork(); scored == 0 || skipped == 0 {
 				t.Fatalf("%d char groups scored, %d skipped: the cuts exercised nothing", scored, skipped)
+			}
+			if scored, skipped := sc.SetWork(); scored == 0 || skipped == 0 {
+				t.Fatalf("%d set groups scored, %d skipped: the cuts exercised nothing", scored, skipped)
 			}
 		})
 	}
@@ -345,6 +356,12 @@ func FuzzEvaluator(f *testing.F) {
 	f.Add(strings.Repeat("a", 300), strings.Repeat("a", 299))
 	f.Add("aaaa", strings.Repeat("a", 40000))
 	f.Add(strings.Repeat("A", 40000), strings.Repeat("ab", 200))
+	// Records past 64 distinct 3-grams (or words), so slots 64 apart
+	// share a signature bit on either side of a pair.
+	f.Add("the quick brown fox jumps over the lazy dog while five boxing wizards jump quickly",
+		"the quick brown fox jumped over a lazy dog as five boxing wizards jumped")
+	f.Add("a b c d e f g h i j k l m n o p q r s t u v w x y z aa bb cc dd ee ff gg hh ii jj kk ll mm nn oo pp qq rr ss tt uu vv ww xx yy zz aaa bbb ccc ddd eee fff ggg hhh iii jjj kkk lll mmm",
+		"mmm lll a zz q")
 	f.Fuzz(func(t *testing.T, a, b string) {
 		space := ExtendedSpace()
 		if len(a) > 64 || len(b) > 64 {
@@ -371,6 +388,30 @@ func FuzzEvaluator(f *testing.F) {
 		sc := ev.NewScratch()
 		got := make([]float64, len(space))
 		var side Side
+		// bounded holds RowDistances under a set bound to got, the uncut
+		// values of f against row i: with every other function's cut at
+		// -Inf and a set function's at its own value, no group of it may
+		// skip, first with the run sums cold, then with those its kernel
+		// stored.
+		cut, cutOut := make([]float64, len(space)), make([]float64, len(space))
+		bounded := func(what string, f *Fixed, rows *Rows, i int, sums *SumCache) {
+			t.Helper()
+			for pass := 0; pass < 2; pass++ {
+				for fi, fn := range space {
+					if fn.Dist.Class() != SetBased {
+						continue
+					}
+					for k := range cut {
+						cut[k] = math.Inf(-1)
+					}
+					cut[fi] = got[fi]
+					ev.RowDistances(f, rows, i, AllGroups, &Cut{D: cut, Sums: sums, Row: i}, sc, cutOut)
+					if !sameBits(cutOut[fi], got[fi]) {
+						t.Fatalf("fn %s on (%q, %q), %s, pass %d: bounded %v != %v", fn.Name(), a, b, what, pass, cutOut[fi], got[fi])
+					}
+				}
+			}
+		}
 		same := func(what string, l, r string, lp, rp *Profile) {
 			t.Helper()
 			side.Release()
@@ -390,13 +431,17 @@ func FuzzEvaluator(f *testing.F) {
 		appendRecord(v, &rows, a)
 		appendRecord(v, &rows, b)
 		v.Settle()
+		sums := v.NewSumCache()
+		sums.Fit(2, 1)
 		for _, q := range []string{b, b + " zqxj"} {
 			fq := v.PrepareQuery(&side, q, nil, AllGroups)
 			ev.RowDistances(&fq, &rows, 0, AllGroups, nil, sc, got)
+			bounded("row l, query r", &fq, &rows, 0, sums)
 			same("row l, query r", a, q, profs[0], corpus.Profile(q))
 		}
 		fc := v.PrepareRow(&side, &rows, 0, AllGroups, true)
 		ev.RowDistances(&fc, &rows, 1, AllGroups, nil, sc, got)
+		bounded("center l, row r", &fc, &rows, 1, sums)
 		same("center l, row r", a, b, profs[0], profs[1])
 
 		// The vocabulary grows past those prepares and row a is removed.
@@ -405,12 +450,15 @@ func FuzzEvaluator(f *testing.F) {
 		v.Count(&rows, 0, -1)
 		v.Settle()
 		grown := NewCorpus(space, []string{b, c})
+		sums.Fit(3, 2)
 		fc = v.PrepareRow(&side, &rows, 2, AllGroups, true)
 		ev.RowDistances(&fc, &rows, 1, AllGroups, nil, sc, got)
+		bounded("grown: center l, row r", &fc, &rows, 1, sums)
 		same("grown: center l, row r", c, b, grown.Profile(c), grown.Profile(b))
 		q := a + " zqxj"
 		fq := v.PrepareQuery(&side, q, nil, AllGroups)
 		ev.RowDistances(&fq, &rows, 2, AllGroups, nil, sc, got)
+		bounded("grown: row l, query r", &fq, &rows, 2, sums)
 		same("grown: row l, query r", c, q, grown.Profile(c), grown.Profile(q))
 
 		// The learn path: L = {a} and R = {b} stored as rows 0 and 1 under
@@ -418,11 +466,15 @@ func FuzzEvaluator(f *testing.F) {
 		// same collections, with either row prepared.
 		learned := LearnProfiles(space, 1, []string{a}, []string{b})
 		lc := NewCorpus(space, []string{a}, []string{b})
+		lsums := learned.v.NewSumCache()
+		lsums.Fit(2, 1)
 		fl := learned.v.PrepareRow(&side, &learned.rows, 1, AllGroups, false)
 		ev.RowDistances(&fl, &learned.rows, 0, AllGroups, nil, sc, got)
+		bounded("learn row l, prepared row r", &fl, &learned.rows, 0, lsums)
 		same("learn row l, prepared row r", a, b, lc.Profile(a), lc.Profile(b))
 		fl = learned.v.PrepareRow(&side, &learned.rows, 0, AllGroups, true)
 		ev.RowDistances(&fl, &learned.rows, 1, AllGroups, nil, sc, got)
+		bounded("prepared learn row l, row r", &fl, &learned.rows, 1, lsums)
 		same("prepared learn row l, row r", a, b, lc.Profile(a), lc.Profile(b))
 	})
 }

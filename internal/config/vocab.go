@@ -499,9 +499,9 @@ type Row struct {
 // Rows is the columnar at-rest storage of a block of one program
 // column's rows: processed strings and their shapes, embeddings as integer
 // lanes with their squared norms, and per counted representation a slot
-// run with its integer counts. A row's parts sit at fixed positions (see
-// layout), so a row is a handful of slices into a few flat arrays. An
-// embedding whose counts all fit int8 takes embed.Dim bytes; one that
+// run with its integer counts and its token signature. A row's parts sit
+// at fixed positions (see layout), so a row is a handful of slices into a
+// few flat arrays. An embedding whose counts all fit int8 takes embed.Dim bytes; one that
 // does not keeps zero narrow lanes and its counts in wide, found by its
 // position in wideAt. Slots are uint16 while every slot the block holds
 // fits, and the block widens them all to int32 when one does not. A run
@@ -518,6 +518,7 @@ type Rows struct {
 	wideEmb []int32          // embed.Dim lanes per embedding that does not fit int8
 	wideAt  []int32          // ascending position (row × nemb + e) of each wide embedding
 	off     []int32          // n × nrep + 1 run offsets into the slots
+	sigs    []uint64         // n × nrep run signatures (distance.SigBit of every slot), for distance.SetBound
 	coff    []int32          // n × nrep + 1 run offsets into counts; equal neighbours mark an all-ones run
 	wide    bool             // the slots are in slots32, not slots16
 	slots16 []uint16
@@ -540,6 +541,7 @@ func (v *Vocab) NewRows(n int) Rows {
 		norms:  make([]int64, 0, n*lay.nemb),
 		off:    make([]int32, 0, n*nrep+1),
 		coff:   make([]int32, 0, n*nrep+1),
+		sigs:   make([]uint64, 0, n*nrep),
 	}
 }
 
@@ -558,6 +560,9 @@ func (s *Rows) TokenCap() int { return cap(s.slots16) + cap(s.slots32) }
 func (s *Rows) RunBytes() int {
 	return 4*(cap(s.off)+cap(s.coff)+cap(s.slots32)+cap(s.counts)) + 2*cap(s.slots16)
 }
+
+// SigBytes returns the bytes the rows' run signatures take by capacity.
+func (s *Rows) SigBytes() int { return 8 * cap(s.sigs) }
 
 // Append stores r as the next row.
 func (s *Rows) Append(r *Row) {
@@ -586,12 +591,22 @@ func (s *Rows) Append(r *Row) {
 	s.Reserve(tokens, counted, 1)
 	for ri, rep := range lay.reps {
 		appendSlots(s, r.Slots[rep.Pre][rep.Tok])
+		s.sigs = append(s.sigs, signature(r.Slots[rep.Pre][rep.Tok]))
 		if !ones[ri] {
 			s.counts = append(s.counts, r.Counts[rep.Pre][rep.Tok]...)
 		}
 		s.endRun()
 	}
 	s.n++
+}
+
+// signature returns the token signature of a run of slots.
+func signature(slots []int32) uint64 {
+	var sig uint64
+	for _, sl := range slots {
+		sig |= distance.SigBit(sl)
+	}
+	return sig
 }
 
 // startRow opens the run offsets before the first row is appended.
@@ -732,6 +747,7 @@ func (s *Rows) AppendRow(src *Rows, i int) {
 	}
 	s.startRow()
 	first := i * nrep
+	s.sigs = append(s.sigs, src.sigs[first:first+nrep]...)
 	s.Reserve(int(src.off[first+nrep]-src.off[first]), int(src.coff[first+nrep]-src.coff[first]), 1)
 	for at := first; at < first+nrep; at++ {
 		lo, hi := src.off[at], src.off[at+1]
@@ -767,6 +783,7 @@ func (s *Rows) Prefix(m int) Rows {
 		wideAt:  s.wideAt[:nw:nw],
 		off:     s.off[: nr+1 : nr+1],
 		coff:    s.coff[: nr+1 : nr+1],
+		sigs:    s.sigs[:nr:nr],
 		wide:    s.wide,
 		counts:  s.counts[:cend:cend],
 	}
@@ -811,7 +828,8 @@ func (s *Rows) record(i int) Record {
 }
 
 // Side holds one record prepared as the fixed side of a run of pairs: per
-// set representation and weighting, its weights by token id. Tables are
+// set representation and weighting, its weights by token id and its
+// signature tables (distance.Prepared.Hold). Tables are
 // sized to the vocabulary when prepared and cleared by Release through
 // the ids they set, so a Side holds numbers only and may be pooled.
 // Release it before the next prepare.
@@ -868,6 +886,7 @@ func (sd *Side) Release() {
 					}
 				}
 				p.N = 0
+				p.ClearSig()
 			}
 			sd.held[pi][ti] = ids[:0]
 		}
@@ -949,7 +968,9 @@ func prepare[S distance.Slot](v *Vocab, sd *Side, r int, slots []S, counts []uin
 			x := float64(c * unseen)
 			if sl >= 0 {
 				x = float64(c * rv.sw[sl])
-				p.W[sl] = x
+				p.Hold(int32(sl), x)
+			} else {
+				p.OOV = true
 			}
 			sum += x
 			norm += float64(x * x)
@@ -959,11 +980,13 @@ func prepare[S distance.Slot](v *Vocab, sd *Side, r int, slots []S, counts []uin
 	if need[weights.Equal] {
 		p := sized(&sd.set[rep.Pre][rep.Tok][weights.Equal], len(rv.toks))
 		for k, sl := range slots {
-			if sl >= 0 {
-				p.W[sl] = 1
-				if counts != nil {
-					p.W[sl] = float64(counts[k])
-				}
+			switch {
+			case sl < 0:
+				p.OOV = true
+			case counts != nil:
+				p.Hold(int32(sl), float64(counts[k]))
+			default:
+				p.Hold(int32(sl), 1)
 			}
 		}
 		if counts == nil {

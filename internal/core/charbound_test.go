@@ -87,6 +87,88 @@ func TestCharBoundWorkCount(t *testing.T) {
 	}
 }
 
+// TestSetBoundWorkCount counts, exactly, the set groups the candidate
+// scan runs and skips by distance.SetBound on the ledger's serving shape,
+// over the queries of TestCharBoundWorkCount. The first pass also fills
+// the ball cache and finds every candidate's IDF run sums cold; the
+// second, with the result cache off, scores candidates only, with the
+// sums of every candidate it meets stored by the first. A second table
+// counts every cold ball of the same queries' joined rows in full, for
+// the ball fills' share (cut 2θ).
+func TestSetBoundWorkCount(t *testing.T) {
+	prog, left := ledgerProgram(t)
+	tab, err := prog.NewTable(1, toRows(left), Options{QueryCacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := prog.NewTable(1, toRows(left), Options{QueryCacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := nearQueries(left, 300, 29)
+	ms, fs := tab.getScratch(), full.getScratch()
+	defer tab.putScratch(ms)
+	defer full.putScratch(fs)
+	tab.mu.RLock()
+	defer tab.mu.RUnlock()
+	full.mu.RLock()
+	defer full.mu.RUnlock()
+	share := func(scored, skipped uint64) float64 { return float64(skipped) / float64(scored+skipped) }
+	tag := uint64(full.statsGen) << 32
+	var center [1]config.Fixed
+	for _, q := range queries {
+		tab.matchOne(ms, []string{q})
+		copy(fs.bestL, ms.bestL)
+		fs.rows, fs.center = fs.rows[:0], -1
+		for ci, l := range fs.bestL {
+			if l >= 0 && full.cachedBall(ci, l, tag) == 0 {
+				full.countBallTo(fs, center[:], ci, l, math.MaxUint32)
+			}
+		}
+		fs.releaseSides()
+	}
+	coldScored, coldSkipped := ms.esc.SetWork()
+	ballScored, ballSkipped := fs.esc.SetWork()
+	for _, q := range queries {
+		tab.matchOne(ms, []string{q})
+	}
+	scored, skipped := ms.esc.SetWork()
+	scored, skipped = scored-coldScored, skipped-coldSkipped
+	t.Logf("cold pass (scan and capped ball fills): %d set groups run, %d skipped (%.1f %%)",
+		coldScored, coldSkipped, 100*share(coldScored, coldSkipped))
+	t.Logf("full ball fills: %d set groups run, %d skipped (%.1f %%)",
+		ballScored, ballSkipped, 100*share(ballScored, ballSkipped))
+	t.Logf("warm candidate scan: %d set groups run, %d skipped (%.1f %%) over %d queries",
+		scored, skipped, 100*share(scored, skipped), len(queries))
+	if s := share(scored, skipped); s < 0.8 {
+		t.Fatalf("skipped %.1f %% of warm candidate-scan set groups, want at least 80 %%", 100*s)
+	}
+}
+
+// TestLedgerBoundBytes: the set bound's columns on the ledger table, the
+// run signatures of its rows and the table's IDF run sums, take at most
+// 1.5 MB.
+func TestLedgerBoundBytes(t *testing.T) {
+	prog, keys := ledgerProgram(t)
+	tab, err := prog.NewTable(1, oneCellRows(keys), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sigs, sums := 0, 0
+	for _, pl := range append(tab.store.segs, tab.store.delta) {
+		for j := range pl.cols {
+			sigs += pl.cols[j].SigBytes()
+		}
+	}
+	for _, c := range tab.sums {
+		sums += c.Bytes()
+	}
+	t.Logf("%d rows: signatures %d B, run sums %d B (%.1f B a row)", len(keys), sigs, sums, float64(sigs+sums)/float64(len(keys)))
+	if sigs+sums > 3<<19 {
+		t.Fatalf("the set bound's columns take %d B, want at most 1.5 MB", sigs+sums)
+	}
+}
+
 // TestCappedBallWorkCount counts, exactly, the (candidate, group)
 // evaluations ball counting runs on the ledger's serving shape, with the
 // result cache off, over the queries of TestCharBoundWorkCount. A second

@@ -204,17 +204,20 @@ type ballRow struct {
 
 // rowDists fills ms.drow with the distance under every configuration whose
 // group is in mask between the fixed side (a prepared record per program
-// column, and its full row) and row local of pl, or +Inf where a bound
-// puts it past cut (see config.Evaluator.RowDistances). Multi-column distances keep the
+// column, and its full row) and dense row l, or +Inf where a bound puts it
+// past cut (see config.Evaluator.RowDistances; the set bound reads and
+// fills the run sums of t.sums). Multi-column distances keep the
 // learned tensor semantics: per-column float32 rounding and maximal
 // distance for two missing cells. As terms are non-negative, a column
 // skips when its term alone is past the cut (ccut leaves room for the
 // rounding).
 //
 //autofj:hotpath
-func (t *Table) rowDists(ms *tableScratch, fixed []config.Fixed, fixedRow []string, pl *tablePayload, local int32, mask config.GroupMask, cut []float64) {
+func (t *Table) rowDists(ms *tableScratch, fixed []config.Fixed, fixedRow []string, l int32, mask config.GroupMask, cut []float64) {
+	pl, local := t.store.payload(int(l))
 	if !t.store.multi {
-		t.eval.RowDistances(&fixed[0], &pl.cols[0], int(local), mask, cut, ms.esc, ms.drow)
+		c := config.Cut{D: cut, Sums: t.sums[0], Row: int(l)}
+		t.eval.RowDistances(&fixed[0], &pl.cols[0], int(local), mask, &c, ms.esc, ms.drow)
 		return
 	}
 	clear(ms.drow)
@@ -228,7 +231,8 @@ func (t *Table) rowDists(ms *tableScratch, fixed []config.Fixed, fixedRow []stri
 		for ci, c := range cut {
 			ms.ccut[ci] = c / t.weights[j] * (1 + 1e-6)
 		}
-		t.eval.RowDistances(&fixed[j], &pl.cols[j], int(local), mask, ms.ccut, ms.esc, ms.crow)
+		c := config.Cut{D: ms.ccut, Sums: t.sums[j], Row: int(l)}
+		t.eval.RowDistances(&fixed[j], &pl.cols[j], int(local), mask, &c, ms.esc, ms.crow)
 		for ci := range ms.drow {
 			// The conversion rounds the product, so no architecture fuses it
 			// into the sum (a fused multiply-add would change the bits).
@@ -287,8 +291,7 @@ func (t *Table) countBallTo(ms *tableScratch, centers []config.Fixed, ci int, l 
 	g := t.eval.Group(ci)
 	at := &r.at[bits.TrailingZeros64(uint64(g))]
 	for ; r.counts[ci] < limit && int(*at) < len(r.cands); *at++ {
-		bpl, blocal := t.store.payload(int(r.cands[*at].ID))
-		t.rowDists(ms, centers, apl.rows[alocal], bpl, blocal, g, t.radii)
+		t.rowDists(ms, centers, apl.rows[alocal], r.cands[*at].ID, g, t.radii)
 		ms.ballEvals++
 		for cj, d := range ms.drow {
 			if d <= t.radii[cj] && r.counts[cj] < maxBallCount && t.eval.Group(cj) == g {
@@ -431,8 +434,7 @@ func (t *Table) score(ms *tableScratch, e *queryState, row []string) Match {
 		ms.bestD[ci] = min(math.Nextafter(c.Threshold, math.Inf(1)), unjoinableDist)
 	}
 	for _, l := range e.cands {
-		pl, local := t.store.payload(int(l))
-		t.rowDists(ms, e.fixed, row, pl, local, config.AllGroups, ms.bestD)
+		t.rowDists(ms, e.fixed, row, l, config.AllGroups, ms.bestD)
 		for ci, d := range ms.drow {
 			if d < ms.bestD[ci] {
 				ms.bestD[ci] = d

@@ -148,6 +148,16 @@ func idPairs(space []config.JoinFunction, a *config.ProfileArena, rOff int, lrCa
 		var f config.Fixed
 		// The row f holds, its orientation and the groups it was prepared for.
 		cur, curL, curMask := -1, false, config.GroupMask(0)
+		// Learning bounds char groups only: few of its set groups are
+		// provably past their cuts, so it keeps no run sums.
+		var c config.Cut
+		bound := func(cut []float64) *config.Cut {
+			if cut == nil {
+				return nil
+			}
+			c.D = cut
+			return &c
+		}
 		prepare := func(i int, l bool, mask config.GroupMask) *config.Fixed {
 			if i != cur || l != curL || mask != curMask {
 				side.Release()
@@ -158,10 +168,10 @@ func idPairs(space []config.JoinFunction, a *config.ProfileArena, rOff int, lrCa
 		}
 		return pairEval{
 			lr: func(r, ci int, cut, out []float64) {
-				ev.RowDistances(prepare(rOff+r, false, config.AllGroups), rows, int(lrCand[r][ci]), config.AllGroups, cut, sc, out)
+				ev.RowDistances(prepare(rOff+r, false, config.AllGroups), rows, int(lrCand[r][ci]), config.AllGroups, bound(cut), sc, out)
 			},
 			ll: func(l, ci int, need config.GroupMask, cut, out []float64) {
-				ev.RowDistances(prepare(l, true, need), rows, int(llCand[l][ci]), need, cut, sc, out)
+				ev.RowDistances(prepare(l, true, need), rows, int(llCand[l][ci]), need, bound(cut), sc, out)
 			},
 			mask: func(fns []fnCenter) config.GroupMask {
 				var m config.GroupMask

@@ -70,6 +70,10 @@ type Table struct {
 	// ci*ballStride+dense; a slot carrying the current statsGen holds the
 	// exact count (countBallTo stores only groups it scanned to the end).
 	balls []atomic.Uint64
+	// sums holds, per program column, the IDF Sum and Norm of the stored
+	// runs by dense row, kept under statsGen as balls are, for the set
+	// bound of the candidate scan and ball fills (config.Cut).
+	sums []*config.SumCache
 
 	// cache is the result cache, keyed by the mutation generation: a
 	// repeated query surface form returns its stored Match. Entries fill
@@ -171,6 +175,10 @@ func (p *Program) newTable(width int, opt Options, fill func(*rowStore) error) (
 		beta:        beta,
 		parallelism: opt.Parallelism,
 	}
+	t.sums = make([]*config.SumCache, len(s.cols))
+	for j, v := range s.cols {
+		t.sums[j] = v.NewSumCache()
+	}
 	t.fit()
 	t.gen.Store(1)
 	t.pool.New = func() any {
@@ -189,10 +197,14 @@ func (p *Program) newTable(width int, opt Options, fill func(*rowStore) error) (
 }
 
 // fit follows a change to the live rows: it makes every cached ball count
-// stale and sizes k and the ball cache, the one place either is set.
+// and run sum stale and sizes k and both caches, the one place either is
+// set.
 func (t *Table) fit() {
 	t.statsGen++
 	n := t.store.tix.Len()
+	for _, c := range t.sums {
+		c.Fit(n, t.statsGen)
+	}
 	t.k = blocking.K(n, t.beta)
 	if n <= t.ballStride && t.balls != nil {
 		return

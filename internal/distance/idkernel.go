@@ -1,6 +1,9 @@
 package distance
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // This file holds the token-id form of the fused set-family kernel. The
 // side of a run of pairs that never changes is prepared once into a table
@@ -20,6 +23,41 @@ type Prepared struct {
 	Sum  float64   // sum of weights over ALL tokens, including out-of-vocabulary ones
 	Norm float64   // sqrt of the weight square sum over ALL tokens
 	N    int32     // distinct tokens, including out-of-vocabulary ones
+	// The signature tables SetBound reads, kept by Hold: bit SigBit(id)
+	// per token W holds, and by signature bit the weight and squared
+	// weight of those tokens. OOV marks a token outside the vocabulary.
+	Sig  uint64
+	OOV  bool
+	BitW [64]float64
+	BitQ [64]float64
+}
+
+// SigBit is the signature bit of token id: bit id mod 64.
+//
+//autofj:hotpath
+func SigBit[S Slot](id S) uint64 { return 1 << (uint32(id) & 63) }
+
+// Hold sets the weight w of token id in p's table and counts it into the
+// signature tables.
+//
+//autofj:hotpath
+func (p *Prepared) Hold(id int32, w float64) {
+	p.W[id] = w
+	b := uint32(id) & 63
+	p.Sig |= 1 << b
+	p.BitW[b] += w
+	p.BitQ[b] += float64(w * w)
+}
+
+// ClearSig empties the signature tables, through the bits Sig sets.
+//
+//autofj:hotpath
+func (p *Prepared) ClearSig() {
+	for b := p.Sig; b != 0; b &= b - 1 {
+		k := bits.TrailingZeros64(b)
+		p.BitW[k], p.BitQ[k] = 0, 0
+	}
+	p.Sig, p.OOV = 0, false
 }
 
 // Slot is the integer type of a stored run's token ids: uint16 while a
@@ -32,15 +70,17 @@ type Slot interface{ ~uint16 | ~int32 }
 // sw[ids[k]], its Sum and Norm accumulated in that order. A nil counts is
 // a run whose every count is 1: its tokens weigh sw[ids[k]], the bits
 // 1 × sw[ids[k]] has. pL reports whether p is the pair's reference side
-// l.
+// l. It also returns the run's Sum and Norm, the values SetBound may read
+// back for the run (0 and 0 against an empty p, which accumulates
+// nothing).
 //
 //autofj:hotpath
-func SetFamilyIDF[S Slot](p *Prepared, ids []S, counts []uint32, sw []float64, pL bool) SetDists {
+func SetFamilyIDF[S Slot](p *Prepared, ids []S, counts []uint32, sw []float64, pL bool) (d SetDists, sum, norm float64) {
 	if p.N == 0 || len(ids) == 0 {
-		return emptyFamily(p.N == 0, len(ids) == 0)
+		return emptyFamily(p.N == 0, len(ids) == 0), 0, 0
 	}
 	tab := p.W
-	var sumMin, dot, sum, norm float64
+	var sumMin, dot float64
 	var m int32
 	if counts == nil {
 		for _, id := range ids {
@@ -64,7 +104,8 @@ func SetFamilyIDF[S Slot](p *Prepared, ids []S, counts []uint32, sw []float64, p
 			m += present(f)
 		}
 	}
-	return p.oriented(sumMin, dot, sum, math.Sqrt(norm), int32(len(ids)), m, pL)
+	norm = math.Sqrt(norm)
+	return p.oriented(sumMin, dot, sum, norm, int32(len(ids)), m, pL), sum, norm
 }
 
 // SetFamilyRun is SetFamilyIDF for a run weighing its counts as they

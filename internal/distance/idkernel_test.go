@@ -85,7 +85,10 @@ func runs(ids []int32, counts []uint32) []storedRun {
 	add := func(kind string, counts []uint32) {
 		out = append(out, storedRun{"int32 slots, " + kind,
 			func(p *Prepared, pL bool) SetDists { return SetFamilyRun(p, ids, counts, pL) },
-			func(p *Prepared, sw []float64, pL bool) SetDists { return SetFamilyIDF(p, ids, counts, sw, pL) }})
+			func(p *Prepared, sw []float64, pL bool) SetDists {
+				d, _, _ := SetFamilyIDF(p, ids, counts, sw, pL)
+				return d
+			}})
 		narrow := make([]uint16, len(ids))
 		for k, id := range ids {
 			if id > math.MaxUint16 {
@@ -95,7 +98,10 @@ func runs(ids []int32, counts []uint32) []storedRun {
 		}
 		out = append(out, storedRun{"uint16 slots, " + kind,
 			func(p *Prepared, pL bool) SetDists { return SetFamilyRun(p, narrow, counts, pL) },
-			func(p *Prepared, sw []float64, pL bool) SetDists { return SetFamilyIDF(p, narrow, counts, sw, pL) }})
+			func(p *Prepared, sw []float64, pL bool) SetDists {
+				d, _, _ := SetFamilyIDF(p, narrow, counts, sw, pL)
+				return d
+			}})
 	}
 	add("counted", counts)
 	if !slices.ContainsFunc(counts, func(c uint32) bool { return c != 1 }) {
@@ -179,7 +185,7 @@ func TestSetFamilyIDsEmpty(t *testing.T) {
 		if d := SetFamilyRun[int32](empty, nil, nil, pL); d != (SetDists{}) {
 			t.Errorf("both empty: %+v, want zero row", d)
 		}
-		if d := SetFamilyIDF[uint16](empty, nil, nil, nil, pL); d != (SetDists{}) {
+		if d, _, _ := SetFamilyIDF[uint16](empty, nil, nil, nil, pL); d != (SetDists{}) {
 			t.Errorf("both empty, IDF row: %+v, want zero row", d)
 		}
 		want := SetFamily(a, NewSparse(nil))

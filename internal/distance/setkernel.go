@@ -87,47 +87,70 @@ func emptyFamily(lEmpty, rEmpty bool) SetDists {
 // family applies the closed forms to the shared statistics of one pair of
 // non-empty sets.
 func family(lSum, lNorm, rSum, rNorm, sumMin, dot float64, rInL bool) SetDists {
-	var d SetDists
+	d := SetDists{
+		JD: jaccard(lSum, rSum, sumMin),
+		CD: cosine(lNorm, rNorm, dot),
+		DD: dice(lSum, rSum, sumMin),
+		MD: maxInclusion(lSum, rSum, sumMin),
+		ID: inclusion(rSum, sumMin),
+	}
+	contain(&d, rInL)
+	return d
+}
 
-	// Weighted Jaccard: 1 - Σmin / Σmax.
-	if union := lSum + rSum - sumMin; union <= 0 {
-		d.JD = 0
-	} else {
-		d.JD = clamp01(1 - sumMin/union)
+// jaccard is the weighted Jaccard distance 1 - Σmin / Σmax.
+func jaccard(lSum, rSum, sumMin float64) float64 {
+	union := lSum + rSum - sumMin
+	if union <= 0 {
+		return 0
 	}
-	// Cosine: 1 - l·r / (|l||r|).
-	if den := lNorm * rNorm; den <= 0 {
-		d.CD = 1
-	} else {
-		d.CD = clamp01(1 - dot/den)
+	return clamp01(1 - sumMin/union)
+}
+
+// cosine is the cosine distance 1 - l·r / (|l||r|).
+func cosine(lNorm, rNorm, dot float64) float64 {
+	den := lNorm * rNorm
+	if den <= 0 {
+		return 1
 	}
-	// Dice: 1 - 2Σmin / (Σl + Σr).
-	if den := lSum + rSum; den <= 0 {
-		d.DD = 0
-	} else {
-		d.DD = clamp01(1 - 2*sumMin/den)
+	return clamp01(1 - dot/den)
+}
+
+// dice is the Dice distance 1 - 2Σmin / (Σl + Σr).
+func dice(lSum, rSum, sumMin float64) float64 {
+	den := lSum + rSum
+	if den <= 0 {
+		return 0
 	}
-	// Max-inclusion: overlap relative to the smaller set.
+	return clamp01(1 - 2*sumMin/den)
+}
+
+// maxInclusion is the overlap relative to the smaller set.
+func maxInclusion(lSum, rSum, sumMin float64) float64 {
 	minSum := lSum
 	if rSum < minSum {
 		minSum = rSum
 	}
 	if minSum <= 0 {
-		d.MD = 0
-	} else {
-		d.MD = clamp01(1 - sumMin/minSum)
+		return 0
 	}
-	// Inclusion of r in l: how much of the right record is missing.
+	return clamp01(1 - sumMin/minSum)
+}
+
+// inclusion of r in l: how much of the right record is missing.
+func inclusion(rSum, sumMin float64) float64 {
 	if rSum <= 0 {
-		d.ID = 0
-	} else {
-		d.ID = clamp01(1 - sumMin/rSum)
+		return 0
 	}
-	// Contain-*: gate on r ⊆ l, then reuse the symmetric formula.
+	return clamp01(1 - sumMin/rSum)
+}
+
+// contain sets the Contain-* members of d: gated on r ⊆ l, the symmetric
+// ones.
+func contain(d *SetDists, rInL bool) {
 	if rInL {
 		d.CJD, d.CCD, d.CDD = d.JD, d.CD, d.DD
 	} else {
 		d.CJD, d.CCD, d.CDD = 1, 1, 1
 	}
-	return d
 }
