@@ -47,7 +47,7 @@ import (
 //
 //   - a GroupMask selects the groups to score, so a caller that needs only
 //     some functions (learning's ball pass, core.prepare phase 3, and a
-//     table's ball fill) runs only their kernels;
+//     table's ball count) runs only their kernels;
 //
 //   - a per-function cut (Cut) skips a char group whose
 //     distance.CharBound (on ED and JW; ME and SW never skip) is past
@@ -55,7 +55,7 @@ import (
 //     IDF sums (SumCache), a set group whose distance.SetBound (from the
 //     runs' token signatures, the prepared side's signature tables and
 //     the runs' Sum and Norm) is past every function's cut. A serving
-//     miss's candidate scan and ball fills find most set groups past
+//     miss's candidate scan and ball counts find most set groups past
 //     every cut and learning few, so only serving keeps the sums.
 //
 // Distances are bit-identical to JoinFunction.Distance — the plans reuse

@@ -228,7 +228,7 @@ func TestProfilesMatchMapOracle(t *testing.T) {
 		space := spaces[name]
 		ev := NewEvaluator(space)
 		sc := ev.NewScratch()
-		got, want := make([]float64, len(space)), make([]float64, len(space))
+		got := make([]float64, len(space))
 		for ti, task := range tasks {
 			oracle := NewCorpus(space, task[0], task[1])
 			var oprofs, ocounts [2][]*Profile
@@ -245,6 +245,16 @@ func TestProfilesMatchMapOracle(t *testing.T) {
 			for i := len(task[1]) - len(edge); i < len(task[1]); i++ {
 				sample = append(sample, [2]int{1, i})
 			}
+			// The string path's distances between every two sampled
+			// records, by (x, y) and function: they do not depend on the
+			// parallelism, so each is computed once.
+			want := make([]float64, len(sample)*len(sample)*len(space))
+			for xi, x := range sample {
+				for yi, y := range sample {
+					at := (xi*len(sample) + yi) * len(space)
+					ev.Distances(oprofs[x[0]][x[1]], oprofs[y[0]][y[1]], sc, want[at:at+len(space)])
+				}
+			}
 			for _, par := range []int{0, 1, 3} {
 				a := LearnProfiles(space, par, task[0], task[1])
 				if a.Len() != len(task[0])+len(task[1]) {
@@ -260,26 +270,29 @@ func TestProfilesMatchMapOracle(t *testing.T) {
 						checkRow(t, where, a, k*len(task[0])+i, ocounts[k][i], oracle, slotOf)
 					}
 				}
+				// Each sampled record prepared once per orientation, as l
+				// (the distances of (fixed, other)) and as r (those of
+				// (other, fixed)), scores every sampled record, as a
+				// serving scan scores its candidates.
 				var side Side
-				for _, x := range sample {
-					for _, y := range sample {
-						ev.Distances(oprofs[x[0]][x[1]], oprofs[y[0]][y[1]], sc, want)
-						rl, rr := x[0]*len(task[0])+x[1], y[0]*len(task[0])+y[1]
-						for _, lFixed := range []bool{true, false} {
-							fixed, other := rl, rr
+				row := func(x [2]int) int { return x[0]*len(task[0]) + x[1] }
+				for _, lFixed := range []bool{true, false} {
+					for fi, fixed := range sample {
+						f := a.v.PrepareRow(&side, &a.rows, row(fixed), AllGroups, lFixed)
+						for oi, other := range sample {
+							ev.RowDistances(&f, &a.rows, row(other), AllGroups, nil, sc, got)
+							x, y, at := fixed, other, (fi*len(sample)+oi)*len(space)
 							if !lFixed {
-								fixed, other = rr, rl
+								x, y, at = other, fixed, (oi*len(sample)+fi)*len(space)
 							}
-							f := a.v.PrepareRow(&side, &a.rows, fixed, AllGroups, lFixed)
-							ev.RowDistances(&f, &a.rows, other, AllGroups, nil, sc, got)
-							side.Release()
-							for fi, fn := range space {
-								if !sameBits(got[fi], want[fi]) {
+							for k, fn := range space {
+								if !sameBits(got[k], want[at+k]) {
 									t.Fatalf("%s task %d par %d, %s between %q and %q (l prepared: %v): RowDistances %v, Distances %v",
-										name, ti, par, fn.Name(), task[x[0]][x[1]], task[y[0]][y[1]], lFixed, got[fi], want[fi])
+										name, ti, par, fn.Name(), task[x[0]][x[1]], task[y[0]][y[1]], lFixed, got[k], want[at+k])
 								}
 							}
 						}
+						side.Release()
 					}
 				}
 			}

@@ -56,9 +56,8 @@ func nearQueries(keys []string, n int, seed int64) []string {
 }
 
 // TestCharBoundWorkCount counts, exactly, the char groups the candidate
-// scan runs and skips on the ledger's serving shape. A first pass fills
-// the ball cache, so the second pass, with the result cache off, scores
-// candidates only.
+// scan runs and skips on the ledger's serving shape (the scan alone: no
+// ball is counted).
 func TestCharBoundWorkCount(t *testing.T) {
 	prog, left := ledgerProgram(t)
 	tab, err := prog.NewTable(1, toRows(left), Options{QueryCacheSize: -1})
@@ -71,14 +70,9 @@ func TestCharBoundWorkCount(t *testing.T) {
 	tab.mu.RLock()
 	defer tab.mu.RUnlock()
 	for _, q := range queries {
-		tab.matchOne(ms, []string{q})
-	}
-	scored0, skipped0 := ms.esc.CharWork()
-	for _, q := range queries {
-		tab.matchOne(ms, []string{q})
+		tab.scan(ms, tab.fillQuery(ms, []string{q}), []string{q})
 	}
 	scored, skipped := ms.esc.CharWork()
-	scored, skipped = scored-scored0, skipped-skipped0
 	share := float64(skipped) / float64(scored+skipped)
 	t.Logf("candidate scan: %d char groups run, %d skipped (%.1f %%) over %d queries",
 		scored, skipped, 100*share, len(queries))
@@ -87,14 +81,36 @@ func TestCharBoundWorkCount(t *testing.T) {
 	}
 }
 
+// fullBalls counts on table full, with no cap, the ball of every row bestL
+// joins, as a miss counted every ball before counts were capped, except
+// those done holds: a (configuration, row) whose group an earlier call
+// scanned at that row. It adds the groups it scans to done.
+func fullBalls(full *Table, fs *tableScratch, bestL []int32, done map[[2]int32]bool) {
+	copy(fs.bestL, bestL)
+	fs.rows, fs.center = fs.rows[:0], -1
+	var center [1]config.Fixed
+	for ci, l := range fs.bestL {
+		if l < 0 || done[[2]int32{int32(ci), l}] {
+			continue
+		}
+		full.countBallTo(fs, center[:], ci, l, math.MaxUint32)
+		for cj := range full.configs {
+			if full.eval.Group(cj) == full.eval.Group(ci) {
+				done[[2]int32{int32(cj), l}] = true
+			}
+		}
+	}
+	fs.releaseSides()
+}
+
 // TestSetBoundWorkCount counts, exactly, the set groups the candidate
 // scan runs and skips by distance.SetBound on the ledger's serving shape,
-// over the queries of TestCharBoundWorkCount. The first pass also fills
-// the ball cache and finds every candidate's IDF run sums cold; the
-// second, with the result cache off, scores candidates only, with the
-// sums of every candidate it meets stored by the first. A second table
-// counts every cold ball of the same queries' joined rows in full, for
-// the ball fills' share (cut 2θ).
+// over the queries of TestCharBoundWorkCount. The first pass answers each
+// query in full and finds every candidate's IDF run sums cold; the second
+// runs the candidate scan alone, with the sums of every candidate it
+// meets stored by the first. A second table counts the balls of the same
+// queries' joined rows in full (fullBalls), for the ball counts' share
+// (cut 2θ).
 func TestSetBoundWorkCount(t *testing.T) {
 	prog, left := ledgerProgram(t)
 	tab, err := prog.NewTable(1, toRows(left), Options{QueryCacheSize: -1})
@@ -114,29 +130,21 @@ func TestSetBoundWorkCount(t *testing.T) {
 	full.mu.RLock()
 	defer full.mu.RUnlock()
 	share := func(scored, skipped uint64) float64 { return float64(skipped) / float64(scored+skipped) }
-	tag := uint64(full.statsGen) << 32
-	var center [1]config.Fixed
+	done := map[[2]int32]bool{}
 	for _, q := range queries {
 		tab.matchOne(ms, []string{q})
-		copy(fs.bestL, ms.bestL)
-		fs.rows, fs.center = fs.rows[:0], -1
-		for ci, l := range fs.bestL {
-			if l >= 0 && full.cachedBall(ci, l, tag) == 0 {
-				full.countBallTo(fs, center[:], ci, l, math.MaxUint32)
-			}
-		}
-		fs.releaseSides()
+		fullBalls(full, fs, ms.bestL, done)
 	}
 	coldScored, coldSkipped := ms.esc.SetWork()
 	ballScored, ballSkipped := fs.esc.SetWork()
 	for _, q := range queries {
-		tab.matchOne(ms, []string{q})
+		tab.scan(ms, tab.fillQuery(ms, []string{q}), []string{q})
 	}
 	scored, skipped := ms.esc.SetWork()
 	scored, skipped = scored-coldScored, skipped-coldSkipped
-	t.Logf("cold pass (scan and capped ball fills): %d set groups run, %d skipped (%.1f %%)",
+	t.Logf("cold pass (scan and capped ball counts): %d set groups run, %d skipped (%.1f %%)",
 		coldScored, coldSkipped, 100*share(coldScored, coldSkipped))
-	t.Logf("full ball fills: %d set groups run, %d skipped (%.1f %%)",
+	t.Logf("full ball counts: %d set groups run, %d skipped (%.1f %%)",
 		ballScored, ballSkipped, 100*share(ballScored, ballSkipped))
 	t.Logf("warm candidate scan: %d set groups run, %d skipped (%.1f %%) over %d queries",
 		scored, skipped, 100*share(scored, skipped), len(queries))
@@ -172,9 +180,10 @@ func TestLedgerBoundBytes(t *testing.T) {
 // TestCappedBallWorkCount counts, exactly, the (candidate, group)
 // evaluations ball counting runs on the ledger's serving shape, with the
 // result cache off, over the queries of TestCharBoundWorkCount. A second
-// table counts every cold ball of the same queries' joined rows in full,
-// as a miss did before the counts were capped: the capped counts must run
-// at most 35 % of its evaluations.
+// table counts the balls of the same queries' joined rows in full, each
+// (configuration, row) once (fullBalls), as a miss did before the counts
+// were capped: the capped counts must run at most 35 % of its
+// evaluations.
 func TestCappedBallWorkCount(t *testing.T) {
 	prog, left := ledgerProgram(t)
 	capped, err := prog.NewTable(1, toRows(left), Options{QueryCacheSize: -1})
@@ -192,18 +201,10 @@ func TestCappedBallWorkCount(t *testing.T) {
 	defer capped.mu.RUnlock()
 	full.mu.RLock()
 	defer full.mu.RUnlock()
-	tag := uint64(full.statsGen) << 32
-	var center [1]config.Fixed
+	done := map[[2]int32]bool{}
 	for _, q := range nearQueries(left, 300, 29) {
 		capped.matchOne(ms, []string{q})
-		copy(fs.bestL, ms.bestL)
-		fs.rows, fs.center = fs.rows[:0], -1
-		for ci, l := range fs.bestL {
-			if l >= 0 && full.cachedBall(ci, l, tag) == 0 {
-				full.countBallTo(fs, center[:], ci, l, math.MaxUint32)
-			}
-		}
-		fs.releaseSides()
+		fullBalls(full, fs, ms.bestL, done)
 	}
 	evals, centers := ms.ballWork()
 	fullEvals, fullCenters := fs.ballWork()

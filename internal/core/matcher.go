@@ -178,7 +178,7 @@ type tableScratch struct {
 	//autofj:keep persistent distance-kernel sub-scratch; rows are overwritten per pair and hold no references
 	esc *config.EvalScratch
 	// per program column, the tables of the fixed side of the current run
-	// of pairs: the query of the candidate scan, the center of a ball fill
+	// of pairs: the query of the candidate scan, the center of a ball count
 	sides  []config.Side
 	drow   []float64
 	crow   []float64
@@ -241,43 +241,25 @@ func (t *Table) rowDists(ms *tableScratch, fixed []config.Fixed, fixedRow []stri
 	}
 }
 
-// cachedBall returns the cached ball count of dense row l under
-// configuration ci, or 0 when its slot does not carry tag (a stored count
-// is at least 1).
-//
-//autofj:hotpath
-func (t *Table) cachedBall(ci int, l int32, tag uint64) uint32 {
-	v := t.balls[ci*t.ballStride+int(l)].Load()
-	if v&^uint64(0xffffffff) != tag {
-		return 0
-	}
-	return uint32(v)
-}
-
-// countBallTo counts the 2θ-ball of dense row l under configuration ci,
-// whose slot the caller read cold, until the count reaches limit: the
-// result is the exact count when it is below limit, and limit or more
-// otherwise. It scores only ci's group, one self top-k candidate at a
-// time, with l prepared in ms.sides as the fixed side and held in
-// centers (the caller's, so no row's strings reach the scratch) until a
-// count at another row replaces it. The center is prepared for the groups
-// of the configurations from ci on that joined l and are cold, and for
-// ci's own group, whose slot another query may have filled since the
-// caller read it. A group whose scan reaches the last candidate stores
-// the counts of all its configurations in the ball cache, tagged with the
-// statistics generation, so mutations invalidate them wholesale; a group
-// scanned only part of the way stores nothing, so every current slot is
-// exact. Values are deterministic, so concurrent stores are benign.
+// countBallTo counts the 2θ-ball of dense row l under configuration ci
+// until the count reaches limit: the result is the exact count when it is
+// below limit, and limit or more otherwise. It scores only ci's group, one
+// self top-k candidate at a time, with l prepared in ms.sides as the fixed
+// side and held in centers (the caller's, so no row's strings reach the
+// scratch) until a count at another row replaces it. The center is
+// prepared for the groups of the configurations from ci on that joined l,
+// ci's among them. A group's scan and counts live in the miss's ballRow
+// of l, so a later configuration of the same group resumes where the scan
+// stopped; nothing outlives the miss.
 //
 //autofj:hotpath
 func (t *Table) countBallTo(ms *tableScratch, centers []config.Fixed, ci int, l int32, limit uint32) uint32 {
-	tag := uint64(t.statsGen) << 32
 	apl, alocal := t.store.payload(int(l))
 	if ms.center != l {
 		ms.releaseSides()
-		mask := t.eval.Group(ci)
+		var mask config.GroupMask
 		for cj := ci; cj < len(ms.bestL); cj++ {
-			if ms.bestL[cj] == l && t.cachedBall(cj, l, tag) == 0 {
+			if ms.bestL[cj] == l {
 				mask |= t.eval.Group(cj)
 			}
 		}
@@ -296,13 +278,6 @@ func (t *Table) countBallTo(ms *tableScratch, centers []config.Fixed, ci int, l 
 		for cj, d := range ms.drow {
 			if d <= t.radii[cj] && r.counts[cj] < maxBallCount && t.eval.Group(cj) == g {
 				r.counts[cj]++
-			}
-		}
-	}
-	if int(*at) == len(r.cands) {
-		for cj, n := range r.counts {
-			if t.eval.Group(cj) == g {
-				t.balls[cj*t.ballStride+int(l)].Store(tag | uint64(n))
 			}
 		}
 	}
@@ -347,8 +322,8 @@ func (ms *tableScratch) releaseSides() {
 // fillQuery is the Table's cache-fill edge: merged blocking,
 // negative-rule vetoes, and the query row resolved and prepared into
 // ms.sides for one surface form under the current generation's
-// statistics; score releases the sides after its candidate scan. Caller
-// must hold the read lock (the query reads the live vocabulary).
+// statistics; scan releases the sides. Caller must hold the read lock
+// (the query reads the live vocabulary).
 func (t *Table) fillQuery(ms *tableScratch, row []string) *queryState {
 	e := &queryState{}
 	key := t.store.keyOf(row)
@@ -412,23 +387,23 @@ func (t *Table) matchOne(ms *tableScratch, row []string) (m Match, cached bool) 
 }
 
 // score runs the query path proper over a filled query of row: the
-// per-configuration closest-candidate scans and the learning-faithful
-// union resolution of Algorithm 1. A pair-major scan with a strict <
-// keeps the first minimum in blocking order; conflicting configurations
-// resolve toward the join with the higher estimated precision. Each
-// configuration's bestD starts just past θ (at unjoinableDist when that
-// is lower), so only a candidate that joins becomes bestL; bestD is also
-// the cut of the candidate's char kernels (see rowDists).
-//
-// The estimate is 1/ball, so after the first join a configuration changes
-// the answer only when its ball is strictly smaller than cBest, the
-// current answer's: it raises the precision on the same row or switches
-// rows. The resolution walks the joined configurations in index order,
-// reads a current ball slot as is, counts the first join's ball exactly
-// and every later cold ball only until it reaches cBest (countBallTo).
+// candidate scan, then the union resolution.
 //
 //autofj:hotpath
 func (t *Table) score(ms *tableScratch, e *queryState, row []string) Match {
+	t.scan(ms, e, row)
+	return t.resolve(ms)
+}
+
+// scan is the per-configuration closest-candidate scan of Algorithm 1. A
+// pair-major scan with a strict < keeps the first minimum in blocking
+// order. Each configuration's bestD starts just past θ (at unjoinableDist
+// when that is lower), so only a candidate that joins becomes bestL;
+// bestD is also the cut of the candidate's kernels (see rowDists). It
+// releases the query's sides.
+//
+//autofj:hotpath
+func (t *Table) scan(ms *tableScratch, e *queryState, row []string) {
 	for ci, c := range t.configs {
 		ms.bestL[ci] = -1
 		ms.bestD[ci] = min(math.Nextafter(c.Threshold, math.Inf(1)), unjoinableDist)
@@ -443,6 +418,19 @@ func (t *Table) score(ms *tableScratch, e *queryState, row []string) Match {
 		}
 	}
 	ms.releaseSides()
+}
+
+// resolve is the learning-faithful union resolution over the scan's
+// joins: conflicting configurations resolve toward the join with the
+// higher estimated precision. The estimate is 1/ball, so after the first
+// join a configuration changes the answer only when its ball is strictly
+// smaller than cBest, the current answer's: it raises the precision on
+// the same row or switches rows. The resolution walks the joined
+// configurations in index order, counts the first join's ball exactly and
+// every later ball only until it reaches cBest (countBallTo).
+//
+//autofj:hotpath
+func (t *Table) resolve(ms *tableScratch) Match {
 	ms.rows, ms.center = ms.rows[:0], -1
 	var one [1]config.Fixed
 	centers := one[:]
@@ -450,7 +438,6 @@ func (t *Table) score(ms *tableScratch, e *queryState, row []string) Match {
 		//autofj:alloc-ok one slot per program column per multi-column miss; the single-column center stays on the stack
 		centers = make([]config.Fixed, len(t.store.cols))
 	}
-	tag := uint64(t.statsGen) << 32
 	best, cBest := noMatch(), uint32(math.MaxUint32)
 	for ci, bl := range ms.bestL {
 		if cBest == 1 {
@@ -459,10 +446,7 @@ func (t *Table) score(ms *tableScratch, e *queryState, row []string) Match {
 		if bl < 0 {
 			continue
 		}
-		c := t.cachedBall(ci, bl, tag)
-		if c == 0 {
-			c = t.countBallTo(ms, centers, ci, bl, cBest)
-		}
+		c := t.countBallTo(ms, centers, ci, bl, cBest)
 		if c >= cBest {
 			continue
 		}

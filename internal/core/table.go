@@ -19,8 +19,8 @@ import (
 // the one query engine: Matcher (what Learn and Program.Compile return)
 // is an alias of it. Its rows live in its row store (rowStore: segments,
 // delta, blocking index, vocabularies), and the Table is the query layer
-// over the store's read view: the program, k, the ball cache, the result
-// cache and the generations. Add costs O(rows + V) — the added
+// over the store's read view: the program, k, the IDF run sums, the
+// result cache and the generations. Add costs O(rows + V) — the added
 // rows, plus one pass over the V-slot token vocabulary when they bring
 // new tokens — never |L|. Remove tombstones the touched rows, then
 // renumbers the dense ids with one pass over every stored row, so it is
@@ -44,19 +44,17 @@ import (
 //   - the 2θ-ball precision denominators run over the same merged top-k
 //     candidates, with the joined row prepared as the fixed side, one
 //     evaluator group at a time and only as far as the union resolution
-//     needs (see score): a group that scans every candidate caches the
-//     counts of all its configurations, tagged with the statistics
-//     generation so no mutation can leak a stale count, and a group
-//     stopped part of the way caches nothing.
+//     needs (see resolve). A miss counts every ball it reads from its own
+//     state, so no count outlives the miss or a mutation.
 //
 // Concurrency: queries take a read lock for their whole (batch) duration;
 // Add/Remove/compaction swaps take the write lock, which guards the store
 // too. The generation counter bumps on EVERY visible mutation (add,
 // remove, compaction swap) before the lock is released, so cache layers
 // keyed on (generation, query) can never serve a stale table. The
-// statistics generation backing the ball cache is 32-bit and wraps after
-// ~4 billion mutations; a wrapped tag could in principle revive a stale
-// cached count, which we accept.
+// statistics generation backing the IDF run sums is 32-bit and wraps
+// after ~4 billion mutations; a wrapped tag could in principle revive a
+// stale Sum for the set bound, which we accept.
 type Table struct {
 	progJSON []byte
 	configs  []Configuration
@@ -66,13 +64,9 @@ type Table struct {
 
 	mu    sync.RWMutex
 	store rowStore
-	// balls is the ball cache, packed statsGen<<32 | count by
-	// ci*ballStride+dense; a slot carrying the current statsGen holds the
-	// exact count (countBallTo stores only groups it scanned to the end).
-	balls []atomic.Uint64
 	// sums holds, per program column, the IDF Sum and Norm of the stored
-	// runs by dense row, kept under statsGen as balls are, for the set
-	// bound of the candidate scan and ball fills (config.Cut).
+	// runs by dense row, kept under statsGen, for the set bound of the
+	// candidate scan and ball counts (config.Cut).
 	sums []*config.SumCache
 
 	// cache is the result cache, keyed by the mutation generation: a
@@ -89,7 +83,6 @@ type Table struct {
 	beta        float64
 	parallelism int
 	k           int
-	ballStride  int
 	statsGen    uint32
 	compacting  bool
 }
@@ -196,9 +189,8 @@ func (p *Program) newTable(width int, opt Options, fill func(*rowStore) error) (
 	return t, nil
 }
 
-// fit follows a change to the live rows: it makes every cached ball count
-// and run sum stale and sizes k and both caches, the one place either is
-// set.
+// fit follows a change to the live rows: it makes every run sum stale and
+// sizes k and the sum caches, the one place either is set.
 func (t *Table) fit() {
 	t.statsGen++
 	n := t.store.tix.Len()
@@ -206,11 +198,6 @@ func (t *Table) fit() {
 		c.Fit(n, t.statsGen)
 	}
 	t.k = blocking.K(n, t.beta)
-	if n <= t.ballStride && t.balls != nil {
-		return
-	}
-	t.ballStride = n + n/2 + 16
-	t.balls = make([]atomic.Uint64, max(len(t.configs), 1)*t.ballStride)
 }
 
 // Len returns the number of live reference rows.
@@ -284,9 +271,13 @@ func (t *Table) Row(d int) ([]string, error) {
 // returns the new generation. Each row must have exactly RowWidth cells;
 // rows are copied. Cost is proportional to the added rows plus, when they
 // bring new tokens, one pass over the token vocabulary — never the table.
+// Adding no rows changes nothing and returns the current generation.
 func (t *Table) Add(rows [][]string) (uint64, error) {
 	if err := checkRows(rows, t.store.width); err != nil {
 		return 0, err
+	}
+	if len(rows) == 0 {
+		return t.gen.Load(), nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"path/filepath"
 	"slices"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/blocking"
+	"github.com/chu-data-lab/autofuzzyjoin-go/internal/config"
 )
 
 // The model-based differential harness for Table: one driver decodes
@@ -40,7 +42,7 @@ type modelFixture struct {
 	pool, special [][]string
 	queries       [][]string // distinct; half the picks are the first six
 	maxInit       int        // the largest initial table
-	balls         bool       // whether the ball op runs: it counts every live row's balls
+	ballOp        bool       // whether the ball op runs: it counts every live row's balls
 }
 
 // modelOps holds each op's letter as often as a byte should pick it: the
@@ -113,7 +115,7 @@ func runModel(tb testing.TB, fx *modelFixture, variants []modelVariant, data []b
 	}
 	r.check("new table")
 	ops := map[byte]func() string{'p': func() string { return "probe" },
-		'a': r.add, 'r': r.remove, 'c': r.compact, 's': r.save, 'b': r.balls}
+		'a': r.add, 'r': r.remove, 'c': r.compact, 's': r.save, 'b': r.countBalls}
 	for op := 0; op < maxOps && len(r.src.data) > 0; op++ {
 		r.check(ops[modelOps[r.src.intn(len(modelOps))]]())
 	}
@@ -164,13 +166,18 @@ func (r *modelRun) setGen(mt *modelTable, g uint64, changed bool, what string) {
 	}
 }
 
-// add appends one to six rows: rows of empty cells (a snapshot stores
+// add appends up to six rows: rows of empty cells (a snapshot stores
 // each in one byte a cell), copies of one pick, or distinct picks; or,
 // half the time in a fourth shape, tries a batch with one row of the
-// wrong width, which the table must refuse whole. The caller's slices
-// are overwritten after the call: the table must have copied them.
+// wrong width, which the table must refuse whole. An Add of no rows must
+// change nothing, the generation included. The caller's slices are
+// overwritten after the call: the table must have copied them.
 func (r *modelRun) add() string {
-	n, shape := 1+r.src.intn(6), r.src.intn(4)
+	v, shape := r.src.intn(12), r.src.intn(4)
+	n := 1 + v%6
+	if v == 6 { // one Add in twelve asks for no rows
+		n = 0
+	}
 	picks, batch := make([][]string, n), make([][]string, n)
 	for i := range picks {
 		switch {
@@ -183,13 +190,17 @@ func (r *modelRun) add() string {
 		}
 		batch[i] = slices.Clone(picks[i])
 	}
-	refused := shape == 3 && r.src.intn(2) == 0
-	if refused {
+	refused := n > 0 && shape == 3 && r.src.intn(2) == 0
+	switch {
+	case refused:
 		bad := r.src.intn(n)
 		batch[bad] = make([]string, max(0, r.fx.width+1-2*r.src.intn(2)))
 		r.logf("Add, refused: row %d of %d has %d cells", bad, n, len(batch[bad]))
 		r.stats["refused"]++
-	} else {
+	case n == 0:
+		r.logf("Add of no rows")
+		r.stats["emptyAdds"]++
+	default:
 		r.logf("Add %q", picks)
 		r.rows, r.oracle = append(r.rows, picks...), nil
 	}
@@ -201,7 +212,7 @@ func (r *modelRun) add() string {
 		if refused {
 			g = mt.gen
 		}
-		r.setGen(mt, g, !refused, "Add")
+		r.setGen(mt, g, !refused && n > 0, "Add")
 	}
 	for _, row := range batch {
 		for c := range row {
@@ -332,10 +343,10 @@ func (r *modelRun) save() string {
 	return how
 }
 
-// balls counts every ball of every live row of one table with no cap,
+// countBalls counts every ball of every live row of one table with no cap,
 // centers prepared under random group masks (expectBallsOracle).
-func (r *modelRun) balls() string {
-	if !r.fx.balls {
+func (r *modelRun) countBalls() string {
+	if !r.fx.ballOp {
 		return "probe"
 	}
 	mt, seed := r.tabs[r.src.intn(len(r.tabs))], int64(r.src.intn(1<<16))
@@ -344,6 +355,60 @@ func (r *modelRun) balls() string {
 		r.stats["bigBalls"]++
 	}
 	return "uncapped ball counts"
+}
+
+// countUncapped counts row l's ball under configuration ci with no cap,
+// as a miss counts its first join, with the center prepared as if the
+// configurations joined had joined l, and releases the center.
+func countUncapped(tab *Table, ms *tableScratch, ci int, l int32, joined ...int) uint32 {
+	for cj := range ms.bestL {
+		ms.bestL[cj] = -1
+	}
+	for _, cj := range joined {
+		ms.bestL[cj] = l
+	}
+	ms.rows, ms.center = ms.rows[:0], -1
+	n := tab.countBallTo(ms, make([]config.Fixed, len(tab.store.cols)), ci, l, math.MaxUint32)
+	ms.releaseSides()
+	return n
+}
+
+// expectBallsOracle counts the ball of EVERY live row under every
+// configuration through the table's counter with no cap, the center
+// prepared for the counted configuration's group plus a seeded random set
+// of the others, and holds each count to the pointer oracle: a fresh
+// blocking index and freshly built profiles over the table's current live
+// rows, one JoinFunction.Distance call per (configuration, candidate).
+// Returns the largest count seen, for vacuity checks.
+func expectBallsOracle(t testing.TB, prog *Program, tab *Table, stage string, rng *rand.Rand) uint32 {
+	t.Helper()
+	rows := tab.Rows()
+	o := newPointerOracle(t, prog, columnsOf(rows, tab.RowWidth()))
+	sc := o.ix.NewScratch()
+
+	tab.mu.RLock()
+	defer tab.mu.RUnlock()
+	ms := tab.getScratch()
+	defer tab.putScratch(ms)
+	nc := len(tab.configs)
+	var largest uint32
+	for l := range rows {
+		for ci := range nc {
+			joined := []int{ci}
+			for cj := range nc {
+				if rng.Intn(3) == 0 {
+					joined = append(joined, cj)
+				}
+			}
+			got, want := countUncapped(tab, ms, ci, int32(l), joined...), o.ballCount(ci, int32(l), sc)
+			if got != want {
+				t.Fatalf("%s: row %d %q, configuration %d, joined %v: table's count %d, oracle %d",
+					stage, l, rows[l], ci, joined, got, want)
+			}
+			largest = max(largest, want)
+		}
+	}
+	return largest
 }
 
 var modelForms = []string{"Match", "MatchRow", "MatchBatch", "MatchRows", "MatchBatchAt", "MatchStream"}
@@ -487,41 +552,27 @@ func (r *modelRun) probe(mt *modelTable, form int, qs []int, where string) {
 		r.stats["flushes"]++
 	}
 	// A miss of each query joins the oracle's row under every
-	// configuration. After it, at every row an answer joined, each current
-	// ball slot holds the oracle's count and a group's slots are current
-	// together or not at all (a group scanned only part of the way stores
-	// none); and the balls the resolution decided on, the first join and
-	// each strictly smaller count after it, are current.
+	// configuration, and at every row it counted, a group scanned to its
+	// last candidate holds the oracle's count and a group stopped part of
+	// the way at most that.
 	tab.mu.RLock()
 	defer tab.mu.RUnlock()
 	ms := tab.getScratch()
 	defer tab.putScratch(ms)
-	tag := uint64(tab.statsGen) << 32
 	for _, qi := range qs {
-		joined := r.answer(qi).joined
-		if q := r.fx.queries[qi]; joined != nil {
-			if tab.score(ms, tab.fillQuery(ms, q), q); !slices.Equal(ms.bestL, joined) {
-				r.fatalf("%s: query %d: the table joins rows %v by configuration, the oracle %v", where, qi, ms.bestL, joined)
-			}
+		joined, q := r.answer(qi).joined, r.fx.queries[qi]
+		if joined == nil {
+			continue
 		}
-		cBest := uint32(math.MaxUint32)
-		for ci, l := range joined {
-			if l < 0 {
-				continue
-			}
-			for cj := range tab.configs {
-				got := tab.cachedBall(cj, l, tag)
-				if want := r.oracle.ballCount(cj, l, r.sc); got != 0 && got != want {
-					r.fatalf("%s: query %d joined row %d: configuration %d's ball count %d, oracle %d", where, qi, l, cj, got, want)
-				}
-				if tab.eval.Group(cj) == tab.eval.Group(ci) && (got != 0) != (tab.cachedBall(ci, l, tag) != 0) {
-					r.fatalf("%s: query %d joined row %d: configurations %d and %d of one group, one slot current", where, qi, l, ci, cj)
-				}
-			}
-			if want := r.oracle.ballCount(ci, l, r.sc); want < cBest {
-				cBest = want
-				if tab.cachedBall(ci, l, tag) == 0 {
-					r.fatalf("%s: query %d: the resolution decided on row %d's ball under configuration %d, slot cold", where, qi, l, ci)
+		if tab.score(ms, tab.fillQuery(ms, q), q); !slices.Equal(ms.bestL, joined) {
+			r.fatalf("%s: query %d: the table joins rows %v by configuration, the oracle %v", where, qi, ms.bestL, joined)
+		}
+		for _, br := range ms.rows {
+			for ci, got := range br.counts {
+				at := int(br.at[bits.TrailingZeros64(uint64(tab.eval.Group(ci)))])
+				if want := r.oracle.ballCount(ci, br.l, r.sc); got > want || at == len(br.cands) && got != want {
+					r.fatalf("%s: query %d: row %d configuration %d counted %d over %d of %d candidates, oracle %d",
+						where, qi, br.l, ci, got, at, len(br.cands), want)
 				}
 			}
 		}
@@ -571,10 +622,13 @@ func expectModel(t *testing.T, prog *Program, tab *Table, queries [][]string) {
 }
 
 // modelProgram is tableTestProgram (ED, IDF-weighted JD and CD, GED,
-// negative rules) plus the directional ID function.
+// negative rules) plus the directional ID function: the inclusion
+// distance of the candidate in the center differs from the reverse, so a
+// ball count that swaps the two sides disagrees with the oracle.
 func modelProgram() *Program {
 	p := tableTestProgram()
-	p.Configurations = append(p.Configurations, ballDirectional)
+	p.Configurations = append(p.Configurations,
+		ConfigurationSpec{Preprocess: "L", Tokenization: "SP", TokenWeights: "IDFW", Distance: "ID", Threshold: 0.15})
 	return p
 }
 
@@ -612,7 +666,7 @@ func modelSingleFixture() *modelFixture {
 			"2008 lsu tigers mmmid basketball team",
 			"zzzz zyzzyva oregon ducks baseball team",
 		}),
-		queries: toRows(qs), maxInit: 120, balls: true,
+		queries: toRows(qs), maxInit: 120, ballOp: true,
 	}
 }
 
@@ -651,7 +705,7 @@ func modelMultiFixture() *modelFixture {
 		special: [][]string{{"", "", ""}, {"", "ava chen", ""}, {"the silent river", "", "qqq"},
 			pool[1], pool[2], {"the crímson gärden", "nína petrova", "ñoise"}},
 		queries: append(append(qs, right[2:]...), left[3], left[4], []string{"zzz qqq", "nobody", "unjoinable"}),
-		maxInit: 80, balls: true,
+		maxInit: 80, ballOp: true,
 	}
 }
 
@@ -700,7 +754,7 @@ func TestTableModel(t *testing.T) {
 				}
 			}
 			t.Log(sum)
-			for _, k := range strings.Fields("matched hits flushes refused removed emptied deltaSaves majors bigBalls uncacheable") {
+			for _, k := range strings.Fields("matched hits flushes refused emptyAdds removed emptied deltaSaves majors bigBalls uncacheable") {
 				if sum[k] == 0 && !slices.Contains(c.optional, k) {
 					t.Errorf("vacuous runs: no %s", k)
 				}
@@ -712,12 +766,12 @@ func TestTableModel(t *testing.T) {
 // FuzzTableOps runs the harness on the fuzzer's bytes over the
 // single-column fixture.
 func FuzzTableOps(f *testing.F) {
-	// Three rows (pool picks: 1, then a two-byte index), Add of 3 + 1 empty
+	// Three rows (pool picks: 1, then a two-byte index), Add of 4 empty
 	// rows (shape 0), Save + LoadTable: a live delta of four one-byte rows.
 	// Each op is followed by the probe 0, 0, 0, 0: Match of query 0.
 	f.Add([]byte{
 		3, 1, 0, 0, 1, 0, 1, 1, 0, 2, 0, 0, 0, 0,
-		byte(strings.IndexByte(modelOps, 'a')), 3, 0, 0, 0, 0, 0,
+		byte(strings.IndexByte(modelOps, 'a')), 4, 0, 0, 0, 0, 0,
 		byte(strings.IndexByte(modelOps, 's')), 0, 0, 0, 0, 0,
 	})
 	for seed := range int64(4) {
