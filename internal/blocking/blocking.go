@@ -16,12 +16,12 @@
 // query it directly. The query path is built for throughput: grams are
 // interned to dense ids at index time, and each query visits its grams'
 // posting lists rarest first, scores each row the first time a list
-// reaches it exactly from the row's own gram list into a bounded top-k
-// heap, and stops once the grams left unvisited weigh less than the k-th
-// score, so most rows are never touched. Block shards queries across
-// worker goroutines, each with its own TableScratch, so the hot loop is
-// allocation-free after warmup and the output is identical for every
-// parallelism level.
+// reaches it exactly from the row's own gram list, keeps the rows that
+// can still make the top-k in a buffer it selects from, and stops once the
+// grams left unvisited weigh less than the k-th score, so most rows are
+// never touched. Block shards queries across worker goroutines, each with
+// its own TableScratch, so the hot loop is allocation-free after warmup
+// and the output is identical for every parallelism level.
 package blocking
 
 import (
@@ -91,37 +91,55 @@ func candWorse(a, b Candidate) bool {
 	return a.ID > b.ID
 }
 
-// heapUp/heapDown maintain a min-heap whose root is the worst candidate
-// currently kept.
-//
-//autofj:hotpath
-func heapUp(h []Candidate, i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !candWorse(h[i], h[p]) {
-			return
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
+// candOrder orders candidates best first: score descending, id ascending.
+func candOrder(a, b Candidate) int {
+	switch {
+	case candWorse(b, a):
+		return -1
+	case candWorse(a, b):
+		return 1
 	}
+	return 0
 }
 
+// selectBest reorders c so that its k best candidates (0 < k <= len(c))
+// come first, the k-th best at c[k-1]: a quickselect under candWorse
+// with a median-of-three pivot. The order is total, so the k rows and the
+// k-th are the same whatever order c arrives in.
+//
 //autofj:hotpath
-func heapDown(h []Candidate, i int) {
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
+func selectBest(c []Candidate, k int) {
+	lo, hi := 0, len(c)-1
+	for lo < hi {
+		// Order c[lo], c[m], c[hi] best first, then partition around the
+		// median, moved to hi.
+		m := lo + (hi-lo)/2
+		if candWorse(c[lo], c[m]) {
+			c[lo], c[m] = c[m], c[lo]
+		}
+		if candWorse(c[m], c[hi]) {
+			c[m], c[hi] = c[hi], c[m]
+		}
+		if candWorse(c[lo], c[m]) {
+			c[lo], c[m] = c[m], c[lo]
+		}
+		c[m], c[hi] = c[hi], c[m]
+		p, i := c[hi], lo
+		for j := lo; j < hi; j++ {
+			if candWorse(p, c[j]) {
+				c[i], c[j] = c[j], c[i]
+				i++
+			}
+		}
+		c[i], c[hi] = c[hi], c[i]
+		switch {
+		case i < k-1:
+			lo = i + 1
+		case i > k-1:
+			hi = i - 1
+		default:
 			return
 		}
-		m := l
-		if r := l + 1; r < len(h) && candWorse(h[r], h[l]) {
-			m = r
-		}
-		if !candWorse(h[m], h[i]) {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
 	}
 }
 

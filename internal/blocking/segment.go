@@ -25,8 +25,8 @@ import (
 //     list (segment and delta rows both keep theirs in lex order) against
 //     weight tables that are +0.0 outside the query, so every float64 sum
 //     is performed in one fixed order, whichever list reached the row.
-//   - Global top-k selection runs one bounded heap over all segment and
-//     delta candidates under the (score desc, dense id asc) total order;
+//   - Global top-k selection keeps the k best of all segment and delta
+//     candidates under the (score desc, dense id asc) total order;
 //     the selected set is order-independent, and the final sort fixes the
 //     output order. The scan visits posting lists rarest gram first and
 //     stops only when no unreached row can reach the k-th score, so the
@@ -466,7 +466,7 @@ func (tx *TableIndex) CompactDelta(m int, seg *Segment) {
 
 // TableScratch is the per-worker reusable query state of a TableIndex —
 // the query's gram weights, gram and row stamps, the gram visit order and
-// the top-k heap. Arrays grow on demand, so one scratch serves a table
+// the top-k buffer. Arrays grow on demand, so one scratch serves a table
 // across mutations and even wholesale index rebuilds. Not safe for
 // concurrent use.
 //
@@ -483,9 +483,15 @@ type TableScratch struct {
 	order    []uint64    // the query grams to visit, as df<<32 | table gram id
 	rest     []float64   // rest[i]: summed weight of order[i:]
 	fresh    []int32     // local ids a posting list reached first
-	heap     []Candidate
-	buf      []byte // gramKeys' buffers
+	kept     []Candidate // the scored rows that beat floor, at most 2k
+	buf      []byte      // gramKeys' buffers
 	keys     []uint64
+	// floor is the k-th best row at the last selection of kept, or
+	// noFloor, which every row beats, before the first; best is the best
+	// score kept.
+	floor Candidate
+	best  float64
+	k     int
 	// rowsScored and postingsRead count the rows exact-scored and the
 	// posting entries read over the scratch's lifetime.
 	rowsScored, postingsRead int64
@@ -622,28 +628,59 @@ func addScores(s float64, grams []int32, w []float64) float64 {
 	return s
 }
 
-// offer keeps c in the bounded top-k heap h under the (score desc, dense
-// id asc) order.
+// noFloor ranks below every scored row.
+var noFloor = Candidate{ID: math.MaxInt32, Score: math.Inf(-1)}
+
+// keep buffers c when it beats floor: a row that does not is behind k
+// rows already and can never make the top-k. A full buffer of 2k rows is
+// cut back to the k best (selectK).
 //
 //autofj:hotpath
-func offer(h []Candidate, k int, c Candidate) []Candidate {
-	if len(h) < k {
-		h = append(h, c)
-		heapUp(h, len(h)-1)
-	} else if candWorse(h[0], c) {
-		h[0] = c
-		heapDown(h, 0)
+func (sc *TableScratch) keep(c Candidate) {
+	if !candWorse(sc.floor, c) {
+		return
 	}
-	return h
+	sc.kept = append(sc.kept, c)
+	sc.best = max(sc.best, c.Score)
+	if len(sc.kept) == 2*sc.k {
+		sc.selectK()
+	}
+}
+
+// selectK cuts kept back to its k best rows, the k-th best last, which
+// becomes the floor.
+//
+//autofj:hotpath
+func (sc *TableScratch) selectK() {
+	selectBest(sc.kept, sc.k)
+	sc.kept = sc.kept[:sc.k]
+	sc.floor = sc.kept[sc.k-1]
+}
+
+// settled reports whether k rows are kept and lim is below the k-th
+// score, so no row scoring at most lim can make the top-k. It selects
+// only when the answer is open: the k-th score is at least floor's and at
+// most the best score kept.
+//
+//autofj:hotpath
+func (sc *TableScratch) settled(lim float64) bool {
+	if len(sc.kept) < sc.k || lim >= sc.best {
+		return false
+	}
+	if len(sc.kept) > sc.k || sc.kept[sc.k-1] != sc.floor {
+		sc.selectK()
+	}
+	return lim < sc.floor.Score
 }
 
 // appendTopK runs the query as one exact threshold scan: score every live
 // delta row, then visit the query grams' posting lists rarest first, and
 // score each live row the first time a list reaches it, exactly, from its
-// own gram list. Before each list the scan stops once the heap holds k
-// rows and the unvisited grams' summed weight, the most any unreached row
-// can score, is below the k-th score. Dense row exclude (or none, when
-// -1) is stamped as reached, so it is never scored.
+// own gram list. Before each list the scan stops once k rows are kept and
+// the unvisited grams' summed weight, the most any unreached row can
+// score, is below the k-th score (settled). Dense row exclude (or none,
+// when -1) is stamped as reached, so it is never scored. The k best kept
+// rows are then selected once and sorted.
 //
 //autofj:hotpath
 func (tx *TableIndex) appendTopK(dst []Candidate, sc *TableScratch, qgrams []int32, k, exclude int) []Candidate {
@@ -656,7 +693,7 @@ func (tx *TableIndex) appendTopK(dst []Candidate, sc *TableScratch, qgrams []int
 	if exclude >= 0 {
 		sc.rowStamp[exclude] = gen
 	}
-	h := sc.heap[:0]
+	sc.kept, sc.floor, sc.best, sc.k = sc.kept[:0], noFloor, 0, k
 	for di := range tx.delta {
 		d := tx.deltaDense[di]
 		if d < 0 || int(d) == exclude {
@@ -664,7 +701,7 @@ func (tx *TableIndex) appendTopK(dst []Candidate, sc *TableScratch, qgrams []int
 		}
 		sc.rowsScored++
 		if s := addScores(0, tx.delta[di].grams, sc.gramW); s != 0 {
-			h = offer(h, k, Candidate{ID: d, Score: s})
+			sc.keep(Candidate{ID: d, Score: s})
 		}
 	}
 	// An unreached row's computed score sums at most m = len(sc.order) of
@@ -676,7 +713,7 @@ func (tx *TableIndex) appendTopK(dst []Candidate, sc *TableScratch, qgrams []int
 	// rounded before the sum, so no architecture fuses the two.
 	slack := 1 + float64(float64(len(sc.order))*0x1p-50)
 	for i, key := range sc.order {
-		if len(h) == k && sc.rest[i]*slack < h[0].Score {
+		if sc.settled(sc.rest[i] * slack) {
 			break
 		}
 		g := int32(uint32(key))
@@ -686,30 +723,28 @@ func (tx *TableIndex) appendTopK(dst []Candidate, sc *TableScratch, qgrams []int
 			}
 			post := tx.segs[si].postings[t2l[g]]
 			sc.postingsRead += int64(len(post))
-			h = sc.reach(h, k, gen, post, tx.segDense[si], tx.segs[si].docGrams, sc.segW[si])
+			sc.reach(gen, post, tx.segDense[si], tx.segs[si].docGrams, sc.segW[si])
 		}
 	}
-	sc.heap = h
 	for _, key := range sc.order {
 		tx.setWeight(sc, int32(uint32(key)), 0)
 	}
-	// Heap-sort in place: each pass moves the worst kept row to the end,
-	// leaving h best first.
-	for n := len(h) - 1; n > 0; n-- {
-		h[0], h[n] = h[n], h[0]
-		heapDown(h[:n], 0)
+	if len(sc.kept) > k {
+		sc.selectK()
 	}
-	dst = append(dst, h...)
+	slices.SortFunc(sc.kept, candOrder)
+	dst = append(dst, sc.kept...)
 	return dst
 }
 
 // reach scores each live row of one segment posting list that no earlier
-// list reached (dense maps local ids, -1 dead) and offers it to the heap.
+// list reached (dense maps local ids, -1 dead) and keeps it if it can
+// make the top-k.
 // The rows are scored four at a time: each row's sum is one chain of
 // dependent adds, and four chains in flight hide each other's latency.
 //
 //autofj:hotpath
-func (sc *TableScratch) reach(h []Candidate, k int, gen uint32, post, dense []int32, docGrams [][]int32, w []float64) []Candidate {
+func (sc *TableScratch) reach(gen uint32, post, dense []int32, docGrams [][]int32, w []float64) {
 	fresh := sc.fresh[:0]
 	for _, local := range post {
 		d := dense[local]
@@ -725,15 +760,14 @@ func (sc *TableScratch) reach(h []Candidate, k int, gen uint32, post, dense []in
 	for ; i+4 <= len(fresh); i += 4 {
 		a, b, c, d := fresh[i], fresh[i+1], fresh[i+2], fresh[i+3]
 		s0, s1, s2, s3 := rowScore4(docGrams[a], docGrams[b], docGrams[c], docGrams[d], w)
-		h = offer(h, k, Candidate{ID: dense[a], Score: s0})
-		h = offer(h, k, Candidate{ID: dense[b], Score: s1})
-		h = offer(h, k, Candidate{ID: dense[c], Score: s2})
-		h = offer(h, k, Candidate{ID: dense[d], Score: s3})
+		sc.keep(Candidate{ID: dense[a], Score: s0})
+		sc.keep(Candidate{ID: dense[b], Score: s1})
+		sc.keep(Candidate{ID: dense[c], Score: s2})
+		sc.keep(Candidate{ID: dense[d], Score: s3})
 	}
 	for _, local := range fresh[i:] {
-		h = offer(h, k, Candidate{ID: dense[local], Score: addScores(0, docGrams[local], w)})
+		sc.keep(Candidate{ID: dense[local], Score: addScores(0, docGrams[local], w)})
 	}
-	return h
 }
 
 // rowScore4 scores four rows at once, each summed in its own list order.

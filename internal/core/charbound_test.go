@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/benchgen"
@@ -213,5 +215,71 @@ func TestCappedBallWorkCount(t *testing.T) {
 		evals, centers, fullEvals, fullCenters, 100*share)
 	if fullEvals == 0 || share > 0.35 {
 		t.Fatalf("capped ball counts ran %d evaluations, %.1f %% of %d in full; want at most 35 %%", evals, 100*share, fullEvals)
+	}
+}
+
+// TestChurnCompactionWorkCount counts, exactly, the work of a churn shape
+// with the result cache on: 16 hot queries, a one-row Add or Remove every
+// 128 ops and a Compact every 1,024. A compaction keeps the live rows and
+// the generation, so the run must give the same answers with the same
+// cache misses and ball evaluations as the same sequence with its Compact
+// ops dropped.
+func TestChurnCompactionWorkCount(t *testing.T) {
+	prog, left := ledgerProgram(t)
+	hot := nearQueries(left, 16, 3)
+	type churn struct {
+		answers       []Match
+		misses, evals uint64
+		compactions   int
+	}
+	run := func(compact bool) (c churn) {
+		tab, err := prog.NewTable(1, toRows(left[:6000]), Options{Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms := tab.getScratch()
+		defer tab.putScratch(ms)
+		rng, extra := rand.New(rand.NewSource(11)), left[6000:]
+		for op := 1; op <= 4096; op++ {
+			switch {
+			case op%1024 == 960: // between two mutations, with delta rows to seal
+				if compact {
+					did, err := tab.Compact(context.Background())
+					if err != nil || !did {
+						t.Fatalf("op %d: Compact swapped %v, error %v", op, did, err)
+					}
+					c.compactions++
+				}
+			case op%256 == 128:
+				_, err = tab.Add(toRows(extra[:1]))
+				extra = extra[1:]
+			case op%256 == 0:
+				_, err = tab.Remove([]int{rng.Intn(tab.Len())})
+			default:
+				tab.mu.RLock()
+				m, _ := tab.matchOne(ms, []string{hot[op%len(hot)]})
+				tab.mu.RUnlock()
+				c.answers = append(c.answers, m)
+			}
+			if err != nil {
+				t.Fatalf("op %d: %v", op, err)
+			}
+		}
+		_, c.misses = tab.QueryCacheStats()
+		c.evals, _ = ms.ballWork()
+		return c
+	}
+	with, without := run(true), run(false)
+	t.Logf("%d compactions; %d misses and %d ball evaluations with them, %d and %d without",
+		with.compactions, with.misses, with.evals, without.misses, without.evals)
+	if with.compactions != 4 || without.misses == 0 || without.evals == 0 {
+		t.Fatalf("vacuous run: %d compactions, %d misses, %d ball evaluations", with.compactions, without.misses, without.evals)
+	}
+	if !slices.Equal(with.answers, without.answers) {
+		t.Fatal("the compactions changed an answer")
+	}
+	if with.misses != without.misses || with.evals != without.evals {
+		t.Fatalf("the compactions cost work: %d misses and %d ball evaluations, %d and %d without them",
+			with.misses, with.evals, without.misses, without.evals)
 	}
 }

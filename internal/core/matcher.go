@@ -547,11 +547,12 @@ func (t *Table) MatchRows(ctx context.Context, rows [][]string) ([]Match, error)
 	return tb.Matches, nil
 }
 
-// TableBatch is a batch answer bound to the generation that produced it:
-// the matches, the matched reference rows (aligned; nil where unmatched —
-// valid immutable snapshots even after later mutations), whether each
-// answer came from the result cache, and the generation, taken atomically
-// under one read lock.
+// TableBatch is a batch answer bound to the generation that produced it
+// (moved by row changes, never by compaction): the matches, the matched
+// reference rows (aligned; nil where unmatched — valid immutable
+// snapshots even after later mutations), whether each answer came from
+// the result cache, and the generation, taken atomically under one read
+// lock.
 type TableBatch struct {
 	Matches    []Match
 	Rows       [][]string

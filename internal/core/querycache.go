@@ -34,14 +34,15 @@ type queryEntry struct {
 // form under the same generation returns its stored Match and skips text
 // processing, blocking, negative rules, scoring, and ball counts.
 // Generation mismatches read as misses, so a mutating Table (whose
-// generation bumps on every add, remove, and compaction) can never serve a
-// stale answer. Eviction is a wholesale flush when the entry cap is
-// reached, with no recency order: the steady state of a serving workload
-// is a hot working set well under the cap, and one flush costs a single
-// miss round instead of per-entry bookkeeping on the hit path. Entries of
-// older generations stay resident until overwritten or flushed. A key is
-// stored only up to maxCachedKey bytes, so the keys hold at most
-// cap × maxCachedKey bytes (256 MiB at the default cap of 4096).
+// generation moves when the live rows change, never on compaction) can
+// never serve a stale answer, and a compaction keeps every entry.
+// Eviction is a wholesale flush when the entry cap is reached, with no
+// recency order: the steady state of a serving workload is a hot working
+// set well under the cap, and one flush costs a single miss round instead
+// of per-entry bookkeeping on the hit path. Entries of older generations
+// stay resident until overwritten or flushed. A key is stored only up to
+// maxCachedKey bytes, so the keys hold at most cap × maxCachedKey bytes
+// (256 MiB at the default cap of 4096).
 type queryCache struct {
 	cap    int
 	hits   atomic.Uint64

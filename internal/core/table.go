@@ -20,7 +20,7 @@ import (
 // is an alias of it. Its rows live in its row store (rowStore: segments,
 // delta, blocking index, vocabularies), and the Table is the query layer
 // over the store's read view: the program, k, the IDF run sums, the
-// result cache and the generations. Add costs O(rows + V) — the added
+// result cache and the generation. Add costs O(rows + V) — the added
 // rows, plus one pass over the V-slot token vocabulary when they bring
 // new tokens — never |L|. Remove tombstones the touched rows, then
 // renumbers the dense ids with one pass over every stored row, so it is
@@ -49,12 +49,12 @@ import (
 //
 // Concurrency: queries take a read lock for their whole (batch) duration;
 // Add/Remove/compaction swaps take the write lock, which guards the store
-// too. The generation counter bumps on EVERY visible mutation (add,
-// remove, compaction swap) before the lock is released, so cache layers
-// keyed on (generation, query) can never serve a stale table. The
-// statistics generation backing the IDF run sums is 32-bit and wraps
-// after ~4 billion mutations; a wrapped tag could in principle revive a
-// stale Sum for the set bound, which we accept.
+// too. The generation moves when the live rows change, never on
+// compaction: Add and Remove move it before the lock is released, so a
+// cache keyed on it can never serve a stale table. It keys the result
+// cache and the IDF run sums (config.SumCache, by its low 32 bits, which
+// wrap after ~4 billion mutations: a wrapped tag could revive a stale Sum
+// for the set bound, which we accept).
 type Table struct {
 	progJSON []byte
 	configs  []Configuration
@@ -65,12 +65,12 @@ type Table struct {
 	mu    sync.RWMutex
 	store rowStore
 	// sums holds, per program column, the IDF Sum and Norm of the stored
-	// runs by dense row, kept under statsGen, for the set bound of the
-	// candidate scan and ball counts (config.Cut).
+	// runs by dense row, kept under the generation, for the set bound of
+	// the candidate scan and ball counts (config.Cut).
 	sums []*config.SumCache
 
-	// cache is the result cache, keyed by the mutation generation: a
-	// repeated query surface form returns its stored Match. Entries fill
+	// cache is the result cache, keyed by the generation: a repeated
+	// query surface form returns its stored Match. Entries fill
 	// under the read lock at the generation they observe and read as
 	// misses after any mutation, so the table can never serve an answer
 	// computed against older rows, dense ids, or IDF weights.
@@ -83,7 +83,6 @@ type Table struct {
 	beta        float64
 	parallelism int
 	k           int
-	statsGen    uint32
 	compacting  bool
 }
 
@@ -172,8 +171,7 @@ func (p *Program) newTable(width int, opt Options, fill func(*rowStore) error) (
 	for j, v := range s.cols {
 		t.sums[j] = v.NewSumCache()
 	}
-	t.fit()
-	t.gen.Store(1)
+	t.fit() // generation 1
 	t.pool.New = func() any {
 		return &tableScratch{
 			sc:    blocking.NewTableScratch(),
@@ -189,15 +187,16 @@ func (p *Program) newTable(width int, opt Options, fill func(*rowStore) error) (
 	return t, nil
 }
 
-// fit follows a change to the live rows: it makes every run sum stale and
-// sizes k and the sum caches, the one place either is set.
-func (t *Table) fit() {
-	t.statsGen++
+// fit follows a change to the live rows: it moves the generation, making
+// every cached answer and run sum stale, and sizes k and the sum caches.
+func (t *Table) fit() uint64 {
+	g := t.gen.Add(1)
 	n := t.store.tix.Len()
 	for _, c := range t.sums {
-		c.Fit(n, t.statsGen)
+		c.Fit(n, uint32(g))
 	}
 	t.k = blocking.K(n, t.beta)
+	return g
 }
 
 // Len returns the number of live reference rows.
@@ -219,9 +218,9 @@ func (t *Table) Program() []Configuration {
 	return append([]Configuration(nil), t.configs...)
 }
 
-// Generation returns the mutation generation: it increases on every add,
-// remove, and compaction swap, always before the change is visible to
-// queries. The result cache keys answers on (generation, query).
+// Generation returns the table generation, 1 for a new or loaded table:
+// it moves when the live rows change, never on compaction, always before
+// the change is visible to queries. The result cache keys answers on it.
 func (t *Table) Generation() uint64 { return t.gen.Load() }
 
 // QueryCacheStats returns the cumulative hit/miss counters of the result
@@ -283,8 +282,7 @@ func (t *Table) Add(rows [][]string) (uint64, error) {
 	defer t.mu.Unlock()
 	//autofj:blocking at parallelism 1 the builder counts and interns inline: no goroutine is started or waited on under the lock
 	t.store.add(rows, make([]string, len(rows)*t.store.width))
-	t.fit()
-	return t.gen.Add(1), nil
+	return t.fit(), nil
 }
 
 // Remove tombstones the rows at the given dense indices (as reported by
@@ -303,8 +301,7 @@ func (t *Table) Remove(indices []int) (uint64, error) {
 	if err := t.store.remove(sorted); err != nil {
 		return 0, err
 	}
-	t.fit()
-	return t.gen.Add(1), nil
+	return t.fit(), nil
 }
 
 // Compact seals the current delta into a new compiled segment, building
@@ -316,8 +313,8 @@ func (t *Table) Remove(indices []int) (uint64, error) {
 // compaction runs at a time; concurrent calls return (false, nil).
 //
 // Compaction never changes query results — rows, dense ids, statistics,
-// and candidates are all preserved — but it still bumps the generation,
-// keeping the "every swap bumps" contract simple for cache layers.
+// and candidates are all preserved — so it moves no generation, and every
+// cached answer and run sum survives it.
 func (t *Table) Compact(ctx context.Context) (bool, error) {
 	t.mu.Lock()
 	rows := t.store.pending()
@@ -339,7 +336,6 @@ func (t *Table) Compact(ctx context.Context) (bool, error) {
 
 	t.mu.Lock()
 	t.store.seal(seg)
-	t.gen.Add(1)
 	// Fold accumulated segments and tombstones right away, still holding
 	// the compaction.
 	needMajor := t.store.needsMajor()
@@ -382,6 +378,5 @@ func (t *Table) compactMajor(ctx context.Context) (bool, error) {
 		return false, nil // raced with a mutation; retry on a later Compact
 	}
 	t.store.replace(tix, pl)
-	t.gen.Add(1)
 	return true, nil
 }

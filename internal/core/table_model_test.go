@@ -20,9 +20,10 @@ import (
 // The model-based differential harness for Table: one driver decodes
 // bytes into ops (Add, Remove, Compact, Save and load, uncapped ball counts,
 // each followed by a probe in one of the six query forms) and applies
-// them to one table per variant. The model is the live rows in dense
-// order, answered by the pointer oracle (matcher_oracle_test.go).
-// TestTableModel feeds it seeded bytes, FuzzTableOps the fuzzer's.
+// them to one table per variant, and ends every run with a forced major
+// compaction. The model is the live rows in dense order, answered by the
+// pointer oracle (matcher_oracle_test.go). TestTableModel feeds it seeded
+// bytes, FuzzTableOps the fuzzer's.
 
 // modelVariant is a table's parallelism and Options.QueryCacheSize.
 type modelVariant struct{ par, cache int }
@@ -90,10 +91,13 @@ type modelRun struct {
 	memo   map[int]modelAnswer
 	log    []string
 	stats  map[string]int // what the run reached, for vacuity checks
+	form   int            // the last probe's query form and queries
+	qs     []int
 }
 
 // runModel decodes data into an initial table and at most maxOps ops
-// (fewer when the data runs out), and drives one table per variant.
+// (fewer when the data runs out), then a major compaction, and drives one
+// table per variant.
 func runModel(tb testing.TB, fx *modelFixture, variants []modelVariant, data []byte, maxOps int) map[string]int {
 	tb.Helper()
 	r := &modelRun{tb: tb, fx: fx, src: &modelSource{data}, dir: tb.TempDir(), stats: map[string]int{}}
@@ -119,6 +123,7 @@ func runModel(tb testing.TB, fx *modelFixture, variants []modelVariant, data []b
 	for op := 0; op < maxOps && len(r.src.data) > 0; op++ {
 		r.check(ops[modelOps[r.src.intn(len(modelOps))]]())
 	}
+	r.check(r.major())
 	return r.stats
 }
 
@@ -281,8 +286,9 @@ func (r *modelRun) remove() string {
 }
 
 // compact compacts every table: it must swap exactly when it has delta
-// rows to seal or a major rebuild is due, and leave at most
-// maxTableSegments segments.
+// rows to seal or a major rebuild is due, leave at most maxTableSegments
+// segments, and keep the generation, so every answer cached before it
+// still hits (probe).
 func (r *modelRun) compact() string {
 	r.logf("Compact, %d delta rows", r.tabs[0].tab.DeltaLen())
 	for _, mt := range r.tabs {
@@ -291,12 +297,74 @@ func (r *modelRun) compact() string {
 		if err != nil || ok != want || mt.tab.SegmentCount() > maxTableSegments {
 			r.fatalf("%v: Compact swapped %v, want %v; %d segments, error %v", mt.v, ok, want, mt.tab.SegmentCount(), err)
 		}
-		r.setGen(mt, mt.tab.Generation(), ok, "Compact")
+		r.setGen(mt, mt.tab.Generation(), false, "Compact")
 		if ok && len(segs) > 0 && len(mt.tab.store.segs) == 1 && mt.tab.store.segs[0] != segs[0] && mt == r.tabs[0] {
 			r.stats["majors"]++
 		}
 	}
 	return "Compact"
+}
+
+// major makes a major rebuild due on every table and compacts, whatever
+// the byte stream: it tombstones the fewest rows that leave a majority of
+// the stored ones dead and at least minMajorGarbage, from a decoded start
+// (adding rows first when too few are live), answers a probe, and
+// compacts. Every table must rebuild into one segment of live rows, keep
+// its generation, and then answer the same probe from its cache.
+func (r *modelRun) major() string {
+	tix := r.tabs[0].tab.store.tix
+	need := func() int {
+		dead := tix.Stored() - tix.Len()
+		return max(minMajorGarbage, tix.Stored()/2+1) - dead
+	}
+	if need() > tix.Len() {
+		rows := make([][]string, 2*minMajorGarbage)
+		for i := range rows {
+			rows[i] = r.pickRow()
+		}
+		r.logf("Add %d rows for a major compaction", len(rows))
+		r.rows, r.oracle = append(r.rows, rows...), nil
+		for _, mt := range r.tabs {
+			g, err := mt.tab.Add(rows)
+			if err != nil {
+				r.fatalf("%v: Add: %v", mt.v, err)
+			}
+			r.setGen(mt, g, true, "Add")
+		}
+		tix = r.tabs[0].tab.store.tix
+	}
+	if k := need(); k > 0 { // else a major is due already
+		n, start := len(r.rows), r.src.intn(len(r.rows))
+		idx := make([]int, k)
+		for i := range idx {
+			idx[i] = (start + i) % n
+		}
+		r.logf("Remove %d of %d rows for a major compaction, from row %d", k, n, start)
+		for i, d := range slices.Sorted(slices.Values(idx)) {
+			r.rows = slices.Delete(r.rows, d-i, d-i+1)
+		}
+		r.oracle = nil
+		for _, mt := range r.tabs {
+			g, err := mt.tab.Remove(idx)
+			if err != nil {
+				r.fatalf("%v: Remove: %v", mt.v, err)
+			}
+			r.setGen(mt, g, true, "Remove")
+		}
+	}
+	r.check("before a major compaction")
+	r.logf("Compact, major")
+	for _, mt := range r.tabs {
+		ok, err := mt.tab.Compact(context.Background())
+		if s := &mt.tab.store; err != nil || !ok || s.tix.Segments() != 1 || s.tix.DeltaRows() != 0 || s.tix.Stored() != len(r.rows) {
+			r.fatalf("%v: major Compact swapped %v, error %v: %d segments, %d delta rows, %d stored for %d live",
+				mt.v, ok, err, s.tix.Segments(), s.tix.DeltaRows(), s.tix.Stored(), len(r.rows))
+		}
+		r.setGen(mt, mt.tab.Generation(), false, "Compact, major")
+		r.probe(mt, r.form, r.qs, fmt.Sprintf("after a major compaction, %v, %s", mt.v, modelForms[r.form]))
+	}
+	r.stats["majors"]++
+	return "Compact, major"
 }
 
 // save replaces every table by its snapshot loaded back at generation 1,
@@ -427,6 +495,7 @@ func (r *modelRun) check(stage string) {
 			qs = append(qs, qi)
 		}
 	}
+	r.form, r.qs = form, qs
 	r.logf("  probe %s %v", modelForms[form], qs)
 	for _, mt := range r.tabs {
 		where := fmt.Sprintf("%s, %v", stage, mt.v)

@@ -46,76 +46,6 @@ func toRows(records []string) [][]string {
 	return rows
 }
 
-// TestTableGenerationBumps: every mutation path — add, remove, minor
-// compaction, major compaction — bumps the generation before it returns,
-// so a (generation, query) cache key can never serve a stale table.
-func TestTableGenerationBumps(t *testing.T) {
-	L, _ := makeTask(t, 37, 3)
-	prog := tableTestProgram()
-	tab, err := prog.NewTable(1, toRows(L[:60]), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := tab.Generation()
-	if gen == 0 {
-		t.Fatal("fresh table has generation 0; 0 must stay free as a cache sentinel")
-	}
-
-	g, err := tab.Add(toRows(L[60:64]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g <= gen || tab.Generation() != g {
-		t.Fatalf("Add: generation %d after %d", g, gen)
-	}
-	gen = g
-
-	if g, err = tab.Remove([]int{2}); err != nil {
-		t.Fatal(err)
-	}
-	if g <= gen {
-		t.Fatalf("Remove did not bump generation: %d after %d", g, gen)
-	}
-	gen = g
-
-	did, err := tab.Compact(context.Background())
-	if err != nil || !did {
-		t.Fatalf("compact: did=%v err=%v", did, err)
-	}
-	if tab.Generation() <= gen {
-		t.Fatalf("minor compaction did not bump generation: %d after %d", tab.Generation(), gen)
-	}
-	gen = tab.Generation()
-
-	// An empty-delta, garbage-free Compact is a no-op and must NOT bump.
-	did, err = tab.Compact(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if did || tab.Generation() != gen {
-		t.Fatalf("no-op compact changed state: did=%v gen %d vs %d", did, tab.Generation(), gen)
-	}
-
-	// Drive a major rebuild by tombstoning most of the table.
-	var dead []int
-	for i := 0; i < tab.Len()-5; i++ {
-		dead = append(dead, i)
-	}
-	if gen, err = tab.Remove(dead); err != nil {
-		t.Fatal(err)
-	}
-	did, err = tab.Compact(context.Background())
-	if err != nil || !did {
-		t.Fatalf("major compact: did=%v err=%v", did, err)
-	}
-	if tab.Generation() <= gen {
-		t.Fatal("major compaction did not bump generation")
-	}
-	if tab.SegmentCount() != 1 || tab.Len() != 5 {
-		t.Fatalf("major compaction left %d segments, %d rows", tab.SegmentCount(), tab.Len())
-	}
-}
-
 // TestTableAddRemoveSemantics: dense indices stay consistent with Rows()
 // ordering across removes and compactions.
 func TestTableAddRemoveSemantics(t *testing.T) {

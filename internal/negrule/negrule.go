@@ -73,15 +73,20 @@ func (s *Set) LearnPair(w1, w2 []string) {
 	}
 }
 
-// oneWordDiff reports whether the sorted distinct word sets a and b
-// differ by exactly one word on each side, returning those words: onlyA
-// is the one word of a missing from b, onlyB the one word of b missing
-// from a. It is the scan of Definition 3.1 that both learning a rule and
-// vetoing a pair run, and it stops at the second word found on either
-// side. Allocation-free.
+// oneWordDiff reports whether the word sets a and b, each sorted and
+// free of repeats, differ by exactly one word on each side, returning
+// those words: onlyA is the one word of a missing from b, onlyB the one
+// word of b missing from a. It is the scan of Definition 3.1 that both
+// learning a rule and vetoing a pair run, and it stops at the second word
+// found on either side. Two such sets that differ by one word each share
+// all others, so they are the same size, and sets of different sizes are
+// refused before the scan. Allocation-free.
 //
 //autofj:hotpath
 func oneWordDiff(a, b []string) (onlyA, onlyB string, ok bool) {
+	if len(a) != len(b) {
+		return "", "", false
+	}
 	nA, nB := 0, 0
 	ai, bi := 0, 0
 	for ai < len(a) && bi < len(b) {

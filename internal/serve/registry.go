@@ -311,10 +311,11 @@ func (r *Registry) wait(ctx context.Context) error {
 	}
 }
 
-// TableUpdate reports the outcome of a reference-table mutation: the new
-// table generation (every result produced under an older generation is
-// already unreachable in the table's cache by the time this returns) and
-// the resulting table shape.
+// TableUpdate reports the outcome of a reference-table mutation or
+// compaction: the table generation, which moves when the live rows change
+// and never on compaction (every result produced under an older
+// generation is already unreachable in the table's cache by the time
+// this returns), and the resulting table shape.
 type TableUpdate struct {
 	Program    string `json:"program"`
 	Generation uint64 `json:"generation"`
@@ -359,8 +360,10 @@ func (r *Registry) RemoveRows(name string, indices []int) (TableUpdate, error) {
 }
 
 // CompactNow forces one compaction round on the named program's table,
-// reporting whether anything was rewritten. The background compactor
-// calls the same table method; this is the operator's handle.
+// reporting whether anything was rewritten. A compaction keeps the live
+// rows, so the generation it reports is the one before it, and every
+// cached answer survives it. The background compactor calls the same
+// table method; this is the operator's handle.
 func (r *Registry) CompactNow(ctx context.Context, name string) (bool, TableUpdate, error) {
 	cp, err := r.forMutation(name)
 	if err != nil {

@@ -12,7 +12,8 @@
 // mutate IN PLACE (AddRows/RemoveRows, the /rows endpoints): each
 // mutation bumps the table's generation, and a background compactor folds
 // accumulated deltas into compiled segments once they reach
-// Config.DeltaMax.
+// Config.DeltaMax; a compaction keeps the live rows, so it moves no
+// generation and every cached answer survives it.
 //
 // Results are bit-identical to a full recompile of the current reference
 // rows: the data path only ever reaches the table through MatchBatchAt

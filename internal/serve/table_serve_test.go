@@ -93,10 +93,11 @@ func TestRegistryRowMutations(t *testing.T) {
 }
 
 // TestCacheGenerationBumps is the stale-cache regression test: EVERY
-// mutation path — hot swap, AddRows, RemoveRows, compaction — must bump
-// the generation the cache keys on BEFORE its effects are visible, so
-// the first query after a mutation can never be served from the old
-// state's cache entry.
+// mutation path — hot swap, AddRows, RemoveRows — must bump the
+// generation the cache keys on BEFORE its effects are visible, so the
+// first query after a mutation can never be served from the old state's
+// cache entry. A compaction changes no row: it keeps the generation and
+// the cached answer.
 func TestCacheGenerationBumps(t *testing.T) {
 	reg := newTestRegistry(t, Config{DeltaMax: -1}) // no background compaction: we force it explicitly
 	if err := reg.Register(testSpec("orgs")); err != nil {
@@ -145,19 +146,35 @@ func TestCacheGenerationBumps(t *testing.T) {
 		t.Fatalf("add not visible on first post-add query: %+v", res)
 	}
 
-	// Compaction: rows unchanged, but the generation still bumps, so the
-	// recomputed answer must be identical to the cached one.
-	before := warm(probe)
-	did, _, err := reg.CompactNow(ctx, "orgs")
+	// Compaction: the live rows do not change, so neither does the
+	// generation, and the answer stays cached. It is still the answer of a
+	// table with no result cache over the compacted table's rows.
+	warm(probe)
+	gen := reg.get("orgs").cur.Load().table.Generation()
+	did, upd, err := reg.CompactNow(ctx, "orgs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !did {
-		t.Fatal("compaction with a live delta did nothing")
+	if !did || upd.Generation != gen {
+		t.Fatalf("compaction with a live delta: swapped %v, generation %d after %d", did, upd.Generation, gen)
 	}
-	after := fresh(probe)
-	if after.Match != before.Match || after.LeftValue != before.LeftValue {
-		t.Fatalf("compaction changed the answer: %+v vs %+v", after, before)
+	after, err := reg.Query(ctx, "orgs", []string{probe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !after.Cached {
+		t.Fatalf("query %q recomputed after a compaction", probe)
+	}
+	prog, err := core.DecodeProgram([]byte(testProgramJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := prog.NewTable(1, reg.get("orgs").cur.Load().table.Rows(), core.Options{QueryCacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _, err := plain.Match(ctx, probe); err != nil || after.Match != want {
+		t.Fatalf("compaction changed the answer: %+v, uncached table %+v (%v)", after.Match, want, err)
 	}
 
 	// RemoveRows: a cached match must disappear the moment Remove returns.
