@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strings"
 
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/distance"
 	"github.com/chu-data-lab/autofuzzyjoin-go/internal/embed"
@@ -96,8 +95,7 @@ func newLayout(c *Corpus) *layout {
 // scores (LearnProfiles). For every counted
 // representation, each distinct token the column's rows hold gets a
 // stable integer slot, assigned in first-appearance order, with its
-// document frequency over the live rows, its place in the lexical order
-// of the representation's slots and, when the space weighs it by IDF,
+// document frequency over the live rows and, when the space weighs it by IDF,
 // its IDF weight. The document count is shared by the column's
 // representations.
 //
@@ -126,16 +124,13 @@ type Vocab struct {
 // repVocab is the vocabulary of one counted representation. A 3-gram
 // representation interns by packed key (tokenize.AppendGramKeys) and a
 // word representation by string; either way each slot's token string is
-// kept once, for DF, Dictionary and ordering.
+// kept once, for DF and Dictionary.
 type repVocab struct {
-	slot  map[string]int32 // words
-	key   map[uint64]int32 // packed 3-grams
-	toks  []string         // token by slot
-	df    []int32          // live rows holding the slot
-	sw    []float64        // IDF weight by slot under the live statistics, when the space weighs by IDF
-	order []int32          // slots in ascending token order
-	spare []int32          // Settle's merge buffer
-	fresh []int32          // Settle's buffer of new slots
+	slot map[string]int32 // words
+	key  map[uint64]int32 // packed 3-grams
+	toks []string         // token by slot
+	df   []int32          // live rows holding the slot
+	sw   []float64        // IDF weight by slot under the live statistics, when the space weighs by IDF
 }
 
 // NewVocab returns an empty vocabulary for one program column of a table
@@ -198,7 +193,7 @@ func (v *Vocab) Reserve(n int) {
 
 // Intern returns the slot of token under (pre, tok), assigning the next
 // free slot to a token the vocabulary has not seen. A new slot has df 0,
-// and no place in the order and no IDF weight until the next Settle. A
+// and no IDF weight until the next Settle. A
 // 3-gram token must be exactly three runes.
 func (v *Vocab) Intern(pre textproc.Option, tok tokenize.Option, token string) (int32, error) {
 	r := int(v.lay.rep[pre][tok])
@@ -364,15 +359,10 @@ func addDF[S distance.Slot](df []int32, slots []S, delta int32) {
 	}
 }
 
-// Settle ends a batch of mutations. The slots interned since the last
-// Settle are sorted and merged into the sorted slot order, the IDF table
-// moves to the new document count, and one pass refreshes every slot's
-// IDF weight: O(V) for a vocabulary of V slots, however many rows the
-// table holds.
+// Settle ends a batch of mutations. The IDF table moves to the new
+// document count, and one pass refreshes every slot's IDF weight: O(V)
+// for a vocabulary of V slots, however many rows the table holds.
 func (v *Vocab) Settle() {
-	for r := range v.reps {
-		v.reps[r].rerank()
-	}
 	if v.idf.Docs() != v.docs {
 		v.idf.SetDocs(v.docs)
 	}
@@ -394,37 +384,13 @@ func (v *Vocab) weighSlots(r int) {
 	}
 }
 
-func (rv *repVocab) rerank() {
-	old := len(rv.order)
-	if old == len(rv.toks) {
-		return
-	}
-	toks := rv.toks
-	fresh := slices.Grow(rv.fresh[:0], len(toks)-old)
-	for sl := old; sl < len(toks); sl++ {
-		fresh = append(fresh, int32(sl))
-	}
-	rv.fresh = fresh
-	slices.SortFunc(fresh, func(a, b int32) int { return strings.Compare(toks[a], toks[b]) })
-	merged := slices.Grow(rv.spare[:0], len(toks))
-	i := 0
-	for _, f := range fresh {
-		rest := rv.order[i:]
-		j := i + sort.Search(len(rest), func(k int) bool { return toks[rest[k]] > toks[f] })
-		merged = append(append(merged, rv.order[i:j]...), f)
-		i = j
-	}
-	merged = append(merged, rv.order[i:]...)
-	rv.order, rv.spare = merged, rv.order
-}
-
-// DF yields, in ascending token order, every token of (pre, tok) that a
-// live row holds, with its document frequency.
+// DF yields, in slot order, every token of (pre, tok) that a live row
+// holds, with its document frequency.
 func (v *Vocab) DF(pre textproc.Option, tok tokenize.Option) iter.Seq2[string, int] {
 	return func(yield func(string, int) bool) {
 		rv := &v.reps[v.lay.rep[pre][tok]]
-		for _, sl := range rv.order {
-			if df := rv.df[sl]; df > 0 && !yield(rv.toks[sl], int(df)) {
+		for sl, df := range rv.df {
+			if df > 0 && !yield(rv.toks[sl], int(df)) {
 				return
 			}
 		}

@@ -88,7 +88,7 @@ type preparedFn struct {
 	thresholds []float64 // grid of s candidate θ values
 	bestL      []int32   // closest candidate per r, -1 if none
 	bestD      []float64 // distance to bestL
-	kMin       []int32   // first grid index at which r joins; steps if never
+	kMin       []int32   // first k with θ_k ≥ bestD[r] (gridStep); steps if never
 	// cnt[r][k] is the number of L records in the 2·θ_k ball around
 	// bestL[r] (including the center), for k >= kMin[r]; nil when r can
 	// never join under this function.
@@ -131,8 +131,9 @@ type fnCenter struct {
 //
 //  1. sharded over right records: one fused evaluation per L-R candidate
 //     pair updates every function's closest-candidate scan at once;
-//  2. sharded over functions: threshold grids, grid positions, joinable
-//     rows, and the per-function ball-center grouping;
+//  2. sharded over functions: threshold grids θ_k = dCap·(k+1)/s, the
+//     step each row joins from (the first k with θ_k ≥ d, by gridStep),
+//     joinable rows, and the per-function ball-center grouping;
 //  3. sharded over the UNION of ball centers: one fused evaluation per
 //     L-L candidate pair, restricted to the evaluator groups of the
 //     functions that need that center, buckets each such function's ball
@@ -230,27 +231,18 @@ func prepare(in *engineInput, parallelism int) []*preparedFn {
 			for k := 0; k < s; k++ {
 				fn.thresholds[k] = dCap * float64(k+1) / float64(s)
 			}
+			scale := float64(s) / dCap
 			nCenters := 0
 			for r := 0; r < in.nR; r++ {
 				d := fn.bestD[r]
 				if fn.bestL[r] < 0 || d >= unjoinableDist {
 					continue
 				}
-				var kMin int32
-				if dCap > 0 {
-					kMin = int32(math.Ceil(d*float64(s)/dCap)) - 1
-					if kMin < 0 {
-						kMin = 0
-					}
-					// Float round-off can land one step early; repair.
-					for kMin < int32(s) && fn.thresholds[kMin] < d {
-						kMin++
-					}
-				}
-				if kMin >= int32(s) {
+				kMin := gridStep(fn.thresholds, scale, d)
+				if kMin == s {
 					continue
 				}
-				fn.kMin[r] = kMin
+				fn.kMin[r] = int32(kMin)
 				if at[fn.bestL[r]] < 0 {
 					at[fn.bestL[r]] = 0 // a center; its index comes below
 					nCenters++
@@ -369,7 +361,7 @@ func prepare(in *engineInput, parallelism int) []*preparedFn {
 			grids = grids[:0]
 			for k, fc := range need {
 				grids = append(grids, newBallGrid(plans[fc.fi].radii, buckets[k*s:(k+1)*s]))
-				cut[fc.fi] = grids[k].rMax
+				cut[fc.fi] = plans[fc.fi].radii[s-1]
 			}
 			for ci := range in.llCand[l] {
 				ev.ll(l, ci, mask, cut, row)
@@ -418,17 +410,40 @@ func prepare(in *engineInput, parallelism int) []*preparedFn {
 	return fns
 }
 
+// gridStep returns the first step k of grid (nondecreasing, at least one
+// step) with d ≤ grid[k], or len(grid) when d is past the last step or is
+// NaN. It is the paper's rule wherever a distance meets a threshold grid:
+// a row joins from the first θ_k ≥ d on (phase 2), and a ball distance
+// counts from the first 2θ_k ≥ d on (ballGrid). scale is len(grid) over
+// the last step: the step is first put at floor(d·scale), which the
+// grid's shape puts one step late only where d·scale is a whole number,
+// and then repaired both ways with the grid itself, which also absorbs
+// float round-off (and a scale that overflowed to +Inf).
+func gridStep(grid []float64, scale, d float64) int {
+	last := len(grid) - 1
+	if !(d <= grid[last]) {
+		return len(grid)
+	}
+	k := min(max(int(d*scale), 0), last)
+	for k > 0 && d <= grid[k-1] {
+		k--
+	}
+	for !(d <= grid[k]) {
+		k++
+	}
+	return k
+}
+
 // ballGrid counts one (center, function) ball on the function's threshold
 // grid: it buckets each ball distance d at the first step k with
-// d <= radii[k], and a prefix sum then gives the ball at every step. The
-// counts are those of sorting the ball and walking it once over the
-// radii (walkCounts, which TestGridCountsMatchSortedWalk holds this to),
-// without the sort: with no NaN in the ball, the number of ball distances
-// within each radius, as learnRef counts them.
+// d <= radii[k] (gridStep), and a prefix sum then gives the ball at every
+// step. The counts are those of sorting the ball and walking it once over
+// the radii (walkCounts, which TestGridCountsMatchSortedWalk holds this
+// to), without the sort: with no NaN in the ball, the number of ball
+// distances within each radius, as learnRef counts them.
 type ballGrid struct {
 	radii []float64
-	rMax  float64 // radii[s-1], 2θ_max
-	scale float64 // s/rMax: places a distance on the grid
+	scale float64 // s/2θ_max, for gridStep
 	le    []int32 // bucket counts; after cumulate, the ball at every step
 	nan   bool    // a NaN distance was seen
 }
@@ -436,38 +451,18 @@ type ballGrid struct {
 // newBallGrid starts the count of one ball over radii (nondecreasing, at
 // least one) in le, which must be zero and have one slot per radius.
 func newBallGrid(radii []float64, le []int32) ballGrid {
-	rMax := radii[len(radii)-1]
-	return ballGrid{radii: radii, rMax: rMax, scale: float64(len(radii)) / rMax, le: le}
+	return ballGrid{radii: radii, scale: float64(len(radii)) / radii[len(radii)-1], le: le}
 }
 
 // add counts one ball distance. A distance past every radius (beyond
 // 2θ_max, or +Inf from a cut) joins no bucket; neither does a NaN, which
 // is noted for cumulate.
 func (g *ballGrid) add(d float64) {
-	if d <= g.rMax {
-		g.place(d)
+	if k := gridStep(g.radii, g.scale, d); k < len(g.le) {
+		g.le[k]++
 	} else if d != d {
 		g.nan = true
 	}
-}
-
-// place buckets a distance within 2θ_max. Its step is first put at
-// floor(d/2θ_max·s), which is the ceil(d/2θ_max·s)−1 the grid's shape
-// gives except where d/2θ_max·s is a whole number, and then repaired both
-// ways with the radii themselves, which also absorbs float round-off.
-func (g *ballGrid) place(d float64) {
-	if d <= 0 { // radii[0] >= 0; also every d when 2θ_max is 0
-		g.le[0]++
-		return
-	}
-	k := min(max(int(d*g.scale), 0), len(g.radii)-1) // scale may overflow to +Inf
-	for k > 0 && d <= g.radii[k-1] {
-		k--
-	}
-	for !(d <= g.radii[k]) {
-		k++
-	}
-	g.le[k]++
 }
 
 // cumulate turns the bucket counts into le[k], the number of ball

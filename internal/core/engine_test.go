@@ -161,21 +161,62 @@ func TestPrepareTotalsMatchRowSums(t *testing.T) {
 	}
 }
 
+// TestThresholdGridCoversBestDistances: prepare builds the grid
+// θ_k = dCap·(k+1)/s and places every joinable row at the first step k
+// with θ_k ≥ d, and a row past θ_s at no step, over the Figure 4 input
+// and over seeded random dCap at s = 50: the row at dCap, rows on every
+// θ_k and one ulp either side, where a placement from a rounded quotient
+// lands one step off, and random rows below dCap.
 func TestThresholdGridCoversBestDistances(t *testing.T) {
+	check := func(name string, in *engineInput) {
+		t.Helper()
+		fn, s := prepare(in, 1)[0], in.steps
+		dCap := 0.0
+		for r, d := range fn.bestD {
+			if fn.bestL[r] >= 0 && d < unjoinableDist {
+				dCap = max(dCap, d)
+			}
+		}
+		for k, th := range fn.thresholds {
+			if th != dCap*float64(k+1)/float64(s) {
+				t.Fatalf("%s: θ_%d = %v, want dCap·%d/%d with dCap %v", name, k, th, k+1, s, dCap)
+			}
+		}
+		for r, d := range fn.bestD {
+			want := s
+			if fn.bestL[r] >= 0 && d < unjoinableDist {
+				want = 0
+				for want < s && fn.thresholds[want] < d {
+					want++
+				}
+			}
+			if got := int(fn.kMin[r]); got != want || (fn.cnt[r] != nil) != (want < s) {
+				t.Fatalf("%s: row at %v joins at step %d (ball %v), want %d of %d", name, d, got, fn.cnt[r] != nil, want, s)
+			}
+		}
+	}
 	in, _, _ := figure4Input(t)
-	fns := prepare(in, 1)
-	fn := fns[0]
-	for r := 0; r < in.nR; r++ {
-		if fn.cnt[r] == nil {
-			continue
+	check("figure 4", in)
+
+	const s = 50
+	rng := rand.New(rand.NewSource(7))
+	for draw := range 200 {
+		dCap := rng.Float64() * unjoinableDist
+		ds := []float64{dCap, 0}
+		for k := 1; k <= s; k++ {
+			th := dCap * float64(k) / s
+			ds = append(ds, min(th, dCap), min(math.Nextafter(th, 0), dCap), min(math.Nextafter(th, 1), dCap))
 		}
-		k := fn.kMin[r]
-		if fn.thresholds[k] < fn.bestD[r] {
-			t.Errorf("r%d: threshold[kMin]=%f below bestD=%f", r, fn.thresholds[k], fn.bestD[r])
+		for range 20 {
+			ds = append(ds, rng.Float64()*dCap)
 		}
-		if k > 0 && fn.thresholds[k-1] >= fn.bestD[r] {
-			t.Errorf("r%d: kMin not minimal", r)
-		}
+		check(fmt.Sprintf("draw %d, dCap %v", draw, dCap), &engineInput{
+			space: config.Space()[:1], steps: s, nL: 1, nR: len(ds),
+			lrCand: slices.Repeat([][]int32{{0}}, len(ds)), llCand: [][]int32{nil},
+			newEval: func() pairEval {
+				return pairEval{lr: func(r, _ int, _, out []float64) { out[0] = ds[r] }}
+			},
+		})
 	}
 }
 

@@ -56,16 +56,9 @@ func refPrepare(t *refTask, fi int) *refFn {
 		if l < 0 || d >= 0.9995 {
 			continue
 		}
-		// r joins from the first θ_k >= d on, with the step placed as the
-		// engine places it: ceil(d·s/dCap)−1, moved up while θ_k < d. A
-		// quotient that rounds up past a whole number lands one step
-		// late, which the learned programs depend on.
-		k := 0
-		if dCap > 0 {
-			k = max(int(math.Ceil(d*float64(s)/dCap))-1, 0)
-			for k < s && f.th[k] < d {
-				k++
-			}
+		k := 0 // r joins from the first θ_k >= d on
+		for k < s && f.th[k] < d {
+			k++
 		}
 		if k == s {
 			continue

@@ -24,9 +24,9 @@ var learnedPinFile = filepath.Join("testdata", "learned_programs.golden")
 // (benchgen seed 1, scale 1, default options) and compares each task's
 // digest of resultLines (program, thresholds, estimates, trace and every
 // join, floats as bits) with the committed pin. A change that moves what
-// learning decides fails it and prints the tasks that moved, with their
-// configuration counts and actual P and R before and after; rerun with
-// -update to rewrite the pin when the move is meant:
+// learning decides fails it and prints the pinned and the new line of
+// each task that moved; rerun with -update to rewrite the pin when the
+// move is meant:
 //
 //	go test -count=1 -run TestLearnedProgramsPinned ./internal/core -update
 func TestLearnedProgramsPinned(t *testing.T) {
@@ -62,28 +62,12 @@ func TestLearnedProgramsPinned(t *testing.T) {
 	}
 	var moved []string
 	for id := range got {
-		if got[id] == want[id] {
-			continue
+		if got[id] != want[id] {
+			moved = append(moved, fmt.Sprintf("task %s\n  pinned %s\n  now    %s", benchgen.SingleColumnTaskName(id), want[id], got[id]))
 		}
-		var w, g pinLine
-		w.parse(want[id])
-		g.parse(got[id])
-		moved = append(moved, fmt.Sprintf("task %d %s: configurations %d → %d, P %s → %s, R %s → %s",
-			id, benchgen.SingleColumnTaskName(id), w.configs, g.configs, w.p, g.p, w.r, g.r))
 	}
 	if moved != nil {
 		t.Fatalf("learning decides differently on %d of %d tasks:\n%s\n(rerun with -update if the change is meant)",
 			len(moved), len(got), strings.Join(moved, "\n"))
 	}
-}
-
-// pinLine is one task's line of the learned-program pin.
-type pinLine struct {
-	digest, p, r string
-	configs      int
-}
-
-func (l *pinLine) parse(s string) {
-	var id int
-	fmt.Sscanf(s, "%d %s P %s R %s configurations %d", &id, &l.digest, &l.p, &l.r, &l.configs)
 }

@@ -538,8 +538,7 @@ func gramProgram() *Program {
 }
 
 // gramTokens lists, per counted 3-gram representation of the table's
-// column vocabulary, the tokens that live rows hold, in the order DF
-// yields them.
+// column vocabulary, the tokens that live rows hold, sorted.
 func gramTokens(tab *Table) [][]string {
 	var out [][]string
 	for _, pre := range textproc.Options() {
@@ -550,6 +549,7 @@ func gramTokens(tab *Table) [][]string {
 		for tok := range tab.store.cols[0].DF(pre, tokenize.QGram3) {
 			toks = append(toks, tok)
 		}
+		slices.Sort(toks)
 		out = append(out, toks)
 	}
 	return out

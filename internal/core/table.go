@@ -21,22 +21,23 @@ import (
 // delta, blocking index, vocabularies), and the Table is the query layer
 // over the store's read view: the program, k, the IDF run sums, the
 // result cache and the generation. Add costs O(rows + V) — the added
-// rows, plus one pass over the V-slot token vocabulary when they bring
-// new tokens — never |L|. Remove tombstones the touched rows, then
-// renumbers the dense ids with one pass over every stored row, so it is
-// linear in the stored table. Background Compact seals the delta into a
+// rows, plus one pass that re-weighs the IDF of every slot of the V-slot
+// token vocabulary (config.Vocab.Settle), on every call — never |L|.
+// Remove tombstones the touched rows, re-weighs the vocabulary the same
+// way, then renumbers the dense ids with one pass over every stored row,
+// so it is linear in the stored table. Background Compact seals the delta into a
 // new segment off the serving path, swapping it in atomically.
 //
 // Every query is BIT-IDENTICAL to what a fresh table over the current live
 // rows (NewTable, Program.Compile or CompileMultiColumn) would answer:
 //
-//   - blocking merges per-segment top-k streams with a brute-force delta
-//     scan under globally maintained gram df counts (see blocking.TableIndex);
+//   - blocking is one exact threshold scan over the delta rows and every
+//     segment's posting lists, under globally maintained gram df counts
+//     (see blocking.TableIndex);
 //   - rows store their token sets as integer slot runs with counts over
 //     one vocabulary per program column and counted representation
 //     (config.Vocab), which keeps integer df/doc counts — equal to the
-//     batch-built statistics exactly — each slot's place in the lexical
-//     order and its IDF weight. A query is prepared once into
+//     batch-built statistics exactly — and each slot's IDF weight. A query is prepared once into
 //     slot-indexed weight tables, and each candidate is scored straight
 //     from its stored slot run, in the floating-point order a fresh
 //     profile build uses, so no token string is hashed or compared per
