@@ -95,8 +95,8 @@ func newLayout(c *Corpus) *layout {
 // scores (LearnProfiles). For every counted
 // representation, each distinct token the column's rows hold gets a
 // stable integer slot, assigned in first-appearance order, with its
-// document frequency over the live rows and, when the space weighs it by IDF,
-// its IDF weight. The document count is shared by the column's
+// document frequency over the live rows and, when the space weighs it by
+// IDF, its IDF weight. The document count is shared by the column's
 // representations.
 //
 // A slot whose df drops to 0 stays: it keeps its place, re-adding the token
@@ -193,8 +193,8 @@ func (v *Vocab) Reserve(n int) {
 
 // Intern returns the slot of token under (pre, tok), assigning the next
 // free slot to a token the vocabulary has not seen. A new slot has df 0,
-// and no IDF weight until the next Settle. A
-// 3-gram token must be exactly three runes.
+// and no IDF weight until the next Settle. A 3-gram token must be exactly
+// three runes.
 func (v *Vocab) Intern(pre textproc.Option, tok tokenize.Option, token string) (int32, error) {
 	r := int(v.lay.rep[pre][tok])
 	if tok != tokenize.QGram3 {
